@@ -9,7 +9,7 @@ A synthetic transcription task plus experiment harness (`corpus`,
 """
 
 from . import conditioning, corpus, decoding, experiments, fst, metrics, sampler, tensor, train, vocab
-from .conditioning import BiasEntry, compute_mask, split_greedy, split_rule_based
+from .conditioning import BiasEntry, PrefixTable, compute_mask, split_greedy, split_rule_based
 from .corpus import SyntheticTaskConfig, Utterance, generate_corpus, read_manifest
 from .decoding import DecodeConfig, beam_search
 from .fst import (

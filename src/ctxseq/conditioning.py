@@ -26,19 +26,34 @@ def plain_entries(phrases: Sequence[str]) -> list[BiasEntry]:
     return [BiasEntry("", p) for p in phrases]
 
 
-def compute_mask(entries: Sequence[BiasEntry], hypothesis_tokens: Sequence[str]) -> np.ndarray:
+class PrefixTable:
+    """A conditioning list compiled for `compute_mask`: its entries grouped
+    by distinct normalized prefix, so that a mask costs one substring test
+    per prefix rather than one normalization and test per entry."""
+
+    def __init__(self, entries: Sequence[BiasEntry]):
+        groups: dict[str, int] = {"": 0}  # group 0: empty prefix, always open
+        group_of = [0]  # mask slot -> group; slot 0 (no-bias) is always open
+        for e in entries:
+            group_of.append(groups.setdefault(normalize(e.prefix), len(groups)))
+        self.prefixes = list(groups)[1:]  # the prefixes of groups 1, 2, ...
+        self.group_of = np.array(group_of)
+
+
+def compute_mask(
+    entries: PrefixTable | Sequence[BiasEntry], hypothesis_tokens: Sequence[str]
+) -> np.ndarray:
     """{0, inf} mask of length N+1; index 0 (no-bias) is always open.
 
     Matching is raw substring inclusion on normalized text, with `</bias>`
-    tokens stripped from the hypothesis first.
+    tokens stripped from the hypothesis first. `entries` is a compiled
+    `PrefixTable` or a plain entry list, which is compiled on each call; a
+    decoder compiles its list once and passes the table at every step.
     """
+    table = entries if isinstance(entries, PrefixTable) else PrefixTable(entries)
     text = normalize(render([t for t in hypothesis_tokens if t != BIAS_END]))
-    mask = np.zeros(len(entries) + 1)
-    for i, e in enumerate(entries):
-        prefix = normalize(e.prefix)
-        if prefix and prefix not in text:
-            mask[i + 1] = np.inf
-    return mask
+    closed = np.array([False] + [p not in text for p in table.prefixes])
+    return np.where(closed[table.group_of], np.inf, 0.0)
 
 
 def split_rule_based(phrases: Sequence[str], trigger: str = "talk to") -> list[BiasEntry]:

@@ -260,12 +260,19 @@ def write_manifest(path, utts: list[Utterance]) -> None:
 
 
 def read_manifest(path) -> list[Utterance]:
+    """One JSON record per line; a record lacking `id`, `features_path` or
+    `transcript` raises ValueError naming the field and line."""
     utts = []
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError(f"{path}: line {lineno}: record is not a JSON object")
+            for key in ("id", "features_path", "transcript"):
+                if key not in rec:
+                    raise ValueError(f"{path}: line {lineno}: record lacks field {key!r}")
             utts.append(
                 Utterance(
                     id=rec["id"],

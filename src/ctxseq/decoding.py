@@ -2,8 +2,10 @@
 
 Each hypothesis tracks its own decoder state, fusion-scorer state, and (when
 prefix conditioning is active) recomputes its attention mask from its own
-partial string at every step. Totals combine the model log-probability with
-a lambda-scaled fusion score. `</bias>` may be emitted during search but is
+partial string at every step. The conditioning list is compiled once per
+utterance into a `PrefixTable`, so a mask costs one substring test per
+distinct prefix. Totals combine the model log-probability with a
+lambda-scaled fusion score. `</bias>` may be emitted during search but is
 stripped from returned sequences.
 """
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioning import BiasEntry, compute_mask
+from .conditioning import BiasEntry, PrefixTable, compute_mask
 from .fst import FusionScorer
 from .model import AudioCache, DecoderStepState, Recognizer
 from .vocab import BIAS_END, SOS, render
@@ -82,6 +84,7 @@ def beam_search(
     vocab = model.vocab
     if entries is not None:
         phrases = [e.phrase for e in entries]
+        prefix_table = PrefixTable(entries)
     if audio is None:
         audio = model.precompute_audio(model.encode_audio(x))
     if bias_cache is None:
@@ -106,7 +109,7 @@ def beam_search(
         candidates: list[Hypothesis] = []
         for h in live:
             if entries is not None:
-                mask = compute_mask(entries, [vocab.symbols[t] for t in h.tokens])
+                mask = compute_mask(prefix_table, [vocab.symbols[t] for t in h.tokens])
             else:
                 mask = zero_mask
             y_prev = h.tokens[-1] if h.tokens else vocab.sos

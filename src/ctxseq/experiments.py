@@ -4,7 +4,6 @@ conditioning rescue, embedding correlation, and attention dumps."""
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from .conditioning import BiasEntry, split_rule_based
 from .corpus import Utterance
@@ -99,9 +98,21 @@ def distractor_sweep(
 
 
 def trend_spearman(curve: list[tuple[int, float]]) -> float:
+    """Spearman rank correlation of WER with N: the Pearson correlation of
+    the ranks, ties given their average rank; NaN when a side is constant."""
     ns, wers = zip(*curve)
-    rho = stats.spearmanr(ns, wers).statistic
-    return float(rho)
+    rn, rw = _average_ranks(ns), _average_ranks(wers)
+    rn -= rn.mean()
+    rw -= rw.mean()
+    denom = np.sqrt((rn @ rn) * (rw @ rw))
+    return float(rn @ rw / denom) if denom else float("nan")
+
+
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    values = np.asarray(values, dtype=np.float64)
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def embedding_correlation(h_z: np.ndarray) -> dict:

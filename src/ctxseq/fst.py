@@ -21,6 +21,7 @@ keeps complete-match path totals identical across all three strategies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -489,31 +490,65 @@ def save_context(path, machine: Wfst) -> None:
             f.write(f"{a.src} {a.ilabel} {a.olabel} {a.weight!r} {a.dst}\n")
 
 
+_CONTEXT_HEADER = ("alphabet", "strategy", "bonus", "states", "start", "finals")
+
+
 def load_context(path) -> Wfst:
+    """Read a `save_context` file. Raises ValueError for a missing header
+    key, an arc line without five fields, a state id outside the machine,
+    or a non-finite weight."""
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln.rstrip("\n") for ln in f]
     if not lines or lines[0] != "CTXSEQ-CONTEXT-1":
         raise ValueError("not a compiled context file")
     header: dict[str, str] = {}
     idx = 1
-    while idx < len(lines) and not lines[idx][:1].isdigit():
+    while idx < len(lines) and lines[idx].partition(" ")[0] in _CONTEXT_HEADER:
         key, _, value = lines[idx].partition(" ")
         header[key] = value
         idx += 1
+    missing = [k for k in _CONTEXT_HEADER if k not in header]
+    if missing:
+        raise ValueError(f"context file lacks header keys: {', '.join(missing)}")
+    n_states = int(header["states"])
+    if n_states < 1:
+        raise ValueError(f"context file declares {n_states} states")
+
+    def state(text: str, what: str) -> int:
+        s = int(text)
+        if not 0 <= s < n_states:
+            raise ValueError(f"{what} {s} outside [0, {n_states})")
+        return s
+
+    def weight(text: str, what: str) -> float:
+        w = float(text)
+        if not math.isfinite(w):
+            raise ValueError(f"non-finite {what} {text!r}")
+        return w
+
     m = Wfst(meta={
         "alphabet": header["alphabet"].split(),
         "strategy": header["strategy"],
-        "bonus": float(header["bonus"]),
+        "bonus": weight(header["bonus"], "bonus"),
     })
-    for _ in range(int(header["states"]) - 1):
+    for _ in range(n_states - 1):
         m.add_state()
-    m.start = int(header["start"])
+    m.start = state(header["start"], "start state")
     for item in header["finals"].split():
         s, _, w = item.partition(":")
-        m.finals[int(s)] = float(w)
-    for ln in lines[idx:]:
+        m.finals[state(s, "final state")] = weight(w, "final weight")
+    for lineno, ln in enumerate(lines[idx:], start=idx + 1):
         if not ln:
             continue
-        src, ilabel, olabel, weight, dst = ln.split(" ")
-        m.add_arc(int(src), ilabel, olabel, float(weight), int(dst))
+        fields = ln.split(" ")
+        if len(fields) != 5:
+            raise ValueError(f"line {lineno}: expected `src in out weight dst`, got {len(fields)} fields")
+        src, ilabel, olabel, w, dst = fields
+        m.add_arc(
+            state(src, f"line {lineno}: arc source"),
+            ilabel,
+            olabel,
+            weight(w, f"line {lineno}: arc weight"),
+            state(dst, f"line {lineno}: arc destination"),
+        )
     return m

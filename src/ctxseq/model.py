@@ -209,7 +209,8 @@ class Recognizer:
         """Additive attention over phrase embeddings under a {0, inf} mask.
 
         Returns the bias context vector and the attention probabilities
-        (one weight per row of h_z, index 0 being no-bias).
+        (one weight per row of h_z, index 0 being no-bias). Only the open
+        rows are scored: closed rows get exactly zero weight and gradient.
         """
         n_rows = h_z.data.shape[0]
         mask = np.asarray(mask, dtype=np.float64)
@@ -219,10 +220,21 @@ class Recognizer:
             raise ValueError("the no-bias slot (index 0) must never be masked")
         if keys is None:
             keys = self.bias_key_cache(h_z)
+        rows = np.flatnonzero(mask != np.inf)
+        partial = len(rows) < n_rows
+        if partial:
+            h_z, keys = T.gather(h_z, rows), T.gather(keys, rows)
         query = T.add(T.matmul(self.params["bias_attn.wd"], d_t), self.params["bias_attn.b"])
         scores = T.matmul(T.tanh(T.add(keys, query)), self.params["bias_attn.v"])
-        alpha = T.softmax(scores, mask=mask)
-        return T.matmul(alpha, h_z), alpha
+        alpha = T.softmax(scores)
+        context = T.matmul(alpha, h_z)
+        if partial:
+            # Back to full length: open row i reads slot i of alpha, every
+            # closed row reads the appended zero.
+            slot = np.full(n_rows, len(rows))
+            slot[rows] = np.arange(len(rows))
+            alpha = T.gather(T.concat([alpha, T.constant(np.zeros(1))]), slot)
+        return context, alpha
 
     # -- decoder -------------------------------------------------------------
 

@@ -244,6 +244,26 @@ def row(a: Tensor, i: int) -> Tensor:
     return _record(out, backward)
 
 
+def gather(a: Tensor, index: np.ndarray) -> Tensor:
+    """Rows `index` of a vector or matrix, in that order; repeats allowed.
+
+    The backward scatter-adds into the selected rows, so rows that are not
+    selected get exactly zero gradient.
+    """
+    if a.data.ndim not in (1, 2):
+        raise ValueError(f"gather takes a 1-D/2-D tensor, got shape {a.shape}")
+    index = np.asarray(index, dtype=np.intp)
+    if index.ndim != 1:
+        raise ValueError(f"gather needs a 1-D index, got shape {index.shape}")
+    out = Tensor(a.data[index])
+
+    def backward():
+        if a.grad is not None:
+            np.add.at(a.grad, index, out.grad)
+
+    return _record(out, backward)
+
+
 def pick(a: Tensor, i: int) -> Tensor:
     if a.data.ndim != 1:
         raise ValueError(f"pick takes a 1-D tensor, got shape {a.shape}")

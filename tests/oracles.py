@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ctxseq.tensor import Tensor
-from ctxseq.vocab import SPACE, normalize
+from ctxseq.vocab import BIAS_END, SPACE, normalize, render
 
 FD_STEP = 1e-5
 
@@ -137,6 +137,21 @@ def grammar_accepts(word_seq: list[str], phrases: list[str]) -> bool:
                 ok[i] = True
                 break
     return ok[-1]
+
+
+# ---------------------------------------------------------------------------
+# conditioning-mask oracle
+
+
+def reference_compute_mask(entries, hypothesis_tokens) -> np.ndarray:
+    """The per-entry mask loop: normalize and test every entry's prefix."""
+    text = normalize(render([t for t in hypothesis_tokens if t != BIAS_END]))
+    mask = np.zeros(len(entries) + 1)
+    for i, e in enumerate(entries):
+        prefix = normalize(e.prefix)
+        if prefix and prefix not in text:
+            mask[i + 1] = np.inf
+    return mask
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,32 @@ class TestDecode:
         fused = (tmp_path / "fused" / "hypotheses.tsv").read_text()
         assert plain == fused
 
+    def test_context_with_arc_to_missing_state_fails_cleanly(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        context = tmp_path / "bad.ctx"
+        context.write_text(
+            "CTXSEQ-CONTEXT-1\nalphabet <space> a\nstrategy end-of-word\nbonus 1.0\n"
+            "states 2\nstart 0\nfinals 0:0.0\n0 a <eps> 0.5 5\n"
+        )
+        rc = main(
+            [
+                "decode",
+                "--checkpoint",
+                str(root / "ckpt"),
+                "--data",
+                str(root / "corpus" / "test_biased.jsonl"),
+                "--context",
+                str(context),
+                "--lam",
+                "1",
+                "--out",
+                str(tmp_path / "dec"),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "arc destination 5" in err
+
 
 class TestEval:
     def test_end_to_end_wer(self, workspace, tmp_path):

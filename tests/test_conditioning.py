@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxseq.conditioning import (
     BiasEntry,
+    PrefixTable,
     compute_mask,
     load_entries,
     plain_entries,
@@ -13,6 +16,13 @@ from ctxseq.conditioning import (
     split_rule_based,
 )
 from ctxseq.vocab import BIAS_END, SPACE, graphemize
+
+from oracles import reference_compute_mask
+
+# Prefixes over a two-letter alphabet collide often: duplicates, empty and
+# all-whitespace prefixes, and prefixes equal up to case and spacing.
+_prefixes = st.lists(st.sampled_from(["a", "b", "A", "B", " ", "  ", "\t"]), max_size=6).map("".join)
+_hypotheses = st.lists(st.sampled_from(["a", "b", SPACE, BIAS_END]), max_size=12)
 
 
 class TestComputeMask:
@@ -47,6 +57,22 @@ class TestComputeMask:
         mask = compute_mask(entries, [])
         assert mask.shape == (4,)
         assert mask[0] == 0.0
+
+    def test_table_groups_entries_by_normalized_prefix(self):
+        entries = [BiasEntry(p, "x") for p in ("Talk  To p", "", "talk to p", "talk to q", " ")]
+        table = PrefixTable(entries)
+        assert table.prefixes == ["talk to p", "talk to q"]
+        assert table.group_of.tolist() == [0, 1, 0, 1, 2, 0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_prefixes, max_size=12), st.lists(_hypotheses, min_size=1, max_size=4))
+    def test_equals_reference_loop(self, prefixes, hypotheses):
+        entries = [BiasEntry(p, f"phrase{i}") for i, p in enumerate(prefixes)]
+        table = PrefixTable(entries)
+        for hyp in hypotheses:
+            want = reference_compute_mask(entries, hyp)
+            assert np.array_equal(compute_mask(table, hyp), want)
+            assert np.array_equal(compute_mask(entries, hyp), want)
 
 
 class TestSplitRuleBased:

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -120,3 +121,18 @@ class TestGenerateCorpus:
         utts = read_manifest(corpus.manifests["test_biased"])
         assert utts[0].id == "test_biased_00000"
         assert utts[0].bias_prefixes is None
+
+    @pytest.mark.parametrize("field", ["id", "features_path", "transcript"])
+    def test_missing_field_names_field_and_line(self, tmp_path, field):
+        record = {"id": "u1", "features_path": "f.bin", "transcript": "a b"}
+        path = tmp_path / "m.jsonl"
+        broken = {k: v for k, v in record.items() if k != field}
+        path.write_text(json.dumps(record) + "\n\n" + json.dumps(broken) + "\n")
+        with pytest.raises(ValueError, match=f"line 3: record lacks field '{field}'"):
+            read_manifest(path)
+
+    def test_non_object_record_rejected(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text('"id features_path transcript"\n')
+        with pytest.raises(ValueError, match="line 1: record is not a JSON object"):
+            read_manifest(path)

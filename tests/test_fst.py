@@ -24,6 +24,19 @@ from oracles import fusion_events, grammar_accepts
 AB_ALPHABET = [SPACE, "a", "b"]
 CAT_ALPHABET = [SPACE, "c", "a", "t", "r", "s"]
 
+# A well-formed two-state context file, as save_context writes it.
+TWO_STATE_CONTEXT = [
+    "CTXSEQ-CONTEXT-1",
+    "alphabet <space> a b",
+    "strategy end-of-word",
+    "bonus 1.0",
+    "states 2",
+    "start 0",
+    "finals 0:0.0",
+    "0 a <eps> 0.5 1",
+    "1 <space> <eps> 0.5 0",
+]
+
 
 def enumerate_accepted_word_strings(g, words, max_len):
     """All word sequences up to max_len accepted by the (possibly
@@ -368,3 +381,45 @@ class TestSerialization:
         for _ in range(100):
             labels = [AB_ALPHABET[i] for i in rng.integers(0, 3, size=rng.integers(0, 10))]
             assert mem.score_string(labels) == loaded.score_string(labels)
+
+
+class TestLoadContextValidation:
+    def write(self, tmp_path, lines):
+        path = tmp_path / "ctx.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    def test_well_formed_file_loads(self, tmp_path):
+        scorer = FusionScorer(load_context(self.write(tmp_path, TWO_STATE_CONTEXT)))
+        assert scorer.score_string(["a", SPACE]) == (1.0, [0.5, 0.5])
+
+    def test_arc_to_a_missing_state(self, tmp_path):
+        lines = TWO_STATE_CONTEXT[:7] + ["0 a <eps> 0.5 5"]
+        with pytest.raises(ValueError, match=r"line 8: arc destination 5 outside \[0, 2\)"):
+            load_context(self.write(tmp_path, lines))
+
+    @pytest.mark.parametrize(
+        "index, line, message",
+        [
+            (7, "-1 a <eps> 0.5 1", "arc source -1"),
+            (5, "start 2", "start state 2"),
+            (6, "finals 3:0.0", "final state 3"),
+            (6, "finals 0:inf", "non-finite final weight"),
+            (7, "0 a <eps> nan 1", "non-finite line 8: arc weight"),
+            (3, "bonus -inf", "non-finite bonus"),
+            (7, "0 a <eps> 0.5", "line 8: expected .* got 4 fields"),
+            (8, "1 <space> <eps> 0.5 0 0", "line 9: expected .* got 6 fields"),
+            (4, "states 0", "declares 0 states"),
+        ],
+    )
+    def test_malformed_line_rejected(self, tmp_path, index, line, message):
+        lines = list(TWO_STATE_CONTEXT)
+        lines[index] = line
+        with pytest.raises(ValueError, match=message):
+            load_context(self.write(tmp_path, lines))
+
+    @pytest.mark.parametrize("key", ["alphabet", "strategy", "bonus", "states", "start", "finals"])
+    def test_missing_header_key(self, tmp_path, key):
+        lines = [ln for ln in TWO_STATE_CONTEXT if ln.partition(" ")[0] != key]
+        with pytest.raises(ValueError, match=f"lacks header keys: {key}"):
+            load_context(self.write(tmp_path, lines))

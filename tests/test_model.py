@@ -218,6 +218,40 @@ class TestAttendBias:
             assert abs(alpha.data.sum() - 1.0) <= 1e-12
             assert alpha.data[mask == np.inf].max(initial=0.0) == 0.0
 
+    @pytest.mark.parametrize(
+        "mask",
+        [np.zeros(5), np.array([0.0, np.inf, 0.0, np.inf, 0.0])],
+        ids=["all-open", "partly-closed"],
+    )
+    def test_gradient_check_under_mask(self, mask):
+        # Covers both sides of attend_bias: every row scored, and only the
+        # open rows gathered, scored and scattered back.
+        model = tiny_model(seed=2)
+        rng = np.random.default_rng(11)
+        params = {
+            "d_t": T.parameter(rng.normal(size=2)),
+            "h_z": T.parameter(rng.normal(size=(5, 2))),
+            "keys": T.parameter(rng.normal(size=(5, 2))),
+            **{k: model.params[k] for k in ("bias_attn.wd", "bias_attn.b", "bias_attn.v")},
+        }
+        w_context, w_alpha = rng.normal(size=2), rng.normal(size=5)
+
+        def forward():
+            c, alpha = model.attend_bias(params["d_t"], params["h_z"], mask, keys=params["keys"])
+            return T.add(
+                T.matmul(c, T.constant(w_context)), T.matmul(alpha, T.constant(w_alpha))
+            )
+
+        with Tape() as tape:
+            tape.backward(forward())
+        fd = finite_difference(lambda: float(forward().data), params)
+        for name, t in params.items():
+            assert max_rel_err(t.grad, fd[name]) < 1e-6, name
+        closed = mask == np.inf
+        assert np.all(params["h_z"].grad[closed] == 0.0)
+        assert np.all(params["keys"].grad[closed] == 0.0)
+        assert np.all(params["h_z"].grad[~closed] != 0.0)
+
 
 class TestDecoderStep:
     def test_determinism(self):

@@ -109,6 +109,44 @@ class TestSoftmax:
         assert max_rel_err(x.grad, fd["x"]) < 1e-6
 
 
+class TestGather:
+    def test_forward_selects_rows_in_order(self):
+        m = T.constant([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        assert np.array_equal(T.gather(m, np.array([2, 0, 2])).data, [[5.0, 6.0], [1.0, 2.0], [5.0, 6.0]])
+        v = T.constant([7.0, 8.0, 9.0])
+        assert np.array_equal(T.gather(v, np.array([1])).data, [8.0])
+        assert T.gather(v, np.array([], dtype=int)).data.shape == (0,)
+
+    def test_backward_scatter_adds(self):
+        m = T.parameter(np.arange(6.0).reshape(3, 2))
+        w = T.constant([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        with Tape() as tape:
+            picked = T.gather(m, np.array([2, 0, 2]))
+            tape.backward(T.sum_(T.mul(picked, w)))
+        # row 2 is picked twice, row 1 never
+        assert np.array_equal(m.grad, [[3.0, 4.0], [0.0, 0.0], [6.0, 8.0]])
+
+    def test_backward_matches_finite_differences(self):
+        rng = np.random.default_rng(8)
+        m = T.parameter(rng.normal(size=(4, 3)))
+        index = np.array([3, 1, 3])
+
+        def forward():
+            return T.sum_(T.tanh(T.gather(m, index)))
+
+        with Tape() as tape:
+            tape.backward(forward())
+        fd = finite_difference(lambda: float(forward().data), {"m": m})
+        assert max_rel_err(m.grad, fd["m"]) < 1e-6
+        assert np.all(m.grad[[0, 2]] == 0.0)
+
+    def test_shape_errors(self):
+        with pytest.raises(ValueError, match="1-D/2-D"):
+            T.gather(T.constant(np.zeros((2, 2, 2))), np.array([0]))
+        with pytest.raises(ValueError, match="1-D index"):
+            T.gather(T.constant(np.zeros(3)), np.array([[0]]))
+
+
 class TestLogSoftmax:
     def test_matches_log_of_softmax(self):
         x = T.constant([0.5, -1.0, 2.0])
