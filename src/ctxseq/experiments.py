@@ -128,10 +128,6 @@ def embedding_correlation(h_z: np.ndarray) -> dict:
     return {"matrix": c, "mean_off_diagonal": float(off.mean()), "max_off_diagonal": float(off.max())}
 
 
-def phrase_embeddings(model: Recognizer, phrases: list[str]) -> np.ndarray:
-    return model.encode_bias(phrases).data[1:]
-
-
 # ---------------------------------------------------------------------------
 
 

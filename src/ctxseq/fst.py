@@ -1,10 +1,12 @@
 """Weighted finite-state machinery for on-the-fly contextual rescoring.
 
 Pipeline: a word-level grammar over the phrase list (each word arc carries
-the per-word bonus, completed phrases loop back to the start), a speller
-transducing grapheme sequences to words, their composition determinized and
-minimized into a grapheme-level context model, and finally one of three
-weight-placement strategies:
+the per-word bonus, completed phrases loop back to the start) and a speller,
+the grapheme trie of the grammar's words, whose `<space>` arcs emit the word.
+Their composition is built deterministic in one pass over the trie (a state
+is a trie node plus the grammar states whose words still run through it),
+then minimized into a grapheme-level context model, and finally one of three
+weight-placement strategies is applied:
 
   end-of-word        the word bonus sits on the word's final grapheme arc
   beginning-of-word  the word bonus sits on the word's first grapheme arc
@@ -150,103 +152,6 @@ def build_speller(words: Iterable[str], alphabet: Sequence[str]) -> Wfst:
     return s
 
 
-def _compose(s: Wfst, g: Wfst) -> Wfst:
-    """Product construction; speller arcs with epsilon output move only the
-    speller side, word-emitting arcs must find a matching grammar arc."""
-    c = Wfst(meta={**s.meta, **g.meta})
-    ids: dict[tuple[int, int], int] = {(s.start, g.start): c.start}
-    stack = [(s.start, g.start)]
-    while stack:
-        ss, gs = stack.pop()
-        src = ids[(ss, gs)]
-        for arc in s.out(ss):
-            if arc.olabel == EPS:
-                targets = [((arc.dst, gs), EPS, arc.weight)]
-            else:
-                targets = [
-                    ((arc.dst, ga.dst), ga.olabel, arc.weight + ga.weight)
-                    for ga in g.out(gs)
-                    if ga.ilabel == arc.olabel
-                ]
-            for pair, olabel, weight in targets:
-                if pair not in ids:
-                    ids[pair] = c.add_state()
-                    stack.append(pair)
-                c.add_arc(src, arc.ilabel, olabel, weight, ids[pair])
-        if ss in s.finals and gs in g.finals:
-            c.finals[src] = s.finals[ss] + g.finals[gs]
-    return _trim(c)
-
-
-def _trim(m: Wfst) -> Wfst:
-    reach = {m.start}
-    stack = [m.start]
-    while stack:
-        for a in m.out(stack.pop()):
-            if a.dst not in reach:
-                reach.add(a.dst)
-                stack.append(a.dst)
-    back: dict[int, set[int]] = {}
-    for a in m.arcs:
-        back.setdefault(a.dst, set()).add(a.src)
-    alive = set(m.finals)
-    stack = list(alive)
-    while stack:
-        for src in back.get(stack.pop(), ()):
-            if src not in alive:
-                alive.add(src)
-                stack.append(src)
-    keep = reach & alive
-    has_path = any(a.src in keep and a.dst in keep for a in m.arcs)
-    if m.start not in keep or not has_path:
-        raise ValueError("composition is empty: no phrase is spellable")
-    out = Wfst(meta=dict(m.meta))
-    remap = {m.start: out.start}
-    for st in sorted(keep):
-        if st != m.start:
-            remap[st] = out.add_state()
-    for a in m.arcs:
-        if a.src in keep and a.dst in keep:
-            out.add_arc(remap[a.src], a.ilabel, a.olabel, a.weight, remap[a.dst])
-    out.finals = {remap[s]: w for s, w in m.finals.items() if s in keep}
-    return out
-
-
-def _determinize(m: Wfst) -> Wfst:
-    """Weighted subset construction; the common weight of merged transitions
-    moves onto the arc and the remainder stays as per-state residuals."""
-    d = Wfst(meta=dict(m.meta))
-    init = frozenset({(m.start, 0.0)})
-    ids: dict[frozenset, int] = {init: d.start}
-    queue = [init]
-    while queue:
-        subset = queue.pop(0)
-        src = ids[subset]
-        by_label: dict[str, list[tuple[int, float, str]]] = {}
-        for q, r in subset:
-            for a in m.out(q):
-                by_label.setdefault(a.ilabel, []).append((a.dst, r + a.weight, a.olabel))
-        for ilabel in sorted(by_label):
-            items = by_label[ilabel]
-            olabels = {o for _, _, o in items if o != EPS}
-            if len(olabels) > 1:
-                raise ValueError(f"output-label conflict while determinizing on {ilabel!r}")
-            olabel = olabels.pop() if olabels else EPS
-            shift = min(w for _, w, _ in items)
-            best: dict[int, float] = {}
-            for dst, w, _ in items:
-                best[dst] = min(best.get(dst, float("inf")), w - shift)
-            target = frozenset(best.items())
-            if target not in ids:
-                ids[target] = d.add_state()
-                queue.append(target)
-            d.add_arc(src, ilabel, olabel, shift, ids[target])
-        fw = [r + m.finals[q] for q, r in subset if q in m.finals]
-        if fw:
-            d.finals[src] = min(fw)
-    return d
-
-
 def _annotate(m: Wfst, bonus: float) -> None:
     """Attach word-position facts to every state of a deterministic machine."""
     depth = {m.start: 0}
@@ -347,11 +252,57 @@ def _minimize(m: Wfst) -> Wfst:
 
 
 def compose_det_min(s: Wfst, g: Wfst) -> Wfst:
-    """The grapheme-level context model: min(det(compose(S, G)))."""
-    c = _compose(s, g)
-    d = _determinize(c)
-    _annotate(d, g.meta.get("bonus", 1.0))
-    d.meta["alphabet"] = s.meta.get("alphabet", [])
+    """The grapheme-level context model min(det(S o G)), built in one
+    breadth-first pass over the speller's word trie.
+
+    A state is a trie node p with the set G of grammar states that still
+    have an outgoing word spelled through p. A grapheme moves to the child
+    node and keeps the members of G whose words go on through it. `<space>`
+    at the end of word w emits w with the word bonus and returns to the root
+    with the states that G's arcs on w reach. The root is final, with weight
+    0, when G holds the grammar start. Every speller path inside a word
+    follows the trie and every word arc carries the same bonus, so this is
+    the weighted subset construction of the composition with all residuals
+    0; exploring with labels sorted gives its state numbering too. Raises
+    ValueError when the speller does not spell every grammar word.
+    """
+    parent = {a.dst: a.src for a in s.arcs if a.olabel == EPS}
+    word_end = {a.olabel: a.src for a in s.arcs if a.olabel != EPS}
+    words = {a.ilabel for a in g.arcs}
+    unspelled = sorted(words - word_end.keys())
+    if len(unspelled) == len(words):
+        raise ValueError("composition is empty: no phrase is spellable")
+    if unspelled:
+        raise ValueError(f"the speller does not spell grammar words {unspelled}")
+    through: dict[int, set[int]] = {p: set() for p in parent}
+    for a in g.arcs:
+        p = word_end[a.ilabel]
+        while p != s.start:
+            through[p].add(a.src)
+            p = parent[p]
+
+    bonus = g.meta["bonus"]
+    d = Wfst(meta={**s.meta, **g.meta, "alphabet": s.meta.get("alphabet", [])})
+    init = (s.start, frozenset({g.start}))
+    ids = {init: d.start}
+    queue = [init]
+    for p, gs in queue:
+        src = ids[(p, gs)]
+        for a in sorted(s.out(p), key=lambda a: a.ilabel):
+            if a.olabel == EPS:
+                dst, olabel, weight = (a.dst, gs & through[a.dst]), EPS, 0.0
+            else:
+                reached = frozenset(b.dst for q in gs for b in g.out(q) if b.ilabel == a.olabel)
+                dst, olabel, weight = (s.start, reached), a.olabel, bonus
+            if not dst[1]:
+                continue
+            if dst not in ids:
+                ids[dst] = d.add_state()
+                queue.append(dst)
+            d.add_arc(src, a.ilabel, olabel, weight, ids[dst])
+        if p == s.start and g.start in gs:
+            d.finals[src] = 0.0
+    _annotate(d, bonus)
     return _minimize(d)
 
 
@@ -495,8 +446,9 @@ _CONTEXT_HEADER = ("alphabet", "strategy", "bonus", "states", "start", "finals")
 
 def load_context(path) -> Wfst:
     """Read a `save_context` file. Raises ValueError for a missing header
-    key, an arc line without five fields, a state id outside the machine,
-    or a non-finite weight."""
+    key, an unknown strategy, an arc line without five fields, a state id
+    outside the machine, a non-finite weight, an arc label outside the
+    alphabet and `<fail>`, or a second arc with the same source and label."""
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln.rstrip("\n") for ln in f]
     if not lines or lines[0] != "CTXSEQ-CONTEXT-1":
@@ -510,6 +462,8 @@ def load_context(path) -> Wfst:
     missing = [k for k in _CONTEXT_HEADER if k not in header]
     if missing:
         raise ValueError(f"context file lacks header keys: {', '.join(missing)}")
+    if header["strategy"] not in STRATEGIES:
+        raise ValueError(f"unknown strategy {header['strategy']!r}; expected one of {STRATEGIES}")
     n_states = int(header["states"])
     if n_states < 1:
         raise ValueError(f"context file declares {n_states} states")
@@ -537,6 +491,8 @@ def load_context(path) -> Wfst:
     for item in header["finals"].split():
         s, _, w = item.partition(":")
         m.finals[state(s, "final state")] = weight(w, "final weight")
+    labels = set(m.meta["alphabet"]) | {FAIL}
+    seen: set[tuple[int, str]] = set()
     for lineno, ln in enumerate(lines[idx:], start=idx + 1):
         if not ln:
             continue
@@ -544,8 +500,14 @@ def load_context(path) -> Wfst:
         if len(fields) != 5:
             raise ValueError(f"line {lineno}: expected `src in out weight dst`, got {len(fields)} fields")
         src, ilabel, olabel, w, dst = fields
+        src_state = state(src, f"line {lineno}: arc source")
+        if ilabel not in labels:
+            raise ValueError(f"line {lineno}: arc label {ilabel!r} outside the alphabet")
+        if (src_state, ilabel) in seen:
+            raise ValueError(f"line {lineno}: second arc from state {src_state} on {ilabel!r}")
+        seen.add((src_state, ilabel))
         m.add_arc(
-            state(src, f"line {lineno}: arc source"),
+            src_state,
             ilabel,
             olabel,
             weight(w, f"line {lineno}: arc weight"),

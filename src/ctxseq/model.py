@@ -39,21 +39,6 @@ class ModelConfig:
                 f"attention_heads {self.attention_heads}"
             )
 
-    @classmethod
-    def production_scale(cls, feature_dim: int) -> "ModelConfig":
-        """Production-scale preset; far too slow for desk experiments."""
-        return cls(
-            feature_dim=feature_dim,
-            encoder_layers=10,
-            encoder_units=256,
-            decoder_layers=4,
-            decoder_units=256,
-            attention_dim=512,
-            attention_heads=4,
-            bias_encoder_units=512,
-            embedding_dim=64,
-        )
-
     @property
     def context_width(self) -> int:
         return self.attention_dim + self.bias_encoder_units
@@ -322,6 +307,9 @@ class Recognizer:
         missing = set(self.params) - set(arrays)
         if missing:
             raise ValueError(f"checkpoint missing parameters: {sorted(missing)}")
+        unknown = set(arrays) - set(self.params)
+        if unknown:
+            raise ValueError(f"checkpoint has unknown parameters: {sorted(unknown)}")
         for name, t in self.params.items():
             if arrays[name].shape != t.data.shape:
                 raise ValueError(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -285,25 +285,15 @@ def sum_(a: Tensor) -> Tensor:
     return _record(out, backward)
 
 
-def _masked(values: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    dropped = values == NEG_INF
-    if mask is not None:
-        m = np.asarray(mask, dtype=np.float64)
-        if m.shape != values.shape:
-            raise ValueError(f"mask shape mismatch: {m.shape} vs {values.shape}")
-        dropped = dropped | (m == np.inf)
-    return dropped
-
-
-def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
+def softmax(a: Tensor) -> Tensor:
     """Stabilized softmax over a 1-D tensor.
 
-    Entries equal to the NEG_INF sentinel, or flagged by an optional
-    {0, inf}-valued mask, map to exactly 0 and receive no gradient.
+    Entries equal to the NEG_INF sentinel map to exactly 0 and receive no
+    gradient.
     """
     if a.data.ndim != 1:
         raise ValueError(f"softmax takes a 1-D tensor, got shape {a.shape}")
-    dropped = _masked(a.data, mask)
+    dropped = a.data == NEG_INF
     if dropped.all():
         raise ValueError("no unmasked entry")
     kept = ~dropped
@@ -450,7 +440,3 @@ def substream(seed: int, name: str) -> np.random.Generator:
     """Independent reproducible generator derived from one global seed."""
     key = tuple(name.encode("utf-8"))
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-
-
-def global_grad_norm(params: Iterable[Tensor]) -> float:
-    return float(np.sqrt(sum(float((t.grad**2).sum()) for t in params)))

@@ -2,13 +2,15 @@
 
 Everything here is deliberately naive: central finite differences, exhaustive
 enumeration, and direct string scanning. None of it shares code with the
-library paths it checks.
+library paths it checks, except that the context-compiler reference reuses
+the library's annotation and minimization passes, which both paths share.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ctxseq.fst import EPS, Wfst, _annotate, _minimize
 from ctxseq.tensor import Tensor
 from ctxseq.vocab import BIAS_END, SPACE, normalize, render
 
@@ -137,6 +139,116 @@ def grammar_accepts(word_seq: list[str], phrases: list[str]) -> bool:
                 ok[i] = True
                 break
     return ok[-1]
+
+
+# ---------------------------------------------------------------------------
+# context-compiler reference: the speller x grammar product, trimmed, then
+# determinized by weighted subset construction
+
+
+def reference_compose_det_min(s: Wfst, g: Wfst) -> Wfst:
+    """min(det(compose(S, G))) the long way round, for `fst.compose_det_min`."""
+    d = _determinize(_compose(s, g))
+    _annotate(d, g.meta.get("bonus", 1.0))
+    d.meta["alphabet"] = s.meta.get("alphabet", [])
+    return _minimize(d)
+
+
+def _compose(s: Wfst, g: Wfst) -> Wfst:
+    """Product construction; speller arcs with epsilon output move only the
+    speller side, word-emitting arcs must find a matching grammar arc."""
+    c = Wfst(meta={**s.meta, **g.meta})
+    ids: dict[tuple[int, int], int] = {(s.start, g.start): c.start}
+    stack = [(s.start, g.start)]
+    while stack:
+        ss, gs = stack.pop()
+        src = ids[(ss, gs)]
+        for arc in s.out(ss):
+            if arc.olabel == EPS:
+                targets = [((arc.dst, gs), EPS, arc.weight)]
+            else:
+                targets = [
+                    ((arc.dst, ga.dst), ga.olabel, arc.weight + ga.weight)
+                    for ga in g.out(gs)
+                    if ga.ilabel == arc.olabel
+                ]
+            for pair, olabel, weight in targets:
+                if pair not in ids:
+                    ids[pair] = c.add_state()
+                    stack.append(pair)
+                c.add_arc(src, arc.ilabel, olabel, weight, ids[pair])
+        if ss in s.finals and gs in g.finals:
+            c.finals[src] = s.finals[ss] + g.finals[gs]
+    return _trim(c)
+
+
+def _trim(m: Wfst) -> Wfst:
+    reach = {m.start}
+    stack = [m.start]
+    while stack:
+        for a in m.out(stack.pop()):
+            if a.dst not in reach:
+                reach.add(a.dst)
+                stack.append(a.dst)
+    back: dict[int, set[int]] = {}
+    for a in m.arcs:
+        back.setdefault(a.dst, set()).add(a.src)
+    alive = set(m.finals)
+    stack = list(alive)
+    while stack:
+        for src in back.get(stack.pop(), ()):
+            if src not in alive:
+                alive.add(src)
+                stack.append(src)
+    keep = reach & alive
+    has_path = any(a.src in keep and a.dst in keep for a in m.arcs)
+    if m.start not in keep or not has_path:
+        raise ValueError("composition is empty: no phrase is spellable")
+    out = Wfst(meta=dict(m.meta))
+    remap = {m.start: out.start}
+    for st in sorted(keep):
+        if st != m.start:
+            remap[st] = out.add_state()
+    for a in m.arcs:
+        if a.src in keep and a.dst in keep:
+            out.add_arc(remap[a.src], a.ilabel, a.olabel, a.weight, remap[a.dst])
+    out.finals = {remap[s]: w for s, w in m.finals.items() if s in keep}
+    return out
+
+
+def _determinize(m: Wfst) -> Wfst:
+    """Weighted subset construction; the common weight of merged transitions
+    moves onto the arc and the remainder stays as per-state residuals."""
+    d = Wfst(meta=dict(m.meta))
+    init = frozenset({(m.start, 0.0)})
+    ids: dict[frozenset, int] = {init: d.start}
+    queue = [init]
+    while queue:
+        subset = queue.pop(0)
+        src = ids[subset]
+        by_label: dict[str, list[tuple[int, float, str]]] = {}
+        for q, r in subset:
+            for a in m.out(q):
+                by_label.setdefault(a.ilabel, []).append((a.dst, r + a.weight, a.olabel))
+        for ilabel in sorted(by_label):
+            items = by_label[ilabel]
+            olabels = {o for _, _, o in items if o != EPS}
+            if len(olabels) > 1:
+                raise ValueError(f"output-label conflict while determinizing on {ilabel!r}")
+            olabel = olabels.pop() if olabels else EPS
+            shift = min(w for _, w, _ in items)
+            best: dict[int, float] = {}
+            for dst, w, _ in items:
+                best[dst] = min(best.get(dst, float("inf")), w - shift)
+            target = frozenset(best.items())
+            if target not in ids:
+                ids[target] = d.add_state()
+                queue.append(target)
+            d.add_arc(src, ilabel, olabel, shift, ids[target])
+        fw = [r + m.finals[q] for q, r in subset if q in m.finals]
+        if fw:
+            d.finals[src] = min(fw)
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Acceptance criteria, one test per criterion, one PASS/FAIL line printed each.
 
-Criteria 7-12 exercise trained models; the session fixture in conftest.py
-trains them once (set CTXSEQ_TEST_CACHE to reuse checkpoints across runs).
+Criteria 1-5 check the library's contracts against independent oracles:
+gradients, the attention contract, sampler statistics, bias-token
+augmentation and fusion scoring. None of them trains a model.
 """
 
 import itertools

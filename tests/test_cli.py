@@ -190,14 +190,15 @@ class TestDecode:
         fused = (tmp_path / "fused" / "hypotheses.tsv").read_text()
         assert plain == fused
 
-    def test_context_with_arc_to_missing_state_fails_cleanly(self, workspace, tmp_path, capsys):
+    @staticmethod
+    def decode_with_context(workspace, tmp_path, arcs: str) -> int:
         root, _ = workspace
         context = tmp_path / "bad.ctx"
         context.write_text(
             "CTXSEQ-CONTEXT-1\nalphabet <space> a\nstrategy end-of-word\nbonus 1.0\n"
-            "states 2\nstart 0\nfinals 0:0.0\n0 a <eps> 0.5 5\n"
+            "states 2\nstart 0\nfinals 0:0.0\n" + arcs
         )
-        rc = main(
+        return main(
             [
                 "decode",
                 "--checkpoint",
@@ -212,9 +213,17 @@ class TestDecode:
                 str(tmp_path / "dec"),
             ]
         )
-        assert rc == 1
+
+    def test_context_with_arc_to_missing_state_fails_cleanly(self, workspace, tmp_path, capsys):
+        assert self.decode_with_context(workspace, tmp_path, "0 a <eps> 0.5 5\n") == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "arc destination 5" in err
+
+    def test_context_with_duplicate_arc_fails_cleanly(self, workspace, tmp_path, capsys):
+        arcs = "0 a <eps> 0.5 1\n0 a <eps> 9.0 1\n"
+        assert self.decode_with_context(workspace, tmp_path, arcs) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "second arc from state 0 on 'a'" in err
 
 
 class TestEval:

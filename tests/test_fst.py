@@ -1,8 +1,14 @@
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ctxseq import fst
+from ctxseq.corpus import SyntheticTaskConfig, generate_corpus, read_manifest
 from ctxseq.fst import (
     BEGINNING_OF_WORD,
     END_OF_WORD,
@@ -19,7 +25,7 @@ from ctxseq.fst import (
 )
 from ctxseq.vocab import SPACE
 
-from oracles import fusion_events, grammar_accepts
+from oracles import _compose, _determinize, fusion_events, grammar_accepts, reference_compose_det_min
 
 AB_ALPHABET = [SPACE, "a", "b"]
 CAT_ALPHABET = [SPACE, "c", "a", "t", "r", "s"]
@@ -160,7 +166,7 @@ class TestComposeDetMin:
         alphabet = [SPACE] + sorted(set("thecar"))
         g = build_grammar(phrases, 1.0)
         s = build_speller(["the", "cat", "car"], alphabet)
-        from ctxseq.fst import _annotate, _compose, _determinize, _minimize
+        from ctxseq.fst import _annotate, _minimize
 
         d = _determinize(_compose(s, g))
         _annotate(d, 1.0)
@@ -171,6 +177,12 @@ class TestComposeDetMin:
         g = build_grammar(["cat"], 1.0)
         s = build_speller(["tar"], CAT_ALPHABET)
         with pytest.raises(ValueError, match="no phrase is spellable"):
+            compose_det_min(s, g)
+
+    def test_partly_spellable_grammar_is_an_error(self):
+        g = build_grammar(["cat", "rat s"], 1.0)
+        s = build_speller(["cat", "s"], CAT_ALPHABET)
+        with pytest.raises(ValueError, match=r"does not spell grammar words \['rat'\]"):
             compose_det_min(s, g)
 
 
@@ -236,6 +248,23 @@ class TestApplyStrategy:
                 if reference is None:
                     reference = totals
                 assert totals == pytest.approx(reference), strategy
+
+    def test_compile_context_calls_each_stage_once(self, monkeypatch):
+        calls = {"compose_det_min": 0, "apply_strategy": 0}
+
+        def counting(name):
+            inner = getattr(fst, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(fst, name, counting(name))
+        compile_context(["the cat", "cat"], CAT_ALPHABET + ["h", "e"], EVERY_SUBWORD, 1.0)
+        assert calls == {"compose_det_min": 1, "apply_strategy": 1}
 
     def test_requires_deterministic_annotated_input(self):
         g = build_grammar(["cat"], 1.0)
@@ -356,6 +385,46 @@ class TestOracleEquivalence:
             check_oracle_equivalence(phrases, labels)
 
 
+def context_bytes(machine) -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "ctx.txt"
+        save_context(path, machine)
+        return path.read_bytes()
+
+
+def assert_matches_reference(phrases, alphabet, bonus=2.0):
+    """`compile_context` writes the same bytes as the product-construction
+    reference compiler, under every strategy."""
+    g = build_grammar(phrases, bonus)
+    s = build_speller(sorted({w for p in g.meta["phrases"] for w in p.split()}), alphabet)
+    reference = reference_compose_det_min(s, g)
+    for strategy in STRATEGIES:
+        ours = context_bytes(compile_context(phrases, alphabet, strategy, bonus))
+        assert ours == context_bytes(apply_strategy(reference, strategy)), (phrases, strategy)
+
+
+_abc_words = st.text("abc", min_size=1, max_size=3)
+_abc_phrases = st.lists(_abc_words, min_size=1, max_size=4).map(" ".join)
+
+
+class TestReferenceCompiler:
+    @pytest.mark.parametrize("phrases", ADVERSARIAL_PHRASE_SETS, ids=lambda p: "+".join(p))
+    def test_adversarial_sets(self, phrases):
+        assert_matches_reference(phrases, AB_ALPHABET)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_abc_phrases, min_size=1, max_size=6))
+    def test_random_lists(self, phrases):
+        assert_matches_reference(phrases, [SPACE, "a", "b", "c"], bonus=1.5)
+
+    def test_talkto_list(self, tmp_path):
+        cfg = SyntheticTaskConfig(seed=1, n_train=1, n_dev=1, n_test=1, talkto_utterances=1)
+        corpus = generate_corpus(cfg, tmp_path)
+        phrases = read_manifest(corpus.manifests["test_talkto"])[0].bias_phrases
+        assert len(phrases) == 520
+        assert_matches_reference(phrases, [SPACE] + list(cfg.alphabet), bonus=1.0)
+
+
 class TestSerialization:
     def test_round_trip_identical_bytes(self, tmp_path):
         m = compile_context(["the cat", "cat"], CAT_ALPHABET + ["h", "e"], EVERY_SUBWORD, 1.5)
@@ -410,6 +479,9 @@ class TestLoadContextValidation:
             (7, "0 a <eps> 0.5", "line 8: expected .* got 4 fields"),
             (8, "1 <space> <eps> 0.5 0 0", "line 9: expected .* got 6 fields"),
             (4, "states 0", "declares 0 states"),
+            (2, "strategy bogus", "unknown strategy 'bogus'"),
+            (7, "0 z <eps> 0.5 1", "line 8: arc label 'z' outside the alphabet"),
+            (8, "0 a <eps> 9.0 1", "line 9: second arc from state 0 on 'a'"),
         ],
     )
     def test_malformed_line_rejected(self, tmp_path, index, line, message):

@@ -39,13 +39,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="divisible"):
             tiny_config(attention_dim=3, attention_heads=2)
 
-    def test_production_scale_preset(self):
-        cfg = ModelConfig.production_scale(feature_dim=240)
-        assert (cfg.encoder_layers, cfg.encoder_units) == (10, 256)
-        assert (cfg.decoder_layers, cfg.decoder_units) == (4, 256)
-        assert (cfg.attention_dim, cfg.attention_heads) == (512, 4)
-        assert cfg.bias_encoder_units == 512
-
 
 class TestEncodeAudio:
     def test_shape_contract(self):
@@ -422,3 +415,10 @@ class TestPersistence:
         wrong = Recognizer(tiny_config(encoder_units=4), model.vocab)
         with pytest.raises(ValueError, match="shape mismatch"):
             wrong.load_arrays(T.load_tensors(path))
+
+    def test_unknown_parameters_rejected(self, tmp_path):
+        deeper = tiny_model(encoder_layers=2)
+        path = tmp_path / "params.bin"
+        deeper.save(path)
+        with pytest.raises(ValueError, match=r"unknown parameters: \['audio_encoder.1.b', 'audio_encoder.1.w'\]"):
+            tiny_model().load_arrays(T.load_tensors(path))
