@@ -260,26 +260,44 @@ def write_manifest(path, utts: list[Utterance]) -> None:
 
 
 def read_manifest(path) -> list[Utterance]:
-    """One JSON record per line; a record lacking `id`, `features_path` or
-    `transcript` raises ValueError naming the field and line."""
+    """One JSON record per line. A record lacking `id`, `features_path` or
+    `transcript`, or with a field of the wrong type (`id`, `features_path`
+    and `transcript` strings, `bias_phrases` a list of strings,
+    `bias_prefixes` null or a list of strings), raises ValueError naming the
+    field and line."""
     utts = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except RecursionError:
+                raise ValueError(f"{path}: line {lineno}: record nests too deeply") from None
             if not isinstance(rec, dict):
                 raise ValueError(f"{path}: line {lineno}: record is not a JSON object")
             for key in ("id", "features_path", "transcript"):
                 if key not in rec:
                     raise ValueError(f"{path}: line {lineno}: record lacks field {key!r}")
+                if not isinstance(rec[key], str):
+                    raise ValueError(f"{path}: line {lineno}: field {key!r} is not a string")
+            phrases = rec.get("bias_phrases", [])
+            if not _is_str_list(phrases):
+                raise ValueError(f"{path}: line {lineno}: field 'bias_phrases' is not a list of strings")
+            prefixes = rec.get("bias_prefixes")
+            if prefixes is not None and not _is_str_list(prefixes):
+                raise ValueError(f"{path}: line {lineno}: field 'bias_prefixes' is not null or a list of strings")
             utts.append(
                 Utterance(
                     id=rec["id"],
                     features_path=rec["features_path"],
                     transcript=rec["transcript"],
-                    bias_phrases=rec.get("bias_phrases", []),
-                    bias_prefixes=rec.get("bias_prefixes"),
+                    bias_phrases=phrases,
+                    bias_prefixes=prefixes,
                 )
             )
     return utts
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)

@@ -1,12 +1,15 @@
 """Length-synchronous N-best beam search with optional fusion and conditioning.
 
-Each hypothesis tracks its own decoder state, fusion-scorer state, and (when
-prefix conditioning is active) recomputes its attention mask from its own
-partial string at every step. The conditioning list is compiled once per
+The live hypotheses advance together: their decoder states are stacked into
+(B, ·) rows and one `Recognizer.step` call scores the whole beam. The B×V
+candidate totals (model log-probability plus lambda-scaled fusion score) form
+one array, and only the `beam_width` best become `Hypothesis` objects, each
+holding its last token and a back-pointer to its parent. Under prefix
+conditioning every live hypothesis gets its own attention mask from its own
+partial string at every step; the conditioning list is compiled once per
 utterance into a `PrefixTable`, so a mask costs one substring test per
-distinct prefix. Totals combine the model log-probability with a
-lambda-scaled fusion score. `</bias>` may be emitted during search but is
-stripped from returned sequences.
+distinct prefix. `</bias>` may be emitted during search but is stripped from
+returned sequences.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .conditioning import BiasEntry, PrefixTable, compute_mask
 from .fst import FusionScorer
-from .model import AudioCache, DecoderStepState, Recognizer
+from .model import AudioCache, Recognizer
 from .vocab import BIAS_END, SOS, render
 
 
@@ -37,18 +40,33 @@ class DecodeConfig:
             raise ValueError("lambda must be >= 0")
 
 
-@dataclass
+@dataclass(eq=False)
 class Hypothesis:
-    tokens: list[int]  # emitted ids, possibly including </bias>
+    """A kept beam entry: its last emitted token and its parent."""
+
+    parent: "Hypothesis | None"  # None at the root, which has emitted nothing
+    token: int  # last emitted id, possibly </bias>; <s> at the root
     log_model: float
     log_fusion: float
-    state: DecoderStepState
     fusion_state: int
-    alphas: list[np.ndarray]
+    alpha: np.ndarray | None  # bias attention of the step that emitted `token`
     finished: bool = False
 
     def total(self, lam: float) -> float:
         return self.log_model + lam * self.log_fusion
+
+    def path(self) -> list["Hypothesis"]:
+        """The entries from the first emitted token to this one."""
+        out = []
+        h = self
+        while h.parent is not None:
+            out.append(h)
+            h = h.parent
+        return out[::-1]
+
+    @property
+    def tokens(self) -> list[int]:
+        return [h.token for h in self.path()]
 
 
 @dataclass
@@ -92,47 +110,72 @@ def beam_search(
     h_z, bias_keys = bias_cache
     if h_z.data.shape[0] != len(phrases) + 1:
         raise ValueError("bias_cache does not match the phrase list")
-    zero_mask = np.zeros(len(phrases) + 1)
+    n_vocab = len(vocab)
+    fusion_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def fusion_row(f_state: int) -> tuple[np.ndarray, np.ndarray]:
+        """Next fusion state and increment of every token from `f_state`."""
+        if f_state not in fusion_rows:
+            steps = [_fusion_step(fusion, f_state, v, vocab) for v in range(n_vocab)]
+            fusion_rows[f_state] = (
+                np.array([s for s, _ in steps]),
+                np.array([inc for _, inc in steps], dtype=np.float64),
+            )
+        return fusion_rows[f_state]
 
     start_fusion = fusion.start if fusion is not None else 0
-    live = [
-        Hypothesis([], 0.0, 0.0, model.initial_state(), start_fusion, [])
-    ]
+    live = [Hypothesis(None, vocab.sos, 0.0, 0.0, start_fusion, None)]
+    lex_rank = np.zeros(1, dtype=np.intp)  # rank of each live token sequence
+    history = np.zeros((1, 0), dtype=np.intp)  # row b: the tokens of live[b]
+    symbols = np.array(vocab.symbols, dtype=object)
+    state = model.initial_state(rows=1)
     done: list[Hypothesis] = []
-
-    def tie_key(h: Hypothesis):
-        return (-h.total(cfg.lam), len(h.tokens), h.tokens)
 
     for _ in range(cfg.max_len):
         if not live:
             break
-        candidates: list[Hypothesis] = []
-        for h in live:
-            if entries is not None:
-                mask = compute_mask(prefix_table, [vocab.symbols[t] for t in h.tokens])
-            else:
-                mask = zero_mask
-            y_prev = h.tokens[-1] if h.tokens else vocab.sos
-            log_probs, alpha, state = model.step(y_prev, h.state, audio, h_z, mask, bias_keys)
-            lp = log_probs.data
-            al = alpha.data
-            for v in range(len(vocab)):
-                f_state, f_inc = _fusion_step(fusion, h.fusion_state, v, vocab)
-                candidates.append(
-                    Hypothesis(
-                        tokens=h.tokens + [v],
-                        log_model=h.log_model + float(lp[v]),
-                        log_fusion=h.log_fusion + f_inc,
-                        state=state,
-                        fusion_state=f_state,
-                        alphas=h.alphas + [al],
-                        finished=v == vocab.eos,
-                    )
-                )
-        candidates.sort(key=tie_key)
-        live = []
-        for h in candidates[: cfg.beam_width]:
-            (done if h.finished else live).append(h)
+        if entries is not None:
+            mask = np.stack([
+                compute_mask(prefix_table, symbols[row].tolist()) for row in history
+            ])
+        else:
+            mask = np.zeros((len(live), h_z.data.shape[0]))
+        y_prev = np.array([h.token for h in live])
+        log_probs, alpha, state = model.step(y_prev, state, audio, h_z, mask, bias_keys)
+        f_next, f_inc = zip(*(fusion_row(h.fusion_state) for h in live))
+        log_model = np.array([h.log_model for h in live])[:, None] + log_probs.data
+        log_fusion = np.array([h.log_fusion for h in live])[:, None] + np.array(f_inc)
+        total = log_model + cfg.lam * log_fusion
+        # Reference order: -total, then the token sequence. Live sequences
+        # have equal length, so that is the parent's rank, then the token.
+        order = np.lexsort((
+            np.tile(np.arange(n_vocab), len(live)), np.repeat(lex_rank, n_vocab), -total.ravel()
+        ))
+        parents, tokens = np.divmod(order[: cfg.beam_width], n_vocab)
+        kept = [
+            Hypothesis(
+                parent=live[b],
+                token=v,
+                log_model=float(log_model[b, v]),
+                log_fusion=float(log_fusion[b, v]),
+                fusion_state=int(f_next[b][v]),
+                alpha=alpha.data[b],
+                finished=v == vocab.eos,
+            )
+            for b, v in zip(parents.tolist(), tokens.tolist())
+        ]
+        done.extend(h for h in kept if h.finished)
+        live = [h for h in kept if not h.finished]
+        if live:
+            keep = tokens != vocab.eos
+            parents, tokens = parents[keep], tokens[keep]
+            state = state.take(parents)
+            history = np.column_stack([history[parents], tokens])
+            lex_rank = np.argsort(np.lexsort((tokens, lex_rank[parents])))
+
+    def tie_key(h: Hypothesis):
+        tokens = h.tokens
+        return (-h.total(cfg.lam), len(tokens), tokens)
 
     pool = done if done else sorted(live, key=tie_key)[:1]
     pool = sorted(pool, key=tie_key)[: cfg.n_best]
@@ -157,7 +200,8 @@ def _fusion_step(fusion, state: int, token: int, vocab) -> tuple[int, float]:
 
 
 def _to_result(h: Hypothesis, lam: float, vocab) -> DecodeResult:
-    raw = [vocab.symbols[t] for t in h.tokens if t != vocab.eos]
+    path = h.path()
+    raw = [vocab.symbols[p.token] for p in path if p.token != vocab.eos]
     stripped = [s for s in raw if s != BIAS_END]
     return DecodeResult(
         text=render(stripped),
@@ -167,5 +211,5 @@ def _to_result(h: Hypothesis, lam: float, vocab) -> DecodeResult:
         log_fusion=h.log_fusion,
         finished=h.finished,
         raw_symbols=raw,
-        alphas=np.array(h.alphas) if h.alphas else np.zeros((0, 1)),
+        alphas=np.array([p.alpha for p in path]) if path else np.zeros((0, 1)),
     )

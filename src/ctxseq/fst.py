@@ -446,9 +446,10 @@ _CONTEXT_HEADER = ("alphabet", "strategy", "bonus", "states", "start", "finals")
 
 def load_context(path) -> Wfst:
     """Read a `save_context` file. Raises ValueError for a missing header
-    key, an unknown strategy, an arc line without five fields, a state id
-    outside the machine, a non-finite weight, an arc label outside the
-    alphabet and `<fail>`, or a second arc with the same source and label."""
+    key, an unknown strategy, a state count outside [1, arcs + 1], an arc
+    line without five fields, a state id outside the machine, a non-finite
+    weight, an arc label outside the alphabet and `<fail>`, or a second arc
+    with the same source and label."""
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln.rstrip("\n") for ln in f]
     if not lines or lines[0] != "CTXSEQ-CONTEXT-1":
@@ -465,8 +466,10 @@ def load_context(path) -> Wfst:
     if header["strategy"] not in STRATEGIES:
         raise ValueError(f"unknown strategy {header['strategy']!r}; expected one of {STRATEGIES}")
     n_states = int(header["states"])
-    if n_states < 1:
-        raise ValueError(f"context file declares {n_states} states")
+    n_arcs = sum(1 for ln in lines[idx:] if ln)
+    if not 1 <= n_states <= n_arcs + 1:
+        # Every state but the start is entered by an arc in a trim machine.
+        raise ValueError(f"context file declares {n_states} states for {n_arcs} arcs")
 
     def state(text: str, what: str) -> int:
         s = int(text)

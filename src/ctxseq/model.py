@@ -6,6 +6,10 @@ over encoder frames, and a single additive attention over embedded context
 phrases (index 0 of which is a learnable "no-bias" vector). The two context
 vectors are concatenated and fed both to the output softmax and to the next
 decoder step.
+
+A decoder step takes one token id with 1-D states, or B token ids with (B, ·)
+states: the beam search advances all of its live hypotheses in one call. The
+phrase encoder runs one LSTM pass over the whole phrase list.
 """
 
 from __future__ import annotations
@@ -49,10 +53,18 @@ class ModelConfig:
 
 @dataclass
 class DecoderStepState:
-    """Per-layer (h, c) LSTM states plus the previous concatenated context."""
+    """Per-layer (h, c) LSTM states plus the previous concatenated context,
+    as vectors or as (B, ·) stacks of B rows."""
 
     layers: list[tuple[Tensor, Tensor]]
-    context: Tensor  # (attention_dim + bias_encoder_units,)
+    context: Tensor  # (attention_dim + bias_encoder_units,), or B such rows
+
+    def take(self, index) -> "DecoderStepState":
+        """Rows `index` of a batched state, in that order; repeats allowed."""
+        return DecoderStepState(
+            layers=[(T.gather(h, index), T.gather(c, index)) for h, c in self.layers],
+            context=T.gather(self.context, index),
+        )
 
 
 @dataclass
@@ -146,40 +158,62 @@ class Recognizer:
         cfg = self.config
         keys, values = [], []
         for h in range(cfg.attention_heads):
-            keys.append(T.matmul(h_x, _transposed(self.params[f"audio_attn.{h}.wk"])))
-            values.append(T.matmul(h_x, _transposed(self.params[f"audio_attn.{h}.wv"])))
+            keys.append(T.matmul_t(h_x, self.params[f"audio_attn.{h}.wk"]))
+            values.append(T.matmul_t(h_x, self.params[f"audio_attn.{h}.wv"]))
         return AudioCache(keys=keys, values=values, frames=h_x.data.shape[0])
 
     def attend_audio(self, d_t: Tensor, h_x: Tensor | AudioCache) -> Tensor:
-        """Multi-head scaled-dot attention of the decoder state over frames."""
+        """Multi-head scaled-dot attention of the decoder state (one vector or
+        B rows) over frames."""
         cache = h_x if isinstance(h_x, AudioCache) else self.precompute_audio(h_x)
         cfg = self.config
         dh = cfg.attention_dim // cfg.attention_heads
         heads = []
         for h in range(cfg.attention_heads):
-            q = T.matmul(self.params[f"audio_attn.{h}.wq"], d_t)
-            scores = T.scale(T.matmul(cache.keys[h], q), 1.0 / np.sqrt(dh))
+            q = T.matmul_t(d_t, self.params[f"audio_attn.{h}.wq"])
+            scores = T.scale(T.matmul_t(q, cache.keys[h]), 1.0 / np.sqrt(dh))
             alpha = T.softmax(scores)
             heads.append(T.matmul(alpha, cache.values[h]))
-        return T.matmul(self.params["audio_attn.wo"], T.concat(heads))
+        return T.matmul_t(T.concat(heads), self.params["audio_attn.wo"])
 
     # -- context-phrase path ---------------------------------------------------
 
     def encode_bias(self, phrases: Sequence[str]) -> Tensor:
-        """Embed each phrase; row 0 is the learnable no-bias vector."""
-        rows = [self.params["no_bias"]]
-        emb = self.params["embedding"]
-        p = self.bias_encoder
+        """Embed each phrase; row 0 is the learnable no-bias vector.
+
+        One LSTM pass covers the whole list. The phrases run longest first,
+        so at step t the phrases longer than t are the leading rows of the
+        batch and only they advance. A phrase's embedding is its state after
+        its last grapheme.
+        """
+        ids = []
         for phrase in phrases:
             tokens = graphemize(phrase)
             if not tokens:
                 raise ValueError("empty phrase in bias list")
-            h = T.constant(np.zeros(p.hidden))
-            c = T.constant(np.zeros(p.hidden))
-            for tok in tokens:
-                h, c = T.lstm_cell(T.row(emb, self.vocab.index(tok)), h, c, p)
-            rows.append(h)
-        return T.stack(rows)
+            ids.append([self.vocab.index(tok) for tok in tokens])
+        order = sorted(range(len(ids)), key=lambda i: -len(ids[i]))
+        lengths = [len(ids[i]) for i in order]
+        p = self.bias_encoder
+        h = T.constant(np.zeros((len(ids), p.hidden)))
+        c = T.constant(np.zeros((len(ids), p.hidden)))
+        blocks = [self.params["no_bias"]]
+        ended = []  # phrase indices in the order their embeddings are stacked
+        live = len(ids)
+        for t in range(lengths[0] if ids else 0):
+            if live < h.data.shape[0]:
+                h, c = T.gather(h, np.arange(live)), T.gather(c, np.arange(live))
+            x = T.gather(self.params["embedding"], [ids[i][t] for i in order[:live]])
+            h, c = T.lstm_cell(x, h, c, p)
+            ending = live
+            while live and lengths[live - 1] == t + 1:
+                live -= 1
+            if live < ending:
+                blocks.append(T.gather(h, np.arange(live, ending)))
+                ended.extend(order[live:ending])
+        row_of = np.zeros(len(ids) + 1, dtype=np.intp)  # 1 + phrase index -> row of the stack
+        row_of[1 + np.array(ended, dtype=np.intp)] = np.arange(1, len(ids) + 1)
+        return T.gather(T.stack(blocks), row_of)
 
     def bias_key_cache(self, h_z: Tensor) -> Tensor:
         return T.matmul(h_z, self.params["bias_attn.wh"])
@@ -193,48 +227,66 @@ class Recognizer:
     ) -> tuple[Tensor, Tensor]:
         """Additive attention over phrase embeddings under a {0, inf} mask.
 
-        Returns the bias context vector and the attention probabilities
-        (one weight per row of h_z, index 0 being no-bias). Only the open
-        rows are scored: closed rows get exactly zero weight and gradient.
+        `d_t` is one decoder state with a (N+1,) mask, or B rows with a
+        (B, N+1) mask. Returns the bias context and the attention
+        probabilities (one weight per row of h_z, index 0 being no-bias).
+        Only rows open for some query are scored; a row closed for query b
+        is -inf in b's scores, so it gets exactly zero weight and gradient.
         """
         n_rows = h_z.data.shape[0]
         mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != (n_rows,):
-            raise ValueError(f"mask length {mask.shape} does not match {n_rows} bias rows")
-        if mask[0] != 0.0:
+        if mask.shape != d_t.data.shape[:-1] + (n_rows,):
+            raise ValueError(f"mask length {mask.shape} does not match {n_rows} bias rows for query {d_t.shape}")
+        if np.any(mask[..., 0] != 0.0):
             raise ValueError("the no-bias slot (index 0) must never be masked")
         if keys is None:
             keys = self.bias_key_cache(h_z)
-        rows = np.flatnonzero(mask != np.inf)
+        closed = mask == np.inf
+        rows = np.flatnonzero(~closed.reshape(-1, n_rows).all(axis=0))
         partial = len(rows) < n_rows
         if partial:
             h_z, keys = T.gather(h_z, rows), T.gather(keys, rows)
-        query = T.add(T.matmul(self.params["bias_attn.wd"], d_t), self.params["bias_attn.b"])
-        scores = T.matmul(T.tanh(T.add(keys, query)), self.params["bias_attn.v"])
+            closed = closed[..., rows]
+        query = T.add(T.matmul_t(d_t, self.params["bias_attn.wd"]), self.params["bias_attn.b"])
+        scores = T.additive_scores(keys, query, self.params["bias_attn.v"])
+        if closed.any():
+            scores = T.add(scores, T.constant(np.where(closed, T.NEG_INF, 0.0)))
         alpha = T.softmax(scores)
         context = T.matmul(alpha, h_z)
         if partial:
             # Back to full length: open row i reads slot i of alpha, every
-            # closed row reads the appended zero.
+            # row closed for all queries reads the appended zero.
             slot = np.full(n_rows, len(rows))
             slot[rows] = np.arange(len(rows))
-            alpha = T.gather(T.concat([alpha, T.constant(np.zeros(1))]), slot)
+            zero = T.constant(np.zeros(alpha.shape[:-1] + (1,)))
+            alpha = T.gather(T.concat([alpha, zero]), slot, axis=-1)
         return context, alpha
 
     # -- decoder -------------------------------------------------------------
 
-    def initial_state(self) -> DecoderStepState:
+    def initial_state(self, rows: int | None = None) -> DecoderStepState:
+        """Zero states: vectors, or `rows` stacked rows."""
+        lead = () if rows is None else (rows,)
         layers = [
-            (T.constant(np.zeros(p.hidden)), T.constant(np.zeros(p.hidden)))
+            (T.constant(np.zeros(lead + (p.hidden,))), T.constant(np.zeros(lead + (p.hidden,))))
             for p in self.decoder
         ]
-        return DecoderStepState(layers=layers, context=T.constant(np.zeros(self.config.context_width)))
+        return DecoderStepState(
+            layers=layers, context=T.constant(np.zeros(lead + (self.config.context_width,)))
+        )
 
-    def decoder_step(self, y_prev: int, state: DecoderStepState) -> tuple[Tensor, DecoderStepState]:
-        """Advance the decoder LSTM on the previous token and previous context."""
-        if not 0 <= y_prev < len(self.vocab):
+    def decoder_step(self, y_prev, state: DecoderStepState) -> tuple[Tensor, DecoderStepState]:
+        """Advance the decoder LSTM on the previous token and previous context.
+
+        `y_prev` is one token id for a vector state, or B ids for a state of
+        B rows.
+        """
+        ids = np.asarray(y_prev)
+        if np.any((ids < 0) | (ids >= len(self.vocab))):
             raise KeyError(f"unknown token id {y_prev}")
-        x = T.concat([T.row(self.params["embedding"], y_prev), state.context])
+        emb = self.params["embedding"]
+        token = T.row(emb, int(ids)) if ids.ndim == 0 else T.gather(emb, ids)
+        x = T.concat([token, state.context])
         new_layers = []
         for p, (h, c) in zip(self.decoder, state.layers):
             h, c = T.lstm_cell(x, h, c, p)
@@ -244,7 +296,7 @@ class Recognizer:
 
     def output_logits(self, c_t: Tensor, d_t: Tensor) -> Tensor:
         return T.add(
-            T.matmul(self.params["output.w"], T.concat([c_t, d_t])),
+            T.matmul_t(T.concat([c_t, d_t]), self.params["output.w"]),
             self.params["output.b"],
         )
 
@@ -253,14 +305,18 @@ class Recognizer:
 
     def step(
         self,
-        y_prev: int,
+        y_prev,
         state: DecoderStepState,
         audio: AudioCache,
         h_z: Tensor,
         mask: np.ndarray,
         bias_keys: Tensor | None = None,
     ) -> tuple[Tensor, Tensor, DecoderStepState]:
-        """One full decode step: returns (log-probs, bias attention, new state)."""
+        """One full decode step: returns (log-probs, bias attention, new state).
+
+        One token id with a vector state and a (N+1,) mask, or B ids with a
+        state of B rows and a (B, N+1) mask; the outputs then have B rows.
+        """
         d_t, state = self.decoder_step(y_prev, state)
         c_x = self.attend_audio(d_t, audio)
         c_z, alpha = self.attend_bias(d_t, h_z, mask, keys=bias_keys)
@@ -323,13 +379,3 @@ class Recognizer:
         model.load_arrays(T.load_tensors(path))
         return model
 
-
-def _transposed(t: Tensor) -> Tensor:
-    """View a parameter matrix transposed, with gradient routed back."""
-    out = Tensor(t.data.T.copy())
-
-    def backward():
-        if t.grad is not None:
-            t.grad += out.grad.T
-
-    return T._record(out, backward)

@@ -1,13 +1,18 @@
 """Dense float64 arrays with reverse-mode differentiation on an explicit tape.
 
 Everything is deliberately small: 1-D/2-D arrays, the handful of ops a stacked
-recurrent attention model needs, and an Adam optimizer. Ops executed outside a
-`Tape` context run forward-only, which is the fast path used during decoding.
+recurrent attention model needs, and an Adam optimizer. The row-wise ops
+(`concat`, `slice_last`, `softmax`, `log_softmax`, `lstm_cell`, `matmul_t`)
+take one vector or a (B, D) stack of B rows and work over the last axis, so a
+decoder step runs a whole beam, and the phrase encoder a whole list, at once.
+Ops executed outside a `Tape` context run forward-only, which is the path used
+during decoding.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -124,6 +129,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, backward)
 
 
+def matmul_t(x: Tensor, w: Tensor) -> Tensor:
+    """`x @ w.T` for a vector or a (B, D) stack of rows x and a matrix w.
+
+    A vector takes the `w @ x` path, so one row costs one matrix-vector
+    product; the transpose is a view, never a copy.
+    """
+    xd, wd = x.data, w.data
+    if wd.ndim != 2 or xd.ndim not in (1, 2):
+        raise ValueError(f"matmul_t needs a 1-D/2-D x and a 2-D w, got shapes {x.shape} and {w.shape}")
+    if xd.shape[-1] != wd.shape[1]:
+        raise ValueError(f"matmul_t dimension mismatch: {x.shape} @ {w.shape}.T")
+    out = Tensor(wd @ xd if xd.ndim == 1 else xd @ wd.T)
+
+    def backward():
+        g = out.grad
+        if xd.ndim == 1:
+            _accum(w, np.outer(g, xd))
+            _accum(x, wd.T @ g)
+        else:
+            _accum(w, g.T @ xd)
+            _accum(x, g @ wd)
+
+    return _record(out, backward)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; also allows matrix + row-vector broadcast."""
     if a.data.shape != b.data.shape:
@@ -187,46 +217,54 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Join 1-D tensors, or (B, D_i) tensors with equal B, along the last axis."""
+    ndim = parts[0].data.ndim if parts else 1
     for p in parts:
-        if p.data.ndim != 1:
-            raise ValueError(f"concat takes 1-D tensors, got shape {p.shape}")
-    out = Tensor(np.concatenate([p.data for p in parts]))
-    sizes = [p.data.shape[0] for p in parts]
+        if p.data.ndim != ndim or ndim not in (1, 2):
+            raise ValueError(f"concat takes all 1-D or all 2-D tensors, got shape {p.shape}")
+    out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
+    sizes = [p.data.shape[-1] for p in parts]
 
     def backward():
         pos = 0
         for p, n in zip(parts, sizes):
-            _accum(p, out.grad[pos : pos + n])
+            _accum(p, out.grad[..., pos : pos + n])
             pos += n
 
     return _record(out, backward)
 
 
-def stack(rows: Sequence[Tensor]) -> Tensor:
-    """Stack 1-D tensors of equal width into a (len(rows), width) matrix."""
-    if not rows:
+def stack(blocks: Sequence[Tensor]) -> Tensor:
+    """Stack rows into a matrix: a 1-D tensor adds one row, a 2-D tensor
+    adds all of its rows. Every row must have the same width."""
+    if not blocks:
         raise ValueError("stack needs at least one row")
-    width = rows[0].data.shape[0]
-    for r in rows:
-        if r.data.shape != (width,):
+    width = blocks[0].data.shape[-1]
+    for r in blocks:
+        if r.data.ndim not in (1, 2) or r.data.shape[-1] != width:
             raise ValueError(f"stack row shape mismatch: {r.shape} vs ({width},)")
-    out = Tensor(np.stack([r.data for r in rows]))
+    out = Tensor(np.vstack([r.data for r in blocks]))
+    heights = [r.data.shape[0] if r.data.ndim == 2 else 1 for r in blocks]
 
     def backward():
-        for i, r in enumerate(rows):
-            _accum(r, out.grad[i])
+        pos = 0
+        for r, n in zip(blocks, heights):
+            g = out.grad[pos : pos + n]
+            _accum(r, g if r.data.ndim == 2 else g[0])
+            pos += n
 
     return _record(out, backward)
 
 
-def slice1d(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 1:
-        raise ValueError(f"slice1d takes a 1-D tensor, got shape {a.shape}")
-    out = Tensor(a.data[start:stop].copy())
+def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
+    """Entries [start, stop) of the last axis of a vector or of every row."""
+    if a.data.ndim not in (1, 2):
+        raise ValueError(f"slice_last takes a 1-D/2-D tensor, got shape {a.shape}")
+    out = Tensor(a.data[..., start:stop].copy())
 
     def backward():
         if a.grad is not None:
-            a.grad[start:stop] += out.grad
+            a.grad[..., start:stop] += out.grad
 
     return _record(out, backward)
 
@@ -244,22 +282,26 @@ def row(a: Tensor, i: int) -> Tensor:
     return _record(out, backward)
 
 
-def gather(a: Tensor, index: np.ndarray) -> Tensor:
-    """Rows `index` of a vector or matrix, in that order; repeats allowed.
+def gather(a: Tensor, index: np.ndarray, axis: int = 0) -> Tensor:
+    """Rows (axis 0) or last-axis entries (axis -1) `index` of a vector or
+    matrix, in that order; repeats allowed.
 
-    The backward scatter-adds into the selected rows, so rows that are not
-    selected get exactly zero gradient.
+    The backward scatter-adds into the selected positions, so positions that
+    are not selected get exactly zero gradient.
     """
     if a.data.ndim not in (1, 2):
         raise ValueError(f"gather takes a 1-D/2-D tensor, got shape {a.shape}")
+    if axis not in (0, -1):
+        raise ValueError(f"gather works over axis 0 or -1, got {axis}")
     index = np.asarray(index, dtype=np.intp)
     if index.ndim != 1:
         raise ValueError(f"gather needs a 1-D index, got shape {index.shape}")
-    out = Tensor(a.data[index])
+    where = (index,) if axis == 0 else (Ellipsis, index)
+    out = Tensor(a.data[where])
 
     def backward():
         if a.grad is not None:
-            np.add.at(a.grad, index, out.grad)
+            np.add.at(a.grad, where, out.grad)
 
     return _record(out, backward)
 
@@ -286,46 +328,66 @@ def sum_(a: Tensor) -> Tensor:
 
 
 def softmax(a: Tensor) -> Tensor:
-    """Stabilized softmax over a 1-D tensor.
+    """Stabilized softmax over the last axis of a vector or of every row.
 
     Entries equal to the NEG_INF sentinel map to exactly 0 and receive no
-    gradient.
+    gradient; every row needs at least one other entry.
     """
-    if a.data.ndim != 1:
-        raise ValueError(f"softmax takes a 1-D tensor, got shape {a.shape}")
-    dropped = a.data == NEG_INF
-    if dropped.all():
+    x = a.data
+    if x.ndim not in (1, 2):
+        raise ValueError(f"softmax takes a 1-D/2-D tensor, got shape {a.shape}")
+    kept = x != NEG_INF
+    if not kept.any(axis=-1).all():
         raise ValueError("no unmasked entry")
-    kept = ~dropped
-    z = np.zeros_like(a.data)
-    x = a.data[kept]
-    e = np.exp(x - x.max())
-    z[kept] = e / e.sum()
-    out = Tensor(z)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    out = Tensor(e / e.sum(axis=-1, keepdims=True))
     od = out.data
 
     def backward():
         g = out.grad
-        inner = float((g * od).sum())
+        inner = (g * od).sum(axis=-1, keepdims=True)
         _accum(a, np.where(kept, od * (g - inner), 0.0))
 
     return _record(out, backward)
 
 
 def log_softmax(a: Tensor) -> Tensor:
-    if a.data.ndim != 1:
-        raise ValueError(f"log_softmax takes a 1-D tensor, got shape {a.shape}")
+    """Log-softmax over the last axis of a vector or of every row."""
+    if a.data.ndim not in (1, 2):
+        raise ValueError(f"log_softmax takes a 1-D/2-D tensor, got shape {a.shape}")
     if not np.isfinite(a.data).all():
         raise NonFiniteError("non-finite logits in log_softmax")
-    m = a.data.max()
-    shifted = a.data - m
-    lse = np.log(np.exp(shifted).sum())
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = Tensor(shifted - lse)
     p = np.exp(out.data)
 
     def backward():
         g = out.grad
-        _accum(a, g - p * g.sum())
+        _accum(a, g - p * g.sum(axis=-1, keepdims=True))
+
+    return _record(out, backward)
+
+
+def additive_scores(keys: Tensor, query: Tensor, v: Tensor) -> Tensor:
+    """Additive-attention scores `v . tanh(keys[u] + query)` for every key u.
+
+    keys is (U, A) and v is (A,). A (A,) query gives (U,) scores; a (B, A)
+    stack of queries gives (B, U), row b scoring every key against query b.
+    """
+    kd, qd, vd = keys.data, query.data, v.data
+    if kd.ndim != 2 or qd.ndim not in (1, 2) or vd.shape != kd.shape[1:] or qd.shape[-1] != kd.shape[1]:
+        raise ValueError(f"additive_scores shape mismatch: keys {keys.shape}, query {query.shape}, v {v.shape}")
+    t = kd + qd if qd.ndim == 1 else kd + qd[:, None, :]
+    np.tanh(t, out=t)
+    out = Tensor(t @ vd)
+
+    def backward():
+        g = out.grad
+        pre = g[..., None] * vd * (1.0 - t * t)
+        _accum(v, t.reshape(-1, vd.shape[0]).T @ g.reshape(-1))
+        _accum(keys, pre if qd.ndim == 1 else pre.sum(axis=0))
+        _accum(query, pre.sum(axis=-2))
 
     return _record(out, backward)
 
@@ -353,17 +415,20 @@ def init_lstm_params(rng: np.random.Generator, input_dim: int, hidden: int) -> L
 def lstm_cell(
     x_t: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmParams
 ) -> tuple[Tensor, Tensor]:
+    """One LSTM step for one input vector or for a (B, D) stack of B rows,
+    with states of matching shape."""
     h = params.hidden
     expected = params.w.data.shape[1] - h
-    if x_t.data.shape != (expected,):
+    lead = x_t.data.shape[:-1]
+    if x_t.data.ndim not in (1, 2) or x_t.data.shape != lead + (expected,):
         raise ValueError(f"lstm_cell input shape {x_t.shape} does not match weights expecting ({expected},)")
-    if h_prev.data.shape != (h,) or c_prev.data.shape != (h,):
+    if h_prev.data.shape != lead + (h,) or c_prev.data.shape != lead + (h,):
         raise ValueError(f"lstm_cell state shapes {h_prev.shape}/{c_prev.shape} do not match hidden size {h}")
-    pre = add(matmul(params.w, concat([x_t, h_prev])), params.b)
-    i = sigmoid(slice1d(pre, 0, h))
-    f = sigmoid(slice1d(pre, h, 2 * h))
-    g = tanh(slice1d(pre, 2 * h, 3 * h))
-    o = sigmoid(slice1d(pre, 3 * h, 4 * h))
+    pre = add(matmul_t(concat([x_t, h_prev]), params.w), params.b)
+    i = sigmoid(slice_last(pre, 0, h))
+    f = sigmoid(slice_last(pre, h, 2 * h))
+    g = tanh(slice_last(pre, 2 * h, 3 * h))
+    o = sigmoid(slice_last(pre, 3 * h, 4 * h))
     c_t = add(mul(f, c_prev), mul(i, g))
     h_t = mul(o, tanh(c_t))
     return h_t, c_t
@@ -421,19 +486,43 @@ def save_tensors(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
+    """Read a `save_tensors` file. Raises ValueError for a bad version tag, a
+    manifest that is not a JSON list of `[name, shape]` pairs (name a string,
+    shape a list of ints >= 0), a repeated name, a truncated array, or bytes
+    after the last array."""
     with open(path, "rb") as f:
         magic = f.readline()
         if magic != _CKPT_MAGIC:
             raise ValueError(f"not a tensor checkpoint: bad version tag {magic!r}")
-        manifest = json.loads(f.readline().decode("utf-8"))
-        out = {}
-        for name, shape in manifest:
-            n = int(np.prod(shape)) if shape else 1
-            buf = f.read(8 * n)
-            if len(buf) != 8 * n:
-                raise ValueError(f"truncated checkpoint while reading {name!r}")
-            out[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-        return out
+        try:
+            manifest = json.loads(f.readline().decode("utf-8"))
+        except RecursionError:
+            raise ValueError("checkpoint manifest nests too deeply") from None
+        data = f.read()
+    if not isinstance(manifest, list):
+        raise ValueError("checkpoint manifest is not a list")
+    out = {}
+    pos = 0
+    for item in manifest:
+        if not (
+            isinstance(item, list)
+            and len(item) == 2
+            and isinstance(item[0], str)
+            and isinstance(item[1], list)
+            and all(type(n) is int and n >= 0 for n in item[1])
+        ):
+            raise ValueError(f"checkpoint manifest entry {item!r} is not [name, list of ints >= 0]")
+        name, shape = item
+        if name in out:
+            raise ValueError(f"checkpoint names {name!r} twice")
+        size = 8 * math.prod(shape)
+        if len(data) - pos < size:
+            raise ValueError(f"truncated checkpoint while reading {name!r}")
+        out[name] = np.frombuffer(data, dtype="<f8", count=size // 8, offset=pos).reshape(shape).copy()
+        pos += size
+    if pos != len(data):
+        raise ValueError(f"checkpoint has {len(data) - pos} bytes after its last array")
+    return out
 
 
 def substream(seed: int, name: str) -> np.random.Generator:

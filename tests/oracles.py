@@ -3,16 +3,23 @@
 Everything here is deliberately naive: central finite differences, exhaustive
 enumeration, and direct string scanning. None of it shares code with the
 library paths it checks, except that the context-compiler reference reuses
-the library's annotation and minimization passes, which both paths share.
+the library's annotation and minimization passes, which both paths share,
+and the per-hypothesis beam search and per-phrase bias encoder run the
+library's model ops one vector at a time.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from ctxseq import tensor as T
+from ctxseq.conditioning import PrefixTable, compute_mask
+from ctxseq.decoding import DecodeResult, _fusion_step, embed_phrases
 from ctxseq.fst import EPS, Wfst, _annotate, _minimize
 from ctxseq.tensor import Tensor
-from ctxseq.vocab import BIAS_END, SPACE, normalize, render
+from ctxseq.vocab import BIAS_END, SPACE, graphemize, normalize, render
 
 FD_STEP = 1e-5
 
@@ -334,3 +341,112 @@ def enumerate_best(model, audio, phrases, max_len: int, lam: float, fusion=None)
     rec([], model.initial_state(), fusion.start if fusion else 0, 0.0, 0.0, vocab.sos)
     assert best is not None
     return {"tokens": best[2], "total": -best[0], "log_model": best[3], "log_fusion": best[4]}
+
+
+# ---------------------------------------------------------------------------
+# per-phrase bias encoder and per-hypothesis beam search
+
+
+def reference_encode_bias(model, phrases) -> Tensor:
+    """One LSTM chain per phrase, one grapheme at a time; row 0 is no-bias."""
+    rows = [model.params["no_bias"]]
+    emb = model.params["embedding"]
+    p = model.bias_encoder
+    for phrase in phrases:
+        tokens = graphemize(phrase)
+        if not tokens:
+            raise ValueError("empty phrase in bias list")
+        h = T.constant(np.zeros(p.hidden))
+        c = T.constant(np.zeros(p.hidden))
+        for tok in tokens:
+            h, c = T.lstm_cell(T.row(emb, model.vocab.index(tok)), h, c, p)
+        rows.append(h)
+    return T.stack(rows)
+
+
+@dataclass
+class _Hypothesis:
+    tokens: list[int]  # emitted ids, possibly including </bias>
+    log_model: float
+    log_fusion: float
+    state: object
+    fusion_state: int
+    alphas: list[np.ndarray]
+    finished: bool = False
+
+    def total(self, lam: float) -> float:
+        return self.log_model + lam * self.log_fusion
+
+
+def reference_beam_search(model, x, phrases, cfg, fusion=None, entries=None, audio=None, bias_cache=None):
+    """`decoding.beam_search` one hypothesis at a time: one model step per
+    live hypothesis, every one of the beam×V candidates built as an object
+    with its own copies of the token and attention lists, then a full sort
+    by (-total, length, tokens)."""
+    vocab = model.vocab
+    if entries is not None:
+        phrases = [e.phrase for e in entries]
+        prefix_table = PrefixTable(entries)
+    if audio is None:
+        audio = model.precompute_audio(model.encode_audio(x))
+    if bias_cache is None:
+        bias_cache = embed_phrases(model, phrases)
+    h_z, bias_keys = bias_cache
+    zero_mask = np.zeros(len(phrases) + 1)
+    start_fusion = fusion.start if fusion is not None else 0
+    live = [_Hypothesis([], 0.0, 0.0, model.initial_state(), start_fusion, [])]
+    done: list[_Hypothesis] = []
+
+    def tie_key(h: _Hypothesis):
+        return (-h.total(cfg.lam), len(h.tokens), h.tokens)
+
+    for _ in range(cfg.max_len):
+        if not live:
+            break
+        candidates: list[_Hypothesis] = []
+        for h in live:
+            if entries is not None:
+                mask = compute_mask(prefix_table, [vocab.symbols[t] for t in h.tokens])
+            else:
+                mask = zero_mask
+            y_prev = h.tokens[-1] if h.tokens else vocab.sos
+            log_probs, alpha, state = model.step(y_prev, h.state, audio, h_z, mask, bias_keys)
+            lp = log_probs.data
+            al = alpha.data
+            for v in range(len(vocab)):
+                f_state, f_inc = _fusion_step(fusion, h.fusion_state, v, vocab)
+                candidates.append(
+                    _Hypothesis(
+                        tokens=h.tokens + [v],
+                        log_model=h.log_model + float(lp[v]),
+                        log_fusion=h.log_fusion + f_inc,
+                        state=state,
+                        fusion_state=f_state,
+                        alphas=h.alphas + [al],
+                        finished=v == vocab.eos,
+                    )
+                )
+        candidates.sort(key=tie_key)
+        live = []
+        for h in candidates[: cfg.beam_width]:
+            (done if h.finished else live).append(h)
+
+    pool = done if done else sorted(live, key=tie_key)[:1]
+    pool = sorted(pool, key=tie_key)[: cfg.n_best]
+    results = []
+    for h in pool:
+        raw = [vocab.symbols[t] for t in h.tokens if t != vocab.eos]
+        stripped = [s for s in raw if s != BIAS_END]
+        results.append(
+            DecodeResult(
+                text=render(stripped),
+                tokens=stripped,
+                total=h.total(cfg.lam),
+                log_model=h.log_model,
+                log_fusion=h.log_fusion,
+                finished=h.finished,
+                raw_symbols=raw,
+                alphas=np.array(h.alphas) if h.alphas else np.zeros((0, 1)),
+            )
+        )
+    return results

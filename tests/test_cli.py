@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +225,35 @@ class TestDecode:
         assert self.decode_with_context(workspace, tmp_path, arcs) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "second arc from state 0 on 'a'" in err
+
+    @pytest.mark.parametrize(
+        "manifest, message",
+        [
+            (b"5", "manifest is not a list"),
+            (b'[["embedding", "x"]]', "is not [name, list of ints >= 0]"),
+            (b'[["no_bias", [1]], ["no_bias", [1]]]', "names 'no_bias' twice"),
+        ],
+    )
+    def test_malformed_checkpoint_fails_cleanly(self, workspace, tmp_path, capsys, manifest, message):
+        root, _ = workspace
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(root / "ckpt", ckpt)
+        (ckpt / "params.bin").write_bytes(b"CTXSEQ-TENSORS-1\n" + manifest + b"\n" + b"\0" * 16)
+        args = ["decode", "--checkpoint", str(ckpt), "--data", str(root / "corpus" / "test_biased.jsonl")]
+        assert main(args + ["--out", str(tmp_path / "dec")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    def test_checkpoint_with_trailing_bytes_fails_cleanly(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(root / "ckpt", ckpt)
+        with open(ckpt / "params.bin", "ab") as f:
+            f.write(b"\0")
+        args = ["decode", "--checkpoint", str(ckpt), "--data", str(root / "corpus" / "test_biased.jsonl")]
+        assert main(args + ["--out", str(tmp_path / "dec")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "1 bytes after its last array" in err
 
 
 class TestEval:

@@ -131,6 +131,33 @@ class TestGenerateCorpus:
         with pytest.raises(ValueError, match=f"line 3: record lacks field '{field}'"):
             read_manifest(path)
 
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("id", 5, "is not a string"),
+            ("features_path", None, "is not a string"),
+            ("transcript", 5, "is not a string"),
+            ("bias_phrases", 5, "is not a list of strings"),
+            ("bias_phrases", ["a", 3], "is not a list of strings"),
+            ("bias_phrases", None, "is not a list of strings"),
+            ("bias_prefixes", "a", "is not null or a list of strings"),
+            ("bias_prefixes", [None], "is not null or a list of strings"),
+        ],
+    )
+    def test_wrong_field_type_names_field_and_line(self, tmp_path, field, value, kind):
+        record = {"id": "u1", "features_path": "f.bin", "transcript": "a b"}
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps(record) + "\n" + json.dumps({**record, field: value}) + "\n")
+        with pytest.raises(ValueError, match=f"line 2: field '{field}' {kind}"):
+            read_manifest(path)
+
+    def test_null_prefixes_and_absent_lists_load(self, tmp_path):
+        record = {"id": "u1", "features_path": "f.bin", "transcript": "a b", "bias_prefixes": None}
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        (u,) = read_manifest(path)
+        assert u.bias_phrases == [] and u.bias_prefixes is None
+
     def test_non_object_record_rejected(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text('"id features_path transcript"\n')

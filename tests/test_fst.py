@@ -479,6 +479,7 @@ class TestLoadContextValidation:
             (7, "0 a <eps> 0.5", "line 8: expected .* got 4 fields"),
             (8, "1 <space> <eps> 0.5 0 0", "line 9: expected .* got 6 fields"),
             (4, "states 0", "declares 0 states"),
+            (4, "states 99999999999", "declares 99999999999 states for 2 arcs"),
             (2, "strategy bogus", "unknown strategy 'bogus'"),
             (7, "0 z <eps> 0.5 1", "line 8: arc label 'z' outside the alphabet"),
             (8, "0 a <eps> 9.0 1", "line 9: second arc from state 0 on 'a'"),

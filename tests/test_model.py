@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxseq import tensor as T
-from ctxseq.model import ModelConfig, Recognizer
+from ctxseq.model import DecoderStepState, ModelConfig, Recognizer
 from ctxseq.tensor import Tape
-from ctxseq.vocab import BIAS_END, Vocabulary, graphemize
+from ctxseq.vocab import BIAS_END, SPACE, Vocabulary, graphemize
 
-from oracles import finite_difference, max_rel_err
+from oracles import finite_difference, max_rel_err, reference_encode_bias
+
+words = st.text(alphabet="ab", min_size=1, max_size=4)
+phrase_lists = st.lists(st.lists(words, min_size=1, max_size=3).map(" ".join), max_size=8)
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -104,6 +109,91 @@ class TestEncodeBias:
         assert np.array_equal(fwd[2], rev[2])
         assert np.array_equal(fwd[3], rev[1])
         assert np.array_equal(fwd[0], rev[0])
+
+
+class TestBatchedEncodeBias:
+    """`encode_bias` runs one LSTM pass over the whole list; the reference
+    runs one chain per phrase."""
+
+    @given(seed=st.integers(0, 20), phrases=phrase_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_phrase_reference(self, seed, phrases):
+        model = tiny_model(seed=seed)
+        got = model.encode_bias(phrases).data
+        want = reference_encode_bias(model, phrases).data
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-12
+
+    def bias_params(self, model):
+        return {k: model.params[k] for k in ("embedding", "bias_encoder.w", "bias_encoder.b", "no_bias")}
+
+    def test_gradients_on_unequal_lengths(self):
+        model = tiny_model(seed=3)
+        params = self.bias_params(model)
+        phrases = ["ab ba", "a", "bb", "a b a b", "b"]
+        w = T.constant(np.random.default_rng(12).normal(size=(len(phrases) + 1, 2)))
+
+        def forward(encode):
+            return T.sum_(T.mul(encode(model, phrases), w))
+
+        with Tape() as tape:
+            tape.backward(forward(Recognizer.encode_bias))
+        batched = {k: t.grad.copy() for k, t in params.items()}
+        fd = finite_difference(lambda: float(forward(Recognizer.encode_bias).data), params)
+        for name, g in batched.items():
+            assert max_rel_err(g, fd[name]) < 1e-6, name
+        for t in params.values():
+            t.grad[...] = 0.0
+        with Tape() as tape:
+            tape.backward(forward(reference_encode_bias))
+        for name, t in params.items():
+            assert np.abs(batched[name] - t.grad).max() < 1e-12, name
+
+    def test_steps_after_a_phrase_ends_add_no_gradient(self):
+        # Only the one-grapheme phrase's row is in the loss: the graphemes of
+        # the longer phrase, which the batch keeps running, get zero gradient.
+        model = tiny_model(seed=4)
+        emb = model.params["embedding"]
+        with Tape() as tape:
+            h_z = model.encode_bias(["b b b", "a"])
+            tape.backward(T.sum_(T.gather(h_z, np.array([2]))))
+        for sym in ("b", SPACE):
+            assert np.all(emb.grad[model.vocab.index(sym)] == 0.0), sym
+        assert np.all(emb.grad[model.vocab.index("a")] != 0.0)
+
+
+class TestBatchedStep:
+    def test_rows_equal_single_steps(self):
+        # Three hypotheses with different tokens, states and masks in one call.
+        model = tiny_model(seed=5)
+        rng = np.random.default_rng(13)
+        audio = model.precompute_audio(model.encode_audio(rng.normal(size=(4, 3))))
+        h_z = model.encode_bias(["a", "ab", "b a"])
+        keys = model.bias_key_cache(h_z)
+        y = np.array([model.vocab.index("a"), model.vocab.sos, model.vocab.index("b")])
+        mask = np.array([[0.0, np.inf, 0.0, 0.0], [0.0, 0.0, np.inf, np.inf], [0.0, np.inf, np.inf, 0.0]])
+        state = model.initial_state(rows=3)
+        state.context = T.constant(rng.normal(size=(3, 4)))
+        state.layers = [(T.constant(rng.normal(size=(3, 2))), T.constant(rng.normal(size=(3, 2))))]
+        log_probs, alpha, new = model.step(y, state, audio, h_z, mask, keys)
+        for b in range(3):
+            single = DecoderStepState(
+                layers=[(T.constant(h.data[b]), T.constant(c.data[b])) for h, c in state.layers],
+                context=T.constant(state.context.data[b]),
+            )
+            lp, al, st1 = model.step(int(y[b]), single, audio, h_z, mask[b], keys)
+            assert np.abs(log_probs.data[b] - lp.data).max() < 1e-12
+            assert np.abs(alpha.data[b] - al.data).max() < 1e-12
+            assert np.all(alpha.data[b][mask[b] == np.inf] == 0.0)
+            assert np.abs(new.context.data[b] - st1.context.data).max() < 1e-12
+
+    def test_mask_shape_must_match_rows(self):
+        model = tiny_model()
+        h_z = model.encode_bias(["a"])
+        with pytest.raises(ValueError, match="mask length"):
+            model.attend_bias(T.constant(np.zeros((2, 2))), h_z, np.zeros(2))
+        with pytest.raises(ValueError, match="no-bias"):
+            model.attend_bias(T.constant(np.zeros((2, 2))), h_z, np.array([[0.0, 0.0], [np.inf, 0.0]]))
 
 
 class TestAttendAudio:

@@ -217,6 +217,116 @@ class TestLstmCell:
         assert max_rel_err(p.b.grad, fd["b"]) < 1e-5
 
 
+class TestRowwiseOps:
+    """The row-generalised ops on (B, D) inputs: each row equals the 1-D op
+    on that row, and the backward matches central finite differences."""
+
+    def check_grads(self, forward, params, tol=1e-6):
+        with Tape() as tape:
+            tape.backward(forward())
+        fd = finite_difference(lambda: float(forward().data), params)
+        for name, t in params.items():
+            assert max_rel_err(t.grad, fd[name]) < tol, name
+
+    def weighted(self, out: Tensor, seed: int) -> Tensor:
+        w = np.random.default_rng(seed).normal(size=out.shape)
+        return T.sum_(T.mul(out, T.constant(w)))
+
+    def test_concat_and_slice_last(self):
+        rng = np.random.default_rng(20)
+        a = T.parameter(rng.normal(size=(3, 2)))
+        b = T.parameter(rng.normal(size=(3, 4)))
+        out = T.concat([a, b])
+        assert np.array_equal(out.data[1], T.concat([T.constant(a.data[1]), T.constant(b.data[1])]).data)
+        assert np.array_equal(T.slice_last(out, 1, 4).data, out.data[:, 1:4])
+        self.check_grads(lambda: self.weighted(T.slice_last(T.concat([a, b]), 1, 4), 1), {"a": a, "b": b})
+        assert np.all(a.grad[:, 0] == 0.0) and np.all(b.grad[:, 2:] == 0.0)
+        with pytest.raises(ValueError, match="all 1-D or all 2-D"):
+            T.concat([a, T.constant(np.zeros(2))])
+
+    def test_softmax_rows_with_different_dropped_entries(self):
+        x = T.parameter([[0.2, NEG_INF, -0.4, 1.0], [NEG_INF, 0.5, 0.3, NEG_INF], [0.1, 0.2, 0.3, 0.4]])
+        out = T.softmax(x)
+        for row, got in zip(x.data, out.data):
+            kept = row != NEG_INF
+            e = np.exp(row[kept] - row[kept].max())
+            assert np.abs(got[kept] - e / e.sum()).max() < 1e-15
+            assert np.all(got[~kept] == 0.0)
+        self.check_grads(lambda: self.weighted(T.softmax(x), 2), {"x": x})
+        assert np.all(x.grad[x.data == NEG_INF] == 0.0)
+        with pytest.raises(ValueError, match="no unmasked entry"):
+            T.softmax(T.constant([[0.0, 1.0], [NEG_INF, NEG_INF]]))
+
+    def test_log_softmax_rows(self):
+        x = T.parameter(np.random.default_rng(21).normal(size=(3, 5)))
+        out = T.log_softmax(x)
+        for row, got in zip(x.data, out.data):
+            assert np.array_equal(got, T.log_softmax(T.constant(row)).data)
+        self.check_grads(lambda: self.weighted(T.log_softmax(x), 3), {"x": x})
+
+    def test_lstm_cell_rows(self):
+        rng = np.random.default_rng(22)
+        p = T.init_lstm_params(rng, 3, 2)
+        p.w.data[...] = rng.normal(size=p.w.data.shape)
+        x = T.parameter(rng.normal(size=(4, 3)))
+        h0 = T.parameter(rng.normal(size=(4, 2)))
+        c0 = T.parameter(rng.normal(size=(4, 2)))
+        h, c = T.lstm_cell(x, h0, c0, p)
+        for i in range(4):
+            hi, ci = T.lstm_cell(*(T.constant(t.data[i]) for t in (x, h0, c0)), p)
+            assert np.abs(h.data[i] - hi.data).max() < 1e-15
+            assert np.abs(c.data[i] - ci.data).max() < 1e-15
+
+        def forward():
+            h, c = T.lstm_cell(x, h0, c0, p)
+            return T.add(self.weighted(h, 4), self.weighted(c, 5))
+
+        self.check_grads(forward, {"x": x, "h0": h0, "c0": c0, "w": p.w, "b": p.b}, tol=1e-5)
+        with pytest.raises(ValueError, match="state shapes"):
+            T.lstm_cell(x, T.constant(np.zeros(2)), T.constant(np.zeros(2)), p)
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_matmul_t(self, rows):
+        rng = np.random.default_rng(23)
+        x = T.parameter(rng.normal(size=(4,) if rows is None else (rows, 4)))
+        w = T.parameter(rng.normal(size=(5, 4)))
+        assert np.abs(T.matmul_t(x, w).data - x.data @ w.data.T).max() < 1e-14
+        self.check_grads(lambda: self.weighted(T.matmul_t(x, w), 6), {"x": x, "w": w})
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            T.matmul_t(x, T.constant(np.zeros((5, 3))))
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_additive_scores(self, rows):
+        rng = np.random.default_rng(24)
+        keys = T.parameter(rng.normal(size=(4, 2)))
+        query = T.parameter(rng.normal(size=(2,) if rows is None else (rows, 2)))
+        v = T.parameter(rng.normal(size=2))
+        out = T.additive_scores(keys, query, v)
+        for q, got in zip(np.atleast_2d(query.data), np.atleast_2d(out.data)):
+            assert np.abs(got - np.tanh(keys.data + q) @ v.data).max() < 1e-15
+        params = {"keys": keys, "query": query, "v": v}
+        self.check_grads(lambda: self.weighted(T.additive_scores(keys, query, v), 7), params)
+
+    def test_gather_last_axis(self):
+        m = T.parameter(np.random.default_rng(25).normal(size=(2, 3)))
+        index = np.array([2, 2, 0])
+        assert np.array_equal(T.gather(m, index, axis=-1).data, m.data[:, index])
+        self.check_grads(lambda: self.weighted(T.gather(m, index, axis=-1), 8), {"m": m})
+        assert np.all(m.grad[:, 1] == 0.0)
+        with pytest.raises(ValueError, match="axis 0 or -1"):
+            T.gather(m, index, axis=1)
+
+    def test_stack_rows_and_blocks(self):
+        rng = np.random.default_rng(26)
+        r = T.parameter(rng.normal(size=3))
+        blk = T.parameter(rng.normal(size=(2, 3)))
+        out = T.stack([blk, r, blk])
+        assert np.array_equal(out.data, np.vstack([blk.data, r.data, blk.data]))
+        self.check_grads(lambda: self.weighted(T.stack([blk, r, blk]), 9), {"r": r, "blk": blk})
+        with pytest.raises(ValueError, match="row shape mismatch"):
+            T.stack([r, T.constant(np.zeros((2, 4)))])
+
+
 class TestBackward:
     def test_sum_of_matvec(self):
         w = T.parameter([[1.0, 2.0], [3.0, 4.0]])
@@ -350,6 +460,41 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint\n")
         with pytest.raises(ValueError, match="version tag"):
             T.load_tensors(path)
+
+
+class TestMalformedCheckpoint:
+    @staticmethod
+    def write(tmp_path, manifest: bytes, data: bytes = b""):
+        path = tmp_path / "params.bin"
+        path.write_bytes(b"CTXSEQ-TENSORS-1\n" + manifest + b"\n" + data)
+        return path
+
+    @pytest.mark.parametrize(
+        "manifest, data, message",
+        [
+            (b"5", b"", "manifest is not a list"),
+            (b"[5]", b"", "not \\[name, list of ints >= 0\\]"),
+            (b'[["a", "x"]]', b"", "not \\[name, list of ints >= 0\\]"),
+            (b'[["a", [-1]]]', b"", "not \\[name, list of ints >= 0\\]"),
+            (b'[["a", [1.0]]]', b"\0" * 8, "not \\[name, list of ints >= 0\\]"),
+            (b'[["a", [true]]]', b"\0" * 8, "not \\[name, list of ints >= 0\\]"),
+            (b'[[1, [1]]]', b"\0" * 8, "not \\[name, list of ints >= 0\\]"),
+            (b'[["a", [1]], ["a", [1]]]', b"\0" * 16, "names 'a' twice"),
+            (b'[["a", [1]]]', b"\0" * 9, "1 bytes after its last array"),
+            (b'[["a", [2]]]', b"\0" * 8, "truncated"),
+            (b'[["a", [1000000000000, 1000000000000]]]', b"", "truncated"),
+            (b"[" * 100000, b"", "nests too deeply"),
+            (b"\xff", b"", "codec can.t decode"),
+        ],
+    )
+    def test_rejected_with_value_error(self, tmp_path, manifest, data, message):
+        with pytest.raises(ValueError, match=message):
+            T.load_tensors(self.write(tmp_path, manifest, data))
+
+    def test_empty_and_scalar_arrays_load(self, tmp_path):
+        path = self.write(tmp_path, b'[["e", [0, 3]], ["s", []]]', np.array(2.5).tobytes())
+        loaded = T.load_tensors(path)
+        assert loaded["e"].shape == (0, 3) and loaded["s"].shape == () and loaded["s"] == 2.5
 
 
 class TestSubstream:
