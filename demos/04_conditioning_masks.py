@@ -3,8 +3,6 @@
 Run: python demos/04_conditioning_masks.py
 """
 
-import numpy as np
-
 from ctxseq.conditioning import compute_mask, split_greedy, split_rule_based
 from ctxseq.vocab import graphemize
 

@@ -20,7 +20,6 @@ from .fst import (
     Wfst,
     apply_strategy,
     build_grammar,
-    build_speller,
     compile_context,
     compose_det_min,
     load_context,

@@ -15,21 +15,17 @@ from pathlib import Path
 from .conditioning import BiasEntry, split_rule_based
 from .config import RunConfig
 from .corpus import generate_corpus, read_manifest
-from .decoding import beam_search
 from .experiments import (
     attention_hit_rate,
     conditioning_comparison,
     decode_corpus,
     distractor_sweep,
-    dump_bias_attention,
-    prepare_audio,
     strategy_comparison,
 )
 from .fst import FusionScorer, compile_context, load_context, save_context
 from .metrics import WerReport, compute_wer
 from .model import Recognizer
-from .sampler import SamplerConfig
-from .tensor import load_tensors, save_tensors
+from .tensor import load_tensors
 from .train import train_model
 from .vocab import SPACE, Vocabulary
 
@@ -121,7 +117,7 @@ def cmd_decode(args) -> int:
         return [] if args.empty_bias else list(u.bias_phrases)
 
     def entries_fn(u):
-        if args.conditioning == "off" or args.empty_bias:
+        if args.empty_bias:
             return None
         if args.conditioning == "manifest":
             if u.bias_prefixes is None:
@@ -151,13 +147,20 @@ def cmd_eval(args) -> int:
     out = _outdir(args.out)
     total = WerReport(0, 0, 0, 0)
     lines = []
+    scored: set[str] = set()
     with open(args.hyp, "r", encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
-            utt_id, text, _ = line.rstrip("\n").split("\t")
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 3:
+                raise ValueError(f"{args.hyp} line {lineno}: expected `id text total`, got {len(fields)} fields")
+            utt_id, text, _ = fields
             if utt_id not in utts:
                 raise ValueError(f"hypothesis for unknown utterance {utt_id}")
+            if utt_id in scored:
+                raise ValueError(f"{args.hyp} line {lineno}: second hypothesis for utterance {utt_id}")
+            scored.add(utt_id)
             report = compute_wer(text, utts[utt_id].transcript)
             total = total + report
             lines.append(
@@ -200,14 +203,15 @@ def cmd_dump_attention(args) -> int:
         if not utts:
             raise ValueError(f"utterance {args.utt_id} not in manifest")
     utt = utts[0]
-    alphas, symbols, labels = dump_bias_attention(model, utt, utt.bias_phrases, cfg.decode())
+    result = decode_corpus(model, [utt], cfg.decode())[0]
+    labels = ["<no-bias>"] + list(utt.bias_phrases)
     out = _outdir(args.out)
     cfg.save_resolved(out / "config.ini")
     with open(out / f"attention_{utt.id}.tsv", "w", encoding="utf-8") as f:
         f.write("step\tsymbol\t" + "\t".join(labels) + "\n")
-        for i, sym in enumerate(symbols):
-            f.write(f"{i}\t{sym}\t" + "\t".join(f"{a:.6f}" for a in alphas[i]) + "\n")
-    print(f"dumped {len(symbols)} steps x {len(labels)} columns for {utt.id}")
+        for i, (sym, alpha) in enumerate(zip(result.raw_symbols, result.alphas)):
+            f.write(f"{i}\t{sym}\t" + "\t".join(f"{a:.6f}" for a in alpha) + "\n")
+    print(f"dumped {len(result.raw_symbols)} steps x {len(labels)} columns for {utt.id}")
     return 0
 
 

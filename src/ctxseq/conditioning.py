@@ -104,21 +104,3 @@ def split_greedy(phrases: Sequence[str], max_share: int) -> list[BiasEntry]:
         for pre, suf in zip(prefixes, suffixes)
     ]
 
-
-def save_entries(path, entries: Sequence[BiasEntry]) -> None:
-    """Two-column text format: prefix TAB phrase, one entry per line."""
-    with open(path, "w", encoding="utf-8") as f:
-        for e in entries:
-            f.write(f"{e.prefix}\t{e.phrase}\n")
-
-
-def load_entries(path) -> list[BiasEntry]:
-    entries = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            prefix, _, phrase = line.partition("\t")
-            entries.append(BiasEntry(prefix=prefix, phrase=phrase))
-    return entries

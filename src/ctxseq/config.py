@@ -7,8 +7,8 @@ resolved configuration is serialized into every output directory.
 
 from __future__ import annotations
 
+import configparser
 import typing
-from configparser import ConfigParser
 from dataclasses import fields
 
 from .corpus import SyntheticTaskConfig
@@ -52,12 +52,16 @@ class RunConfig:
 
     @classmethod
     def load(cls, path=None) -> "RunConfig":
+        """Read a config file; raises ValueError when it does not parse."""
         cfg = cls()
         if path is not None:
-            parser = ConfigParser()
+            parser = configparser.ConfigParser()
             with open(path, "r", encoding="utf-8") as f:
-                parser.read_file(f)
-            cfg.sections = {s: dict(parser[s]) for s in parser.sections()}
+                try:
+                    parser.read_file(f)
+                    cfg.sections = {s: dict(parser[s]) for s in parser.sections()}
+                except configparser.Error as exc:
+                    raise ValueError(f"config file {path}: {' '.join(str(exc).split())}") from None
         return cfg
 
     def override(self, assignment: str) -> None:

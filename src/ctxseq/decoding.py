@@ -6,10 +6,10 @@ candidate totals (model log-probability plus lambda-scaled fusion score) form
 one array, and only the `beam_width` best become `Hypothesis` objects, each
 holding its last token and a back-pointer to its parent. Under prefix
 conditioning every live hypothesis gets its own attention mask from its own
-partial string at every step; the conditioning list is compiled once per
-utterance into a `PrefixTable`, so a mask costs one substring test per
-distinct prefix. `</bias>` may be emitted during search but is stripped from
-returned sequences.
+partial string at every step; the caller compiles each distinct
+conditioning list once into a `PrefixTable`, so a mask costs one substring
+test per distinct prefix. `</bias>` may be emitted during search but is
+stripped from returned sequences.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioning import BiasEntry, PrefixTable, compute_mask
+from .conditioning import PrefixTable, compute_mask
 from .fst import FusionScorer
 from .model import AudioCache, Recognizer
 from .vocab import BIAS_END, SOS, render
@@ -83,33 +83,26 @@ class DecodeResult:
 
 def beam_search(
     model: Recognizer,
-    x: np.ndarray | None,
-    phrases: list[str],
+    audio: AudioCache,
+    bias: tuple,
     cfg: DecodeConfig,
     fusion: FusionScorer | None = None,
-    entries: list[BiasEntry] | None = None,
-    audio: AudioCache | None = None,
-    bias_cache: tuple | None = None,
+    prefixes: PrefixTable | None = None,
 ) -> list[DecodeResult]:
     """Decode one utterance; returns up to n_best results, best first.
 
-    `entries` switches on prefix conditioning; its phrases are then the ones
-    embedded and `phrases` is ignored. Without a finished hypothesis at
-    max_len the single best unfinished one is returned, flagged. `bias_cache`
-    (from `embed_phrases`) skips re-embedding a phrase list shared across
-    utterances.
+    `audio` comes from `Recognizer.precompute_audio` and `bias` from
+    `embed_phrases`. `prefixes`, compiled from the entries whose phrases
+    `bias` embeds, switches on prefix conditioning. Without a finished
+    hypothesis at max_len the single best unfinished one is returned,
+    flagged.
     """
     vocab = model.vocab
-    if entries is not None:
-        phrases = [e.phrase for e in entries]
-        prefix_table = PrefixTable(entries)
-    if audio is None:
-        audio = model.precompute_audio(model.encode_audio(x))
-    if bias_cache is None:
-        bias_cache = embed_phrases(model, phrases)
-    h_z, bias_keys = bias_cache
-    if h_z.data.shape[0] != len(phrases) + 1:
-        raise ValueError("bias_cache does not match the phrase list")
+    h_z, bias_keys = bias
+    if prefixes is not None and len(prefixes.group_of) != h_z.data.shape[0]:
+        raise ValueError(
+            f"the prefix table has {len(prefixes.group_of)} rows, the embedded list {h_z.data.shape[0]}"
+        )
     n_vocab = len(vocab)
     fusion_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -134,9 +127,9 @@ def beam_search(
     for _ in range(cfg.max_len):
         if not live:
             break
-        if entries is not None:
+        if prefixes is not None:
             mask = np.stack([
-                compute_mask(prefix_table, symbols[row].tolist()) for row in history
+                compute_mask(prefixes, symbols[row].tolist()) for row in history
             ])
         else:
             mask = np.zeros((len(live), h_z.data.shape[0]))

@@ -1,11 +1,11 @@
 """Directional experiment shapes: distractor sweeps, strategy comparison,
-conditioning rescue, embedding correlation, and attention dumps."""
+conditioning rescue, and attention hit rate."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .conditioning import BiasEntry, split_rule_based
+from .conditioning import BiasEntry, PrefixTable, split_rule_based
 from .corpus import Utterance
 from .decoding import DecodeConfig, DecodeResult, beam_search, embed_phrases
 from .fst import FusionScorer, compile_context
@@ -24,40 +24,35 @@ def decode_corpus(
     model: Recognizer,
     utts: list[Utterance],
     cfg: DecodeConfig,
-    fusion: FusionScorer | None = None,
     fusion_per_utt=None,
     phrases_fn=None,
     entries_fn=None,
     audio: list[AudioCache] | None = None,
 ) -> list[DecodeResult]:
     """Top-1 decode of a set. `phrases_fn(utt)` overrides the manifest bias
-    list; `entries_fn(utt)` switches on conditioning; `fusion_per_utt(utt)`
-    builds a per-utterance fusion scorer."""
+    list; `entries_fn(utt)` switches on conditioning, and its phrases are the
+    ones embedded; `fusion_per_utt(utt)` gives a per-utterance fusion scorer.
+    Each distinct phrase list is embedded, and each distinct entry list
+    compiled into a `PrefixTable`, once per call."""
     if audio is None:
         audio = prepare_audio(model, utts)
     embeddings: dict[tuple[str, ...], tuple] = {}
+    tables: dict[tuple[BiasEntry, ...], PrefixTable] = {}
     out = []
     for u, cache in zip(utts, audio):
         entries = entries_fn(u) if entries_fn is not None else None
         phrases = phrases_fn(u) if phrases_fn is not None else list(u.bias_phrases)
+        prefixes = None
         if entries is not None:
             phrases = [e.phrase for e in entries]
+            prefixes = tables.get(tuple(entries))
+            if prefixes is None:
+                prefixes = tables[tuple(entries)] = PrefixTable(entries)
         key = tuple(phrases)
         if key not in embeddings:
             embeddings[key] = embed_phrases(model, phrases)
-        scorer = fusion_per_utt(u) if fusion_per_utt is not None else fusion
-        out.append(
-            beam_search(
-                model,
-                None,
-                phrases,
-                cfg,
-                fusion=scorer,
-                entries=entries,
-                audio=cache,
-                bias_cache=embeddings[key],
-            )[0]
-        )
+        scorer = fusion_per_utt(u) if fusion_per_utt is not None else None
+        out.append(beam_search(model, cache, embeddings[key], cfg, fusion=scorer, prefixes=prefixes)[0])
     return out
 
 
@@ -115,29 +110,7 @@ def _average_ranks(values) -> np.ndarray:
     return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
-def embedding_correlation(h_z: np.ndarray) -> dict:
-    """Cosine matrix over phrase embeddings (no-bias row excluded upstream)."""
-    h = np.asarray(h_z, dtype=np.float64)
-    if h.shape[0] < 2:
-        raise ValueError("need at least two phrase embeddings")
-    norms = np.linalg.norm(h, axis=1)
-    if (norms == 0).any():
-        raise ValueError("zero-norm embedding")
-    c = (h / norms[:, None]) @ (h / norms[:, None]).T
-    off = c[~np.eye(len(c), dtype=bool)]
-    return {"matrix": c, "mean_off_diagonal": float(off.mean()), "max_off_diagonal": float(off.max())}
-
-
 # ---------------------------------------------------------------------------
-
-
-def dump_bias_attention(
-    model: Recognizer, utt: Utterance, phrases: list[str], cfg: DecodeConfig
-) -> tuple[np.ndarray, list[str], list[str]]:
-    """Decode and return (alphas over steps, emitted symbols, column labels)."""
-    result = beam_search(model, utt.load_features(), phrases, cfg)[0]
-    labels = ["<no-bias>"] + list(phrases)
-    return result.alphas, result.raw_symbols, labels
 
 
 def attention_hit_rate(

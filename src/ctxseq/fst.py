@@ -1,12 +1,12 @@
 """Weighted finite-state machinery for on-the-fly contextual rescoring.
 
 Pipeline: a word-level grammar over the phrase list (each word arc carries
-the per-word bonus, completed phrases loop back to the start) and a speller,
-the grapheme trie of the grammar's words, whose `<space>` arcs emit the word.
-Their composition is built deterministic in one pass over the trie (a state
-is a trie node plus the grammar states whose words still run through it),
-then minimized into a grapheme-level context model, and finally one of three
-weight-placement strategies is applied:
+the per-word bonus, completed phrases loop back to the start) is composed
+with the speller of its words, the grapheme trie whose `<space>` arcs emit
+the word. The composition is built deterministic in one pass over the trie
+(a state is a trie node plus the grammar states whose words still run
+through it), then minimized into a grapheme-level context model, and finally
+one of three weight-placement strategies is applied:
 
   end-of-word        the word bonus sits on the word's final grapheme arc
   beginning-of-word  the word bonus sits on the word's first grapheme arc
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .vocab import SPACE, normalize
 
@@ -89,18 +89,6 @@ class Wfst:
                 return False
         return True
 
-    def accepts(self, labels: Sequence[str]) -> tuple[bool, float]:
-        """Deterministic walk; returns (accepted, path weight + final weight)."""
-        state, total = self.start, 0.0
-        for lab in labels:
-            arc = next((a for a in self.out(state) if a.ilabel == lab), None)
-            if arc is None:
-                return False, 0.0
-            state, total = arc.dst, total + arc.weight
-        if state not in self.finals:
-            return False, 0.0
-        return True, total + self.finals[state]
-
 
 # ---------------------------------------------------------------------------
 # construction
@@ -125,31 +113,6 @@ def build_grammar(phrases: Sequence[str], bonus_per_word: float) -> Wfst:
             cur = nxt
         g.add_arc(cur, words[-1], words[-1], bonus_per_word, g.start)
     return g
-
-
-def build_speller(words: Iterable[str], alphabet: Sequence[str]) -> Wfst:
-    """Grapheme-to-word trie: spell the word, then a `<space>` arc emits its
-    label and returns to the start. All weights are zero."""
-    alpha = set(alphabet)
-    s = Wfst(meta={"alphabet": sorted(alpha)})
-    s.finals[s.start] = 0.0
-    trie: dict[int, dict[str, int]] = {s.start: {}}
-    for word in sorted(set(words)):
-        if not word:
-            raise ValueError("cannot spell an empty word")
-        cur = s.start
-        for ch in word:
-            if ch not in alpha:
-                raise ValueError(f"grapheme {ch!r} of word {word!r} outside the alphabet")
-            nxt = trie[cur].get(ch)
-            if nxt is None:
-                nxt = s.add_state()
-                trie[cur][ch] = nxt
-                trie[nxt] = {}
-                s.add_arc(cur, ch, EPS, 0.0, nxt)
-            cur = nxt
-        s.add_arc(cur, SPACE, word, 0.0, s.start)
-    return s
 
 
 def _annotate(m: Wfst, bonus: float) -> None:
@@ -251,9 +214,10 @@ def _minimize(m: Wfst) -> Wfst:
     return out
 
 
-def compose_det_min(s: Wfst, g: Wfst) -> Wfst:
-    """The grapheme-level context model min(det(S o G)), built in one
-    breadth-first pass over the speller's word trie.
+def compose_det_min(g: Wfst, alphabet: Sequence[str]) -> Wfst:
+    """The grapheme-level context model min(det(S o G)) of grammar `g` and
+    the speller S of its words, built in one breadth-first pass over the
+    words' grapheme trie.
 
     A state is a trie node p with the set G of grammar states that still
     have an outgoing word spelled through p. A grapheme moves to the child
@@ -264,43 +228,45 @@ def compose_det_min(s: Wfst, g: Wfst) -> Wfst:
     follows the trie and every word arc carries the same bonus, so this is
     the weighted subset construction of the composition with all residuals
     0; exploring with labels sorted gives its state numbering too. Raises
-    ValueError when the speller does not spell every grammar word.
+    ValueError for a word with a grapheme outside `alphabet`.
     """
-    parent = {a.dst: a.src for a in s.arcs if a.olabel == EPS}
-    word_end = {a.olabel: a.src for a in s.arcs if a.olabel != EPS}
-    words = {a.ilabel for a in g.arcs}
-    unspelled = sorted(words - word_end.keys())
-    if len(unspelled) == len(words):
-        raise ValueError("composition is empty: no phrase is spellable")
-    if unspelled:
-        raise ValueError(f"the speller does not spell grammar words {unspelled}")
-    through: dict[int, set[int]] = {p: set() for p in parent}
+    alpha = set(alphabet)
+    children: list[dict[str, int]] = [{}]  # trie node -> grapheme -> child; 0 is the root
+    through: list[set[int]] = [set()]  # trie node -> grammar states with a word through it
+    word_at: dict[int, str] = {}  # trie node -> the word that ends there
     for a in g.arcs:
-        p = word_end[a.ilabel]
-        while p != s.start:
+        p = 0
+        for ch in a.ilabel:
+            if ch not in alpha:
+                raise ValueError(f"grapheme {ch!r} of word {a.ilabel!r} outside the alphabet")
+            if ch not in children[p]:
+                children[p][ch] = len(children)
+                children.append({})
+                through.append(set())
+            p = children[p][ch]
             through[p].add(a.src)
-            p = parent[p]
+        word_at[p] = a.ilabel
 
     bonus = g.meta["bonus"]
-    d = Wfst(meta={**s.meta, **g.meta, "alphabet": s.meta.get("alphabet", [])})
-    init = (s.start, frozenset({g.start}))
+    d = Wfst(meta={**g.meta, "alphabet": sorted(alpha)})
+    init = (0, frozenset({g.start}))
     ids = {init: d.start}
     queue = [init]
     for p, gs in queue:
         src = ids[(p, gs)]
-        for a in sorted(s.out(p), key=lambda a: a.ilabel):
-            if a.olabel == EPS:
-                dst, olabel, weight = (a.dst, gs & through[a.dst]), EPS, 0.0
-            else:
-                reached = frozenset(b.dst for q in gs for b in g.out(q) if b.ilabel == a.olabel)
-                dst, olabel, weight = (s.start, reached), a.olabel, bonus
+        moves = [(ch, (c, gs & through[c]), EPS, 0.0) for ch, c in children[p].items()]
+        if p in word_at:
+            w = word_at[p]
+            reached = frozenset(b.dst for q in gs for b in g.out(q) if b.ilabel == w)
+            moves.append((SPACE, (0, reached), w, bonus))
+        for label, dst, olabel, weight in sorted(moves, key=lambda m: m[0]):
             if not dst[1]:
                 continue
             if dst not in ids:
                 ids[dst] = d.add_state()
                 queue.append(dst)
-            d.add_arc(src, a.ilabel, olabel, weight, ids[dst])
-        if p == s.start and g.start in gs:
+            d.add_arc(src, label, olabel, weight, ids[dst])
+        if p == 0 and g.start in gs:
             d.finals[src] = 0.0
     _annotate(d, bonus)
     return _minimize(d)
@@ -363,12 +329,11 @@ def apply_strategy(c: Wfst, strategy: str) -> Wfst:
 class FusionScorer:
     """Immutable compiled context; per-hypothesis state is a plain int."""
 
-    def __init__(self, machine: Wfst, neutral_labels: Sequence[str] = ()):
+    def __init__(self, machine: Wfst):
         if "strategy" not in machine.meta:
             raise ValueError("scorer needs a strategy-applied context model")
         self.machine = machine
         self.start = machine.start
-        self.neutral = set(neutral_labels)
         self._trans: list[dict[str, tuple[float, int]]] = [
             {} for _ in range(machine.n_states)
         ]
@@ -379,15 +344,8 @@ class FusionScorer:
             else:
                 self._trans[a.src][a.ilabel] = (a.weight, a.dst)
 
-    @classmethod
-    def null(cls) -> "FusionScorer":
-        """Scorer over an empty phrase set; every increment is zero."""
-        return cls(Wfst(meta={"strategy": END_OF_WORD, "bonus": 1.0, "alphabet": []}))
-
     def score_step(self, state: int, label: str) -> tuple[int, float]:
         """Advance on one grapheme; returns (new state, unscaled increment)."""
-        if label in self.neutral:
-            return state, 0.0
         hit = self._trans[state].get(label)
         if hit is not None:
             w, dst = hit
@@ -416,11 +374,9 @@ class FusionScorer:
 def compile_context(
     phrases: Sequence[str], alphabet: Sequence[str], strategy: str, bonus_per_word: float
 ) -> Wfst:
-    """Grammar -> speller -> compose/det/min -> strategy weights."""
+    """Grammar -> compose/det/min over its word trie -> strategy weights."""
     g = build_grammar(phrases, bonus_per_word)
-    words = sorted({w for p in g.meta["phrases"] for w in p.split()})
-    s = build_speller(words, alphabet)
-    return apply_strategy(compose_det_min(s, g), strategy)
+    return apply_strategy(compose_det_min(g, alphabet), strategy)
 
 
 # ---------------------------------------------------------------------------

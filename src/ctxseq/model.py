@@ -47,9 +47,6 @@ class ModelConfig:
     def context_width(self) -> int:
         return self.attention_dim + self.bias_encoder_units
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 @dataclass
 class DecoderStepState:
@@ -300,9 +297,6 @@ class Recognizer:
             self.params["output.b"],
         )
 
-    def output_distribution(self, c_t: Tensor, d_t: Tensor) -> Tensor:
-        return T.softmax(self.output_logits(c_t, d_t))
-
     def step(
         self,
         y_prev,
@@ -372,10 +366,4 @@ class Recognizer:
                     f"shape mismatch for {name}: checkpoint {arrays[name].shape} vs model {t.data.shape}"
                 )
             t.data[...] = arrays[name]
-
-    @classmethod
-    def restore(cls, config: ModelConfig, vocab: Vocabulary, path) -> "Recognizer":
-        model = cls(config, vocab, seed=0)
-        model.load_arrays(T.load_tensors(path))
-        return model
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ctxseq import tensor as T
-from ctxseq.conditioning import PrefixTable, compute_mask
-from ctxseq.decoding import DecodeResult, _fusion_step, embed_phrases
+from ctxseq.conditioning import compute_mask
+from ctxseq.decoding import DecodeResult, _fusion_step
 from ctxseq.fst import EPS, Wfst, _annotate, _minimize
 from ctxseq.tensor import Tensor
 from ctxseq.vocab import BIAS_END, SPACE, graphemize, normalize, render
@@ -148,9 +148,47 @@ def grammar_accepts(word_seq: list[str], phrases: list[str]) -> bool:
     return ok[-1]
 
 
+def accepts(m: Wfst, labels) -> tuple[bool, float]:
+    """Deterministic walk of `m`; returns (accepted, path weight + final weight)."""
+    state, total = m.start, 0.0
+    for lab in labels:
+        arc = next((a for a in m.out(state) if a.ilabel == lab), None)
+        if arc is None:
+            return False, 0.0
+        state, total = arc.dst, total + arc.weight
+    if state not in m.finals:
+        return False, 0.0
+    return True, total + m.finals[state]
+
+
 # ---------------------------------------------------------------------------
 # context-compiler reference: the speller x grammar product, trimmed, then
 # determinized by weighted subset construction
+
+
+def build_speller(words, alphabet) -> Wfst:
+    """Grapheme-to-word trie: spell the word, then a `<space>` arc emits its
+    label and returns to the start. All weights are zero."""
+    alpha = set(alphabet)
+    s = Wfst(meta={"alphabet": sorted(alpha)})
+    s.finals[s.start] = 0.0
+    trie: dict[int, dict[str, int]] = {s.start: {}}
+    for word in sorted(set(words)):
+        if not word:
+            raise ValueError("cannot spell an empty word")
+        cur = s.start
+        for ch in word:
+            if ch not in alpha:
+                raise ValueError(f"grapheme {ch!r} of word {word!r} outside the alphabet")
+            nxt = trie[cur].get(ch)
+            if nxt is None:
+                nxt = s.add_state()
+                trie[cur][ch] = nxt
+                trie[nxt] = {}
+                s.add_arc(cur, ch, EPS, 0.0, nxt)
+            cur = nxt
+        s.add_arc(cur, SPACE, word, 0.0, s.start)
+    return s
 
 
 def reference_compose_det_min(s: Wfst, g: Wfst) -> Wfst:
@@ -378,21 +416,14 @@ class _Hypothesis:
         return self.log_model + lam * self.log_fusion
 
 
-def reference_beam_search(model, x, phrases, cfg, fusion=None, entries=None, audio=None, bias_cache=None):
+def reference_beam_search(model, audio, bias, cfg, fusion=None, prefixes=None):
     """`decoding.beam_search` one hypothesis at a time: one model step per
     live hypothesis, every one of the beam×V candidates built as an object
     with its own copies of the token and attention lists, then a full sort
     by (-total, length, tokens)."""
     vocab = model.vocab
-    if entries is not None:
-        phrases = [e.phrase for e in entries]
-        prefix_table = PrefixTable(entries)
-    if audio is None:
-        audio = model.precompute_audio(model.encode_audio(x))
-    if bias_cache is None:
-        bias_cache = embed_phrases(model, phrases)
-    h_z, bias_keys = bias_cache
-    zero_mask = np.zeros(len(phrases) + 1)
+    h_z, bias_keys = bias
+    zero_mask = np.zeros(h_z.data.shape[0])
     start_fusion = fusion.start if fusion is not None else 0
     live = [_Hypothesis([], 0.0, 0.0, model.initial_state(), start_fusion, [])]
     done: list[_Hypothesis] = []
@@ -405,8 +436,8 @@ def reference_beam_search(model, x, phrases, cfg, fusion=None, entries=None, aud
             break
         candidates: list[_Hypothesis] = []
         for h in live:
-            if entries is not None:
-                mask = compute_mask(prefix_table, [vocab.symbols[t] for t in h.tokens])
+            if prefixes is not None:
+                mask = compute_mask(prefixes, [vocab.symbols[t] for t in h.tokens])
             else:
                 mask = zero_mask
             y_prev = h.tokens[-1] if h.tokens else vocab.sos

@@ -10,34 +10,15 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from ctxseq import tensor as T
-from ctxseq.conditioning import plain_entries
-from ctxseq.decoding import DecodeConfig, beam_search
-from ctxseq.experiments import (
-    attention_hit_rate,
-    conditioning_comparison,
-    decode_corpus,
-    distractor_sweep,
-    eval_wer,
-    prepare_audio,
-    strategy_comparison,
-    trend_spearman,
-)
 from ctxseq.fst import BEGINNING_OF_WORD, END_OF_WORD, EVERY_SUBWORD, FusionScorer, compile_context
 from ctxseq.model import ModelConfig, Recognizer
 from ctxseq.sampler import SamplerConfig, annotate_reference, draw_phrases, insert_bias_tokens
 from ctxseq.tensor import substream
 from ctxseq.vocab import SPACE, Vocabulary, graphemize, render
 
-from oracles import (
-    brute_force_annotation,
-    enumerate_best,
-    finite_difference,
-    fusion_events,
-    max_rel_err,
-)
+from oracles import brute_force_annotation, finite_difference, max_rel_err
 from test_fst import ADVERSARIAL_PHRASE_SETS, check_oracle_equivalence
 
 

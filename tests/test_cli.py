@@ -1,8 +1,5 @@
-import json
 import shutil
-from pathlib import Path
 
-import numpy as np
 import pytest
 
 from ctxseq.cli import main
@@ -244,6 +241,23 @@ class TestDecode:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("seed = 3\n[model\n", "File contains no section headers"),
+            ("[model]\nencoder_units = 6\n[model]\n", "section 'model' already exists"),
+        ],
+    )
+    def test_malformed_checkpoint_config_fails_cleanly(self, workspace, tmp_path, capsys, text, message):
+        root, _ = workspace
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(root / "ckpt", ckpt)
+        (ckpt / "config.ini").write_text(text)
+        args = ["decode", "--checkpoint", str(ckpt), "--data", str(root / "corpus" / "test_biased.jsonl")]
+        assert main(args + ["--out", str(tmp_path / "dec")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {ckpt / 'config.ini'}:") and message in err
+
     def test_checkpoint_with_trailing_bytes_fails_cleanly(self, workspace, tmp_path, capsys):
         root, _ = workspace
         ckpt = tmp_path / "ckpt"
@@ -274,6 +288,24 @@ class TestEval:
         ref_words = sum(len(u.transcript.split()) for u in utts)
         assert total[4] == str(ref_words)
         assert float(total[5]) == pytest.approx(1 / ref_words, abs=1e-4)
+
+
+    @pytest.mark.parametrize(
+        "second_line, message",
+        [
+            ("{id}\t{text}\t0.0", "line 2: second hypothesis for utterance {id}"),
+            ("{id}\t{text}", "line 2: expected `id text total`, got 2 fields"),
+        ],
+    )
+    def test_malformed_hypothesis_file_fails_cleanly(self, workspace, tmp_path, capsys, second_line, message):
+        root, _ = workspace
+        manifest = root / "corpus" / "test_unbiased.jsonl"
+        u = read_manifest(manifest)[0]
+        hyp = tmp_path / "hyp.tsv"
+        hyp.write_text(f"{u.id}\t{u.transcript}\t0.0\n" + second_line.format(id=u.id, text=u.transcript) + "\n")
+        assert main(["eval", "--hyp", str(hyp), "--data", str(manifest), "--out", str(tmp_path / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {hyp} ") and message.format(id=u.id) in err
 
 
 class TestCompileContext:
@@ -319,6 +351,15 @@ class TestCompileContext:
         assert "alphabet" in capsys.readouterr().err
 
 
+    def test_grapheme_outside_alphabet_fails_cleanly(self, tmp_path, capsys):
+        phrases = tmp_path / "p.txt"
+        phrases.write_text("ab\nabc\n")
+        args = ["compile-context", "--phrases", str(phrases), "--alphabet", "ab", "--strategy", "end-of-word"]
+        assert main(args + ["--out", str(tmp_path / "c.txt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "grapheme 'c' of word 'abc' outside the alphabet" in err
+
+
 class TestSweep:
     def test_empty_spec_succeeds(self, tmp_path, capsys):
         spec = tmp_path / "empty.ini"
@@ -327,6 +368,13 @@ class TestSweep:
         assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
         assert "nothing to do" in capsys.readouterr().out
         assert list(out.iterdir()) == []
+
+    def test_malformed_spec_fails_cleanly(self, tmp_path, capsys):
+        spec = tmp_path / "spec.ini"
+        spec.write_text("[attention]\n[attention]\n")
+        assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "report")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "section 'attention' already exists" in err
 
     def test_single_experiment_single_report(self, workspace, tmp_path):
         root, _ = workspace
@@ -385,6 +433,13 @@ class TestRunConfig:
         cfg = RunConfig({"run": {"seed": "42"}})
         assert cfg.task().seed == 42
         assert cfg.train().seed == 42
+
+    def test_malformed_config_flag_fails_cleanly(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text("seed = 3\n[model\n")
+        assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "corpus")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "File contains no section headers" in err
 
     def test_unknown_key_rejected(self):
         cfg = RunConfig({"task": {"bogus": "1"}})

@@ -9,9 +9,7 @@ from ctxseq.conditioning import (
     BiasEntry,
     PrefixTable,
     compute_mask,
-    load_entries,
     plain_entries,
-    save_entries,
     split_greedy,
     split_rule_based,
 )
@@ -173,12 +171,3 @@ class TestSplitGreedy:
             rebuilt = sorted(" ".join(filter(None, (e.prefix, e.phrase))) for e in entries)
             assert rebuilt == sorted(phrases)
 
-
-class TestEntryFile:
-    def test_round_trip_with_empty_prefixes(self, tmp_path):
-        entries = [BiasEntry("", "alpha"), BiasEntry("talk to p", "pharmacy")]
-        path = tmp_path / "entries.tsv"
-        save_entries(path, entries)
-        assert load_entries(path) == entries
-        text = path.read_text()
-        assert text == "\talpha\ntalk to p\tpharmacy\n"

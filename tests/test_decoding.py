@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxseq import decoding
-from ctxseq.conditioning import BiasEntry, plain_entries
+from ctxseq.conditioning import BiasEntry, PrefixTable, plain_entries
 from ctxseq.decoding import DecodeConfig, beam_search, embed_phrases
 from ctxseq.fst import EVERY_SUBWORD, FusionScorer, compile_context
 from ctxseq.model import ModelConfig, Recognizer
@@ -32,6 +32,21 @@ def random_input(seed, frames=3):
     return np.random.default_rng(seed).normal(size=(frames, 3))
 
 
+def prepare(model, x, phrases, entries=None):
+    """`beam_search`'s prepared inputs: audio, embedded list, prefix table.
+    With `entries` the phrases embedded are the entries' own."""
+    prefixes = None
+    if entries is not None:
+        phrases, prefixes = [e.phrase for e in entries], PrefixTable(entries)
+    audio = model.precompute_audio(model.encode_audio(x))
+    return audio, embed_phrases(model, phrases), prefixes
+
+
+def decode(model, x, phrases, cfg, fusion=None, entries=None):
+    audio, bias, prefixes = prepare(model, x, phrases, entries)
+    return beam_search(model, audio, bias, cfg, fusion=fusion, prefixes=prefixes)
+
+
 class TestConfigValidation:
     def test_bounds(self):
         with pytest.raises(ValueError):
@@ -47,7 +62,7 @@ class TestBeamBasics:
         model = tiny_model(seed=2)
         x = random_input(0)
         cfg = DecodeConfig(beam_width=1, max_len=6)
-        result = beam_search(model, x, [], cfg)[0]
+        result = decode(model, x, [], cfg)[0]
 
         audio = model.precompute_audio(model.encode_audio(x))
         h_z = model.encode_bias([])
@@ -67,8 +82,8 @@ class TestBeamBasics:
         x = random_input(1)
         cfg = DecodeConfig(beam_width=4, max_len=5, lam=0.0, n_best=4)
         scorer = FusionScorer(compile_context(["a", "ab"], [SPACE, "a", "b"], EVERY_SUBWORD, 5.0))
-        with_fusion = beam_search(model, x, ["a"], cfg, fusion=scorer)
-        without = beam_search(model, x, ["a"], cfg, fusion=None)
+        with_fusion = decode(model, x, ["a"], cfg, fusion=scorer)
+        without = decode(model, x, ["a"], cfg, fusion=None)
         assert [r.tokens for r in with_fusion] == [r.tokens for r in without]
         assert [r.log_model for r in with_fusion] == [r.log_model for r in without]
         assert [r.total for r in with_fusion] == [r.total for r in without]
@@ -76,7 +91,7 @@ class TestBeamBasics:
     def test_results_sorted_and_limited(self):
         model = tiny_model(seed=4)
         cfg = DecodeConfig(beam_width=6, max_len=4, n_best=3)
-        results = beam_search(model, random_input(2), [], cfg)
+        results = decode(model, random_input(2), [], cfg)
         assert len(results) <= 3
         totals = [r.total for r in results]
         assert totals == sorted(totals, reverse=True)
@@ -85,7 +100,7 @@ class TestBeamBasics:
         model = tiny_model(seed=5)
         model.params["output.b"].data[model.vocab.eos] = -50.0
         cfg = DecodeConfig(beam_width=2, max_len=3)
-        results = beam_search(model, random_input(3), [], cfg)
+        results = decode(model, random_input(3), [], cfg)
         assert len(results) == 1
         assert not results[0].finished
         assert len(results[0].raw_symbols) == 3
@@ -95,7 +110,7 @@ class TestBeamBasics:
         model.params["output.b"].data[model.vocab.bias_end] = 5.0
         model.params["output.b"].data[model.vocab.eos] = 5.0
         cfg = DecodeConfig(beam_width=2, max_len=4, n_best=2)
-        results = beam_search(model, random_input(4), ["a"], cfg)
+        results = decode(model, random_input(4), ["a"], cfg)
         with_bias = [r for r in results if BIAS_END in r.raw_symbols]
         assert with_bias, "no hypothesis emitted the bias marker"
         for r in with_bias:
@@ -106,8 +121,8 @@ class TestBeamBasics:
         model = tiny_model(seed=7)
         cfg = DecodeConfig(beam_width=3, max_len=5)
         x = random_input(5)
-        a = beam_search(model, x, ["ab"], cfg)[0]
-        b = beam_search(model, x, ["ab"], cfg)[0]
+        a = decode(model, x, ["ab"], cfg)[0]
+        b = decode(model, x, ["ab"], cfg)[0]
         assert a.tokens == b.tokens and a.total == b.total
 
 
@@ -119,7 +134,7 @@ class TestMonotoneBeam:
             best = -np.inf
             for width in (1, 2, 4, 8, 16):
                 cfg = DecodeConfig(beam_width=width, max_len=4)
-                total = beam_search(model, x, ["a"], cfg)[0].total
+                total = decode(model, x, ["a"], cfg)[0].total
                 assert total >= best - 1e-12
                 best = max(best, total)
 
@@ -130,8 +145,8 @@ class TestConditioningIntegration:
         x = random_input(20)
         cfg = DecodeConfig(beam_width=4, max_len=5, n_best=2)
         phrases = ["a", "ab"]
-        off = beam_search(model, x, phrases, cfg)
-        on = beam_search(model, x, [], cfg, entries=plain_entries(phrases))
+        off = decode(model, x, phrases, cfg)
+        on = decode(model, x, [], cfg, entries=plain_entries(phrases))
         assert [r.tokens for r in off] == [r.tokens for r in on]
         assert [r.total for r in off] == [r.total for r in on]
         assert [r.alphas.tobytes() for r in off] == [r.alphas.tobytes() for r in on]
@@ -141,17 +156,24 @@ class TestConditioningIntegration:
         x = random_input(21)
         cfg = DecodeConfig(beam_width=1, max_len=4)
         entries = [BiasEntry("zzz", "ab")]  # prefix can never occur
-        result = beam_search(model, x, [], cfg, entries=entries)[0]
+        result = decode(model, x, [], cfg, entries=entries)[0]
         assert result.alphas[:, 1].max(initial=0.0) == 0.0
+
+    def test_prefix_table_must_match_embedded_list(self):
+        model = tiny_model(seed=13)
+        audio, bias, _ = prepare(model, random_input(23), ["a", "b"])
+        prefixes = PrefixTable([BiasEntry("a", "b")])
+        with pytest.raises(ValueError, match="prefix table has 2 rows, the embedded list 3"):
+            beam_search(model, audio, bias, DecodeConfig(beam_width=2, max_len=3), prefixes=prefixes)
 
     def test_empty_list_decode_independent_of_previous_lists(self):
         model = tiny_model(seed=11)
         x = random_input(22)
         cfg = DecodeConfig(beam_width=2, max_len=5)
-        first = beam_search(model, x, [], cfg)[0]
-        beam_search(model, x, ["a", "b a"], cfg)
-        beam_search(model, x, ["ab"], cfg)
-        again = beam_search(model, x, [], cfg)[0]
+        first = decode(model, x, [], cfg)[0]
+        decode(model, x, ["a", "b a"], cfg)
+        decode(model, x, ["ab"], cfg)
+        again = decode(model, x, [], cfg)[0]
         assert first.tokens == again.tokens
         assert first.total == again.total
 
@@ -167,8 +189,8 @@ class TestExhaustiveExactness:
         cfg = DecodeConfig(beam_width=vocab_size**max_len, max_len=max_len, lam=lam)
         for seed in range(4):
             x = random_input(seed + 40)
-            audio = model.precompute_audio(model.encode_audio(x))
-            got = beam_search(model, None, phrases, cfg, fusion=scorer, audio=audio)[0]
+            audio, bias, _ = prepare(model, x, phrases)
+            got = beam_search(model, audio, bias, cfg, fusion=scorer)[0]
             want = enumerate_best(model, audio, phrases, max_len, lam, fusion=scorer)
             got_ids = [model.vocab.index(s) for s in got.raw_symbols] + [model.vocab.eos]
             assert got_ids == want["tokens"]
@@ -231,9 +253,9 @@ class TestBatchedBeamMatchesReference:
         if with_fusion:
             fusion = FusionScorer(compile_context(phrases, [SPACE, "a", "b", "c"], EVERY_SUBWORD, 2.0))
         x = random_input(seed + 100, frames=4)
-        audio = model.precompute_audio(model.encode_audio(x))
-        got = beam_search(model, None, phrases, cfg, fusion=fusion, entries=entries, audio=audio)
-        want = reference_beam_search(model, None, phrases, cfg, fusion=fusion, entries=entries, audio=audio)
+        audio, bias, prefixes = prepare(model, x, phrases, entries)
+        got = beam_search(model, audio, bias, cfg, fusion=fusion, prefixes=prefixes)
+        want = reference_beam_search(model, audio, bias, cfg, fusion=fusion, prefixes=prefixes)
         assert_same_results(got, want, entries)
 
     def test_rows_with_different_masks(self):
@@ -248,11 +270,12 @@ class TestBatchedBeamMatchesReference:
             masks.append(np.array(mask))
             return step(y_prev, state, audio, h_z, mask, bias_keys)
 
+        audio, bias, prefixes = prepare(model, random_input(3, frames=4), [], CONDITIONED)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "step", recording_step)
-            got = beam_search(model, random_input(3, frames=4), [], cfg, entries=CONDITIONED)
+            got = beam_search(model, audio, bias, cfg, prefixes=prefixes)
         assert any(len({row.tobytes() for row in m}) > 1 for m in masks)
-        want = reference_beam_search(model, random_input(3, frames=4), [], cfg, entries=CONDITIONED)
+        want = reference_beam_search(model, audio, bias, cfg, prefixes=prefixes)
         assert_same_results(got, want, CONDITIONED)
 
 
@@ -264,7 +287,7 @@ class TestTracingContract:
         model = tiny_model(seed=2, alphabet="abc")
         model.params["output.b"].data[model.vocab.eos] = -50.0  # run to max_len
         cfg = DecodeConfig(beam_width=4, max_len=5)
-        bias_cache = embed_phrases(model, [e.phrase for e in CONDITIONED])
+        audio, bias_cache, prefixes = prepare(model, random_input(4), [], CONDITIONED)
         calls = {"mask": [], "step_rows": [], "h_z": []}
         compute_mask, step, attend_bias = decoding.compute_mask, model.step, model.attend_bias
 
@@ -284,7 +307,7 @@ class TestTracingContract:
         monkeypatch.setattr(decoding, "compute_mask", counting_mask)
         monkeypatch.setattr(model, "step", counting_step)
         monkeypatch.setattr(model, "attend_bias", counting_attend_bias)
-        beam_search(model, random_input(4), [], cfg, entries=CONDITIONED, bias_cache=bias_cache)
+        beam_search(model, audio, bias_cache, cfg, prefixes=prefixes)
         assert len(calls["step_rows"]) == cfg.max_len  # one model step per time step
         assert len(calls["mask"]) == sum(calls["step_rows"])  # one mask per live hypothesis
         assert max(calls["step_rows"]) == cfg.beam_width

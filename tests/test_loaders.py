@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctxseq.conditioning import load_entries
+from ctxseq.config import RunConfig
 from ctxseq.corpus import read_manifest
 from ctxseq.fst import load_context
 from ctxseq.tensor import load_tensors
@@ -19,6 +19,7 @@ CONTEXT = (
     b"CTXSEQ-CONTEXT-1\nalphabet <space> a b\nstrategy end-of-word\nbonus 1.0\n"
     b"states 2\nstart 0\nfinals 0:0.0\n0 a <eps> 0.5 1\n1 <space> <eps> 0.5 0\n"
 )
+CONFIG = b"[run]\nseed = 3\n\n[model]\nencoder_units = 6\n"
 RECORD = b'{"id": "u1", "features_path": "f.bin", "transcript": "a b", "bias_phrases": ["a"]}\n'
 
 
@@ -87,11 +88,13 @@ def test_read_manifest(data):
             assert u.bias_prefixes is None or all(isinstance(p, str) for p in u.bias_prefixes)
 
 
-@given(st.one_of(st.binary(max_size=64), spliced(b"talk to\tann lee\n\tbob\n")))
-@example(b"\xff\n")
-@example(b"no tab here\n")
+@given(st.one_of(st.binary(max_size=64), spliced(CONFIG)))
+@example(b"seed = 3\n[model\n")
+@example(CONFIG + b"[model]\n")
+@example(CONFIG + b"x = %(y\n")
+@example(CONFIG + b"encoder_units = 7\n")
 @SETTINGS
-def test_load_entries(data):
-    entries = loads_or_value_error(load_entries, data)
-    if entries is not None:
-        assert all(isinstance(e.prefix, str) and isinstance(e.phrase, str) for e in entries)
+def test_run_config_load(data):
+    cfg = loads_or_value_error(RunConfig.load, data)
+    if cfg is not None:
+        assert all(isinstance(v, str) for sec in cfg.sections.values() for v in sec.values())

@@ -366,20 +366,24 @@ class TestDecoderStep:
             tiny_model().decoder_step(99, tiny_model().initial_state())
 
 
+def output_distribution(model, c_t, d_t):
+    return T.softmax(model.output_logits(c_t, d_t))
+
+
 class TestOutputDistribution:
     def test_zero_weights_uniform(self):
         model = tiny_model()
         model.params["output.w"].data[...] = 0.0
         model.params["output.b"].data[...] = 0.0
-        p = model.output_distribution(T.constant(np.ones(4)), T.constant(np.ones(2)))
+        p = output_distribution(model, T.constant(np.ones(4)), T.constant(np.ones(2)))
         assert np.abs(p.data - 1.0 / len(model.vocab)).max() < 1e-12
 
     def test_sums_to_one(self):
         model = tiny_model()
         rng = np.random.default_rng(7)
         for _ in range(20):
-            p = model.output_distribution(
-                T.constant(rng.normal(size=4)), T.constant(rng.normal(size=2))
+            p = output_distribution(
+                model, T.constant(rng.normal(size=4)), T.constant(rng.normal(size=2))
             )
             assert abs(p.data.sum() - 1.0) <= 1e-12
 
@@ -387,7 +391,7 @@ class TestOutputDistribution:
         model = tiny_model()
         c = np.array([0.1, -0.2, 0.3, 0.4])
         d = np.array([0.5, -0.6])
-        got = model.output_distribution(T.constant(c), T.constant(d)).data
+        got = output_distribution(model, T.constant(c), T.constant(d)).data
         logits = model.params["output.w"].data @ np.concatenate([c, d]) + model.params["output.b"].data
         e = np.exp(logits - logits.max())
         assert np.abs(got - e / e.sum()).max() < 1e-12
