@@ -9,12 +9,13 @@ from ctxseq import tensor as T
 
 # A tensor is a float64 array; a Tape records ops so backward can replay them
 # in exact reverse. Parameters carry gradient buffers, constants do not.
+# Inputs are (B, D) stacks of rows; here B = 1, and `matmul_t(x, w)` is x @ w.T.
 w = T.parameter([[0.4, -0.2], [0.1, 0.3]])
 b = T.parameter([0.05, -0.05])
-x = T.constant([1.0, 2.0])
+x = T.constant([[1.0, 2.0]])
 
 with T.Tape() as tape:
-    y = T.tanh(T.add(T.matmul(w, x), b))
+    y = T.tanh(T.add(T.matmul_t(x, w), b))
     loss = T.sum_(T.mul(y, y))
     tape.backward(loss)
 
@@ -26,9 +27,9 @@ print("dloss/db    :", b.grad)
 step = 1e-5
 orig = w.data[0, 1]
 w.data[0, 1] = orig + step
-hi = float(T.sum_(T.mul(*(2 * [T.tanh(T.add(T.matmul(w, x), b))]))).data)
+hi = float(T.sum_(T.mul(*(2 * [T.tanh(T.add(T.matmul_t(x, w), b))]))).data)
 w.data[0, 1] = orig - step
-lo = float(T.sum_(T.mul(*(2 * [T.tanh(T.add(T.matmul(w, x), b))]))).data)
+lo = float(T.sum_(T.mul(*(2 * [T.tanh(T.add(T.matmul_t(x, w), b))]))).data)
 w.data[0, 1] = orig
 fd = (hi - lo) / (2 * step)
 print(f"finite diff for w[0,1]: {fd:.10f}  (tape said {w.grad[0, 1]:.10f})")
@@ -37,8 +38,8 @@ print(f"finite diff for w[0,1]: {fd:.10f}  (tape said {w.grad[0, 1]:.10f})")
 # end to end; the forget gate starts open (bias 1).
 rng = np.random.default_rng(0)
 cell = T.init_lstm_params(rng, input_dim=3, hidden=4)
-h, c = T.lstm_cell(T.constant(rng.normal(size=3)), T.constant(np.zeros(4)), T.constant(np.zeros(4)), cell)
-print("\nlstm h:", np.round(h.data, 4))
+h, c = T.lstm_cell(T.constant(rng.normal(size=(1, 3))), T.constant(np.zeros((1, 4))), T.constant(np.zeros((1, 4))), cell)
+print("\nlstm h:", np.round(h.data[0], 4))
 
 # Adam with global-norm clipping drives a small quadratic to zero.
 p = T.parameter([4.0, -7.0])

@@ -144,7 +144,6 @@ def cmd_decode(args) -> int:
 
 def cmd_eval(args) -> int:
     utts = {u.id: u for u in read_manifest(args.data)}
-    out = _outdir(args.out)
     total = WerReport(0, 0, 0, 0)
     lines = []
     scored: set[str] = set()
@@ -167,6 +166,13 @@ def cmd_eval(args) -> int:
                 f"{utt_id}\t{report.substitutions}\t{report.insertions}\t"
                 f"{report.deletions}\t{report.ref_words}\t{report.wer:.4f}"
             )
+    missing = [u for u in utts if u not in scored]
+    if missing:
+        raise ValueError(
+            f"{args.hyp} has no hypothesis for {len(missing)} of the {len(utts)} utterances "
+            f"in {args.data}, the first being {missing[0]}"
+        )
+    out = _outdir(args.out)
     with open(out / "wer_report.tsv", "w", encoding="utf-8") as f:
         f.write("id\tsub\tins\tdel\tref_words\twer\n")
         for line in lines:
@@ -202,6 +208,8 @@ def cmd_dump_attention(args) -> int:
         utts = [u for u in utts if u.id == args.utt_id]
         if not utts:
             raise ValueError(f"utterance {args.utt_id} not in manifest")
+    if not utts:
+        raise ValueError(f"no utterances in manifest {args.data}")
     utt = utts[0]
     result = decode_corpus(model, [utt], cfg.decode())[0]
     labels = ["<no-bias>"] + list(utt.bias_phrases)

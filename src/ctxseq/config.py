@@ -18,19 +18,17 @@ from .sampler import SamplerConfig
 from .train import TrainConfig
 
 
-def _coerce(raw: str, typ):
-    origin = typing.get_origin(typ)
-    if origin in (tuple, list):
+def _coerce(raw: str, typ, section: str, key: str):
+    """Parse one value of `[section] key`: an int, a float, a str, a
+    fixed-length tuple such as tuple[int, int], or a tuple[str, ...]."""
+    if typing.get_origin(typ) is tuple:
         args = typing.get_args(typ)
         parts = [p.strip() for p in raw.split(",") if p.strip()]
-        if args and args[-1] is Ellipsis:
-            elem = args[0]
-            return tuple(_coerce(p, elem) for p in parts)
-        if args:
-            return tuple(_coerce(p, t) for p, t in zip(parts, args))
-        return tuple(parts)
-    if typ is bool:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+        if args[-1] is Ellipsis:
+            return tuple(_coerce(p, args[0], section, key) for p in parts)
+        if len(parts) != len(args):
+            raise ValueError(f"[{section}] {key} needs {len(args)} comma-separated values, got {len(parts)}")
+        return tuple(_coerce(p, t, section, key) for p, t in zip(parts, args))
     if typ is int:
         return int(raw)
     if typ is float:
@@ -85,7 +83,7 @@ class RunConfig:
             if key not in valid:
                 raise ValueError(f"unknown key {key!r} in [{section}]")
             if key not in kwargs:
-                kwargs[key] = _coerce(raw, hints[key])
+                kwargs[key] = _coerce(raw, hints[key], section, key)
         if "seed" in valid and "seed" not in kwargs and "seed" not in self.sections.get(section, {}):
             kwargs["seed"] = self.seed
         return cls(**kwargs)

@@ -10,6 +10,9 @@ partial string at every step; the caller compiles each distinct
 conditioning list once into a `PrefixTable`, so a mask costs one substring
 test per distinct prefix. `</bias>` may be emitted during search but is
 stripped from returned sequences.
+
+The (B, ·) rows are the only layout `Recognizer` steps take; the training
+loss makes the same call with one row.
 """
 
 from __future__ import annotations

@@ -7,9 +7,10 @@ phrases (index 0 of which is a learnable "no-bias" vector). The two context
 vectors are concatenated and fed both to the output softmax and to the next
 decoder step.
 
-A decoder step takes one token id with 1-D states, or B token ids with (B, ·)
-states: the beam search advances all of its live hypotheses in one call. The
-phrase encoder runs one LSTM pass over the whole phrase list.
+Every step runs on rows: B token ids, (B, ·) states and (B, N+1) masks. The
+beam search advances all of its live hypotheses in one call, and the
+training loss drives the same call with one row. The phrase encoder runs one
+LSTM pass over the whole phrase list.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ class ModelConfig:
     embedding_dim: int = 32
 
     def __post_init__(self):
+        if self.attention_heads < 1:
+            raise ValueError(f"attention_heads must be >= 1, got {self.attention_heads}")
         if self.attention_dim % self.attention_heads != 0:
             raise ValueError(
                 f"attention_dim {self.attention_dim} not divisible by "
@@ -51,13 +54,13 @@ class ModelConfig:
 @dataclass
 class DecoderStepState:
     """Per-layer (h, c) LSTM states plus the previous concatenated context,
-    as vectors or as (B, ·) stacks of B rows."""
+    each a (B, ·) stack of B rows."""
 
     layers: list[tuple[Tensor, Tensor]]
-    context: Tensor  # (attention_dim + bias_encoder_units,), or B such rows
+    context: Tensor  # (B, attention_dim + bias_encoder_units)
 
     def take(self, index) -> "DecoderStepState":
-        """Rows `index` of a batched state, in that order; repeats allowed."""
+        """Rows `index` of the state, in that order; repeats allowed."""
         return DecoderStepState(
             layers=[(T.gather(h, index), T.gather(c, index)) for h, c in self.layers],
             context=T.gather(self.context, index),
@@ -140,10 +143,10 @@ class Recognizer:
             raise ValueError(f"encode_audio needs a non-empty (K, {self.config.feature_dim}) matrix, got {x.shape}")
         if x.shape[1] != self.config.feature_dim:
             raise ValueError(f"feature dim {x.shape[1]} does not match config {self.config.feature_dim}")
-        seq = [T.constant(frame) for frame in x]
+        seq = [T.constant(x[k : k + 1]) for k in range(len(x))]
         for p in self.encoder:
-            h = T.constant(np.zeros(p.hidden))
-            c = T.constant(np.zeros(p.hidden))
+            h = T.constant(np.zeros((1, p.hidden)))
+            c = T.constant(np.zeros((1, p.hidden)))
             out = []
             for frame in seq:
                 h, c = T.lstm_cell(frame, h, c, p)
@@ -159,10 +162,8 @@ class Recognizer:
             values.append(T.matmul_t(h_x, self.params[f"audio_attn.{h}.wv"]))
         return AudioCache(keys=keys, values=values, frames=h_x.data.shape[0])
 
-    def attend_audio(self, d_t: Tensor, h_x: Tensor | AudioCache) -> Tensor:
-        """Multi-head scaled-dot attention of the decoder state (one vector or
-        B rows) over frames."""
-        cache = h_x if isinstance(h_x, AudioCache) else self.precompute_audio(h_x)
+    def attend_audio(self, d_t: Tensor, cache: AudioCache) -> Tensor:
+        """Multi-head scaled-dot attention of B decoder-state rows over frames."""
         cfg = self.config
         dh = cfg.attention_dim // cfg.attention_heads
         heads = []
@@ -224,26 +225,26 @@ class Recognizer:
     ) -> tuple[Tensor, Tensor]:
         """Additive attention over phrase embeddings under a {0, inf} mask.
 
-        `d_t` is one decoder state with a (N+1,) mask, or B rows with a
-        (B, N+1) mask. Returns the bias context and the attention
-        probabilities (one weight per row of h_z, index 0 being no-bias).
+        `d_t` is B decoder-state rows and `mask` is (B, N+1). Returns the
+        bias context and the attention probabilities (one weight per row of
+        h_z, index 0 being no-bias).
         Only rows open for some query are scored; a row closed for query b
         is -inf in b's scores, so it gets exactly zero weight and gradient.
         """
         n_rows = h_z.data.shape[0]
         mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != d_t.data.shape[:-1] + (n_rows,):
+        if mask.shape != (d_t.data.shape[0], n_rows):
             raise ValueError(f"mask length {mask.shape} does not match {n_rows} bias rows for query {d_t.shape}")
-        if np.any(mask[..., 0] != 0.0):
+        if np.any(mask[:, 0] != 0.0):
             raise ValueError("the no-bias slot (index 0) must never be masked")
         if keys is None:
             keys = self.bias_key_cache(h_z)
         closed = mask == np.inf
-        rows = np.flatnonzero(~closed.reshape(-1, n_rows).all(axis=0))
+        rows = np.flatnonzero(~closed.all(axis=0))
         partial = len(rows) < n_rows
         if partial:
             h_z, keys = T.gather(h_z, rows), T.gather(keys, rows)
-            closed = closed[..., rows]
+            closed = closed[:, rows]
         query = T.add(T.matmul_t(d_t, self.params["bias_attn.wd"]), self.params["bias_attn.b"])
         scores = T.additive_scores(keys, query, self.params["bias_attn.v"])
         if closed.any():
@@ -255,35 +256,29 @@ class Recognizer:
             # row closed for all queries reads the appended zero.
             slot = np.full(n_rows, len(rows))
             slot[rows] = np.arange(len(rows))
-            zero = T.constant(np.zeros(alpha.shape[:-1] + (1,)))
+            zero = T.constant(np.zeros((alpha.shape[0], 1)))
             alpha = T.gather(T.concat([alpha, zero]), slot, axis=-1)
         return context, alpha
 
     # -- decoder -------------------------------------------------------------
 
-    def initial_state(self, rows: int | None = None) -> DecoderStepState:
-        """Zero states: vectors, or `rows` stacked rows."""
-        lead = () if rows is None else (rows,)
+    def initial_state(self, rows: int) -> DecoderStepState:
+        """Zero states of `rows` rows."""
         layers = [
-            (T.constant(np.zeros(lead + (p.hidden,))), T.constant(np.zeros(lead + (p.hidden,))))
+            (T.constant(np.zeros((rows, p.hidden))), T.constant(np.zeros((rows, p.hidden))))
             for p in self.decoder
         ]
         return DecoderStepState(
-            layers=layers, context=T.constant(np.zeros(lead + (self.config.context_width,)))
+            layers=layers, context=T.constant(np.zeros((rows, self.config.context_width)))
         )
 
     def decoder_step(self, y_prev, state: DecoderStepState) -> tuple[Tensor, DecoderStepState]:
-        """Advance the decoder LSTM on the previous token and previous context.
-
-        `y_prev` is one token id for a vector state, or B ids for a state of
-        B rows.
-        """
+        """Advance the decoder LSTM on the previous tokens and previous context:
+        `y_prev` holds B token ids for a state of B rows."""
         ids = np.asarray(y_prev)
         if np.any((ids < 0) | (ids >= len(self.vocab))):
             raise KeyError(f"unknown token id {y_prev}")
-        emb = self.params["embedding"]
-        token = T.row(emb, int(ids)) if ids.ndim == 0 else T.gather(emb, ids)
-        x = T.concat([token, state.context])
+        x = T.concat([T.gather(self.params["embedding"], ids), state.context])
         new_layers = []
         for p, (h, c) in zip(self.decoder, state.layers):
             h, c = T.lstm_cell(x, h, c, p)
@@ -308,8 +303,8 @@ class Recognizer:
     ) -> tuple[Tensor, Tensor, DecoderStepState]:
         """One full decode step: returns (log-probs, bias attention, new state).
 
-        One token id with a vector state and a (N+1,) mask, or B ids with a
-        state of B rows and a (B, N+1) mask; the outputs then have B rows.
+        B token ids with a state of B rows and a (B, N+1) mask; the outputs
+        have B rows.
         """
         d_t, state = self.decoder_step(y_prev, state)
         c_x = self.attend_audio(d_t, audio)
@@ -337,16 +332,16 @@ class Recognizer:
         if h_z is None:
             h_z = self.encode_bias(phrases)
         bias_keys = self.bias_key_cache(h_z)
-        mask = np.zeros(h_z.data.shape[0])
-        state = self.initial_state()
+        mask = np.zeros((1, h_z.data.shape[0]))
+        state = self.initial_state(1)
         y_prev = self.vocab.sos
         loss: Tensor | None = None
         for y in target:
-            log_probs, _, state = self.step(y_prev, state, audio, h_z, mask, bias_keys)
-            nll = T.neg(T.pick(log_probs, y))
+            log_probs, _, state = self.step([y_prev], state, audio, h_z, mask, bias_keys)
+            nll = T.neg(T.gather(log_probs, [y], axis=-1))
             loss = nll if loss is None else T.add(loss, nll)
             y_prev = y
-        return loss
+        return T.sum_(loss)
 
     # -- persistence -----------------------------------------------------------
 

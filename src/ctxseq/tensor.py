@@ -1,10 +1,12 @@
 """Dense float64 arrays with reverse-mode differentiation on an explicit tape.
 
 Everything is deliberately small: 1-D/2-D arrays, the handful of ops a stacked
-recurrent attention model needs, and an Adam optimizer. The row-wise ops
-(`concat`, `slice_last`, `softmax`, `log_softmax`, `lstm_cell`, `matmul_t`)
-take one vector or a (B, D) stack of B rows and work over the last axis, so a
-decoder step runs a whole beam, and the phrase encoder a whole list, at once.
+recurrent attention model needs, and an Adam optimizer. There is one row
+layout: `lstm_cell`, `matmul_t` and `additive_scores` take (B, D) stacks of B
+rows (B may be 1), `matmul` takes two matrices, and none takes a vector. So a
+training step, a beam step over B hypotheses and the phrase encoder over a
+whole list run the same ops. The elementwise ops are shape-agnostic, and
+`concat`, `slice_last`, `softmax` and `log_softmax` work over the last axis.
 Ops executed outside a `Tape` context run forward-only, which is the path used
 during decoding.
 """
@@ -103,53 +105,38 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product following numpy matmul semantics for 1-D/2-D operands."""
-    if a.data.ndim == 0 or b.data.ndim == 0:
-        raise ValueError(f"matmul needs 1-D/2-D operands, got shapes {a.shape} and {b.shape}")
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
+    """Matrix product of a (M, K) and a (K, N) tensor."""
     ad, bd = a.data, b.data
+    if ad.ndim != 2 or bd.ndim != 2:
+        raise ValueError(f"matmul needs 2-D operands, got shapes {a.shape} and {b.shape}")
+    if ad.shape[1] != bd.shape[0]:
+        raise ValueError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
+    out = Tensor(ad @ bd)
 
     def backward():
         g = out.grad
-        if ad.ndim == 2 and bd.ndim == 2:
-            _accum(a, g @ bd.T)
-            _accum(b, ad.T @ g)
-        elif ad.ndim == 2 and bd.ndim == 1:
-            _accum(a, np.outer(g, bd))
-            _accum(b, ad.T @ g)
-        elif ad.ndim == 1 and bd.ndim == 2:
-            _accum(a, bd @ g)
-            _accum(b, np.outer(ad, g))
-        else:  # 1-D @ 1-D -> scalar
-            _accum(a, g * bd)
-            _accum(b, g * ad)
+        _accum(a, g @ bd.T)
+        _accum(b, ad.T @ g)
 
     return _record(out, backward)
 
 
 def matmul_t(x: Tensor, w: Tensor) -> Tensor:
-    """`x @ w.T` for a vector or a (B, D) stack of rows x and a matrix w.
-
-    A vector takes the `w @ x` path, so one row costs one matrix-vector
-    product; the transpose is a view, never a copy.
-    """
+    """`x @ w.T` for a (B, D) stack of rows x and a (N, D) matrix w; the
+    transpose is a view, never a copy."""
     xd, wd = x.data, w.data
-    if wd.ndim != 2 or xd.ndim not in (1, 2):
-        raise ValueError(f"matmul_t needs a 1-D/2-D x and a 2-D w, got shapes {x.shape} and {w.shape}")
-    if xd.shape[-1] != wd.shape[1]:
+    if xd.ndim != 2 or wd.ndim != 2:
+        raise ValueError(f"matmul_t needs a 2-D x and a 2-D w, got shapes {x.shape} and {w.shape}")
+    if xd.shape[1] != wd.shape[1]:
         raise ValueError(f"matmul_t dimension mismatch: {x.shape} @ {w.shape}.T")
-    out = Tensor(wd @ xd if xd.ndim == 1 else xd @ wd.T)
+    out = Tensor(xd @ wd.T)
 
     def backward():
         g = out.grad
-        if xd.ndim == 1:
-            _accum(w, np.outer(g, xd))
-            _accum(x, wd.T @ g)
-        else:
-            _accum(w, g.T @ xd)
-            _accum(x, g @ wd)
+        # For one row, a broadcast outer product costs about half of the
+        # K=1 gemm `g.T @ xd`, with the same bits.
+        _accum(w, g.T * xd if len(xd) == 1 else g.T @ xd)
+        _accum(x, g @ wd)
 
     return _record(out, backward)
 
@@ -269,19 +256,6 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
     return _record(out, backward)
 
 
-def row(a: Tensor, i: int) -> Tensor:
-    """Select row i of a matrix (embedding lookup)."""
-    if a.data.ndim != 2:
-        raise ValueError(f"row takes a 2-D tensor, got shape {a.shape}")
-    out = Tensor(a.data[i].copy())
-
-    def backward():
-        if a.grad is not None:
-            a.grad[i] += out.grad
-
-    return _record(out, backward)
-
-
 def gather(a: Tensor, index: np.ndarray, axis: int = 0) -> Tensor:
     """Rows (axis 0) or last-axis entries (axis -1) `index` of a vector or
     matrix, in that order; repeats allowed.
@@ -302,18 +276,6 @@ def gather(a: Tensor, index: np.ndarray, axis: int = 0) -> Tensor:
     def backward():
         if a.grad is not None:
             np.add.at(a.grad, where, out.grad)
-
-    return _record(out, backward)
-
-
-def pick(a: Tensor, i: int) -> Tensor:
-    if a.data.ndim != 1:
-        raise ValueError(f"pick takes a 1-D tensor, got shape {a.shape}")
-    out = Tensor(a.data[i])
-
-    def backward():
-        if a.grad is not None:
-            a.grad[i] += out.grad
 
     return _record(out, backward)
 
@@ -370,15 +332,15 @@ def log_softmax(a: Tensor) -> Tensor:
 
 
 def additive_scores(keys: Tensor, query: Tensor, v: Tensor) -> Tensor:
-    """Additive-attention scores `v . tanh(keys[u] + query)` for every key u.
+    """Additive-attention scores `v . tanh(keys[u] + query[b])` for every key u.
 
-    keys is (U, A) and v is (A,). A (A,) query gives (U,) scores; a (B, A)
-    stack of queries gives (B, U), row b scoring every key against query b.
+    keys is (U, A), v is (A,) and query is a (B, A) stack of queries; the
+    (B, U) scores have row b scoring every key against query b.
     """
     kd, qd, vd = keys.data, query.data, v.data
-    if kd.ndim != 2 or qd.ndim not in (1, 2) or vd.shape != kd.shape[1:] or qd.shape[-1] != kd.shape[1]:
+    if kd.ndim != 2 or qd.ndim != 2 or vd.shape != kd.shape[1:] or qd.shape[1] != kd.shape[1]:
         raise ValueError(f"additive_scores shape mismatch: keys {keys.shape}, query {query.shape}, v {v.shape}")
-    t = kd + qd if qd.ndim == 1 else kd + qd[:, None, :]
+    t = kd + qd[:, None, :]
     np.tanh(t, out=t)
     out = Tensor(t @ vd)
 
@@ -386,8 +348,8 @@ def additive_scores(keys: Tensor, query: Tensor, v: Tensor) -> Tensor:
         g = out.grad
         pre = g[..., None] * vd * (1.0 - t * t)
         _accum(v, t.reshape(-1, vd.shape[0]).T @ g.reshape(-1))
-        _accum(keys, pre if qd.ndim == 1 else pre.sum(axis=0))
-        _accum(query, pre.sum(axis=-2))
+        _accum(keys, pre.sum(axis=0))
+        _accum(query, pre.sum(axis=1))
 
     return _record(out, backward)
 
@@ -415,15 +377,14 @@ def init_lstm_params(rng: np.random.Generator, input_dim: int, hidden: int) -> L
 def lstm_cell(
     x_t: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmParams
 ) -> tuple[Tensor, Tensor]:
-    """One LSTM step for one input vector or for a (B, D) stack of B rows,
-    with states of matching shape."""
+    """One LSTM step for a (B, D) stack of B input rows and (B, H) states."""
     h = params.hidden
     expected = params.w.data.shape[1] - h
-    lead = x_t.data.shape[:-1]
-    if x_t.data.ndim not in (1, 2) or x_t.data.shape != lead + (expected,):
-        raise ValueError(f"lstm_cell input shape {x_t.shape} does not match weights expecting ({expected},)")
-    if h_prev.data.shape != lead + (h,) or c_prev.data.shape != lead + (h,):
-        raise ValueError(f"lstm_cell state shapes {h_prev.shape}/{c_prev.shape} do not match hidden size {h}")
+    if x_t.data.ndim != 2 or x_t.data.shape[1] != expected:
+        raise ValueError(f"lstm_cell input shape {x_t.shape} does not match weights expecting (B, {expected})")
+    rows = (x_t.data.shape[0], h)
+    if h_prev.data.shape != rows or c_prev.data.shape != rows:
+        raise ValueError(f"lstm_cell state shapes {h_prev.shape}/{c_prev.shape} do not match {rows}")
     pre = add(matmul_t(concat([x_t, h_prev]), params.w), params.b)
     i = sigmoid(slice_last(pre, 0, h))
     f = sigmoid(slice_last(pre, h, 2 * h))

@@ -56,10 +56,6 @@ class Vocabulary:
         return self._index[BIAS_END]
 
     @property
-    def space(self) -> int:
-        return self._index[SPACE]
-
-    @property
     def graphemes(self) -> list[str]:
         """Symbols usable in spelled-out text (letters plus `<space>`)."""
         return [s for s in self.symbols if s not in _SPECIALS]

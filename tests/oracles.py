@@ -5,7 +5,7 @@ enumeration, and direct string scanning. None of it shares code with the
 library paths it checks, except that the context-compiler reference reuses
 the library's annotation and minimization passes, which both paths share,
 and the per-hypothesis beam search and per-phrase bias encoder run the
-library's model ops one vector at a time.
+library's model ops on one row at a time.
 """
 
 from __future__ import annotations
@@ -345,7 +345,7 @@ def enumerate_best(model, audio, phrases, max_len: int, lam: float, fusion=None)
     vocab = model.vocab
     h_z = model.encode_bias(phrases)
     keys = model.bias_key_cache(h_z)
-    mask = np.zeros(h_z.data.shape[0])
+    mask = np.zeros((1, h_z.data.shape[0]))
     best = None
 
     def consider(tokens, log_model, log_fusion):
@@ -367,8 +367,8 @@ def enumerate_best(model, audio, phrases, max_len: int, lam: float, fusion=None)
     def rec(tokens, state, fstate, log_model, log_fusion, y_prev):
         if len(tokens) == max_len:
             return
-        log_probs, _, new_state = model.step(y_prev, state, audio, h_z, mask, keys)
-        lp = log_probs.data
+        log_probs, _, new_state = model.step([y_prev], state, audio, h_z, mask, keys)
+        lp = log_probs.data[0]
         for v in range(len(vocab)):
             f2, finc = fusion_step(fstate, v)
             if v == vocab.eos:
@@ -376,7 +376,7 @@ def enumerate_best(model, audio, phrases, max_len: int, lam: float, fusion=None)
             else:
                 rec(tokens + [v], new_state, f2, log_model + lp[v], log_fusion + finc, v)
 
-    rec([], model.initial_state(), fusion.start if fusion else 0, 0.0, 0.0, vocab.sos)
+    rec([], model.initial_state(1), fusion.start if fusion else 0, 0.0, 0.0, vocab.sos)
     assert best is not None
     return {"tokens": best[2], "total": -best[0], "log_model": best[3], "log_fusion": best[4]}
 
@@ -394,10 +394,10 @@ def reference_encode_bias(model, phrases) -> Tensor:
         tokens = graphemize(phrase)
         if not tokens:
             raise ValueError("empty phrase in bias list")
-        h = T.constant(np.zeros(p.hidden))
-        c = T.constant(np.zeros(p.hidden))
+        h = T.constant(np.zeros((1, p.hidden)))
+        c = T.constant(np.zeros((1, p.hidden)))
         for tok in tokens:
-            h, c = T.lstm_cell(T.row(emb, model.vocab.index(tok)), h, c, p)
+            h, c = T.lstm_cell(T.gather(emb, [model.vocab.index(tok)]), h, c, p)
         rows.append(h)
     return T.stack(rows)
 
@@ -423,9 +423,9 @@ def reference_beam_search(model, audio, bias, cfg, fusion=None, prefixes=None):
     by (-total, length, tokens)."""
     vocab = model.vocab
     h_z, bias_keys = bias
-    zero_mask = np.zeros(h_z.data.shape[0])
+    zero_mask = np.zeros((1, h_z.data.shape[0]))
     start_fusion = fusion.start if fusion is not None else 0
-    live = [_Hypothesis([], 0.0, 0.0, model.initial_state(), start_fusion, [])]
+    live = [_Hypothesis([], 0.0, 0.0, model.initial_state(1), start_fusion, [])]
     done: list[_Hypothesis] = []
 
     def tie_key(h: _Hypothesis):
@@ -437,13 +437,13 @@ def reference_beam_search(model, audio, bias, cfg, fusion=None, prefixes=None):
         candidates: list[_Hypothesis] = []
         for h in live:
             if prefixes is not None:
-                mask = compute_mask(prefixes, [vocab.symbols[t] for t in h.tokens])
+                mask = compute_mask(prefixes, [vocab.symbols[t] for t in h.tokens])[None]
             else:
                 mask = zero_mask
             y_prev = h.tokens[-1] if h.tokens else vocab.sos
-            log_probs, alpha, state = model.step(y_prev, h.state, audio, h_z, mask, bias_keys)
-            lp = log_probs.data
-            al = alpha.data
+            log_probs, alpha, state = model.step([y_prev], h.state, audio, h_z, mask, bias_keys)
+            lp = log_probs.data[0]
+            al = alpha.data[0]
             for v in range(len(vocab)):
                 f_state, f_inc = _fusion_step(fusion, h.fusion_state, v, vocab)
                 candidates.append(

@@ -90,13 +90,13 @@ def test_criterion_02_attention_contract():
     for _ in range(1000):
         n = int(rng.integers(0, 7))
         h_z = T.constant(rng.normal(size=(n + 1, 4)))
-        d = T.constant(rng.normal(size=4))
-        mask = np.zeros(n + 1)
+        d = T.constant(rng.normal(size=(1, 4)))
+        mask = np.zeros((1, n + 1))
         for i in range(1, n + 1):
             if rng.random() < 0.4:
-                mask[i] = np.inf
+                mask[0, i] = np.inf
         _, alpha = model.attend_bias(d, h_z, mask)
-        assert alpha.data.shape == (n + 1,)
+        assert alpha.data.shape == (1, n + 1)
         worst_sum = max(worst_sum, abs(alpha.data.sum() - 1.0))
         if (mask == np.inf).any():
             masked_leak = max(masked_leak, alpha.data[mask == np.inf].max())

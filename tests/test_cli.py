@@ -307,6 +307,18 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {hyp} ") and message.format(id=u.id) in err
 
+    def test_missing_hypotheses_fail_cleanly(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        manifest = root / "corpus" / "test_unbiased.jsonl"
+        utts = read_manifest(manifest)
+        hyp = tmp_path / "hyp.tsv"
+        hyp.write_text(f"{utts[1].id}\t{utts[1].transcript}\t0.0\n")
+        assert main(["eval", "--hyp", str(hyp), "--data", str(manifest), "--out", str(tmp_path / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {hyp} has no hypothesis for {len(utts) - 1} of the {len(utts)} utterances")
+        assert err.rstrip().endswith(f"the first being {utts[0].id}")
+        assert not (tmp_path / "eval").exists()
+
 
 class TestCompileContext:
     def test_round_trip_and_scores(self, workspace, tmp_path):
@@ -416,6 +428,15 @@ class TestDumpAttention:
             values = [float(v) for v in row.split("\t")[2:]]
             assert abs(sum(values) - 1.0) < 1e-9
 
+    def test_empty_manifest_fails_cleanly(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        manifest = tmp_path / "empty.jsonl"
+        manifest.write_text("")
+        args = ["dump-attention", "--checkpoint", str(root / "ckpt"), "--data", str(manifest)]
+        assert main(args + ["--out", str(tmp_path / "attn")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"no utterances in manifest {manifest}" in err
+
 
 class TestRunConfig:
     def test_overrides_and_types(self, tmp_path):
@@ -440,6 +461,24 @@ class TestRunConfig:
         assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "corpus")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "File contains no section headers" in err
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    def test_zero_attention_heads_fail_cleanly(self, workspace, tmp_path, capsys, command):
+        root, _ = workspace
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text("[model]\nattention_heads = 0\n")
+        args = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        if command == "train":
+            args += ["--data", str(root / "corpus" / "train.jsonl")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "attention_heads must be >= 1, got 0" in err
+
+    @pytest.mark.parametrize("value, got", [("2,5,7", 3), ("3", 1)])
+    def test_fixed_length_tuple_needs_its_count(self, value, got):
+        cfg = RunConfig({"task": {"word_len_range": value}})
+        with pytest.raises(ValueError, match=rf"\[task\] word_len_range needs 2 comma-separated values, got {got}"):
+            cfg.task()
 
     def test_unknown_key_rejected(self):
         cfg = RunConfig({"task": {"bogus": "1"}})

@@ -66,12 +66,12 @@ class TestBeamBasics:
 
         audio = model.precompute_audio(model.encode_audio(x))
         h_z = model.encode_bias([])
-        state = model.initial_state()
+        state = model.initial_state(1)
         y_prev = model.vocab.sos
         tokens = []
         for _ in range(6):
-            log_probs, _, state = model.step(y_prev, state, audio, h_z, np.zeros(1))
-            y_prev = int(np.argmax(log_probs.data))
+            log_probs, _, state = model.step([y_prev], state, audio, h_z, np.zeros((1, 1)))
+            y_prev = int(np.argmax(log_probs.data[0]))
             if y_prev == model.vocab.eos:
                 break
             tokens.append(model.vocab.symbols[y_prev])

@@ -1,10 +1,14 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every function,
+class and method the library defines is used somewhere.
 
-A stdlib `ast` scan over the library, the tests and the demos; package
-`__init__.py` files are exempt, since their imports are re-exports.
+Stdlib `ast` scans. The import scan covers the library, the tests and the
+demos; package `__init__.py` files are exempt, since their imports are
+re-exports. The orphan scan looks for each library definition's name in the
+library, the tests, the demos and the benchmark.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -54,3 +58,54 @@ def test_no_unused_imports(path):
 def test_scan_finds_an_unused_import():
     source = "import os\nimport numpy as np\nfrom typing import Sequence\nx: 'Sequence[int]' = np.zeros(1)\n"
     assert unused_imports(source) == ["line 1: os"]
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name appears as a variable or an attribute under `node`."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Name | ast.Attribute)
+    )
+
+
+def orphans(library: dict[str, str], others: list[str]) -> list[str]:
+    """Top-level functions and classes of the `library` modules (label ->
+    source), and their non-dunder methods, whose name appears in no module
+    of `library` or `others` outside the definition itself."""
+    trees = {label: ast.parse(source) for label, source in library.items()}
+    total = sum((_references(t) for t in [*trees.values(), *map(ast.parse, others)]), Counter())
+    found = []
+    for label, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef | ast.ClassDef):
+                continue
+            defs = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                defs += [
+                    (f"{node.name}.{m.name}", m)
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef) and not (m.name.startswith("__") and m.name.endswith("__"))
+                ]
+            for qualname, d in defs:
+                if total[d.name] == _references(d)[d.name]:
+                    found.append(f"{label}: {qualname}")
+    return found
+
+
+def test_no_orphan_definitions():
+    library = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in (ROOT / "src").rglob("*.py")}
+    others = [p.read_text(encoding="utf-8") for d in ("tests", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    assert orphans(library, others) == []
+
+
+def test_scan_finds_an_orphan():
+    library = (
+        "def used():\n    pass\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "class Box:\n"
+        "    def __init__(self):\n        self.open()\n"
+        "    def open(self):\n        pass\n"
+        "    def shut(self):\n        pass\n"
+    )
+    assert orphans({"lib.py": library}, ["used()\nBox()\n"]) == ["lib.py: recursive", "lib.py: Box.shut"]

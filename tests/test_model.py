@@ -44,6 +44,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="divisible"):
             tiny_config(attention_dim=3, attention_heads=2)
 
+    def test_head_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="attention_heads must be >= 1, got 0"):
+            tiny_config(attention_heads=0)
+
 
 class TestEncodeAudio:
     def test_shape_contract(self):
@@ -62,11 +66,11 @@ class TestEncodeAudio:
         x = np.array([[0.2, -0.1, 0.4], [0.0, 0.3, -0.2]])
         out = model.encode_audio(x)
         p = model.encoder[0]
-        h = T.constant(np.zeros(2))
-        c = T.constant(np.zeros(2))
+        h = T.constant(np.zeros((1, 2)))
+        c = T.constant(np.zeros((1, 2)))
         for frame in x:
-            h, c = T.lstm_cell(T.constant(frame), h, c, p)
-        assert np.abs(out.data[1] - h.data).max() < 1e-12
+            h, c = T.lstm_cell(T.constant([frame]), h, c, p)
+        assert np.abs(out.data[1] - h.data[0]).max() < 1e-12
 
     def test_errors(self):
         model = tiny_model()
@@ -93,9 +97,9 @@ class TestEncodeBias:
         h_z = model.encode_bias(["a"])
         emb = model.params["embedding"].data[model.vocab.index("a")]
         h, _ = T.lstm_cell(
-            T.constant(emb), T.constant(np.zeros(2)), T.constant(np.zeros(2)), model.bias_encoder
+            T.constant([emb]), T.constant(np.zeros((1, 2))), T.constant(np.zeros((1, 2))), model.bias_encoder
         )
-        assert np.abs(h_z.data[1] - h.data).max() < 1e-12
+        assert np.abs(h_z.data[1] - h.data[0]).max() < 1e-12
 
     def test_empty_phrase_rejected(self):
         with pytest.raises(ValueError, match="empty phrase"):
@@ -177,15 +181,16 @@ class TestBatchedStep:
         state.layers = [(T.constant(rng.normal(size=(3, 2))), T.constant(rng.normal(size=(3, 2))))]
         log_probs, alpha, new = model.step(y, state, audio, h_z, mask, keys)
         for b in range(3):
+            one = slice(b, b + 1)
             single = DecoderStepState(
-                layers=[(T.constant(h.data[b]), T.constant(c.data[b])) for h, c in state.layers],
-                context=T.constant(state.context.data[b]),
+                layers=[(T.constant(h.data[one]), T.constant(c.data[one])) for h, c in state.layers],
+                context=T.constant(state.context.data[one]),
             )
-            lp, al, st1 = model.step(int(y[b]), single, audio, h_z, mask[b], keys)
-            assert np.abs(log_probs.data[b] - lp.data).max() < 1e-12
-            assert np.abs(alpha.data[b] - al.data).max() < 1e-12
+            lp, al, st1 = model.step(y[one], single, audio, h_z, mask[one], keys)
+            assert np.abs(log_probs.data[b] - lp.data[0]).max() < 1e-12
+            assert np.abs(alpha.data[b] - al.data[0]).max() < 1e-12
             assert np.all(alpha.data[b][mask[b] == np.inf] == 0.0)
-            assert np.abs(new.context.data[b] - st1.context.data).max() < 1e-12
+            assert np.abs(new.context.data[b] - st1.context.data[0]).max() < 1e-12
 
     def test_mask_shape_must_match_rows(self):
         model = tiny_model()
@@ -196,17 +201,50 @@ class TestBatchedStep:
             model.attend_bias(T.constant(np.zeros((2, 2))), h_z, np.array([[0.0, 0.0], [np.inf, 0.0]]))
 
 
+class TestRowLayout:
+    def test_vector_inputs_are_rejected(self):
+        # Each step method and row-wise op takes (B, ·) rows; a 1-D input
+        # (a bare token id, a vector state, query or mask) is an error.
+        model = tiny_model()
+        assert all(t.data.shape[0] == 2 for t in model.initial_state(2).layers[0])
+        audio = model.precompute_audio(model.encode_audio(np.zeros((2, 3))))
+        h_z = model.encode_bias(["a"])
+        vec = T.constant(np.zeros(2))
+        vector_state = DecoderStepState(layers=[(vec, vec)], context=T.constant(np.zeros(4)))
+        sos = model.vocab.sos
+        calls = {
+            "matmul": lambda: T.matmul(T.constant(np.zeros((2, 2))), vec),
+            "matmul_t": lambda: T.matmul_t(vec, model.params["bias_attn.wd"]),
+            "additive_scores": lambda: T.additive_scores(model.bias_key_cache(h_z), vec, model.params["bias_attn.v"]),
+            "lstm_cell": lambda: T.lstm_cell(T.constant(np.zeros(6)), vec, vec, model.decoder[0]),
+            "decoder_step id": lambda: model.decoder_step(sos, model.initial_state(1)),
+            "decoder_step state": lambda: model.decoder_step([sos], vector_state),
+            "step": lambda: model.step(sos, model.initial_state(1), audio, h_z, np.zeros(2)),
+            "attend_audio": lambda: model.attend_audio(vec, audio),
+            "attend_bias": lambda: model.attend_bias(vec, h_z, np.zeros(2)),
+        }
+        accepted = []
+        for name, call in calls.items():
+            try:
+                call()
+            except ValueError:
+                continue
+            accepted.append(name)
+        assert accepted == []
+
+
 class TestAttendAudio:
     def test_single_frame_ignores_scores(self):
         model = tiny_model()
         rng = np.random.default_rng(1)
         h_x = T.constant(rng.normal(size=(1, 2)))
-        c1 = model.attend_audio(T.constant(rng.normal(size=2)), h_x)
-        c2 = model.attend_audio(T.constant(rng.normal(size=2)), h_x)
+        cache = model.precompute_audio(h_x)
+        c1 = model.attend_audio(T.constant(rng.normal(size=(1, 2))), cache)
+        c2 = model.attend_audio(T.constant(rng.normal(size=(1, 2))), cache)
         assert np.abs(c1.data - c2.data).max() < 1e-12
         wv = model.params["audio_attn.0.wv"].data
         wo = model.params["audio_attn.wo"].data
-        assert np.abs(c1.data - wo @ (wv @ h_x.data[0])).max() < 1e-12
+        assert np.abs(c1.data[0] - wo @ (wv @ h_x.data[0])).max() < 1e-12
 
     def test_head_weights_sum_to_one(self):
         model = tiny_model(attention_dim=4, attention_heads=2)
@@ -225,7 +263,7 @@ class TestAttendAudio:
         rng = np.random.default_rng(3)
         h_x = rng.normal(size=(2, 2))
         d = rng.normal(size=2)
-        got = model.attend_audio(T.constant(d), T.constant(h_x)).data
+        got = model.attend_audio(T.constant([d]), model.precompute_audio(T.constant(h_x))).data[0]
 
         wq = model.params["audio_attn.0.wq"].data
         wk = model.params["audio_attn.0.wk"].data
@@ -243,67 +281,67 @@ class TestAttendBias:
     def test_empty_bias_list(self):
         model = tiny_model()
         h_z = model.encode_bias([])
-        c, alpha = model.attend_bias(T.constant(np.zeros(2)), h_z, np.zeros(1))
-        assert np.array_equal(alpha.data, [1.0])
-        assert np.array_equal(c.data, model.params["no_bias"].data)
+        c, alpha = model.attend_bias(T.constant(np.zeros((1, 2))), h_z, np.zeros((1, 1)))
+        assert np.array_equal(alpha.data, [[1.0]])
+        assert np.array_equal(c.data[0], model.params["no_bias"].data)
 
     def test_full_mask_keeps_only_no_bias(self):
         model = tiny_model()
         h_z = model.encode_bias(["a", "b", "ab"])
-        mask = np.array([0.0, np.inf, np.inf, np.inf])
-        c, alpha = model.attend_bias(T.constant(np.ones(2)), h_z, mask)
-        assert np.array_equal(alpha.data, [1.0, 0.0, 0.0, 0.0])
-        assert np.abs(c.data - model.params["no_bias"].data).max() < 1e-15
+        mask = np.array([[0.0, np.inf, np.inf, np.inf]])
+        c, alpha = model.attend_bias(T.constant(np.ones((1, 2))), h_z, mask)
+        assert np.array_equal(alpha.data, [[1.0, 0.0, 0.0, 0.0]])
+        assert np.abs(c.data[0] - model.params["no_bias"].data).max() < 1e-15
 
     def test_alpha_matches_direct_softmax(self):
         model = tiny_model()
         rng = np.random.default_rng(4)
         h_z = model.encode_bias(["a", "b"])
         d = rng.normal(size=2)
-        _, alpha = model.attend_bias(T.constant(d), h_z, np.zeros(3))
+        _, alpha = model.attend_bias(T.constant([d]), h_z, np.zeros((1, 3)))
         wh = model.params["bias_attn.wh"].data
         wd = model.params["bias_attn.wd"].data
         b = model.params["bias_attn.b"].data
         v = model.params["bias_attn.v"].data
         u = np.tanh(h_z.data @ wh + wd @ d + b) @ v
         e = np.exp(u - u.max())
-        assert np.abs(alpha.data - e / e.sum()).max() < 1e-12
+        assert np.abs(alpha.data[0] - e / e.sum()).max() < 1e-12
 
     def test_mask_validation(self):
         model = tiny_model()
         h_z = model.encode_bias(["a"])
         with pytest.raises(ValueError, match="mask length"):
-            model.attend_bias(T.constant(np.zeros(2)), h_z, np.zeros(3))
+            model.attend_bias(T.constant(np.zeros((1, 2))), h_z, np.zeros((1, 3)))
         with pytest.raises(ValueError, match="no-bias"):
-            model.attend_bias(T.constant(np.zeros(2)), h_z, np.array([np.inf, 0.0]))
+            model.attend_bias(T.constant(np.zeros((1, 2))), h_z, np.array([[np.inf, 0.0]]))
 
     def test_permutation_invariance_of_context(self):
         model = tiny_model()
         rng = np.random.default_rng(5)
-        d = T.constant(rng.normal(size=2))
+        d = T.constant(rng.normal(size=(1, 2)))
         phrases = ["a", "ab", "b a"]
-        mask = np.array([0.0, 0.0, np.inf, 0.0])
+        mask = np.array([[0.0, 0.0, np.inf, 0.0]])
         c1, a1 = model.attend_bias(d, model.encode_bias(phrases), mask)
         perm_phrases = ["b a", "a", "ab"]
-        perm_mask = np.array([0.0, 0.0, 0.0, np.inf])
+        perm_mask = np.array([[0.0, 0.0, 0.0, np.inf]])
         c2, a2 = model.attend_bias(d, model.encode_bias(perm_phrases), perm_mask)
         assert np.abs(c1.data - c2.data).max() < 1e-12
-        assert np.abs(a1.data[[0, 1, 2, 3]] - a2.data[[0, 2, 3, 1]]).max() < 1e-12
+        assert np.abs(a1.data[0, [0, 1, 2, 3]] - a2.data[0, [0, 2, 3, 1]]).max() < 1e-12
 
     def test_masked_entries_exactly_zero(self):
         model = tiny_model()
         rng = np.random.default_rng(6)
         h_z = model.encode_bias(["a", "b", "ab", "ba"])
         for _ in range(50):
-            mask = np.zeros(5)
-            mask[1 + rng.integers(0, 4)] = np.inf
-            _, alpha = model.attend_bias(T.constant(rng.normal(size=2)), h_z, mask)
+            mask = np.zeros((1, 5))
+            mask[0, 1 + rng.integers(0, 4)] = np.inf
+            _, alpha = model.attend_bias(T.constant(rng.normal(size=(1, 2))), h_z, mask)
             assert abs(alpha.data.sum() - 1.0) <= 1e-12
             assert alpha.data[mask == np.inf].max(initial=0.0) == 0.0
 
     @pytest.mark.parametrize(
         "mask",
-        [np.zeros(5), np.array([0.0, np.inf, 0.0, np.inf, 0.0])],
+        [np.zeros((1, 5)), np.array([[0.0, np.inf, 0.0, np.inf, 0.0]])],
         ids=["all-open", "partly-closed"],
     )
     def test_gradient_check_under_mask(self, mask):
@@ -312,17 +350,17 @@ class TestAttendBias:
         model = tiny_model(seed=2)
         rng = np.random.default_rng(11)
         params = {
-            "d_t": T.parameter(rng.normal(size=2)),
+            "d_t": T.parameter(rng.normal(size=(1, 2))),
             "h_z": T.parameter(rng.normal(size=(5, 2))),
             "keys": T.parameter(rng.normal(size=(5, 2))),
             **{k: model.params[k] for k in ("bias_attn.wd", "bias_attn.b", "bias_attn.v")},
         }
-        w_context, w_alpha = rng.normal(size=2), rng.normal(size=5)
+        w_context, w_alpha = rng.normal(size=(1, 2)), rng.normal(size=(1, 5))
 
         def forward():
             c, alpha = model.attend_bias(params["d_t"], params["h_z"], mask, keys=params["keys"])
             return T.add(
-                T.matmul(c, T.constant(w_context)), T.matmul(alpha, T.constant(w_alpha))
+                T.sum_(T.mul(c, T.constant(w_context))), T.sum_(T.mul(alpha, T.constant(w_alpha)))
             )
 
         with Tape() as tape:
@@ -330,7 +368,7 @@ class TestAttendBias:
         fd = finite_difference(lambda: float(forward().data), params)
         for name, t in params.items():
             assert max_rel_err(t.grad, fd[name]) < 1e-6, name
-        closed = mask == np.inf
+        closed = mask[0] == np.inf
         assert np.all(params["h_z"].grad[closed] == 0.0)
         assert np.all(params["keys"].grad[closed] == 0.0)
         assert np.all(params["h_z"].grad[~closed] != 0.0)
@@ -339,31 +377,31 @@ class TestAttendBias:
 class TestDecoderStep:
     def test_determinism(self):
         model = tiny_model()
-        s = model.initial_state()
-        d1, _ = model.decoder_step(model.vocab.index("a"), s)
-        d2, _ = model.decoder_step(model.vocab.index("a"), s)
+        s = model.initial_state(1)
+        d1, _ = model.decoder_step([model.vocab.index("a")], s)
+        d2, _ = model.decoder_step([model.vocab.index("a")], s)
         assert d1.data.tobytes() == d2.data.tobytes()
 
     def test_zero_weights(self):
         model = tiny_model()
         zero_all(model)
-        d, _ = model.decoder_step(model.vocab.sos, model.initial_state())
-        assert np.array_equal(d.data, np.zeros(2))
+        d, _ = model.decoder_step([model.vocab.sos], model.initial_state(1))
+        assert np.array_equal(d.data, np.zeros((1, 2)))
 
     def test_hand_case(self):
         model = tiny_model()
-        s = model.initial_state()
+        s = model.initial_state(1)
         tok = model.vocab.index("b")
-        d, _ = model.decoder_step(tok, s)
+        d, _ = model.decoder_step([tok], s)
         x = np.concatenate([model.params["embedding"].data[tok], np.zeros(4)])
         h, _ = T.lstm_cell(
-            T.constant(x), T.constant(np.zeros(2)), T.constant(np.zeros(2)), model.decoder[0]
+            T.constant([x]), T.constant(np.zeros((1, 2))), T.constant(np.zeros((1, 2))), model.decoder[0]
         )
         assert np.abs(d.data - h.data).max() < 1e-12
 
     def test_unknown_token(self):
         with pytest.raises(KeyError):
-            tiny_model().decoder_step(99, tiny_model().initial_state())
+            tiny_model().decoder_step([99], tiny_model().initial_state(1))
 
 
 def output_distribution(model, c_t, d_t):
@@ -375,7 +413,7 @@ class TestOutputDistribution:
         model = tiny_model()
         model.params["output.w"].data[...] = 0.0
         model.params["output.b"].data[...] = 0.0
-        p = output_distribution(model, T.constant(np.ones(4)), T.constant(np.ones(2)))
+        p = output_distribution(model, T.constant(np.ones((1, 4))), T.constant(np.ones((1, 2))))
         assert np.abs(p.data - 1.0 / len(model.vocab)).max() < 1e-12
 
     def test_sums_to_one(self):
@@ -383,7 +421,7 @@ class TestOutputDistribution:
         rng = np.random.default_rng(7)
         for _ in range(20):
             p = output_distribution(
-                model, T.constant(rng.normal(size=4)), T.constant(rng.normal(size=2))
+                model, T.constant(rng.normal(size=(1, 4))), T.constant(rng.normal(size=(1, 2)))
             )
             assert abs(p.data.sum() - 1.0) <= 1e-12
 
@@ -391,7 +429,7 @@ class TestOutputDistribution:
         model = tiny_model()
         c = np.array([0.1, -0.2, 0.3, 0.4])
         d = np.array([0.5, -0.6])
-        got = output_distribution(model, T.constant(c), T.constant(d)).data
+        got = output_distribution(model, T.constant([c]), T.constant([d])).data[0]
         logits = model.params["output.w"].data @ np.concatenate([c, d]) + model.params["output.b"].data
         e = np.exp(logits - logits.max())
         assert np.abs(got - e / e.sum()).max() < 1e-12
@@ -437,15 +475,15 @@ class TestForwardLoss:
         # reference: identical computation with the bias context pinned to the
         # no-bias vector instead of going through bias attention
         audio = model.precompute_audio(model.encode_audio(x))
-        state = model.initial_state()
+        state = model.initial_state(1)
         y_prev = model.vocab.sos
         total = 0.0
         for y in target:
-            d_t, state = model.decoder_step(y_prev, state)
+            d_t, state = model.decoder_step([y_prev], state)
             c_x = model.attend_audio(d_t, audio)
-            c_t = T.concat([c_x, model.params["no_bias"]])
+            c_t = T.concat([c_x, T.stack([model.params["no_bias"]])])
             log_probs = T.log_softmax(model.output_logits(c_t, d_t))
-            total -= float(log_probs.data[y])
+            total -= float(log_probs.data[0, y])
             state.context = c_t
             y_prev = y
         assert loss == total

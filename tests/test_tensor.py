@@ -96,11 +96,11 @@ class TestSoftmax:
         x = T.parameter([0.2, NEG_INF, -0.4])
         with Tape() as tape:
             out = T.softmax(x)
-            tape.backward(T.pick(out, 0))
+            tape.backward(T.sum_(T.gather(out, [0])))
         assert x.grad[1] == 0.0
 
         def loss_fn():
-            return float(T.pick(T.softmax(x), 0).data)
+            return float(T.sum_(T.gather(T.softmax(x), [0])).data)
 
         fd = finite_difference(loss_fn, {"x": x})
         assert max_rel_err(x.grad, fd["x"]) < 1e-6
@@ -152,8 +152,8 @@ class TestLogSoftmax:
     def test_grad(self):
         x = T.parameter([0.5, -1.0, 2.0])
         with Tape() as tape:
-            tape.backward(T.pick(T.log_softmax(x), 1))
-        fd = finite_difference(lambda: float(T.pick(T.log_softmax(x), 1).data), {"x": x})
+            tape.backward(T.sum_(T.gather(T.log_softmax(x), [1])))
+        fd = finite_difference(lambda: float(T.sum_(T.gather(T.log_softmax(x), [1])).data), {"x": x})
         assert max_rel_err(x.grad, fd["x"]) < 1e-6
 
 
@@ -167,16 +167,16 @@ class TestLstmCell:
 
     def test_zero_propagation(self):
         p = self._zero_params(3, 2)
-        h, c = T.lstm_cell(T.constant([1.0, -2.0, 0.5]), T.constant([0.0, 0.0]), T.constant([0.0, 0.0]), p)
-        assert np.array_equal(h.data, [0.0, 0.0])
-        assert np.array_equal(c.data, [0.0, 0.0])
+        h, c = T.lstm_cell(T.constant([[1.0, -2.0, 0.5]]), T.constant([[0.0, 0.0]]), T.constant([[0.0, 0.0]]), p)
+        assert np.array_equal(h.data, [[0.0, 0.0]])
+        assert np.array_equal(c.data, [[0.0, 0.0]])
 
     def test_hand_set_single_unit(self):
         w = np.array([[0.1, 0.2], [0.3, -0.4], [0.5, 0.6], [-0.7, 0.8]])
         b = np.array([0.01, 0.02, 0.03, 0.04])
         p = T.LstmParams(w=T.parameter(w), b=T.parameter(b), hidden=1)
         x, h_prev, c_prev = 0.7, 0.3, 0.4
-        h, c = T.lstm_cell(T.constant([x]), T.constant([h_prev]), T.constant([c_prev]), p)
+        h, c = T.lstm_cell(T.constant([[x]]), T.constant([[h_prev]]), T.constant([[c_prev]]), p)
 
         sig = lambda v: 1.0 / (1.0 + math.exp(-v))
         i = sig(0.1 * x + 0.2 * h_prev + 0.01)
@@ -184,8 +184,8 @@ class TestLstmCell:
         g = math.tanh(0.5 * x + 0.6 * h_prev + 0.03)
         o = sig(-0.7 * x + 0.8 * h_prev + 0.04)
         c_ref = f * c_prev + i * g
-        assert abs(c.data[0] - c_ref) < 1e-12
-        assert abs(h.data[0] - o * math.tanh(c_ref)) < 1e-12
+        assert abs(c.data[0, 0] - c_ref) < 1e-12
+        assert abs(h.data[0, 0] - o * math.tanh(c_ref)) < 1e-12
 
     def test_forget_bias_initialized_to_one(self):
         p = T.init_lstm_params(np.random.default_rng(0), 3, 4)
@@ -197,14 +197,14 @@ class TestLstmCell:
     def test_dimension_mismatch(self):
         p = self._zero_params(3, 2)
         with pytest.raises(ValueError):
-            T.lstm_cell(T.constant([1.0]), T.constant([0.0, 0.0]), T.constant([0.0, 0.0]), p)
+            T.lstm_cell(T.constant([[1.0]]), T.constant([[0.0, 0.0]]), T.constant([[0.0, 0.0]]), p)
 
     def test_full_cell_gradient_check(self):
         rng = np.random.default_rng(3)
         p = T.init_lstm_params(rng, 3, 2)
-        x = T.constant(rng.normal(size=3))
-        h0 = T.constant(rng.normal(size=2))
-        c0 = T.constant(rng.normal(size=2))
+        x = T.constant(rng.normal(size=(1, 3)))
+        h0 = T.constant(rng.normal(size=(1, 2)))
+        c0 = T.constant(rng.normal(size=(1, 2)))
 
         def forward():
             h, c = T.lstm_cell(x, h0, c0, p)
@@ -218,8 +218,8 @@ class TestLstmCell:
 
 
 class TestRowwiseOps:
-    """The row-generalised ops on (B, D) inputs: each row equals the 1-D op
-    on that row, and the backward matches central finite differences."""
+    """The row-wise ops on (B, D) inputs: each row equals the op on that row
+    alone, and the backward matches central finite differences."""
 
     def check_grads(self, forward, params, tol=1e-6):
         with Tape() as tape:
@@ -273,9 +273,9 @@ class TestRowwiseOps:
         c0 = T.parameter(rng.normal(size=(4, 2)))
         h, c = T.lstm_cell(x, h0, c0, p)
         for i in range(4):
-            hi, ci = T.lstm_cell(*(T.constant(t.data[i]) for t in (x, h0, c0)), p)
-            assert np.abs(h.data[i] - hi.data).max() < 1e-15
-            assert np.abs(c.data[i] - ci.data).max() < 1e-15
+            hi, ci = T.lstm_cell(*(T.constant(t.data[i : i + 1]) for t in (x, h0, c0)), p)
+            assert np.abs(h.data[i] - hi.data[0]).max() < 1e-15
+            assert np.abs(c.data[i] - ci.data[0]).max() < 1e-15
 
         def forward():
             h, c = T.lstm_cell(x, h0, c0, p)
@@ -285,24 +285,24 @@ class TestRowwiseOps:
         with pytest.raises(ValueError, match="state shapes"):
             T.lstm_cell(x, T.constant(np.zeros(2)), T.constant(np.zeros(2)), p)
 
-    @pytest.mark.parametrize("rows", [None, 3])
+    @pytest.mark.parametrize("rows", [1, 3])  # the two weight-gradient forms
     def test_matmul_t(self, rows):
         rng = np.random.default_rng(23)
-        x = T.parameter(rng.normal(size=(4,) if rows is None else (rows, 4)))
+        x = T.parameter(rng.normal(size=(rows, 4)))
         w = T.parameter(rng.normal(size=(5, 4)))
         assert np.abs(T.matmul_t(x, w).data - x.data @ w.data.T).max() < 1e-14
         self.check_grads(lambda: self.weighted(T.matmul_t(x, w), 6), {"x": x, "w": w})
         with pytest.raises(ValueError, match="dimension mismatch"):
             T.matmul_t(x, T.constant(np.zeros((5, 3))))
 
-    @pytest.mark.parametrize("rows", [None, 3])
+    @pytest.mark.parametrize("rows", [1, 3])
     def test_additive_scores(self, rows):
         rng = np.random.default_rng(24)
         keys = T.parameter(rng.normal(size=(4, 2)))
-        query = T.parameter(rng.normal(size=(2,) if rows is None else (rows, 2)))
+        query = T.parameter(rng.normal(size=(rows, 2)))
         v = T.parameter(rng.normal(size=2))
         out = T.additive_scores(keys, query, v)
-        for q, got in zip(np.atleast_2d(query.data), np.atleast_2d(out.data)):
+        for q, got in zip(query.data, out.data):
             assert np.abs(got - np.tanh(keys.data + q) @ v.data).max() < 1e-15
         params = {"keys": keys, "query": query, "v": v}
         self.check_grads(lambda: self.weighted(T.additive_scores(keys, query, v), 7), params)
@@ -330,9 +330,9 @@ class TestRowwiseOps:
 class TestBackward:
     def test_sum_of_matvec(self):
         w = T.parameter([[1.0, 2.0], [3.0, 4.0]])
-        x = T.constant([5.0, 6.0])
+        x = T.constant([[5.0, 6.0]])
         with Tape() as tape:
-            tape.backward(T.sum_(T.matmul(w, x)))
+            tape.backward(T.sum_(T.matmul_t(x, w)))
         assert np.array_equal(w.grad, [[5.0, 6.0], [5.0, 6.0]])
 
     def test_two_layer_tanh_net(self):
@@ -340,11 +340,11 @@ class TestBackward:
         w1 = T.parameter(rng.normal(size=(4, 3)) * 0.5)
         b1 = T.parameter(rng.normal(size=4) * 0.1)
         w2 = T.parameter(rng.normal(size=(2, 4)) * 0.5)
-        x = T.constant(rng.normal(size=3))
+        x = T.constant(rng.normal(size=(1, 3)))
 
         def forward():
-            hidden = T.tanh(T.add(T.matmul(w1, x), b1))
-            return T.sum_(T.tanh(T.matmul(w2, hidden)))
+            hidden = T.tanh(T.add(T.matmul_t(x, w1), b1))
+            return T.sum_(T.tanh(T.matmul_t(hidden, w2)))
 
         with Tape() as tape:
             tape.backward(forward())
@@ -383,25 +383,25 @@ class TestDeterminismAndInvariants:
         def run():
             rng = np.random.default_rng(42)
             p = T.init_lstm_params(rng, 3, 4)
-            x = T.constant(rng.normal(size=3))
-            h, c = T.lstm_cell(x, T.constant(np.zeros(4)), T.constant(np.zeros(4)), p)
+            x = T.constant(rng.normal(size=(1, 3)))
+            h, c = T.lstm_cell(x, T.constant(np.zeros((1, 4))), T.constant(np.zeros((1, 4))), p)
             return T.softmax(h).data.tobytes()
 
         assert run() == run()
 
     def test_small_model_gradient_sweep(self):
-        # <= 200 parameters: one LSTM layer + projection + softmax pick
+        # <= 200 parameters: one LSTM layer + projection + one log-softmax entry
         rng = np.random.default_rng(5)
         p = T.init_lstm_params(rng, 4, 4)  # 4*4*(4+4) + 16 = 144
         w = T.parameter(rng.normal(size=(3, 4)) * 0.3)  # 12
-        xs = [T.constant(rng.normal(size=4)) for _ in range(3)]
+        xs = [T.constant(rng.normal(size=(1, 4))) for _ in range(3)]
 
         def forward():
-            h = T.constant(np.zeros(4))
-            c = T.constant(np.zeros(4))
+            h = T.constant(np.zeros((1, 4)))
+            c = T.constant(np.zeros((1, 4)))
             for x in xs:
                 h, c = T.lstm_cell(x, h, c, p)
-            return T.pick(T.log_softmax(T.matmul(w, h)), 1)
+            return T.sum_(T.gather(T.log_softmax(T.matmul_t(h, w)), [1], axis=-1))
 
         params = {"w": w, "lstm.w": p.w, "lstm.b": p.b}
         assert sum(t.data.size for t in params.values()) <= 200
