@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .conditioning import BiasEntry, split_rule_based
-from .config import RunConfig
+from .config import RunConfig, _coerce
 from .corpus import generate_corpus, read_manifest
 from .experiments import (
     attention_hit_rate,
@@ -94,7 +94,7 @@ def cmd_train(args) -> int:
 
 def cmd_decode(args) -> int:
     model, cfg = load_checkpoint(args.checkpoint)
-    for flag in ("lam", "beam_width", "max_len", "n_best"):
+    for flag in ("lam", "beam_width", "max_len"):
         value = getattr(args, flag)
         if value is not None:
             cfg.override(f"decode.{flag}={value}")
@@ -223,55 +223,60 @@ def cmd_dump_attention(args) -> int:
     return 0
 
 
+SWEEP_SECTIONS = ("distractors", "strategies", "conditioning", "attention")
+
+
 def cmd_sweep(args) -> int:
     spec = RunConfig.load(args.spec)
+    unknown = [name for name in spec.sections if name not in SWEEP_SECTIONS]
+    if unknown:
+        raise ValueError(
+            f"{args.spec}: unknown section [{unknown[0]}]; the known sections are "
+            + ", ".join(f"[{name}]" for name in SWEEP_SECTIONS)
+        )
     out = _outdir(args.out)
-    ran = []
+    ran = [name for name in SWEEP_SECTIONS if name in spec.sections]
+
+    def value(section: str, key: str, typ=str, default: str | None = None):
+        raw = spec.sections[section].get(key, default)
+        if raw is None:
+            raise ValueError(f"{args.spec}: [{section}] lacks the key {key!r}")
+        return _coerce(raw, typ, section, key)
+
+    def inputs(section: str):
+        model, cfg = load_checkpoint(value(section, "checkpoint"))
+        return model, cfg, read_manifest(value(section, "manifest"))
+
+    def report(name: str, rows) -> None:
+        with open(out / name, "w", encoding="utf-8") as f:
+            f.writelines("\t".join(map(str, row)) + "\n" for row in rows)
 
     if "distractors" in spec.sections:
-        s = spec.sections["distractors"]
-        model, cfg = load_checkpoint(s["checkpoint"])
-        utts = read_manifest(s["manifest"])
-        counts = [int(c) for c in s["counts"].split(",")]
+        counts = list(value("distractors", "counts", tuple[int, ...]))
+        model, cfg, utts = inputs("distractors")
         pool = sorted({p for u in utts for p in u.bias_phrases})
         curve = distractor_sweep(model, utts, pool, counts, cfg.decode(), seed=cfg.seed)
-        with open(out / "distractor_curve.tsv", "w", encoding="utf-8") as f:
-            for n, wer in curve:
-                f.write(f"{n}\t{wer:.4f}\n")
-        ran.append("distractors")
+        report("distractor_curve.tsv", [(n, f"{wer:.4f}") for n, wer in curve])
 
     if "strategies" in spec.sections:
-        s = spec.sections["strategies"]
-        model, cfg = load_checkpoint(s["checkpoint"])
-        utts = read_manifest(s["manifest"])
-        strategies = [x.strip() for x in s["strategies"].split(",")]
-        lams = [float(x) for x in s["lams"].split(",")]
-        table = strategy_comparison(
-            model, utts, strategies, lams, cfg.decode(), bonus=float(s.get("bonus", 1.0))
-        )
-        with open(out / "strategy_table.tsv", "w", encoding="utf-8") as f:
-            for strat, (lam, wer) in table.items():
-                f.write(f"{strat}\t{lam}\t{wer:.4f}\n")
-        ran.append("strategies")
+        strategies = list(value("strategies", "strategies", tuple[str, ...]))
+        lams = list(value("strategies", "lams", tuple[float, ...]))
+        bonus = value("strategies", "bonus", float, "1.0")
+        model, cfg, utts = inputs("strategies")
+        table = strategy_comparison(model, utts, strategies, lams, cfg.decode(), bonus=bonus)
+        report("strategy_table.tsv", [(strat, lam, f"{wer:.4f}") for strat, (lam, wer) in table.items()])
 
     if "conditioning" in spec.sections:
-        s = spec.sections["conditioning"]
-        model, cfg = load_checkpoint(s["checkpoint"])
-        utts = read_manifest(s["manifest"])
-        table = conditioning_comparison(model, utts, cfg.decode(), trigger=s.get("trigger", "talk to"))
-        with open(out / "conditioning.tsv", "w", encoding="utf-8") as f:
-            for k, v in table.items():
-                f.write(f"{k}\t{v:.4f}\n")
-        ran.append("conditioning")
+        trigger = value("conditioning", "trigger", str, "talk to")
+        model, cfg, utts = inputs("conditioning")
+        table = conditioning_comparison(model, utts, cfg.decode(), trigger=trigger)
+        report("conditioning.tsv", [(k, f"{v:.4f}") for k, v in table.items()])
 
     if "attention" in spec.sections:
-        s = spec.sections["attention"]
-        model, cfg = load_checkpoint(s["checkpoint"])
-        utts = read_manifest(s["manifest"])
-        rate = attention_hit_rate(model, utts, cfg.decode(), threshold=float(s.get("threshold", 0.5)))
-        with open(out / "attention.tsv", "w", encoding="utf-8") as f:
-            f.write(f"hit_rate\t{rate:.4f}\n")
-        ran.append("attention")
+        threshold = value("attention", "threshold", float, "0.5")
+        model, cfg, utts = inputs("attention")
+        rate = attention_hit_rate(model, utts, cfg.decode(), threshold=threshold)
+        report("attention.tsv", [("hit_rate", f"{rate:.4f}")])
 
     print(f"sweep complete: {', '.join(ran) if ran else 'nothing to do'}")
     return 0
@@ -307,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--lam", type=float, default=None)
     d.add_argument("--beam-width", type=int, default=None)
     d.add_argument("--max-len", type=int, default=None)
-    d.add_argument("--n-best", type=int, default=None)
     d.add_argument("--empty-bias", action="store_true", help="decode with an empty phrase list")
     d.add_argument("--context", help="compiled context file for shallow fusion")
     d.add_argument("--strategy", help="compile per-utterance contexts with this strategy")

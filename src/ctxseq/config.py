@@ -29,10 +29,11 @@ def _coerce(raw: str, typ, section: str, key: str):
         if len(parts) != len(args):
             raise ValueError(f"[{section}] {key} needs {len(args)} comma-separated values, got {len(parts)}")
         return tuple(_coerce(p, t, section, key) for p, t in zip(parts, args))
-    if typ is int:
-        return int(raw)
-    if typ is float:
-        return float(raw)
+    if typ is int or typ is float:
+        try:
+            return typ(raw)
+        except ValueError:
+            raise ValueError(f"[{section}] {key} = {raw!r} is not {'an int' if typ is int else 'a number'}") from None
     return raw
 
 
@@ -72,7 +73,7 @@ class RunConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.sections.get("run", {}).get("seed", 0))
+        return _coerce(self.sections.get("run", {}).get("seed", "0"), int, "run", "seed")
 
     def _build(self, section: str, **forced):
         cls = self._SECTIONS[section]

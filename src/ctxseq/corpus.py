@@ -19,6 +19,8 @@ import numpy as np
 from .tensor import load_tensors, save_tensors, substream
 from .vocab import SPACE, Vocabulary, graphemize, normalize
 
+STACK = 3  # raw frames per stacked frame, and the stride
+
 
 @dataclass
 class SyntheticTaskConfig:
@@ -62,7 +64,7 @@ class SyntheticTaskConfig:
 
     @property
     def feature_dim(self) -> int:
-        return 3 * self.raw_feature_dim  # after frame stacking
+        return STACK * self.raw_feature_dim  # after frame stacking
 
     def vocabulary(self) -> Vocabulary:
         return Vocabulary.from_alphabet(list(self.alphabet))
@@ -84,13 +86,13 @@ class Utterance:
 # feature synthesis
 
 
-def stack_frames(raw: np.ndarray, factor: int = 3) -> np.ndarray:
-    """Stack `factor` consecutive frames and stride by the same factor."""
+def stack_frames(raw: np.ndarray) -> np.ndarray:
+    """Stack `STACK` consecutive frames and stride by the same count."""
     k, d = raw.shape
-    n_out = -(-k // factor)
-    padded = np.zeros((n_out * factor, d))
+    n_out = -(-k // STACK)
+    padded = np.zeros((n_out * STACK, d))
     padded[:k] = raw
-    return padded.reshape(n_out, factor * d)
+    return padded.reshape(n_out, STACK * d)
 
 
 def make_features(

@@ -12,7 +12,7 @@ from .fst import FusionScorer, compile_context
 from .metrics import WerReport, corpus_wer
 from .model import AudioCache, Recognizer
 from .tensor import substream
-from .vocab import BIAS_END, SPACE
+from .vocab import BIAS_END
 
 
 def prepare_audio(model: Recognizer, utts: list[Utterance]) -> list[AudioCache]:
@@ -70,13 +70,11 @@ def distractor_sweep(
     counts: list[int],
     cfg: DecodeConfig,
     seed: int = 0,
-    audio: list[AudioCache] | None = None,
 ) -> list[tuple[int, float]]:
     """WER as a function of distractor count; the true phrase is always present."""
     if max(counts) > len(pool) - 1:
         raise ValueError(f"distractor pool of {len(pool)} cannot cover N={max(counts)}")
-    if audio is None:
-        audio = prepare_audio(model, utts)
+    audio = prepare_audio(model, utts)
     curve = []
     for n in counts:
         rng = substream(seed, f"sweep/distractors/{n}")
@@ -118,11 +116,10 @@ def attention_hit_rate(
     utts: list[Utterance],
     cfg: DecodeConfig,
     threshold: float = 0.5,
-    audio: list[AudioCache] | None = None,
 ) -> float:
     """Share of utterances whose true phrase dominates bias attention at the
     first `</bias>`-emission step of the decoded hypothesis."""
-    results = decode_corpus(model, utts, cfg, audio=audio)
+    results = decode_corpus(model, utts, cfg)
     hits, total = 0, 0
     for u, r in zip(utts, results):
         total += 1
@@ -144,17 +141,14 @@ def strategy_comparison(
     lams: list[float],
     cfg: DecodeConfig,
     bonus: float = 1.0,
-    audio: list[AudioCache] | None = None,
 ) -> dict[str, tuple[float, float]]:
     """Per strategy, the best (lambda, WER) over the grid, fusing each
     utterance's own bias list over the plain model."""
-    if audio is None:
-        audio = prepare_audio(model, utts)
-    alphabet = [SPACE] + [s for s in model.vocab.graphemes if s != SPACE]
+    audio = prepare_audio(model, utts)
     compiled: dict[str, list[FusionScorer]] = {}
     for strat in strategies:
         compiled[strat] = [
-            FusionScorer(compile_context(u.bias_phrases, alphabet, strat, bonus))
+            FusionScorer(compile_context(u.bias_phrases, model.vocab.graphemes, strat, bonus))
             for u in utts
         ]
     table = {}
@@ -178,11 +172,9 @@ def conditioning_comparison(
     utts: list[Utterance],
     cfg: DecodeConfig,
     trigger: str = "talk to",
-    audio: list[AudioCache] | None = None,
 ) -> dict[str, float]:
     """Unconditioned vs rule-based-conditioned WER on a trigger-led set."""
-    if audio is None:
-        audio = prepare_audio(model, utts)
+    audio = prepare_audio(model, utts)
     plain = decode_corpus(model, utts, cfg, audio=audio)
     entry_cache: dict[tuple[str, ...], list[BiasEntry]] = {}
 

@@ -5,8 +5,9 @@ the per-word bonus, completed phrases loop back to the start) is composed
 with the speller of its words, the grapheme trie whose `<space>` arcs emit
 the word. The composition is built deterministic in one pass over the trie
 (a state is a trie node plus the grammar states whose words still run
-through it), then minimized into a grapheme-level context model, and finally
-one of three weight-placement strategies is applied:
+through it), which also records each state's word-position facts, then
+minimized into a grapheme-level context model, and finally one of three
+weight-placement strategies is applied:
 
   end-of-word        the word bonus sits on the word's final grapheme arc
   beginning-of-word  the word bonus sits on the word's first grapheme arc
@@ -115,61 +116,6 @@ def build_grammar(phrases: Sequence[str], bonus_per_word: float) -> Wfst:
     return g
 
 
-def _annotate(m: Wfst, bonus: float) -> None:
-    """Attach word-position facts to every state of a deterministic machine."""
-    depth = {m.start: 0}
-    parent: dict[int, int] = {}
-    order = [m.start]
-    seen = {m.start}
-    i = 0
-    while i < len(order):
-        st = order[i]
-        i += 1
-        for a in m.out(st):
-            d = 0 if a.ilabel == SPACE else depth[st] + 1
-            if a.dst in seen:
-                if depth[a.dst] != d:
-                    raise ValueError("inconsistent word positions; machine is not slot-aligned")
-                continue
-            seen.add(a.dst)
-            depth[a.dst] = d
-            if a.ilabel != SPACE:
-                parent[a.dst] = st
-            order.append(a.dst)
-
-    completes = {st: any(a.ilabel == SPACE for a in m.out(st)) for st in range(m.n_states)}
-    committed = {st: False for st in order}
-    for st in order:
-        if depth[st] > 0:
-            committed[st] = completes[st] or committed[parent[st]]
-
-    # shortest remaining graphemes to any completion, for spreading the bonus
-    dist = {st: (0 if completes[st] else None) for st in range(m.n_states)}
-    changed = True
-    while changed:
-        changed = False
-        for a in m.arcs:
-            if a.ilabel in (SPACE, FAIL):
-                continue
-            if dist[a.dst] is not None:
-                cand = dist[a.dst] + 1
-                if dist[a.src] is None or cand < dist[a.src]:
-                    dist[a.src] = cand
-                    changed = True
-
-    pending: dict[int, float] = {}
-    for st in order:
-        if depth[st] == 0 or committed[st]:
-            pending[st] = 0.0
-        else:
-            frac = bonus * depth[st] / (depth[st] + dist[st])
-            pending[st] = max(pending[parent[st]], frac)
-    m.ann = {
-        st: StateAnn(boundary=depth[st] == 0, committed=committed[st], pending=pending[st])
-        for st in range(m.n_states)
-    }
-
-
 def _minimize(m: Wfst) -> Wfst:
     """Moore refinement; states merge only when finality, annotations, and
     weighted arc behavior all agree, so every strategy stays well-defined."""
@@ -227,13 +173,15 @@ def compose_det_min(g: Wfst, alphabet: Sequence[str]) -> Wfst:
     0, when G holds the grammar start. Every speller path inside a word
     follows the trie and every word arc carries the same bonus, so this is
     the weighted subset construction of the composition with all residuals
-    0; exploring with labels sorted gives its state numbering too. Raises
-    ValueError for a word with a grapheme outside `alphabet`.
+    0; exploring with labels sorted gives its state numbering too. The same
+    pass records the word-position facts the strategies need of each state.
+    Raises ValueError for a word with a grapheme outside `alphabet`.
     """
     alpha = set(alphabet)
     children: list[dict[str, int]] = [{}]  # trie node -> grapheme -> child; 0 is the root
     through: list[set[int]] = [set()]  # trie node -> grammar states with a word through it
     word_at: dict[int, str] = {}  # trie node -> the word that ends there
+    trie_depth = [0]  # trie node -> graphemes from the root
     for a in g.arcs:
         p = 0
         for ch in a.ilabel:
@@ -243,6 +191,7 @@ def compose_det_min(g: Wfst, alphabet: Sequence[str]) -> Wfst:
                 children[p][ch] = len(children)
                 children.append({})
                 through.append(set())
+                trie_depth.append(trie_depth[p] + 1)
             p = children[p][ch]
             through[p].add(a.src)
         word_at[p] = a.ilabel
@@ -252,8 +201,15 @@ def compose_det_min(g: Wfst, alphabet: Sequence[str]) -> Wfst:
     init = (0, frozenset({g.start}))
     ids = {init: d.start}
     queue = [init]
+    # Word-position facts of each state, indexed by state (the queue order
+    # is the state numbering): its trie depth, the state whose arc first
+    # reached it, and whether it has a `<space>` arc.
+    depth = [0]
+    parent = [d.start]
+    completes: list[bool] = []
     for p, gs in queue:
         src = ids[(p, gs)]
+        completes.append(False)
         moves = [(ch, (c, gs & through[c]), EPS, 0.0) for ch, c in children[p].items()]
         if p in word_at:
             w = word_at[p]
@@ -265,10 +221,32 @@ def compose_det_min(g: Wfst, alphabet: Sequence[str]) -> Wfst:
             if dst not in ids:
                 ids[dst] = d.add_state()
                 queue.append(dst)
+                depth.append(trie_depth[dst[0]])
+                parent.append(src)
+            if label == SPACE:
+                completes[src] = True
             d.add_arc(src, label, olabel, weight, ids[dst])
         if p == 0 and g.start in gs:
             d.finals[src] = 0.0
-    _annotate(d, bonus)
+
+    # A grapheme arc goes one trie level deeper, so one pass over the arcs,
+    # deepest source first, gives the fewest graphemes to a completion. A
+    # parent comes before its child, so one pass in state order does the rest.
+    dist = [0 if c else math.inf for c in completes]
+    for a in sorted(d.arcs, key=lambda a: -depth[a.src]):
+        if a.ilabel != SPACE:
+            dist[a.src] = min(dist[a.src], dist[a.dst] + 1)
+    committed = [False] * d.n_states
+    pending = [0.0] * d.n_states
+    for st in range(d.n_states):
+        if depth[st] > 0:
+            committed[st] = completes[st] or committed[parent[st]]
+            if not committed[st]:
+                pending[st] = max(pending[parent[st]], bonus * depth[st] / (depth[st] + dist[st]))
+    d.ann = {
+        st: StateAnn(boundary=depth[st] == 0, committed=committed[st], pending=pending[st])
+        for st in range(d.n_states)
+    }
     return _minimize(d)
 
 

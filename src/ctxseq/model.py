@@ -73,7 +73,6 @@ class AudioCache:
 
     keys: list[Tensor]  # each (K, head_dim)
     values: list[Tensor]  # each (K, head_dim)
-    frames: int
 
 
 class Recognizer:
@@ -160,7 +159,7 @@ class Recognizer:
         for h in range(cfg.attention_heads):
             keys.append(T.matmul_t(h_x, self.params[f"audio_attn.{h}.wk"]))
             values.append(T.matmul_t(h_x, self.params[f"audio_attn.{h}.wv"]))
-        return AudioCache(keys=keys, values=values, frames=h_x.data.shape[0])
+        return AudioCache(keys=keys, values=values)
 
     def attend_audio(self, d_t: Tensor, cache: AudioCache) -> Tensor:
         """Multi-head scaled-dot attention of B decoder-state rows over frames."""
@@ -221,13 +220,13 @@ class Recognizer:
         d_t: Tensor,
         h_z: Tensor,
         mask: np.ndarray,
-        keys: Tensor | None = None,
+        keys: Tensor,
     ) -> tuple[Tensor, Tensor]:
         """Additive attention over phrase embeddings under a {0, inf} mask.
 
-        `d_t` is B decoder-state rows and `mask` is (B, N+1). Returns the
-        bias context and the attention probabilities (one weight per row of
-        h_z, index 0 being no-bias).
+        `d_t` is B decoder-state rows, `mask` is (B, N+1) and `keys` is
+        `bias_key_cache(h_z)`. Returns the bias context and the attention
+        probabilities (one weight per row of h_z, index 0 being no-bias).
         Only rows open for some query are scored; a row closed for query b
         is -inf in b's scores, so it gets exactly zero weight and gradient.
         """
@@ -237,8 +236,6 @@ class Recognizer:
             raise ValueError(f"mask length {mask.shape} does not match {n_rows} bias rows for query {d_t.shape}")
         if np.any(mask[:, 0] != 0.0):
             raise ValueError("the no-bias slot (index 0) must never be masked")
-        if keys is None:
-            keys = self.bias_key_cache(h_z)
         closed = mask == np.inf
         rows = np.flatnonzero(~closed.all(axis=0))
         partial = len(rows) < n_rows
@@ -299,7 +296,7 @@ class Recognizer:
         audio: AudioCache,
         h_z: Tensor,
         mask: np.ndarray,
-        bias_keys: Tensor | None = None,
+        bias_keys: Tensor,
     ) -> tuple[Tensor, Tensor, DecoderStepState]:
         """One full decode step: returns (log-probs, bias attention, new state).
 
@@ -308,30 +305,23 @@ class Recognizer:
         """
         d_t, state = self.decoder_step(y_prev, state)
         c_x = self.attend_audio(d_t, audio)
-        c_z, alpha = self.attend_bias(d_t, h_z, mask, keys=bias_keys)
+        c_z, alpha = self.attend_bias(d_t, h_z, mask, bias_keys)
         c_t = T.concat([c_x, c_z])
         log_probs = T.log_softmax(self.output_logits(c_t, d_t))
         return log_probs, alpha, replace(state, context=c_t)
 
     # -- training loss ---------------------------------------------------------
 
-    def forward_loss(
-        self,
-        x: np.ndarray,
-        phrases: Sequence[str],
-        target: Sequence[int],
-        h_z: Tensor | None = None,
-    ) -> Tensor:
-        """Teacher-forced negative log-likelihood of the augmented target."""
+    def forward_loss(self, x: np.ndarray, bias: tuple[Tensor, Tensor], target: Sequence[int]) -> Tensor:
+        """Teacher-forced negative log-likelihood of the augmented target;
+        `bias` is the embedded list `decoding.embed_phrases` gives the beam."""
         if not target or target[-1] != self.vocab.eos:
             raise ValueError("target must end with the end-of-sequence token")
         for t in target:
             if not 0 <= t < len(self.vocab):
                 raise KeyError(f"target token id {t} outside vocabulary")
         audio = self.precompute_audio(self.encode_audio(x))
-        if h_z is None:
-            h_z = self.encode_bias(phrases)
-        bias_keys = self.bias_key_cache(h_z)
+        h_z, bias_keys = bias
         mask = np.zeros((1, h_z.data.shape[0]))
         state = self.initial_state(1)
         y_prev = self.vocab.sos

@@ -8,6 +8,7 @@ import numpy as np
 
 from . import tensor as T
 from .corpus import Utterance
+from .decoding import embed_phrases
 from .model import Recognizer
 from .sampler import SamplerConfig, insert_bias_tokens, sample_bias_list
 from .vocab import graphemize, normalize
@@ -49,11 +50,11 @@ def train_model(
         idx = batch_rng.choice(len(utts), size=min(cfg.batch_size, len(utts)), replace=False)
         phrases = sample_bias_list([refs[i] for i in idx], sampler_cfg, sampler_rng)
         with T.Tape() as tape:
-            h_z = model.encode_bias(phrases)
+            bias = embed_phrases(model, phrases)
             loss = None
             for i in idx:
                 tokens = insert_bias_tokens(refs[i], phrases) if phrases else graphemize(refs[i])
-                nll = model.forward_loss(features[i], phrases, target_ids(model, tokens), h_z=h_z)
+                nll = model.forward_loss(features[i], bias, target_ids(model, tokens))
                 loss = nll if loss is None else T.add(loss, nll)
             loss = T.scale(loss, 1.0 / len(idx))
             value = float(loss.data)

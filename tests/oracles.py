@@ -3,9 +3,10 @@
 Everything here is deliberately naive: central finite differences, exhaustive
 enumeration, and direct string scanning. None of it shares code with the
 library paths it checks, except that the context-compiler reference reuses
-the library's annotation and minimization passes, which both paths share,
-and the per-hypothesis beam search and per-phrase bias encoder run the
-library's model ops on one row at a time.
+the library's minimization pass (it finds its own word-position facts by
+walking the determinized machine, where the library records them while it
+builds), and the per-hypothesis beam search and per-phrase bias encoder run
+the library's model ops on one row at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from ctxseq import tensor as T
 from ctxseq.conditioning import compute_mask
 from ctxseq.decoding import DecodeResult, _fusion_step
-from ctxseq.fst import EPS, Wfst, _annotate, _minimize
+from ctxseq.fst import EPS, FAIL, StateAnn, Wfst, _minimize
 from ctxseq.tensor import Tensor
 from ctxseq.vocab import BIAS_END, SPACE, graphemize, normalize, render
 
@@ -197,6 +198,63 @@ def reference_compose_det_min(s: Wfst, g: Wfst) -> Wfst:
     _annotate(d, g.meta.get("bonus", 1.0))
     d.meta["alphabet"] = s.meta.get("alphabet", [])
     return _minimize(d)
+
+
+def _annotate(m: Wfst, bonus: float) -> None:
+    """Attach word-position facts to every state of a deterministic machine,
+    found by walking it: breadth-first depths and parents, then a fixed
+    point over every arc for the fewest graphemes to a completion."""
+    depth = {m.start: 0}
+    parent: dict[int, int] = {}
+    order = [m.start]
+    seen = {m.start}
+    i = 0
+    while i < len(order):
+        st = order[i]
+        i += 1
+        for a in m.out(st):
+            d = 0 if a.ilabel == SPACE else depth[st] + 1
+            if a.dst in seen:
+                if depth[a.dst] != d:
+                    raise ValueError("inconsistent word positions; machine is not slot-aligned")
+                continue
+            seen.add(a.dst)
+            depth[a.dst] = d
+            if a.ilabel != SPACE:
+                parent[a.dst] = st
+            order.append(a.dst)
+
+    completes = {st: any(a.ilabel == SPACE for a in m.out(st)) for st in range(m.n_states)}
+    committed = {st: False for st in order}
+    for st in order:
+        if depth[st] > 0:
+            committed[st] = completes[st] or committed[parent[st]]
+
+    # shortest remaining graphemes to any completion, for spreading the bonus
+    dist = {st: (0 if completes[st] else None) for st in range(m.n_states)}
+    changed = True
+    while changed:
+        changed = False
+        for a in m.arcs:
+            if a.ilabel in (SPACE, FAIL):
+                continue
+            if dist[a.dst] is not None:
+                cand = dist[a.dst] + 1
+                if dist[a.src] is None or cand < dist[a.src]:
+                    dist[a.src] = cand
+                    changed = True
+
+    pending: dict[int, float] = {}
+    for st in order:
+        if depth[st] == 0 or committed[st]:
+            pending[st] = 0.0
+        else:
+            frac = bonus * depth[st] / (depth[st] + dist[st])
+            pending[st] = max(pending[parent[st]], frac)
+    m.ann = {
+        st: StateAnn(boundary=depth[st] == 0, committed=committed[st], pending=pending[st])
+        for st in range(m.n_states)
+    }
 
 
 def _compose(s: Wfst, g: Wfst) -> Wfst:

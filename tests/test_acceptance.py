@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from ctxseq import tensor as T
+from ctxseq.decoding import embed_phrases
 from ctxseq.fst import BEGINNING_OF_WORD, END_OF_WORD, EVERY_SUBWORD, FusionScorer, compile_context
 from ctxseq.model import ModelConfig, Recognizer
 from ctxseq.sampler import SamplerConfig, annotate_reference, draw_phrases, insert_bias_tokens
@@ -53,7 +54,7 @@ def test_criterion_01_gradient_fidelity():
     target = [model.vocab.index(t) for t in graphemize("ab") + ["</bias>"]] + [model.vocab.eos]
 
     def forward():
-        return model.forward_loss(x, phrases, target)
+        return model.forward_loss(x, embed_phrases(model, phrases), target)
 
     with T.Tape() as tape:
         tape.backward(forward())
@@ -95,7 +96,7 @@ def test_criterion_02_attention_contract():
         for i in range(1, n + 1):
             if rng.random() < 0.4:
                 mask[0, i] = np.inf
-        _, alpha = model.attend_bias(d, h_z, mask)
+        _, alpha = model.attend_bias(d, h_z, mask, model.bias_key_cache(h_z))
         assert alpha.data.shape == (1, n + 1)
         worst_sum = max(worst_sum, abs(alpha.data.sum() - 1.0))
         if (mask == np.inf).any():

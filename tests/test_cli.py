@@ -1,3 +1,4 @@
+import math
 import shutil
 
 import pytest
@@ -388,6 +389,53 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "section 'attention' already exists" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[distractor]\ncounts = 1\n", "unknown section [distractor]; the known sections are "
+             "[distractors], [strategies], [conditioning], [attention]"),
+            ("[distractors]\ncheckpoint = ckpt\nmanifest = m.jsonl\n", "[distractors] lacks the key 'counts'"),
+            ("[attention]\nmanifest = m.jsonl\n", "[attention] lacks the key 'checkpoint'"),
+            ("[strategies]\nstrategies = end-of-word\nlams = 1,x\n", "[strategies] lams = 'x' is not a number"),
+        ],
+        ids=["unknown-section", "missing-counts", "missing-checkpoint", "bad-lambda"],
+    )
+    def test_spec_errors_name_section_and_key(self, tmp_path, capsys, text, message):
+        spec = tmp_path / "spec.ini"
+        spec.write_text(text)
+        out = tmp_path / "report"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_all_four_experiments(self, workspace, tmp_path):
+        root, _ = workspace
+        ckpt, corpus = root / "ckpt", root / "corpus"
+        spec = tmp_path / "spec.ini"
+        spec.write_text(
+            f"[distractors]\ncheckpoint = {ckpt}\nmanifest = {corpus / 'test_biased.jsonl'}\ncounts = 0,1,2\n"
+            f"[strategies]\ncheckpoint = {ckpt}\nmanifest = {corpus / 'test_biased.jsonl'}\n"
+            "strategies = end-of-word,beginning-of-word,every-subword\nlams = 0,0.5\n"
+            f"[conditioning]\ncheckpoint = {ckpt}\nmanifest = {corpus / 'test_talkto.jsonl'}\n"
+            f"[attention]\ncheckpoint = {ckpt}\nmanifest = {corpus / 'test_biased.jsonl'}\n"
+        )
+        out = tmp_path / "report"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "attention.tsv", "conditioning.tsv", "distractor_curve.tsv", "strategy_table.tsv"
+        ]
+        rows = lambda name: [line.split("\t") for line in (out / name).read_text().splitlines()]
+        curve = rows("distractor_curve.tsv")
+        assert [n for n, _ in curve] == ["0", "1", "2"]
+        table = rows("strategy_table.tsv")
+        assert [strat for strat, _, _ in table] == ["end-of-word", "beginning-of-word", "every-subword"]
+        assert all(float(lam) in (0.0, 0.5) for _, lam, _ in table)
+        conditioning = rows("conditioning.tsv")
+        assert [k for k, _ in conditioning] == ["unconditioned", "conditioned"]
+        wers = [float(r[-1]) for r in curve + table + conditioning]
+        assert all(math.isfinite(w) and w >= 0 for w in wers)
+
     def test_single_experiment_single_report(self, workspace, tmp_path):
         root, _ = workspace
         spec = tmp_path / "spec.ini"
@@ -479,6 +527,24 @@ class TestRunConfig:
         cfg = RunConfig({"task": {"word_len_range": value}})
         with pytest.raises(ValueError, match=rf"\[task\] word_len_range needs 2 comma-separated values, got {got}"):
             cfg.task()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[decode]\nlam = abc\n", "[decode] lam = 'abc' is not a number"),
+            ("[task]\nalphabet_size = x\n", "[task] alphabet_size = 'x' is not an int"),
+            ("[run]\nseed = x\n", "[run] seed = 'x' is not an int"),
+        ],
+        ids=["float", "int", "seed"],
+    )
+    def test_malformed_number_names_its_key(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(text)
+        small = ["n_train=1", "n_dev=1", "n_test=1", "talkto_names=2", "talkto_utterances=1"]
+        args = ["generate", "--config", str(cfg_path), "--out", str(tmp_path / "corpus")]
+        assert main(args + [f"--set=task.{kv}" for kv in small]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
     def test_unknown_key_rejected(self):
         cfg = RunConfig({"task": {"bogus": "1"}})

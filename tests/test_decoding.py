@@ -66,11 +66,12 @@ class TestBeamBasics:
 
         audio = model.precompute_audio(model.encode_audio(x))
         h_z = model.encode_bias([])
+        keys = model.bias_key_cache(h_z)
         state = model.initial_state(1)
         y_prev = model.vocab.sos
         tokens = []
         for _ in range(6):
-            log_probs, _, state = model.step([y_prev], state, audio, h_z, np.zeros((1, 1)))
+            log_probs, _, state = model.step([y_prev], state, audio, h_z, np.zeros((1, 1)), keys)
             y_prev = int(np.argmax(log_probs.data[0]))
             if y_prev == model.vocab.eos:
                 break
@@ -266,7 +267,7 @@ class TestBatchedBeamMatchesReference:
         masks = []
         step = model.step
 
-        def recording_step(y_prev, state, audio, h_z, mask, bias_keys=None):
+        def recording_step(y_prev, state, audio, h_z, mask, bias_keys):
             masks.append(np.array(mask))
             return step(y_prev, state, audio, h_z, mask, bias_keys)
 

@@ -25,6 +25,7 @@ from ctxseq.fst import (
 from ctxseq.vocab import SPACE
 
 from oracles import (
+    _annotate,
     _compose,
     _determinize,
     accepts,
@@ -171,7 +172,7 @@ class TestComposeDetMin:
         alphabet = [SPACE] + sorted(set("thecar"))
         g = build_grammar(phrases, 1.0)
         s = build_speller(["the", "cat", "car"], alphabet)
-        from ctxseq.fst import _annotate, _minimize
+        from ctxseq.fst import _minimize
 
         d = _determinize(_compose(s, g))
         _annotate(d, 1.0)

@@ -1,10 +1,12 @@
-"""Every name a module imports is used in that module, and every function,
-class and method the library defines is used somewhere.
+"""Every name a module imports is used in that module, every function,
+class and method the library defines is used somewhere, and every class
+field the library declares is read somewhere.
 
 Stdlib `ast` scans. The import scan covers the library, the tests and the
 demos; package `__init__.py` files are exempt, since their imports are
-re-exports. The orphan scan looks for each library definition's name in the
-library, the tests, the demos and the benchmark.
+re-exports. The orphan scans look for each library definition's name, and
+for each field's name read as an attribute, in the library, the tests, the
+demos and the benchmark.
 """
 
 import ast
@@ -93,10 +95,47 @@ def orphans(library: dict[str, str], others: list[str]) -> list[str]:
     return found
 
 
-def test_no_orphan_definitions():
+def orphan_fields(library: dict[str, str], others: list[str]) -> list[str]:
+    """Annotated fields of the `library` modules' top-level classes whose
+    name is read as an attribute (`x.name`) in no module of `library` or
+    `others`."""
+    trees = {label: ast.parse(source) for label, source in library.items()}
+    read = {
+        n.attr
+        for t in [*trees.values(), *map(ast.parse, others)]
+        for n in ast.walk(t)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    return [
+        f"{label}: {node.name}.{item.target.id}"
+        for label, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and item.target.id not in read
+    ]
+
+
+# Fields that stay although no code reads them.
+UNREAD_FIELDS = [
+    # Every checkpoint's config.ini names it, and RunConfig rejects unknown
+    # keys, so removing it would make every existing checkpoint unloadable.
+    "src/ctxseq/train.py: TrainConfig.log_every",
+]
+
+
+def _library_and_others() -> tuple[dict[str, str], list[str]]:
     library = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in (ROOT / "src").rglob("*.py")}
     others = [p.read_text(encoding="utf-8") for d in ("tests", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")]
-    assert orphans(library, others) == []
+    return library, others
+
+
+def test_no_orphan_definitions():
+    assert orphans(*_library_and_others()) == []
+
+
+def test_no_orphan_fields():
+    assert orphan_fields(*_library_and_others()) == UNREAD_FIELDS
 
 
 def test_scan_finds_an_orphan():
@@ -109,3 +148,17 @@ def test_scan_finds_an_orphan():
         "    def shut(self):\n        pass\n"
     )
     assert orphans({"lib.py": library}, ["used()\nBox()\n"]) == ["lib.py: recursive", "lib.py: Box.shut"]
+
+
+def test_scan_finds_an_orphan_field():
+    library = (
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Box:\n"
+        "    width: int\n"
+        "    depth: int\n"
+        "    label: str = ''\n"
+        "    def area(self):\n        return self.width * 2\n"
+    )
+    others = ["box = Box(1, 2)\nbox.depth = 3\nprint(box.label)\n"]
+    assert orphan_fields({"lib.py": library}, others) == ["lib.py: Box.depth"]

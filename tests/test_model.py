@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxseq import tensor as T
+from ctxseq.decoding import embed_phrases
 from ctxseq.model import DecoderStepState, ModelConfig, Recognizer
 from ctxseq.tensor import Tape
 from ctxseq.vocab import BIAS_END, SPACE, Vocabulary, graphemize
@@ -196,9 +197,11 @@ class TestBatchedStep:
         model = tiny_model()
         h_z = model.encode_bias(["a"])
         with pytest.raises(ValueError, match="mask length"):
-            model.attend_bias(T.constant(np.zeros((2, 2))), h_z, np.zeros(2))
+            model.attend_bias(T.constant(np.zeros((2, 2))), h_z, np.zeros(2), model.bias_key_cache(h_z))
         with pytest.raises(ValueError, match="no-bias"):
-            model.attend_bias(T.constant(np.zeros((2, 2))), h_z, np.array([[0.0, 0.0], [np.inf, 0.0]]))
+            model.attend_bias(
+                T.constant(np.zeros((2, 2))), h_z, np.array([[0.0, 0.0], [np.inf, 0.0]]), model.bias_key_cache(h_z)
+            )
 
 
 class TestRowLayout:
@@ -219,9 +222,9 @@ class TestRowLayout:
             "lstm_cell": lambda: T.lstm_cell(T.constant(np.zeros(6)), vec, vec, model.decoder[0]),
             "decoder_step id": lambda: model.decoder_step(sos, model.initial_state(1)),
             "decoder_step state": lambda: model.decoder_step([sos], vector_state),
-            "step": lambda: model.step(sos, model.initial_state(1), audio, h_z, np.zeros(2)),
+            "step": lambda: model.step(sos, model.initial_state(1), audio, h_z, np.zeros(2), model.bias_key_cache(h_z)),
             "attend_audio": lambda: model.attend_audio(vec, audio),
-            "attend_bias": lambda: model.attend_bias(vec, h_z, np.zeros(2)),
+            "attend_bias": lambda: model.attend_bias(vec, h_z, np.zeros(2), model.bias_key_cache(h_z)),
         }
         accepted = []
         for name, call in calls.items():
@@ -281,7 +284,7 @@ class TestAttendBias:
     def test_empty_bias_list(self):
         model = tiny_model()
         h_z = model.encode_bias([])
-        c, alpha = model.attend_bias(T.constant(np.zeros((1, 2))), h_z, np.zeros((1, 1)))
+        c, alpha = model.attend_bias(T.constant(np.zeros((1, 2))), h_z, np.zeros((1, 1)), model.bias_key_cache(h_z))
         assert np.array_equal(alpha.data, [[1.0]])
         assert np.array_equal(c.data[0], model.params["no_bias"].data)
 
@@ -289,7 +292,7 @@ class TestAttendBias:
         model = tiny_model()
         h_z = model.encode_bias(["a", "b", "ab"])
         mask = np.array([[0.0, np.inf, np.inf, np.inf]])
-        c, alpha = model.attend_bias(T.constant(np.ones((1, 2))), h_z, mask)
+        c, alpha = model.attend_bias(T.constant(np.ones((1, 2))), h_z, mask, model.bias_key_cache(h_z))
         assert np.array_equal(alpha.data, [[1.0, 0.0, 0.0, 0.0]])
         assert np.abs(c.data[0] - model.params["no_bias"].data).max() < 1e-15
 
@@ -298,7 +301,7 @@ class TestAttendBias:
         rng = np.random.default_rng(4)
         h_z = model.encode_bias(["a", "b"])
         d = rng.normal(size=2)
-        _, alpha = model.attend_bias(T.constant([d]), h_z, np.zeros((1, 3)))
+        _, alpha = model.attend_bias(T.constant([d]), h_z, np.zeros((1, 3)), model.bias_key_cache(h_z))
         wh = model.params["bias_attn.wh"].data
         wd = model.params["bias_attn.wd"].data
         b = model.params["bias_attn.b"].data
@@ -311,9 +314,9 @@ class TestAttendBias:
         model = tiny_model()
         h_z = model.encode_bias(["a"])
         with pytest.raises(ValueError, match="mask length"):
-            model.attend_bias(T.constant(np.zeros((1, 2))), h_z, np.zeros((1, 3)))
+            model.attend_bias(T.constant(np.zeros((1, 2))), h_z, np.zeros((1, 3)), model.bias_key_cache(h_z))
         with pytest.raises(ValueError, match="no-bias"):
-            model.attend_bias(T.constant(np.zeros((1, 2))), h_z, np.array([[np.inf, 0.0]]))
+            model.attend_bias(T.constant(np.zeros((1, 2))), h_z, np.array([[np.inf, 0.0]]), model.bias_key_cache(h_z))
 
     def test_permutation_invariance_of_context(self):
         model = tiny_model()
@@ -321,10 +324,12 @@ class TestAttendBias:
         d = T.constant(rng.normal(size=(1, 2)))
         phrases = ["a", "ab", "b a"]
         mask = np.array([[0.0, 0.0, np.inf, 0.0]])
-        c1, a1 = model.attend_bias(d, model.encode_bias(phrases), mask)
+        h_z1 = model.encode_bias(phrases)
+        c1, a1 = model.attend_bias(d, h_z1, mask, model.bias_key_cache(h_z1))
         perm_phrases = ["b a", "a", "ab"]
         perm_mask = np.array([[0.0, 0.0, 0.0, np.inf]])
-        c2, a2 = model.attend_bias(d, model.encode_bias(perm_phrases), perm_mask)
+        h_z2 = model.encode_bias(perm_phrases)
+        c2, a2 = model.attend_bias(d, h_z2, perm_mask, model.bias_key_cache(h_z2))
         assert np.abs(c1.data - c2.data).max() < 1e-12
         assert np.abs(a1.data[0, [0, 1, 2, 3]] - a2.data[0, [0, 2, 3, 1]]).max() < 1e-12
 
@@ -335,7 +340,7 @@ class TestAttendBias:
         for _ in range(50):
             mask = np.zeros((1, 5))
             mask[0, 1 + rng.integers(0, 4)] = np.inf
-            _, alpha = model.attend_bias(T.constant(rng.normal(size=(1, 2))), h_z, mask)
+            _, alpha = model.attend_bias(T.constant(rng.normal(size=(1, 2))), h_z, mask, model.bias_key_cache(h_z))
             assert abs(alpha.data.sum() - 1.0) <= 1e-12
             assert alpha.data[mask == np.inf].max(initial=0.0) == 0.0
 
@@ -444,7 +449,7 @@ class TestForwardLoss:
         model.params["output.w"].data[...] = 0.0
         model.params["output.b"].data[...] = 0.0
         target = self.target(model, graphemize("ab a"))
-        loss = model.forward_loss(np.zeros((3, 3)), [], target)
+        loss = model.forward_loss(np.zeros((3, 3)), embed_phrases(model, []), target)
         assert abs(float(loss.data) - len(target) * np.log(len(model.vocab))) < 1e-9
 
     def test_memorizes_one_utterance(self):
@@ -457,7 +462,7 @@ class TestForwardLoss:
         losses = []
         for _ in range(50):
             with Tape() as tape:
-                loss = model.forward_loss(x, [], target)
+                loss = model.forward_loss(x, embed_phrases(model, []), target)
                 opt.zero_grad()
                 tape.backward(loss)
             opt.step()
@@ -470,7 +475,7 @@ class TestForwardLoss:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(3, 3))
         target = self.target(model, graphemize("ba"))
-        loss = float(model.forward_loss(x, [], target).data)
+        loss = float(model.forward_loss(x, embed_phrases(model, []), target).data)
 
         # reference: identical computation with the bias context pinned to the
         # no-bias vector instead of going through bias attention
@@ -491,17 +496,17 @@ class TestForwardLoss:
     def test_target_must_end_with_eos(self):
         model = tiny_model()
         with pytest.raises(ValueError, match="end-of-sequence"):
-            model.forward_loss(np.zeros((2, 3)), [], [model.vocab.index("a")])
+            model.forward_loss(np.zeros((2, 3)), embed_phrases(model, []), [model.vocab.index("a")])
 
     def test_token_outside_vocab(self):
         model = tiny_model()
         with pytest.raises(KeyError):
-            model.forward_loss(np.zeros((2, 3)), [], [77, model.vocab.eos])
+            model.forward_loss(np.zeros((2, 3)), embed_phrases(model, []), [77, model.vocab.eos])
 
     def test_bias_token_in_target_trains(self):
         model = tiny_model()
         target = self.target(model, graphemize("a") + [BIAS_END])
-        loss = model.forward_loss(np.zeros((2, 3)), ["a"], target)
+        loss = model.forward_loss(np.zeros((2, 3)), embed_phrases(model, ["a"]), target)
         assert np.isfinite(loss.data)
 
 
@@ -515,7 +520,7 @@ class TestFullModelGradients:
         target = [model.vocab.index(t) for t in graphemize("ab") + [BIAS_END]] + [model.vocab.eos]
 
         def forward():
-            return model.forward_loss(x, phrases, target)
+            return model.forward_loss(x, embed_phrases(model, phrases), target)
 
         with Tape() as tape:
             tape.backward(forward())
