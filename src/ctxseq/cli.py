@@ -59,8 +59,8 @@ def _outdir(path) -> Path:
 def cmd_generate(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args.out)
+    cfg.save_resolved(out / "config.ini")  # checks every section before the corpus is written
     corpus = generate_corpus(cfg.task(), out)
-    cfg.save_resolved(out / "config.ini")
     for name, path in corpus.manifests.items():
         print(f"{name}\t{path}")
     return 0
@@ -223,17 +223,29 @@ def cmd_dump_attention(args) -> int:
     return 0
 
 
-SWEEP_SECTIONS = ("distractors", "strategies", "conditioning", "attention")
+# Each sweep section and the keys it reads.
+SWEEP_SECTIONS = {
+    "distractors": ("checkpoint", "manifest", "counts"),
+    "strategies": ("checkpoint", "manifest", "strategies", "lams", "bonus"),
+    "conditioning": ("checkpoint", "manifest", "trigger"),
+    "attention": ("checkpoint", "manifest", "threshold"),
+}
 
 
 def cmd_sweep(args) -> int:
     spec = RunConfig.load(args.spec)
-    unknown = [name for name in spec.sections if name not in SWEEP_SECTIONS]
-    if unknown:
-        raise ValueError(
-            f"{args.spec}: unknown section [{unknown[0]}]; the known sections are "
-            + ", ".join(f"[{name}]" for name in SWEEP_SECTIONS)
-        )
+    for name, keys in spec.sections.items():
+        if name not in SWEEP_SECTIONS:
+            raise ValueError(
+                f"{args.spec}: unknown section [{name}]; the known sections are "
+                + ", ".join(f"[{known}]" for known in SWEEP_SECTIONS)
+            )
+        for key in keys:
+            if key not in SWEEP_SECTIONS[name]:
+                raise ValueError(
+                    f"{args.spec}: unknown key {key!r} in [{name}]; the known keys are "
+                    + ", ".join(SWEEP_SECTIONS[name])
+                )
     out = _outdir(args.out)
     ran = [name for name in SWEEP_SECTIONS if name in spec.sections]
 

@@ -128,5 +128,8 @@ class RunConfig:
         return "\n".join(lines)
 
     def save_resolved(self, path) -> None:
+        """Write `resolved_text`; a config that does not resolve raises
+        before the file is opened."""
+        text = self.resolved_text()
         with open(path, "w", encoding="utf-8") as f:
-            f.write(self.resolved_text())
+            f.write(text)

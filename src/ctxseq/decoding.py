@@ -12,7 +12,7 @@ test per distinct prefix. `</bias>` may be emitted during search but is
 stripped from returned sequences.
 
 The (B, ·) rows are the only layout `Recognizer` steps take; the training
-loss makes the same call with one row.
+loss makes the same call with one row per utterance of a minibatch.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from .vocab import BIAS_END
 
 def prepare_audio(model: Recognizer, utts: list[Utterance]) -> list[AudioCache]:
     """Encode every utterance once; reusable across decodes of the same model."""
-    return [model.precompute_audio(model.encode_audio(u.load_features())) for u in utts]
+    return [model.precompute_audio(model.encode_audio([u.load_features()])) for u in utts]
 
 
 def decode_corpus(

@@ -9,8 +9,10 @@ decoder step.
 
 Every step runs on rows: B token ids, (B, ·) states and (B, N+1) masks. The
 beam search advances all of its live hypotheses in one call, and the
-training loss drives the same call with one row. The phrase encoder runs one
-LSTM pass over the whole phrase list.
+training loss advances a whole minibatch in one call per target position,
+one row per utterance. The phrase encoder runs one LSTM pass over the whole
+phrase list, and the audio encoder one pass over all utterances of a batch;
+the audio attention then lets row b read only the frames of utterance b.
 """
 
 from __future__ import annotations
@@ -69,10 +71,14 @@ class DecoderStepState:
 
 @dataclass
 class AudioCache:
-    """Per-head key/value projections of the encoder outputs, reusable across steps."""
+    """Per-head key/value projections of the encoder outputs, reusable across
+    steps. When the frames stack several utterances, query row b may read
+    only the frames of utterance b: `closed` is (B, K), -inf on every other
+    frame and 0 on its own."""
 
     keys: list[Tensor]  # each (K, head_dim)
     values: list[Tensor]  # each (K, head_dim)
+    closed: Tensor | None  # None: every row reads every frame
 
 
 class Recognizer:
@@ -135,31 +141,59 @@ class Recognizer:
 
     # -- audio path ----------------------------------------------------------
 
-    def encode_audio(self, x: np.ndarray) -> Tensor:
-        """Run the stacked encoder over feature frames; returns (K, units)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] == 0:
-            raise ValueError(f"encode_audio needs a non-empty (K, {self.config.feature_dim}) matrix, got {x.shape}")
-        if x.shape[1] != self.config.feature_dim:
-            raise ValueError(f"feature dim {x.shape[1]} does not match config {self.config.feature_dim}")
-        seq = [T.constant(x[k : k + 1]) for k in range(len(x))]
+    def encode_audio(self, xs: Sequence[np.ndarray]) -> Tensor:
+        """Run the stacked encoder over the feature frames of each utterance;
+        returns their (K, units) outputs stacked in the order of `xs`.
+
+        The utterances run longest first, as the phrases in `encode_bias`
+        do: at frame t the utterances longer than t are the leading rows of
+        the batch and only they advance.
+        """
+        xs = [np.asarray(x, dtype=np.float64) for x in xs]
+        if not xs:
+            raise ValueError("encode_audio needs at least one utterance")
+        for x in xs:
+            if x.ndim != 2 or x.shape[0] == 0:
+                raise ValueError(f"encode_audio needs a non-empty (K, {self.config.feature_dim}) matrix, got {x.shape}")
+            if x.shape[1] != self.config.feature_dim:
+                raise ValueError(f"feature dim {x.shape[1]} does not match config {self.config.feature_dim}")
+        order = sorted(range(len(xs)), key=lambda i: -len(xs[i]))
+        lengths = np.array([len(xs[i]) for i in order])
+        frames = np.zeros((lengths[0], len(xs), self.config.feature_dim))  # time-major, longest first
+        for r, i in enumerate(order):
+            frames[: lengths[r], r] = xs[i]
+        live = (lengths[:, None] > np.arange(lengths[0])).sum(axis=0)
+        seq = [T.constant(frames[t, :n]) for t, n in enumerate(live)]
         for p in self.encoder:
-            h = T.constant(np.zeros((1, p.hidden)))
-            c = T.constant(np.zeros((1, p.hidden)))
+            h = T.constant(np.zeros((len(xs), p.hidden)))
+            c = T.constant(np.zeros((len(xs), p.hidden)))
             out = []
             for frame in seq:
+                n = frame.data.shape[0]
+                if n < h.data.shape[0]:
+                    h, c = T.gather(h, np.arange(n)), T.gather(c, np.arange(n))
                 h, c = T.lstm_cell(frame, h, c, p)
                 out.append(h)
             seq = out
-        return T.stack(seq)
+        # Frame t of sorted utterance r is row start[t] + r of the stack.
+        start = np.concatenate([[0], np.cumsum(live)[:-1]])
+        rows = [start[: lengths[r]] + r for r in np.argsort(order)]
+        return T.gather(T.stack(seq), np.concatenate(rows))
 
-    def precompute_audio(self, h_x: Tensor) -> AudioCache:
+    def precompute_audio(self, h_x: Tensor, lengths: Sequence[int] | None = None) -> AudioCache:
+        """Key/value projections of the frames `h_x`; `lengths` gives the
+        frame count of each utterance when `h_x` stacks several of them, and
+        query row b then reads only utterance b's frames."""
         cfg = self.config
         keys, values = [], []
         for h in range(cfg.attention_heads):
             keys.append(T.matmul_t(h_x, self.params[f"audio_attn.{h}.wk"]))
             values.append(T.matmul_t(h_x, self.params[f"audio_attn.{h}.wv"]))
-        return AudioCache(keys=keys, values=values)
+        closed = None
+        if lengths is not None and len(lengths) > 1:
+            owner = np.repeat(np.arange(len(lengths)), lengths)
+            closed = T.constant(np.where(owner == np.arange(len(lengths))[:, None], 0.0, T.NEG_INF))
+        return AudioCache(keys=keys, values=values, closed=closed)
 
     def attend_audio(self, d_t: Tensor, cache: AudioCache) -> Tensor:
         """Multi-head scaled-dot attention of B decoder-state rows over frames."""
@@ -169,6 +203,8 @@ class Recognizer:
         for h in range(cfg.attention_heads):
             q = T.matmul_t(d_t, self.params[f"audio_attn.{h}.wq"])
             scores = T.scale(T.matmul_t(q, cache.keys[h]), 1.0 / np.sqrt(dh))
+            if cache.closed is not None:
+                scores = T.add(scores, cache.closed)
             alpha = T.softmax(scores)
             heads.append(T.matmul(alpha, cache.values[h]))
         return T.matmul_t(T.concat(heads), self.params["audio_attn.wo"])
@@ -312,26 +348,45 @@ class Recognizer:
 
     # -- training loss ---------------------------------------------------------
 
-    def forward_loss(self, x: np.ndarray, bias: tuple[Tensor, Tensor], target: Sequence[int]) -> Tensor:
-        """Teacher-forced negative log-likelihood of the augmented target;
-        `bias` is the embedded list `decoding.embed_phrases` gives the beam."""
-        if not target or target[-1] != self.vocab.eos:
-            raise ValueError("target must end with the end-of-sequence token")
-        for t in target:
-            if not 0 <= t < len(self.vocab):
-                raise KeyError(f"target token id {t} outside vocabulary")
-        audio = self.precompute_audio(self.encode_audio(x))
+    def forward_loss(
+        self, xs: Sequence[np.ndarray], bias: tuple[Tensor, Tensor], targets: Sequence[Sequence[int]]
+    ) -> Tensor:
+        """Teacher-forced negative log-likelihood of the augmented targets,
+        summed over the batch; `bias` is the embedded list
+        `decoding.embed_phrases` gives the beam, shared by every utterance.
+
+        Utterance b is row b of one (B, ·) step per target position. The
+        targets are padded with end-of-sequence to the longest; a padded
+        position adds nothing to the loss, so its row gets zero gradient.
+        """
+        if len(xs) != len(targets):
+            raise ValueError(f"{len(xs)} utterances for {len(targets)} targets")
+        for target in targets:
+            if not target or target[-1] != self.vocab.eos:
+                raise ValueError("target must end with the end-of-sequence token")
+            for t in target:
+                if not 0 <= t < len(self.vocab):
+                    raise KeyError(f"target token id {t} outside vocabulary")
+        audio = self.precompute_audio(self.encode_audio(xs), [len(x) for x in xs])
         h_z, bias_keys = bias
-        mask = np.zeros((1, h_z.data.shape[0]))
-        state = self.initial_state(1)
-        y_prev = self.vocab.sos
-        loss: Tensor | None = None
-        for y in target:
-            log_probs, _, state = self.step([y_prev], state, audio, h_z, mask, bias_keys)
-            nll = T.neg(T.gather(log_probs, [y], axis=-1))
-            loss = nll if loss is None else T.add(loss, nll)
-            y_prev = y
-        return T.sum_(loss)
+        rows = len(targets)
+        longest = max(len(t) for t in targets)
+        ids = np.full((rows, longest), self.vocab.eos)
+        # picks[t, b] is one-hot on row b's target at position t, zero past its end.
+        picks = np.zeros((longest, rows, len(self.vocab)))
+        for b, target in enumerate(targets):
+            ids[b, : len(target)] = target
+            picks[np.arange(len(target)), b, target] = 1.0
+        y_prev = np.column_stack([np.full(rows, self.vocab.sos), ids[:, :-1]])
+        mask = np.zeros((rows, h_z.data.shape[0]))
+        state = self.initial_state(rows)
+        total: Tensor | None = None
+        for t in range(longest):
+            log_probs, _, state = self.step(y_prev[:, t], state, audio, h_z, mask, bias_keys)
+            # Sums exactly the picked entries: every other product is zero.
+            picked = T.sum_(T.mul(log_probs, T.constant(picks[t])))
+            total = picked if total is None else T.add(total, picked)
+        return T.neg(total)
 
     # -- persistence -----------------------------------------------------------
 

@@ -7,8 +7,10 @@ rows (B may be 1), `matmul` takes two matrices, and none takes a vector. So a
 training step, a beam step over B hypotheses and the phrase encoder over a
 whole list run the same ops. The elementwise ops are shape-agnostic, and
 `concat`, `slice_last`, `softmax` and `log_softmax` work over the last axis.
-Ops executed outside a `Tape` context run forward-only, which is the path used
-during decoding.
+`lstm_cell` is one tape node whose hand-written backward replaces the twelve
+nodes of the op-by-op cell with the same bits (the element-wise fusion of
+Appleyard, Kočiský & Blunsom 2016). Ops executed outside a `Tape` context run
+forward-only, which is the path used during decoding.
 """
 
 from __future__ import annotations
@@ -377,22 +379,53 @@ def init_lstm_params(rng: np.random.Generator, input_dim: int, hidden: int) -> L
 def lstm_cell(
     x_t: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmParams
 ) -> tuple[Tensor, Tensor]:
-    """One LSTM step for a (B, D) stack of B input rows and (B, H) states."""
+    """One LSTM step for a (B, D) stack of B input rows and (B, H) states.
+
+    One tape node: the forward keeps the gates and tanh(c), and one backward
+    writes the input, state, weight and bias gradients. Its arithmetic is
+    that of the op-by-op cell (concat, matmul_t, add, sigmoid/tanh per gate,
+    mul), in the same order, so values and gradients have the same bits.
+    """
     h = params.hidden
-    expected = params.w.data.shape[1] - h
-    if x_t.data.ndim != 2 or x_t.data.shape[1] != expected:
+    xd, hd, cd, wd = x_t.data, h_prev.data, c_prev.data, params.w.data
+    expected = wd.shape[1] - h
+    if xd.ndim != 2 or xd.shape[1] != expected:
         raise ValueError(f"lstm_cell input shape {x_t.shape} does not match weights expecting (B, {expected})")
-    rows = (x_t.data.shape[0], h)
-    if h_prev.data.shape != rows or c_prev.data.shape != rows:
+    rows = (xd.shape[0], h)
+    if hd.shape != rows or cd.shape != rows:
         raise ValueError(f"lstm_cell state shapes {h_prev.shape}/{c_prev.shape} do not match {rows}")
-    pre = add(matmul_t(concat([x_t, h_prev]), params.w), params.b)
-    i = sigmoid(slice_last(pre, 0, h))
-    f = sigmoid(slice_last(pre, h, 2 * h))
-    g = tanh(slice_last(pre, 2 * h, 3 * h))
-    o = sigmoid(slice_last(pre, 3 * h, 4 * h))
-    c_t = add(mul(f, c_prev), mul(i, g))
-    h_t = mul(o, tanh(c_t))
-    return h_t, c_t
+    xh = np.concatenate([xd, hd], axis=-1)
+    pre = xh @ wd.T + params.b.data
+    act = 1.0 / (1.0 + np.exp(-pre))  # sigmoid of every gate; g is replaced below
+    act[:, 2 * h : 3 * h] = np.tanh(pre[:, 2 * h : 3 * h])
+    i, f, g, o = act[:, :h], act[:, h : 2 * h], act[:, 2 * h : 3 * h], act[:, 3 * h :]
+    c_t = Tensor(f * cd + i * g)
+    tc = np.tanh(c_t.data)
+    h_t = Tensor(o * tc)
+
+    def backward():
+        gh = h_t.grad
+        gc = c_t.grad + (gh * o) * (1.0 - tc * tc)
+        d_act = np.empty_like(act)
+        d_act[:, :h] = gc * g
+        d_act[:, h : 2 * h] = gc * cd
+        d_act[:, 2 * h : 3 * h] = gc * i
+        d_act[:, 3 * h :] = gh * tc
+        d_pre = d_act * act * (1.0 - act)
+        d_pre[:, 2 * h : 3 * h] = d_act[:, 2 * h : 3 * h] * (1.0 - g * g)
+        # For one row, a broadcast outer product costs about half of the
+        # K=1 gemm `d_pre.T @ xh`, with the same bits.
+        _accum(params.w, d_pre.T * xh if len(xh) == 1 else d_pre.T @ xh)
+        _accum(params.b, d_pre.sum(axis=0))
+        if x_t.grad is not None or h_prev.grad is not None:
+            d_xh = d_pre @ wd
+            _accum(x_t, d_xh[:, : xd.shape[1]])
+            _accum(h_prev, d_xh[:, xd.shape[1] :])
+        _accum(c_prev, gc * f)
+
+    if Tape._active is not None:
+        c_t.grad = np.zeros_like(c_t.data)
+    return _record(h_t, backward), c_t
 
 
 # ---------------------------------------------------------------------------

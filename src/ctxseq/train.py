@@ -22,6 +22,13 @@ class TrainConfig:
     seed: int = 0
     log_every: int = 10
 
+    def __post_init__(self):
+        for name in ("steps", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+
 
 def target_ids(model: Recognizer, tokens: list[str]) -> list[int]:
     return [model.vocab.index(t) for t in tokens] + [model.vocab.eos]
@@ -49,14 +56,13 @@ def train_model(
     for step in range(cfg.steps):
         idx = batch_rng.choice(len(utts), size=min(cfg.batch_size, len(utts)), replace=False)
         phrases = sample_bias_list([refs[i] for i in idx], sampler_cfg, sampler_rng)
+        targets = [
+            target_ids(model, insert_bias_tokens(refs[i], phrases) if phrases else graphemize(refs[i])) for i in idx
+        ]
         with T.Tape() as tape:
             bias = embed_phrases(model, phrases)
-            loss = None
-            for i in idx:
-                tokens = insert_bias_tokens(refs[i], phrases) if phrases else graphemize(refs[i])
-                nll = model.forward_loss(features[i], bias, target_ids(model, tokens))
-                loss = nll if loss is None else T.add(loss, nll)
-            loss = T.scale(loss, 1.0 / len(idx))
+            nll = model.forward_loss([features[i] for i in idx], bias, targets)
+            loss = T.scale(nll, 1.0 / len(idx))
             value = float(loss.data)
             if not np.isfinite(value):
                 raise FloatingPointError(f"loss became non-finite ({value}) at step {step}")

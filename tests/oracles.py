@@ -5,8 +5,8 @@ enumeration, and direct string scanning. None of it shares code with the
 library paths it checks, except that the context-compiler reference reuses
 the library's minimization pass (it finds its own word-position facts by
 walking the determinized machine, where the library records them while it
-builds), and the per-hypothesis beam search and per-phrase bias encoder run
-the library's model ops on one row at a time.
+builds), and the per-utterance loss, per-hypothesis beam search and
+per-phrase bias encoder run the library's model ops on one row at a time.
 """
 
 from __future__ import annotations
@@ -437,6 +437,50 @@ def enumerate_best(model, audio, phrases, max_len: int, lam: float, fusion=None)
     rec([], model.initial_state(1), fusion.start if fusion else 0, 0.0, 0.0, vocab.sos)
     assert best is not None
     return {"tokens": best[2], "total": -best[0], "log_model": best[3], "log_fusion": best[4]}
+
+
+# ---------------------------------------------------------------------------
+# op-by-op LSTM cell and per-utterance training loss
+
+
+def reference_lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, params: T.LstmParams) -> tuple[Tensor, Tensor]:
+    """`tensor.lstm_cell` as a chain of twelve primitive ops, each its own
+    tape node."""
+    h = params.hidden
+    pre = T.add(T.matmul_t(T.concat([x_t, h_prev]), params.w), params.b)
+    i = T.sigmoid(T.slice_last(pre, 0, h))
+    f = T.sigmoid(T.slice_last(pre, h, 2 * h))
+    g = T.tanh(T.slice_last(pre, 2 * h, 3 * h))
+    o = T.sigmoid(T.slice_last(pre, 3 * h, 4 * h))
+    c_t = T.add(T.mul(f, c_prev), T.mul(i, g))
+    h_t = T.mul(o, T.tanh(c_t))
+    return h_t, c_t
+
+
+def reference_forward_loss(model, x: np.ndarray, bias: tuple[Tensor, Tensor], target: list[int]) -> Tensor:
+    """`Recognizer.forward_loss` for one utterance: the encoder one frame at a
+    time, then one one-row model step per target position."""
+    seq = [T.constant(x[k : k + 1]) for k in range(len(x))]
+    for p in model.encoder:
+        h = T.constant(np.zeros((1, p.hidden)))
+        c = T.constant(np.zeros((1, p.hidden)))
+        out = []
+        for frame in seq:
+            h, c = T.lstm_cell(frame, h, c, p)
+            out.append(h)
+        seq = out
+    audio = model.precompute_audio(T.stack(seq))
+    h_z, bias_keys = bias
+    mask = np.zeros((1, h_z.data.shape[0]))
+    state = model.initial_state(1)
+    y_prev = model.vocab.sos
+    loss = None
+    for y in target:
+        log_probs, _, state = model.step([y_prev], state, audio, h_z, mask, bias_keys)
+        nll = T.neg(T.gather(log_probs, [y], axis=-1))
+        loss = nll if loss is None else T.add(loss, nll)
+        y_prev = y
+    return T.sum_(loss)
 
 
 # ---------------------------------------------------------------------------

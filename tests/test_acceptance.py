@@ -54,7 +54,7 @@ def test_criterion_01_gradient_fidelity():
     target = [model.vocab.index(t) for t in graphemize("ab") + ["</bias>"]] + [model.vocab.eos]
 
     def forward():
-        return model.forward_loss(x, embed_phrases(model, phrases), target)
+        return model.forward_loss([x], embed_phrases(model, phrases), [target])
 
     with T.Tape() as tape:
         tape.backward(forward())

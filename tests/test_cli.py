@@ -103,6 +103,19 @@ class TestTrain:
             root / "ckpt" / "params.bin"
         ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [("steps=0", "steps must be >= 1, got 0"), ("batch_size=0", "batch_size must be >= 1, got 0"),
+         ("lr=0", "lr must be > 0, got 0.0")],
+        ids=["steps", "batch_size", "lr"],
+    )
+    def test_bad_train_config_fails_cleanly(self, workspace, tmp_path, capsys, setting, message):
+        root, cfg_path = workspace
+        args = ["train", "--config", str(cfg_path), "--data", str(root / "corpus" / "train.jsonl")]
+        assert main(args + ["--out", str(tmp_path / "ckpt"), f"--set=train.{setting}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
     def test_unreadable_data_fails(self, workspace, tmp_path, capsys):
         _, cfg_path = workspace
         rc = main(
@@ -397,8 +410,10 @@ class TestSweep:
             ("[distractors]\ncheckpoint = ckpt\nmanifest = m.jsonl\n", "[distractors] lacks the key 'counts'"),
             ("[attention]\nmanifest = m.jsonl\n", "[attention] lacks the key 'checkpoint'"),
             ("[strategies]\nstrategies = end-of-word\nlams = 1,x\n", "[strategies] lams = 'x' is not a number"),
+            ("[attention]\ncheckpoint = ckpt\nmanifest = m.jsonl\ntreshold = 0.99\n",
+             "unknown key 'treshold' in [attention]; the known keys are checkpoint, manifest, threshold"),
         ],
-        ids=["unknown-section", "missing-counts", "missing-checkpoint", "bad-lambda"],
+        ids=["unknown-section", "missing-counts", "missing-checkpoint", "bad-lambda", "unknown-key"],
     )
     def test_spec_errors_name_section_and_key(self, tmp_path, capsys, text, message):
         spec = tmp_path / "spec.ini"
@@ -545,6 +560,15 @@ class TestRunConfig:
         assert main(args + [f"--set=task.{kv}" for kv in small]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    def test_bad_config_writes_nothing(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text("[decode]\nlam = abc\n")
+        out = tmp_path / "corpus"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (out / "config.ini").exists()
+        assert not list(out.glob("*.jsonl")) and not (out / "feats").exists()
 
     def test_unknown_key_rejected(self):
         cfg = RunConfig({"task": {"bogus": "1"}})

@@ -38,7 +38,7 @@ def prepare(model, x, phrases, entries=None):
     prefixes = None
     if entries is not None:
         phrases, prefixes = [e.phrase for e in entries], PrefixTable(entries)
-    audio = model.precompute_audio(model.encode_audio(x))
+    audio = model.precompute_audio(model.encode_audio([x]))
     return audio, embed_phrases(model, phrases), prefixes
 
 
@@ -64,7 +64,7 @@ class TestBeamBasics:
         cfg = DecodeConfig(beam_width=1, max_len=6)
         result = decode(model, x, [], cfg)[0]
 
-        audio = model.precompute_audio(model.encode_audio(x))
+        audio = model.precompute_audio(model.encode_audio([x]))
         h_z = model.encode_bias([])
         keys = model.bias_key_cache(h_z)
         state = model.initial_state(1)

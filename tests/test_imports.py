@@ -6,7 +6,8 @@ Stdlib `ast` scans. The import scan covers the library, the tests and the
 demos; package `__init__.py` files are exempt, since their imports are
 re-exports. The orphan scans look for each library definition's name, and
 for each field's name read as an attribute, in the library, the tests, the
-demos and the benchmark.
+demos and the benchmark, and for each oracle's name in the oracles, the
+tests and the demos.
 """
 
 import ast
@@ -132,6 +133,15 @@ def _library_and_others() -> tuple[dict[str, str], list[str]]:
 
 def test_no_orphan_definitions():
     assert orphans(*_library_and_others()) == []
+
+
+def test_no_orphan_oracles():
+    # Every oracle function is named by some test or demo.
+    oracles = ROOT / "tests" / "oracles.py"
+    others = [
+        p.read_text(encoding="utf-8") for d in ("tests", "demos") for p in (ROOT / d).glob("*.py") if p != oracles
+    ]
+    assert orphans({"tests/oracles.py": oracles.read_text(encoding="utf-8")}, others) == []
 
 
 def test_no_orphan_fields():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctxseq import tensor as T
@@ -9,7 +9,7 @@ from ctxseq.model import DecoderStepState, ModelConfig, Recognizer
 from ctxseq.tensor import Tape
 from ctxseq.vocab import BIAS_END, SPACE, Vocabulary, graphemize
 
-from oracles import finite_difference, max_rel_err, reference_encode_bias
+from oracles import finite_difference, max_rel_err, reference_encode_bias, reference_forward_loss
 
 words = st.text(alphabet="ab", min_size=1, max_size=4)
 phrase_lists = st.lists(st.lists(words, min_size=1, max_size=3).map(" ".join), max_size=8)
@@ -53,19 +53,19 @@ class TestConfig:
 class TestEncodeAudio:
     def test_shape_contract(self):
         model = tiny_model()
-        out = model.encode_audio(np.random.default_rng(0).normal(size=(5, 3)))
+        out = model.encode_audio([np.random.default_rng(0).normal(size=(5, 3))])
         assert out.data.shape == (5, 2)
 
     def test_zero_weights_zero_outputs(self):
         model = tiny_model()
         zero_all(model)
-        out = model.encode_audio(np.ones((4, 3)))
+        out = model.encode_audio([np.ones((4, 3))])
         assert np.array_equal(out.data, np.zeros((4, 2)))
 
     def test_two_frame_hand_unrolled(self):
         model = tiny_model()
         x = np.array([[0.2, -0.1, 0.4], [0.0, 0.3, -0.2]])
-        out = model.encode_audio(x)
+        out = model.encode_audio([x])
         p = model.encoder[0]
         h = T.constant(np.zeros((1, 2)))
         c = T.constant(np.zeros((1, 2)))
@@ -73,12 +73,23 @@ class TestEncodeAudio:
             h, c = T.lstm_cell(T.constant([frame]), h, c, p)
         assert np.abs(out.data[1] - h.data[0]).max() < 1e-12
 
+    def test_batch_equals_one_utterance_at_a_time(self):
+        model = tiny_model(seed=2)
+        rng = np.random.default_rng(14)
+        xs = [rng.normal(size=(k, 3)) for k in (2, 5, 1, 5)]
+        got = model.encode_audio(xs).data
+        want = np.vstack([model.encode_audio([x]).data for x in xs])
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-12
+
     def test_errors(self):
         model = tiny_model()
         with pytest.raises(ValueError):
-            model.encode_audio(np.zeros((0, 3)))
+            model.encode_audio([])
+        with pytest.raises(ValueError):
+            model.encode_audio([np.zeros((0, 3))])
         with pytest.raises(ValueError, match="feature dim"):
-            model.encode_audio(np.zeros((2, 5)))
+            model.encode_audio([np.zeros((2, 5))])
 
 
 class TestEncodeBias:
@@ -172,7 +183,7 @@ class TestBatchedStep:
         # Three hypotheses with different tokens, states and masks in one call.
         model = tiny_model(seed=5)
         rng = np.random.default_rng(13)
-        audio = model.precompute_audio(model.encode_audio(rng.normal(size=(4, 3))))
+        audio = model.precompute_audio(model.encode_audio([rng.normal(size=(4, 3))]))
         h_z = model.encode_bias(["a", "ab", "b a"])
         keys = model.bias_key_cache(h_z)
         y = np.array([model.vocab.index("a"), model.vocab.sos, model.vocab.index("b")])
@@ -210,7 +221,7 @@ class TestRowLayout:
         # (a bare token id, a vector state, query or mask) is an error.
         model = tiny_model()
         assert all(t.data.shape[0] == 2 for t in model.initial_state(2).layers[0])
-        audio = model.precompute_audio(model.encode_audio(np.zeros((2, 3))))
+        audio = model.precompute_audio(model.encode_audio([np.zeros((2, 3))]))
         h_z = model.encode_bias(["a"])
         vec = T.constant(np.zeros(2))
         vector_state = DecoderStepState(layers=[(vec, vec)], context=T.constant(np.zeros(4)))
@@ -260,6 +271,25 @@ class TestAttendAudio:
             scores = cache.keys[h].data @ q / np.sqrt(2)
             alpha = T.softmax(T.constant(scores)).data
             assert abs(alpha.sum() - 1.0) <= 1e-12
+
+    def test_rows_read_only_their_own_frames(self):
+        # Two utterances stacked in one cache: each query row equals the
+        # attention over its own utterance alone, and the frames of the
+        # other utterance get exactly zero gradient from it.
+        model = tiny_model(attention_dim=4, attention_heads=2)
+        rng = np.random.default_rng(15)
+        h_x = T.parameter(rng.normal(size=(5, 2)))
+        d_t = T.parameter(rng.normal(size=(2, 2)))
+        with Tape() as tape:
+            out = model.attend_audio(d_t, model.precompute_audio(h_x, [3, 2]))
+            tape.backward(T.sum_(T.gather(out, [0])))
+        for b, frames in ((0, slice(0, 3)), (1, slice(3, 5))):
+            own = model.precompute_audio(T.constant(h_x.data[frames]))
+            alone = model.attend_audio(T.constant(d_t.data[b : b + 1]), own)
+            assert np.abs(out.data[b] - alone.data[0]).max() < 1e-12
+        assert np.all(h_x.grad[3:] == 0.0) and np.all(h_x.grad[:3] != 0.0)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            model.attend_audio(T.constant(np.zeros((3, 2))), model.precompute_audio(h_x, [3, 2]))
 
     def test_two_frame_one_head_hand_computation(self):
         model = tiny_model()
@@ -449,7 +479,7 @@ class TestForwardLoss:
         model.params["output.w"].data[...] = 0.0
         model.params["output.b"].data[...] = 0.0
         target = self.target(model, graphemize("ab a"))
-        loss = model.forward_loss(np.zeros((3, 3)), embed_phrases(model, []), target)
+        loss = model.forward_loss([np.zeros((3, 3))], embed_phrases(model, []), [target])
         assert abs(float(loss.data) - len(target) * np.log(len(model.vocab))) < 1e-9
 
     def test_memorizes_one_utterance(self):
@@ -462,7 +492,7 @@ class TestForwardLoss:
         losses = []
         for _ in range(50):
             with Tape() as tape:
-                loss = model.forward_loss(x, embed_phrases(model, []), target)
+                loss = model.forward_loss([x], embed_phrases(model, []), [target])
                 opt.zero_grad()
                 tape.backward(loss)
             opt.step()
@@ -475,11 +505,11 @@ class TestForwardLoss:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(3, 3))
         target = self.target(model, graphemize("ba"))
-        loss = float(model.forward_loss(x, embed_phrases(model, []), target).data)
+        loss = float(model.forward_loss([x], embed_phrases(model, []), [target]).data)
 
         # reference: identical computation with the bias context pinned to the
         # no-bias vector instead of going through bias attention
-        audio = model.precompute_audio(model.encode_audio(x))
+        audio = model.precompute_audio(model.encode_audio([x]))
         state = model.initial_state(1)
         y_prev = model.vocab.sos
         total = 0.0
@@ -496,18 +526,100 @@ class TestForwardLoss:
     def test_target_must_end_with_eos(self):
         model = tiny_model()
         with pytest.raises(ValueError, match="end-of-sequence"):
-            model.forward_loss(np.zeros((2, 3)), embed_phrases(model, []), [model.vocab.index("a")])
+            model.forward_loss([np.zeros((2, 3))], embed_phrases(model, []), [[model.vocab.index("a")]])
 
     def test_token_outside_vocab(self):
         model = tiny_model()
         with pytest.raises(KeyError):
-            model.forward_loss(np.zeros((2, 3)), embed_phrases(model, []), [77, model.vocab.eos])
+            model.forward_loss([np.zeros((2, 3))], embed_phrases(model, []), [[77, model.vocab.eos]])
 
     def test_bias_token_in_target_trains(self):
         model = tiny_model()
         target = self.target(model, graphemize("a") + [BIAS_END])
-        loss = model.forward_loss(np.zeros((2, 3)), embed_phrases(model, ["a"]), target)
+        loss = model.forward_loss([np.zeros((2, 3))], embed_phrases(model, ["a"]), [target])
         assert np.isfinite(loss.data)
+
+
+TOKENS = st.sampled_from(["a", "b", SPACE, BIAS_END])
+
+
+class TestBatchedForwardLoss:
+    """`forward_loss` runs a batch as one (B, ·) step per target position;
+    the reference runs each utterance alone and the losses are summed."""
+
+    @staticmethod
+    def loss_and_grads(model, loss_fn):
+        for t in model.params.values():
+            t.grad[...] = 0.0
+        with Tape() as tape:
+            loss = loss_fn()
+            tape.backward(loss)
+        return float(loss.data), {k: t.grad.copy() for k, t in model.params.items()}
+
+    @given(
+        seed=st.integers(0, 20),
+        batch=st.lists(
+            st.tuples(st.integers(1, 4), st.lists(TOKENS, max_size=4)), min_size=1, max_size=3
+        ),
+        phrases=phrase_lists,
+    )
+    @settings(max_examples=40, deadline=None)
+    @example(seed=0, batch=[(3, ["a", "b"])], phrases=[])
+    @example(seed=1, batch=[(1, ["a", SPACE, "b"]), (4, []), (2, ["b", BIAS_END])], phrases=["a b", "b"])
+    def test_equals_summed_reference(self, seed, batch, phrases):
+        model = tiny_model(seed=seed)
+        rng = np.random.default_rng(seed)
+        xs = [rng.normal(size=(k, 3)) for k, _ in batch]
+        targets = [[model.vocab.index(t) for t in tokens] + [model.vocab.eos] for _, tokens in batch]
+
+        def reference():
+            bias = embed_phrases(model, phrases)
+            losses = [reference_forward_loss(model, x, bias, y) for x, y in zip(xs, targets)]
+            total = losses[0]
+            for loss in losses[1:]:
+                total = T.add(total, loss)
+            return total
+
+        got, got_grads = self.loss_and_grads(
+            model, lambda: model.forward_loss(xs, embed_phrases(model, phrases), targets)
+        )
+        want, want_grads = self.loss_and_grads(model, reference)
+        assert abs(got - want) < 1e-12
+        for name, g in got_grads.items():
+            assert np.abs(g - want_grads[name]).max() < 1e-12, name
+
+    def test_one_utterance_equals_reference_bit_for_bit(self):
+        model = tiny_model(seed=6)
+        x = np.random.default_rng(16).normal(size=(4, 3))
+        target = [model.vocab.index(t) for t in graphemize("ab a")] + [model.vocab.eos]
+        got, got_grads = self.loss_and_grads(
+            model, lambda: model.forward_loss([x], embed_phrases(model, ["a"]), [target])
+        )
+        want, want_grads = self.loss_and_grads(
+            model, lambda: reference_forward_loss(model, x, embed_phrases(model, ["a"]), target)
+        )
+        assert got == want
+        for name, g in got_grads.items():
+            assert g.tobytes() == want_grads[name].tobytes(), name
+
+    def test_padded_positions_get_zero_gradient(self):
+        # End-of-sequence is the input of no real position, only of the
+        # padded ones, so its embedding row gets no gradient.
+        model = tiny_model(seed=7)
+        rng = np.random.default_rng(17)
+        xs = [rng.normal(size=(2, 3)), rng.normal(size=(4, 3))]
+        tokens = (["a"], ["b", SPACE, "a", "a"])
+        targets = [[model.vocab.index(t) for t in toks] + [model.vocab.eos] for toks in tokens]
+        with Tape() as tape:
+            tape.backward(model.forward_loss(xs, embed_phrases(model, []), targets))
+        emb = model.params["embedding"].grad
+        assert np.all(emb[model.vocab.eos] == 0.0)
+        assert np.all(emb[model.vocab.index("a")] != 0.0)
+
+    def test_batch_size_must_match(self):
+        model = tiny_model()
+        with pytest.raises(ValueError, match="2 utterances for 1 targets"):
+            model.forward_loss([np.zeros((2, 3))] * 2, embed_phrases(model, []), [[model.vocab.eos]])
 
 
 class TestFullModelGradients:
@@ -520,7 +632,7 @@ class TestFullModelGradients:
         target = [model.vocab.index(t) for t in graphemize("ab") + [BIAS_END]] + [model.vocab.eos]
 
         def forward():
-            return model.forward_loss(x, embed_phrases(model, phrases), target)
+            return model.forward_loss([x], embed_phrases(model, phrases), [target])
 
         with Tape() as tape:
             tape.backward(forward())
@@ -531,6 +643,23 @@ class TestFullModelGradients:
             name: max_rel_err(t.grad, fd[name], floor=1e-4)
             for name, t in model.params.items()
         }
+        offender = max(worst, key=worst.get)
+        assert worst[offender] < 1e-4, f"{offender}: {worst[offender]}"
+
+    def test_gradient_check_on_a_padded_batch_of_three(self):
+        model = tiny_model(seed=8)
+        rng = np.random.default_rng(18)
+        xs = [rng.normal(size=(k, 3)) for k in (3, 1, 2)]
+        tokens = (graphemize("ab"), graphemize("b") + [BIAS_END], graphemize("a b"))
+        targets = [[model.vocab.index(t) for t in toks] + [model.vocab.eos] for toks in tokens]
+
+        def forward():
+            return model.forward_loss(xs, embed_phrases(model, ["b", "ab"]), targets)
+
+        with Tape() as tape:
+            tape.backward(forward())
+        fd = finite_difference(lambda: float(forward().data), model.params)
+        worst = {name: max_rel_err(t.grad, fd[name], floor=1e-4) for name, t in model.params.items()}
         offender = max(worst, key=worst.get)
         assert worst[offender] < 1e-4, f"{offender}: {worst[offender]}"
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ctxseq import tensor as T
 from ctxseq.tensor import NEG_INF, Tape, Tensor
 
-from oracles import finite_difference, max_rel_err
+from oracles import finite_difference, max_rel_err, reference_lstm_cell
 
 
 def scalar_loss(t: T.Tensor) -> T.Tensor:
@@ -202,19 +202,51 @@ class TestLstmCell:
     def test_full_cell_gradient_check(self):
         rng = np.random.default_rng(3)
         p = T.init_lstm_params(rng, 3, 2)
-        x = T.constant(rng.normal(size=(1, 3)))
-        h0 = T.constant(rng.normal(size=(1, 2)))
-        c0 = T.constant(rng.normal(size=(1, 2)))
+        x = T.parameter(rng.normal(size=(1, 3)))
+        h0 = T.parameter(rng.normal(size=(1, 2)))
+        c0 = T.parameter(rng.normal(size=(1, 2)))
 
         def forward():
             h, c = T.lstm_cell(x, h0, c0, p)
             return T.sum_(T.add(h, c))
 
+        params = {"x": x, "h0": h0, "c0": c0, "w": p.w, "b": p.b}
         with Tape() as tape:
             tape.backward(forward())
-        fd = finite_difference(lambda: float(forward().data), {"w": p.w, "b": p.b})
-        assert max_rel_err(p.w.grad, fd["w"]) < 1e-5
-        assert max_rel_err(p.b.grad, fd["b"]) < 1e-5
+        fd = finite_difference(lambda: float(forward().data), params)
+        for name, t in params.items():
+            assert max_rel_err(t.grad, fd[name]) < 1e-5, name
+
+    @pytest.mark.parametrize("rows", [1, 3])  # the two weight-gradient forms
+    def test_fused_cell_bit_identical_to_op_chain(self, rows):
+        # Two chained cells, so that the first cell's outputs also collect
+        # gradient from the second before its own backward runs.
+        rng = np.random.default_rng(30 + rows)
+        p = T.init_lstm_params(rng, 3, 4)
+        p.w.data[...] = rng.normal(size=p.w.data.shape)
+        p.b.data[...] = rng.normal(size=p.b.data.shape)
+        widths = {"x0": 3, "x1": 3, "h0": 4, "c0": 4}
+        inputs = {name: T.parameter(rng.normal(size=(rows, n))) for name, n in widths.items()}
+        wh, wc = (T.constant(rng.normal(size=(rows, 4))) for _ in range(2))
+
+        def run(cell):
+            for t in [p.w, p.b, *inputs.values()]:
+                t.grad[...] = 0.0
+            with Tape() as tape:
+                h1, c1 = cell(inputs["x0"], inputs["h0"], inputs["c0"], p)
+                h2, c2 = cell(inputs["x1"], h1, c1, p)
+                loss = T.add(T.sum_(T.mul(T.add(h1, h2), wh)), T.sum_(T.mul(c2, wc)))
+                tape.backward(loss)
+            grads = [t.grad.tobytes() for t in [p.w, p.b, *inputs.values()]]
+            return [t.data.tobytes() for t in (h1, c1, h2, c2)], grads
+
+        assert run(T.lstm_cell) == run(reference_lstm_cell)
+
+    def test_fused_cell_is_one_tape_node(self):
+        p = T.init_lstm_params(np.random.default_rng(0), 3, 2)
+        with Tape() as tape:
+            T.lstm_cell(T.constant(np.ones((2, 3))), T.constant(np.zeros((2, 2))), T.constant(np.zeros((2, 2))), p)
+        assert len(tape) == 1
 
 
 class TestRowwiseOps:
