@@ -1,14 +1,12 @@
 """Command-line surface: train, decode, eval, compile-context, sweep, dump-attention.
 
 Every command is a pure function of (inputs, config, seed); each output
-directory receives the resolved configuration that produced it. The default
-config path can be set via the CTXSEQ_CONFIG environment variable.
+directory receives the resolved configuration that produced it.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -31,8 +29,7 @@ from .vocab import SPACE, Vocabulary
 
 
 def _load_config(args) -> RunConfig:
-    path = getattr(args, "config", None) or os.environ.get("CTXSEQ_CONFIG")
-    cfg = RunConfig.load(path)
+    cfg = RunConfig.load(getattr(args, "config", None))
     for assignment in getattr(args, "set", None) or []:
         cfg.override(assignment)
     return cfg
@@ -302,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--config", help="run config file (or CTXSEQ_CONFIG)")
+        sp.add_argument("--config", help="run config file")
         sp.add_argument("--set", action="append", help="override: section.key=value")
 
     g = sub.add_parser("generate", help="generate a synthetic corpus")

@@ -109,15 +109,8 @@ class RunConfig:
     def resolved_text(self) -> str:
         """Every section fully expanded, suitable for reproduction."""
         lines = ["[run]", f"seed = {self.seed}", ""]
-        builders = {
-            "task": self.task,
-            "model": self.model,
-            "sampler": self.sampler,
-            "train": self.train,
-            "decode": self.decode,
-        }
-        for name, build in builders.items():
-            obj = build()
+        for name in self._SECTIONS:
+            obj = getattr(self, name)()
             lines.append(f"[{name}]")
             for f in fields(obj):
                 value = getattr(obj, f.name)

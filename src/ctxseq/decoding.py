@@ -17,6 +17,7 @@ loss makes the same call with one row per utterance of a minibatch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,10 @@ class DecodeConfig:
             raise ValueError("beam_width must be >= 1")
         if not 1 <= self.n_best <= self.beam_width:
             raise ValueError("n_best must be in [1, beam_width]")
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
+        if self.max_len < 1:
+            raise ValueError(f"max_len must be >= 1, got {self.max_len}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be a finite number >= 0, got {self.lam}")
 
 
 @dataclass(eq=False)

@@ -10,9 +10,10 @@ decoder step.
 Every step runs on rows: B token ids, (B, ·) states and (B, N+1) masks. The
 beam search advances all of its live hypotheses in one call, and the
 training loss advances a whole minibatch in one call per target position,
-one row per utterance. The phrase encoder runs one LSTM pass over the whole
-phrase list, and the audio encoder one pass over all utterances of a batch;
-the audio attention then lets row b read only the frames of utterance b.
+one row per utterance. Both encoders share one longest-first LSTM pass,
+`_longest_first`: the phrase encoder runs it over the whole phrase list, and
+the audio encoder over all utterances of a batch; the audio attention then
+lets row b read only the frames of utterance b.
 """
 
 from __future__ import annotations
@@ -81,6 +82,36 @@ class AudioCache:
     closed: Tensor | None  # None: every row reads every frame
 
 
+def _longest_first(layers: Sequence[T.LstmParams], lengths: Sequence[int], step_input) -> Tensor:
+    """Run the stacked LSTM `layers` over sequences of `lengths` steps in one
+    pass.
+
+    Steps are numbered sequence by sequence in input order, so step t of
+    sequence i is position sum(lengths[:i]) + t. `step_input(at)` gives the
+    (len(at), D) inputs at positions `at`; the result stacks the last
+    layer's output at every position in the same order. The sequences run
+    longest first: at step t the sequences longer than t are the leading rows
+    of the batch and only they advance.
+    """
+    lengths = np.asarray(lengths)
+    first = np.cumsum(lengths) - lengths
+    order = np.argsort(-lengths, kind="stable")
+    live = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0)
+    positions = [first[order[:n]] + t for t, n in enumerate(live)]
+    seq = [step_input(at) for at in positions]
+    for p in layers:
+        h = T.constant(np.zeros((len(lengths), p.hidden)))
+        c = T.constant(np.zeros((len(lengths), p.hidden)))
+        out = []
+        for x in seq:
+            n = x.data.shape[0]
+            if n < h.data.shape[0]:
+                h, c = T.gather(h, np.arange(n)), T.gather(c, np.arange(n))
+            h, c = T.lstm_cell(x, h, c, p)
+            out.append(h)
+        seq = out
+    return T.gather(T.stack(seq), np.argsort(np.concatenate(positions)))
+
 class Recognizer:
     """The full model: parameters, forward ops, and the training loss."""
 
@@ -98,22 +129,20 @@ class Recognizer:
         uni = lambda *shape: T.parameter(rng.uniform(-0.05, 0.05, size=shape))
         self.params["embedding"] = uni(len(self.vocab), cfg.embedding_dim)
 
-        self.encoder: list[T.LstmParams] = []
-        for l in range(cfg.encoder_layers):
-            in_dim = cfg.feature_dim if l == 0 else cfg.encoder_units
-            p = T.init_lstm_params(rng, in_dim, cfg.encoder_units)
-            self.params[f"audio_encoder.{l}.w"] = p.w
-            self.params[f"audio_encoder.{l}.b"] = p.b
-            self.encoder.append(p)
+        def lstm(name: str, in_dim: int, hidden: int) -> T.LstmParams:
+            p = T.init_lstm_params(rng, in_dim, hidden)
+            self.params[f"{name}.w"], self.params[f"{name}.b"] = p.w, p.b
+            return p
 
-        self.decoder: list[T.LstmParams] = []
+        self.encoder = [
+            lstm(f"audio_encoder.{l}", cfg.feature_dim if l == 0 else cfg.encoder_units, cfg.encoder_units)
+            for l in range(cfg.encoder_layers)
+        ]
         dec_in = cfg.embedding_dim + cfg.context_width
-        for l in range(cfg.decoder_layers):
-            in_dim = dec_in if l == 0 else cfg.decoder_units
-            p = T.init_lstm_params(rng, in_dim, cfg.decoder_units)
-            self.params[f"decoder.{l}.w"] = p.w
-            self.params[f"decoder.{l}.b"] = p.b
-            self.decoder.append(p)
+        self.decoder = [
+            lstm(f"decoder.{l}", dec_in if l == 0 else cfg.decoder_units, cfg.decoder_units)
+            for l in range(cfg.decoder_layers)
+        ]
 
         dh = cfg.attention_dim // cfg.attention_heads
         for h in range(cfg.attention_heads):
@@ -122,10 +151,7 @@ class Recognizer:
             self.params[f"audio_attn.{h}.wv"] = uni(dh, cfg.encoder_units)
         self.params["audio_attn.wo"] = uni(cfg.attention_dim, cfg.attention_dim)
 
-        bias_lstm = T.init_lstm_params(rng, cfg.embedding_dim, cfg.bias_encoder_units)
-        self.params["bias_encoder.w"] = bias_lstm.w
-        self.params["bias_encoder.b"] = bias_lstm.b
-        self.bias_encoder = bias_lstm
+        self.bias_encoder = lstm("bias_encoder", cfg.embedding_dim, cfg.bias_encoder_units)
         self.params["no_bias"] = uni(cfg.bias_encoder_units)
 
         self.params["bias_attn.wh"] = uni(cfg.bias_encoder_units, cfg.attention_dim)
@@ -143,12 +169,7 @@ class Recognizer:
 
     def encode_audio(self, xs: Sequence[np.ndarray]) -> Tensor:
         """Run the stacked encoder over the feature frames of each utterance;
-        returns their (K, units) outputs stacked in the order of `xs`.
-
-        The utterances run longest first, as the phrases in `encode_bias`
-        do: at frame t the utterances longer than t are the leading rows of
-        the batch and only they advance.
-        """
+        returns their (K, units) outputs stacked in the order of `xs`."""
         xs = [np.asarray(x, dtype=np.float64) for x in xs]
         if not xs:
             raise ValueError("encode_audio needs at least one utterance")
@@ -157,28 +178,8 @@ class Recognizer:
                 raise ValueError(f"encode_audio needs a non-empty (K, {self.config.feature_dim}) matrix, got {x.shape}")
             if x.shape[1] != self.config.feature_dim:
                 raise ValueError(f"feature dim {x.shape[1]} does not match config {self.config.feature_dim}")
-        order = sorted(range(len(xs)), key=lambda i: -len(xs[i]))
-        lengths = np.array([len(xs[i]) for i in order])
-        frames = np.zeros((lengths[0], len(xs), self.config.feature_dim))  # time-major, longest first
-        for r, i in enumerate(order):
-            frames[: lengths[r], r] = xs[i]
-        live = (lengths[:, None] > np.arange(lengths[0])).sum(axis=0)
-        seq = [T.constant(frames[t, :n]) for t, n in enumerate(live)]
-        for p in self.encoder:
-            h = T.constant(np.zeros((len(xs), p.hidden)))
-            c = T.constant(np.zeros((len(xs), p.hidden)))
-            out = []
-            for frame in seq:
-                n = frame.data.shape[0]
-                if n < h.data.shape[0]:
-                    h, c = T.gather(h, np.arange(n)), T.gather(c, np.arange(n))
-                h, c = T.lstm_cell(frame, h, c, p)
-                out.append(h)
-            seq = out
-        # Frame t of sorted utterance r is row start[t] + r of the stack.
-        start = np.concatenate([[0], np.cumsum(live)[:-1]])
-        rows = [start[: lengths[r]] + r for r in np.argsort(order)]
-        return T.gather(T.stack(seq), np.concatenate(rows))
+        frames = np.concatenate(xs)
+        return _longest_first(self.encoder, [len(x) for x in xs], lambda at: T.constant(frames[at]))
 
     def precompute_audio(self, h_x: Tensor, lengths: Sequence[int] | None = None) -> AudioCache:
         """Key/value projections of the frames `h_x`; `lengths` gives the
@@ -214,10 +215,8 @@ class Recognizer:
     def encode_bias(self, phrases: Sequence[str]) -> Tensor:
         """Embed each phrase; row 0 is the learnable no-bias vector.
 
-        One LSTM pass covers the whole list. The phrases run longest first,
-        so at step t the phrases longer than t are the leading rows of the
-        batch and only they advance. A phrase's embedding is its state after
-        its last grapheme.
+        One LSTM pass covers the whole list, and a phrase's embedding is its
+        state after its last grapheme.
         """
         ids = []
         for phrase in phrases:
@@ -225,28 +224,13 @@ class Recognizer:
             if not tokens:
                 raise ValueError("empty phrase in bias list")
             ids.append([self.vocab.index(tok) for tok in tokens])
-        order = sorted(range(len(ids)), key=lambda i: -len(ids[i]))
-        lengths = [len(ids[i]) for i in order]
-        p = self.bias_encoder
-        h = T.constant(np.zeros((len(ids), p.hidden)))
-        c = T.constant(np.zeros((len(ids), p.hidden)))
-        blocks = [self.params["no_bias"]]
-        ended = []  # phrase indices in the order their embeddings are stacked
-        live = len(ids)
-        for t in range(lengths[0] if ids else 0):
-            if live < h.data.shape[0]:
-                h, c = T.gather(h, np.arange(live)), T.gather(c, np.arange(live))
-            x = T.gather(self.params["embedding"], [ids[i][t] for i in order[:live]])
-            h, c = T.lstm_cell(x, h, c, p)
-            ending = live
-            while live and lengths[live - 1] == t + 1:
-                live -= 1
-            if live < ending:
-                blocks.append(T.gather(h, np.arange(live, ending)))
-                ended.extend(order[live:ending])
-        row_of = np.zeros(len(ids) + 1, dtype=np.intp)  # 1 + phrase index -> row of the stack
-        row_of[1 + np.array(ended, dtype=np.intp)] = np.arange(1, len(ids) + 1)
-        return T.gather(T.stack(blocks), row_of)
+        if not ids:
+            return T.stack([self.params["no_bias"]])
+        lengths = [len(p) for p in ids]
+        flat = np.concatenate(ids)
+        emb = self.params["embedding"]
+        steps = _longest_first([self.bias_encoder], lengths, lambda at: T.gather(emb, flat[at]))
+        return T.stack([self.params["no_bias"], T.gather(steps, np.cumsum(lengths) - 1)])
 
     def bias_key_cache(self, h_z: Tensor) -> Tensor:
         return T.matmul(h_z, self.params["bias_attn.wh"])
@@ -406,4 +390,3 @@ class Recognizer:
                     f"shape mismatch for {name}: checkpoint {arrays[name].shape} vs model {t.data.shape}"
                 )
             t.data[...] = arrays[name]
-

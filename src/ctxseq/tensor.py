@@ -102,6 +102,12 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+def _weight_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """`g.T @ x`, the weight gradient of `x @ w.T`. For one row, a broadcast
+    outer product costs about half of the K=1 gemm, with the same bits."""
+    return g.T * x if len(x) == 1 else g.T @ x
+
+
 # ---------------------------------------------------------------------------
 # primitive ops
 
@@ -135,9 +141,7 @@ def matmul_t(x: Tensor, w: Tensor) -> Tensor:
 
     def backward():
         g = out.grad
-        # For one row, a broadcast outer product costs about half of the
-        # K=1 gemm `g.T @ xd`, with the same bits.
-        _accum(w, g.T * xd if len(xd) == 1 else g.T @ xd)
+        _accum(w, _weight_grad(g, xd))
         _accum(x, g @ wd)
 
     return _record(out, backward)
@@ -413,9 +417,7 @@ def lstm_cell(
         d_act[:, 3 * h :] = gh * tc
         d_pre = d_act * act * (1.0 - act)
         d_pre[:, 2 * h : 3 * h] = d_act[:, 2 * h : 3 * h] * (1.0 - g * g)
-        # For one row, a broadcast outer product costs about half of the
-        # K=1 gemm `d_pre.T @ xh`, with the same bits.
-        _accum(params.w, d_pre.T * xh if len(xh) == 1 else d_pre.T @ xh)
+        _accum(params.w, _weight_grad(d_pre, xh))
         _accum(params.b, d_pre.sum(axis=0))
         if x_t.grad is not None or h_prev.grad is not None:
             d_xh = d_pre @ wd

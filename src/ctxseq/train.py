@@ -11,7 +11,7 @@ from .corpus import Utterance
 from .decoding import embed_phrases
 from .model import Recognizer
 from .sampler import SamplerConfig, insert_bias_tokens, sample_bias_list
-from .vocab import graphemize, normalize
+from .vocab import normalize
 
 
 @dataclass
@@ -56,9 +56,7 @@ def train_model(
     for step in range(cfg.steps):
         idx = batch_rng.choice(len(utts), size=min(cfg.batch_size, len(utts)), replace=False)
         phrases = sample_bias_list([refs[i] for i in idx], sampler_cfg, sampler_rng)
-        targets = [
-            target_ids(model, insert_bias_tokens(refs[i], phrases) if phrases else graphemize(refs[i])) for i in idx
-        ]
+        targets = [target_ids(model, insert_bias_tokens(refs[i], phrases)) for i in idx]
         with T.Tape() as tape:
             bias = embed_phrases(model, phrases)
             nll = model.forward_loss([features[i] for i in idx], bias, targets)

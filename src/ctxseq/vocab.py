@@ -34,9 +34,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self._index
-
     def index(self, symbol: str) -> int:
         try:
             return self._index[symbol]

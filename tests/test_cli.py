@@ -202,6 +202,21 @@ class TestDecode:
         fused = (tmp_path / "fused" / "hypotheses.tsv").read_text()
         assert plain == fused
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--max-len=0", "max_len must be >= 1, got 0"), ("--lam=-1", "lam must be a finite number >= 0, got -1.0"),
+         ("--lam=nan", "got nan"), ("--lam=inf", "got inf")],
+        ids=["max_len", "lam-negative", "lam-nan", "lam-inf"],
+    )
+    def test_bad_decode_config_fails_cleanly(self, workspace, tmp_path, capsys, flag, message):
+        root, _ = workspace
+        out = tmp_path / "dec"
+        args = ["decode", "--checkpoint", str(root / "ckpt"), "--data", str(root / "corpus" / "test_biased.jsonl")]
+        assert main(args + ["--out", str(out), flag]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not (out / "hypotheses.tsv").exists()
+
     @staticmethod
     def decode_with_context(workspace, tmp_path, arcs: str) -> int:
         root, _ = workspace

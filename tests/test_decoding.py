@@ -55,6 +55,11 @@ class TestConfigValidation:
             DecodeConfig(beam_width=2, n_best=3)
         with pytest.raises(ValueError):
             DecodeConfig(lam=-0.1)
+        with pytest.raises(ValueError, match="max_len must be >= 1, got 0"):
+            DecodeConfig(max_len=0)
+        for lam in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"lam must be a finite number >= 0, got {lam}"):
+                DecodeConfig(lam=lam)
 
 
 class TestBeamBasics:
