@@ -246,11 +246,14 @@ def cmd_sweep(args) -> int:
     out = _outdir(args.out)
     ran = [name for name in SWEEP_SECTIONS if name in spec.sections]
 
-    def value(section: str, key: str, typ=str, default: str | None = None):
-        raw = spec.sections[section].get(key, default)
-        if raw is None:
+    def value(section: str, key: str, typ=str):
+        if key not in spec.sections[section]:
             raise ValueError(f"{args.spec}: [{section}] lacks the key {key!r}")
-        return _coerce(raw, typ, section, key)
+        return _coerce(spec.sections[section][key], typ, section, key)
+
+    def optional(section: str, key: str, typ) -> dict:
+        """`{key: value}` when the spec sets `key`; else the experiment's default holds."""
+        return {key: value(section, key, typ)} if key in spec.sections[section] else {}
 
     def inputs(section: str):
         model, cfg = load_checkpoint(value(section, "checkpoint"))
@@ -270,21 +273,21 @@ def cmd_sweep(args) -> int:
     if "strategies" in spec.sections:
         strategies = list(value("strategies", "strategies", tuple[str, ...]))
         lams = list(value("strategies", "lams", tuple[float, ...]))
-        bonus = value("strategies", "bonus", float, "1.0")
+        bonus = optional("strategies", "bonus", float)
         model, cfg, utts = inputs("strategies")
-        table = strategy_comparison(model, utts, strategies, lams, cfg.decode(), bonus=bonus)
+        table = strategy_comparison(model, utts, strategies, lams, cfg.decode(), **bonus)
         report("strategy_table.tsv", [(strat, lam, f"{wer:.4f}") for strat, (lam, wer) in table.items()])
 
     if "conditioning" in spec.sections:
-        trigger = value("conditioning", "trigger", str, "talk to")
+        trigger = optional("conditioning", "trigger", str)
         model, cfg, utts = inputs("conditioning")
-        table = conditioning_comparison(model, utts, cfg.decode(), trigger=trigger)
+        table = conditioning_comparison(model, utts, cfg.decode(), **trigger)
         report("conditioning.tsv", [(k, f"{v:.4f}") for k, v in table.items()])
 
     if "attention" in spec.sections:
-        threshold = value("attention", "threshold", float, "0.5")
+        threshold = optional("attention", "threshold", float)
         model, cfg, utts = inputs("attention")
-        rate = attention_hit_rate(model, utts, cfg.decode(), threshold=threshold)
+        rate = attention_hit_rate(model, utts, cfg.decode(), **threshold)
         report("attention.tsv", [("hit_rate", f"{rate:.4f}")])
 
     print(f"sweep complete: {', '.join(ran) if ran else 'nothing to do'}")

@@ -265,8 +265,9 @@ def read_manifest(path) -> list[Utterance]:
     """One JSON record per line. A record lacking `id`, `features_path` or
     `transcript`, or with a field of the wrong type (`id`, `features_path`
     and `transcript` strings, `bias_phrases` a list of strings,
-    `bias_prefixes` null or a list of strings), raises ValueError naming the
-    field and line."""
+    `bias_prefixes` null or a list of strings), or with a `bias_prefixes`
+    list whose length differs from that of `bias_phrases`, raises ValueError
+    naming the field and line."""
     utts = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -289,6 +290,11 @@ def read_manifest(path) -> list[Utterance]:
             prefixes = rec.get("bias_prefixes")
             if prefixes is not None and not _is_str_list(prefixes):
                 raise ValueError(f"{path}: line {lineno}: field 'bias_prefixes' is not null or a list of strings")
+            if prefixes is not None and len(prefixes) != len(phrases):
+                raise ValueError(
+                    f"{path}: line {lineno}: field 'bias_prefixes' has length {len(prefixes)}, "
+                    f"field 'bias_phrases' length {len(phrases)}"
+                )
             utts.append(
                 Utterance(
                     id=rec["id"],

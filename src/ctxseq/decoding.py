@@ -1,15 +1,19 @@
 """Length-synchronous N-best beam search with optional fusion and conditioning.
 
-The live hypotheses advance together: their decoder states are stacked into
-(B, ·) rows and one `Recognizer.step` call scores the whole beam. The B×V
-candidate totals (model log-probability plus lambda-scaled fusion score) form
-one array, and only the `beam_width` best become `Hypothesis` objects, each
-holding its last token and a back-pointer to its parent. Under prefix
-conditioning every live hypothesis gets its own attention mask from its own
-partial string at every step; the caller compiles each distinct
-conditioning list once into a `PrefixTable`, so a mask costs one substring
-test per distinct prefix. `</bias>` may be emitted during search but is
-stripped from returned sequences.
+The live hypotheses advance together, and each one is row b of a few arrays:
+its tokens, the row its ancestor had at every step, its model and fusion
+scores, its fusion state and the rank of its token sequence. The decoder
+states are stacked into (B, ·) rows the same way, and one `Recognizer.step`
+call scores the whole beam. The B×V candidate totals (model log-probability
+plus lambda-scaled fusion score) form one array; the `beam_width` best give
+the parent row and token of each kept candidate, and every array is gathered
+by parent. A hypothesis that emits end-of-sequence is copied out; its
+attention rows are read from the per-step attention arrays through its
+back-pointers. Under prefix conditioning every live hypothesis gets its own
+attention mask from its own partial string at every step; the caller
+compiles each distinct conditioning list once into a `PrefixTable`, so a
+mask costs one substring test per distinct prefix. `</bias>` may be emitted
+during search but is stripped from returned sequences.
 
 The (B, ·) rows are the only layout `Recognizer` steps take; the training
 loss makes the same call with one row per utterance of a minibatch.
@@ -44,35 +48,6 @@ class DecodeConfig:
             raise ValueError(f"max_len must be >= 1, got {self.max_len}")
         if not 0 <= self.lam < math.inf:
             raise ValueError(f"lam must be a finite number >= 0, got {self.lam}")
-
-
-@dataclass(eq=False)
-class Hypothesis:
-    """A kept beam entry: its last emitted token and its parent."""
-
-    parent: "Hypothesis | None"  # None at the root, which has emitted nothing
-    token: int  # last emitted id, possibly </bias>; <s> at the root
-    log_model: float
-    log_fusion: float
-    fusion_state: int
-    alpha: np.ndarray | None  # bias attention of the step that emitted `token`
-    finished: bool = False
-
-    def total(self, lam: float) -> float:
-        return self.log_model + lam * self.log_fusion
-
-    def path(self) -> list["Hypothesis"]:
-        """The entries from the first emitted token to this one."""
-        out = []
-        h = self
-        while h.parent is not None:
-            out.append(h)
-            h = h.parent
-        return out[::-1]
-
-    @property
-    def tokens(self) -> list[int]:
-        return [h.token for h in self.path()]
 
 
 @dataclass
@@ -122,63 +97,55 @@ def beam_search(
             )
         return fusion_rows[f_state]
 
-    start_fusion = fusion.start if fusion is not None else 0
-    live = [Hypothesis(None, vocab.sos, 0.0, 0.0, start_fusion, None)]
+    # Row b of each array is live hypothesis b; `rows[b, s]` is the row its
+    # ancestor had at step s, which indexes that step's attention array.
+    tokens = np.zeros((1, 0), dtype=np.intp)
+    rows = np.zeros((1, 0), dtype=np.intp)
+    log_model, log_fusion = np.zeros(1), np.zeros(1)
+    f_state = np.array([fusion.start if fusion is not None else 0])
     lex_rank = np.zeros(1, dtype=np.intp)  # rank of each live token sequence
-    history = np.zeros((1, 0), dtype=np.intp)  # row b: the tokens of live[b]
     symbols = np.array(vocab.symbols, dtype=object)
     state = model.initial_state(rows=1)
-    done: list[Hypothesis] = []
+    alphas: list[np.ndarray] = []  # per step: (B, N+1) bias attention
+    done: list[tuple] = []  # (tokens, rows, log_model, log_fusion), tokens ending in eos
 
-    for _ in range(cfg.max_len):
-        if not live:
-            break
+    while len(tokens) and tokens.shape[1] < cfg.max_len:
         if prefixes is not None:
-            mask = np.stack([
-                compute_mask(prefixes, symbols[row].tolist()) for row in history
-            ])
+            mask = np.stack([compute_mask(prefixes, symbols[row].tolist()) for row in tokens])
         else:
-            mask = np.zeros((len(live), h_z.data.shape[0]))
-        y_prev = np.array([h.token for h in live])
+            mask = np.zeros((len(tokens), h_z.data.shape[0]))
+        y_prev = tokens[:, -1] if tokens.shape[1] else np.array([vocab.sos])
         log_probs, alpha, state = model.step(y_prev, state, audio, h_z, mask, bias_keys)
-        f_next, f_inc = zip(*(fusion_row(h.fusion_state) for h in live))
-        log_model = np.array([h.log_model for h in live])[:, None] + log_probs.data
-        log_fusion = np.array([h.log_fusion for h in live])[:, None] + np.array(f_inc)
-        total = log_model + cfg.lam * log_fusion
+        alphas.append(alpha.data)
+        f_next, f_inc = map(np.stack, zip(*(fusion_row(f) for f in f_state.tolist())))
+        step_model = log_model[:, None] + log_probs.data
+        step_fusion = log_fusion[:, None] + f_inc
+        total = step_model + cfg.lam * step_fusion
         # Reference order: -total, then the token sequence. Live sequences
         # have equal length, so that is the parent's rank, then the token.
         order = np.lexsort((
-            np.tile(np.arange(n_vocab), len(live)), np.repeat(lex_rank, n_vocab), -total.ravel()
+            np.tile(np.arange(n_vocab), len(tokens)), np.repeat(lex_rank, n_vocab), -total.ravel()
         ))
-        parents, tokens = np.divmod(order[: cfg.beam_width], n_vocab)
-        kept = [
-            Hypothesis(
-                parent=live[b],
-                token=v,
-                log_model=float(log_model[b, v]),
-                log_fusion=float(log_fusion[b, v]),
-                fusion_state=int(f_next[b][v]),
-                alpha=alpha.data[b],
-                finished=v == vocab.eos,
-            )
-            for b, v in zip(parents.tolist(), tokens.tolist())
-        ]
-        done.extend(h for h in kept if h.finished)
-        live = [h for h in kept if not h.finished]
-        if live:
-            keep = tokens != vocab.eos
-            parents, tokens = parents[keep], tokens[keep]
-            state = state.take(parents)
-            history = np.column_stack([history[parents], tokens])
-            lex_rank = np.argsort(np.lexsort((tokens, lex_rank[parents])))
+        parents, new = np.divmod(order[: cfg.beam_width], n_vocab)
+        tokens = np.column_stack([tokens[parents], new])
+        rows = np.column_stack([rows[parents], parents])
+        log_model, log_fusion = step_model[parents, new], step_fusion[parents, new]
+        f_state = f_next[parents, new]
+        ended = new == vocab.eos
+        done += [(tokens[b], rows[b], log_model[b], log_fusion[b]) for b in np.flatnonzero(ended)]
+        live = ~ended
+        tokens, rows, log_model, log_fusion, f_state, parents, new = (
+            a[live] for a in (tokens, rows, log_model, log_fusion, f_state, parents, new)
+        )
+        state = state.take(parents)
+        lex_rank = np.argsort(np.lexsort((new, lex_rank[parents])))
 
-    def tie_key(h: Hypothesis):
-        tokens = h.tokens
-        return (-h.total(cfg.lam), len(tokens), tokens)
+    def tie_key(h: tuple):
+        return (-(h[2] + cfg.lam * h[3]), len(h[0]), h[0].tolist())
 
-    pool = done if done else sorted(live, key=tie_key)[:1]
+    pool = done if done else sorted(zip(tokens, rows, log_model, log_fusion), key=tie_key)[:1]
     pool = sorted(pool, key=tie_key)[: cfg.n_best]
-    return [_to_result(h, cfg.lam, vocab) for h in pool]
+    return [_to_result(*h, alphas, cfg.lam, vocab) for h in pool]
 
 
 def embed_phrases(model: Recognizer, phrases: list[str]) -> tuple:
@@ -198,17 +165,17 @@ def _fusion_step(fusion, state: int, token: int, vocab) -> tuple[int, float]:
     return fusion.score_step(state, symbol)
 
 
-def _to_result(h: Hypothesis, lam: float, vocab) -> DecodeResult:
-    path = h.path()
-    raw = [vocab.symbols[p.token] for p in path if p.token != vocab.eos]
+def _to_result(tokens, rows, log_model, log_fusion, alphas, lam: float, vocab) -> DecodeResult:
+    """The result of one hypothesis; `alphas[s][rows[s]]` is its step-s attention."""
+    raw = [vocab.symbols[t] for t in tokens.tolist() if t != vocab.eos]
     stripped = [s for s in raw if s != BIAS_END]
     return DecodeResult(
         text=render(stripped),
         tokens=stripped,
-        total=h.total(lam),
-        log_model=h.log_model,
-        log_fusion=h.log_fusion,
-        finished=h.finished,
+        total=float(log_model + lam * log_fusion),
+        log_model=float(log_model),
+        log_fusion=float(log_fusion),
+        finished=bool(tokens[-1] == vocab.eos),
         raw_symbols=raw,
-        alphas=np.array([p.alpha for p in path]) if path else np.zeros((0, 1)),
+        alphas=np.array([alphas[s][b] for s, b in enumerate(rows.tolist())]),
     )

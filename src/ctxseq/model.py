@@ -82,14 +82,14 @@ class AudioCache:
     closed: Tensor | None  # None: every row reads every frame
 
 
-def _longest_first(layers: Sequence[T.LstmParams], lengths: Sequence[int], step_input) -> Tensor:
+def _longest_first(layers: Sequence[T.LstmParams], lengths: Sequence[int], step_input, read) -> Tensor:
     """Run the stacked LSTM `layers` over sequences of `lengths` steps in one
     pass.
 
     Steps are numbered sequence by sequence in input order, so step t of
     sequence i is position sum(lengths[:i]) + t. `step_input(at)` gives the
     (len(at), D) inputs at positions `at`; the result stacks the last
-    layer's output at every position in the same order. The sequences run
+    layer's output at positions `read`, in that order. The sequences run
     longest first: at step t the sequences longer than t are the leading rows
     of the batch and only they advance.
     """
@@ -110,7 +110,7 @@ def _longest_first(layers: Sequence[T.LstmParams], lengths: Sequence[int], step_
             h, c = T.lstm_cell(x, h, c, p)
             out.append(h)
         seq = out
-    return T.gather(T.stack(seq), np.argsort(np.concatenate(positions)))
+    return T.gather(T.stack(seq), np.argsort(np.concatenate(positions))[read])
 
 class Recognizer:
     """The full model: parameters, forward ops, and the training loss."""
@@ -179,7 +179,8 @@ class Recognizer:
             if x.shape[1] != self.config.feature_dim:
                 raise ValueError(f"feature dim {x.shape[1]} does not match config {self.config.feature_dim}")
         frames = np.concatenate(xs)
-        return _longest_first(self.encoder, [len(x) for x in xs], lambda at: T.constant(frames[at]))
+        every = np.arange(len(frames))
+        return _longest_first(self.encoder, [len(x) for x in xs], lambda at: T.constant(frames[at]), every)
 
     def precompute_audio(self, h_x: Tensor, lengths: Sequence[int] | None = None) -> AudioCache:
         """Key/value projections of the frames `h_x`; `lengths` gives the
@@ -229,8 +230,8 @@ class Recognizer:
         lengths = [len(p) for p in ids]
         flat = np.concatenate(ids)
         emb = self.params["embedding"]
-        steps = _longest_first([self.bias_encoder], lengths, lambda at: T.gather(emb, flat[at]))
-        return T.stack([self.params["no_bias"], T.gather(steps, np.cumsum(lengths) - 1)])
+        last = _longest_first([self.bias_encoder], lengths, lambda at: T.gather(emb, flat[at]), np.cumsum(lengths) - 1)
+        return T.stack([self.params["no_bias"], last])
 
     def bias_key_cache(self, h_z: Tensor) -> Tensor:
         return T.matmul(h_z, self.params["bias_attn.wh"])

@@ -1,3 +1,4 @@
+import json
 import math
 import shutil
 
@@ -215,6 +216,22 @@ class TestDecode:
         assert main(args + ["--out", str(out), flag]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+        assert not (out / "hypotheses.tsv").exists()
+
+    def test_manifest_prefix_count_mismatch_fails_cleanly(self, workspace, tmp_path, capsys):
+        # Zipping 1 prefix with several phrases used to decode with 1 phrase.
+        root, _ = workspace
+        record = json.loads((root / "corpus" / "test_biased.jsonl").read_text().splitlines()[0])
+        n = len(record["bias_phrases"])
+        assert n > 1
+        data = tmp_path / "m.jsonl"
+        data.write_text(json.dumps({**record, "bias_prefixes": [""]}) + "\n")
+        out = tmp_path / "dec"
+        args = ["decode", "--checkpoint", str(root / "ckpt"), "--data", str(data), "--conditioning", "manifest"]
+        assert main(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"line 1: field 'bias_prefixes' has length 1, field 'bias_phrases' length {n}" in err
         assert not (out / "hypotheses.tsv").exists()
 
     @staticmethod

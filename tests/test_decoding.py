@@ -1,10 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxseq import decoding
-from ctxseq.conditioning import BiasEntry, PrefixTable, plain_entries
+from ctxseq.cli import load_checkpoint
+from ctxseq.conditioning import BiasEntry, PrefixTable, plain_entries, split_rule_based
+from ctxseq.corpus import generate_corpus, read_manifest
 from ctxseq.decoding import DecodeConfig, beam_search, embed_phrases
 from ctxseq.fst import EVERY_SUBWORD, FusionScorer, compile_context
 from ctxseq.model import ModelConfig, Recognizer
@@ -283,6 +287,31 @@ class TestBatchedBeamMatchesReference:
         assert any(len({row.tobytes() for row in m}) > 1 for m in masks)
         want = reference_beam_search(model, audio, bias, cfg, prefixes=prefixes)
         assert_same_results(got, want, CONDITIONED)
+
+
+class TestRealSizeBeamMatchesReference:
+    """The committed benchmark checkpoint on two talk-to utterances, as the
+    talk-to benchmark decodes them: the 520-phrase list split into 940
+    conditioning entries (941 bias rows), every-subword fusion at lambda 1,
+    beam 8."""
+
+    CHECKPOINT = Path(__file__).resolve().parent.parent / "perfbench" / "checkpoint"
+
+    def test_equals_reference(self, tmp_path):
+        model, run_cfg = load_checkpoint(self.CHECKPOINT)
+        utts = read_manifest(generate_corpus(run_cfg.task(), tmp_path).manifests["test_talkto"])[:2]
+        phrases = utts[0].bias_phrases
+        entries = split_rule_based(phrases, trigger="talk to")
+        bias, prefixes = embed_phrases(model, [e.phrase for e in entries]), PrefixTable(entries)
+        assert bias[0].data.shape[0] == 941
+        fusion = FusionScorer(compile_context(phrases, model.vocab.graphemes, EVERY_SUBWORD, 1.0))
+        cfg = DecodeConfig(beam_width=8, max_len=run_cfg.decode().max_len, lam=1.0)
+        for u in utts:
+            assert u.bias_phrases == phrases
+            audio = model.precompute_audio(model.encode_audio([u.load_features()]))
+            got = beam_search(model, audio, bias, cfg, fusion=fusion, prefixes=prefixes)
+            want = reference_beam_search(model, audio, bias, cfg, fusion=fusion, prefixes=prefixes)
+            assert_same_results(got, want, entries)
 
 
 class TestTracingContract:

@@ -77,6 +77,7 @@ def test_load_context(data):
 @example(RECORD.replace(b'"a b"', b"5"))
 @example(RECORD.replace(b'"u1"', b"null"))
 @example(RECORD.replace(b'"bias_phrases"', b'"bias_prefixes"'))
+@example(RECORD.replace(b"}", b', "bias_prefixes": ["", "x"]}'))
 @example(b"[" * 100000 + b"\n")
 @SETTINGS
 def test_read_manifest(data):
@@ -86,6 +87,7 @@ def test_read_manifest(data):
             assert all(isinstance(v, str) for v in (u.id, u.features_path, u.transcript))
             assert all(isinstance(p, str) for p in u.bias_phrases)
             assert u.bias_prefixes is None or all(isinstance(p, str) for p in u.bias_prefixes)
+            assert u.bias_prefixes is None or len(u.bias_prefixes) == len(u.bias_phrases)
 
 
 @given(st.one_of(st.binary(max_size=64), spliced(CONFIG)))
