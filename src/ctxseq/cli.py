@@ -20,7 +20,7 @@ from .experiments import (
     distractor_sweep,
     strategy_comparison,
 )
-from .fst import FusionScorer, compile_context, load_context, save_context
+from .fst import STRATEGIES, FusionScorer, compile_context, load_context, save_context
 from .metrics import WerReport, compute_wer
 from .model import Recognizer
 from .tensor import load_tensors
@@ -64,17 +64,18 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    every = args.checkpoint_every
+    if every < 0:
+        raise ValueError(f"--checkpoint-every must be >= 0, got {every}")
     cfg = _load_config(args)
-    task = cfg.task()
     utts = read_manifest(args.data)
     if not utts:
         raise ValueError(f"no utterances in manifest {args.data}")
-    vocab = task.vocabulary()
-    model = Recognizer(cfg.model(task.feature_dim), vocab, seed=cfg.seed)
+    vocab = cfg.task().vocabulary()
+    model = Recognizer(cfg.model(), vocab, seed=cfg.seed)
     out = _outdir(args.out)
     cfg.save_resolved(out / "config.ini")
     vocab.save(out / "vocab.txt")
-    every = args.checkpoint_every
 
     def on_step(step: int, loss: float) -> None:
         if every and (step + 1) % every == 0:
@@ -99,16 +100,12 @@ def cmd_decode(args) -> int:
     utts = read_manifest(args.data)
     alphabet = model.vocab.graphemes
 
-    shared_fusion = None
-    if args.context:
-        shared_fusion = FusionScorer(load_context(args.context))
+    shared_fusion = FusionScorer(load_context(args.context)) if args.context else None
 
     def fusion_per_utt(u):
-        if shared_fusion is not None:
-            return shared_fusion
         if args.strategy and u.bias_phrases and not args.empty_bias:
             return FusionScorer(compile_context(u.bias_phrases, alphabet, args.strategy, args.bonus))
-        return None
+        return shared_fusion
 
     def phrases_fn(u):
         return [] if args.empty_bias else list(u.bias_phrases)
@@ -325,8 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--beam-width", type=int, default=None)
     d.add_argument("--max-len", type=int, default=None)
     d.add_argument("--empty-bias", action="store_true", help="decode with an empty phrase list")
-    d.add_argument("--context", help="compiled context file for shallow fusion")
-    d.add_argument("--strategy", help="compile per-utterance contexts with this strategy")
+    fusion = d.add_mutually_exclusive_group()
+    fusion.add_argument("--context", help="compiled context file for shallow fusion")
+    fusion.add_argument("--strategy", choices=STRATEGIES, help="compile per-utterance contexts with this strategy")
     d.add_argument("--bonus", type=float, default=1.0)
     d.add_argument("--conditioning", choices=["off", "manifest", "rule-based"], default="off")
     d.add_argument("--trigger", default="talk to")
@@ -342,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--phrases", required=True, help="text file, one phrase per line")
     c.add_argument("--checkpoint", help="take the alphabet from this checkpoint")
     c.add_argument("--alphabet", help="letters of the alphabet, e.g. abcde")
-    c.add_argument("--strategy", required=True)
+    c.add_argument("--strategy", required=True, choices=STRATEGIES)
     c.add_argument("--bonus", type=float, default=1.0)
     c.add_argument("--out", required=True)
     c.set_defaults(fn=cmd_compile_context)

@@ -75,27 +75,27 @@ class RunConfig:
     def seed(self) -> int:
         return _coerce(self.sections.get("run", {}).get("seed", "0"), int, "run", "seed")
 
-    def _build(self, section: str, **forced):
+    def _build(self, section: str, **from_task):
         cls = self._SECTIONS[section]
         hints = typing.get_type_hints(cls)
-        kwargs = dict(forced)
+        kwargs = dict(from_task)
         valid = {f.name for f in fields(cls)}
         for key, raw in self.sections.get(section, {}).items():
             if key not in valid:
                 raise ValueError(f"unknown key {key!r} in [{section}]")
-            if key not in kwargs:
-                kwargs[key] = _coerce(raw, hints[key], section, key)
-        if "seed" in valid and "seed" not in kwargs and "seed" not in self.sections.get(section, {}):
+            value = _coerce(raw, hints[key], section, key)
+            if key in kwargs and kwargs[key] != value:
+                raise ValueError(f"[{section}] {key} = {value} differs from the task's {kwargs[key]}")
+            kwargs[key] = value
+        if "seed" in valid and "seed" not in kwargs:
             kwargs["seed"] = self.seed
         return cls(**kwargs)
 
     def task(self) -> SyntheticTaskConfig:
         return self._build("task")
 
-    def model(self, feature_dim: int | None = None) -> ModelConfig:
-        if feature_dim is None:
-            feature_dim = self.task().feature_dim
-        return self._build("model", feature_dim=feature_dim)
+    def model(self) -> ModelConfig:
+        return self._build("model", feature_dim=self.task().feature_dim)
 
     def sampler(self) -> SamplerConfig:
         return self._build("sampler")

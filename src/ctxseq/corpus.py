@@ -42,6 +42,23 @@ class SyntheticTaskConfig:
     talkto_multiword_share: float = 0.1
     seed: int = 0
 
+    def __post_init__(self):
+        """Reject counts of distinct words and names that cannot exist: the generator draws until it has them."""
+        lo, hi = self.word_len_range
+        if not 1 <= lo <= hi:
+            raise ValueError(f"word_len_range must have 1 <= lo <= hi, got {self.word_len_range}")
+        pool, letters, words, n = self.lexicon_size + self.oov_lexicon_size, len(self.alphabet), 0, lo
+        while words < pool and n <= hi:  # summed only as far as needed: the full sum can be huge
+            words, n = words + letters**n, n + 1
+        if words < pool:
+            raise ValueError(f"lexicon_size + oov_lexicon_size = {pool} exceeds the {words} distinct words "
+                             f"of {letters} letters in word_len_range {self.word_len_range}")
+        # A name is one pool word or, at talkto_multiword_share, two different ones in order.
+        names = pool * (self.talkto_multiword_share < 1) + pool * (pool - 1) * (self.talkto_multiword_share > 0)
+        if self.talkto_names > names:
+            raise ValueError(f"talkto_names = {self.talkto_names} exceeds the {names} distinct names "
+                             f"{pool} words form at talkto_multiword_share {self.talkto_multiword_share}")
+
     @property
     def alphabet(self) -> str:
         """Letters used by the carriers come first, padded up to alphabet_size."""

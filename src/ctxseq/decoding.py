@@ -2,18 +2,20 @@
 
 The live hypotheses advance together, and each one is row b of a few arrays:
 its tokens, the row its ancestor had at every step, its model and fusion
-scores, its fusion state and the rank of its token sequence. The decoder
-states are stacked into (B, ·) rows the same way, and one `Recognizer.step`
-call scores the whole beam. The B×V candidate totals (model log-probability
-plus lambda-scaled fusion score) form one array; the `beam_width` best give
-the parent row and token of each kept candidate, and every array is gathered
-by parent. A hypothesis that emits end-of-sequence is copied out; its
-attention rows are read from the per-step attention arrays through its
-back-pointers. Under prefix conditioning every live hypothesis gets its own
-attention mask from its own partial string at every step; the caller
-compiles each distinct conditioning list once into a `PrefixTable`, so a
-mask costs one substring test per distinct prefix. `</bias>` may be emitted
-during search but is stripped from returned sequences.
+scores and its fusion state. The rows are kept in the lexicographic order of
+their token sequences. The decoder states are stacked into (B, ·) rows the
+same way, and one `Recognizer.step` call scores the whole beam. The B×V
+candidate totals (model log-probability plus lambda-scaled fusion score,
+whose increments are read from the scorer's table by fusion state) form one
+array; the `beam_width` best give the parent row and token of each kept
+candidate, and every array is gathered by parent. A hypothesis that emits
+end-of-sequence is copied out; its attention rows are read from the per-step
+attention arrays through its back-pointers. Under prefix conditioning every
+live hypothesis gets its own attention mask from its own partial string at
+every step; the caller compiles each distinct conditioning list once into a
+`PrefixTable`, so a mask costs one substring test per distinct prefix.
+`</bias>` may be emitted during search but is stripped from returned
+sequences.
 
 The (B, ·) rows are the only layout `Recognizer` steps take; the training
 loss makes the same call with one row per utterance of a minibatch.
@@ -27,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditioning import PrefixTable, compute_mask
-from .fst import FusionScorer
+from .fst import END_OF_WORD, FusionScorer, Wfst
 from .model import AudioCache, Recognizer
-from .vocab import BIAS_END, SOS, render
+from .vocab import BIAS_END, render
 
 
 @dataclass
@@ -85,25 +87,18 @@ def beam_search(
             f"the prefix table has {len(prefixes.group_of)} rows, the embedded list {h_z.data.shape[0]}"
         )
     n_vocab = len(vocab)
-    fusion_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    # Fusion reads the scorer's table by state; `<s>`, `</s>` and `</bias>`
+    # keep the state and `</s>` pays its refund. No scorer: an empty context.
+    fusion = fusion or FusionScorer(Wfst(meta={"strategy": END_OF_WORD}))
+    column = np.array([fusion.column.get(s, -1) for s in vocab.symbols])
+    keep = np.isin(np.arange(n_vocab), [vocab.sos, vocab.eos, vocab.bias_end])
 
-    def fusion_row(f_state: int) -> tuple[np.ndarray, np.ndarray]:
-        """Next fusion state and increment of every token from `f_state`."""
-        if f_state not in fusion_rows:
-            steps = [_fusion_step(fusion, f_state, v, vocab) for v in range(n_vocab)]
-            fusion_rows[f_state] = (
-                np.array([s for s, _ in steps]),
-                np.array([inc for _, inc in steps], dtype=np.float64),
-            )
-        return fusion_rows[f_state]
-
-    # Row b of each array is live hypothesis b; `rows[b, s]` is the row its
-    # ancestor had at step s, which indexes that step's attention array.
-    tokens = np.zeros((1, 0), dtype=np.intp)
-    rows = np.zeros((1, 0), dtype=np.intp)
+    # Row b of each array is live hypothesis b, and the rows are in the
+    # lexicographic order of their token sequences; `rows[b, s]` is the row
+    # its ancestor had at step s, which indexes that step's attention array.
+    tokens = rows = np.zeros((1, 0), dtype=np.intp)
     log_model, log_fusion = np.zeros(1), np.zeros(1)
-    f_state = np.array([fusion.start if fusion is not None else 0])
-    lex_rank = np.zeros(1, dtype=np.intp)  # rank of each live token sequence
+    f_state = np.array([fusion.start])
     symbols = np.array(vocab.symbols, dtype=object)
     state = model.initial_state(rows=1)
     alphas: list[np.ndarray] = []  # per step: (B, N+1) bias attention
@@ -117,52 +112,36 @@ def beam_search(
         y_prev = tokens[:, -1] if tokens.shape[1] else np.array([vocab.sos])
         log_probs, alpha, state = model.step(y_prev, state, audio, h_z, mask, bias_keys)
         alphas.append(alpha.data)
-        f_next, f_inc = map(np.stack, zip(*(fusion_row(f) for f in f_state.tolist())))
+        f_inc = np.where(keep, 0.0, fusion.inc[f_state[:, None], column])
+        f_inc[:, vocab.eos] = fusion.refund[f_state]
         step_model = log_model[:, None] + log_probs.data
         step_fusion = log_fusion[:, None] + f_inc
         total = step_model + cfg.lam * step_fusion
-        # Reference order: -total, then the token sequence. Live sequences
-        # have equal length, so that is the parent's rank, then the token.
-        order = np.lexsort((
-            np.tile(np.arange(n_vocab), len(tokens)), np.repeat(lex_rank, n_vocab), -total.ravel()
-        ))
-        parents, new = np.divmod(order[: cfg.beam_width], n_vocab)
+        # Rows in sequence order and of equal length make flat index order
+        # sequence order: a stable sort on -total gives the reference order,
+        # and survivors kept in flat-index order stay in sequence order.
+        kept = np.sort(np.argsort(-total.ravel(), kind="stable")[: cfg.beam_width])
+        parents, new = np.divmod(kept, n_vocab)
         tokens = np.column_stack([tokens[parents], new])
         rows = np.column_stack([rows[parents], parents])
         log_model, log_fusion = step_model[parents, new], step_fusion[parents, new]
-        f_state = f_next[parents, new]
-        ended = new == vocab.eos
-        done += [(tokens[b], rows[b], log_model[b], log_fusion[b]) for b in np.flatnonzero(ended)]
-        live = ~ended
-        tokens, rows, log_model, log_fusion, f_state, parents, new = (
-            a[live] for a in (tokens, rows, log_model, log_fusion, f_state, parents, new)
+        f_state = np.where(keep[new], f_state[parents], fusion.next[f_state[parents], column[new]])
+        live = new != vocab.eos
+        done += list(zip(tokens[~live], rows[~live], log_model[~live], log_fusion[~live]))
+        tokens, rows, log_model, log_fusion, f_state, parents = (
+            a[live] for a in (tokens, rows, log_model, log_fusion, f_state, parents)
         )
         state = state.take(parents)
-        lex_rank = np.argsort(np.lexsort((new, lex_rank[parents])))
 
-    def tie_key(h: tuple):
-        return (-(h[2] + cfg.lam * h[3]), len(h[0]), h[0].tolist())
-
-    pool = done if done else sorted(zip(tokens, rows, log_model, log_fusion), key=tie_key)[:1]
-    pool = sorted(pool, key=tie_key)[: cfg.n_best]
-    return [_to_result(*h, alphas, cfg.lam, vocab) for h in pool]
+    # `done` and the live rows are in (length, tokens) order: a stable sort on -total suffices.
+    pool = sorted(done or zip(tokens, rows, log_model, log_fusion), key=lambda h: -(h[2] + cfg.lam * h[3]))
+    return [_to_result(*h, alphas, cfg.lam, vocab) for h in pool[: cfg.n_best if done else 1]]
 
 
 def embed_phrases(model: Recognizer, phrases: list[str]) -> tuple:
     """Embed a phrase list once for reuse across utterances."""
     h_z = model.encode_bias(phrases)
     return h_z, model.bias_key_cache(h_z)
-
-
-def _fusion_step(fusion, state: int, token: int, vocab) -> tuple[int, float]:
-    if fusion is None:
-        return state, 0.0
-    symbol = vocab.symbols[token]
-    if token == vocab.eos:
-        return state, fusion.finish(state)
-    if symbol in (BIAS_END, SOS):
-        return state, 0.0
-    return fusion.score_step(state, symbol)
 
 
 def _to_result(tokens, rows, log_model, log_fusion, alphas, lam: float, vocab) -> DecodeResult:

@@ -17,9 +17,10 @@ weight-placement strategies is applied:
 
 Scoring walks the machine one grapheme at a time; a label with no matching
 arc takes the failure route (refund, then re-enter from the start with the
-same label so a new match can begin anywhere). Once some word completes
-inside a slot, deeper nested completions in the same slot add nothing, which
-keeps complete-match path totals identical across all three strategies.
+same label so a new match can begin anywhere), resolved once per state and
+label into the scorer's table. Once some word completes inside a slot,
+deeper nested completions in the same slot add nothing, which keeps
+complete-match path totals identical across all three strategies.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .vocab import SPACE, normalize
 
@@ -305,39 +308,39 @@ def apply_strategy(c: Wfst, strategy: str) -> Wfst:
 
 
 class FusionScorer:
-    """Immutable compiled context; per-hypothesis state is a plain int."""
+    """Immutable compiled context; per-hypothesis state is a plain int:
+    `label` takes state `s` to `next[s, j]` for the unscaled increment
+    `inc[s, j]`, failure route taken, where j is `column[label]` or -1 for a
+    label outside the machine; `refund[s]` is due when scoring ends in `s`."""
 
     def __init__(self, machine: Wfst):
         if "strategy" not in machine.meta:
             raise ValueError("scorer needs a strategy-applied context model")
         self.machine = machine
         self.start = machine.start
-        self._trans: list[dict[str, tuple[float, int]]] = [
-            {} for _ in range(machine.n_states)
-        ]
-        self._fail: list[tuple[float, int]] = [(0.0, machine.start)] * machine.n_states
+        self.column = {lab: j for j, lab in enumerate(sorted({a.ilabel for a in machine.arcs} - {FAIL}))}
+        self.refund = np.zeros(machine.n_states)
+        fail_to = np.full(machine.n_states, machine.start)
+        arc_to = np.full((machine.n_states, len(self.column) + 1), -1)
+        arc_inc = np.zeros(arc_to.shape)
         for a in machine.arcs:
             if a.ilabel == FAIL:
-                self._fail[a.src] = (a.weight, a.dst)
+                self.refund[a.src], fail_to[a.src] = a.weight, a.dst
             else:
-                self._trans[a.src][a.ilabel] = (a.weight, a.dst)
+                arc_to[a.src, self.column[a.ilabel]], arc_inc[a.src, self.column[a.ilabel]] = a.dst, a.weight
+        # The direct arc; else refund and retry from the failure destination; else the refund alone, bit for bit.
+        retry_to, retry_inc, refund = arc_to[fail_to], arc_inc[fail_to], self.refund[:, None]
+        self.next = np.where(arc_to >= 0, arc_to, np.where(retry_to >= 0, retry_to, fail_to[:, None]))
+        self.inc = np.where(arc_to >= 0, arc_inc, np.where(retry_to >= 0, refund + retry_inc, refund))
 
     def score_step(self, state: int, label: str) -> tuple[int, float]:
         """Advance on one grapheme; returns (new state, unscaled increment)."""
-        hit = self._trans[state].get(label)
-        if hit is not None:
-            w, dst = hit
-            return dst, w
-        refund, dst = self._fail[state]
-        retry = self._trans[dst].get(label)
-        if retry is not None:
-            w, dst2 = retry
-            return dst2, refund + w
-        return dst, refund
+        j = self.column.get(label, -1)
+        return int(self.next[state, j]), float(self.inc[state, j])
 
     def finish(self, state: int) -> float:
         """Refund due when scoring ends mid-word (end of utterance)."""
-        return self._fail[state][0]
+        return float(self.refund[state])
 
     def score_string(self, labels: Sequence[str]) -> tuple[float, list[float]]:
         state, total, incs = self.start, 0.0, []

@@ -5,8 +5,10 @@ enumeration, and direct string scanning. None of it shares code with the
 library paths it checks, except that the context-compiler reference reuses
 the library's minimization pass (it finds its own word-position facts by
 walking the determinized machine, where the library records them while it
-builds), and the per-utterance loss, per-hypothesis beam search and
-per-phrase bias encoder run the library's model ops on one row at a time.
+builds), the per-utterance loss, per-hypothesis beam search and
+per-phrase bias encoder run the library's model ops on one row at a time,
+and the beam and enumeration oracles score fusion through the library
+scorer's `score_step`/`finish`, whose table `reference_score_step` checks.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ import numpy as np
 
 from ctxseq import tensor as T
 from ctxseq.conditioning import compute_mask
-from ctxseq.decoding import DecodeResult, _fusion_step
+from ctxseq.decoding import DecodeResult
 from ctxseq.fst import EPS, FAIL, StateAnn, Wfst, _minimize
 from ctxseq.tensor import Tensor
-from ctxseq.vocab import BIAS_END, SPACE, graphemize, normalize, render
+from ctxseq.vocab import BIAS_END, EOS, SOS, SPACE, graphemize, normalize, render
 
 FD_STEP = 1e-5
 
@@ -160,6 +162,34 @@ def accepts(m: Wfst, labels) -> tuple[bool, float]:
     if state not in m.finals:
         return False, 0.0
     return True, total + m.finals[state]
+
+
+def reference_score_step(m: Wfst, state: int, label: str) -> tuple[int, float]:
+    """One grapheme of fusion scoring by walking `m.out`: the arc on `label`;
+    else the `<fail>` arc's refund (0 and the start state without one) and
+    the arc on `label` from its destination; else the refund alone."""
+    def arc(st, lab):
+        return next((a for a in m.out(st) if a.ilabel == lab), None)
+
+    hit = arc(state, label)
+    if hit is not None:
+        return hit.dst, hit.weight
+    fail = arc(state, FAIL)
+    refund, dst = (fail.weight, fail.dst) if fail is not None else (0.0, m.start)
+    retry = arc(dst, label)
+    if retry is not None:
+        return retry.dst, refund + retry.weight
+    return dst, refund
+
+
+def fusion_step(fusion, state: int, symbol: str) -> tuple[int, float]:
+    """One emitted symbol of beam-search fusion: `</s>` pays the refund,
+    `<s>` and `</bias>` score nothing, everything else is one `score_step`."""
+    if fusion is None or symbol in (SOS, BIAS_END):
+        return state, 0.0
+    if symbol == EOS:
+        return state, fusion.finish(state)
+    return fusion.score_step(state, symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -412,23 +442,13 @@ def enumerate_best(model, audio, phrases, max_len: int, lam: float, fusion=None)
         if best is None or entry < best:
             best = entry
 
-    def fusion_step(state, token):
-        if fusion is None:
-            return state, 0.0
-        sym = vocab.symbols[token]
-        if token == vocab.eos:
-            return state, fusion.finish(state)
-        if sym in ("<s>", "</bias>"):
-            return state, 0.0
-        return fusion.score_step(state, sym)
-
     def rec(tokens, state, fstate, log_model, log_fusion, y_prev):
         if len(tokens) == max_len:
             return
         log_probs, _, new_state = model.step([y_prev], state, audio, h_z, mask, keys)
         lp = log_probs.data[0]
         for v in range(len(vocab)):
-            f2, finc = fusion_step(fstate, v)
+            f2, finc = fusion_step(fusion, fstate, vocab.symbols[v])
             if v == vocab.eos:
                 consider(tokens + [v], log_model + lp[v], log_fusion + finc)
             else:
@@ -547,7 +567,7 @@ def reference_beam_search(model, audio, bias, cfg, fusion=None, prefixes=None):
             lp = log_probs.data[0]
             al = alpha.data[0]
             for v in range(len(vocab)):
-                f_state, f_inc = _fusion_step(fusion, h.fusion_state, v, vocab)
+                f_state, f_inc = fusion_step(fusion, h.fusion_state, vocab.symbols[v])
                 candidates.append(
                     _Hypothesis(
                         tokens=h.tokens + [v],

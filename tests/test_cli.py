@@ -117,6 +117,16 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
 
+    def test_negative_checkpoint_every_fails_cleanly(self, workspace, tmp_path, capsys):
+        # `(step + 1) % -1 == 0` used to save a checkpoint at every step.
+        root, cfg_path = workspace
+        out = tmp_path / "ckpt"
+        args = ["train", "--config", str(cfg_path), "--data", str(root / "corpus" / "train.jsonl")]
+        assert main(args + ["--out", str(out), "--checkpoint-every=-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--checkpoint-every must be >= 0, got -1" in err
+        assert not out.exists()
+
     def test_unreadable_data_fails(self, workspace, tmp_path, capsys):
         _, cfg_path = workspace
         rc = main(
@@ -217,6 +227,33 @@ class TestDecode:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert not (out / "hypotheses.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "manifest, extra",
+        [("test_biased", []), ("test_biased", ["--empty-bias"]), ("test_unbiased", [])],
+        ids=["biased", "empty-bias", "no-lists"],
+    )
+    def test_unknown_strategy_rejected(self, workspace, tmp_path, capsys, manifest, extra):
+        # It used to pass unchecked wherever no context was compiled.
+        root, _ = workspace
+        out = tmp_path / "dec"
+        args = ["decode", "--checkpoint", str(root / "ckpt"), "--data", str(root / "corpus" / f"{manifest}.jsonl")]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out", str(out), "--strategy", "bogus", *extra])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_context_and_strategy_exclusive(self, workspace, tmp_path, capsys):
+        # `--context` used to win silently.
+        root, _ = workspace
+        out = tmp_path / "dec"
+        args = ["decode", "--checkpoint", str(root / "ckpt"), "--data", str(root / "corpus" / "test_biased.jsonl")]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out", str(out), "--context", str(tmp_path / "ctx.txt"), "--strategy", "every-subword"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_manifest_prefix_count_mismatch_fails_cleanly(self, workspace, tmp_path, capsys):
         # Zipping 1 prefix with several phrases used to decode with 1 phrase.
@@ -408,6 +445,16 @@ class TestCompileContext:
         assert rc == 1
         assert "alphabet" in capsys.readouterr().err
 
+
+    def test_unknown_strategy_rejected(self, tmp_path, capsys):
+        phrases = tmp_path / "p.txt"
+        phrases.write_text("ab\n")
+        args = ["compile-context", "--phrases", str(phrases), "--alphabet", "ab", "--strategy", "bogus"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out", str(tmp_path / "c.txt")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "c.txt").exists()
 
     def test_grapheme_outside_alphabet_fails_cleanly(self, tmp_path, capsys):
         phrases = tmp_path / "p.txt"
@@ -601,6 +648,25 @@ class TestRunConfig:
         assert capsys.readouterr().err.startswith("error:")
         assert not (out / "config.ini").exists()
         assert not list(out.glob("*.jsonl")) and not (out / "feats").exists()
+
+    def test_model_feature_dim_must_match_task(self):
+        with pytest.raises(ValueError, match=r"\[model\] feature_dim = 99 differs from the task's 33"):
+            RunConfig({"model": {"feature_dim": "99"}}).model()
+        assert RunConfig({"model": {"feature_dim": "33"}}).model().feature_dim == 33
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [("word_len_range=1,1", "lexicon_size + oov_lexicon_size = 100 exceeds the 10 distinct words"),
+         ("talkto_names=100000", "talkto_names = 100000 exceeds the 10000 distinct names")],
+        ids=["words", "names"],
+    )
+    def test_undrawable_corpus_fails_cleanly(self, tmp_path, capsys, setting, message):
+        # The generator used to draw forever.
+        out = tmp_path / "corpus"
+        assert main(["generate", "--out", str(out), f"--set=task.{setting}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not list(out.glob("*.jsonl"))
 
     def test_unknown_key_rejected(self):
         cfg = RunConfig({"task": {"bogus": "1"}})

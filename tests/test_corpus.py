@@ -29,6 +29,34 @@ SMALL = SyntheticTaskConfig(
 )
 
 
+class TestTaskConfigValidation:
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(word_len_range=(0, 3)), r"word_len_range must have 1 <= lo <= hi, got \(0, 3\)"),
+            (dict(word_len_range=(4, 3)), r"word_len_range must have 1 <= lo <= hi, got \(4, 3\)"),
+            (dict(word_len_range=(1, 1)), "lexicon_size [+] oov_lexicon_size = 22 exceeds the 8 distinct words"),
+            (dict(alphabet_size=2, carriers=("{phrase}",), word_len_range=(2, 3)), "= 22 exceeds the 12 distinct words of 2 letters"),
+            (dict(talkto_names=485), "talkto_names = 485 exceeds the 484 distinct names"),
+            (dict(talkto_names=23, talkto_multiword_share=0.0), "talkto_names = 23 exceeds the 22 distinct names"),
+            (dict(talkto_names=463, talkto_multiword_share=1.0), "talkto_names = 463 exceeds the 462 distinct names"),
+        ],
+        ids=["lo-zero", "lo-above-hi", "words-1-1", "words-2-3", "names", "names-single", "names-pairs"],
+    )
+    def test_undrawable_corpus_rejected(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            replace(SMALL, **change)
+
+    @pytest.mark.parametrize(
+        "change",
+        [dict(alphabet_size=2, carriers=("{phrase}",), word_len_range=(2, 4), lexicon_size=18, oov_lexicon_size=10),
+         dict(talkto_names=484), dict(talkto_names=22, talkto_multiword_share=0.0),
+         dict(talkto_names=462, talkto_multiword_share=1.0)],
+    )
+    def test_exactly_drawable_corpus_accepted(self, change):
+        replace(SMALL, **change)
+
+
 class TestStacking:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 9])
     def test_frame_counts(self, k):

@@ -12,7 +12,7 @@ from ctxseq.corpus import generate_corpus, read_manifest
 from ctxseq.decoding import DecodeConfig, beam_search, embed_phrases
 from ctxseq.fst import EVERY_SUBWORD, FusionScorer, compile_context
 from ctxseq.model import ModelConfig, Recognizer
-from ctxseq.vocab import BIAS_END, SPACE, Vocabulary
+from ctxseq.vocab import BIAS_END, EOS, SPACE, Vocabulary
 
 from oracles import enumerate_best, reference_beam_search, reference_compute_mask
 
@@ -134,6 +134,33 @@ class TestBeamBasics:
         a = decode(model, x, ["ab"], cfg)[0]
         b = decode(model, x, ["ab"], cfg)[0]
         assert a.tokens == b.tokens and a.total == b.total
+
+
+class TestFusionByState:
+    def test_bias_end_keeps_the_fusion_state(self, monkeypatch):
+        # A scripted model whose best sequence puts `</bias>` inside the fused
+        # word "abc": the marker neither moves the fusion state nor pays its
+        # refund, so the word collects its whole bonus.
+        model = tiny_model(seed=3, alphabet="abc")
+        v = model.vocab
+        script = {v.sos: "a", v.index("a"): BIAS_END, v.bias_end: "b", v.index("b"): "c", v.index("c"): EOS}
+        table = np.full((len(v), len(v)), -5.0)
+        for prev, nxt in script.items():
+            table[prev, v.index(nxt)] = -0.1
+        step = model.step
+
+        def scripted_step(y_prev, *args):
+            log_probs, alpha, state = step(y_prev, *args)
+            log_probs.data[...] = table[np.asarray(y_prev)]
+            return log_probs, alpha, state
+
+        monkeypatch.setattr(model, "step", scripted_step)
+        fusion = FusionScorer(compile_context(["abc", "cab"], [SPACE, "a", "b", "c"], EVERY_SUBWORD, 3.0))
+        cfg = DecodeConfig(beam_width=4, max_len=6, lam=1.0, n_best=4)
+        audio, bias, _ = prepare(model, random_input(5, frames=4), ["abc"])
+        got = beam_search(model, audio, bias, cfg, fusion=fusion)
+        assert got[0].raw_symbols == ["a", BIAS_END, "b", "c"] and got[0].log_fusion == 3.0
+        assert_same_results(got, reference_beam_search(model, audio, bias, cfg, fusion=fusion))
 
 
 class TestMonotoneBeam:

@@ -13,6 +13,7 @@ from ctxseq.fst import (
     BEGINNING_OF_WORD,
     END_OF_WORD,
     EVERY_SUBWORD,
+    FAIL,
     STRATEGIES,
     FusionScorer,
     apply_strategy,
@@ -33,6 +34,7 @@ from oracles import (
     fusion_events,
     grammar_accepts,
     reference_compose_det_min,
+    reference_score_step,
 )
 
 AB_ALPHABET = [SPACE, "a", "b"]
@@ -428,6 +430,48 @@ class TestSerialization:
         for _ in range(100):
             labels = [AB_ALPHABET[i] for i in rng.integers(0, 3, size=rng.integers(0, 10))]
             assert mem.score_string(labels) == loaded.score_string(labels)
+
+
+def assert_table_matches_reference(m):
+    """Every entry of the scorer's table, bit for bit, against a walk of the
+    machine; the last column is read through a label outside the alphabet."""
+    scorer = FusionScorer(m)
+    for state in range(m.n_states):
+        for label in m.meta["alphabet"] + ["z"]:
+            j = scorer.column.get(label, -1)
+            dst, inc = reference_score_step(m, state, label)
+            got = (int(scorer.next[state, j]), repr(float(scorer.inc[state, j])))
+            assert got == (dst, repr(inc)), (state, label)
+        # The refund is what a label that no arc takes pays.
+        assert repr(float(scorer.refund[state])) == repr(reference_score_step(m, state, "z")[1])
+
+
+def load_lines(lines):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "ctx.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return load_context(path)
+
+
+class TestCompiledTable:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_abc_phrases, min_size=1, max_size=5), st.sampled_from(STRATEGIES), st.data())
+    def test_equals_reference_walk(self, phrases, strategy, data):
+        m = compile_context(phrases, [SPACE, "a", "b", "c"], strategy, 1.5)
+        assert_table_matches_reference(m)
+        # The same machine loaded from a file, with some non-start states'
+        # `<fail>` arcs left out (a failing label retries from the start) and
+        # some led to other states than the start.
+        lines = context_bytes(m).decode("utf-8").splitlines()
+        fails = [i for i, ln in enumerate(lines) if ln.split(" ")[1:2] == [FAIL]]
+        dropped = data.draw(st.sets(st.sampled_from(fails), min_size=1))
+        for i in data.draw(st.sets(st.sampled_from(fails))) - dropped:
+            fields = lines[i].split(" ")
+            lines[i] = " ".join(fields[:4] + [str(data.draw(st.integers(0, m.n_states - 1)))])
+        assert_table_matches_reference(load_lines([ln for i, ln in enumerate(lines) if i not in dropped]))
+
+    def test_loaded_context_without_fail_arcs(self):
+        assert_table_matches_reference(load_lines(TWO_STATE_CONTEXT))
 
 
 class TestLoadContextValidation:
