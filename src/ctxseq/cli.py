@@ -12,12 +12,13 @@ from pathlib import Path
 
 from .conditioning import BiasEntry, split_rule_based
 from .config import RunConfig, _coerce
-from .corpus import generate_corpus, read_manifest
+from .corpus import Utterance, generate_corpus, read_manifest
 from .experiments import (
     attention_hit_rate,
     conditioning_comparison,
     decode_corpus,
     distractor_sweep,
+    per_bias_list,
     strategy_comparison,
 )
 from .fst import STRATEGIES, FusionScorer, compile_context, load_context, save_context
@@ -44,6 +45,14 @@ def load_checkpoint(path) -> tuple[Recognizer, RunConfig]:
     return model, cfg
 
 
+def _read_utterances(path) -> list[Utterance]:
+    """`read_manifest`, raising ValueError for a manifest with no utterances."""
+    utts = read_manifest(path)
+    if not utts:
+        raise ValueError(f"no utterances in manifest {path}")
+    return utts
+
+
 def _outdir(path) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
@@ -68,9 +77,7 @@ def cmd_train(args) -> int:
     if every < 0:
         raise ValueError(f"--checkpoint-every must be >= 0, got {every}")
     cfg = _load_config(args)
-    utts = read_manifest(args.data)
-    if not utts:
-        raise ValueError(f"no utterances in manifest {args.data}")
+    utts = _read_utterances(args.data)
     vocab = cfg.task().vocabulary()
     model = Recognizer(cfg.model(), vocab, seed=cfg.seed)
     out = _outdir(args.out)
@@ -101,10 +108,14 @@ def cmd_decode(args) -> int:
     alphabet = model.vocab.graphemes
 
     shared_fusion = FusionScorer(load_context(args.context)) if args.context else None
+    compiled = per_bias_list(
+        lambda phrases: FusionScorer(compile_context(phrases, alphabet, args.strategy, args.bonus))
+    )
+    rule_based = per_bias_list(lambda phrases: split_rule_based(phrases, trigger=args.trigger))
 
     def fusion_per_utt(u):
         if args.strategy and u.bias_phrases and not args.empty_bias:
-            return FusionScorer(compile_context(u.bias_phrases, alphabet, args.strategy, args.bonus))
+            return compiled(u)
         return shared_fusion
 
     def phrases_fn(u):
@@ -117,7 +128,7 @@ def cmd_decode(args) -> int:
             if u.bias_prefixes is None:
                 raise ValueError(f"utterance {u.id} has no bias_prefixes in the manifest")
             return [BiasEntry(p, z) for p, z in zip(u.bias_prefixes, u.bias_phrases)]
-        return split_rule_based(u.bias_phrases, trigger=args.trigger)
+        return rule_based(u)
 
     out = _outdir(args.out)
     cfg.save_resolved(out / "config.ini")
@@ -137,7 +148,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    utts = {u.id: u for u in read_manifest(args.data)}
+    utts = {u.id: u for u in _read_utterances(args.data)}
     total = WerReport(0, 0, 0, 0)
     lines = []
     scored: set[str] = set()
@@ -254,7 +265,7 @@ def cmd_sweep(args) -> int:
 
     def inputs(section: str):
         model, cfg = load_checkpoint(value(section, "checkpoint"))
-        return model, cfg, read_manifest(value(section, "manifest"))
+        return model, cfg, _read_utterances(value(section, "manifest"))
 
     def report(name: str, rows) -> None:
         with open(out / name, "w", encoding="utf-8") as f:

@@ -43,11 +43,26 @@ class SyntheticTaskConfig:
     seed: int = 0
 
     def __post_init__(self):
-        """Reject counts of distinct words and names that cannot exist: the generator draws until it has them."""
+        """Work out the alphabet, and reject a corpus that cannot be drawn: a
+        range without 1 <= lo <= hi, or more distinct words or names than
+        exist, since the generator draws until it has them."""
+        if not 1 <= self.alphabet_size <= 26:
+            raise ValueError("alphabet_size must be in [1, 26]")
+        carrier_letters = sorted({ch for c in self.carriers for ch in c.replace("{phrase}", "") if ch != " "})
+        if len(carrier_letters) > self.alphabet_size:
+            raise ValueError(
+                f"alphabet_size {self.alphabet_size} cannot cover the carrier letters "
+                f"{''.join(carrier_letters)}"
+            )
+        filler = [ch for ch in string.ascii_lowercase if ch not in carrier_letters]
+        # Letters used by the carriers come first, padded up to alphabet_size.
+        self.alphabet = "".join(carrier_letters + filler[: self.alphabet_size - len(carrier_letters)])
+        ranges = {"word_len_range": self.word_len_range, "frames_per_grapheme": self.frames_per_grapheme}
+        for name, (lo, hi) in ranges.items():
+            if not 1 <= lo <= hi:
+                raise ValueError(f"{name} must have 1 <= lo <= hi, got {(lo, hi)}")
         lo, hi = self.word_len_range
-        if not 1 <= lo <= hi:
-            raise ValueError(f"word_len_range must have 1 <= lo <= hi, got {self.word_len_range}")
-        pool, letters, words, n = self.lexicon_size + self.oov_lexicon_size, len(self.alphabet), 0, lo
+        pool, letters, words, n = self.lexicon_size + self.oov_lexicon_size, self.alphabet_size, 0, lo
         while words < pool and n <= hi:  # summed only as far as needed: the full sum can be huge
             words, n = words + letters**n, n + 1
         if words < pool:
@@ -60,22 +75,6 @@ class SyntheticTaskConfig:
                              f"{pool} words form at talkto_multiword_share {self.talkto_multiword_share}")
 
     @property
-    def alphabet(self) -> str:
-        """Letters used by the carriers come first, padded up to alphabet_size."""
-        if not 1 <= self.alphabet_size <= 26:
-            raise ValueError("alphabet_size must be in [1, 26]")
-        carrier_letters = sorted(
-            {ch for c in self.carriers for ch in c.replace("{phrase}", "") if ch != " "}
-        )
-        if len(carrier_letters) > self.alphabet_size:
-            raise ValueError(
-                f"alphabet_size {self.alphabet_size} cannot cover the carrier letters "
-                f"{''.join(carrier_letters)}"
-            )
-        filler = [ch for ch in string.ascii_lowercase if ch not in carrier_letters]
-        return "".join(carrier_letters + filler[: self.alphabet_size - len(carrier_letters)])
-
-    @property
     def raw_feature_dim(self) -> int:
         return self.alphabet_size + 1  # letters plus the space grapheme
 
@@ -84,7 +83,7 @@ class SyntheticTaskConfig:
         return STACK * self.raw_feature_dim  # after frame stacking
 
     def vocabulary(self) -> Vocabulary:
-        return Vocabulary.from_alphabet(list(self.alphabet))
+        return Vocabulary.from_alphabet(self.alphabet)
 
 
 @dataclass
@@ -116,17 +115,14 @@ def make_features(
     transcript: str, cfg: SyntheticTaskConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """One-hot-plus-noise frames for each grapheme, then the stacking pipeline."""
-    graphemes = [SPACE] + list(cfg.alphabet)
-    index = {g: i for i, g in enumerate(graphemes)}
+    eye = np.eye(cfg.raw_feature_dim)
+    index = {g: i for i, g in enumerate([SPACE, *cfg.alphabet])}
     lo, hi = cfg.frames_per_grapheme
-    rows = []
+    blocks = []
     for tok in graphemize(transcript):
         n = int(rng.integers(lo, hi + 1))
-        for _ in range(n):
-            frame = np.zeros(cfg.raw_feature_dim)
-            frame[index[tok]] = 1.0
-            rows.append(frame + rng.normal(0.0, cfg.noise_std, cfg.raw_feature_dim))
-    return stack_frames(np.array(rows))
+        blocks.append(eye[index[tok]] + rng.normal(0.0, cfg.noise_std, (n, cfg.raw_feature_dim)))
+    return stack_frames(np.concatenate(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +132,10 @@ def make_features(
 def _make_words(rng: np.random.Generator, cfg: SyntheticTaskConfig, count: int, taken: set[str]) -> list[str]:
     words = []
     lo, hi = cfg.word_len_range
+    letters = list(cfg.alphabet)
     while len(words) < count:
         n = int(rng.integers(lo, hi + 1))
-        w = "".join(rng.choice(list(cfg.alphabet)) for _ in range(n))
+        w = "".join(rng.choice(letters) for _ in range(n))
         if w not in taken:
             taken.add(w)
             words.append(w)
@@ -183,23 +180,13 @@ def generate_corpus(cfg: SyntheticTaskConfig, outdir) -> Corpus:
     (outdir / "lexicon.txt").write_text("\n".join(lexicon) + "\n")
     (outdir / "oov_lexicon.txt").write_text("\n".join(oov) + "\n")
 
-    manifests = {}
-
-    def emit(name: str, utts: list[Utterance]) -> None:
-        path = outdir / f"{name}.jsonl"
-        write_manifest(path, utts)
-        manifests[name] = str(path)
-
     def build(name: str, count: int, pool: list[str], biased: bool) -> list[Utterance]:
         rng = substream(cfg.seed, f"corpus/{name}")
         utts = []
         for i in range(count):
             phrase = _sample_phrase(rng, cfg, pool)
             transcript = _make_transcript(rng, cfg, lexicon, phrase)
-            feats = make_features(transcript, cfg, rng)
-            fpath = outdir / "feats" / f"{name}_{i:05d}.bin"
-            save_tensors(fpath, {"features": feats})
-            bias: list[str] = []
+            utt = _write_utterance(outdir, f"{name}_{i:05d}", transcript, cfg, rng)
             if biased:
                 distractor_pool = [w for w in oov if w not in phrase.split()]
                 picks = rng.choice(
@@ -207,24 +194,31 @@ def generate_corpus(cfg: SyntheticTaskConfig, outdir) -> Corpus:
                     size=min(cfg.distractors_per_utterance, len(distractor_pool)),
                     replace=False,
                 )
-                bias = [phrase] + [distractor_pool[j] for j in picks]
-            utts.append(
-                Utterance(
-                    id=f"{name}_{i:05d}",
-                    features_path=str(fpath),
-                    transcript=transcript,
-                    bias_phrases=bias,
-                )
-            )
+                utt.bias_phrases = [phrase] + [distractor_pool[j] for j in picks]
+            utts.append(utt)
         return utts
 
-    emit("train", build("train", cfg.n_train, lexicon, biased=False))
-    emit("dev", build("dev", cfg.n_dev, lexicon, biased=False))
-    emit("test_unbiased", build("test_unbiased", cfg.n_test, lexicon, biased=False))
-    emit("test_biased", build("test_biased", cfg.n_test, oov, biased=True))
-    emit("test_talkto", _build_talkto(cfg, outdir, lexicon, oov))
-
+    sets = {
+        "train": build("train", cfg.n_train, lexicon, biased=False),
+        "dev": build("dev", cfg.n_dev, lexicon, biased=False),
+        "test_unbiased": build("test_unbiased", cfg.n_test, lexicon, biased=False),
+        "test_biased": build("test_biased", cfg.n_test, oov, biased=True),
+        "test_talkto": _build_talkto(cfg, outdir, lexicon, oov),
+    }
+    manifests = {name: str(outdir / f"{name}.jsonl") for name in sets}
+    for name, utts in sets.items():
+        write_manifest(manifests[name], utts)
     return Corpus(config=cfg, lexicon=lexicon, oov_lexicon=oov, manifests=manifests)
+
+
+def _write_utterance(
+    outdir: Path, uid: str, transcript: str, cfg: SyntheticTaskConfig, rng: np.random.Generator
+) -> Utterance:
+    """Draw the features of `transcript`, write them to `feats/<uid>.bin`, and
+    return the utterance with an empty bias list."""
+    fpath = outdir / "feats" / f"{uid}.bin"
+    save_tensors(fpath, {"features": make_features(transcript, cfg, rng)})
+    return Utterance(id=uid, features_path=str(fpath), transcript=transcript)
 
 
 def _build_talkto(cfg: SyntheticTaskConfig, outdir: Path, lexicon: list[str], oov: list[str]) -> list[Utterance]:
@@ -245,18 +239,9 @@ def _build_talkto(cfg: SyntheticTaskConfig, outdir: Path, lexicon: list[str], oo
     utts = []
     for i in range(cfg.talkto_utterances):
         name = names[int(rng.integers(0, len(names)))]
-        transcript = normalize(f"talk to {name}")
-        feats = make_features(transcript, cfg, rng)
-        fpath = outdir / "feats" / f"talkto_{i:05d}.bin"
-        save_tensors(fpath, {"features": feats})
-        utts.append(
-            Utterance(
-                id=f"talkto_{i:05d}",
-                features_path=str(fpath),
-                transcript=transcript,
-                bias_phrases=list(phrases),
-            )
-        )
+        utt = _write_utterance(outdir, f"talkto_{i:05d}", normalize(f"talk to {name}"), cfg, rng)
+        utt.bias_phrases = phrases
+        utts.append(utt)
     return utts
 
 

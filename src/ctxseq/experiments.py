@@ -3,6 +3,8 @@ conditioning rescue, and attention hit rate."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .conditioning import BiasEntry, PrefixTable, split_rule_based
@@ -54,6 +56,19 @@ def decode_corpus(
         scorer = fusion_per_utt(u) if fusion_per_utt is not None else None
         out.append(beam_search(model, cache, embeddings[key], cfg, fusion=scorer, prefixes=prefixes)[0])
     return out
+
+
+def per_bias_list(fn):
+    """`utt -> fn(utt.bias_phrases)`, called once per distinct phrase list."""
+    cache: dict[tuple[str, ...], object] = {}
+
+    def lookup(u: Utterance):
+        key = tuple(u.bias_phrases)
+        if key not in cache:
+            cache[key] = fn(u.bias_phrases)
+        return cache[key]
+
+    return lookup
 
 
 def eval_wer(results: list[DecodeResult], utts: list[Utterance]) -> WerReport:
@@ -143,22 +158,22 @@ def strategy_comparison(
     bonus: float = 1.0,
 ) -> dict[str, tuple[float, float]]:
     """Per strategy, the best (lambda, WER) over the grid, fusing each
-    utterance's own bias list over the plain model."""
+    utterance's own bias list over the plain model. Every strategy compiles
+    each distinct list once, before any decode."""
     audio = prepare_audio(model, utts)
-    compiled: dict[str, list[FusionScorer]] = {}
-    for strat in strategies:
-        compiled[strat] = [
-            FusionScorer(compile_context(u.bias_phrases, model.vocab.graphemes, strat, bonus))
-            for u in utts
-        ]
+    lists = {tuple(u.bias_phrases): u.bias_phrases for u in utts}
+    compiled = {
+        strat: {key: FusionScorer(compile_context(phrases, model.vocab.graphemes, strat, bonus))
+                for key, phrases in lists.items()}
+        for strat in strategies
+    }
     table = {}
     for strat in strategies:
         best = None
         for lam in lams:
-            lam_cfg = DecodeConfig(cfg.beam_width, cfg.max_len, lam, cfg.n_best)
-            scorers = iter(compiled[strat])
             results = decode_corpus(
-                model, utts, lam_cfg, fusion_per_utt=lambda u, it=scorers: next(it), audio=audio
+                model, utts, replace(cfg, lam=lam), audio=audio,
+                fusion_per_utt=lambda u, scorers=compiled[strat]: scorers[tuple(u.bias_phrases)],
             )
             wer = eval_wer(results, utts).wer
             if best is None or wer < best[1]:
@@ -176,14 +191,7 @@ def conditioning_comparison(
     """Unconditioned vs rule-based-conditioned WER on a trigger-led set."""
     audio = prepare_audio(model, utts)
     plain = decode_corpus(model, utts, cfg, audio=audio)
-    entry_cache: dict[tuple[str, ...], list[BiasEntry]] = {}
-
-    def entries_fn(u: Utterance) -> list[BiasEntry]:
-        key = tuple(u.bias_phrases)
-        if key not in entry_cache:
-            entry_cache[key] = split_rule_based(u.bias_phrases, trigger=trigger)
-        return entry_cache[key]
-
+    entries_fn = per_bias_list(lambda phrases: split_rule_based(phrases, trigger=trigger))
     conditioned = decode_corpus(model, utts, cfg, entries_fn=entries_fn, audio=audio)
     return {
         "unconditioned": eval_wer(plain, utts).wer,

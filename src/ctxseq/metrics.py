@@ -19,6 +19,9 @@ class WerReport:
 
     @property
     def wer(self) -> float:
+        """Errors per reference word; raises ValueError when there are none."""
+        if not self.ref_words:
+            raise ValueError("WER is undefined over zero reference words")
         return self.errors / self.ref_words
 
     def __add__(self, other: "WerReport") -> "WerReport":

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -434,17 +434,17 @@ def lstm_cell(
 # optimizer
 
 
-@dataclass
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+CLIP_NORM = 5.0  # the global gradient norm is scaled down to at most this
+
+
 class Adam:
-    params: dict[str, Tensor]
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clip_norm: float = 5.0
-    _step: int = 0
-    _m: dict[str, np.ndarray] = field(default_factory=dict)
-    _v: dict[str, np.ndarray] = field(default_factory=dict)
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
+        self.params = params
+        self.lr = lr
+        self._step = 0
+        self._m = {name: np.zeros_like(t.data) for name, t in params.items()}
+        self._v = {name: np.zeros_like(t.data) for name, t in params.items()}
 
     def zero_grad(self) -> None:
         for t in self.params.values():
@@ -452,19 +452,18 @@ class Adam:
 
     def step(self) -> None:
         norm = np.sqrt(sum(float((t.grad**2).sum()) for t in self.params.values()))
-        factor = self.clip_norm / norm if norm > self.clip_norm else 1.0
+        factor = CLIP_NORM / norm if norm > CLIP_NORM else 1.0
         self._step += 1
-        b1t = 1.0 - self.beta1**self._step
-        b2t = 1.0 - self.beta2**self._step
+        b1t = 1.0 - BETA1**self._step
+        b2t = 1.0 - BETA2**self._step
         for name, t in self.params.items():
             g = t.grad * factor
-            m = self._m.setdefault(name, np.zeros_like(t.data))
-            v = self._v.setdefault(name, np.zeros_like(t.data))
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            t.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m, v = self._m[name], self._v[name]
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            t.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -402,6 +402,17 @@ class TestEval:
         assert err.rstrip().endswith(f"the first being {utts[0].id}")
         assert not (tmp_path / "eval").exists()
 
+    def test_empty_manifest_fails_cleanly(self, tmp_path, capsys):
+        # Zero reference words used to end in a ZeroDivisionError after the
+        # report's header line was written.
+        manifest, hyp = tmp_path / "empty.jsonl", tmp_path / "empty.tsv"
+        manifest.write_text("")
+        hyp.write_text("")
+        assert main(["eval", "--hyp", str(hyp), "--data", str(manifest), "--out", str(tmp_path / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"no utterances in manifest {manifest}" in err
+        assert not (tmp_path / "eval" / "wer_report.tsv").exists()
+
 
 class TestCompileContext:
     def test_round_trip_and_scores(self, workspace, tmp_path):
@@ -502,6 +513,28 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "section, keys, report",
+        [
+            ("distractors", "counts = 0\n", "distractor_curve.tsv"),
+            ("strategies", "strategies = end-of-word\nlams = 0\n", "strategy_table.tsv"),
+            ("conditioning", "", "conditioning.tsv"),
+            ("attention", "", "attention.tsv"),
+        ],
+        ids=["distractors", "strategies", "conditioning", "attention"],
+    )
+    def test_empty_manifest_fails_cleanly(self, workspace, tmp_path, capsys, section, keys, report):
+        root, _ = workspace
+        manifest = tmp_path / "empty.jsonl"
+        manifest.write_text("")
+        spec = tmp_path / "spec.ini"
+        spec.write_text(f"[{section}]\ncheckpoint = {root / 'ckpt'}\nmanifest = {manifest}\n{keys}")
+        out = tmp_path / "report"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"no utterances in manifest {manifest}" in err
+        assert not (out / report).exists()
 
     def test_all_four_experiments(self, workspace, tmp_path):
         root, _ = workspace

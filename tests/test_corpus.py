@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -27,6 +28,10 @@ SMALL = SyntheticTaskConfig(
     distractors_per_utterance=3,
     seed=13,
 )
+# sha256 of the SMALL corpus: every file's path relative to the output
+# directory and its bytes, in path order, with the output directory in the
+# manifests replaced by "@".
+PINNED_CORPUS_SHA256 = "250333a64837e87ccba6cf61fc53d257edd3e325ffae16c16bc1a2cc7ecd49d4"
 
 
 class TestTaskConfigValidation:
@@ -35,13 +40,15 @@ class TestTaskConfigValidation:
         [
             (dict(word_len_range=(0, 3)), r"word_len_range must have 1 <= lo <= hi, got \(0, 3\)"),
             (dict(word_len_range=(4, 3)), r"word_len_range must have 1 <= lo <= hi, got \(4, 3\)"),
+            (dict(frames_per_grapheme=(0, 2)), r"frames_per_grapheme must have 1 <= lo <= hi, got \(0, 2\)"),
+            (dict(frames_per_grapheme=(3, 2)), r"frames_per_grapheme must have 1 <= lo <= hi, got \(3, 2\)"),
             (dict(word_len_range=(1, 1)), "lexicon_size [+] oov_lexicon_size = 22 exceeds the 8 distinct words"),
             (dict(alphabet_size=2, carriers=("{phrase}",), word_len_range=(2, 3)), "= 22 exceeds the 12 distinct words of 2 letters"),
             (dict(talkto_names=485), "talkto_names = 485 exceeds the 484 distinct names"),
             (dict(talkto_names=23, talkto_multiword_share=0.0), "talkto_names = 23 exceeds the 22 distinct names"),
             (dict(talkto_names=463, talkto_multiword_share=1.0), "talkto_names = 463 exceeds the 462 distinct names"),
         ],
-        ids=["lo-zero", "lo-above-hi", "words-1-1", "words-2-3", "names", "names-single", "names-pairs"],
+        ids=["lo-zero", "lo-above-hi", "frames-zero", "frames-lo-above-hi", "words-1-1", "words-2-3", "names", "names-single", "names-pairs"],
     )
     def test_undrawable_corpus_rejected(self, change, message):
         with pytest.raises(ValueError, match=message):
@@ -143,6 +150,18 @@ class TestGenerateCorpus:
         assert [p.name for p in f1] == [p.name for p in f2]
         for p1, p2 in zip(f1, f2):
             assert p1.read_bytes() == p2.read_bytes()
+
+    def test_corpus_bytes_are_pinned(self, tmp_path):
+        # The seeded substreams and the order of draws within each fix these
+        # bytes: manifests, lexicon files and feature files alike.
+        generate_corpus(SMALL, tmp_path)
+        digest = hashlib.sha256()
+        for p in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+            data = p.read_bytes()
+            if p.suffix == ".jsonl":
+                data = data.replace(str(tmp_path).encode(), b"@")
+            digest.update(str(p.relative_to(tmp_path)).encode() + b"\n" + data)
+        assert digest.hexdigest() == PINNED_CORPUS_SHA256
 
     def test_manifest_round_trip(self, tmp_path):
         corpus = generate_corpus(SMALL, tmp_path)

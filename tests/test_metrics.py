@@ -59,3 +59,9 @@ class TestCorpusWer:
         assert total.ref_words == 3
         assert total.errors == 1
         assert total.wer == pytest.approx(1 / 3)
+
+    def test_no_pairs_have_no_wer(self):
+        total = corpus_wer([])
+        assert total.ref_words == 0 and total.errors == 0
+        with pytest.raises(ValueError, match="undefined over zero reference words"):
+            total.wer

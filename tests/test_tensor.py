@@ -465,9 +465,9 @@ class TestAdam:
     def test_global_norm_clipping(self):
         x = T.parameter(np.zeros(4))
         x.grad[...] = np.array([30.0, 0.0, 0.0, 0.0])
-        opt = T.Adam({"x": x}, lr=1.0, clip_norm=5.0)
+        opt = T.Adam({"x": x}, lr=1.0)
         opt.step()
-        # clipped gradient has norm 5, so m-hat = 5 on the first coordinate
+        # clipped gradient has norm CLIP_NORM = 5, so m-hat = 5 on the first coordinate
         assert abs(abs(x.data[0]) - 1.0) < 1e-6  # adam step of magnitude ~lr
 
 
