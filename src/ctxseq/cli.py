@@ -104,7 +104,7 @@ def cmd_decode(args) -> int:
         if value is not None:
             cfg.override(f"decode.{flag}={value}")
     dcfg = cfg.decode()
-    utts = read_manifest(args.data)
+    utts = _read_utterances(args.data)
     alphabet = model.vocab.graphemes
 
     shared_fusion = FusionScorer(load_context(args.context)) if args.context else None
@@ -208,13 +208,11 @@ def cmd_compile_context(args) -> int:
 
 def cmd_dump_attention(args) -> int:
     model, cfg = load_checkpoint(args.checkpoint)
-    utts = read_manifest(args.data)
+    utts = _read_utterances(args.data)
     if args.utt_id:
         utts = [u for u in utts if u.id == args.utt_id]
         if not utts:
             raise ValueError(f"utterance {args.utt_id} not in manifest")
-    if not utts:
-        raise ValueError(f"no utterances in manifest {args.data}")
     utt = utts[0]
     result = decode_corpus(model, [utt], cfg.decode())[0]
     labels = ["<no-bias>"] + list(utt.bias_phrases)

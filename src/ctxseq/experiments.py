@@ -86,7 +86,12 @@ def distractor_sweep(
     cfg: DecodeConfig,
     seed: int = 0,
 ) -> list[tuple[int, float]]:
-    """WER as a function of distractor count; the true phrase is always present."""
+    """WER as a function of distractor count; the true phrase (the first of
+    each utterance's bias list) is always present. Raises ValueError before
+    any decode if an utterance has no bias list."""
+    for u in utts:
+        if not u.bias_phrases:
+            raise ValueError(f"utterance {u.id} has no bias phrase for the distractor sweep")
     if max(counts) > len(pool) - 1:
         raise ValueError(f"distractor pool of {len(pool)} cannot cover N={max(counts)}")
     audio = prepare_audio(model, utts)

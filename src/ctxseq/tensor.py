@@ -11,6 +11,21 @@ whole list run the same ops. The elementwise ops are shape-agnostic, and
 nodes of the op-by-op cell with the same bits (the element-wise fusion of
 Appleyard, Kočiský & Blunsom 2016). Ops executed outside a `Tape` context run
 forward-only, which is the path used during decoding.
+
+A training step does each weight's weight-sized work once:
+
+- A recorded output gets its gradient buffer on its first write, as a copy.
+  `Tape.backward` skips a node none of whose outputs received a gradient and
+  drops a node's output gradients once its backward has run, so afterwards
+  only leaves (parameters) hold gradients.
+- The weight of `matmul_t` and of `lstm_cell`, when it is a leaf, is not
+  given a gradient per use: each use hands its (output gradient, input) rows
+  to its tape, and the end of `Tape.backward` adds `G.T @ X` over the stacked
+  rows of all uses, one GEMM per weight (the backward half of the GEMM hoist
+  of Appleyard et al.). A recorded weight gets its gradient at once, because
+  the node that produced it reads it.
+- `Adam.step` evaluates its update with `out=` into two scratch buffers sized
+  to the largest parameter, so it allocates no parameter-sized temporary.
 """
 
 from __future__ import annotations
@@ -31,14 +46,31 @@ class NonFiniteError(FloatingPointError):
     """A forward value became NaN/Inf where finite numbers are required."""
 
 
+class _Pending:
+    """The `grad` of a recorded output that no gradient has reached yet."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "PENDING"
+
+
+PENDING = _Pending()
+
+
 class Tensor:
-    """A dense float64 array plus an optional same-shape gradient buffer."""
+    """A dense float64 array plus an optional same-shape gradient buffer.
+
+    `grad` is None for a constant, the buffer for a leaf made with
+    `requires_grad`, and `PENDING` for an output recorded on a tape until a
+    gradient reaches it.
+    """
 
     __slots__ = ("data", "grad")
 
     def __init__(self, data: np.ndarray, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = (
+        self.grad: np.ndarray | _Pending | None = (
             np.zeros_like(self.data) if requires_grad else None
         )
 
@@ -47,7 +79,7 @@ class Tensor:
         return self.data.shape
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, grad={'yes' if self.grad is not None else 'no'})"
+        return f"Tensor(shape={self.data.shape}, grad={'yes' if isinstance(self.grad, np.ndarray) else 'no'})"
 
 
 def parameter(data: np.ndarray | Sequence) -> Tensor:
@@ -64,7 +96,10 @@ class Tape:
     _active: "Tape | None" = None
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, Callable[[], None]]] = []
+        self._nodes: list[tuple[tuple[Tensor, ...], Callable[[], None]]] = []
+        # leaf weight -> the (output gradient, input) rows of each of its uses
+        self._weight_rows: dict[Tensor, list[tuple[np.ndarray, np.ndarray]]] = {}
+        self._done = False
 
     def __enter__(self) -> "Tape":
         if Tape._active is not None:
@@ -79,33 +114,79 @@ class Tape:
         return len(self._nodes)
 
     def backward(self, loss: Tensor) -> None:
-        """Populate grads of every recorded tensor reachable from `loss`."""
+        """Add the gradient of `loss` into every leaf it reaches.
+
+        Runs once per tape: the recorded outputs' gradients are dropped as it
+        goes, so a second call raises ValueError.
+        """
         if loss.data.shape != ():
             raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-        if loss.grad is None:
+        if self._done:
+            raise ValueError("backward already ran on this tape")
+        if loss.grad is not PENDING:
             raise ValueError("loss was not recorded on a tape")
-        loss.grad[...] = 1.0
-        for _, fn in reversed(self._nodes):
-            fn()
+        self._done = True
+        loss.grad = np.ones(())
+        for outs, fn in reversed(self._nodes):
+            for o in outs:
+                if o.grad is not PENDING:
+                    fn()
+                    break
+            for o in outs:
+                o.grad = None
+        for w, uses in self._weight_rows.items():
+            gs, xs = zip(*uses)
+            w.grad += _weight_grad(np.concatenate(gs), np.concatenate(xs))
+        self._weight_rows.clear()
 
 
-def _record(out: Tensor, backward_fn: Callable[[], None]) -> Tensor:
+def _weight_rows(w: Tensor) -> dict[Tensor, list] | None:
+    """Where a use of `w` leaves its weight-gradient rows for the one GEMM at
+    the end of backward: the recording tape's table if `w` is a leaf, else
+    None. Backward closures hold the table, not the tape: a tape -> node ->
+    tape cycle would keep each step's tape alive until the cycle collector
+    ran, and memory grew step after step."""
+    tape = Tape._active
+    return tape._weight_rows if tape is not None and isinstance(w.grad, np.ndarray) else None
+
+
+def _record(out: Tensor, backward_fn: Callable[[], None], *more_outs: Tensor) -> Tensor:
     tape = Tape._active
     if tape is not None:
-        out.grad = np.zeros_like(out.data)
-        tape._nodes.append((out, backward_fn))
+        out.grad = PENDING
+        for o in more_outs:
+            o.grad = PENDING
+        tape._nodes.append(((out, *more_outs), backward_fn))
     return out
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is not None:
+    if t.grad is PENDING:
+        t.grad = np.array(g)  # a copy: operands may share `g`, or it is a view
+    elif t.grad is not None:
         t.grad += g
+
+
+def _buffer(t: Tensor) -> np.ndarray | None:
+    """`t.grad` for a scatter-add, zero-filled on the first write."""
+    if t.grad is PENDING:
+        t.grad = np.zeros_like(t.data)
+    return t.grad
 
 
 def _weight_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     """`g.T @ x`, the weight gradient of `x @ w.T`. For one row, a broadcast
     outer product costs about half of the K=1 gemm, with the same bits."""
     return g.T * x if len(x) == 1 else g.T @ x
+
+
+def _accum_weight(w: Tensor, g: np.ndarray, x: np.ndarray, weight_rows: dict | None) -> None:
+    """Add `g.T @ x` into `w`'s gradient, or hold the rows in the tape's
+    table (`_weight_rows(w)` at record time) for the flush."""
+    if weight_rows is not None:
+        weight_rows.setdefault(w, []).append((g, x))
+    else:
+        _accum(w, _weight_grad(g, x))
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +219,11 @@ def matmul_t(x: Tensor, w: Tensor) -> Tensor:
     if xd.shape[1] != wd.shape[1]:
         raise ValueError(f"matmul_t dimension mismatch: {x.shape} @ {w.shape}.T")
     out = Tensor(xd @ wd.T)
+    weight_rows = _weight_rows(w)
 
     def backward():
         g = out.grad
-        _accum(w, _weight_grad(g, xd))
+        _accum_weight(w, g, xd, weight_rows)
         _accum(x, g @ wd)
 
     return _record(out, backward)
@@ -256,8 +338,9 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
     out = Tensor(a.data[..., start:stop].copy())
 
     def backward():
-        if a.grad is not None:
-            a.grad[..., start:stop] += out.grad
+        buf = _buffer(a)
+        if buf is not None:
+            buf[..., start:stop] += out.grad
 
     return _record(out, backward)
 
@@ -280,8 +363,9 @@ def gather(a: Tensor, index: np.ndarray, axis: int = 0) -> Tensor:
     out = Tensor(a.data[where])
 
     def backward():
-        if a.grad is not None:
-            np.add.at(a.grad, where, out.grad)
+        buf = _buffer(a)
+        if buf is not None:
+            np.add.at(buf, where, out.grad)
 
     return _record(out, backward)
 
@@ -406,10 +490,15 @@ def lstm_cell(
     c_t = Tensor(f * cd + i * g)
     tc = np.tanh(c_t.data)
     h_t = Tensor(o * tc)
+    weight_rows = _weight_rows(params.w)
 
     def backward():
-        gh = h_t.grad
-        gc = c_t.grad + (gh * o) * (1.0 - tc * tc)
+        # The tape runs this once either output has a gradient; the other
+        # may have none.
+        gh = h_t.grad if h_t.grad is not PENDING else np.zeros_like(tc)
+        gc = (gh * o) * (1.0 - tc * tc)
+        if c_t.grad is not PENDING:
+            gc = c_t.grad + gc
         d_act = np.empty_like(act)
         d_act[:, :h] = gc * g
         d_act[:, h : 2 * h] = gc * cd
@@ -417,7 +506,7 @@ def lstm_cell(
         d_act[:, 3 * h :] = gh * tc
         d_pre = d_act * act * (1.0 - act)
         d_pre[:, 2 * h : 3 * h] = d_act[:, 2 * h : 3 * h] * (1.0 - g * g)
-        _accum(params.w, _weight_grad(d_pre, xh))
+        _accum_weight(params.w, d_pre, xh, weight_rows)
         _accum(params.b, d_pre.sum(axis=0))
         if x_t.grad is not None or h_prev.grad is not None:
             d_xh = d_pre @ wd
@@ -425,9 +514,7 @@ def lstm_cell(
             _accum(h_prev, d_xh[:, xd.shape[1] :])
         _accum(c_prev, gc * f)
 
-    if Tape._active is not None:
-        c_t.grad = np.zeros_like(c_t.data)
-    return _record(h_t, backward), c_t
+    return _record(h_t, backward, c_t), c_t
 
 
 # ---------------------------------------------------------------------------
@@ -445,25 +532,44 @@ class Adam:
         self._step = 0
         self._m = {name: np.zeros_like(t.data) for name, t in params.items()}
         self._v = {name: np.zeros_like(t.data) for name, t in params.items()}
+        # two scratch buffers sized to the largest parameter, viewed per parameter
+        scratch = np.empty((2, max((t.data.size for t in params.values()), default=0)))
+        self._scratch = {
+            name: (scratch[0, : t.data.size].reshape(t.data.shape), scratch[1, : t.data.size].reshape(t.data.shape))
+            for name, t in params.items()
+        }
 
     def zero_grad(self) -> None:
         for t in self.params.values():
             t.grad[...] = 0.0
 
     def step(self) -> None:
-        norm = np.sqrt(sum(float((t.grad**2).sum()) for t in self.params.values()))
+        """One clipped Adam update. Every expression is evaluated in the
+        order of `t.grad * factor`, `m += (1 - BETA1) * g`,
+        `v += (1 - BETA2) * g * g` and
+        `t.data -= lr * (m / b1t) / (sqrt(v / b2t) + EPS)`, with `out=`."""
+        norm = np.sqrt(
+            sum(float(np.square(t.grad, out=self._scratch[name][0]).sum()) for name, t in self.params.items())
+        )
         factor = CLIP_NORM / norm if norm > CLIP_NORM else 1.0
         self._step += 1
         b1t = 1.0 - BETA1**self._step
         b2t = 1.0 - BETA2**self._step
         for name, t in self.params.items():
-            g = t.grad * factor
+            g, tmp = self._scratch[name]
             m, v = self._m[name], self._v[name]
+            np.multiply(t.grad, factor, out=g)
             m *= BETA1
-            m += (1.0 - BETA1) * g
+            m += np.multiply(g, 1.0 - BETA1, out=tmp)
             v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            t.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
+            np.multiply(g, 1.0 - BETA2, out=tmp)
+            v += np.multiply(tmp, g, out=tmp)
+            update = np.divide(m, b1t, out=g)
+            update *= self.lr
+            denom = np.divide(v, b2t, out=tmp)
+            np.sqrt(denom, out=denom)
+            denom += EPS
+            t.data -= np.divide(update, denom, out=update)
 
 
 # ---------------------------------------------------------------------------

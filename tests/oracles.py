@@ -460,6 +460,34 @@ def enumerate_best(model, audio, phrases, max_len: int, lam: float, fusion=None)
 
 
 # ---------------------------------------------------------------------------
+# Adam update
+
+
+def reference_adam_step(
+    params: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
+    m: dict[str, np.ndarray],
+    v: dict[str, np.ndarray],
+    step: int,
+    lr: float,
+) -> None:
+    """`tensor.Adam.step` as plain expressions with a temporary per
+    operation: global-norm clipping at CLIP_NORM, then the bias-corrected
+    update of the 1-based `step`. Updates `params`, `m` and `v` in place."""
+    norm = np.sqrt(sum(float((g**2).sum()) for g in grads.values()))
+    factor = T.CLIP_NORM / norm if norm > T.CLIP_NORM else 1.0
+    b1t = 1.0 - T.BETA1**step
+    b2t = 1.0 - T.BETA2**step
+    for name, p in params.items():
+        g = grads[name] * factor
+        m[name] *= T.BETA1
+        m[name] += (1.0 - T.BETA1) * g
+        v[name] *= T.BETA2
+        v[name] += (1.0 - T.BETA2) * g * g
+        p -= lr * (m[name] / b1t) / (np.sqrt(v[name] / b2t) + T.EPS)
+
+
+# ---------------------------------------------------------------------------
 # op-by-op LSTM cell and per-utterance training loss
 
 

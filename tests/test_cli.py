@@ -169,6 +169,16 @@ class TestDecode:
             float(total)
         assert (out / "config.ini").exists()
 
+    def test_empty_manifest_fails_cleanly(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        manifest = tmp_path / "empty.jsonl"
+        manifest.write_text("")
+        out = tmp_path / "dec"
+        assert main(["decode", "--checkpoint", str(root / "ckpt"), "--data", str(manifest), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"no utterances in manifest {manifest}" in err
+        assert not (out / "hypotheses.tsv").exists()
+
     def test_identical_flags_identical_bytes(self, workspace, tmp_path):
         root, _ = workspace
         args = [
@@ -535,6 +545,23 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"no utterances in manifest {manifest}" in err
         assert not (out / report).exists()
+
+    def test_distractors_need_a_bias_list_per_utterance(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        corpus = root / "corpus"
+        biased = (corpus / "test_biased.jsonl").read_text().splitlines()[:2]
+        unbiased = (corpus / "test_unbiased.jsonl").read_text().splitlines()[:1]
+        manifest = tmp_path / "mixed.jsonl"
+        manifest.write_text("\n".join(biased + unbiased) + "\n")
+        first_without = read_manifest(manifest)[2]
+        assert first_without.bias_phrases == []
+        spec = tmp_path / "spec.ini"
+        spec.write_text(f"[distractors]\ncheckpoint = {root / 'ckpt'}\nmanifest = {manifest}\ncounts = 0,1\n")
+        out = tmp_path / "report"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"utterance {first_without.id} has no bias phrase" in err
+        assert not (out / "distractor_curve.tsv").exists()
 
     def test_all_four_experiments(self, workspace, tmp_path):
         root, _ = workspace

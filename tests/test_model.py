@@ -705,6 +705,30 @@ class TestFullModelGradients:
         assert worst[offender] < 1e-4, f"{offender}: {worst[offender]}"
 
 
+    def test_gradient_check_at_unit_scale_sees_every_path(self):
+        # At the U(-0.05, 0.05) init the audio-attention query and key
+        # gradients are about 1e-19, under the floor of max_rel_err, so the
+        # checks above would pass with those paths dropped. With every
+        # parameter drawn from N(0, 1) each one has entries well above it.
+        model = tiny_model(seed=5)
+        rng = np.random.default_rng(15)
+        for t in model.params.values():
+            t.data[...] = rng.normal(size=t.data.shape)
+        xs = [rng.normal(size=(k, 3)) for k in (3, 2)]
+        tokens = (graphemize("ab") + [BIAS_END], graphemize("b a"))
+        targets = [[model.vocab.index(t) for t in toks] + [model.vocab.eos] for toks in tokens]
+
+        def forward():
+            return model.forward_loss(xs, embed_phrases(model, ["ab", "b"]), targets)
+
+        with Tape() as tape:
+            tape.backward(forward())
+        fd = finite_difference(lambda: float(forward().data), model.params)
+        for name, t in model.params.items():
+            assert np.abs(fd[name]).max() > 1e-3, name
+            assert max_rel_err(t.grad, fd[name], floor=1e-4) < 1e-4, name
+
+
 class TestPersistence:
     def test_fresh_model_bytes_are_pinned(self, tmp_path):
         # Parameter names, their order and the draws from the seeded

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ctxseq import tensor as T
 from ctxseq.tensor import NEG_INF, Tape, Tensor
 
-from oracles import finite_difference, max_rel_err, reference_lstm_cell
+from oracles import finite_difference, max_rel_err, reference_adam_step, reference_lstm_cell
 
 
 def scalar_loss(t: T.Tensor) -> T.Tensor:
@@ -410,6 +410,111 @@ class TestBackward:
         assert max_rel_err(x.grad, fd["x"]) < 1e-6
 
 
+class TestGradientBuffers:
+    """Recorded outputs get a gradient buffer on first write and lose it once
+    their node has run; a leaf weight's gradient is summed over its uses in
+    one GEMM at the end of backward."""
+
+    @given(
+        seed=st.integers(0, 1000),
+        rows=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+        lstm_rows=st.integers(1, 4),
+        steps=st.integers(1, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_leaf_weight_gradient_is_the_sum_over_uses(self, seed, rows, lstm_rows, steps):
+        rng = np.random.default_rng(seed)
+        w = T.parameter(rng.normal(size=(3, 4)))
+        xs = [rng.normal(size=(n, 4)) for n in rows]
+        gs = [rng.normal(size=(n, 3)) for n in rows]  # d loss / d (x @ w.T) of each use
+        p = T.init_lstm_params(rng, 2, 3)
+        p.w.data[...] = rng.normal(size=p.w.data.shape)
+        lstm_xs = [T.constant(rng.normal(size=(lstm_rows, 2))) for _ in range(steps)]
+        lstm_gs = [T.constant(rng.normal(size=(lstm_rows, 3))) for _ in range(steps)]
+
+        def run(cell_params):
+            terms = [T.sum_(T.mul(T.matmul_t(T.constant(x), w), T.constant(g))) for x, g in zip(xs, gs)]
+            h = c = T.constant(np.zeros((lstm_rows, 3)))
+            for x, g, q in zip(lstm_xs, lstm_gs, cell_params):
+                h, c = T.lstm_cell(x, h, c, q)
+                terms.append(T.sum_(T.mul(h, g)))
+            loss = terms[0]
+            for t in terms[1:]:
+                loss = T.add(loss, t)
+            return loss
+
+        with Tape() as tape:
+            tape.backward(run([p] * steps))
+        got = [t.grad.copy() for t in (w, p.w, p.b)]
+        # the same steps with a copy of the LSTM weights per use
+        copies = [T.LstmParams(T.parameter(p.w.data), T.parameter(p.b.data), p.hidden) for _ in range(steps)]
+        with Tape() as tape:
+            tape.backward(run(copies))
+        want = [
+            sum(g.T @ x for g, x in zip(gs, xs)),
+            sum(q.w.grad for q in copies),
+            sum(q.b.grad for q in copies),
+        ]
+        for g, ref in zip(got, want):
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_recorded_weight_passes_its_gradient_on(self):
+        # The weight of the outer matmul_t is itself recorded, as the
+        # attention keys are: its producer reads its gradient.
+        rng = np.random.default_rng(31)
+        params = {
+            "q": T.parameter(rng.normal(size=(2, 3))),
+            "h": T.parameter(rng.normal(size=(4, 5))),
+            "wk": T.parameter(rng.normal(size=(3, 5))),
+        }
+
+        def forward():
+            keys = T.matmul_t(params["h"], params["wk"])
+            return T.sum_(T.tanh(T.matmul_t(params["q"], keys)))
+
+        with Tape() as tape:
+            tape.backward(forward())
+        fd = finite_difference(lambda: float(forward().data), params)
+        for name, t in params.items():
+            assert np.abs(fd[name]).max() > 1e-2, name
+            assert max_rel_err(t.grad, fd[name]) < 1e-6, name
+
+    def test_only_leaves_hold_gradients_after_backward(self):
+        rng = np.random.default_rng(32)
+        p = T.init_lstm_params(rng, 2, 3)
+        w = T.parameter(rng.normal(size=(4, 3)))
+        x = T.parameter(rng.normal(size=(2, 2)))
+        with Tape() as tape:
+            h, c = T.lstm_cell(x, T.constant(np.zeros((2, 3))), T.constant(np.zeros((2, 3))), p)
+            out = T.tanh(T.matmul_t(h, w))
+            loss = T.sum_(out)
+            assert all(t.grad is T.PENDING for t in (h, c, out, loss))
+            tape.backward(loss)
+        assert all(t.grad is None for t in (h, c, out, loss))
+        assert all(isinstance(t.grad, np.ndarray) for t in (p.w, p.b, w, x))
+
+    def test_node_the_loss_cannot_reach_never_runs(self):
+        x = T.parameter([0.5, -1.0])
+        ran = []
+        with Tape() as tape:
+            unused = T._record(T.Tensor(x.data * 2.0), lambda: ran.append("unused"))
+            T.tanh(unused)
+            tape.backward(T.sum_(T.tanh(x)))
+        assert ran == []
+        assert unused.grad is None
+        assert np.array_equal(x.grad, 1.0 - np.tanh(x.data) ** 2)
+
+    def test_second_backward_raises(self):
+        x = T.parameter([0.5, -1.0])
+        with Tape() as tape:
+            loss = T.sum_(T.tanh(x))
+            tape.backward(loss)
+            first = x.grad.copy()
+            with pytest.raises(ValueError, match="already ran"):
+                tape.backward(loss)
+        assert np.array_equal(x.grad, first)
+
+
 class TestDeterminismAndInvariants:
     def test_forward_determinism_bit_identical(self):
         def run():
@@ -461,6 +566,25 @@ class TestAdam:
                 tape.backward(loss)
             opt.step()
         assert np.abs(x.data).max() < 1e-2
+
+    @pytest.mark.parametrize("grad_scale", [0.01, 100.0])  # below and above CLIP_NORM
+    def test_step_is_bit_identical_to_reference(self, grad_scale):
+        rng = np.random.default_rng(33)
+        # "big" has over 128 entries, so numpy sums its squares pairwise
+        shapes = {"w": (5, 3), "b": (5,), "big": (31, 21), "s": ()}
+        params = {name: T.parameter(rng.normal(size=shape)) for name, shape in shapes.items()}
+        want = {name: t.data.copy() for name, t in params.items()}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        opt = T.Adam(params, lr=0.01)
+        for step in range(1, 4):
+            grads = {name: grad_scale * rng.normal(size=shape) for name, shape in shapes.items()}
+            for name, t in params.items():
+                t.grad[...] = grads[name]
+            opt.step()
+            reference_adam_step(want, grads, m, v, step, 0.01)
+            for name, t in params.items():
+                assert t.data.tobytes() == want[name].tobytes(), (name, step)
 
     def test_global_norm_clipping(self):
         x = T.parameter(np.zeros(4))
