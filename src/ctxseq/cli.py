@@ -1,7 +1,8 @@
 """Command-line surface: train, decode, eval, compile-context, sweep, dump-attention.
 
-Every command is a pure function of (inputs, config, seed); each output
-directory receives the resolved configuration that produced it.
+Every command is a pure function of (inputs, config, seed); generate, train,
+decode and dump-attention write the resolved configuration that produced
+their outputs next to them as config.ini.
 """
 
 from __future__ import annotations
@@ -237,18 +238,10 @@ SWEEP_SECTIONS = {
 
 def cmd_sweep(args) -> int:
     spec = RunConfig.load(args.spec)
-    for name, keys in spec.sections.items():
-        if name not in SWEEP_SECTIONS:
-            raise ValueError(
-                f"{args.spec}: unknown section [{name}]; the known sections are "
-                + ", ".join(f"[{known}]" for known in SWEEP_SECTIONS)
-            )
-        for key in keys:
-            if key not in SWEEP_SECTIONS[name]:
-                raise ValueError(
-                    f"{args.spec}: unknown key {key!r} in [{name}]; the known keys are "
-                    + ", ".join(SWEEP_SECTIONS[name])
-                )
+    try:
+        spec.check_known(SWEEP_SECTIONS)
+    except ValueError as exc:
+        raise ValueError(f"{args.spec}: {exc}") from None
     out = _outdir(args.out)
     ran = [name for name in SWEEP_SECTIONS if name in spec.sections]
 

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .vocab import BIAS_END, normalize, render
+from .vocab import normalize, render
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,14 @@ def compute_mask(
 ) -> np.ndarray:
     """{0, inf} mask of length N+1; index 0 (no-bias) is always open.
 
-    Matching is raw substring inclusion on normalized text, with `</bias>`
-    tokens stripped from the hypothesis first. `entries` is a compiled
-    `PrefixTable` or a plain entry list, which is compiled on each call; a
-    decoder compiles its list once and passes the table at every step.
+    Matching is raw substring inclusion on the normalized text of the
+    hypothesis, which `render` strips of `</bias>` tokens. `entries` is a
+    compiled `PrefixTable` or a plain entry list, which is compiled on each
+    call; a decoder compiles its list once and passes the table at every
+    step.
     """
     table = entries if isinstance(entries, PrefixTable) else PrefixTable(entries)
-    text = normalize(render([t for t in hypothesis_tokens if t != BIAS_END]))
+    text = normalize(render(hypothesis_tokens))
     closed = np.array([False] + [p not in text for p in table.prefixes])
     return np.where(closed[table.group_of], np.inf, 0.0)
 

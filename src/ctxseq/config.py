@@ -1,8 +1,10 @@
 """Run configuration: one sectioned key=value file plus flag overrides.
 
 Sections map onto the library dataclasses ([task], [model], [sampler],
-[train], [decode]); a [run] section holds the global seed. The fully
-resolved configuration is serialized into every output directory.
+[train], [decode]); a [run] section holds the global seed. A section or key
+outside these is an error. The commands that build a model or a corpus
+(generate, train, decode, dump-attention) write the fully resolved
+configuration into their output directory.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ class RunConfig:
         "decode": DecodeConfig,
     }
 
+    # Every section and key a run config may set.
+    _KNOWN = {"run": ("seed",), **{name: tuple(f.name for f in fields(cls)) for name, cls in _SECTIONS.items()}}
+
     def __init__(self, sections: dict[str, dict[str, str]] | None = None):
         self.sections = sections or {}
 
@@ -71,23 +76,32 @@ class RunConfig:
             raise ValueError(f"override must look like section.key=value, got {assignment!r}")
         self.sections.setdefault(section, {})[key] = value
 
+    def check_known(self, known: dict[str, tuple[str, ...]]) -> None:
+        """Raise ValueError naming the first section or key outside `known`
+        (section -> its keys) and listing the known ones."""
+        for name, keys in self.sections.items():
+            if name not in known:
+                listed = ", ".join(f"[{s}]" for s in known)
+                raise ValueError(f"unknown section [{name}]; the known sections are {listed}")
+            for key in keys:
+                if key not in known[name]:
+                    raise ValueError(f"unknown key {key!r} in [{name}]; the known keys are {', '.join(known[name])}")
+
     @property
     def seed(self) -> int:
         return _coerce(self.sections.get("run", {}).get("seed", "0"), int, "run", "seed")
 
     def _build(self, section: str, **from_task):
+        self.check_known(self._KNOWN)
         cls = self._SECTIONS[section]
         hints = typing.get_type_hints(cls)
         kwargs = dict(from_task)
-        valid = {f.name for f in fields(cls)}
         for key, raw in self.sections.get(section, {}).items():
-            if key not in valid:
-                raise ValueError(f"unknown key {key!r} in [{section}]")
             value = _coerce(raw, hints[key], section, key)
             if key in kwargs and kwargs[key] != value:
                 raise ValueError(f"[{section}] {key} = {value} differs from the task's {kwargs[key]}")
             kwargs[key] = value
-        if "seed" in valid and "seed" not in kwargs:
+        if "seed" in self._KNOWN[section] and "seed" not in kwargs:
             kwargs["seed"] = self.seed
         return cls(**kwargs)
 

@@ -171,8 +171,9 @@ class Corpus:
 
 
 def generate_corpus(cfg: SyntheticTaskConfig, outdir) -> Corpus:
-    """Write train/dev/test manifests, feature files, and lexicon files."""
-    outdir = Path(outdir)
+    """Write train/dev/test manifests, feature files, and lexicon files. The
+    manifests give absolute feature paths, so they load from any directory."""
+    outdir = Path(outdir).absolute()
     (outdir / "feats").mkdir(parents=True, exist_ok=True)
     taken: set[str] = set()
     lexicon = _make_words(substream(cfg.seed, "corpus/lexicon"), cfg, cfg.lexicon_size, taken)

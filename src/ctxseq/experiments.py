@@ -3,11 +3,12 @@ conditioning rescue, and attention hit rate."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 
 import numpy as np
 
-from .conditioning import BiasEntry, PrefixTable, split_rule_based
+from .conditioning import PrefixTable, split_rule_based
 from .corpus import Utterance
 from .decoding import DecodeConfig, DecodeResult, beam_search, embed_phrases
 from .fst import FusionScorer, compile_context
@@ -38,37 +39,26 @@ def decode_corpus(
     compiled into a `PrefixTable`, once per call."""
     if audio is None:
         audio = prepare_audio(model, utts)
-    embeddings: dict[tuple[str, ...], tuple] = {}
-    tables: dict[tuple[BiasEntry, ...], PrefixTable] = {}
+    embed = functools.cache(lambda phrases: embed_phrases(model, list(phrases)))
+    compile_table = functools.cache(PrefixTable)
     out = []
     for u, cache in zip(utts, audio):
         entries = entries_fn(u) if entries_fn is not None else None
-        phrases = phrases_fn(u) if phrases_fn is not None else list(u.bias_phrases)
+        phrases = phrases_fn(u) if phrases_fn is not None else u.bias_phrases
         prefixes = None
         if entries is not None:
             phrases = [e.phrase for e in entries]
-            prefixes = tables.get(tuple(entries))
-            if prefixes is None:
-                prefixes = tables[tuple(entries)] = PrefixTable(entries)
-        key = tuple(phrases)
-        if key not in embeddings:
-            embeddings[key] = embed_phrases(model, phrases)
+            prefixes = compile_table(tuple(entries))
+        bias = embed(tuple(phrases))
         scorer = fusion_per_utt(u) if fusion_per_utt is not None else None
-        out.append(beam_search(model, cache, embeddings[key], cfg, fusion=scorer, prefixes=prefixes)[0])
+        out.append(beam_search(model, cache, bias, cfg, fusion=scorer, prefixes=prefixes)[0])
     return out
 
 
 def per_bias_list(fn):
     """`utt -> fn(utt.bias_phrases)`, called once per distinct phrase list."""
-    cache: dict[tuple[str, ...], object] = {}
-
-    def lookup(u: Utterance):
-        key = tuple(u.bias_phrases)
-        if key not in cache:
-            cache[key] = fn(u.bias_phrases)
-        return cache[key]
-
-    return lookup
+    once = functools.cache(lambda phrases: fn(list(phrases)))
+    return lambda u: once(tuple(u.bias_phrases))
 
 
 def eval_wer(results: list[DecodeResult], utts: list[Utterance]) -> WerReport:
@@ -88,7 +78,10 @@ def distractor_sweep(
 ) -> list[tuple[int, float]]:
     """WER as a function of distractor count; the true phrase (the first of
     each utterance's bias list) is always present. Raises ValueError before
-    any decode if an utterance has no bias list."""
+    any decode if `counts` is empty or has a negative count, or if an
+    utterance has no bias list."""
+    if not counts or min(counts) < 0:
+        raise ValueError(f"[distractors] counts needs one or more counts >= 0, got {list(counts)}")
     for u in utts:
         if not u.bias_phrases:
             raise ValueError(f"utterance {u.id} has no bias phrase for the distractor sweep")
@@ -163,28 +156,32 @@ def strategy_comparison(
     bonus: float = 1.0,
 ) -> dict[str, tuple[float, float]]:
     """Per strategy, the best (lambda, WER) over the grid, fusing each
-    utterance's own bias list over the plain model. Every strategy compiles
-    each distinct list once, before any decode."""
+    utterance's own bias list over the plain model. Raises ValueError if
+    `strategies` or `lams` is empty. Every strategy compiles each distinct
+    list once, before any decode."""
+    for key, values in (("strategies", strategies), ("lams", lams)):
+        if not values:
+            raise ValueError(f"[strategies] {key} is empty")
+    alphabet = model.vocab.graphemes
+
+    def fusion(strat: str):
+        return per_bias_list(lambda phrases: FusionScorer(compile_context(phrases, alphabet, strat, bonus)))
+
+    fusions = {strat: fusion(strat) for strat in strategies}
+    for per_utt in fusions.values():
+        for u in utts:
+            per_utt(u)  # compiles each list now, so a bad one fails before any decode
     audio = prepare_audio(model, utts)
-    lists = {tuple(u.bias_phrases): u.bias_phrases for u in utts}
-    compiled = {
-        strat: {key: FusionScorer(compile_context(phrases, model.vocab.graphemes, strat, bonus))
-                for key, phrases in lists.items()}
-        for strat in strategies
+
+    def wer(lam: float, per_utt) -> float:
+        results = decode_corpus(model, utts, replace(cfg, lam=lam), audio=audio, fusion_per_utt=per_utt)
+        return eval_wer(results, utts).wer
+
+    # on equal WERs, min keeps the lambda that comes first in `lams`
+    return {
+        strat: min(((lam, wer(lam, per_utt)) for lam in lams), key=lambda row: row[1])
+        for strat, per_utt in fusions.items()
     }
-    table = {}
-    for strat in strategies:
-        best = None
-        for lam in lams:
-            results = decode_corpus(
-                model, utts, replace(cfg, lam=lam), audio=audio,
-                fusion_per_utt=lambda u, scorers=compiled[strat]: scorers[tuple(u.bias_phrases)],
-            )
-            wer = eval_wer(results, utts).wer
-            if best is None or wer < best[1]:
-                best = (lam, wer)
-        table[strat] = best
-    return table
 
 
 def conditioning_comparison(

@@ -371,7 +371,7 @@ class Recognizer:
             # Sums exactly the picked entries: every other product is zero.
             picked = T.sum_(T.mul(log_probs, T.constant(picks[t])))
             total = picked if total is None else T.add(total, picked)
-        return T.neg(total)
+        return T.scale(total, -1.0)
 
     # -- persistence -----------------------------------------------------------
 

@@ -5,8 +5,10 @@ recurrent attention model needs, and an Adam optimizer. There is one row
 layout: `lstm_cell`, `matmul_t` and `additive_scores` take (B, D) stacks of B
 rows (B may be 1), `matmul` takes two matrices, and none takes a vector. So a
 training step, a beam step over B hypotheses and the phrase encoder over a
-whole list run the same ops. The elementwise ops are shape-agnostic, and
-`concat`, `slice_last`, `softmax` and `log_softmax` work over the last axis.
+whole list run the same ops. The elementwise ops are shape-agnostic;
+`concat`, `softmax` and `log_softmax` work over the last axis, and `gather`
+selects rows or last-axis entries (a column range is `gather` over
+`np.arange(start, stop)`).
 `lstm_cell` is one tape node whose hand-written backward replaces the twelve
 nodes of the op-by-op cell with the same bits (the element-wise fusion of
 Appleyard, Kočiský & Blunsom 2016). Ops executed outside a `Tape` context run
@@ -136,7 +138,7 @@ class Tape:
                 o.grad = None
         for w, uses in self._weight_rows.items():
             gs, xs = zip(*uses)
-            w.grad += _weight_grad(np.concatenate(gs), np.concatenate(xs))
+            w.grad += np.concatenate(gs).T @ np.concatenate(xs)
         self._weight_rows.clear()
 
 
@@ -167,26 +169,13 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _buffer(t: Tensor) -> np.ndarray | None:
-    """`t.grad` for a scatter-add, zero-filled on the first write."""
-    if t.grad is PENDING:
-        t.grad = np.zeros_like(t.data)
-    return t.grad
-
-
-def _weight_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """`g.T @ x`, the weight gradient of `x @ w.T`. For one row, a broadcast
-    outer product costs about half of the K=1 gemm, with the same bits."""
-    return g.T * x if len(x) == 1 else g.T @ x
-
-
 def _accum_weight(w: Tensor, g: np.ndarray, x: np.ndarray, weight_rows: dict | None) -> None:
     """Add `g.T @ x` into `w`'s gradient, or hold the rows in the tape's
     table (`_weight_rows(w)` at record time) for the flush."""
     if weight_rows is not None:
         weight_rows.setdefault(w, []).append((g, x))
     else:
-        _accum(w, _weight_grad(g, x))
+        _accum(w, g.T @ x)
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +256,6 @@ def scale(a: Tensor, k: float) -> Tensor:
     return _record(out, backward)
 
 
-def neg(a: Tensor) -> Tensor:
-    return scale(a, -1.0)
-
-
 def tanh(a: Tensor) -> Tensor:
     out = Tensor(np.tanh(a.data))
     od = out.data
@@ -331,20 +316,6 @@ def stack(blocks: Sequence[Tensor]) -> Tensor:
     return _record(out, backward)
 
 
-def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
-    """Entries [start, stop) of the last axis of a vector or of every row."""
-    if a.data.ndim not in (1, 2):
-        raise ValueError(f"slice_last takes a 1-D/2-D tensor, got shape {a.shape}")
-    out = Tensor(a.data[..., start:stop].copy())
-
-    def backward():
-        buf = _buffer(a)
-        if buf is not None:
-            buf[..., start:stop] += out.grad
-
-    return _record(out, backward)
-
-
 def gather(a: Tensor, index: np.ndarray, axis: int = 0) -> Tensor:
     """Rows (axis 0) or last-axis entries (axis -1) `index` of a vector or
     matrix, in that order; repeats allowed.
@@ -363,9 +334,10 @@ def gather(a: Tensor, index: np.ndarray, axis: int = 0) -> Tensor:
     out = Tensor(a.data[where])
 
     def backward():
-        buf = _buffer(a)
-        if buf is not None:
-            np.add.at(buf, where, out.grad)
+        if a.grad is PENDING:
+            a.grad = np.zeros_like(a.data)  # a scatter-add needs a zero-filled buffer
+        if a.grad is not None:
+            np.add.at(a.grad, where, out.grad)
 
     return _record(out, backward)
 

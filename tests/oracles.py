@@ -496,10 +496,10 @@ def reference_lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, params: T.L
     tape node."""
     h = params.hidden
     pre = T.add(T.matmul_t(T.concat([x_t, h_prev]), params.w), params.b)
-    i = T.sigmoid(T.slice_last(pre, 0, h))
-    f = T.sigmoid(T.slice_last(pre, h, 2 * h))
-    g = T.tanh(T.slice_last(pre, 2 * h, 3 * h))
-    o = T.sigmoid(T.slice_last(pre, 3 * h, 4 * h))
+    i = T.sigmoid(T.gather(pre, np.arange(0, h), axis=-1))
+    f = T.sigmoid(T.gather(pre, np.arange(h, 2 * h), axis=-1))
+    g = T.tanh(T.gather(pre, np.arange(2 * h, 3 * h), axis=-1))
+    o = T.sigmoid(T.gather(pre, np.arange(3 * h, 4 * h), axis=-1))
     c_t = T.add(T.mul(f, c_prev), T.mul(i, g))
     h_t = T.mul(o, T.tanh(c_t))
     return h_t, c_t
@@ -525,7 +525,7 @@ def reference_forward_loss(model, x: np.ndarray, bias: tuple[Tensor, Tensor], ta
     loss = None
     for y in target:
         log_probs, _, state = model.step([y_prev], state, audio, h_z, mask, bias_keys)
-        nll = T.neg(T.gather(log_probs, [y], axis=-1))
+        nll = T.scale(T.gather(log_probs, [y], axis=-1), -1.0)
         loss = nll if loss is None else T.add(loss, nll)
         y_prev = y
     return T.sum_(loss)

@@ -4,6 +4,7 @@ import shutil
 
 import pytest
 
+from ctxseq import experiments
 from ctxseq.cli import main
 from ctxseq.config import RunConfig
 from ctxseq.corpus import read_manifest
@@ -563,6 +564,34 @@ class TestSweep:
         assert err.startswith("error:") and f"utterance {first_without.id} has no bias phrase" in err
         assert not (out / "distractor_curve.tsv").exists()
 
+    @pytest.mark.parametrize(
+        "section, keys, message",
+        [
+            ("distractors", "counts =\n", "[distractors] counts needs one or more counts >= 0, got []"),
+            ("distractors", "counts = 2,-1\n", "[distractors] counts needs one or more counts >= 0, got [2, -1]"),
+            ("strategies", "strategies =\nlams = 0\n", "[strategies] strategies is empty"),
+            ("strategies", "strategies = end-of-word\nlams =\n", "[strategies] lams is empty"),
+        ],
+        ids=["no-counts", "negative-count", "no-strategies", "no-lams"],
+    )
+    def test_empty_or_negative_grid_fails_before_decoding(
+        self, workspace, tmp_path, capsys, monkeypatch, section, keys, message
+    ):
+        root, _ = workspace
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("decoded")
+
+        monkeypatch.setattr(experiments, "beam_search", no_decode)
+        spec = tmp_path / "spec.ini"
+        manifest = root / "corpus" / "test_biased.jsonl"
+        spec.write_text(f"[{section}]\ncheckpoint = {root / 'ckpt'}\nmanifest = {manifest}\n{keys}")
+        out = tmp_path / "report"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_all_four_experiments(self, workspace, tmp_path):
         root, _ = workspace
         ckpt, corpus = root / "ckpt", root / "corpus"
@@ -732,6 +761,29 @@ class TestRunConfig:
         cfg = RunConfig({"task": {"bogus": "1"}})
         with pytest.raises(ValueError, match="unknown key"):
             cfg.task()
+
+    @pytest.mark.parametrize(
+        "text, flags, message",
+        [
+            ("[trian]\nsteps = 3\n", [], "unknown section [trian]; the known sections are "
+             "[run], [task], [model], [sampler], [train], [decode]"),
+            ("", ["--set", "tsk.n_train=2"], "unknown section [tsk]"),
+            ("[run]\nsead = 3\n", [], "unknown key 'sead' in [run]; the known keys are seed"),
+        ],
+        ids=["section", "override-section", "run-key"],
+    )
+    def test_unknown_name_fails_and_writes_nothing(self, tmp_path, capsys, text, flags, message):
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(text)
+        out = tmp_path / "corpus"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_unknown_key_lists_the_known_ones(self):
+        with pytest.raises(ValueError, match=r"unknown key 'bogus' in \[decode\]; the known keys are beam_width, "):
+            RunConfig({"decode": {"bogus": "1"}}).decode()
 
     def test_bad_override_format(self):
         with pytest.raises(ValueError, match="section.key=value"):

@@ -138,6 +138,15 @@ class TestGenerateCorpus:
         feats = u.load_features()
         assert feats.shape[1] == SMALL.feature_dim
 
+    def test_relative_outdir_loads_from_elsewhere(self, tmp_path, monkeypatch):
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path)
+        corpus = generate_corpus(SMALL, "corp")
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        u = read_manifest(corpus.manifests["test_biased"])[0]
+        assert Path(u.features_path).is_absolute()
+        assert u.load_features().shape[1] == SMALL.feature_dim
+
     def test_deterministic_bytes(self, tmp_path):
         c1 = generate_corpus(SMALL, tmp_path / "one")
         c2 = generate_corpus(SMALL, tmp_path / "two")

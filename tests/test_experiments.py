@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxseq.experiments import trend_spearman
+from ctxseq import experiments
+from ctxseq.conditioning import plain_entries
+from ctxseq.corpus import Utterance
+from ctxseq.decoding import DecodeConfig, beam_search, embed_phrases
+from ctxseq.experiments import decode_corpus, per_bias_list, trend_spearman
+from ctxseq.model import ModelConfig, Recognizer
+from ctxseq.vocab import Vocabulary
 
 
 class TestTrendSpearman:
@@ -30,3 +36,84 @@ class TestTrendSpearman:
         moved = [(3 * n + 7, np.exp(w)) for n, w in curve]
         a, b = trend_spearman(curve), trend_spearman(moved)
         assert (math.isnan(a) and math.isnan(b)) or a == pytest.approx(b, abs=1e-12)
+
+
+def tiny_model() -> Recognizer:
+    cfg = ModelConfig(
+        feature_dim=3, encoder_layers=1, encoder_units=3, decoder_layers=1, decoder_units=3,
+        attention_dim=2, attention_heads=1, bias_encoder_units=2, embedding_dim=2,
+    )
+    return Recognizer(cfg, Vocabulary.from_alphabet("ab"), seed=0)
+
+
+def utterances(lists: list[list[str]]) -> list[Utterance]:
+    return [Utterance(f"u{i}", "unused", "a b", bias_phrases=p) for i, p in enumerate(lists)]
+
+
+def encoded(model: Recognizer, n: int) -> list:
+    rng = np.random.default_rng(0)
+    return [model.precompute_audio(model.encode_audio([rng.normal(size=(3, 3))])) for _ in range(n)]
+
+
+class TestOncePerDistinctList:
+    LISTS = [["a", "b a"], ["b"], ["a", "b a"], ["b"], ["a", "b a"]]
+    CFG = DecodeConfig(beam_width=2, max_len=4)
+
+    def counting(self, monkeypatch, name: str) -> list:
+        calls = []
+        real = getattr(experiments, name)
+
+        def wrapper(*args):
+            calls.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(experiments, name, wrapper)
+        return calls
+
+    def test_decode_corpus_embeds_each_phrase_list_once(self, monkeypatch):
+        model, utts = tiny_model(), utterances(self.LISTS)
+        audio = encoded(model, len(utts))
+        # each utterance decoded with a list embedded for it alone
+        want = [beam_search(model, a, embed_phrases(model, u.bias_phrases), self.CFG)[0] for u, a in zip(utts, audio)]
+        embedded = self.counting(monkeypatch, "embed_phrases")
+        got = decode_corpus(model, utts, self.CFG, audio=audio)
+        assert embedded == [["a", "b a"], ["b"]]
+        assert [(r.raw_symbols, r.total) for r in got] == [(r.raw_symbols, r.total) for r in want]
+
+    def test_decode_corpus_compiles_each_entry_list_once(self, monkeypatch):
+        model, utts = tiny_model(), utterances(self.LISTS)
+        embedded = self.counting(monkeypatch, "embed_phrases")
+        compiled = self.counting(monkeypatch, "PrefixTable")
+        entries_fn = lambda u: plain_entries(u.bias_phrases[:1])
+        decode_corpus(model, utts, self.CFG, entries_fn=entries_fn, audio=encoded(model, len(utts)))
+        assert [list(c) for c in compiled] == [plain_entries(["a"]), plain_entries(["b"])]
+        assert embedded == [["a"], ["b"]]
+
+    def test_decode_corpus_callback_order(self):
+        model, utts = tiny_model(), utterances(self.LISTS[:2])
+        calls = []
+
+        def note(name, value):
+            def fn(u):
+                calls.append((name, u.id))
+                return value(u)
+            return fn
+
+        decode_corpus(
+            model, utts, self.CFG, audio=encoded(model, len(utts)),
+            entries_fn=note("entries", lambda u: plain_entries(u.bias_phrases)),
+            phrases_fn=note("phrases", lambda u: u.bias_phrases),
+            fusion_per_utt=note("fusion", lambda u: None),
+        )
+        assert calls == [(name, u.id) for u in utts for name in ("entries", "phrases", "fusion")]
+
+    def test_per_bias_list_calls_once_per_list(self):
+        seen = []
+
+        def fn(phrases):
+            seen.append(phrases)
+            return len(seen)
+
+        lookup = per_bias_list(fn)
+        assert [lookup(u) for u in utterances(self.LISTS)] == [1, 2, 1, 2, 1]
+        assert seen == [["a", "b a"], ["b"]]

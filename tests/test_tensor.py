@@ -264,14 +264,15 @@ class TestRowwiseOps:
         w = np.random.default_rng(seed).normal(size=out.shape)
         return T.sum_(T.mul(out, T.constant(w)))
 
-    def test_concat_and_slice_last(self):
+    def test_concat_and_gather_columns(self):
         rng = np.random.default_rng(20)
         a = T.parameter(rng.normal(size=(3, 2)))
         b = T.parameter(rng.normal(size=(3, 4)))
         out = T.concat([a, b])
+        columns = np.arange(1, 4)
         assert np.array_equal(out.data[1], T.concat([T.constant(a.data[1]), T.constant(b.data[1])]).data)
-        assert np.array_equal(T.slice_last(out, 1, 4).data, out.data[:, 1:4])
-        self.check_grads(lambda: self.weighted(T.slice_last(T.concat([a, b]), 1, 4), 1), {"a": a, "b": b})
+        assert np.array_equal(T.gather(out, columns, axis=-1).data, out.data[:, 1:4])
+        self.check_grads(lambda: self.weighted(T.gather(T.concat([a, b]), columns, axis=-1), 1), {"a": a, "b": b})
         assert np.all(a.grad[:, 0] == 0.0) and np.all(b.grad[:, 2:] == 0.0)
         with pytest.raises(ValueError, match="all 1-D or all 2-D"):
             T.concat([a, T.constant(np.zeros(2))])
