@@ -16,6 +16,8 @@ from .config import RunConfig, _coerce
 from .corpus import Utterance, generate_corpus, read_manifest
 from .experiments import (
     attention_hit_rate,
+    check_distractor_counts,
+    check_strategy_grid,
     conditioning_comparison,
     decode_corpus,
     distractor_sweep,
@@ -54,9 +56,15 @@ def _read_utterances(path) -> list[Utterance]:
     return utts
 
 
-def _outdir(path) -> Path:
+def _outdir(path, cfg: RunConfig | None = None) -> Path:
+    """Create the output directory. With `cfg`, the run config is resolved
+    first, so that one that does not resolve leaves no directory behind, and
+    is written into it as config.ini."""
+    text = cfg.resolved_text() if cfg is not None else None
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
+    if text is not None:
+        (out / "config.ini").write_text(text, encoding="utf-8")
     return out
 
 
@@ -65,8 +73,7 @@ def _outdir(path) -> Path:
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args)
-    out = _outdir(args.out)
-    cfg.save_resolved(out / "config.ini")  # checks every section before the corpus is written
+    out = _outdir(args.out, cfg)
     corpus = generate_corpus(cfg.task(), out)
     for name, path in corpus.manifests.items():
         print(f"{name}\t{path}")
@@ -81,8 +88,7 @@ def cmd_train(args) -> int:
     utts = _read_utterances(args.data)
     vocab = cfg.task().vocabulary()
     model = Recognizer(cfg.model(), vocab, seed=cfg.seed)
-    out = _outdir(args.out)
-    cfg.save_resolved(out / "config.ini")
+    out = _outdir(args.out, cfg)
     vocab.save(out / "vocab.txt")
 
     def on_step(step: int, loss: float) -> None:
@@ -131,8 +137,7 @@ def cmd_decode(args) -> int:
             return [BiasEntry(p, z) for p, z in zip(u.bias_prefixes, u.bias_phrases)]
         return rule_based(u)
 
-    out = _outdir(args.out)
-    cfg.save_resolved(out / "config.ini")
+    out = _outdir(args.out, cfg)
     results = decode_corpus(
         model,
         utts,
@@ -217,8 +222,7 @@ def cmd_dump_attention(args) -> int:
     utt = utts[0]
     result = decode_corpus(model, [utt], cfg.decode())[0]
     labels = ["<no-bias>"] + list(utt.bias_phrases)
-    out = _outdir(args.out)
-    cfg.save_resolved(out / "config.ini")
+    out = _outdir(args.out, cfg)
     with open(out / f"attention_{utt.id}.tsv", "w", encoding="utf-8") as f:
         f.write("step\tsymbol\t" + "\t".join(labels) + "\n")
         for i, (sym, alpha) in enumerate(zip(result.raw_symbols, result.alphas)):
@@ -227,69 +231,72 @@ def cmd_dump_attention(args) -> int:
     return 0
 
 
-# Each sweep section and the keys it reads.
+# Each sweep section, the keys it reads, their types and whether a key must
+# be given; an optional key left out keeps the experiment's default.
 SWEEP_SECTIONS = {
-    "distractors": ("checkpoint", "manifest", "counts"),
-    "strategies": ("checkpoint", "manifest", "strategies", "lams", "bonus"),
-    "conditioning": ("checkpoint", "manifest", "trigger"),
-    "attention": ("checkpoint", "manifest", "threshold"),
+    "distractors": {"checkpoint": (str, True), "manifest": (str, True), "counts": (tuple[int, ...], True)},
+    "strategies": {
+        "checkpoint": (str, True),
+        "manifest": (str, True),
+        "strategies": (tuple[str, ...], True),
+        "lams": (tuple[float, ...], True),
+        "bonus": (float, False),
+    },
+    "conditioning": {"checkpoint": (str, True), "manifest": (str, True), "trigger": (str, False)},
+    "attention": {"checkpoint": (str, True), "manifest": (str, True), "threshold": (float, False)},
 }
+
+
+def _sweep_values(spec: RunConfig) -> dict[str, dict]:
+    """Every section's keys, read and coerced, and each grid checked as its
+    experiment checks it: section -> {key: value}, in SWEEP_SECTIONS order."""
+    spec.check_known(SWEEP_SECTIONS)
+    values = {}
+    for section, keys in SWEEP_SECTIONS.items():
+        raw = spec.sections.get(section)
+        if raw is None:
+            continue
+        values[section] = {key: _coerce(raw[key], typ, section, key) for key, (typ, _) in keys.items() if key in raw}
+        missing = [key for key, (_, required) in keys.items() if required and key not in raw]
+        if missing:
+            raise ValueError(f"[{section}] lacks the key {missing[0]!r}")
+    if "distractors" in values:
+        check_distractor_counts(values["distractors"]["counts"])
+    if "strategies" in values:
+        check_strategy_grid(values["strategies"]["strategies"], values["strategies"]["lams"])
+    return values
 
 
 def cmd_sweep(args) -> int:
     spec = RunConfig.load(args.spec)
     try:
-        spec.check_known(SWEEP_SECTIONS)
+        values = _sweep_values(spec)
     except ValueError as exc:
         raise ValueError(f"{args.spec}: {exc}") from None
     out = _outdir(args.out)
-    ran = [name for name in SWEEP_SECTIONS if name in spec.sections]
-
-    def value(section: str, key: str, typ=str):
-        if key not in spec.sections[section]:
-            raise ValueError(f"{args.spec}: [{section}] lacks the key {key!r}")
-        return _coerce(spec.sections[section][key], typ, section, key)
-
-    def optional(section: str, key: str, typ) -> dict:
-        """`{key: value}` when the spec sets `key`; else the experiment's default holds."""
-        return {key: value(section, key, typ)} if key in spec.sections[section] else {}
-
-    def inputs(section: str):
-        model, cfg = load_checkpoint(value(section, "checkpoint"))
-        return model, cfg, _read_utterances(value(section, "manifest"))
 
     def report(name: str, rows) -> None:
         with open(out / name, "w", encoding="utf-8") as f:
             f.writelines("\t".join(map(str, row)) + "\n" for row in rows)
 
-    if "distractors" in spec.sections:
-        counts = list(value("distractors", "counts", tuple[int, ...]))
-        model, cfg, utts = inputs("distractors")
-        pool = sorted({p for u in utts for p in u.bias_phrases})
-        curve = distractor_sweep(model, utts, pool, counts, cfg.decode(), seed=cfg.seed)
-        report("distractor_curve.tsv", [(n, f"{wer:.4f}") for n, wer in curve])
+    for section, kwargs in values.items():
+        model, cfg = load_checkpoint(kwargs.pop("checkpoint"))
+        utts = _read_utterances(kwargs.pop("manifest"))
+        if section == "distractors":
+            pool = sorted({p for u in utts for p in u.bias_phrases})
+            curve = distractor_sweep(model, utts, pool, cfg=cfg.decode(), seed=cfg.seed, **kwargs)
+            report("distractor_curve.tsv", [(n, f"{wer:.4f}") for n, wer in curve])
+        elif section == "strategies":
+            table = strategy_comparison(model, utts, cfg=cfg.decode(), **kwargs)
+            report("strategy_table.tsv", [(strat, lam, f"{wer:.4f}") for strat, (lam, wer) in table.items()])
+        elif section == "conditioning":
+            table = conditioning_comparison(model, utts, cfg.decode(), **kwargs)
+            report("conditioning.tsv", [(k, f"{v:.4f}") for k, v in table.items()])
+        else:
+            rate = attention_hit_rate(model, utts, cfg.decode(), **kwargs)
+            report("attention.tsv", [("hit_rate", f"{rate:.4f}")])
 
-    if "strategies" in spec.sections:
-        strategies = list(value("strategies", "strategies", tuple[str, ...]))
-        lams = list(value("strategies", "lams", tuple[float, ...]))
-        bonus = optional("strategies", "bonus", float)
-        model, cfg, utts = inputs("strategies")
-        table = strategy_comparison(model, utts, strategies, lams, cfg.decode(), **bonus)
-        report("strategy_table.tsv", [(strat, lam, f"{wer:.4f}") for strat, (lam, wer) in table.items()])
-
-    if "conditioning" in spec.sections:
-        trigger = optional("conditioning", "trigger", str)
-        model, cfg, utts = inputs("conditioning")
-        table = conditioning_comparison(model, utts, cfg.decode(), **trigger)
-        report("conditioning.tsv", [(k, f"{v:.4f}") for k, v in table.items()])
-
-    if "attention" in spec.sections:
-        threshold = optional("attention", "threshold", float)
-        model, cfg, utts = inputs("attention")
-        rate = attention_hit_rate(model, utts, cfg.decode(), **threshold)
-        report("attention.tsv", [("hit_rate", f"{rate:.4f}")])
-
-    print(f"sweep complete: {', '.join(ran) if ran else 'nothing to do'}")
+    print(f"sweep complete: {', '.join(values) if values else 'nothing to do'}")
     return 0
 
 

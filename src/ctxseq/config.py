@@ -76,7 +76,7 @@ class RunConfig:
             raise ValueError(f"override must look like section.key=value, got {assignment!r}")
         self.sections.setdefault(section, {})[key] = value
 
-    def check_known(self, known: dict[str, tuple[str, ...]]) -> None:
+    def check_known(self, known: dict[str, typing.Collection[str]]) -> None:
         """Raise ValueError naming the first section or key outside `known`
         (section -> its keys) and listing the known ones."""
         for name, keys in self.sections.items():
@@ -133,10 +133,3 @@ class RunConfig:
                 lines.append(f"{f.name} = {value}")
             lines.append("")
         return "\n".join(lines)
-
-    def save_resolved(self, path) -> None:
-        """Write `resolved_text`; a config that does not resolve raises
-        before the file is opened."""
-        text = self.resolved_text()
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)

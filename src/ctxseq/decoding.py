@@ -2,20 +2,20 @@
 
 The live hypotheses advance together, and each one is row b of a few arrays:
 its tokens, the row its ancestor had at every step, its model and fusion
-scores and its fusion state. The rows are kept in the lexicographic order of
-their token sequences. The decoder states are stacked into (B, ·) rows the
-same way, and one `Recognizer.step` call scores the whole beam. The B×V
-candidate totals (model log-probability plus lambda-scaled fusion score,
-whose increments are read from the scorer's table by fusion state) form one
-array; the `beam_width` best give the parent row and token of each kept
-candidate, and every array is gathered by parent. A hypothesis that emits
-end-of-sequence is copied out; its attention rows are read from the per-step
-attention arrays through its back-pointers. Under prefix conditioning every
-live hypothesis gets its own attention mask from its own partial string at
-every step; the caller compiles each distinct conditioning list once into a
-`PrefixTable`, so a mask costs one substring test per distinct prefix.
-`</bias>` may be emitted during search but is stripped from returned
-sequences.
+scores, its fusion state and its prefix state. The rows are kept in the
+lexicographic order of their token sequences. The decoder states are stacked
+into (B, ·) rows the same way, and one `Recognizer.step` call scores the
+whole beam. The B×V candidate totals (model log-probability plus
+lambda-scaled fusion score, whose increments are read from the scorer's table
+by fusion state) form one array; the `beam_width` best give the parent row
+and token of each kept candidate, and every array is gathered by parent. A
+hypothesis that emits end-of-sequence is copied out; its attention rows are
+read from the per-step attention arrays through its back-pointers. Under
+prefix conditioning every live hypothesis gets its own attention mask at
+every step. The caller compiles each distinct conditioning list once into a
+`PrefixTable`; each row carries its state in that table's automaton, which
+its one new token advances, and a mask is a lookup by state. `</bias>` may
+be emitted during search but is stripped from returned sequences.
 
 The (B, ·) rows are the only layout `Recognizer` steps take; the training
 loss makes the same call with one row per utterance of a minibatch.
@@ -28,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor as T
 from .conditioning import PrefixTable, compute_mask
 from .fst import END_OF_WORD, FusionScorer, Wfst
 from .model import AudioCache, Recognizer
-from .vocab import BIAS_END, render
+from .vocab import BIAS_END, normalize, render
 
 
 @dataclass
@@ -99,14 +100,14 @@ def beam_search(
     tokens = rows = np.zeros((1, 0), dtype=np.intp)
     log_model, log_fusion = np.zeros(1), np.zeros(1)
     f_state = np.array([fusion.start])
-    symbols = np.array(vocab.symbols, dtype=object)
+    p_state = np.array([PrefixTable.START])  # the prefix table's automaton state
     state = model.initial_state(rows=1)
     alphas: list[np.ndarray] = []  # per step: (B, N+1) bias attention
     done: list[tuple] = []  # (tokens, rows, log_model, log_fusion), tokens ending in eos
 
     while len(tokens) and tokens.shape[1] < cfg.max_len:
         if prefixes is not None:
-            mask = np.stack([compute_mask(prefixes, symbols[row].tolist()) for row in tokens])
+            mask = np.stack([compute_mask(prefixes, p) for p in p_state.tolist()])
         else:
             mask = np.zeros((len(tokens), h_z.data.shape[0]))
         y_prev = tokens[:, -1] if tokens.shape[1] else np.array([vocab.sos])
@@ -127,11 +128,16 @@ def beam_search(
         log_model, log_fusion = step_model[parents, new], step_fusion[parents, new]
         f_state = np.where(keep[new], f_state[parents], fusion.next[f_state[parents], column[new]])
         live = new != vocab.eos
-        done += list(zip(tokens[~live], rows[~live], log_model[~live], log_fusion[~live]))
-        tokens, rows, log_model, log_fusion, f_state, parents = (
-            a[live] for a in (tokens, rows, log_model, log_fusion, f_state, parents)
-        )
+        if not live.all():
+            done += list(zip(tokens[~live], rows[~live], log_model[~live], log_fusion[~live]))
+            tokens, rows, log_model, log_fusion, f_state, parents, new = (
+                a[live] for a in (tokens, rows, log_model, log_fusion, f_state, parents, new)
+            )
         state = state.take(parents)
+        if prefixes is not None:
+            p_state = np.array(
+                [prefixes.advance(p, vocab.symbols[t]) for p, t in zip(p_state[parents].tolist(), new.tolist())]
+            )
 
     # `done` and the live rows are in (length, tokens) order: a stable sort on -total suffices.
     pool = sorted(done or zip(tokens, rows, log_model, log_fusion), key=lambda h: -(h[2] + cfg.lam * h[3]))
@@ -139,9 +145,22 @@ def beam_search(
 
 
 def embed_phrases(model: Recognizer, phrases: list[str]) -> tuple:
-    """Embed a phrase list once for reuse across utterances."""
-    h_z = model.encode_bias(phrases)
-    return h_z, model.bias_key_cache(h_z)
+    """Embed a phrase list once for reuse across utterances: `(h_z, keys)`,
+    with `h_z` one row per phrase after the no-bias row and `keys` in the
+    form of `Recognizer.bias_key_cache`.
+
+    Each distinct phrase (by its normalized text, so by its graphemes) is
+    encoded and keyed once: `h_z` gathers its rows back into list order, and
+    the key index points every row at its phrase's key row. A list without
+    repeats is embedded as it is.
+    """
+    distinct: dict[str, int] = {}  # normalized phrase -> its row among the distinct ones
+    index = np.array([0] + [distinct.setdefault(normalize(p), len(distinct) + 1) for p in phrases])
+    h_z = model.encode_bias(list(distinct))
+    keys = model.bias_key_cache(h_z)
+    if len(distinct) == len(phrases):
+        return h_z, keys
+    return T.gather(h_z, index), (keys[0], index)
 
 
 def _to_result(tokens, rows, log_model, log_fusion, alphas, lam: float, vocab) -> DecodeResult:

@@ -68,6 +68,19 @@ def eval_wer(results: list[DecodeResult], utts: list[Utterance]) -> WerReport:
 # ---------------------------------------------------------------------------
 
 
+def check_distractor_counts(counts) -> None:
+    """Raise ValueError unless `counts` holds one or more counts >= 0."""
+    if not counts or min(counts) < 0:
+        raise ValueError(f"[distractors] counts needs one or more counts >= 0, got {list(counts)}")
+
+
+def check_strategy_grid(strategies, lams) -> None:
+    """Raise ValueError if `strategies` or `lams` is empty."""
+    for key, values in (("strategies", strategies), ("lams", lams)):
+        if not values:
+            raise ValueError(f"[strategies] {key} is empty")
+
+
 def distractor_sweep(
     model: Recognizer,
     utts: list[Utterance],
@@ -80,8 +93,7 @@ def distractor_sweep(
     each utterance's bias list) is always present. Raises ValueError before
     any decode if `counts` is empty or has a negative count, or if an
     utterance has no bias list."""
-    if not counts or min(counts) < 0:
-        raise ValueError(f"[distractors] counts needs one or more counts >= 0, got {list(counts)}")
+    check_distractor_counts(counts)
     for u in utts:
         if not u.bias_phrases:
             raise ValueError(f"utterance {u.id} has no bias phrase for the distractor sweep")
@@ -159,9 +171,7 @@ def strategy_comparison(
     utterance's own bias list over the plain model. Raises ValueError if
     `strategies` or `lams` is empty. Every strategy compiles each distinct
     list once, before any decode."""
-    for key, values in (("strategies", strategies), ("lams", lams)):
-        if not values:
-            raise ValueError(f"[strategies] {key} is empty")
+    check_strategy_grid(strategies, lams)
     alphabet = model.vocab.graphemes
 
     def fusion(strat: str):

@@ -233,22 +233,26 @@ class Recognizer:
         last = _longest_first([self.bias_encoder], lengths, lambda at: T.gather(emb, flat[at]), np.cumsum(lengths) - 1)
         return T.stack([self.params["no_bias"], last])
 
-    def bias_key_cache(self, h_z: Tensor) -> Tensor:
-        return T.matmul(h_z, self.params["bias_attn.wh"])
+    def bias_key_cache(self, h_z: Tensor) -> tuple[Tensor, np.ndarray]:
+        """The attention keys of `h_z`'s rows as (key rows, key index): row i
+        reads key row `index[i]`. Here every row has its own key row;
+        `decoding.embed_phrases` keys a repeated phrase once."""
+        return T.matmul(h_z, self.params["bias_attn.wh"]), np.arange(h_z.data.shape[0])
 
     def attend_bias(
         self,
         d_t: Tensor,
         h_z: Tensor,
         mask: np.ndarray,
-        keys: Tensor,
+        keys: tuple[Tensor, np.ndarray],
     ) -> tuple[Tensor, Tensor]:
         """Additive attention over phrase embeddings under a {0, inf} mask.
 
         `d_t` is B decoder-state rows, `mask` is (B, N+1) and `keys` is
-        `bias_key_cache(h_z)`. Returns the bias context and the attention
-        probabilities (one weight per row of h_z, index 0 being no-bias).
-        Only rows open for some query are scored; a row closed for query b
+        `bias_key_cache(h_z)` or the keys `embed_phrases` gives. Returns the
+        bias context and the attention probabilities (one weight per row of
+        h_z, index 0 being no-bias). Only rows open for some query are
+        scored, each distinct key among them once; a row closed for query b
         is -inf in b's scores, so it gets exactly zero weight and gradient.
         """
         n_rows = h_z.data.shape[0]
@@ -261,10 +265,15 @@ class Recognizer:
         rows = np.flatnonzero(~closed.all(axis=0))
         partial = len(rows) < n_rows
         if partial:
-            h_z, keys = T.gather(h_z, rows), T.gather(keys, rows)
+            h_z = T.gather(h_z, rows)
             closed = closed[:, rows]
+        # Open row i reads the score of key row scored[score_of[i]].
+        key_rows, key_of = keys
+        scored, score_of = np.unique(key_of[rows], return_inverse=True)
+        if len(scored) < key_rows.data.shape[0]:
+            key_rows = T.gather(key_rows, scored)
         query = T.add(T.matmul_t(d_t, self.params["bias_attn.wd"]), self.params["bias_attn.b"])
-        scores = T.additive_scores(keys, query, self.params["bias_attn.v"])
+        scores = T.gather(T.additive_scores(key_rows, query, self.params["bias_attn.v"]), score_of, axis=-1)
         if closed.any():
             scores = T.add(scores, T.constant(np.where(closed, T.NEG_INF, 0.0)))
         alpha = T.softmax(scores)
@@ -334,7 +343,7 @@ class Recognizer:
     # -- training loss ---------------------------------------------------------
 
     def forward_loss(
-        self, xs: Sequence[np.ndarray], bias: tuple[Tensor, Tensor], targets: Sequence[Sequence[int]]
+        self, xs: Sequence[np.ndarray], bias: tuple[Tensor, tuple[Tensor, np.ndarray]], targets: Sequence[Sequence[int]]
     ) -> Tensor:
         """Teacher-forced negative log-likelihood of the augmented targets,
         summed over the batch; `bias` is the embedded list

@@ -7,8 +7,9 @@ the library's minimization pass (it finds its own word-position facts by
 walking the determinized machine, where the library records them while it
 builds), the per-utterance loss, per-hypothesis beam search and
 per-phrase bias encoder run the library's model ops on one row at a time,
-and the beam and enumeration oracles score fusion through the library
-scorer's `score_step`/`finish`, whose table `reference_score_step` checks.
+the per-row bias attention runs them with one key per row, and the beam
+and enumeration oracles score fusion through the library scorer's
+`score_step`/`finish`, whose table `reference_score_step` checks.
 """
 
 from __future__ import annotations
@@ -505,7 +506,7 @@ def reference_lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, params: T.L
     return h_t, c_t
 
 
-def reference_forward_loss(model, x: np.ndarray, bias: tuple[Tensor, Tensor], target: list[int]) -> Tensor:
+def reference_forward_loss(model, x: np.ndarray, bias: tuple, target: list[int]) -> Tensor:
     """`Recognizer.forward_loss` for one utterance: the encoder one frame at a
     time, then one one-row model step per target position."""
     seq = [T.constant(x[k : k + 1]) for k in range(len(x))]
@@ -532,7 +533,7 @@ def reference_forward_loss(model, x: np.ndarray, bias: tuple[Tensor, Tensor], ta
 
 
 # ---------------------------------------------------------------------------
-# per-phrase bias encoder and per-hypothesis beam search
+# per-phrase bias encoder, per-row bias attention and per-hypothesis beam search
 
 
 def reference_encode_bias(model, phrases) -> Tensor:
@@ -550,6 +551,23 @@ def reference_encode_bias(model, phrases) -> Tensor:
             h, c = T.lstm_cell(T.gather(emb, [model.vocab.index(tok)]), h, c, p)
         rows.append(h)
     return T.stack(rows)
+
+
+def reference_attend_bias(model, d_t: Tensor, h_z: Tensor, mask: np.ndarray, keys: Tensor) -> tuple[Tensor, Tensor]:
+    """`Recognizer.attend_bias` with one key row per row of `h_z` (`keys` is
+    (N+1, A)): the rows open for some query, and each one's own key, are
+    gathered and scored, then alpha is scattered back to full length."""
+    n_rows = h_z.data.shape[0]
+    closed = np.asarray(mask) == np.inf
+    rows = np.flatnonzero(~closed.all(axis=0))
+    h_z, keys, closed = T.gather(h_z, rows), T.gather(keys, rows), closed[:, rows]
+    query = T.add(T.matmul_t(d_t, model.params["bias_attn.wd"]), model.params["bias_attn.b"])
+    scores = T.additive_scores(keys, query, model.params["bias_attn.v"])
+    alpha = T.softmax(T.add(scores, T.constant(np.where(closed, T.NEG_INF, 0.0))))
+    slot = np.full(n_rows, len(rows))
+    slot[rows] = np.arange(len(rows))
+    zero = T.constant(np.zeros((alpha.shape[0], 1)))
+    return T.matmul(alpha, h_z), T.gather(T.concat([alpha, zero]), slot, axis=-1)
 
 
 @dataclass

@@ -1,0 +1,86 @@
+"""`tools/bench_pairs.py` against two stub checkouts whose `perfbench/run.py`
+prints a fixed result line and logs how it was called."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+STUB = """import json, sys
+from pathlib import Path
+here = Path(__file__).resolve().parent.parent
+with open(here.parent / "calls.log", "a") as f:
+    f.write(here.name + " " + " ".join(sys.argv[1:]) + "\\n")
+print("{{\\"record\\": \\"stub\\"}}")
+print(json.dumps({{"correct": {failed} == 0, "attempted": 10, "failed": {failed}, "metrics": {{
+    "setup_s": {{"value": 0.3, "unit": "s"}},
+    "peak_rss_mb": {{"value": {rss}, "unit": "MB"}},
+    "items_per_s": {{"value": {rate}, "unit": "1/s"}}}}}}))
+"""
+
+
+def checkout(root: Path, name: str, rate: float, rss: float = 60.0, failed: int = 0) -> Path:
+    (root / name / "perfbench").mkdir(parents=True)
+    (root / name / "perfbench" / "run.py").write_text(STUB.format(rate=rate, rss=rss, failed=failed))
+    return root / name
+
+
+def run_tool(parent: Path, change: Path):
+    cmd = [sys.executable, str(TOOL), "--workload", "decode_talkto", "--seed", "2", "--pairs", "4"]
+    return subprocess.run(cmd + [str(parent), str(change)], capture_output=True, text=True, timeout=60)
+
+
+def test_alternates_and_reports_a_claim_that_holds(tmp_path):
+    done = run_tool(checkout(tmp_path, "parent", 10.0), checkout(tmp_path, "change", 12.5, rss=55.0))
+    assert done.returncode == 0, done.stderr
+    calls = (tmp_path / "calls.log").read_text().splitlines()
+    assert [c.split()[0] for c in calls] == ["parent", "change", "change", "parent"] * 2
+    assert all(c.split()[1:] == ["--workload", "decode_talkto", "--seed", "2", "--trace", "0"] for c in calls)
+    out = done.stdout.splitlines()
+    assert out[0] == "pair 1 (parent first): parent setup_s=0.3 peak_rss_mb=60 items_per_s=10 failed=0  " \
+        "change setup_s=0.3 peak_rss_mb=55 items_per_s=12.5 failed=0"
+    assert out[1].startswith("pair 2 (change first): change ")
+    assert "items_per_s\tchange\t12.5\t12.5\t12.5" in out
+    assert "peak_rss_mb\tparent\t60\t60\t60" in out
+    assert out[-1] == (
+        "claim on items_per_s: change won 4 of 4 pairs; median 10 -> 12.5, parent IQR 0; "
+        "failed share 0 -> 0, incorrect change runs 0: holds"
+    )
+
+
+@pytest.mark.parametrize("change_rate", [10.0, 9.0], ids=["tied", "worse"])
+def test_claim_not_met_without_wins(tmp_path, change_rate):
+    # Ties count for neither side.
+    done = run_tool(checkout(tmp_path, "parent", 10.0), checkout(tmp_path, "change", change_rate))
+    assert done.returncode == 1, done.stderr
+    assert "change won 0 of 4 pairs" in done.stdout.splitlines()[-1] and done.stdout.endswith("not met\n")
+
+
+def test_claim_not_met_when_the_change_fails_more_operations(tmp_path):
+    # Every pair is a win on rate, but a change run that fails an operation
+    # is incorrect and fails a larger share than the parent.
+    done = run_tool(checkout(tmp_path, "parent", 10.0), checkout(tmp_path, "change", 12.5, failed=1))
+    assert done.returncode == 1, done.stderr
+    last = done.stdout.splitlines()[-1]
+    assert "change won 4 of 4 pairs" in last and "INCORRECT" in done.stdout
+    assert last.endswith("failed share 0 -> 0.1, incorrect change runs 4: not met")
+
+
+def test_claim_not_met_when_a_change_run_is_incorrect(tmp_path):
+    # Both sides fail the same share, so only the change's incorrect runs
+    # stand between its wins and the claim.
+    done = run_tool(checkout(tmp_path, "parent", 10.0, failed=1), checkout(tmp_path, "change", 12.5, failed=1))
+    assert done.returncode == 1, done.stderr
+    assert done.stdout.splitlines()[-1].endswith("failed share 0.1 -> 0.1, incorrect change runs 4: not met")
+
+
+def test_run_without_result_line_fails(tmp_path):
+    parent = checkout(tmp_path, "parent", 10.0)
+    change = checkout(tmp_path, "change", 12.0)
+    (change / "perfbench" / "run.py").write_text("import sys; print('boom', file=sys.stderr); sys.exit(1)\n")
+    done = run_tool(parent, change)
+    assert done.returncode == 2
+    assert "run.py exited 1 without a result line" in done.stderr and "boom" in done.stderr

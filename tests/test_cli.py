@@ -523,7 +523,7 @@ class TestSweep:
         assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "section, keys, report",
@@ -590,7 +590,38 @@ class TestSweep:
         assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "later, message",
+        [
+            ("[strategies]\n{inputs}strategies = end-of-word\nlams =\n", "[strategies] lams is empty"),
+            ("[attention]\ncheckpoint = {ckpt}\n", "[attention] lacks the key 'manifest'"),
+            ("[conditioning]\ncheckpoint = {ckpt}\nmanifest =\n[attention]\n{inputs}threshold = x\n",
+             "[attention] threshold = 'x' is not a number"),
+        ],
+        ids=["empty-lams", "missing-manifest", "bad-threshold"],
+    )
+    def test_every_section_checked_before_the_first_decode(
+        self, workspace, tmp_path, capsys, monkeypatch, later, message
+    ):
+        # A valid [distractors] section runs first; a fault in a later section
+        # used to surface only after its sweep had decoded and written a report.
+        root, _ = workspace
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("decoded")
+
+        monkeypatch.setattr(experiments, "beam_search", no_decode)
+        ckpt = root / "ckpt"
+        inputs = f"checkpoint = {ckpt}\nmanifest = {root / 'corpus' / 'test_biased.jsonl'}\n"
+        spec = tmp_path / "spec.ini"
+        spec.write_text(f"[distractors]\n{inputs}counts = 0,1\n" + later.format(inputs=inputs, ckpt=ckpt))
+        out = tmp_path / "report"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
 
     def test_all_four_experiments(self, workspace, tmp_path):
         root, _ = workspace
@@ -704,6 +735,7 @@ class TestRunConfig:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "attention_heads must be >= 1, got 0" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value, got", [("2,5,7", 3), ("3", 1)])
     def test_fixed_length_tuple_needs_its_count(self, value, got):
@@ -735,8 +767,7 @@ class TestRunConfig:
         out = tmp_path / "corpus"
         assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
-        assert not (out / "config.ini").exists()
-        assert not list(out.glob("*.jsonl")) and not (out / "feats").exists()
+        assert not out.exists()
 
     def test_model_feature_dim_must_match_task(self):
         with pytest.raises(ValueError, match=r"\[model\] feature_dim = 99 differs from the task's 33"):
@@ -779,7 +810,24 @@ class TestRunConfig:
         assert main(["generate", "--config", str(cfg_path), "--out", str(out), *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    @pytest.mark.parametrize(
+        "setting, message",
+        [("tsk.n_train=2", "unknown section [tsk]"), ("decode.lam=abc", "[decode] lam = 'abc' is not a number")],
+        ids=["unknown-section", "bad-value"],
+    )
+    def test_config_checked_before_out_is_made(self, workspace, tmp_path, capsys, command, setting, message):
+        root, _ = workspace
+        out = tmp_path / "out"
+        args = [command, "--set", setting, "--out", str(out)]
+        if command == "train":
+            args += ["--data", str(root / "corpus" / "train.jsonl")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
 
     def test_unknown_key_lists_the_known_ones(self):
         with pytest.raises(ValueError, match=r"unknown key 'bogus' in \[decode\]; the known keys are beam_width, "):
@@ -792,7 +840,7 @@ class TestRunConfig:
     def test_resolved_text_round_trips(self, tmp_path):
         cfg = RunConfig({"run": {"seed": "5"}, "model": {"encoder_units": "12"}})
         path = tmp_path / "resolved.ini"
-        cfg.save_resolved(path)
+        path.write_text(cfg.resolved_text())
         again = RunConfig.load(path)
         assert again.model().encoder_units == 12
         assert again.seed == 5

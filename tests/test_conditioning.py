@@ -13,7 +13,7 @@ from ctxseq.conditioning import (
     split_greedy,
     split_rule_based,
 )
-from ctxseq.vocab import BIAS_END, SPACE, graphemize
+from ctxseq.vocab import BIAS_END, EOS, SOS, SPACE, graphemize
 
 from oracles import reference_compute_mask
 
@@ -21,6 +21,29 @@ from oracles import reference_compute_mask
 # all-whitespace prefixes, and prefixes equal up to case and spacing.
 _prefixes = st.lists(st.sampled_from(["a", "b", "A", "B", " ", "  ", "\t"]), max_size=6).map("".join)
 _hypotheses = st.lists(st.sampled_from(["a", "b", SPACE, BIAS_END]), max_size=12)
+# Symbol streams in mixed case, with repeated and leading spaces and the
+# markers that render to nothing.
+_streams = st.lists(st.sampled_from(["a", "b", "A", "B", SPACE, BIAS_END, SOS, EOS]), max_size=16)
+_NOISE = [SPACE, SPACE, BIAS_END, SOS, EOS, "a", "B"]
+
+
+def _walk(table, symbols):
+    """The state of the hypothesis `symbols`, advanced from the start."""
+    state = PrefixTable.START
+    for symbol in symbols:
+        state = table.advance(state, symbol)
+    return state
+
+
+@st.composite
+def _spelled(draw, texts: list[str]) -> list[str]:
+    """Symbols spelling one of `texts` in random case, with spaces, markers
+    and letters drawn before, between and after its characters."""
+    symbols = []
+    for ch in (draw(st.sampled_from(texts)) if texts else "") + " ":
+        symbols += draw(st.lists(st.sampled_from(_NOISE), max_size=2))
+        symbols.append(SPACE if ch.isspace() else draw(st.sampled_from([ch.lower(), ch.upper()])))
+    return symbols
 
 
 class TestComputeMask:
@@ -71,6 +94,42 @@ class TestComputeMask:
             want = reference_compute_mask(entries, hyp)
             assert np.array_equal(compute_mask(table, hyp), want)
             assert np.array_equal(compute_mask(entries, hyp), want)
+
+
+class TestPrefixAutomaton:
+    """A decoder advances each hypothesis's state by its one new symbol; the
+    state's mask must equal the whole-string reference at every step."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_prefixes, max_size=12), st.data())
+    def test_state_after_every_symbol_equals_reference(self, prefixes, data):
+        entries = [BiasEntry(p, f"phrase{i}") for i, p in enumerate(prefixes)]
+        table = PrefixTable(entries)  # shared by the streams, as by the rows of a beam
+        for _ in range(data.draw(st.integers(1, 4))):
+            symbols = data.draw(_streams | _spelled(prefixes))
+            state = PrefixTable.START
+            assert np.array_equal(compute_mask(table, state), reference_compute_mask(entries, []))
+            for k, symbol in enumerate(symbols, start=1):
+                state = table.advance(state, symbol)
+                want = reference_compute_mask(entries, symbols[:k])
+                assert np.array_equal(compute_mask(table, state), want), symbols[:k]
+                assert np.array_equal(compute_mask(table, symbols[:k]), want), symbols[:k]
+
+    def test_spaces_collapse_and_markers_keep_the_state(self):
+        table = PrefixTable([BiasEntry("A b", "x"), BiasEntry("ba", "y")])
+        state = _walk(table, [SPACE, SOS, "a", SPACE, SPACE, BIAS_END])
+        assert table.advance(state, BIAS_END) == table.advance(state, EOS) == state
+        assert compute_mask(table, state).tolist() == [0.0, np.inf, np.inf]
+        assert compute_mask(table, table.advance(state, "B")).tolist() == [0.0, 0.0, np.inf]
+        assert compute_mask(table, _walk(table, graphemize("aba"))).tolist() == [0.0, np.inf, 0.0]
+
+    def test_masks_are_shared_per_open_set_and_read_only(self):
+        table = PrefixTable([BiasEntry("a", "x"), BiasEntry("b", "y"), BiasEntry("a", "z")])
+        first, second = _walk(table, ["a"]), _walk(table, ["b", "a"])
+        assert compute_mask(table, first) is compute_mask(table, _walk(table, ["a", "a"]))
+        assert compute_mask(table, second).tolist() == [0.0, 0.0, 0.0, 0.0]
+        with pytest.raises(ValueError):
+            compute_mask(table, first)[1] = 0.0
 
 
 class TestSplitRuleBased:

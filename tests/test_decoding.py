@@ -12,7 +12,7 @@ from ctxseq.corpus import generate_corpus, read_manifest
 from ctxseq.decoding import DecodeConfig, beam_search, embed_phrases
 from ctxseq.fst import EVERY_SUBWORD, FusionScorer, compile_context
 from ctxseq.model import ModelConfig, Recognizer
-from ctxseq.vocab import BIAS_END, EOS, SPACE, Vocabulary
+from ctxseq.vocab import BIAS_END, EOS, SPACE, Vocabulary, normalize
 
 from oracles import enumerate_best, reference_beam_search, reference_compute_mask
 
@@ -64,6 +64,43 @@ class TestConfigValidation:
         for lam in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"lam must be a finite number >= 0, got {lam}"):
                 DecodeConfig(lam=lam)
+
+
+class TestEmbedPhrases:
+    """Each distinct phrase is encoded and keyed once, and gathered back into
+    list order."""
+
+    @given(
+        seed=st.integers(0, 20),
+        # Repeats, and phrases equal only after normalization.
+        phrases=st.lists(st.sampled_from(["a", "A", "ab", "a b", " A  B ", "b a", "bab", "Bab"]), max_size=10),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_encoding_the_full_list(self, seed, phrases):
+        # Not always bit for bit: where one batch runs an encoder step on a
+        # single row and the other on several, BLAS takes a matrix-vector
+        # kernel for the one row, which rounds differently (["a", "a"] at
+        # seed 0 differs by 7e-21).
+        model = tiny_model(seed=seed)
+        h_z, (key_rows, key_of) = embed_phrases(model, phrases)
+        full = model.encode_bias(phrases)
+        assert h_z.data.shape == full.data.shape
+        assert np.abs(h_z.data - full.data).max() <= 1e-12
+        for k in set(key_of.tolist()):  # the rows of one phrase share its bits
+            same = h_z.data[key_of == k]
+            assert (same == same[0]).all()
+        assert key_rows.data.shape[0] == len({normalize(p) for p in phrases}) + 1
+        assert np.abs(key_rows.data[key_of] - model.bias_key_cache(full)[0].data).max() <= 1e-12
+
+    def test_each_distinct_phrase_encoded_once(self, monkeypatch):
+        model = tiny_model(seed=1)
+        encoded = []
+        encode = model.encode_bias
+        monkeypatch.setattr(model, "encode_bias", lambda phrases: encoded.append(phrases) or encode(phrases))
+        _, (_, key_of) = embed_phrases(model, ["b a", "ab", "B  A", "ab"])
+        assert encoded == [["b a", "ab"]] and key_of.tolist() == [0, 1, 2, 1, 2]
+        h_z, (key_rows, key_of) = embed_phrases(model, ["ab", "b"])
+        assert key_of.tolist() == [0, 1, 2] and key_rows.data.shape == (3, 2)
 
 
 class TestBeamBasics:

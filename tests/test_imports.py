@@ -2,8 +2,8 @@
 class and method the library defines is used somewhere, and every class
 field the library declares is read somewhere.
 
-Stdlib `ast` scans. The import scan covers the library, the tests and the
-demos; package `__init__.py` files are exempt, since their imports are
+Stdlib `ast` scans. The import scan covers the library, the tests, the
+demos and the tools; package `__init__.py` files are exempt, since their imports are
 re-exports. The orphan scans look for each library definition's name, and
 for each field's name read as an attribute, in the library, the tests, the
 demos and the benchmark, and for each oracle's name in the oracles, the
@@ -19,7 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     p
-    for d in ("src/ctxseq", "tests", "demos")
+    for d in ("src/ctxseq", "tests", "demos", "tools")
     for p in (ROOT / d).glob("*.py")
     if p.name != "__init__.py"
 )

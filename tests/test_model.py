@@ -11,7 +11,13 @@ from ctxseq.model import DecoderStepState, ModelConfig, Recognizer
 from ctxseq.tensor import Tape
 from ctxseq.vocab import BIAS_END, SPACE, Vocabulary, graphemize
 
-from oracles import finite_difference, max_rel_err, reference_encode_bias, reference_forward_loss
+from oracles import (
+    finite_difference,
+    max_rel_err,
+    reference_attend_bias,
+    reference_encode_bias,
+    reference_forward_loss,
+)
 
 words = st.text(alphabet="ab", min_size=1, max_size=4)
 phrase_lists = st.lists(st.lists(words, min_size=1, max_size=3).map(" ".join), max_size=8)
@@ -270,7 +276,7 @@ class TestRowLayout:
         calls = {
             "matmul": lambda: T.matmul(T.constant(np.zeros((2, 2))), vec),
             "matmul_t": lambda: T.matmul_t(vec, model.params["bias_attn.wd"]),
-            "additive_scores": lambda: T.additive_scores(model.bias_key_cache(h_z), vec, model.params["bias_attn.v"]),
+            "additive_scores": lambda: T.additive_scores(model.bias_key_cache(h_z)[0], vec, model.params["bias_attn.v"]),
             "lstm_cell": lambda: T.lstm_cell(T.constant(np.zeros(6)), vec, vec, model.decoder[0]),
             "decoder_step id": lambda: model.decoder_step(sos, model.initial_state(1)),
             "decoder_step state": lambda: model.decoder_step([sos], vector_state),
@@ -434,7 +440,7 @@ class TestAttendBias:
         w_context, w_alpha = rng.normal(size=(1, 2)), rng.normal(size=(1, 5))
 
         def forward():
-            c, alpha = model.attend_bias(params["d_t"], params["h_z"], mask, keys=params["keys"])
+            c, alpha = model.attend_bias(params["d_t"], params["h_z"], mask, keys=(params["keys"], np.arange(5)))
             return T.add(
                 T.sum_(T.mul(c, T.constant(w_context))), T.sum_(T.mul(alpha, T.constant(w_alpha)))
             )
@@ -448,6 +454,50 @@ class TestAttendBias:
         assert np.all(params["h_z"].grad[closed] == 0.0)
         assert np.all(params["keys"].grad[closed] == 0.0)
         assert np.all(params["h_z"].grad[~closed] != 0.0)
+
+
+class TestSharedBiasKeys:
+    """`attend_bias` scores each distinct key among the open rows once and
+    gathers the scores back to rows; the reference scores one key per row."""
+
+    @given(seed=st.integers(0, 200))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_row_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        model = tiny_model(seed=seed % 7)
+        n_rows, n_keys, batch = int(rng.integers(2, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        # Row 0 (no-bias) has its own key; the others share a few keys.
+        key_of = np.concatenate([[0], rng.integers(1, n_keys + 1, size=n_rows - 1)])
+        mask = np.where(rng.random((batch, n_rows)) < 0.4, np.inf, 0.0)
+        mask[:, 0] = 0.0
+        mask[:, rng.random(n_rows) < 0.2] = np.inf  # rows closed for every query
+        mask[:, 0] = 0.0
+        leaves = {
+            "d_t": T.parameter(rng.normal(size=(batch, 2))),
+            "h_z": T.parameter(rng.normal(size=(n_rows, 2))),
+            "key_rows": T.parameter(rng.normal(size=(n_keys + 1, 2))),
+        }
+        params = {**leaves, **{k: model.params[k] for k in ("bias_attn.wd", "bias_attn.b", "bias_attn.v")}}
+        w_context, w_alpha = rng.normal(size=(batch, 2)), rng.normal(size=(batch, n_rows))
+
+        def run(attend):
+            for t in params.values():
+                t.grad[...] = 0.0
+            with Tape() as tape:
+                c, alpha = attend()
+                tape.backward(
+                    T.add(T.sum_(T.mul(c, T.constant(w_context))), T.sum_(T.mul(alpha, T.constant(w_alpha))))
+                )
+            return c.data, alpha.data, {k: t.grad.copy() for k, t in params.items()}
+
+        d_t, h_z, key_rows = leaves["d_t"], leaves["h_z"], leaves["key_rows"]
+        got = run(lambda: model.attend_bias(d_t, h_z, mask, (key_rows, key_of)))
+        want = run(lambda: reference_attend_bias(model, d_t, h_z, mask, T.gather(key_rows, key_of)))
+        assert np.abs(got[0] - want[0]).max() <= 1e-12
+        assert np.abs(got[1] - want[1]).max() <= 1e-12
+        assert np.all(got[1][mask == np.inf] == 0.0)
+        for name in params:
+            assert np.abs(got[2][name] - want[2][name]).max() <= 1e-12, name
 
 
 class TestDecoderStep:
