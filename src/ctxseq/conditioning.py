@@ -6,10 +6,9 @@ substring of the normalized text of the partial hypothesis. Empty prefixes
 always match, so a list with all-empty prefixes behaves exactly like an
 unconditioned one.
 
-A `PrefixTable` compiles a list once into an Aho-Corasick automaton over the
-characters of its distinct normalized prefixes. A partial hypothesis is a
-state of that automaton: its trie node, whether a space is pending, and the
-set of prefix groups that have occurred. Normalized text only grows as
+A `PrefixTable` compiles a list once. A partial hypothesis is a state of the
+table: the end of its normalized text that could still begin a prefix, and
+the set of prefix groups that have occurred. Normalized text only grows as
 symbols are appended, so that set only grows, and one emitted symbol moves a
 state to the next: a decoder carries each hypothesis's state and advances it
 by its new token instead of re-reading the whole hypothesis.
@@ -40,15 +39,15 @@ class PrefixTable:
     """A conditioning list compiled for `compute_mask`.
 
     The entries are grouped by distinct normalized prefix; group 0 is the
-    empty prefix, always open. The other groups' prefixes form a character
-    trie whose failure links and transitions are resolved on first use and
-    memoised. A state is an int naming (trie node, pending space, bit set of
-    open groups); `START` is the state of the empty hypothesis. Whitespace
-    only sets the pending flag, which the next other character turns into
-    one space, so repeated and leading spaces collapse as `normalize` does;
-    `<s>`, `</s>` and `</bias>` render to nothing and keep the state. Text is
-    lower-cased one symbol at a time. The mask of a state is memoised per set
-    of open groups.
+    empty prefix, always open. A state is an int naming (text, bit set of
+    open groups); `START` is the state of the empty hypothesis. `text` is
+    the longest end of the hypothesis's normalized text that is a proper
+    beginning of some prefix ("" always is one), so any occurrence still to
+    come of a prefix starts inside it. Whitespace becomes one space, dropped
+    at the start of `text` or after a space, so repeated and leading spaces
+    collapse as `normalize` does; `<s>`, `</s>` and `</bias>` render to
+    nothing and keep the state. Text is lower-cased one symbol at a time.
+    States are memoised per (state, symbol) and masks per set of open groups.
     """
 
     START = 0
@@ -60,26 +59,11 @@ class PrefixTable:
             group_of.append(groups.setdefault(normalize(e.prefix), len(groups)))
         self.prefixes = list(groups)[1:]  # the prefixes of groups 1, 2, ...
         self.group_of = np.array(group_of)
-        # Trie node n: its children, parent and the character that enters it,
-        # and the bits of the groups whose prefix it spells; node 0 is the root.
-        self._children: list[dict[str, int]] = [{}]
-        self._parent, self._char, self._ends = [0], [""], [0]
+        self._beginnings = {""} | {p[:k] for p in self.prefixes for k in range(len(p))}
+        self._ending: dict[str, list[tuple[str, int]]] = {}  # last character -> (prefix, group bit)
         for g, prefix in enumerate(self.prefixes, start=1):
-            node = 0
-            for ch in prefix:
-                child = self._children[node].get(ch)
-                if child is None:
-                    child = self._children[node][ch] = len(self._ends)
-                    self._children.append({})
-                    self._parent.append(node)
-                    self._char.append(ch)
-                    self._ends.append(0)
-                node = child
-            self._ends[node] |= 1 << g
-        self._fail: dict[int, int] = {}
-        self._out: dict[int, int] = {0: 0}  # node -> groups whose prefix ends its text
-        self._moves: dict[tuple[int, str], int] = {}
-        self._states: list[tuple[int, bool, int]] = [(0, False, 1)]  # START: root, open {0}
+            self._ending.setdefault(prefix[-1], []).append((prefix, 1 << g))
+        self._states: list[tuple[str, int]] = [("", 1)]  # START: no text, open {0}
         self._state_ids = {self._states[0]: self.START}
         self._steps: dict[tuple[int, str], int] = {}
         self._masks: dict[int, np.ndarray] = {}
@@ -89,60 +73,32 @@ class PrefixTable:
         key = (state, symbol)
         after = self._steps.get(key)
         if after is None:
-            node, pending, open_ = self._states[state]
+            text, open_ = self._states[state]
             for ch in render([symbol]).lower():
                 if ch.isspace():
-                    pending = True
-                    continue
-                for c in (" ", ch) if pending else (ch,):
-                    node = self._move(node, c)
-                    open_ |= self._groups_at(node)
-                pending = False
-            after = self._steps[key] = self._state_id((node, pending, open_))
+                    if not text or text[-1] == " ":
+                        continue
+                    ch = " "
+                text += ch
+                for prefix, bit in self._ending.get(ch, ()):
+                    if text.endswith(prefix):
+                        open_ |= bit
+                while text not in self._beginnings:
+                    text = text[1:]
+            after = self._steps[key] = self._state_ids.setdefault((text, open_), len(self._states))
+            if after == len(self._states):
+                self._states.append((text, open_))
         return after
 
     def mask(self, state: int) -> np.ndarray:
         """{0, inf} mask of length N+1 for `state`; read-only and shared."""
-        open_ = self._states[state][2]
+        open_ = self._states[state][1]
         mask = self._masks.get(open_)
         if mask is None:
             is_open = np.array([open_ >> g & 1 for g in range(len(self.prefixes) + 1)], dtype=bool)
             mask = self._masks[open_] = np.where(is_open[self.group_of], 0.0, np.inf)
             mask.flags.writeable = False
         return mask
-
-    def _state_id(self, state: tuple[int, bool, int]) -> int:
-        sid = self._state_ids.get(state)
-        if sid is None:
-            sid = self._state_ids[state] = len(self._states)
-            self._states.append(state)
-        return sid
-
-    def _move(self, node: int, ch: str) -> int:
-        """The node of the longest suffix of (node's text + ch) in the trie."""
-        key = (node, ch)
-        nxt = self._moves.get(key)
-        if nxt is None:
-            nxt = self._children[node].get(ch)
-            if nxt is None:
-                nxt = 0 if node == 0 else self._move(self._failure(node), ch)
-            self._moves[key] = nxt
-        return nxt
-
-    def _failure(self, node: int) -> int:
-        """The node of the longest proper suffix of node's text in the trie."""
-        fail = self._fail.get(node)
-        if fail is None:
-            parent = self._parent[node]
-            fail = self._fail[node] = 0 if parent == 0 else self._move(self._failure(parent), self._char[node])
-        return fail
-
-    def _groups_at(self, node: int) -> int:
-        """Bits of the groups whose prefix is a suffix of node's text."""
-        out = self._out.get(node)
-        if out is None:
-            out = self._out[node] = self._ends[node] | self._groups_at(self._failure(node))
-        return out
 
 
 def compute_mask(entries: PrefixTable | Sequence[BiasEntry], at: int | Sequence[str]) -> np.ndarray:
@@ -152,9 +108,9 @@ def compute_mask(entries: PrefixTable | Sequence[BiasEntry], at: int | Sequence[
     hypothesis, which `render` strips of `</bias>` tokens. `entries` is a
     compiled `PrefixTable` or a plain entry list, which is compiled on each
     call. `at` is the hypothesis: a state of the table, which a decoder
-    advances by one token per step, or its symbols, tested as text without
-    the automaton, so that a check of the decoder's masks stays independent
-    of the decoder's bookkeeping.
+    advances by one token per step, or its symbols, tested as whole text
+    without the table's states, so that a check of the decoder's masks stays
+    independent of the decoder's bookkeeping.
     """
     table = entries if isinstance(entries, PrefixTable) else PrefixTable(entries)
     if isinstance(at, Integral):

@@ -20,6 +20,7 @@ from .tensor import load_tensors, save_tensors, substream
 from .vocab import SPACE, Vocabulary, graphemize, normalize
 
 STACK = 3  # raw frames per stacked frame, and the stride
+TALKTO_TRIGGER = "talk to"  # the words that open every talk-to phrase and utterance
 
 
 @dataclass
@@ -44,23 +45,39 @@ class SyntheticTaskConfig:
 
     def __post_init__(self):
         """Work out the alphabet, and reject a corpus that cannot be drawn: a
-        range without 1 <= lo <= hi, or more distinct words or names than
-        exist, since the generator draws until it has them."""
+        negative count, size or noise level, a share outside [0, 1], a range
+        without 1 <= lo <= hi, no carriers, a carrier whose fields are not
+        just {phrase}, a phrase longer than a lexicon, more distinct words
+        or names than exist (the generator draws until it has them), talk-to
+        utterances without names, or more letters than `alphabet_size`."""
         if not 1 <= self.alphabet_size <= 26:
             raise ValueError("alphabet_size must be in [1, 26]")
-        carrier_letters = sorted({ch for c in self.carriers for ch in c.replace("{phrase}", "") if ch != " "})
-        if len(carrier_letters) > self.alphabet_size:
-            raise ValueError(
-                f"alphabet_size {self.alphabet_size} cannot cover the carrier letters "
-                f"{''.join(carrier_letters)}"
-            )
-        filler = [ch for ch in string.ascii_lowercase if ch not in carrier_letters]
-        # Letters used by the carriers come first, padded up to alphabet_size.
-        self.alphabet = "".join(carrier_letters + filler[: self.alphabet_size - len(carrier_letters)])
-        ranges = {"word_len_range": self.word_len_range, "frames_per_grapheme": self.frames_per_grapheme}
-        for name, (lo, hi) in ranges.items():
+        counts = ("lexicon_size", "oov_lexicon_size", "n_train", "n_dev", "n_test",
+                  "distractors_per_utterance", "talkto_names", "talkto_utterances")
+        for name in counts:
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.noise_std >= 0:
+            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not 0 <= self.talkto_multiword_share <= 1:
+            raise ValueError(f"talkto_multiword_share must be in [0, 1], got {self.talkto_multiword_share}")
+        for name in ("word_len_range", "utterance_words_range", "phrase_words_range", "frames_per_grapheme"):
+            lo, hi = getattr(self, name)
             if not 1 <= lo <= hi:
                 raise ValueError(f"{name} must have 1 <= lo <= hi, got {(lo, hi)}")
+        if not self.carriers:
+            raise ValueError("carriers must not be empty")
+        for carrier in self.carriers:
+            try:
+                fields_in = {field for _, field, _, _ in string.Formatter().parse(carrier) if field is not None}
+            except ValueError as exc:  # an unmatched brace
+                raise ValueError(f"carrier {carrier!r}: {exc}") from None
+            if fields_in != {"phrase"}:
+                raise ValueError(f"carrier {carrier!r} must have a {{phrase}} field and no other")
+        most = self.phrase_words_range[1]
+        if most > min(self.lexicon_size, self.oov_lexicon_size):
+            raise ValueError(f"phrase_words_range allows {most} distinct words, more than lexicon_size "
+                             f"{self.lexicon_size} or oov_lexicon_size {self.oov_lexicon_size}")
         lo, hi = self.word_len_range
         pool, letters, words, n = self.lexicon_size + self.oov_lexicon_size, self.alphabet_size, 0, lo
         while words < pool and n <= hi:  # summed only as far as needed: the full sum can be huge
@@ -73,6 +90,19 @@ class SyntheticTaskConfig:
         if self.talkto_names > names:
             raise ValueError(f"talkto_names = {self.talkto_names} exceeds the {names} distinct names "
                              f"{pool} words form at talkto_multiword_share {self.talkto_multiword_share}")
+        if self.talkto_utterances and not self.talkto_names:
+            raise ValueError(f"talkto_utterances = {self.talkto_utterances} needs talkto_names >= 1")
+        # The letters the carriers spell, and the trigger when the talk-to set is drawn.
+        spelled = [c.format(phrase="") for c in self.carriers] + [TALKTO_TRIGGER] * bool(self.talkto_utterances)
+        spelled_letters = sorted(set(normalize(" ".join(spelled))) - {" "})
+        if len(spelled_letters) > self.alphabet_size:
+            raise ValueError(
+                f"alphabet_size {self.alphabet_size} cannot cover the carrier and talk-to letters "
+                f"{''.join(spelled_letters)}"
+            )
+        filler = [ch for ch in string.ascii_lowercase if ch not in spelled_letters]
+        # Spelled letters come first, padded up to alphabet_size.
+        self.alphabet = "".join(spelled_letters + filler[: self.alphabet_size - len(spelled_letters)])
 
     @property
     def raw_feature_dim(self) -> int:
@@ -236,11 +266,11 @@ def _build_talkto(cfg: SyntheticTaskConfig, outdir: Path, lexicon: list[str], oo
         if name not in seen:
             seen.add(name)
             names.append(name)
-    phrases = [f"talk to {n}" for n in names]
+    phrases = [f"{TALKTO_TRIGGER} {n}" for n in names]
     utts = []
     for i in range(cfg.talkto_utterances):
         name = names[int(rng.integers(0, len(names)))]
-        utt = _write_utterance(outdir, f"talkto_{i:05d}", normalize(f"talk to {name}"), cfg, rng)
+        utt = _write_utterance(outdir, f"talkto_{i:05d}", normalize(f"{TALKTO_TRIGGER} {name}"), cfg, rng)
         utt.bias_phrases = phrases
         utts.append(utt)
     return utts

@@ -13,9 +13,9 @@ hypothesis that emits end-of-sequence is copied out; its attention rows are
 read from the per-step attention arrays through its back-pointers. Under
 prefix conditioning every live hypothesis gets its own attention mask at
 every step. The caller compiles each distinct conditioning list once into a
-`PrefixTable`; each row carries its state in that table's automaton, which
-its one new token advances, and a mask is a lookup by state. `</bias>` may
-be emitted during search but is stripped from returned sequences.
+`PrefixTable`; each row carries its state in that table, which its one new
+token advances, and a mask is a lookup by state. `</bias>` may be emitted
+during search but is stripped from returned sequences.
 
 The (B, ·) rows are the only layout `Recognizer` steps take; the training
 loss makes the same call with one row per utterance of a minibatch.
@@ -100,7 +100,7 @@ def beam_search(
     tokens = rows = np.zeros((1, 0), dtype=np.intp)
     log_model, log_fusion = np.zeros(1), np.zeros(1)
     f_state = np.array([fusion.start])
-    p_state = np.array([PrefixTable.START])  # the prefix table's automaton state
+    p_state = np.array([PrefixTable.START])  # the hypothesis's state in the prefix table
     state = model.initial_state(rows=1)
     alphas: list[np.ndarray] = []  # per step: (B, N+1) bias attention
     done: list[tuple] = []  # (tokens, rows, log_model, log_fusion), tokens ending in eos
@@ -151,16 +151,12 @@ def embed_phrases(model: Recognizer, phrases: list[str]) -> tuple:
 
     Each distinct phrase (by its normalized text, so by its graphemes) is
     encoded and keyed once: `h_z` gathers its rows back into list order, and
-    the key index points every row at its phrase's key row. A list without
-    repeats is embedded as it is.
+    the key index points every row at its phrase's key row.
     """
     distinct: dict[str, int] = {}  # normalized phrase -> its row among the distinct ones
     index = np.array([0] + [distinct.setdefault(normalize(p), len(distinct) + 1) for p in phrases])
     h_z = model.encode_bias(list(distinct))
-    keys = model.bias_key_cache(h_z)
-    if len(distinct) == len(phrases):
-        return h_z, keys
-    return T.gather(h_z, index), (keys[0], index)
+    return T.gather(h_z, index), (model.bias_key_cache(h_z)[0], index)
 
 
 def _to_result(tokens, rows, log_model, log_fusion, alphas, lam: float, vocab) -> DecodeResult:

@@ -18,7 +18,7 @@ lets row b read only the frames of utterance b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -41,8 +41,9 @@ class ModelConfig:
     embedding_dim: int = 32
 
     def __post_init__(self):
-        if self.attention_heads < 1:
-            raise ValueError(f"attention_heads must be >= 1, got {self.attention_heads}")
+        for f in fields(self):  # every field is a layer count or a size
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
         if self.attention_dim % self.attention_heads != 0:
             raise ValueError(
                 f"attention_dim {self.attention_dim} not divisible by "

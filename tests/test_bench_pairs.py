@@ -12,19 +12,24 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 STUB = """import json, sys
 from pathlib import Path
 here = Path(__file__).resolve().parent.parent
-with open(here.parent / "calls.log", "a") as f:
+log = here.parent / "calls.log"
+runs = sum(line.split()[0] == here.name for line in log.read_text().splitlines()) if log.exists() else 0
+with open(log, "a") as f:
     f.write(here.name + " " + " ".join(sys.argv[1:]) + "\\n")
+rates = {rates}
 print("{{\\"record\\": \\"stub\\"}}")
 print(json.dumps({{"correct": {failed} == 0, "attempted": 10, "failed": {failed}, "metrics": {{
     "setup_s": {{"value": 0.3, "unit": "s"}},
     "peak_rss_mb": {{"value": {rss}, "unit": "MB"}},
-    "items_per_s": {{"value": {rate}, "unit": "1/s"}}}}}}))
+    "items_per_s": {{"value": rates[runs % len(rates)], "unit": "1/s"}}}}}}))
 """
 
 
-def checkout(root: Path, name: str, rate: float, rss: float = 60.0, failed: int = 0) -> Path:
+def checkout(root: Path, name: str, rate: float | list[float], rss: float = 60.0, failed: int = 0) -> Path:
+    """A checkout whose runs report `rate`, or the rates of a list in turn."""
+    rates = rate if isinstance(rate, list) else [rate]
     (root / name / "perfbench").mkdir(parents=True)
-    (root / name / "perfbench" / "run.py").write_text(STUB.format(rate=rate, rss=rss, failed=failed))
+    (root / name / "perfbench" / "run.py").write_text(STUB.format(rates=rates, rss=rss, failed=failed))
     return root / name
 
 
@@ -84,3 +89,28 @@ def test_run_without_result_line_fails(tmp_path):
     done = run_tool(parent, change)
     assert done.returncode == 2
     assert "run.py exited 1 without a result line" in done.stderr and "boom" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "parent_rate, change_rate, change_rss, line",
+    [
+        (10.0, 12.5, 55.0, "no-regression on items_per_s (higher is better, bound 0.25): "
+                           "median 10 -> 12.5, parent IQR 0: no worse"),
+        (10.0, 10.0, 80.0, "no-regression on peak_rss_mb (lower is better, bound 0.25): "
+                           "median 60 -> 80, parent IQR 0: worse"),
+        # The parent's runs spread wider than the bound, and a change run falls inside them.
+        ([4.0, 16.0, 10.0, 10.0], 9.0, 60.0, "no-regression on items_per_s (higher is better, bound 0.25): "
+                                             "median 10 -> 9, parent IQR 3: unresolved"),
+        # As wide a spread, but every change run beats every parent run.
+        ([4.0, 16.0, 10.0, 10.0], 17.0, 60.0, "no-regression on items_per_s (higher is better, bound 0.25): "
+                                              "median 10 -> 17, parent IQR 3: no worse"),
+    ],
+    ids=["no-worse", "worse", "unresolved", "wide-but-beaten"],
+)
+def test_no_regression_verdict(tmp_path, parent_rate, change_rate, change_rss, line):
+    done = run_tool(checkout(tmp_path, "parent", parent_rate), checkout(tmp_path, "change", change_rate, rss=change_rss))
+    assert done.returncode in (0, 1), done.stderr
+    out = done.stdout.splitlines()
+    verdicts = [v for v in out if v.startswith("no-regression on ")]
+    assert [v.split()[2] for v in verdicts] == ["setup_s", "peak_rss_mb", "items_per_s"]
+    assert line in verdicts and out[-1].startswith("claim on items_per_s:")

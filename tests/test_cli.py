@@ -118,6 +118,16 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
 
+    def test_bad_model_config_fails_cleanly(self, workspace, tmp_path, capsys):
+        # A model without encoder units used to train and exit 0.
+        root, cfg_path = workspace
+        out = tmp_path / "ckpt"
+        args = ["train", "--config", str(cfg_path), "--data", str(root / "corpus" / "train.jsonl")]
+        assert main(args + ["--out", str(out), "--set=model.encoder_units=0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "encoder_units must be >= 1, got 0" in err
+        assert not out.exists()
+
     def test_negative_checkpoint_every_fails_cleanly(self, workspace, tmp_path, capsys):
         # `(step + 1) % -1 == 0` used to save a checkpoint at every step.
         root, cfg_path = workspace
@@ -777,16 +787,25 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "setting, message",
         [("word_len_range=1,1", "lexicon_size + oov_lexicon_size = 100 exceeds the 10 distinct words"),
-         ("talkto_names=100000", "talkto_names = 100000 exceeds the 10000 distinct names")],
-        ids=["words", "names"],
+         ("talkto_names=100000", "talkto_names = 100000 exceeds the 10000 distinct names"),
+         ("carriers=play {x}", "carrier 'play {x}' must have a {phrase} field and no other"),
+         ("carriers=play", "carrier 'play' must have a {phrase} field and no other"),
+         ("carriers=", "carriers must not be empty"),
+         ("noise_std=-1", "noise_std must be >= 0, got -1.0"),
+         ("distractors_per_utterance=-1", "distractors_per_utterance must be >= 0, got -1"),
+         ("lexicon_size=-5", "lexicon_size must be >= 0, got -5"),
+         ("n_train=-1", "n_train must be >= 0, got -1")],
+        ids=["words", "names", "carrier-field", "carrier-no-field", "no-carriers", "noise", "distractors", "lexicon",
+             "n-train"],
     )
     def test_undrawable_corpus_fails_cleanly(self, tmp_path, capsys, setting, message):
-        # The generator used to draw forever.
+        # The generator used to draw forever, or to fail or succeed after
+        # writing part of the corpus.
         out = tmp_path / "corpus"
         assert main(["generate", "--out", str(out), f"--set=task.{setting}"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
-        assert not list(out.glob("*.jsonl"))
+        assert not out.exists()
 
     def test_unknown_key_rejected(self):
         cfg = RunConfig({"task": {"bogus": "1"}})

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ctxseq.conditioning import (
     split_greedy,
     split_rule_based,
 )
+from ctxseq.corpus import SyntheticTaskConfig, generate_corpus, read_manifest
 from ctxseq.vocab import BIAS_END, EOS, SOS, SPACE, graphemize
 
 from oracles import reference_compute_mask
@@ -114,6 +116,24 @@ class TestPrefixAutomaton:
                 want = reference_compute_mask(entries, symbols[:k])
                 assert np.array_equal(compute_mask(table, state), want), symbols[:k]
                 assert np.array_equal(compute_mask(table, symbols[:k]), want), symbols[:k]
+
+    def test_real_size_talkto_list(self, tmp_path):
+        # The 940 rule-based entries of the seed-1 talk-to list, whose
+        # prefixes share long beginnings ("talk to a" begins "talk to ab...").
+        # Each set draws from its own substream, so the other sets can be left out.
+        task = replace(SyntheticTaskConfig(seed=1), n_train=0, n_dev=0, n_test=0)
+        utts = read_manifest(generate_corpus(task, tmp_path).manifests["test_talkto"])
+        entries = split_rule_based(utts[0].bias_phrases)
+        assert len(utts) == 50 and len(entries) == 940
+        table = PrefixTable(entries)
+        for u in utts:
+            symbols = graphemize(u.transcript)
+            symbols.insert(symbols.index(SPACE), SPACE)  # "talk  to"
+            symbols.insert(len(symbols) // 2 + 1, BIAS_END)
+            state = PrefixTable.START
+            for k, symbol in enumerate(symbols, start=1):
+                state = table.advance(state, symbol)
+                assert np.array_equal(compute_mask(table, state), reference_compute_mask(entries, symbols[:k])), symbols[:k]
 
     def test_spaces_collapse_and_markers_keep_the_state(self):
         table = PrefixTable([BiasEntry("A b", "x"), BiasEntry("ba", "y")])

@@ -47,8 +47,33 @@ class TestTaskConfigValidation:
             (dict(talkto_names=485), "talkto_names = 485 exceeds the 484 distinct names"),
             (dict(talkto_names=23, talkto_multiword_share=0.0), "talkto_names = 23 exceeds the 22 distinct names"),
             (dict(talkto_names=463, talkto_multiword_share=1.0), "talkto_names = 463 exceeds the 462 distinct names"),
+            (dict(talkto_names=0), "talkto_utterances = 3 needs talkto_names >= 1"),
+            (dict(utterance_words_range=(0, 3)), r"utterance_words_range must have 1 <= lo <= hi, got \(0, 3\)"),
+            (dict(phrase_words_range=(2, 1)), r"phrase_words_range must have 1 <= lo <= hi, got \(2, 1\)"),
+            (dict(phrase_words_range=(1, 11)), "phrase_words_range allows 11 distinct words, more than lexicon_size 12 "
+                                               "or oov_lexicon_size 10"),
+            (dict(carriers=()), "carriers must not be empty"),
+            (dict(carriers=("play {x}",)), r"carrier 'play \{x\}' must have a \{phrase\} field and no other"),
+            (dict(carriers=("play {phrase} {x}",)), r"carrier 'play \{phrase\} \{x\}' must have a \{phrase\} field"),
+            (dict(carriers=("play",)), r"carrier 'play' must have a \{phrase\} field and no other"),
+            (dict(carriers=("play {",)), r"carrier 'play \{': Single '\{' encountered"),
+            # The talk-to set always spells its trigger, whatever the carriers.
+            (dict(alphabet_size=4, carriers=("play {phrase}",)), "alphabet_size 4 cannot cover the carrier and talk-to "
+                                                                 "letters aklopty"),
+            (dict(alphabet_size=2, carriers=("{phrase}",), word_len_range=(2, 4), lexicon_size=18, oov_lexicon_size=10),
+             "alphabet_size 2 cannot cover the carrier and talk-to letters aklot"),
+            (dict(noise_std=-1.0), "noise_std must be >= 0, got -1.0"),
+            (dict(talkto_multiword_share=1.5), r"talkto_multiword_share must be in \[0, 1\], got 1.5"),
+            (dict(talkto_multiword_share=-0.1), r"talkto_multiword_share must be in \[0, 1\], got -0.1"),
+            (dict(lexicon_size=-5), "lexicon_size must be >= 0, got -5"),
+            (dict(n_train=-1), "n_train must be >= 0, got -1"),
+            (dict(distractors_per_utterance=-1), "distractors_per_utterance must be >= 0, got -1"),
+            (dict(talkto_utterances=-1), "talkto_utterances must be >= 0, got -1"),
         ],
-        ids=["lo-zero", "lo-above-hi", "frames-zero", "frames-lo-above-hi", "words-1-1", "words-2-3", "names", "names-single", "names-pairs"],
+        ids=["lo-zero", "lo-above-hi", "frames-zero", "frames-lo-above-hi", "words-1-1", "words-2-3", "names", "names-single",
+             "names-pairs", "no-names", "utterance-words", "phrase-words", "phrase-above-lexicon", "no-carriers",
+             "carrier-field", "carrier-extra-field", "carrier-no-field", "carrier-brace", "talkto-letters", "talkto-letters-2",
+             "noise", "share-above", "share-below", "lexicon", "n-train", "distractors", "talkto-utterances"],
     )
     def test_undrawable_corpus_rejected(self, change, message):
         with pytest.raises(ValueError, match=message):
@@ -56,12 +81,13 @@ class TestTaskConfigValidation:
 
     @pytest.mark.parametrize(
         "change",
-        [dict(alphabet_size=2, carriers=("{phrase}",), word_len_range=(2, 4), lexicon_size=18, oov_lexicon_size=10),
+        [dict(alphabet_size=2, carriers=("{phrase}",), word_len_range=(2, 4), lexicon_size=18, oov_lexicon_size=10,
+              talkto_utterances=0),
          dict(talkto_names=484), dict(talkto_names=22, talkto_multiword_share=0.0),
          dict(talkto_names=462, talkto_multiword_share=1.0)],
     )
-    def test_exactly_drawable_corpus_accepted(self, change):
-        replace(SMALL, **change)
+    def test_exactly_drawable_corpus_accepted(self, change, tmp_path):
+        generate_corpus(replace(SMALL, **change), tmp_path)
 
 
 class TestStacking:

@@ -59,6 +59,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="attention_heads must be >= 1, got 0"):
             tiny_config(attention_heads=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("feature_dim", 0), ("encoder_layers", 0), ("encoder_units", 0), ("decoder_layers", 0),
+         ("decoder_units", 0), ("attention_dim", 0), ("bias_encoder_units", -1), ("embedding_dim", 0)],
+    )
+    def test_layer_counts_and_sizes_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
+            tiny_config(**{field: value})
+
 
 class TestEncodeAudio:
     def test_shape_contract(self):

@@ -12,6 +12,13 @@ at least nine tenths of the pairs, its median is higher by more than the
 parent's interquartile range, every change run is correct, and the change's
 runs fail no larger share of their operations than the parent's.
 
+For each end-to-end metric of the repository's `BENCHMARK.json` it also
+prints a no-regression verdict, by the metric's `better` and `bound`:
+`worse` when the change's median is worse than the parent's by more than
+bound x the parent's median; otherwise `unresolved` when the parent's
+interquartile range exceeds bound x its median and not every change run
+beats every parent run; otherwise `no worse`.
+
 Exit status: 0 when the claim holds, 1 when it does not, 2 when a run gave
 no result line.
 """
@@ -25,6 +32,7 @@ import sys
 from pathlib import Path
 
 METRIC = "items_per_s"  # the end-to-end metric the claim is about; higher is better
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def parse_args(argv):
@@ -68,6 +76,18 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return at(0.25), at(0.5), at(0.75)
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """The no-regression verdict on one metric's runs: `worse`,
+    `unresolved` or `no worse`."""
+    sign = 1 if better == "higher" else -1  # sign * value grows as the metric gets better
+    q1, median, q3 = quartiles(parent)
+    if sign * (median - quartiles(change)[1]) > bound * abs(median):
+        return "worse"
+    if q3 - q1 > bound * abs(median) and min(sign * v for v in change) <= max(sign * v for v in parent):
+        return "unresolved"
+    return "no worse"
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
@@ -97,6 +117,15 @@ def main(argv=None) -> int:
         for side in ("parent", "change"):
             spread[name, side] = quartiles([r["metrics"][name]["value"] for r in runs[side]])
             print(f"{name}\t{side}\t" + "\t".join(f"{v:.4g}" for v in spread[name, side]))
+    for m in json.loads(BENCHMARK.read_text())["end_to_end"]:
+        name, better, bound = m["name"], m["better"], m["bound"]
+        by_side = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
+        q1, median, q3 = spread[name, "parent"]
+        print(
+            f"no-regression on {name} ({better} is better, bound {bound:g}): "
+            f"median {median:.4g} -> {spread[name, 'change'][1]:.4g}, parent IQR {q3 - q1:.4g}: "
+            + verdict(by_side["parent"], by_side["change"], better, bound)
+        )
     q1, parent_median, q3 = spread[METRIC, "parent"]
     change_median = spread[METRIC, "change"][1]
     failed = {side: sum(r["failed"] for r in runs[side]) / sum(r["attempted"] for r in runs[side]) for side in runs}
