@@ -24,7 +24,7 @@ from .experiments import (
     per_bias_list,
     strategy_comparison,
 )
-from .fst import STRATEGIES, FusionScorer, compile_context, load_context, save_context
+from .fst import STRATEGIES, FusionScorer, check_bonus, compile_context, load_context, save_context
 from .metrics import WerReport, compute_wer
 from .model import Recognizer
 from .tensor import load_tensors
@@ -105,6 +105,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    check_bonus(args.bonus)
     model, cfg = load_checkpoint(args.checkpoint)
     for flag in ("lam", "beam_width", "max_len"):
         value = getattr(args, flag)
@@ -264,6 +265,8 @@ def _sweep_values(spec: RunConfig) -> dict[str, dict]:
         check_distractor_counts(values["distractors"]["counts"])
     if "strategies" in values:
         check_strategy_grid(values["strategies"]["strategies"], values["strategies"]["lams"])
+        if "bonus" in values["strategies"]:
+            check_bonus(values["strategies"]["bonus"])
     return values
 
 

@@ -17,6 +17,15 @@ every step. The caller compiles each distinct conditioning list once into a
 token advances, and a mask is a lookup by state. `</bias>` may be emitted
 during search but is stripped from returned sequences.
 
+The search stops as soon as no live hypothesis, nor any continuation of
+one, can enter the returned n-best, and at `max_len` steps at the latest.
+A model log-probability is never positive, so a row's model score can only
+fall; its fusion score can rise by at most the scorer's `gain_bound` for
+its state and the steps left. Once `n_best` hypotheses have finished and
+every live row's bound lies below the `n_best`-th finished total, more
+steps could only add finished hypotheses that sort after it: the results
+are those of running to `max_len`, bit for bit.
+
 The (B, ·) rows are the only layout `Recognizer` steps take; the training
 loss makes the same call with one row per utterance of a minibatch.
 """
@@ -38,7 +47,7 @@ from .vocab import BIAS_END, normalize, render
 @dataclass
 class DecodeConfig:
     beam_width: int = 8
-    max_len: int = 80
+    max_len: int = 80  # a cap: the search stops earlier once no live row can still win
     lam: float = 0.0
     n_best: int = 1
 
@@ -80,6 +89,25 @@ def beam_search(
     `bias` embeds, switches on prefix conditioning. Without a finished
     hypothesis at max_len the single best unfinished one is returned,
     flagged.
+
+    Before each step the search stops if no live row can still win. Let
+    theta be the `n_best`-th best finished total, by the expression the
+    final sort uses (-inf until `n_best` have finished), and `left` the
+    labels a row may still emit before `</s>`: max_len - 1 - its length.
+    Every finished descendant of a row totals at most the row's bound
+    log_model + lam * (log_fusion + gain_bound[left, f_state]), up to the
+    rounding of the fusion sums: each `log_softmax` entry is <= 0 exactly
+    (shifted logits <= 0 less a log-sum-exp >= 0), and float addition and
+    multiplication by lam >= 0 (`DecodeConfig` enforces it) are monotone,
+    so the model score never rises. The descendant's fusion score and the
+    bound are sums of at most max_len + 1 terms of size at most max|inc|
+    (the scorer's largest increment), so they round by less than about
+    2 * (max_len + 1) * 2**-53 * lam * max_len * max|inc| (under 1e-13 of
+    lam * max_len * max|inc| at max_len 80), and the final addition by
+    under 1e-15 * |theta|. The search stops when every row's bound is below
+    theta by more than 1e-9 * (1 + |theta| + lam * max_len * max|inc|),
+    far above both: the finished hypotheses that more steps would add
+    total below theta and sort after the n_best kept.
     """
     vocab = model.vocab
     h_z, bias_keys = bias
@@ -104,8 +132,14 @@ def beam_search(
     state = model.initial_state(rows=1)
     alphas: list[np.ndarray] = []  # per step: (B, N+1) bias attention
     done: list[tuple] = []  # (tokens, rows, log_model, log_fusion), tokens ending in eos
+    theta = -math.inf  # the n_best-th best finished total, once n_best have finished
+    gain = fusion.gain_bound(cfg.max_len - 1)
+    scale = 1 + cfg.lam * cfg.max_len * np.abs(fusion.inc).max(initial=0.0)  # of the rounding margin
 
     while len(tokens) and tokens.shape[1] < cfg.max_len:
+        bound = log_model + cfg.lam * (log_fusion + gain[cfg.max_len - 1 - tokens.shape[1], f_state])
+        if bound.max() < theta - 1e-9 * (scale + abs(theta)):
+            break
         if prefixes is not None:
             mask = np.stack([compute_mask(prefixes, p) for p in p_state.tolist()])
         else:
@@ -130,6 +164,8 @@ def beam_search(
         live = new != vocab.eos
         if not live.all():
             done += list(zip(tokens[~live], rows[~live], log_model[~live], log_fusion[~live]))
+            if len(done) >= cfg.n_best:
+                theta = sorted(h[2] + cfg.lam * h[3] for h in done)[-cfg.n_best]
             tokens, rows, log_model, log_fusion, f_state, parents, new = (
                 a[live] for a in (tokens, rows, log_model, log_fusion, f_state, parents, new)
             )

@@ -98,11 +98,16 @@ class Wfst:
 # construction
 
 
+def check_bonus(bonus_per_word: float) -> None:
+    """Raise ValueError unless the per-word bonus is a finite number > 0."""
+    if not 0 < bonus_per_word < math.inf:
+        raise ValueError(f"bonus_per_word must be a finite number > 0, got {bonus_per_word}")
+
+
 def build_grammar(phrases: Sequence[str], bonus_per_word: float) -> Wfst:
     """Word-label acceptor: each phrase is a chain of word arcs carrying the
     per-word bonus, with the final word arc looping back to the start."""
-    if bonus_per_word <= 0:
-        raise ValueError(f"bonus_per_word must be positive, got {bonus_per_word}")
+    check_bonus(bonus_per_word)
     cleaned = list(dict.fromkeys(normalize(p) for p in phrases))
     if not cleaned or any(not p for p in cleaned):
         raise ValueError("phrases must be non-empty")
@@ -311,7 +316,8 @@ class FusionScorer:
     """Immutable compiled context; per-hypothesis state is a plain int:
     `label` takes state `s` to `next[s, j]` for the unscaled increment
     `inc[s, j]`, failure route taken, where j is `column[label]` or -1 for a
-    label outside the machine; `refund[s]` is due when scoring ends in `s`."""
+    label outside the machine; `refund[s]` is due when scoring ends in `s`.
+    `gain_bound` derives a table from these, once, on first use."""
 
     def __init__(self, machine: Wfst):
         if "strategy" not in machine.meta:
@@ -332,6 +338,29 @@ class FusionScorer:
         retry_to, retry_inc, refund = arc_to[fail_to], arc_inc[fail_to], self.refund[:, None]
         self.next = np.where(arc_to >= 0, arc_to, np.where(retry_to >= 0, retry_to, fail_to[:, None]))
         self.inc = np.where(arc_to >= 0, arc_inc, np.where(retry_to >= 0, refund + retry_inc, refund))
+        self._gain: np.ndarray | None = None  # gain_bound's rows, built on first use
+
+    def gain_bound(self, steps: int) -> np.ndarray:
+        """The (steps + 1, S) table B whose row r bounds, for each state s,
+        the unscaled fusion score still to come over at most r more labels
+        and the final refund: every label string of length <= r, scored
+        from s with `score_step` and then `finish`, totals at most B[r, s]
+        (up to float rounding of the order of r additions).
+
+        B[0] = refund and B[r] = max(refund, max_j inc[:, j] + B[r-1][next[:, j]])
+        over every column, the outside-label one included. By induction
+        B[r] >= B[r-1], so a label that keeps the state and scores 0
+        (`<s>`, `</bias>`) is covered too. The rows do not depend on
+        `steps`: the table is kept, and rebuilt only for a longer horizon.
+        """
+        if self._gain is None or len(self._gain) <= steps:
+            rows = [self.refund]
+            while len(rows) <= steps:
+                rows.append(np.maximum(self.refund, (self.inc + rows[-1][self.next]).max(axis=1)))
+                if np.array_equal(rows[-1], rows[-2]):  # a fixed point, so every later row is the same
+                    rows += rows[-1:] * (steps + 1 - len(rows))
+            self._gain = np.array(rows)
+        return self._gain[: steps + 1]
 
     def score_step(self, state: int, label: str) -> tuple[int, float]:
         """Advance on one grapheme; returns (new state, unscaled increment)."""

@@ -7,13 +7,14 @@ the library's minimization pass (it finds its own word-position facts by
 walking the determinized machine, where the library records them while it
 builds), the per-utterance loss, per-hypothesis beam search and
 per-phrase bias encoder run the library's model ops on one row at a time,
-the per-row bias attention runs them with one key per row, and the beam
-and enumeration oracles score fusion through the library scorer's
-`score_step`/`finish`, whose table `reference_score_step` checks.
+the per-row bias attention runs them with one key per row, and the beam,
+enumeration and gain-bound oracles score fusion through the library
+scorer's `score_step`/`finish`, whose table `reference_score_step` checks.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,6 +182,24 @@ def reference_score_step(m: Wfst, state: int, label: str) -> tuple[int, float]:
     if retry is not None:
         return retry.dst, refund + retry.weight
     return dst, refund
+
+
+def reference_gain_bound(scorer, r: int) -> np.ndarray:
+    """Per state, the most the unscaled fusion score can rise over at most
+    `r` labels and the final refund: every label string of length <= r over
+    the context's alphabet and one label outside it, scored from the state
+    as `score_string` scores from the start, and the largest total taken."""
+    labels = list(scorer.machine.meta["alphabet"]) + ["<outside>"]
+    best = np.full(scorer.machine.n_states, -np.inf)
+    for state in range(scorer.machine.n_states):
+        for n in range(r + 1):
+            for string in itertools.product(labels, repeat=n):
+                at, total = state, 0.0
+                for lab in string:
+                    at, inc = scorer.score_step(at, lab)
+                    total += inc
+                best[state] = max(best[state], total + scorer.finish(at))
+    return best
 
 
 def fusion_step(fusion, state: int, symbol: str) -> tuple[int, float]:

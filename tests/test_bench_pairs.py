@@ -1,6 +1,7 @@
 """`tools/bench_pairs.py` against two stub checkouts whose `perfbench/run.py`
 prints a fixed result line and logs how it was called."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ runs = sum(line.split()[0] == here.name for line in log.read_text().splitlines()
 with open(log, "a") as f:
     f.write(here.name + " " + " ".join(sys.argv[1:]) + "\\n")
 rates = {rates}
-print("{{\\"record\\": \\"stub\\"}}")
+print({record!r})
 print(json.dumps({{"correct": {failed} == 0, "attempted": 10, "failed": {failed}, "metrics": {{
     "setup_s": {{"value": 0.3, "unit": "s"}},
     "peak_rss_mb": {{"value": {rss}, "unit": "MB"}},
@@ -25,11 +26,17 @@ print(json.dumps({{"correct": {failed} == 0, "attempted": 10, "failed": {failed}
 """
 
 
-def checkout(root: Path, name: str, rate: float | list[float], rss: float = 60.0, failed: int = 0) -> Path:
-    """A checkout whose runs report `rate`, or the rates of a list in turn."""
+def checkout(
+    root: Path, name: str, rate: float | list[float], rss: float = 60.0, failed: int = 0, digest: str | None = "d1"
+) -> Path:
+    """A checkout whose runs report `rate`, or the rates of a list in turn,
+    and whose run records carry the output digest `digest`, or none."""
     rates = rate if isinstance(rate, list) else [rate]
+    record = json.dumps({"record": "stub", **({"digests": {"hypotheses": digest}} if digest else {})})
     (root / name / "perfbench").mkdir(parents=True)
-    (root / name / "perfbench" / "run.py").write_text(STUB.format(rates=rates, rss=rss, failed=failed))
+    (root / name / "perfbench" / "run.py").write_text(
+        STUB.format(rates=rates, rss=rss, failed=failed, record=record)
+    )
     return root / name
 
 
@@ -47,7 +54,9 @@ def test_alternates_and_reports_a_claim_that_holds(tmp_path):
     out = done.stdout.splitlines()
     assert out[0] == "pair 1 (parent first): parent setup_s=0.3 peak_rss_mb=60 items_per_s=10 failed=0  " \
         "change setup_s=0.3 peak_rss_mb=55 items_per_s=12.5 failed=0"
-    assert out[1].startswith("pair 2 (change first): change ")
+    assert out[1] == "pair 1 outputs: parent hypotheses=d1  change hypotheses=d1: outputs identical"
+    assert out[2].startswith("pair 2 (change first): change ")
+    assert out[3] == "pair 2 outputs: change hypotheses=d1  parent hypotheses=d1: outputs identical"
     assert "items_per_s\tchange\t12.5\t12.5\t12.5" in out
     assert "peak_rss_mb\tparent\t60\t60\t60" in out
     assert out[-1] == (
@@ -80,6 +89,23 @@ def test_claim_not_met_when_a_change_run_is_incorrect(tmp_path):
     done = run_tool(checkout(tmp_path, "parent", 10.0, failed=1), checkout(tmp_path, "change", 12.5, failed=1))
     assert done.returncode == 1, done.stderr
     assert done.stdout.splitlines()[-1].endswith("failed share 0.1 -> 0.1, incorrect change runs 4: not met")
+
+
+@pytest.mark.parametrize(
+    "parent_digest, change_digest, line",
+    [
+        ("d1", "d2", "pair 1 outputs: parent hypotheses=d1  change hypotheses=d2: outputs differ"),
+        (None, "d1", "pair 1 outputs: parent no digest  change hypotheses=d1"),
+    ],
+    ids=["differ", "no-digest"],
+)
+def test_outputs_line_informs_only(tmp_path, parent_digest, change_digest, line):
+    parent = checkout(tmp_path, "parent", 10.0, digest=parent_digest)
+    done = run_tool(parent, checkout(tmp_path, "change", 12.5, digest=change_digest))
+    assert done.returncode == 0, done.stderr
+    out = done.stdout.splitlines()
+    assert out[1] == line
+    assert out[-1].endswith("holds")
 
 
 def test_run_without_result_line_fails(tmp_path):

@@ -249,6 +249,17 @@ class TestDecode:
         assert err.startswith("error:") and message in err
         assert not (out / "hypotheses.tsv").exists()
 
+    @pytest.mark.parametrize("bonus", ["nan", "inf"])
+    def test_bonus_must_be_finite(self, workspace, tmp_path, capsys, bonus):
+        # An infinite bonus used to fuse with infinite weights.
+        root, _ = workspace
+        out = tmp_path / "dec"
+        args = ["decode", "--checkpoint", str(root / "ckpt"), "--data", str(root / "corpus" / "test_biased.jsonl")]
+        assert main(args + ["--out", str(out), "--strategy", "every-subword", "--lam", "1", "--bonus", bonus]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"bonus_per_word must be a finite number > 0, got {bonus}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "manifest, extra",
         [("test_biased", []), ("test_biased", ["--empty-bias"]), ("test_unbiased", [])],
@@ -496,6 +507,18 @@ class TestCompileContext:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "grapheme 'c' of word 'abc' outside the alphabet" in err
 
+    @pytest.mark.parametrize("bonus", ["nan", "inf", "0", "-1"])
+    def test_bonus_must_be_finite_and_positive(self, tmp_path, capsys, bonus):
+        # A NaN or infinite bonus used to compile into a context file that
+        # `load_context` rejects.
+        phrases = tmp_path / "p.txt"
+        phrases.write_text("ab\n")
+        args = ["compile-context", "--phrases", str(phrases), "--alphabet", "ab", "--strategy", "every-subword"]
+        assert main(args + ["--bonus", bonus, "--out", str(tmp_path / "c.txt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bonus_per_word must be a finite number > 0" in err
+        assert not (tmp_path / "c.txt").exists()
+
 
 class TestSweep:
     def test_empty_spec_succeeds(self, tmp_path, capsys):
@@ -581,8 +604,10 @@ class TestSweep:
             ("distractors", "counts = 2,-1\n", "[distractors] counts needs one or more counts >= 0, got [2, -1]"),
             ("strategies", "strategies =\nlams = 0\n", "[strategies] strategies is empty"),
             ("strategies", "strategies = end-of-word\nlams =\n", "[strategies] lams is empty"),
+            ("strategies", "strategies = end-of-word\nlams = 0\nbonus = nan\n",
+             "bonus_per_word must be a finite number > 0, got nan"),
         ],
-        ids=["no-counts", "negative-count", "no-strategies", "no-lams"],
+        ids=["no-counts", "negative-count", "no-strategies", "no-lams", "nan-bonus"],
     )
     def test_empty_or_negative_grid_fails_before_decoding(
         self, workspace, tmp_path, capsys, monkeypatch, section, keys, message

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxseq import decoding
+from ctxseq import tensor as T
 from ctxseq.cli import load_checkpoint
 from ctxseq.conditioning import BiasEntry, PrefixTable, plain_entries, split_rule_based
 from ctxseq.corpus import generate_corpus, read_manifest
 from ctxseq.decoding import DecodeConfig, beam_search, embed_phrases
-from ctxseq.fst import EVERY_SUBWORD, FusionScorer, compile_context
+from ctxseq.fst import END_OF_WORD, EVERY_SUBWORD, FusionScorer, compile_context
 from ctxseq.model import ModelConfig, Recognizer
 from ctxseq.vocab import BIAS_END, EOS, SPACE, Vocabulary, normalize
 
@@ -298,39 +299,55 @@ def assert_same_results(got, want, entries=None):
                 assert np.all(alpha[closed] == 0.0), step
 
 
-class TestBatchedBeamMatchesReference:
-    """One model step per beam step against one per live hypothesis."""
+def check_against_reference(seed, beam_width, n_best_frac, lam, with_fusion, conditioned, max_len, tied):
+    """One drawn case: `beam_search` against `reference_beam_search`."""
+    model = tiny_model(seed=seed, alphabet="abc")
+    if tied:
+        # Log-probs depend on the token alone, from two levels: totals
+        # tie exactly, so the order among equal totals decides the beam.
+        model.params["output.w"].data[...] = 0.0
+        model.params["output.b"].data[...] = np.arange(len(model.vocab)) % 2
+    n_best = 1 + int(n_best_frac * (beam_width - 1))
+    cfg = DecodeConfig(beam_width=beam_width, max_len=max_len, lam=lam, n_best=n_best)
+    phrases = ["ab", "b a", "c"]
+    entries = CONDITIONED if conditioned else None
+    fusion = None
+    if with_fusion:
+        fusion = FusionScorer(compile_context(phrases, [SPACE, "a", "b", "c"], EVERY_SUBWORD, 2.0))
+    x = random_input(seed + 100, frames=4)
+    audio, bias, prefixes = prepare(model, x, phrases, entries)
+    got = beam_search(model, audio, bias, cfg, fusion=fusion, prefixes=prefixes)
+    want = reference_beam_search(model, audio, bias, cfg, fusion=fusion, prefixes=prefixes)
+    assert_same_results(got, want, entries)
 
-    @given(
-        seed=st.integers(0, 30),
-        beam_width=st.integers(1, 8),
-        n_best_frac=st.floats(0.0, 1.0),
-        lam=st.sampled_from([0.0, 0.5, 1.0]),
-        with_fusion=st.booleans(),
-        conditioned=st.booleans(),
-        max_len=st.integers(1, 7),
-        tied=st.booleans(),
-    )
+
+BEAM_CASES = dict(
+    seed=st.integers(0, 30),
+    beam_width=st.integers(1, 8),
+    n_best_frac=st.floats(0.0, 1.0),
+    lam=st.sampled_from([0.0, 0.5, 1.0]),
+    with_fusion=st.booleans(),
+    conditioned=st.booleans(),
+    tied=st.booleans(),
+)
+
+
+class TestBatchedBeamMatchesReference:
+    """One model step per beam step against one per live hypothesis, which
+    runs every search to max_len."""
+
+    @given(max_len=st.integers(1, 7), **BEAM_CASES)
     @settings(max_examples=150, deadline=None)
     def test_equals_reference(self, seed, beam_width, n_best_frac, lam, with_fusion, conditioned, max_len, tied):
-        model = tiny_model(seed=seed, alphabet="abc")
-        if tied:
-            # Log-probs depend on the token alone, from two levels: totals
-            # tie exactly, so the order among equal totals decides the beam.
-            model.params["output.w"].data[...] = 0.0
-            model.params["output.b"].data[...] = np.arange(len(model.vocab)) % 2
-        n_best = 1 + int(n_best_frac * (beam_width - 1))
-        cfg = DecodeConfig(beam_width=beam_width, max_len=max_len, lam=lam, n_best=n_best)
-        phrases = ["ab", "b a", "c"]
-        entries = CONDITIONED if conditioned else None
-        fusion = None
-        if with_fusion:
-            fusion = FusionScorer(compile_context(phrases, [SPACE, "a", "b", "c"], EVERY_SUBWORD, 2.0))
-        x = random_input(seed + 100, frames=4)
-        audio, bias, prefixes = prepare(model, x, phrases, entries)
-        got = beam_search(model, audio, bias, cfg, fusion=fusion, prefixes=prefixes)
-        want = reference_beam_search(model, audio, bias, cfg, fusion=fusion, prefixes=prefixes)
-        assert_same_results(got, want, entries)
+        check_against_reference(seed, beam_width, n_best_frac, lam, with_fusion, conditioned, max_len, tied)
+
+    @given(max_len=st.integers(8, 30), **BEAM_CASES)
+    @settings(max_examples=40, deadline=None)
+    def test_equals_reference_on_long_searches(
+        self, seed, beam_width, n_best_frac, lam, with_fusion, conditioned, max_len, tied
+    ):
+        # Long enough that many of the searches stop early.
+        check_against_reference(seed, beam_width, n_best_frac, lam, with_fusion, conditioned, max_len, tied)
 
     def test_rows_with_different_masks(self):
         # The beam rows of one step carry different conditioning masks.
@@ -351,6 +368,74 @@ class TestBatchedBeamMatchesReference:
         assert any(len({row.tobytes() for row in m}) > 1 for m in masks)
         want = reference_beam_search(model, audio, bias, cfg, prefixes=prefixes)
         assert_same_results(got, want, CONDITIONED)
+
+
+class TestEarlyStop:
+    """The search ends before max_len once no live row can still win, and
+    only then; the reference always runs to max_len."""
+
+    @staticmethod
+    def decode_counting_steps(model, x, phrases, cfg, fusion):
+        audio, bias, _ = prepare(model, x, phrases)
+        calls = []
+        step = model.step
+
+        def counting_step(*args, **kwargs):
+            calls.append(1)
+            return step(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "step", counting_step)
+            got = beam_search(model, audio, bias, cfg, fusion=fusion)
+        assert_same_results(got, reference_beam_search(model, audio, bias, cfg, fusion=fusion))
+        return got, len(calls)
+
+    def test_stops_once_end_of_sequence_wins(self):
+        model = tiny_model(seed=5, alphabet="abc")
+        model.params["output.b"].data[model.vocab.eos] = 2.0  # `</s>` likely from the first step
+        phrases = ["ab", "b a", "c"]
+        fusion = FusionScorer(compile_context(phrases, [SPACE, "a", "b", "c"], EVERY_SUBWORD, 1.0))
+        cfg = DecodeConfig(beam_width=4, max_len=20, lam=1.0, n_best=2)
+        got, steps = self.decode_counting_steps(model, random_input(7, frames=4), phrases, cfg, fusion)
+        assert len(got) == 2 and all(r.finished for r in got)
+        assert steps < cfg.max_len // 2
+
+    def test_waits_for_the_n_best_th_finished_total(self):
+        # Log-probs set by the previous token: "</s>" finishes first and
+        # best, "b</s>" second, at step 2, behind the live "ac", whose
+        # "ac</s>" at step 3 takes second place. Stopping once every live
+        # row trails the best finished total would return "b".
+        model = tiny_model(seed=0, alphabet="abc")
+        v = model.vocab
+        a, b, c = (v.index(g) for g in "abc")
+        logits = np.full((len(v), len(v)), -5.0)
+        logits[v.sos, [v.eos, a, b]] = 3.0, 1.2, 0.5
+        logits[a, c] = logits[b, v.eos] = logits[c, v.eos] = 3.0
+        step = model.step
+
+        def markov_step(y_prev, *args):
+            _, alpha, state = step(y_prev, *args)
+            return T.log_softmax(T.constant(logits[np.asarray(y_prev)])), alpha, state
+
+        cfg = DecodeConfig(beam_width=3, max_len=10, n_best=2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "step", markov_step)
+            got, steps = self.decode_counting_steps(model, random_input(0), [], cfg, None)
+        assert [r.text for r in got] == ["", "ac"]
+        assert steps == 3
+
+    def test_fusion_gain_keeps_the_search_running(self):
+        # The bonus of a long word comes on its last grapheme: the winner
+        # repeats "cab" to max_len, long after `</s>` first led, while a
+        # bound without the fusion gain would stop after two steps on "".
+        model = tiny_model(seed=7, alphabet="abc")
+        model.params["output.b"].data[model.vocab.eos] = 0.0
+        phrases = ["abca", "cab"]
+        fusion = FusionScorer(compile_context(phrases, [SPACE, "a", "b", "c"], END_OF_WORD, 6.0))
+        cfg = DecodeConfig(beam_width=8, max_len=16, lam=1.0, n_best=1)
+        got, steps = self.decode_counting_steps(model, random_input(107, frames=4), phrases, cfg, fusion)
+        assert steps == cfg.max_len
+        assert "".join(got[0].raw_symbols) == "cab" * 5 and got[0].finished
 
 
 class TestRealSizeBeamMatchesReference:

@@ -34,6 +34,7 @@ from oracles import (
     fusion_events,
     grammar_accepts,
     reference_compose_det_min,
+    reference_gain_bound,
     reference_score_step,
 )
 
@@ -99,8 +100,12 @@ class TestBuildGrammar:
             build_grammar([""], 1.0)
         with pytest.raises(ValueError):
             build_grammar([], 1.0)
-        with pytest.raises(ValueError):
-            build_grammar(["cat"], 0.0)
+
+    @pytest.mark.parametrize("bonus", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+    def test_bonus_must_be_finite_and_positive(self, bonus):
+        # `bonus_per_word <= 0` used to let NaN and +inf through.
+        with pytest.raises(ValueError, match=f"bonus_per_word must be a finite number > 0, got {bonus}"):
+            build_grammar(["cat"], bonus)
 
 
 class TestBuildSpeller:
@@ -472,6 +477,50 @@ class TestCompiledTable:
 
     def test_loaded_context_without_fail_arcs(self):
         assert_table_matches_reference(load_lines(TWO_STATE_CONTEXT))
+
+
+_ab_phrases = st.lists(st.text("ab", min_size=1, max_size=3), min_size=1, max_size=2).map(" ".join)
+
+# Failures lead to the dead state 2, where every label costs 1: the table
+# reaches a fixed point after two rows, and in states 1 and 2 ending at once
+# (the refund alone) beats every label.
+DEAD_END_CONTEXT = [
+    "CTXSEQ-CONTEXT-1",
+    "alphabet <space> a",
+    "strategy end-of-word",
+    "bonus 1.0",
+    "states 3",
+    "start 0",
+    "finals 0:0.0",
+    "0 a <eps> 1.0 1",
+    "1 <fail> <eps> 0.5 2",
+    "2 <fail> <eps> -1.0 2",
+]
+
+
+class TestGainBound:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(_ab_phrases, min_size=1, max_size=3), st.sampled_from([0.5, 1.0, 2.5]))
+    def test_equals_enumeration(self, phrases, bonus):
+        for strategy in STRATEGIES:
+            m = compile_context(phrases, AB_ALPHABET, strategy, bonus)
+            table = FusionScorer(m).gain_bound(4)
+            assert table.shape == (5, m.n_states)
+            for r in range(5):
+                np.testing.assert_allclose(table[r], reference_gain_bound(FusionScorer(m), r), rtol=0, atol=1e-12)
+            assert np.all(table[1:] >= table[:-1])
+            # The rows do not depend on the horizon asked for.
+            assert np.array_equal(FusionScorer(m).gain_bound(2), table[:3])
+
+    @pytest.mark.parametrize("lines", [TWO_STATE_CONTEXT, DEAD_END_CONTEXT], ids=["growing", "fixed-point"])
+    def test_loaded_context(self, lines):
+        scorer = FusionScorer(load_lines(lines))
+        table = scorer.gain_bound(5)
+        for r in range(6):
+            np.testing.assert_allclose(table[r], reference_gain_bound(scorer, r), rtol=0, atol=1e-12)
+
+    def test_empty_context_gains_nothing(self):
+        assert np.array_equal(FusionScorer(fst.Wfst(meta={"strategy": END_OF_WORD})).gain_bound(80), np.zeros((81, 1)))
 
 
 class TestLoadContextValidation:

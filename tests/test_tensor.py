@@ -156,6 +156,23 @@ class TestLogSoftmax:
         fd = finite_difference(lambda: float(T.sum_(T.gather(T.log_softmax(x), [1])).data), {"x": x})
         assert max_rel_err(x.grad, fd["x"]) < 1e-6
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.floats(-1e300, 1e300), st.sampled_from([0.0, 5e-324, -745.2, 709.8, 1e300, -1e300])),
+            min_size=1,
+            max_size=8,
+        ),
+        st.integers(1, 3),
+        st.integers(1, 3),
+    )
+    def test_never_positive(self, values, repeats, rows):
+        # Beam search stops early on this: a model score can only fall.
+        # Repeating the values ties entries, the maximum among them.
+        x = np.tile(values * repeats, (rows, 1))
+        for logits in (x, x[0]):
+            assert np.all(T.log_softmax(T.constant(logits)).data <= 0.0)
+
 
 class TestLstmCell:
     def _zero_params(self, input_dim, hidden):

@@ -12,6 +12,12 @@ at least nine tenths of the pairs, its median is higher by more than the
 parent's interquartile range, every change run is correct, and the change's
 runs fail no larger share of their operations than the parent's.
 
+After each pair it also prints both sides' output digests, from the run
+record that run.py prints before its result line, and `outputs identical`
+or `outputs differ`; a side whose record has none shows `no digest`, and
+the pair then gets no such verdict. The digests inform only: they take no
+part in the claim or the exit status.
+
 For each end-to-end metric of the repository's `BENCHMARK.json` it also
 prints a no-regression verdict, by the metric's `better` and `bound`:
 `worse` when the change's median is worse than the parent's by more than
@@ -49,7 +55,8 @@ def parse_args(argv):
 
 
 def run_once(checkout: Path, args) -> dict:
-    """One run's result object: the last line run.py prints."""
+    """One run's result object, the last line run.py prints, with the
+    `digests` of the run record printed before it (None without one)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed), "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
@@ -60,7 +67,23 @@ def run_once(checkout: Path, args) -> dict:
         raise RuntimeError(
             f"{checkout}: run.py exited {done.returncode} without a result line\n{done.stderr[-2000:]}"
         ) from None
+    try:
+        result["digests"] = json.loads(lines[-2]).get("digests") or None
+    except (IndexError, ValueError, AttributeError):
+        result["digests"] = None
     return result
+
+
+def outputs_line(pair: dict, order: tuple[str, str]) -> str:
+    """Both sides' output digests and whether they agree."""
+    def shown(side):
+        digests = pair[side]["digests"]
+        return " ".join(f"{k}={v}" for k, v in digests.items()) if digests else "no digest"
+
+    line = "  ".join(f"{side} {shown(side)}" for side in order)
+    if pair["parent"]["digests"] and pair["change"]["digests"]:
+        line += ": outputs " + ("identical" if pair["parent"]["digests"] == pair["change"]["digests"] else "differ")
+    return line
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -109,7 +132,8 @@ def main(argv=None) -> int:
             + f" failed={pair[side]['failed']}" + ("" if pair[side]["correct"] else " INCORRECT")
             for side in order
         )
-        print(f"pair {k + 1} ({order[0]} first): {shown}", flush=True)
+        print(f"pair {k + 1} ({order[0]} first): {shown}")
+        print(f"pair {k + 1} outputs: {outputs_line(pair, order)}", flush=True)
 
     print("metric\tside\tq1\tmedian\tq3")
     spread = {}
