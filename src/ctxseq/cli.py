@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .conditioning import BiasEntry, split_rule_based
+from .conditioning import TALKTO_TRIGGER, BiasEntry, split_rule_based
 from .config import RunConfig, _coerce
 from .corpus import Utterance, generate_corpus, read_manifest
 from .experiments import (
@@ -138,7 +138,6 @@ def cmd_decode(args) -> int:
             return [BiasEntry(p, z) for p, z in zip(u.bias_prefixes, u.bias_phrases)]
         return rule_based(u)
 
-    out = _outdir(args.out, cfg)
     results = decode_corpus(
         model,
         utts,
@@ -147,6 +146,7 @@ def cmd_decode(args) -> int:
         phrases_fn=phrases_fn,
         entries_fn=entries_fn if args.conditioning != "off" else None,
     )
+    out = _outdir(args.out, cfg)
     with open(out / "hypotheses.tsv", "w", encoding="utf-8") as f:
         for u, r in zip(utts, results):
             f.write(f"{u.id}\t{r.text}\t{r.total!r}\n")
@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     fusion.add_argument("--strategy", choices=STRATEGIES, help="compile per-utterance contexts with this strategy")
     d.add_argument("--bonus", type=float, default=1.0)
     d.add_argument("--conditioning", choices=["off", "manifest", "rule-based"], default="off")
-    d.add_argument("--trigger", default="talk to")
+    d.add_argument("--trigger", default=TALKTO_TRIGGER)
     d.set_defaults(fn=cmd_decode)
 
     e = sub.add_parser("eval", help="score hypotheses against references")
@@ -377,7 +377,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ValueError, KeyError, OSError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all.
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1
 
 

@@ -17,7 +17,6 @@ by its new token instead of re-reading the whole hypothesis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -105,22 +104,24 @@ def compute_mask(entries: PrefixTable | Sequence[BiasEntry], at: int | Sequence[
     """{0, inf} mask of length N+1; index 0 (no-bias) is always open.
 
     Matching is raw substring inclusion on the normalized text of the
-    hypothesis, which `render` strips of `</bias>` tokens. `entries` is a
-    compiled `PrefixTable` or a plain entry list, which is compiled on each
-    call. `at` is the hypothesis: a state of the table, which a decoder
-    advances by one token per step, or its symbols, tested as whole text
-    without the table's states, so that a check of the decoder's masks stays
-    independent of the decoder's bookkeeping.
+    hypothesis, which `render` strips of `</bias>` tokens. There are two
+    forms. A decoder passes a compiled `PrefixTable` and a hypothesis's state
+    in it, which it advances by one token per step. A check passes the plain
+    entry list and the hypothesis's symbols: each distinct prefix is
+    normalized and tested against the whole text once, with no table, so
+    that a check of the decoder's masks stays independent of the table.
     """
-    table = entries if isinstance(entries, PrefixTable) else PrefixTable(entries)
-    if isinstance(at, Integral):
-        return table.mask(at)
+    if isinstance(entries, PrefixTable):
+        return entries.mask(at)
     text = normalize(render(at))
-    closed = np.array([False] + [p not in text for p in table.prefixes])
-    return np.where(closed[table.group_of], np.inf, 0.0)
+    closed = {p: normalize(p) not in text for p in {e.prefix for e in entries}}
+    return np.where([False] + [closed[e.prefix] for e in entries], np.inf, 0.0)
 
 
-def split_rule_based(phrases: Sequence[str], trigger: str = "talk to") -> list[BiasEntry]:
+TALKTO_TRIGGER = "talk to"  # the words that open every talk-to phrase and utterance
+
+
+def split_rule_based(phrases: Sequence[str], trigger: str = TALKTO_TRIGGER) -> list[BiasEntry]:
     """Split trigger-led phrases into first-letter and continuation entries.
 
     "<trigger> w rest" yields (prefix="<trigger> <first letter of w>", phrase=w)

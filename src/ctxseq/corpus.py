@@ -16,11 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .conditioning import TALKTO_TRIGGER
 from .tensor import load_tensors, save_tensors, substream
 from .vocab import SPACE, Vocabulary, graphemize, normalize
 
 STACK = 3  # raw frames per stacked frame, and the stride
-TALKTO_TRIGGER = "talk to"  # the words that open every talk-to phrase and utterance
 
 
 @dataclass

@@ -37,11 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .conditioning import PrefixTable, compute_mask
 from .fst import END_OF_WORD, FusionScorer, Wfst
 from .model import AudioCache, Recognizer
-from .vocab import BIAS_END, normalize, render
+from .vocab import BIAS_END, render
 
 
 @dataclass
@@ -85,7 +84,7 @@ def beam_search(
     """Decode one utterance; returns up to n_best results, best first.
 
     `audio` comes from `Recognizer.precompute_audio` and `bias` from
-    `embed_phrases`. `prefixes`, compiled from the entries whose phrases
+    `model.embed_phrases`. `prefixes`, compiled from the entries whose phrases
     `bias` embeds, switches on prefix conditioning. Without a finished
     hypothesis at max_len the single best unfinished one is returned,
     flagged.
@@ -178,21 +177,6 @@ def beam_search(
     # `done` and the live rows are in (length, tokens) order: a stable sort on -total suffices.
     pool = sorted(done or zip(tokens, rows, log_model, log_fusion), key=lambda h: -(h[2] + cfg.lam * h[3]))
     return [_to_result(*h, alphas, cfg.lam, vocab) for h in pool[: cfg.n_best if done else 1]]
-
-
-def embed_phrases(model: Recognizer, phrases: list[str]) -> tuple:
-    """Embed a phrase list once for reuse across utterances: `(h_z, keys)`,
-    with `h_z` one row per phrase after the no-bias row and `keys` in the
-    form of `Recognizer.bias_key_cache`.
-
-    Each distinct phrase (by its normalized text, so by its graphemes) is
-    encoded and keyed once: `h_z` gathers its rows back into list order, and
-    the key index points every row at its phrase's key row.
-    """
-    distinct: dict[str, int] = {}  # normalized phrase -> its row among the distinct ones
-    index = np.array([0] + [distinct.setdefault(normalize(p), len(distinct) + 1) for p in phrases])
-    h_z = model.encode_bias(list(distinct))
-    return T.gather(h_z, index), (model.bias_key_cache(h_z)[0], index)
 
 
 def _to_result(tokens, rows, log_model, log_fusion, alphas, lam: float, vocab) -> DecodeResult:

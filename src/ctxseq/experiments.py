@@ -8,12 +8,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .conditioning import PrefixTable, split_rule_based
+from .conditioning import TALKTO_TRIGGER, PrefixTable, split_rule_based
 from .corpus import Utterance
-from .decoding import DecodeConfig, DecodeResult, beam_search, embed_phrases
+from .decoding import DecodeConfig, DecodeResult, beam_search
 from .fst import FusionScorer, compile_context
 from .metrics import WerReport, corpus_wer
-from .model import AudioCache, Recognizer
+from .model import AudioCache, Recognizer, embed_phrases
 from .tensor import substream
 from .vocab import BIAS_END
 
@@ -198,7 +198,7 @@ def conditioning_comparison(
     model: Recognizer,
     utts: list[Utterance],
     cfg: DecodeConfig,
-    trigger: str = "talk to",
+    trigger: str = TALKTO_TRIGGER,
 ) -> dict[str, float]:
     """Unconditioned vs rule-based-conditioned WER on a trigger-led set."""
     audio = prepare_audio(model, utts)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .vocab import Vocabulary, graphemize
+from .vocab import Vocabulary, graphemize, normalize
 
 
 @dataclass
@@ -234,12 +234,6 @@ class Recognizer:
         last = _longest_first([self.bias_encoder], lengths, lambda at: T.gather(emb, flat[at]), np.cumsum(lengths) - 1)
         return T.stack([self.params["no_bias"], last])
 
-    def bias_key_cache(self, h_z: Tensor) -> tuple[Tensor, np.ndarray]:
-        """The attention keys of `h_z`'s rows as (key rows, key index): row i
-        reads key row `index[i]`. Here every row has its own key row;
-        `decoding.embed_phrases` keys a repeated phrase once."""
-        return T.matmul(h_z, self.params["bias_attn.wh"]), np.arange(h_z.data.shape[0])
-
     def attend_bias(
         self,
         d_t: Tensor,
@@ -250,11 +244,12 @@ class Recognizer:
         """Additive attention over phrase embeddings under a {0, inf} mask.
 
         `d_t` is B decoder-state rows, `mask` is (B, N+1) and `keys` is
-        `bias_key_cache(h_z)` or the keys `embed_phrases` gives. Returns the
-        bias context and the attention probabilities (one weight per row of
-        h_z, index 0 being no-bias). Only rows open for some query are
-        scored, each distinct key among them once; a row closed for query b
-        is -inf in b's scores, so it gets exactly zero weight and gradient.
+        (key rows, key index) as `embed_phrases` gives them: row i of `h_z`
+        reads key row `index[i]`. Returns the bias context and the attention
+        probabilities (one weight per row of h_z, index 0 being no-bias).
+        Only rows open for some query are scored, each distinct key among
+        them once; a row closed for query b is -inf in b's scores, so it gets
+        exactly zero weight and gradient.
         """
         n_rows = h_z.data.shape[0]
         mask = np.asarray(mask, dtype=np.float64)
@@ -327,7 +322,7 @@ class Recognizer:
         audio: AudioCache,
         h_z: Tensor,
         mask: np.ndarray,
-        bias_keys: Tensor,
+        bias_keys: tuple[Tensor, np.ndarray],
     ) -> tuple[Tensor, Tensor, DecoderStepState]:
         """One full decode step: returns (log-probs, bias attention, new state).
 
@@ -347,8 +342,8 @@ class Recognizer:
         self, xs: Sequence[np.ndarray], bias: tuple[Tensor, tuple[Tensor, np.ndarray]], targets: Sequence[Sequence[int]]
     ) -> Tensor:
         """Teacher-forced negative log-likelihood of the augmented targets,
-        summed over the batch; `bias` is the embedded list
-        `decoding.embed_phrases` gives the beam, shared by every utterance.
+        summed over the batch; `bias` is the embedded list `embed_phrases`
+        gives, as the beam takes it, shared by every utterance.
 
         Utterance b is row b of one (B, ·) step per target position. The
         targets are padded with end-of-sequence to the longest; a padded
@@ -401,3 +396,19 @@ class Recognizer:
                     f"shape mismatch for {name}: checkpoint {arrays[name].shape} vs model {t.data.shape}"
                 )
             t.data[...] = arrays[name]
+
+
+def embed_phrases(model: Recognizer, phrases: Sequence[str]) -> tuple[Tensor, tuple[Tensor, np.ndarray]]:
+    """Embed a phrase list once for reuse across utterances and steps:
+    `(h_z, (key_rows, key_index))`, with `h_z` one row per phrase after the
+    no-bias row; row i's attention key is `key_rows[key_index[i]]`.
+
+    Each distinct phrase (by its normalized text, so by its graphemes) is
+    encoded and keyed once: `h_z` gathers its rows back into list order, the
+    identity on a list without repeats, and the key index points every row
+    at its phrase's key row.
+    """
+    distinct: dict[str, int] = {}  # normalized phrase -> its row among the distinct ones
+    index = np.array([0] + [distinct.setdefault(normalize(p), len(distinct) + 1) for p in phrases])
+    h_z = model.encode_bias(list(distinct))
+    return T.gather(h_z, index), (T.matmul(h_z, model.params["bias_attn.wh"]), index)

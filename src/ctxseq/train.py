@@ -8,8 +8,7 @@ import numpy as np
 
 from . import tensor as T
 from .corpus import Utterance
-from .decoding import embed_phrases
-from .model import Recognizer
+from .model import Recognizer, embed_phrases
 from .sampler import SamplerConfig, insert_bias_tokens, sample_bias_list
 from .vocab import normalize
 

@@ -7,7 +7,8 @@ the library's minimization pass (it finds its own word-position facts by
 walking the determinized machine, where the library records them while it
 builds), the per-utterance loss, per-hypothesis beam search and
 per-phrase bias encoder run the library's model ops on one row at a time,
-the per-row bias attention runs them with one key per row, and the beam,
+the per-row bias attention runs them with one key per row, the enumeration
+oracle embeds its list with the library's `embed_phrases`, and the beam,
 enumeration and gain-bound oracles score fusion through the library
 scorer's `score_step`/`finish`, whose table `reference_score_step` checks.
 """
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ctxseq import tensor as T
-from ctxseq.conditioning import compute_mask
 from ctxseq.decoding import DecodeResult
 from ctxseq.fst import EPS, FAIL, StateAnn, Wfst, _minimize
+from ctxseq.model import embed_phrases
 from ctxseq.tensor import Tensor
 from ctxseq.vocab import BIAS_END, EOS, SOS, SPACE, graphemize, normalize, render
 
@@ -451,8 +452,7 @@ def enumerate_best(model, audio, phrases, max_len: int, lam: float, fusion=None)
     """Global argmax of model + lambda * fusion over every finished sequence
     of length <= max_len, with the beam's own tie-breaking order."""
     vocab = model.vocab
-    h_z = model.encode_bias(phrases)
-    keys = model.bias_key_cache(h_z)
+    h_z, keys = embed_phrases(model, phrases)
     mask = np.zeros((1, h_z.data.shape[0]))
     best = None
 
@@ -603,11 +603,12 @@ class _Hypothesis:
         return self.log_model + lam * self.log_fusion
 
 
-def reference_beam_search(model, audio, bias, cfg, fusion=None, prefixes=None):
+def reference_beam_search(model, audio, bias, cfg, fusion=None, entries=None):
     """`decoding.beam_search` one hypothesis at a time: one model step per
     live hypothesis, every one of the beam×V candidates built as an object
     with its own copies of the token and attention lists, then a full sort
-    by (-total, length, tokens)."""
+    by (-total, length, tokens); `entries` switches on conditioning, each
+    hypothesis masked by `reference_compute_mask`."""
     vocab = model.vocab
     h_z, bias_keys = bias
     zero_mask = np.zeros((1, h_z.data.shape[0]))
@@ -623,8 +624,8 @@ def reference_beam_search(model, audio, bias, cfg, fusion=None, prefixes=None):
             break
         candidates: list[_Hypothesis] = []
         for h in live:
-            if prefixes is not None:
-                mask = compute_mask(prefixes, [vocab.symbols[t] for t in h.tokens])[None]
+            if entries is not None:
+                mask = reference_compute_mask(entries, [vocab.symbols[t] for t in h.tokens])[None]
             else:
                 mask = zero_mask
             y_prev = h.tokens[-1] if h.tokens else vocab.sos

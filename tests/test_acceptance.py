@@ -12,9 +12,8 @@ import time
 import numpy as np
 
 from ctxseq import tensor as T
-from ctxseq.decoding import embed_phrases
 from ctxseq.fst import BEGINNING_OF_WORD, END_OF_WORD, EVERY_SUBWORD, FusionScorer, compile_context
-from ctxseq.model import ModelConfig, Recognizer
+from ctxseq.model import ModelConfig, Recognizer, embed_phrases
 from ctxseq.sampler import SamplerConfig, annotate_reference, draw_phrases, insert_bias_tokens
 from ctxseq.tensor import substream
 from ctxseq.vocab import SPACE, Vocabulary, graphemize, render
@@ -96,7 +95,8 @@ def test_criterion_02_attention_contract():
         for i in range(1, n + 1):
             if rng.random() < 0.4:
                 mask[0, i] = np.inf
-        _, alpha = model.attend_bias(d, h_z, mask, model.bias_key_cache(h_z))
+        keys = (T.matmul(h_z, model.params["bias_attn.wh"]), np.arange(n + 1))
+        _, alpha = model.attend_bias(d, h_z, mask, keys)
         assert alpha.data.shape == (1, n + 1)
         worst_sum = max(worst_sum, abs(alpha.data.sum() - 1.0))
         if (mask == np.inf).any():

@@ -303,6 +303,16 @@ class TestDecode:
         assert f"line 1: field 'bias_prefixes' has length 1, field 'bias_phrases' length {n}" in err
         assert not (out / "hypotheses.tsv").exists()
 
+    def test_unknown_phrase_token_fails_cleanly_without_output(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        record = json.loads((root / "corpus" / "test_biased.jsonl").read_text().splitlines()[0])
+        data = tmp_path / "m.jsonl"
+        data.write_text(json.dumps({**record, "bias_phrases": ["zq"]}) + "\n")
+        out = tmp_path / "dec"
+        assert main(["decode", "--checkpoint", str(root / "ckpt"), "--data", str(data), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: unknown token 'z'\n"
+        assert not out.exists()
+
     @staticmethod
     def decode_with_context(workspace, tmp_path, arcs: str) -> int:
         root, _ = workspace

@@ -91,11 +91,16 @@ class TestComputeMask:
     @given(st.lists(_prefixes, max_size=12), st.lists(_hypotheses, min_size=1, max_size=4))
     def test_equals_reference_loop(self, prefixes, hypotheses):
         entries = [BiasEntry(p, f"phrase{i}") for i, p in enumerate(prefixes)]
-        table = PrefixTable(entries)
         for hyp in hypotheses:
-            want = reference_compute_mask(entries, hyp)
-            assert np.array_equal(compute_mask(table, hyp), want)
-            assert np.array_equal(compute_mask(entries, hyp), want)
+            assert np.array_equal(compute_mask(entries, hyp), reference_compute_mask(entries, hyp))
+
+    def test_symbols_form_builds_no_table(self, monkeypatch):
+        def refuse(self, entries):
+            raise AssertionError("compute_mask(entries, symbols) compiled a PrefixTable")
+
+        monkeypatch.setattr(PrefixTable, "__init__", refuse)
+        entries = [BiasEntry(p, "x") for p in ("ab", "", "ab", "A  B", "ba", "ab")]
+        assert compute_mask(entries, graphemize("a b")).tolist() == [0.0, np.inf, 0.0, np.inf, 0.0, np.inf, np.inf]
 
 
 class TestPrefixAutomaton:
@@ -115,7 +120,7 @@ class TestPrefixAutomaton:
                 state = table.advance(state, symbol)
                 want = reference_compute_mask(entries, symbols[:k])
                 assert np.array_equal(compute_mask(table, state), want), symbols[:k]
-                assert np.array_equal(compute_mask(table, symbols[:k]), want), symbols[:k]
+                assert np.array_equal(compute_mask(entries, symbols[:k]), want), symbols[:k]
 
     def test_real_size_talkto_list(self, tmp_path):
         # The 940 rule-based entries of the seed-1 talk-to list, whose

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxseq import decoding
+from ctxseq import decoding, experiments
 from ctxseq import tensor as T
 from ctxseq.cli import load_checkpoint
 from ctxseq.conditioning import BiasEntry, PrefixTable, plain_entries, split_rule_based
 from ctxseq.corpus import generate_corpus, read_manifest
-from ctxseq.decoding import DecodeConfig, beam_search, embed_phrases
+from ctxseq.decoding import DecodeConfig, beam_search
 from ctxseq.fst import END_OF_WORD, EVERY_SUBWORD, FusionScorer, compile_context
-from ctxseq.model import ModelConfig, Recognizer
+from ctxseq.model import ModelConfig, Recognizer, embed_phrases
 from ctxseq.vocab import BIAS_END, EOS, SPACE, Vocabulary, normalize
 
 from oracles import enumerate_best, reference_beam_search, reference_compute_mask
@@ -91,7 +91,7 @@ class TestEmbedPhrases:
             same = h_z.data[key_of == k]
             assert (same == same[0]).all()
         assert key_rows.data.shape[0] == len({normalize(p) for p in phrases}) + 1
-        assert np.abs(key_rows.data[key_of] - model.bias_key_cache(full)[0].data).max() <= 1e-12
+        assert np.abs(key_rows.data[key_of] - full.data @ model.params["bias_attn.wh"].data).max() <= 1e-12
 
     def test_each_distinct_phrase_encoded_once(self, monkeypatch):
         model = tiny_model(seed=1)
@@ -112,8 +112,7 @@ class TestBeamBasics:
         result = decode(model, x, [], cfg)[0]
 
         audio = model.precompute_audio(model.encode_audio([x]))
-        h_z = model.encode_bias([])
-        keys = model.bias_key_cache(h_z)
+        h_z, keys = embed_phrases(model, [])
         state = model.initial_state(1)
         y_prev = model.vocab.sos
         tokens = []
@@ -317,7 +316,7 @@ def check_against_reference(seed, beam_width, n_best_frac, lam, with_fusion, con
     x = random_input(seed + 100, frames=4)
     audio, bias, prefixes = prepare(model, x, phrases, entries)
     got = beam_search(model, audio, bias, cfg, fusion=fusion, prefixes=prefixes)
-    want = reference_beam_search(model, audio, bias, cfg, fusion=fusion, prefixes=prefixes)
+    want = reference_beam_search(model, audio, bias, cfg, fusion=fusion, entries=entries)
     assert_same_results(got, want, entries)
 
 
@@ -366,7 +365,7 @@ class TestBatchedBeamMatchesReference:
             mp.setattr(model, "step", recording_step)
             got = beam_search(model, audio, bias, cfg, prefixes=prefixes)
         assert any(len({row.tobytes() for row in m}) > 1 for m in masks)
-        want = reference_beam_search(model, audio, bias, cfg, prefixes=prefixes)
+        want = reference_beam_search(model, audio, bias, cfg, entries=CONDITIONED)
         assert_same_results(got, want, CONDITIONED)
 
 
@@ -459,7 +458,7 @@ class TestRealSizeBeamMatchesReference:
             assert u.bias_phrases == phrases
             audio = model.precompute_audio(model.encode_audio([u.load_features()]))
             got = beam_search(model, audio, bias, cfg, fusion=fusion, prefixes=prefixes)
-            want = reference_beam_search(model, audio, bias, cfg, fusion=fusion, prefixes=prefixes)
+            want = reference_beam_search(model, audio, bias, cfg, fusion=fusion, entries=entries)
             assert_same_results(got, want, entries)
 
 
@@ -498,3 +497,7 @@ class TestTracingContract:
         assert set(calls["mask"]) == {(len(CONDITIONED) + 1,)}
         assert len(calls["h_z"]) == cfg.max_len
         assert all(h is bias_cache[0] for h in calls["h_z"])
+
+    def test_experiments_embeds_through_the_model_function(self):
+        # The benchmark times `model.embed_phrases` by patching this name.
+        assert experiments.embed_phrases is embed_phrases

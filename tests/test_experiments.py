@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from ctxseq import experiments
 from ctxseq.conditioning import plain_entries
 from ctxseq.corpus import Utterance
-from ctxseq.decoding import DecodeConfig, beam_search, embed_phrases
+from ctxseq.decoding import DecodeConfig, beam_search
 from ctxseq.experiments import decode_corpus, per_bias_list, trend_spearman
-from ctxseq.model import ModelConfig, Recognizer
+from ctxseq.model import ModelConfig, Recognizer, embed_phrases
 from ctxseq.vocab import Vocabulary
 
 

@@ -1,6 +1,7 @@
-"""Every name a module imports is used in that module, every function,
-class and method the library defines is used somewhere, and every class
-field the library declares is read somewhere.
+"""Every name a module imports is used in that module, only the layers
+above the beam search import it, every function, class and method the
+library defines is used somewhere, and every class field the library
+declares is read somewhere.
 
 Stdlib `ast` scans. The import scan covers the library, the tests, the
 demos and the tools; package `__init__.py` files are exempt, since their imports are
@@ -61,6 +62,37 @@ def test_no_unused_imports(path):
 def test_scan_finds_an_unused_import():
     source = "import os\nimport numpy as np\nfrom typing import Sequence\nx: 'Sequence[int]' = np.zeros(1)\n"
     assert unused_imports(source) == ["line 1: os"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """The short names of the modules `source` imports: `decoding` for
+    `from .decoding import x`, `from . import decoding` and
+    `import ctxseq.decoding` alike."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("ctxseq").lstrip(".")
+            names |= {module.split(".")[0]} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {alias.name.removeprefix("ctxseq.").split(".")[0] for alias in node.names}
+    return names
+
+
+# The modules that may sit on the beam search: the package, the run config
+# (for `DecodeConfig`), the experiments and the CLI. The model and the
+# training loop below it embed phrase lists without it.
+DECODING_IMPORTERS = {"__init__.py", "cli.py", "config.py", "experiments.py"}
+
+
+def test_only_the_layers_above_import_decoding():
+    library = (ROOT / "src" / "ctxseq").glob("*.py")
+    importers = {p.name for p in library if "decoding" in imported_modules(p.read_text(encoding="utf-8"))}
+    assert importers - DECODING_IMPORTERS == set()
+
+
+def test_import_scan_names_modules():
+    source = "from .decoding import x\nfrom . import model as m\nimport ctxseq.train\nfrom ctxseq import vocab\n"
+    assert imported_modules(source) == {"decoding", "model", "train", "vocab"}
 
 
 def _references(node: ast.AST) -> Counter:

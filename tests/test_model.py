@@ -6,8 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctxseq import tensor as T
-from ctxseq.decoding import embed_phrases
-from ctxseq.model import DecoderStepState, ModelConfig, Recognizer
+from ctxseq.model import DecoderStepState, ModelConfig, Recognizer, embed_phrases
 from ctxseq.tensor import Tape
 from ctxseq.vocab import BIAS_END, SPACE, Vocabulary, graphemize
 
@@ -240,8 +239,7 @@ class TestBatchedStep:
         model = tiny_model(seed=5)
         rng = np.random.default_rng(13)
         audio = model.precompute_audio(model.encode_audio([rng.normal(size=(4, 3))]))
-        h_z = model.encode_bias(["a", "ab", "b a"])
-        keys = model.bias_key_cache(h_z)
+        h_z, keys = embed_phrases(model, ["a", "ab", "b a"])
         y = np.array([model.vocab.index("a"), model.vocab.sos, model.vocab.index("b")])
         mask = np.array([[0.0, np.inf, 0.0, 0.0], [0.0, 0.0, np.inf, np.inf], [0.0, np.inf, np.inf, 0.0]])
         state = model.initial_state(rows=3)
@@ -262,13 +260,11 @@ class TestBatchedStep:
 
     def test_mask_shape_must_match_rows(self):
         model = tiny_model()
-        h_z = model.encode_bias(["a"])
+        h_z, keys = embed_phrases(model, ["a"])
         with pytest.raises(ValueError, match="mask length"):
-            model.attend_bias(T.constant(np.zeros((2, 2))), h_z, np.zeros(2), model.bias_key_cache(h_z))
+            model.attend_bias(T.constant(np.zeros((2, 2))), h_z, np.zeros(2), keys)
         with pytest.raises(ValueError, match="no-bias"):
-            model.attend_bias(
-                T.constant(np.zeros((2, 2))), h_z, np.array([[0.0, 0.0], [np.inf, 0.0]]), model.bias_key_cache(h_z)
-            )
+            model.attend_bias(T.constant(np.zeros((2, 2))), h_z, np.array([[0.0, 0.0], [np.inf, 0.0]]), keys)
 
 
 class TestRowLayout:
@@ -278,20 +274,20 @@ class TestRowLayout:
         model = tiny_model()
         assert all(t.data.shape[0] == 2 for t in model.initial_state(2).layers[0])
         audio = model.precompute_audio(model.encode_audio([np.zeros((2, 3))]))
-        h_z = model.encode_bias(["a"])
+        h_z, keys = embed_phrases(model, ["a"])
         vec = T.constant(np.zeros(2))
         vector_state = DecoderStepState(layers=[(vec, vec)], context=T.constant(np.zeros(4)))
         sos = model.vocab.sos
         calls = {
             "matmul": lambda: T.matmul(T.constant(np.zeros((2, 2))), vec),
             "matmul_t": lambda: T.matmul_t(vec, model.params["bias_attn.wd"]),
-            "additive_scores": lambda: T.additive_scores(model.bias_key_cache(h_z)[0], vec, model.params["bias_attn.v"]),
+            "additive_scores": lambda: T.additive_scores(keys[0], vec, model.params["bias_attn.v"]),
             "lstm_cell": lambda: T.lstm_cell(T.constant(np.zeros(6)), vec, vec, model.decoder[0]),
             "decoder_step id": lambda: model.decoder_step(sos, model.initial_state(1)),
             "decoder_step state": lambda: model.decoder_step([sos], vector_state),
-            "step": lambda: model.step(sos, model.initial_state(1), audio, h_z, np.zeros(2), model.bias_key_cache(h_z)),
+            "step": lambda: model.step(sos, model.initial_state(1), audio, h_z, np.zeros(2), keys),
             "attend_audio": lambda: model.attend_audio(vec, audio),
-            "attend_bias": lambda: model.attend_bias(vec, h_z, np.zeros(2), model.bias_key_cache(h_z)),
+            "attend_bias": lambda: model.attend_bias(vec, h_z, np.zeros(2), keys),
         }
         accepted = []
         for name, call in calls.items():
@@ -369,25 +365,25 @@ class TestAttendAudio:
 class TestAttendBias:
     def test_empty_bias_list(self):
         model = tiny_model()
-        h_z = model.encode_bias([])
-        c, alpha = model.attend_bias(T.constant(np.zeros((1, 2))), h_z, np.zeros((1, 1)), model.bias_key_cache(h_z))
+        h_z, keys = embed_phrases(model, [])
+        c, alpha = model.attend_bias(T.constant(np.zeros((1, 2))), h_z, np.zeros((1, 1)), keys)
         assert np.array_equal(alpha.data, [[1.0]])
         assert np.array_equal(c.data[0], model.params["no_bias"].data)
 
     def test_full_mask_keeps_only_no_bias(self):
         model = tiny_model()
-        h_z = model.encode_bias(["a", "b", "ab"])
+        h_z, keys = embed_phrases(model, ["a", "b", "ab"])
         mask = np.array([[0.0, np.inf, np.inf, np.inf]])
-        c, alpha = model.attend_bias(T.constant(np.ones((1, 2))), h_z, mask, model.bias_key_cache(h_z))
+        c, alpha = model.attend_bias(T.constant(np.ones((1, 2))), h_z, mask, keys)
         assert np.array_equal(alpha.data, [[1.0, 0.0, 0.0, 0.0]])
         assert np.abs(c.data[0] - model.params["no_bias"].data).max() < 1e-15
 
     def test_alpha_matches_direct_softmax(self):
         model = tiny_model()
         rng = np.random.default_rng(4)
-        h_z = model.encode_bias(["a", "b"])
+        h_z, keys = embed_phrases(model, ["a", "b"])
         d = rng.normal(size=2)
-        _, alpha = model.attend_bias(T.constant([d]), h_z, np.zeros((1, 3)), model.bias_key_cache(h_z))
+        _, alpha = model.attend_bias(T.constant([d]), h_z, np.zeros((1, 3)), keys)
         wh = model.params["bias_attn.wh"].data
         wd = model.params["bias_attn.wd"].data
         b = model.params["bias_attn.b"].data
@@ -398,11 +394,11 @@ class TestAttendBias:
 
     def test_mask_validation(self):
         model = tiny_model()
-        h_z = model.encode_bias(["a"])
+        h_z, keys = embed_phrases(model, ["a"])
         with pytest.raises(ValueError, match="mask length"):
-            model.attend_bias(T.constant(np.zeros((1, 2))), h_z, np.zeros((1, 3)), model.bias_key_cache(h_z))
+            model.attend_bias(T.constant(np.zeros((1, 2))), h_z, np.zeros((1, 3)), keys)
         with pytest.raises(ValueError, match="no-bias"):
-            model.attend_bias(T.constant(np.zeros((1, 2))), h_z, np.array([[np.inf, 0.0]]), model.bias_key_cache(h_z))
+            model.attend_bias(T.constant(np.zeros((1, 2))), h_z, np.array([[np.inf, 0.0]]), keys)
 
     def test_permutation_invariance_of_context(self):
         model = tiny_model()
@@ -410,23 +406,23 @@ class TestAttendBias:
         d = T.constant(rng.normal(size=(1, 2)))
         phrases = ["a", "ab", "b a"]
         mask = np.array([[0.0, 0.0, np.inf, 0.0]])
-        h_z1 = model.encode_bias(phrases)
-        c1, a1 = model.attend_bias(d, h_z1, mask, model.bias_key_cache(h_z1))
+        h_z1, keys1 = embed_phrases(model, phrases)
+        c1, a1 = model.attend_bias(d, h_z1, mask, keys1)
         perm_phrases = ["b a", "a", "ab"]
         perm_mask = np.array([[0.0, 0.0, 0.0, np.inf]])
-        h_z2 = model.encode_bias(perm_phrases)
-        c2, a2 = model.attend_bias(d, h_z2, perm_mask, model.bias_key_cache(h_z2))
+        h_z2, keys2 = embed_phrases(model, perm_phrases)
+        c2, a2 = model.attend_bias(d, h_z2, perm_mask, keys2)
         assert np.abs(c1.data - c2.data).max() < 1e-12
         assert np.abs(a1.data[0, [0, 1, 2, 3]] - a2.data[0, [0, 2, 3, 1]]).max() < 1e-12
 
     def test_masked_entries_exactly_zero(self):
         model = tiny_model()
         rng = np.random.default_rng(6)
-        h_z = model.encode_bias(["a", "b", "ab", "ba"])
+        h_z, keys = embed_phrases(model, ["a", "b", "ab", "ba"])
         for _ in range(50):
             mask = np.zeros((1, 5))
             mask[0, 1 + rng.integers(0, 4)] = np.inf
-            _, alpha = model.attend_bias(T.constant(rng.normal(size=(1, 2))), h_z, mask, model.bias_key_cache(h_z))
+            _, alpha = model.attend_bias(T.constant(rng.normal(size=(1, 2))), h_z, mask, keys)
             assert abs(alpha.data.sum() - 1.0) <= 1e-12
             assert alpha.data[mask == np.inf].max(initial=0.0) == 0.0
 
