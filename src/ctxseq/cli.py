@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .conditioning import TALKTO_TRIGGER, BiasEntry, split_rule_based
+from .conditioning import BiasEntry, split_rule_based
 from .config import RunConfig, _coerce
 from .corpus import Utterance, generate_corpus, read_manifest
 from .experiments import (
@@ -29,7 +29,7 @@ from .metrics import WerReport, compute_wer
 from .model import Recognizer
 from .tensor import load_tensors
 from .train import train_model
-from .vocab import SPACE, Vocabulary
+from .vocab import Vocabulary
 
 
 def _load_config(args) -> RunConfig:
@@ -115,11 +115,16 @@ def cmd_decode(args) -> int:
     utts = _read_utterances(args.data)
     alphabet = model.vocab.graphemes
 
-    shared_fusion = FusionScorer(load_context(args.context)) if args.context else None
+    shared_fusion = None
+    if args.context:
+        context = load_context(args.context)
+        foreign = sorted(set(context.meta["alphabet"]) - set(alphabet))
+        if foreign:
+            raise ValueError(f"context {args.context} has graphemes the model cannot emit: {' '.join(foreign)}")
+        shared_fusion = FusionScorer(context)
     compiled = per_bias_list(
         lambda phrases: FusionScorer(compile_context(phrases, alphabet, args.strategy, args.bonus))
     )
-    rule_based = per_bias_list(lambda phrases: split_rule_based(phrases, trigger=args.trigger))
 
     def fusion_per_utt(u):
         if args.strategy and u.bias_phrases and not args.empty_bias:
@@ -129,22 +134,19 @@ def cmd_decode(args) -> int:
     def phrases_fn(u):
         return [] if args.empty_bias else list(u.bias_phrases)
 
-    def entries_fn(u):
-        if args.empty_bias:
-            return None
-        if args.conditioning == "manifest":
-            if u.bias_prefixes is None:
-                raise ValueError(f"utterance {u.id} has no bias_prefixes in the manifest")
-            return [BiasEntry(p, z) for p, z in zip(u.bias_prefixes, u.bias_phrases)]
-        return rule_based(u)
+    def manifest_entries(u):
+        if u.bias_prefixes is None:
+            raise ValueError(f"utterance {u.id} has no bias_prefixes in the manifest")
+        return [BiasEntry(p, z) for p, z in zip(u.bias_prefixes, u.bias_phrases)]
 
+    entries_fn = {"off": None, "manifest": manifest_entries, "rule-based": per_bias_list(split_rule_based)}
     results = decode_corpus(
         model,
         utts,
         dcfg,
         fusion_per_utt=fusion_per_utt,
         phrases_fn=phrases_fn,
-        entries_fn=entries_fn if args.conditioning != "off" else None,
+        entries_fn=None if args.empty_bias else entries_fn[args.conditioning],
     )
     out = _outdir(args.out, cfg)
     with open(out / "hypotheses.tsv", "w", encoding="utf-8") as f:
@@ -200,13 +202,7 @@ def cmd_eval(args) -> int:
 def cmd_compile_context(args) -> int:
     with open(args.phrases, "r", encoding="utf-8") as f:
         phrases = [line.strip() for line in f if line.strip()]
-    if args.checkpoint:
-        vocab = Vocabulary.load(Path(args.checkpoint) / "vocab.txt")
-        alphabet = vocab.graphemes
-    elif args.alphabet:
-        alphabet = [SPACE] + list(args.alphabet)
-    else:
-        raise ValueError("compile-context needs --checkpoint or --alphabet")
+    alphabet = Vocabulary.load(Path(args.checkpoint) / "vocab.txt").graphemes
     machine = compile_context(phrases, alphabet, args.strategy, args.bonus)
     save_context(args.out, machine)
     print(f"compiled {len(phrases)} phrases -> {args.out} ({machine.n_states} states)")
@@ -232,19 +228,12 @@ def cmd_dump_attention(args) -> int:
     return 0
 
 
-# Each sweep section, the keys it reads, their types and whether a key must
-# be given; an optional key left out keeps the experiment's default.
+# Each sweep section, the keys it reads and their types; every key must be given.
 SWEEP_SECTIONS = {
-    "distractors": {"checkpoint": (str, True), "manifest": (str, True), "counts": (tuple[int, ...], True)},
-    "strategies": {
-        "checkpoint": (str, True),
-        "manifest": (str, True),
-        "strategies": (tuple[str, ...], True),
-        "lams": (tuple[float, ...], True),
-        "bonus": (float, False),
-    },
-    "conditioning": {"checkpoint": (str, True), "manifest": (str, True), "trigger": (str, False)},
-    "attention": {"checkpoint": (str, True), "manifest": (str, True), "threshold": (float, False)},
+    "distractors": {"checkpoint": str, "manifest": str, "counts": tuple[int, ...]},
+    "strategies": {"checkpoint": str, "manifest": str, "strategies": tuple[str, ...], "lams": tuple[float, ...]},
+    "conditioning": {"checkpoint": str, "manifest": str},
+    "attention": {"checkpoint": str, "manifest": str},
 }
 
 
@@ -257,16 +246,14 @@ def _sweep_values(spec: RunConfig) -> dict[str, dict]:
         raw = spec.sections.get(section)
         if raw is None:
             continue
-        values[section] = {key: _coerce(raw[key], typ, section, key) for key, (typ, _) in keys.items() if key in raw}
-        missing = [key for key, (_, required) in keys.items() if required and key not in raw]
+        values[section] = {key: _coerce(raw[key], typ, section, key) for key, typ in keys.items() if key in raw}
+        missing = [key for key in keys if key not in raw]
         if missing:
             raise ValueError(f"[{section}] lacks the key {missing[0]!r}")
     if "distractors" in values:
         check_distractor_counts(values["distractors"]["counts"])
     if "strategies" in values:
         check_strategy_grid(values["strategies"]["strategies"], values["strategies"]["lams"])
-        if "bonus" in values["strategies"]:
-            check_bonus(values["strategies"]["bonus"])
     return values
 
 
@@ -339,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     fusion.add_argument("--strategy", choices=STRATEGIES, help="compile per-utterance contexts with this strategy")
     d.add_argument("--bonus", type=float, default=1.0)
     d.add_argument("--conditioning", choices=["off", "manifest", "rule-based"], default="off")
-    d.add_argument("--trigger", default=TALKTO_TRIGGER)
     d.set_defaults(fn=cmd_decode)
 
     e = sub.add_parser("eval", help="score hypotheses against references")
@@ -350,8 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("compile-context", help="compile phrases into a context file")
     c.add_argument("--phrases", required=True, help="text file, one phrase per line")
-    c.add_argument("--checkpoint", help="take the alphabet from this checkpoint")
-    c.add_argument("--alphabet", help="letters of the alphabet, e.g. abcde")
+    c.add_argument("--checkpoint", required=True, help="take the alphabet from this checkpoint")
     c.add_argument("--strategy", required=True, choices=STRATEGIES)
     c.add_argument("--bonus", type=float, default=1.0)
     c.add_argument("--out", required=True)

@@ -35,14 +35,15 @@ def plain_entries(phrases: Sequence[str]) -> list[BiasEntry]:
 
 
 class PrefixTable:
-    """A conditioning list compiled for `compute_mask`.
+    """The prefixes of a conditioning list, compiled for `compute_mask`.
 
-    The entries are grouped by distinct normalized prefix; group 0 is the
-    empty prefix, always open. A state is an int naming (text, bit set of
-    open groups); `START` is the state of the empty hypothesis. `text` is
-    the longest end of the hypothesis's normalized text that is a proper
-    beginning of some prefix ("" always is one), so any occurrence still to
-    come of a prefix starts inside it. Whitespace becomes one space, dropped
+    Mask slot i + 1 belongs to `prefixes[i]`, and the slots are grouped by
+    distinct normalized prefix; group 0 is the empty prefix, always open. A
+    state is an int naming (text, bit set of open groups); `START` is the
+    state of the empty hypothesis. `text` is the longest end of the
+    hypothesis's normalized text that is a proper beginning of some prefix
+    ("" always is one), so any occurrence still to come of a prefix starts
+    inside it. Whitespace becomes one space, dropped
     at the start of `text` or after a space, so repeated and leading spaces
     collapse as `normalize` does; `<s>`, `</s>` and `</bias>` render to
     nothing and keep the state. Text is lower-cased one symbol at a time.
@@ -51,11 +52,11 @@ class PrefixTable:
 
     START = 0
 
-    def __init__(self, entries: Sequence[BiasEntry]):
+    def __init__(self, prefixes: Sequence[str]):
         groups: dict[str, int] = {"": 0}  # group 0: empty prefix, always open
         group_of = [0]  # mask slot -> group; slot 0 (no-bias) is always open
-        for e in entries:
-            group_of.append(groups.setdefault(normalize(e.prefix), len(groups)))
+        for prefix in prefixes:
+            group_of.append(groups.setdefault(normalize(prefix), len(groups)))
         self.prefixes = list(groups)[1:]  # the prefixes of groups 1, 2, ...
         self.group_of = np.array(group_of)
         self._beginnings = {""} | {p[:k] for p in self.prefixes for k in range(len(p))}

@@ -10,12 +10,14 @@ lambda-scaled fusion score, whose increments are read from the scorer's table
 by fusion state) form one array; the `beam_width` best give the parent row
 and token of each kept candidate, and every array is gathered by parent. A
 hypothesis that emits end-of-sequence is copied out; its attention rows are
-read from the per-step attention arrays through its back-pointers. Under
-prefix conditioning every live hypothesis gets its own attention mask at
-every step. The caller compiles each distinct conditioning list once into a
-`PrefixTable`; each row carries its state in that table, which its one new
-token advances, and a mask is a lookup by state. `</bias>` may be emitted
-during search but is stripped from returned sequences.
+read from the per-step attention arrays through its back-pointers. Every
+live hypothesis gets its own attention mask at every step. The caller
+compiles each distinct conditioning list once into a `PrefixTable`; each row
+carries its state in that table, which its one new token advances, and a
+mask is a lookup by state. A plain list is a table of empty prefixes, one
+group that is always open. The fusion state advances the same way, by a
+lookup in a (state, token) table built once per search. `</bias>` may be
+emitted during search but is stripped from returned sequences.
 
 The search stops as soon as no live hypothesis, nor any continuation of
 one, can enter the returned n-best, and at `max_len` steps at the latest.
@@ -84,10 +86,10 @@ def beam_search(
     """Decode one utterance; returns up to n_best results, best first.
 
     `audio` comes from `Recognizer.precompute_audio` and `bias` from
-    `model.embed_phrases`. `prefixes`, compiled from the entries whose phrases
-    `bias` embeds, switches on prefix conditioning. Without a finished
-    hypothesis at max_len the single best unfinished one is returned,
-    flagged.
+    `model.embed_phrases`. `prefixes` is compiled from the prefixes of the
+    entries whose phrases `bias` embeds; without it every phrase is always
+    open. Without a finished hypothesis at max_len the single best
+    unfinished one is returned, flagged.
 
     Before each step the search stops if no live row can still win. Let
     theta be the `n_best`-th best finished total, by the expression the
@@ -110,16 +112,20 @@ def beam_search(
     """
     vocab = model.vocab
     h_z, bias_keys = bias
-    if prefixes is not None and len(prefixes.group_of) != h_z.data.shape[0]:
+    prefixes = prefixes or PrefixTable([""] * (h_z.data.shape[0] - 1))
+    if len(prefixes.group_of) != h_z.data.shape[0]:
         raise ValueError(
             f"the prefix table has {len(prefixes.group_of)} rows, the embedded list {h_z.data.shape[0]}"
         )
     n_vocab = len(vocab)
-    # Fusion reads the scorer's table by state; `<s>`, `</s>` and `</bias>`
-    # keep the state and `</s>` pays its refund. No scorer: an empty context.
+    # The scorer's tables by (state, token): `<s>`, `</s>` and `</bias>` keep
+    # the state and add 0, but `</s>` adds the refund. No scorer: an empty context.
     fusion = fusion or FusionScorer(Wfst(meta={"strategy": END_OF_WORD}))
     column = np.array([fusion.column.get(s, -1) for s in vocab.symbols])
     keep = np.isin(np.arange(n_vocab), [vocab.sos, vocab.eos, vocab.bias_end])
+    f_next = np.where(keep, np.arange(len(fusion.refund))[:, None], fusion.next[:, column])
+    f_inc = np.where(keep, 0.0, fusion.inc[:, column])
+    f_inc[:, vocab.eos] = fusion.refund
 
     # Row b of each array is live hypothesis b, and the rows are in the
     # lexicographic order of their token sequences; `rows[b, s]` is the row
@@ -139,17 +145,12 @@ def beam_search(
         bound = log_model + cfg.lam * (log_fusion + gain[cfg.max_len - 1 - tokens.shape[1], f_state])
         if bound.max() < theta - 1e-9 * (scale + abs(theta)):
             break
-        if prefixes is not None:
-            mask = np.stack([compute_mask(prefixes, p) for p in p_state.tolist()])
-        else:
-            mask = np.zeros((len(tokens), h_z.data.shape[0]))
+        mask = np.array([compute_mask(prefixes, p) for p in p_state.tolist()])
         y_prev = tokens[:, -1] if tokens.shape[1] else np.array([vocab.sos])
         log_probs, alpha, state = model.step(y_prev, state, audio, h_z, mask, bias_keys)
         alphas.append(alpha.data)
-        f_inc = np.where(keep, 0.0, fusion.inc[f_state[:, None], column])
-        f_inc[:, vocab.eos] = fusion.refund[f_state]
         step_model = log_model[:, None] + log_probs.data
-        step_fusion = log_fusion[:, None] + f_inc
+        step_fusion = log_fusion[:, None] + f_inc[f_state]
         total = step_model + cfg.lam * step_fusion
         # Rows in sequence order and of equal length make flat index order
         # sequence order: a stable sort on -total gives the reference order,
@@ -159,7 +160,7 @@ def beam_search(
         tokens = np.column_stack([tokens[parents], new])
         rows = np.column_stack([rows[parents], parents])
         log_model, log_fusion = step_model[parents, new], step_fusion[parents, new]
-        f_state = np.where(keep[new], f_state[parents], fusion.next[f_state[parents], column[new]])
+        f_state = f_next[f_state[parents], new]
         live = new != vocab.eos
         if not live.all():
             done += list(zip(tokens[~live], rows[~live], log_model[~live], log_fusion[~live]))
@@ -169,10 +170,9 @@ def beam_search(
                 a[live] for a in (tokens, rows, log_model, log_fusion, f_state, parents, new)
             )
         state = state.take(parents)
-        if prefixes is not None:
-            p_state = np.array(
-                [prefixes.advance(p, vocab.symbols[t]) for p, t in zip(p_state[parents].tolist(), new.tolist())]
-            )
+        p_state = np.array(
+            [prefixes.advance(p, vocab.symbols[t]) for p, t in zip(p_state[parents].tolist(), new.tolist())]
+        )
 
     # `done` and the live rows are in (length, tokens) order: a stable sort on -total suffices.
     pool = sorted(done or zip(tokens, rows, log_model, log_fusion), key=lambda h: -(h[2] + cfg.lam * h[3]))

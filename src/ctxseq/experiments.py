@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .conditioning import TALKTO_TRIGGER, PrefixTable, split_rule_based
+from .conditioning import PrefixTable, plain_entries, split_rule_based
 from .corpus import Utterance
 from .decoding import DecodeConfig, DecodeResult, beam_search
 from .fst import FusionScorer, compile_context
@@ -33,25 +33,32 @@ def decode_corpus(
     audio: list[AudioCache] | None = None,
 ) -> list[DecodeResult]:
     """Top-1 decode of a set. `phrases_fn(utt)` overrides the manifest bias
-    list; `entries_fn(utt)` switches on conditioning, and its phrases are the
-    ones embedded; `fusion_per_utt(utt)` gives a per-utterance fusion scorer.
-    Each distinct phrase list is embedded, and each distinct entry list
-    compiled into a `PrefixTable`, once per call."""
+    list, which is decoded as `plain_entries`; `entries_fn(utt)` switches on
+    conditioning, and its phrases are the ones embedded; `fusion_per_utt(utt)`
+    gives a per-utterance fusion scorer. Each callback given is called once
+    per utterance, in that order: entries, phrases, fusion. Each distinct
+    phrase list is embedded, and each distinct prefix list compiled into a
+    `PrefixTable`, once per call."""
     if audio is None:
         audio = prepare_audio(model, utts)
     embed = functools.cache(lambda phrases: embed_phrases(model, list(phrases)))
     compile_table = functools.cache(PrefixTable)
+    phrases_of = phrases_fn or (lambda u: u.bias_phrases)
+    if entries_fn is None:
+        def entries_of(u):
+            return plain_entries(phrases_of(u))
+    else:
+        def entries_of(u):
+            entries = entries_fn(u)
+            phrases_of(u)  # its result goes unused: the entries' phrases are the ones embedded
+            return entries
+    fusion_of = fusion_per_utt or (lambda u: None)
     out = []
     for u, cache in zip(utts, audio):
-        entries = entries_fn(u) if entries_fn is not None else None
-        phrases = phrases_fn(u) if phrases_fn is not None else u.bias_phrases
-        prefixes = None
-        if entries is not None:
-            phrases = [e.phrase for e in entries]
-            prefixes = compile_table(tuple(entries))
-        bias = embed(tuple(phrases))
-        scorer = fusion_per_utt(u) if fusion_per_utt is not None else None
-        out.append(beam_search(model, cache, bias, cfg, fusion=scorer, prefixes=prefixes)[0])
+        entries = entries_of(u)
+        bias = embed(tuple(e.phrase for e in entries))
+        prefixes = compile_table(tuple(e.prefix for e in entries))
+        out.append(beam_search(model, cache, bias, cfg, fusion=fusion_of(u), prefixes=prefixes)[0])
     return out
 
 
@@ -140,10 +147,10 @@ def attention_hit_rate(
     model: Recognizer,
     utts: list[Utterance],
     cfg: DecodeConfig,
-    threshold: float = 0.5,
 ) -> float:
     """Share of utterances whose true phrase dominates bias attention at the
-    first `</bias>`-emission step of the decoded hypothesis."""
+    first `</bias>`-emission step of the decoded hypothesis: its weight there
+    is above 0.5."""
     results = decode_corpus(model, utts, cfg)
     hits, total = 0, 0
     for u, r in zip(utts, results):
@@ -151,7 +158,7 @@ def attention_hit_rate(
         steps = [i for i, s in enumerate(r.raw_symbols) if s == BIAS_END]
         if not steps or r.alphas.shape[1] < 2:
             continue
-        if r.alphas[steps[0], 1] > threshold:  # column 1 = manifest's true phrase
+        if r.alphas[steps[0], 1] > 0.5:  # column 1 = manifest's true phrase
             hits += 1
     return hits / total if total else 0.0
 
@@ -165,17 +172,17 @@ def strategy_comparison(
     strategies: list[str],
     lams: list[float],
     cfg: DecodeConfig,
-    bonus: float = 1.0,
 ) -> dict[str, tuple[float, float]]:
     """Per strategy, the best (lambda, WER) over the grid, fusing each
     utterance's own bias list over the plain model. Raises ValueError if
     `strategies` or `lams` is empty. Every strategy compiles each distinct
-    list once, before any decode."""
+    list once, before any decode, at bonus 1: every strategy's weights are
+    linear in the bonus, so `lams` alone sets the scale."""
     check_strategy_grid(strategies, lams)
     alphabet = model.vocab.graphemes
 
     def fusion(strat: str):
-        return per_bias_list(lambda phrases: FusionScorer(compile_context(phrases, alphabet, strat, bonus)))
+        return per_bias_list(lambda phrases: FusionScorer(compile_context(phrases, alphabet, strat, 1.0)))
 
     fusions = {strat: fusion(strat) for strat in strategies}
     for per_utt in fusions.values():
@@ -198,13 +205,11 @@ def conditioning_comparison(
     model: Recognizer,
     utts: list[Utterance],
     cfg: DecodeConfig,
-    trigger: str = TALKTO_TRIGGER,
 ) -> dict[str, float]:
-    """Unconditioned vs rule-based-conditioned WER on a trigger-led set."""
+    """Unconditioned vs rule-based-conditioned WER on a talk-to set."""
     audio = prepare_audio(model, utts)
     plain = decode_corpus(model, utts, cfg, audio=audio)
-    entries_fn = per_bias_list(lambda phrases: split_rule_based(phrases, trigger=trigger))
-    conditioned = decode_corpus(model, utts, cfg, entries_fn=entries_fn, audio=audio)
+    conditioned = decode_corpus(model, utts, cfg, entries_fn=per_bias_list(split_rule_based), audio=audio)
     return {
         "unconditioned": eval_wer(plain, utts).wer,
         "conditioned": eval_wer(conditioned, utts).wer,

@@ -5,11 +5,13 @@ import shutil
 import pytest
 
 from ctxseq import experiments
-from ctxseq.cli import main
+from ctxseq.cli import load_checkpoint, main
+from ctxseq.conditioning import BiasEntry, split_rule_based
 from ctxseq.config import RunConfig
-from ctxseq.corpus import read_manifest
+from ctxseq.corpus import read_manifest, write_manifest
+from ctxseq.experiments import decode_corpus
 from ctxseq.fst import FusionScorer, load_context
-from ctxseq.vocab import SPACE
+from ctxseq.vocab import SPACE, Vocabulary
 
 CFG = """
 [run]
@@ -45,6 +47,15 @@ batch_size = 3
 beam_width = 2
 max_len = 12
 """
+
+
+def vocab_only_checkpoint(tmp_path, letters: str):
+    """A directory holding only the vocabulary over `letters`, all that
+    `compile-context` reads of a checkpoint."""
+    ckpt = tmp_path / letters
+    ckpt.mkdir()
+    Vocabulary.from_alphabet(letters).save(ckpt / "vocab.txt")
+    return ckpt
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +138,16 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "encoder_units must be >= 1, got 0" in err
         assert not out.exists()
+
+    def test_checkpoint_every_saves_step_files(self, workspace, tmp_path):
+        root, cfg_path = workspace
+        out = tmp_path / "ckpt"
+        args = ["train", "--config", str(cfg_path), "--data", str(root / "corpus" / "train.jsonl")]
+        assert main(args + ["--out", str(out), "--checkpoint-every", "2"]) == 0
+        assert sorted(p.name for p in out.glob("params_step*.bin")) == [
+            "params_step000002.bin", "params_step000004.bin"
+        ]
+        assert (out / "params_step000004.bin").read_bytes() == (out / "params.bin").read_bytes()
 
     def test_negative_checkpoint_every_fails_cleanly(self, workspace, tmp_path, capsys):
         # `(step + 1) % -1 == 0` used to save a checkpoint at every step.
@@ -303,6 +324,50 @@ class TestDecode:
         assert f"line 1: field 'bias_prefixes' has length 1, field 'bias_phrases' length {n}" in err
         assert not (out / "hypotheses.tsv").exists()
 
+    def test_manifest_conditioning_decodes_the_manifest_entries(self, workspace, tmp_path):
+        root, _ = workspace
+        model, cfg = load_checkpoint(root / "ckpt")
+        utts = read_manifest(root / "corpus" / "test_talkto.jsonl")
+        for u in utts:
+            entries = split_rule_based(u.bias_phrases)
+            u.bias_phrases, u.bias_prefixes = [e.phrase for e in entries], [e.prefix for e in entries]
+        data = tmp_path / "m.jsonl"
+        write_manifest(data, utts)
+        out = tmp_path / "dec"
+        args = ["decode", "--checkpoint", str(root / "ckpt"), "--data", str(data), "--conditioning", "manifest"]
+        assert main(args + ["--out", str(out)]) == 0
+        entries_fn = lambda u: [BiasEntry(p, z) for p, z in zip(u.bias_prefixes, u.bias_phrases)]
+        want = decode_corpus(model, read_manifest(data), cfg.decode(), entries_fn=entries_fn)
+        lines = (out / "hypotheses.tsv").read_text().splitlines()
+        assert lines == [f"{u.id}\t{r.text}\t{r.total!r}" for u, r in zip(utts, want)]
+
+    def test_manifest_conditioning_needs_prefixes(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        data = root / "corpus" / "test_biased.jsonl"
+        first = read_manifest(data)[0]
+        out = tmp_path / "dec"
+        args = ["decode", "--checkpoint", str(root / "ckpt"), "--data", str(data), "--conditioning", "manifest"]
+        assert main(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: utterance {first.id} has no bias_prefixes in the manifest\n"
+        assert not out.exists()
+
+    def test_context_over_foreign_graphemes_fails_cleanly(self, workspace, tmp_path, capsys):
+        # A context over letters the model cannot emit used to decode with a
+        # fusion that never fires.
+        root, _ = workspace
+        phrases = tmp_path / "p.txt"
+        phrases.write_text("zq\nxq\n")
+        ckpt = vocab_only_checkpoint(tmp_path, "zqx")
+        context = tmp_path / "ctx.txt"
+        args = ["compile-context", "--phrases", str(phrases), "--checkpoint", str(ckpt), "--strategy", "every-subword"]
+        assert main(args + ["--out", str(context)]) == 0
+        out = tmp_path / "dec"
+        args = ["decode", "--checkpoint", str(root / "ckpt"), "--data", str(root / "corpus" / "test_biased.jsonl")]
+        assert main(args + ["--context", str(context), "--lam", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: context {context} has graphemes the model cannot emit: q x z\n"
+        assert not out.exists()
+
     def test_unknown_phrase_token_fails_cleanly_without_output(self, workspace, tmp_path, capsys):
         root, _ = workspace
         record = json.loads((root / "corpus" / "test_biased.jsonl").read_text().splitlines()[0])
@@ -432,6 +497,15 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {hyp} ") and message.format(id=u.id) in err
 
+    def test_hypothesis_for_unknown_utterance_fails_cleanly(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        manifest = root / "corpus" / "test_unbiased.jsonl"
+        hyp = tmp_path / "hyp.tsv"
+        hyp.write_text("nobody\ta b\t0.0\n")
+        assert main(["eval", "--hyp", str(hyp), "--data", str(manifest), "--out", str(tmp_path / "eval")]) == 1
+        assert capsys.readouterr().err == "error: hypothesis for unknown utterance nobody\n"
+        assert not (tmp_path / "eval").exists()
+
     def test_missing_hypotheses_fail_cleanly(self, workspace, tmp_path, capsys):
         root, _ = workspace
         manifest = root / "corpus" / "test_unbiased.jsonl"
@@ -484,25 +558,17 @@ class TestCompileContext:
     def test_needs_alphabet_source(self, tmp_path, capsys):
         phrases = tmp_path / "p.txt"
         phrases.write_text("a\n")
-        rc = main(
-            [
-                "compile-context",
-                "--phrases",
-                str(phrases),
-                "--strategy",
-                "end-of-word",
-                "--out",
-                str(tmp_path / "c.txt"),
-            ]
-        )
-        assert rc == 1
-        assert "alphabet" in capsys.readouterr().err
-
+        args = ["compile-context", "--phrases", str(phrases), "--strategy", "end-of-word"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out", str(tmp_path / "c.txt")])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "c.txt").exists()
 
     def test_unknown_strategy_rejected(self, tmp_path, capsys):
         phrases = tmp_path / "p.txt"
         phrases.write_text("ab\n")
-        args = ["compile-context", "--phrases", str(phrases), "--alphabet", "ab", "--strategy", "bogus"]
+        args = ["compile-context", "--phrases", str(phrases), "--strategy", "bogus"]
         with pytest.raises(SystemExit) as exc:
             main(args + ["--out", str(tmp_path / "c.txt")])
         assert exc.value.code == 2
@@ -512,7 +578,8 @@ class TestCompileContext:
     def test_grapheme_outside_alphabet_fails_cleanly(self, tmp_path, capsys):
         phrases = tmp_path / "p.txt"
         phrases.write_text("ab\nabc\n")
-        args = ["compile-context", "--phrases", str(phrases), "--alphabet", "ab", "--strategy", "end-of-word"]
+        ckpt = vocab_only_checkpoint(tmp_path, "ab")
+        args = ["compile-context", "--phrases", str(phrases), "--checkpoint", str(ckpt), "--strategy", "end-of-word"]
         assert main(args + ["--out", str(tmp_path / "c.txt")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "grapheme 'c' of word 'abc' outside the alphabet" in err
@@ -523,7 +590,8 @@ class TestCompileContext:
         # `load_context` rejects.
         phrases = tmp_path / "p.txt"
         phrases.write_text("ab\n")
-        args = ["compile-context", "--phrases", str(phrases), "--alphabet", "ab", "--strategy", "every-subword"]
+        ckpt = vocab_only_checkpoint(tmp_path, "ab")
+        args = ["compile-context", "--phrases", str(phrases), "--checkpoint", str(ckpt), "--strategy", "every-subword"]
         assert main(args + ["--bonus", bonus, "--out", str(tmp_path / "c.txt")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "bonus_per_word must be a finite number > 0" in err
@@ -555,7 +623,7 @@ class TestSweep:
             ("[attention]\nmanifest = m.jsonl\n", "[attention] lacks the key 'checkpoint'"),
             ("[strategies]\nstrategies = end-of-word\nlams = 1,x\n", "[strategies] lams = 'x' is not a number"),
             ("[attention]\ncheckpoint = ckpt\nmanifest = m.jsonl\ntreshold = 0.99\n",
-             "unknown key 'treshold' in [attention]; the known keys are checkpoint, manifest, threshold"),
+             "unknown key 'treshold' in [attention]; the known keys are checkpoint, manifest"),
         ],
         ids=["unknown-section", "missing-counts", "missing-checkpoint", "bad-lambda", "unknown-key"],
     )
@@ -615,7 +683,7 @@ class TestSweep:
             ("strategies", "strategies =\nlams = 0\n", "[strategies] strategies is empty"),
             ("strategies", "strategies = end-of-word\nlams =\n", "[strategies] lams is empty"),
             ("strategies", "strategies = end-of-word\nlams = 0\nbonus = nan\n",
-             "bonus_per_word must be a finite number > 0, got nan"),
+             "unknown key 'bonus' in [strategies]; the known keys are checkpoint, manifest, strategies, lams"),
         ],
         ids=["no-counts", "negative-count", "no-strategies", "no-lams", "nan-bonus"],
     )
@@ -643,7 +711,7 @@ class TestSweep:
             ("[strategies]\n{inputs}strategies = end-of-word\nlams =\n", "[strategies] lams is empty"),
             ("[attention]\ncheckpoint = {ckpt}\n", "[attention] lacks the key 'manifest'"),
             ("[conditioning]\ncheckpoint = {ckpt}\nmanifest =\n[attention]\n{inputs}threshold = x\n",
-             "[attention] threshold = 'x' is not a number"),
+             "unknown key 'threshold' in [attention]; the known keys are checkpoint, manifest"),
         ],
         ids=["empty-lams", "missing-manifest", "bad-threshold"],
     )
@@ -734,6 +802,17 @@ class TestDumpAttention:
         for row in rows[1:]:
             values = [float(v) for v in row.split("\t")[2:]]
             assert abs(sum(values) - 1.0) < 1e-9
+
+    def test_utt_id_picks_the_utterance(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        data = root / "corpus" / "test_biased.jsonl"
+        last = read_manifest(data)[-1]
+        args = ["dump-attention", "--checkpoint", str(root / "ckpt"), "--data", str(data)]
+        assert main(args + ["--utt-id", last.id, "--out", str(tmp_path / "attn")]) == 0
+        assert [p.name for p in (tmp_path / "attn").glob("attention_*")] == [f"attention_{last.id}.tsv"]
+        assert main(args + ["--utt-id", "nobody", "--out", str(tmp_path / "none")]) == 1
+        assert capsys.readouterr().err == "error: utterance nobody not in manifest\n"
+        assert not (tmp_path / "none").exists()
 
     def test_empty_manifest_fails_cleanly(self, workspace, tmp_path, capsys):
         root, _ = workspace

@@ -42,7 +42,7 @@ def prepare(model, x, phrases, entries=None):
     With `entries` the phrases embedded are the entries' own."""
     prefixes = None
     if entries is not None:
-        phrases, prefixes = [e.phrase for e in entries], PrefixTable(entries)
+        phrases, prefixes = [e.phrase for e in entries], PrefixTable([e.prefix for e in entries])
     audio = model.precompute_audio(model.encode_audio([x]))
     return audio, embed_phrases(model, phrases), prefixes
 
@@ -236,7 +236,7 @@ class TestConditioningIntegration:
     def test_prefix_table_must_match_embedded_list(self):
         model = tiny_model(seed=13)
         audio, bias, _ = prepare(model, random_input(23), ["a", "b"])
-        prefixes = PrefixTable([BiasEntry("a", "b")])
+        prefixes = PrefixTable(["a"])
         with pytest.raises(ValueError, match="prefix table has 2 rows, the embedded list 3"):
             beam_search(model, audio, bias, DecodeConfig(beam_width=2, max_len=3), prefixes=prefixes)
 
@@ -450,7 +450,7 @@ class TestRealSizeBeamMatchesReference:
         utts = read_manifest(generate_corpus(run_cfg.task(), tmp_path).manifests["test_talkto"])[:2]
         phrases = utts[0].bias_phrases
         entries = split_rule_based(phrases, trigger="talk to")
-        bias, prefixes = embed_phrases(model, [e.phrase for e in entries]), PrefixTable(entries)
+        bias, prefixes = embed_phrases(model, [e.phrase for e in entries]), PrefixTable([e.prefix for e in entries])
         assert bias[0].data.shape[0] == 941
         fusion = FusionScorer(compile_context(phrases, model.vocab.graphemes, EVERY_SUBWORD, 1.0))
         cfg = DecodeConfig(beam_width=8, max_len=run_cfg.decode().max_len, lam=1.0)

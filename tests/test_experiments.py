@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxseq import experiments
-from ctxseq.conditioning import plain_entries
+from ctxseq.conditioning import BiasEntry, plain_entries
 from ctxseq.corpus import Utterance
-from ctxseq.decoding import DecodeConfig, beam_search
+from ctxseq.decoding import DecodeConfig, DecodeResult, beam_search
 from ctxseq.experiments import decode_corpus, per_bias_list, trend_spearman
 from ctxseq.model import ModelConfig, Recognizer, embed_phrases
-from ctxseq.vocab import Vocabulary
+from ctxseq.vocab import BIAS_END, Vocabulary
 
 
 class TestTrendSpearman:
@@ -84,10 +84,16 @@ class TestOncePerDistinctList:
         model, utts = tiny_model(), utterances(self.LISTS)
         embedded = self.counting(monkeypatch, "embed_phrases")
         compiled = self.counting(monkeypatch, "PrefixTable")
+        audio = encoded(model, len(utts))
         entries_fn = lambda u: plain_entries(u.bias_phrases[:1])
-        decode_corpus(model, utts, self.CFG, entries_fn=entries_fn, audio=encoded(model, len(utts)))
-        assert [list(c) for c in compiled] == [plain_entries(["a"]), plain_entries(["b"])]
+        decode_corpus(model, utts, self.CFG, entries_fn=entries_fn, audio=audio)
+        assert compiled == [("",)]  # the plain lists ["a"] and ["b"] share one table
         assert embedded == [["a"], ["b"]]
+        compiled.clear(), embedded.clear()
+        entries_fn = lambda u: [BiasEntry(p, "a") for p in u.bias_phrases]
+        decode_corpus(model, utts, self.CFG, entries_fn=entries_fn, audio=audio)
+        assert compiled == [("a", "b a"), ("b",)]
+        assert embedded == [["a", "a"], ["a"]]
 
     def test_decode_corpus_callback_order(self):
         model, utts = tiny_model(), utterances(self.LISTS[:2])
@@ -117,3 +123,21 @@ class TestOncePerDistinctList:
         lookup = per_bias_list(fn)
         assert [lookup(u) for u in utterances(self.LISTS)] == [1, 2, 1, 2, 1]
         assert seen == [["a", "b a"], ["b"]]
+
+
+class TestAttentionHitRate:
+    @staticmethod
+    def result(symbols: list[str], true_weights: list[float]) -> DecodeResult:
+        """A decode whose step-k attention gives the true phrase (column 1) `true_weights[k]`."""
+        alphas = np.array([[1 - w, w] for w in true_weights])
+        return DecodeResult("", [], 0.0, 0.0, 0.0, True, symbols, alphas)
+
+    def test_hit_is_a_weight_above_half_at_the_first_bias_end(self, monkeypatch):
+        results = [
+            self.result(["a", BIAS_END, "b", BIAS_END], [0.1, 0.75, 0.2, 0.1]),  # a hit
+            self.result(["a", BIAS_END], [0.9, 0.5]),  # exactly 0.5 is no hit
+            self.result(["a", BIAS_END, BIAS_END], [0.9, 0.25, 0.9]),  # only the first `</bias>` counts
+            self.result(["a", "b"], [0.9, 0.9]),  # no `</bias>`
+        ]
+        monkeypatch.setattr(experiments, "decode_corpus", lambda model, utts, cfg: results)
+        assert experiments.attention_hit_rate(None, utterances([["a"]] * 4), DecodeConfig()) == 0.25
