@@ -263,15 +263,17 @@ def cmd_sweep(args) -> int:
         values = _sweep_values(spec)
     except ValueError as exc:
         raise ValueError(f"{args.spec}: {exc}") from None
+    runs = []  # every checkpoint and manifest is read before the first decode
+    for section, kwargs in values.items():
+        model, cfg = load_checkpoint(kwargs.pop("checkpoint"))
+        runs.append((section, model, cfg, _read_utterances(kwargs.pop("manifest")), kwargs))
     out = _outdir(args.out)
 
     def report(name: str, rows) -> None:
         with open(out / name, "w", encoding="utf-8") as f:
             f.writelines("\t".join(map(str, row)) + "\n" for row in rows)
 
-    for section, kwargs in values.items():
-        model, cfg = load_checkpoint(kwargs.pop("checkpoint"))
-        utts = _read_utterances(kwargs.pop("manifest"))
+    for section, model, cfg, utts, kwargs in runs:
         if section == "distractors":
             pool = sorted({p for u in utts for p in u.bias_phrases})
             curve = distractor_sweep(model, utts, pool, cfg=cfg.decode(), seed=cfg.seed, **kwargs)

@@ -194,7 +194,6 @@ def _sample_phrase(rng: np.random.Generator, cfg: SyntheticTaskConfig, pool: lis
 
 @dataclass
 class Corpus:
-    config: SyntheticTaskConfig
     lexicon: list[str]
     oov_lexicon: list[str]
     manifests: dict[str, str]  # set name -> manifest path
@@ -239,7 +238,7 @@ def generate_corpus(cfg: SyntheticTaskConfig, outdir) -> Corpus:
     manifests = {name: str(outdir / f"{name}.jsonl") for name in sets}
     for name, utts in sets.items():
         write_manifest(manifests[name], utts)
-    return Corpus(config=cfg, lexicon=lexicon, oov_lexicon=oov, manifests=manifests)
+    return Corpus(lexicon=lexicon, oov_lexicon=oov, manifests=manifests)
 
 
 def _write_utterance(

@@ -11,7 +11,7 @@ import numpy as np
 from .conditioning import PrefixTable, plain_entries, split_rule_based
 from .corpus import Utterance
 from .decoding import DecodeConfig, DecodeResult, beam_search
-from .fst import FusionScorer, compile_context
+from .fst import FusionScorer, check_strategy, compile_context
 from .metrics import WerReport, corpus_wer
 from .model import AudioCache, Recognizer, embed_phrases
 from .tensor import substream
@@ -34,24 +34,18 @@ def decode_corpus(
 ) -> list[DecodeResult]:
     """Top-1 decode of a set. `phrases_fn(utt)` overrides the manifest bias
     list, which is decoded as `plain_entries`; `entries_fn(utt)` switches on
-    conditioning, and its phrases are the ones embedded; `fusion_per_utt(utt)`
-    gives a per-utterance fusion scorer. Each callback given is called once
-    per utterance, in that order: entries, phrases, fusion. Each distinct
-    phrase list is embedded, and each distinct prefix list compiled into a
-    `PrefixTable`, once per call."""
+    conditioning, and its phrases are the ones embedded, so `phrases_fn` is
+    then not called; `fusion_per_utt(utt)` gives a per-utterance fusion
+    scorer. The callbacks are called once per utterance, in that order:
+    entries or phrases, then fusion. Each distinct phrase list is embedded,
+    and each distinct prefix list compiled into a `PrefixTable`, once per
+    call."""
     if audio is None:
         audio = prepare_audio(model, utts)
     embed = functools.cache(lambda phrases: embed_phrases(model, list(phrases)))
     compile_table = functools.cache(PrefixTable)
     phrases_of = phrases_fn or (lambda u: u.bias_phrases)
-    if entries_fn is None:
-        def entries_of(u):
-            return plain_entries(phrases_of(u))
-    else:
-        def entries_of(u):
-            entries = entries_fn(u)
-            phrases_of(u)  # its result goes unused: the entries' phrases are the ones embedded
-            return entries
+    entries_of = entries_fn or (lambda u: plain_entries(phrases_of(u)))
     fusion_of = fusion_per_utt or (lambda u: None)
     out = []
     for u, cache in zip(utts, audio):
@@ -82,10 +76,15 @@ def check_distractor_counts(counts) -> None:
 
 
 def check_strategy_grid(strategies, lams) -> None:
-    """Raise ValueError if `strategies` or `lams` is empty."""
+    """Raise ValueError if `strategies` or `lams` is empty, names a strategy
+    outside STRATEGIES or holds a lambda that DecodeConfig rejects."""
     for key, values in (("strategies", strategies), ("lams", lams)):
         if not values:
             raise ValueError(f"[strategies] {key} is empty")
+    for strategy in strategies:
+        check_strategy(strategy)
+    for lam in lams:
+        DecodeConfig(lam=lam)
 
 
 def distractor_sweep(
@@ -174,10 +173,11 @@ def strategy_comparison(
     cfg: DecodeConfig,
 ) -> dict[str, tuple[float, float]]:
     """Per strategy, the best (lambda, WER) over the grid, fusing each
-    utterance's own bias list over the plain model. Raises ValueError if
-    `strategies` or `lams` is empty. Every strategy compiles each distinct
-    list once, before any decode, at bonus 1: every strategy's weights are
-    linear in the bonus, so `lams` alone sets the scale."""
+    utterance's own bias list over the plain model. Raises ValueError before
+    any decode for a grid `check_strategy_grid` rejects. Every strategy
+    compiles each distinct list once, before any decode, at bonus 1: every
+    strategy's weights are linear in the bonus, so `lams` alone sets the
+    scale."""
     check_strategy_grid(strategies, lams)
     alphabet = model.vocab.graphemes
 

@@ -104,6 +104,12 @@ def check_bonus(bonus_per_word: float) -> None:
         raise ValueError(f"bonus_per_word must be a finite number > 0, got {bonus_per_word}")
 
 
+def check_strategy(strategy: str) -> None:
+    """Raise ValueError unless `strategy` is one of STRATEGIES."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+
+
 def build_grammar(phrases: Sequence[str], bonus_per_word: float) -> Wfst:
     """Word-label acceptor: each phrase is a chain of word arcs carrying the
     per-word bonus, with the final word arc looping back to the start."""
@@ -111,7 +117,7 @@ def build_grammar(phrases: Sequence[str], bonus_per_word: float) -> Wfst:
     cleaned = list(dict.fromkeys(normalize(p) for p in phrases))
     if not cleaned or any(not p for p in cleaned):
         raise ValueError("phrases must be non-empty")
-    g = Wfst(meta={"bonus": float(bonus_per_word), "phrases": cleaned})
+    g = Wfst(meta={"bonus": float(bonus_per_word)})
     g.finals[g.start] = 0.0
     for phrase in cleaned:
         words = phrase.split()
@@ -272,8 +278,7 @@ def apply_strategy(c: Wfst, strategy: str) -> Wfst:
     back to the start; under every-subword they refund the uncommitted part,
     so an abandoned partial word nets exactly zero.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    check_strategy(strategy)
     if not c.is_deterministic():
         raise ValueError("apply_strategy requires a deterministic context model")
     if not c.ann:
@@ -283,7 +288,6 @@ def apply_strategy(c: Wfst, strategy: str) -> Wfst:
     for _ in range(c.n_states - 1):
         out.add_state()
     out.finals = dict(c.finals)
-    out.ann = dict(c.ann)
 
     def collected(st: int) -> float:
         a = c.ann[st]
@@ -429,8 +433,7 @@ def load_context(path) -> Wfst:
     missing = [k for k in _CONTEXT_HEADER if k not in header]
     if missing:
         raise ValueError(f"context file lacks header keys: {', '.join(missing)}")
-    if header["strategy"] not in STRATEGIES:
-        raise ValueError(f"unknown strategy {header['strategy']!r}; expected one of {STRATEGIES}")
+    check_strategy(header["strategy"])
     n_states = int(header["states"])
     n_arcs = sum(1 for ln in lines[idx:] if ln)
     if not 1 <= n_states <= n_arcs + 1:

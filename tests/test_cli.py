@@ -480,6 +480,18 @@ class TestEval:
         assert float(total[5]) == pytest.approx(1 / ref_words, abs=1e-4)
 
 
+    def test_blank_lines_are_skipped(self, workspace, tmp_path):
+        root, _ = workspace
+        manifest = root / "corpus" / "test_unbiased.jsonl"
+        lines = [f"{u.id}\t{u.transcript}\t0.0\n" for u in read_manifest(manifest)]
+        reports = []
+        for name, text in (("plain", "".join(lines)), ("blank", "\n" + "  \n".join(lines))):
+            hyp = tmp_path / f"{name}.tsv"
+            hyp.write_text(text)
+            assert main(["eval", "--hyp", str(hyp), "--data", str(manifest), "--out", str(tmp_path / name)]) == 0
+            reports.append((tmp_path / name / "wer_report.tsv").read_text())
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize(
         "second_line, message",
         [
@@ -712,8 +724,13 @@ class TestSweep:
             ("[attention]\ncheckpoint = {ckpt}\n", "[attention] lacks the key 'manifest'"),
             ("[conditioning]\ncheckpoint = {ckpt}\nmanifest =\n[attention]\n{inputs}threshold = x\n",
              "unknown key 'threshold' in [attention]; the known keys are checkpoint, manifest"),
+            ("[strategies]\n{inputs}strategies = bogus\nlams = 0\n", "unknown strategy 'bogus'"),
+            ("[strategies]\n{inputs}strategies = end-of-word\nlams = -1\n",
+             "lam must be a finite number >= 0, got -1.0"),
+            ("[attention]\ncheckpoint = {ckpt}-absent\nmanifest = {manifest}\n",
+             "No such file or directory: '{ckpt}-absent/config.ini'"),
         ],
-        ids=["empty-lams", "missing-manifest", "bad-threshold"],
+        ids=["empty-lams", "missing-manifest", "bad-threshold", "unknown-strategy", "negative-lam", "absent-checkpoint"],
     )
     def test_every_section_checked_before_the_first_decode(
         self, workspace, tmp_path, capsys, monkeypatch, later, message
@@ -726,14 +743,16 @@ class TestSweep:
             raise AssertionError("decoded")
 
         monkeypatch.setattr(experiments, "beam_search", no_decode)
-        ckpt = root / "ckpt"
-        inputs = f"checkpoint = {ckpt}\nmanifest = {root / 'corpus' / 'test_biased.jsonl'}\n"
+        ckpt, manifest = root / "ckpt", root / "corpus" / "test_biased.jsonl"
+        inputs = f"checkpoint = {ckpt}\nmanifest = {manifest}\n"
         spec = tmp_path / "spec.ini"
-        spec.write_text(f"[distractors]\n{inputs}counts = 0,1\n" + later.format(inputs=inputs, ckpt=ckpt))
+        spec.write_text(
+            f"[distractors]\n{inputs}counts = 0,1\n" + later.format(inputs=inputs, ckpt=ckpt, manifest=manifest)
+        )
         out = tmp_path / "report"
         assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and message in err
+        assert err.startswith("error:") and message.format(ckpt=ckpt) in err
         assert not out.exists()
 
     def test_all_four_experiments(self, workspace, tmp_path):

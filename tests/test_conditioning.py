@@ -211,6 +211,10 @@ def brute_force_min_max_group(phrases: list[str]) -> int:
 
 
 class TestSplitGreedy:
+    def test_max_share_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_share must be >= 1"):
+            split_greedy(["a x"], max_share=0)
+
     def test_single_phrase_keeps_empty_prefix(self):
         assert split_greedy(["a x"], max_share=10) == [BiasEntry("", "a x")]
 

@@ -69,11 +69,14 @@ class TestTaskConfigValidation:
             (dict(n_train=-1), "n_train must be >= 0, got -1"),
             (dict(distractors_per_utterance=-1), "distractors_per_utterance must be >= 0, got -1"),
             (dict(talkto_utterances=-1), "talkto_utterances must be >= 0, got -1"),
+            (dict(alphabet_size=0), r"alphabet_size must be in \[1, 26\]"),
+            (dict(alphabet_size=27), r"alphabet_size must be in \[1, 26\]"),
         ],
         ids=["lo-zero", "lo-above-hi", "frames-zero", "frames-lo-above-hi", "words-1-1", "words-2-3", "names", "names-single",
              "names-pairs", "no-names", "utterance-words", "phrase-words", "phrase-above-lexicon", "no-carriers",
              "carrier-field", "carrier-extra-field", "carrier-no-field", "carrier-brace", "talkto-letters", "talkto-letters-2",
-             "noise", "share-above", "share-below", "lexicon", "n-train", "distractors", "talkto-utterances"],
+             "noise", "share-above", "share-below", "lexicon", "n-train", "distractors", "talkto-utterances",
+             "alphabet-zero", "alphabet-27"],
     )
     def test_undrawable_corpus_rejected(self, change, message):
         with pytest.raises(ValueError, match=message):

@@ -1,4 +1,5 @@
-"""The README's CLI walkthrough and sweep spec example stay in step with the CLI."""
+"""The README's module table stays in step with the package, and its CLI
+walkthrough and sweep spec example with the CLI."""
 
 import re
 import shlex
@@ -7,7 +8,8 @@ from pathlib import Path
 from ctxseq.cli import SWEEP_SECTIONS, _sweep_values, build_parser
 from ctxseq.config import RunConfig
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def fenced_block(after: str, language: str) -> str:
@@ -36,3 +38,10 @@ def test_sweep_spec_example_is_valid(tmp_path):
     spec = tmp_path / "sweep.ini"
     spec.write_text(fenced_block("A sweep spec file", "ini"), encoding="utf-8")
     assert list(_sweep_values(RunConfig.load(spec))) == list(SWEEP_SECTIONS)
+
+
+def test_module_table_names_every_module():
+    table = re.search(r"## What is inside\n\n(.*?)\n\n", README, re.DOTALL).group(1)
+    named = set(re.findall(r"^\| `ctxseq\.(\w+)` \|", table, re.MULTILINE))
+    modules = {p.stem for p in (ROOT / "src" / "ctxseq").glob("*.py")} - {"__init__", "__main__"}
+    assert named == modules

@@ -9,7 +9,7 @@ from ctxseq import experiments
 from ctxseq.conditioning import BiasEntry, plain_entries
 from ctxseq.corpus import Utterance
 from ctxseq.decoding import DecodeConfig, DecodeResult, beam_search
-from ctxseq.experiments import decode_corpus, per_bias_list, trend_spearman
+from ctxseq.experiments import decode_corpus, distractor_sweep, per_bias_list, trend_spearman
 from ctxseq.model import ModelConfig, Recognizer, embed_phrases
 from ctxseq.vocab import BIAS_END, Vocabulary
 
@@ -95,7 +95,8 @@ class TestOncePerDistinctList:
         assert compiled == [("a", "b a"), ("b",)]
         assert embedded == [["a", "a"], ["a"]]
 
-    def test_decode_corpus_callback_order(self):
+    def decode_noting_calls(self, with_entries: bool) -> list[tuple[str, str]]:
+        """The (callback, utterance id) calls of one `decode_corpus` run."""
         model, utts = tiny_model(), utterances(self.LISTS[:2])
         calls = []
 
@@ -107,11 +108,18 @@ class TestOncePerDistinctList:
 
         decode_corpus(
             model, utts, self.CFG, audio=encoded(model, len(utts)),
-            entries_fn=note("entries", lambda u: plain_entries(u.bias_phrases)),
+            entries_fn=note("entries", lambda u: plain_entries(u.bias_phrases)) if with_entries else None,
             phrases_fn=note("phrases", lambda u: u.bias_phrases),
             fusion_per_utt=note("fusion", lambda u: None),
         )
-        assert calls == [(name, u.id) for u in utts for name in ("entries", "phrases", "fusion")]
+        return calls
+
+    def test_decode_corpus_callback_order(self):
+        # Given entries, `phrases_fn` is not called: the entries' phrases are the ones embedded.
+        assert self.decode_noting_calls(True) == [(name, u) for u in ("u0", "u1") for name in ("entries", "fusion")]
+
+    def test_decode_corpus_callback_order_without_entries(self):
+        assert self.decode_noting_calls(False) == [(name, u) for u in ("u0", "u1") for name in ("phrases", "fusion")]
 
     def test_per_bias_list_calls_once_per_list(self):
         seen = []
@@ -141,3 +149,9 @@ class TestAttentionHitRate:
         ]
         monkeypatch.setattr(experiments, "decode_corpus", lambda model, utts, cfg: results)
         assert experiments.attention_hit_rate(None, utterances([["a"]] * 4), DecodeConfig()) == 0.25
+
+
+def test_distractor_pool_must_cover_the_largest_count():
+    utts = utterances([["a"], ["b"]])
+    with pytest.raises(ValueError, match="distractor pool of 2 cannot cover N=2"):
+        distractor_sweep(tiny_model(), utts, ["a", "b"], [0, 2], DecodeConfig())

@@ -23,7 +23,7 @@ from ctxseq.fst import (
     load_context,
     save_context,
 )
-from ctxseq.vocab import SPACE
+from ctxseq.vocab import SPACE, normalize
 
 from oracles import (
     _annotate,
@@ -381,7 +381,7 @@ def assert_matches_reference(phrases, alphabet, bonus=2.0):
     """`compile_context` writes the same bytes as the product-construction
     reference compiler, under every strategy."""
     g = build_grammar(phrases, bonus)
-    s = build_speller(sorted({w for p in g.meta["phrases"] for w in p.split()}), alphabet)
+    s = build_speller(sorted({w for p in phrases for w in normalize(p).split()}), alphabet)
     reference = reference_compose_det_min(s, g)
     for strategy in STRATEGIES:
         ours = context_bytes(compile_context(phrases, alphabet, strategy, bonus))
@@ -567,3 +567,28 @@ class TestLoadContextValidation:
         lines = [ln for ln in TWO_STATE_CONTEXT if ln.partition(" ")[0] != key]
         with pytest.raises(ValueError, match=f"lacks header keys: {key}"):
             load_context(self.write(tmp_path, lines))
+
+
+def nondeterministic_machine() -> fst.Wfst:
+    m = fst.Wfst(meta={"bonus": 1.0})
+    end = m.add_state()
+    m.add_arc(m.start, "a", "a", 0.0, end)
+    m.add_arc(m.start, "a", "b", 0.0, end)
+    return m
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: apply_strategy(nondeterministic_machine(), END_OF_WORD),
+         "apply_strategy requires a deterministic context model"),
+        (lambda: apply_strategy(fst.Wfst(meta={"bonus": 1.0}), END_OF_WORD),
+         "context model lacks word-position annotations"),
+        (lambda: FusionScorer(compose_det_min(build_grammar(["a"], 1.0), AB_ALPHABET)),
+         "scorer needs a strategy-applied context model"),
+    ],
+    ids=["nondeterministic", "unannotated", "no-strategy"],
+)
+def test_machine_without_what_a_step_needs_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

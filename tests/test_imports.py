@@ -3,15 +3,17 @@ above the beam search import it, every function, class and method the
 library defines is used somewhere, and every class field the library
 declares is read somewhere.
 
-Stdlib `ast` scans. The import scan covers the library, the tests, the
-demos and the tools; package `__init__.py` files are exempt, since their imports are
-re-exports. The orphan scans look for each library definition's name, and
-for each field's name read as an attribute, in the library, the tests, the
-demos and the benchmark, and for each oracle's name in the oracles, the
-tests and the demos.
+Stdlib `ast` scans, and one run of a fresh interpreter that imports the
+model and the training loop. The import scan covers the library, the
+tests, the demos and the tools. The orphan scans look for each library
+definition's name, and for each field's name read as an attribute, in the
+library, the tests, the demos and the benchmark, and for each oracle's name
+in the oracles, the tests and the demos.
 """
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -22,7 +24,6 @@ MODULES = sorted(
     p
     for d in ("src/ctxseq", "tests", "demos", "tools")
     for p in (ROOT / d).glob("*.py")
-    if p.name != "__init__.py"
 )
 
 
@@ -78,16 +79,30 @@ def imported_modules(source: str) -> set[str]:
     return names
 
 
-# The modules that may sit on the beam search: the package, the run config
-# (for `DecodeConfig`), the experiments and the CLI. The model and the
-# training loop below it embed phrase lists without it.
-DECODING_IMPORTERS = {"__init__.py", "cli.py", "config.py", "experiments.py"}
+# The modules that may sit on the beam search: the run config (for
+# `DecodeConfig`), the experiments and the CLI. The model and the training
+# loop below it embed phrase lists without it.
+DECODING_IMPORTERS = {"cli.py", "config.py", "experiments.py"}
 
 
 def test_only_the_layers_above_import_decoding():
     library = (ROOT / "src" / "ctxseq").glob("*.py")
     importers = {p.name for p in library if "decoding" in imported_modules(p.read_text(encoding="utf-8"))}
     assert importers - DECODING_IMPORTERS == set()
+
+
+def test_training_loads_no_decoding_layer():
+    # Run time, not source text: importing a submodule runs the package's
+    # `__init__` first, so what it imports loads into every training process.
+    code = (
+        "import sys, ctxseq.train, ctxseq.model\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('ctxseq.'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT / "src", capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    above = {f"ctxseq.{m}" for m in ("decoding", "fst", "experiments", "config", "cli", "metrics")}
+    assert set(out.split()) & above == set()
 
 
 def test_import_scan_names_modules():

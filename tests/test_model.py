@@ -815,3 +815,9 @@ class TestPersistence:
         deeper.save(path)
         with pytest.raises(ValueError, match=r"unknown parameters: \['audio_encoder.1.b', 'audio_encoder.1.w'\]"):
             tiny_model().load_arrays(T.load_tensors(path))
+
+    def test_missing_parameter_rejected(self):
+        model = tiny_model()
+        arrays = {name: t.data for name, t in model.params.items() if name != "output.w"}
+        with pytest.raises(ValueError, match=r"checkpoint missing parameters: \['output.w'\]"):
+            model.load_arrays(arrays)

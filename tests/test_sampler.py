@@ -50,6 +50,10 @@ class TestSampleBiasList:
         total = sum(len(draw_phrases(refs, cfg, rng)) for _ in range(10_000))
         assert abs(total / (32 * 10_000) - 0.5) <= 0.01
 
+    def test_empty_reference_gives_no_phrase(self):
+        cfg = SamplerConfig(p_keep=1.0, n_phrases=3, n_order=2)
+        assert draw_phrases(["", "  "], cfg, np.random.default_rng(0)) == []
+
     def test_ngram_order_clamped_to_reference(self):
         cfg = SamplerConfig(p_keep=1.0, n_phrases=3, n_order=4)
         rng = np.random.default_rng(2)

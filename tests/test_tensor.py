@@ -678,3 +678,28 @@ class TestSubstream:
         b = T.substream(0, "init").normal(size=4)
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, b)
+
+
+def nested_tapes():
+    with Tape():
+        with Tape():
+            pass
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (nested_tapes, RuntimeError, "tapes do not nest"),
+        (lambda: Tape().backward(Tensor(np.array(1.0))), ValueError, "loss was not recorded on a tape"),
+        (lambda: T.stack([]), ValueError, "stack needs at least one row"),
+        (lambda: T.softmax(Tensor(np.zeros((2, 2, 2)))), ValueError,
+         r"^softmax takes a 1-D/2-D tensor, got shape \(2, 2, 2\)"),
+        (lambda: T.log_softmax(Tensor(np.zeros((2, 2, 2)))), ValueError,
+         r"^log_softmax takes a 1-D/2-D tensor, got shape \(2, 2, 2\)"),
+    ],
+    ids=["nested-tape", "unrecorded-loss", "empty-stack", "softmax-3d", "log-softmax-3d"],
+)
+def test_misuse_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+    assert Tape._active is None

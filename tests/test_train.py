@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ctxseq import tensor as T
 from ctxseq.corpus import SyntheticTaskConfig, generate_corpus, read_manifest
 from ctxseq.model import ModelConfig, Recognizer
 from ctxseq.sampler import SamplerConfig
@@ -71,6 +72,14 @@ class TestTrainModel:
         model = small_model(task)
         model.params["output.w"].data[0, 0] = np.nan
         with pytest.raises(FloatingPointError, match="non-finite"):
+            train_model(model, utts, SamplerConfig(), TrainConfig(steps=2, batch_size=2, seed=3))
+
+    def test_non_finite_loss_aborts(self, small_setup, monkeypatch):
+        # Finite logits can still give an infinite loss; the loop's own check stops it.
+        task, utts = small_setup
+        model = small_model(task)
+        monkeypatch.setattr(model, "forward_loss", lambda *args: T.Tensor(np.array(np.inf)))
+        with pytest.raises(FloatingPointError, match=r"loss became non-finite \(inf\) at step 0"):
             train_model(model, utts, SamplerConfig(), TrainConfig(steps=2, batch_size=2, seed=3))
 
     def test_reproducible_log(self, small_setup):
