@@ -1,32 +1,48 @@
 """Length-synchronous N-best beam search with optional fusion and conditioning.
 
-The live hypotheses advance together, and each one is row b of a few arrays:
-its tokens, the row its ancestor had at every step, its model and fusion
-scores, its fusion state and its prefix state. The rows are kept in the
-lexicographic order of their token sequences. The decoder states are stacked
-into (B, ·) rows the same way, and one `Recognizer.step` call scores the
-whole beam. The B×V candidate totals (model log-probability plus
-lambda-scaled fusion score, whose increments are read from the scorer's table
-by fusion state) form one array; the `beam_width` best give the parent row
-and token of each kept candidate, and every array is gathered by parent. A
-hypothesis that emits end-of-sequence is copied out; its attention rows are
-read from the per-step attention arrays through its back-pointers. Every
-live hypothesis gets its own attention mask at every step. The caller
-compiles each distinct conditioning list once into a `PrefixTable`; each row
-carries its state in that table, which its one new token advances, and a
-mask is a lookup by state. A plain list is a table of empty prefixes, one
-group that is always open. The fusion state advances the same way, by a
-lookup in a (state, token) table built once per search. `</bias>` may be
-emitted during search but is stripped from returned sequences.
+One search decodes a group of utterances that share one embedded phrase
+list, one prefix table and one fusion scorer; a single utterance is a group
+of one. The live hypotheses of every utterance of the group advance
+together, and each one is row b of a few arrays: its utterance, its tokens,
+the row its ancestor had at every step, its model and fusion scores, its
+fusion state and its prefix state. The rows of one utterance are
+contiguous, the utterances in group order, and within an utterance the rows
+are in the lexicographic order of their token sequences. The decoder states
+are stacked into (B, ·) rows the same way, and one `Recognizer.step` call
+scores the whole group; the utterances' frames are stacked too, and row b
+reads only its own utterance's frames. The B×V candidate totals (model
+log-probability plus lambda-scaled fusion score, whose increments are read
+from the scorer's table by fusion state) form one array; the `beam_width`
+best of each utterance give the parent row and token of each kept
+candidate, and every array is gathered by parent. A hypothesis that emits
+end-of-sequence is copied out; its attention rows are read from the
+per-step attention through its back-pointers. Every live hypothesis gets
+its own attention mask at every step. The caller compiles each distinct
+conditioning list once into a `PrefixTable`; each row carries its state in
+that table, which its one new token advances, and a mask is a lookup by
+state. A plain list is a table of empty prefixes, one group that is always
+open. The fusion state advances the same way, by a lookup in a (state,
+token) table built once per search. `</bias>` may be emitted during search
+but is stripped from returned sequences.
 
-The search stops as soon as no live hypothesis, nor any continuation of
-one, can enter the returned n-best, and at `max_len` steps at the latest.
-A model log-probability is never positive, so a row's model score can only
-fall; its fusion score can rise by at most the scorer's `gain_bound` for
-its state and the steps left. Once `n_best` hypotheses have finished and
-every live row's bound lies below the `n_best`-th finished total, more
-steps could only add finished hypotheses that sort after it: the results
-are those of running to `max_len`, bit for bit.
+An utterance's search stops as soon as no live hypothesis of it, nor any
+continuation of one, can enter its returned n-best, and at `max_len` steps
+at the latest; its rows then leave the batch. A model log-probability is
+never positive, so a row's model score can only fall; its fusion score can
+rise by at most the scorer's `gain_bound` for its state and the steps left.
+Once `n_best` hypotheses of an utterance have finished and every live row
+of it has its bound below the `n_best`-th finished total, more steps could
+only add finished hypotheses that sort after it: within its group, the
+utterance's results are those of running its rows on to `max_len`, bit for
+bit.
+
+A group of one computes what a search over that utterance alone always
+has. In a larger group an utterance's last bits depend on its group, as an
+embedded phrase's depend on the rest of its list (`Recognizer.encode_bias`):
+its rows' attention over the stacked frames also sums the zero weights of
+the other utterances' frames, and BLAS may round a product over more rows,
+or over fewer once another utterance stops, differently. Its tokens and
+totals match its lone decode up to that rounding.
 
 The (B, ·) rows are the only layout `Recognizer` steps take; the training
 loss makes the same call with one row per utterance of a minibatch.
@@ -35,13 +51,15 @@ loss makes the same call with one row per utterance of a minibatch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
+from . import tensor as T
 from .conditioning import PrefixTable, compute_mask
 from .fst import END_OF_WORD, FusionScorer, Wfst
-from .model import AudioCache, Recognizer
+from .model import AudioCache, Recognizer, stack_audio
 from .vocab import BIAS_END, render
 
 
@@ -77,25 +95,28 @@ class DecodeResult:
 
 def beam_search(
     model: Recognizer,
-    audio: AudioCache,
+    audio: AudioCache | Sequence[AudioCache],
     bias: tuple,
     cfg: DecodeConfig,
     fusion: FusionScorer | None = None,
     prefixes: PrefixTable | None = None,
-) -> list[DecodeResult]:
-    """Decode one utterance; returns up to n_best results, best first.
+) -> list[list[DecodeResult]]:
+    """Decode a group of utterances that share `bias`, `prefixes` and
+    `fusion`; returns, per utterance, up to n_best results, best first.
 
-    `audio` comes from `Recognizer.precompute_audio` and `bias` from
-    `model.embed_phrases`. `prefixes` is compiled from the prefixes of the
-    entries whose phrases `bias` embeds; without it every phrase is always
-    open. Without a finished hypothesis at max_len the single best
-    unfinished one is returned, flagged.
+    `audio` holds each utterance's `Recognizer.precompute_audio` cache, or
+    is one cache, a group of one; `bias` comes from `model.embed_phrases`.
+    `prefixes` is compiled from the prefixes of the entries whose phrases
+    `bias` embeds; without it every phrase is always open. Without a
+    finished hypothesis at max_len an utterance gets the single best
+    unfinished one, flagged.
 
-    Before each step the search stops if no live row can still win. Let
-    theta be the `n_best`-th best finished total, by the expression the
-    final sort uses (-inf until `n_best` have finished), and `left` the
-    labels a row may still emit before `</s>`: max_len - 1 - its length.
-    Every finished descendant of a row totals at most the row's bound
+    Before each step the search drops the rows of each utterance none of
+    whose live rows can still win. Let theta be the utterance's `n_best`-th
+    best finished total, by the expression the final sort uses (-inf until
+    `n_best` have finished), and `left` the labels a row may still emit
+    before `</s>`: max_len - 1 - its length. Every finished descendant of a
+    row totals at most the row's bound
     log_model + lam * (log_fusion + gain_bound[left, f_state]), up to the
     rounding of the fusion sums: each `log_softmax` entry is <= 0 exactly
     (shifted logits <= 0 less a log-sum-exp >= 0), and float addition and
@@ -105,12 +126,15 @@ def beam_search(
     (the scorer's largest increment), so they round by less than about
     2 * (max_len + 1) * 2**-53 * lam * max_len * max|inc| (under 1e-13 of
     lam * max_len * max|inc| at max_len 80), and the final addition by
-    under 1e-15 * |theta|. The search stops when every row's bound is below
-    theta by more than 1e-9 * (1 + |theta| + lam * max_len * max|inc|),
-    far above both: the finished hypotheses that more steps would add
-    total below theta and sort after the n_best kept.
+    under 1e-15 * |theta|. An utterance stops when every one of its rows
+    has its bound below theta by more than
+    1e-9 * (1 + |theta| + lam * max_len * max|inc|), far above both: the
+    finished hypotheses that more steps would add total below theta and
+    sort after the n_best kept.
     """
     vocab = model.vocab
+    caches = [audio] if isinstance(audio, AudioCache) else list(audio)
+    frames = stack_audio(caches)
     h_z, bias_keys = bias
     prefixes = prefixes or PrefixTable([""] * (h_z.data.shape[0] - 1))
     if len(prefixes.group_of) != h_z.data.shape[0]:
@@ -127,62 +151,115 @@ def beam_search(
     f_inc = np.where(keep, 0.0, fusion.inc[:, column])
     f_inc[:, vocab.eos] = fusion.refund
 
-    # Row b of each array is live hypothesis b, and the rows are in the
-    # lexicographic order of their token sequences; `rows[b, s]` is the row
-    # its ancestor had at step s, which indexes that step's attention array.
-    tokens = rows = np.zeros((1, 0), dtype=np.intp)
-    log_model, log_fusion = np.zeros(1), np.zeros(1)
-    f_state = np.array([fusion.start])
-    p_state = np.array([PrefixTable.START])  # the hypothesis's state in the prefix table
-    state = model.initial_state(rows=1)
-    alphas: list[np.ndarray] = []  # per step: (B, N+1) bias attention
-    done: list[tuple] = []  # (tokens, rows, log_model, log_fusion), tokens ending in eos
-    theta = -math.inf  # the n_best-th best finished total, once n_best have finished
+    # Row b of each array is a live hypothesis of utterance `owner[b]`; see
+    # the module docstring for the row order. `rows[b, s]` is the row its
+    # ancestor had at step s, which indexes that step's attention.
+    n_utts = len(caches)
+    owner = np.arange(n_utts)
+    tokens = rows = np.zeros((n_utts, 0), dtype=np.intp)
+    log_model, log_fusion = np.zeros(n_utts), np.zeros(n_utts)
+    f_state = np.full(n_utts, fusion.start)
+    p_state = np.full(n_utts, PrefixTable.START)  # the hypothesis's state in the prefix table
+    state = model.initial_state(rows=n_utts)
+    # Per step and live utterance: its first row, its open columns, and its
+    # rows' attention on them.
+    alphas: list[dict[int, tuple[int, np.ndarray | slice, np.ndarray]]] = []
+    done: list[list[tuple]] = [[] for _ in caches]  # (tokens, rows, log_model, log_fusion), tokens ending in eos
+    theta = [-math.inf] * n_utts  # the n_best-th best finished total, once n_best have finished
     gain = fusion.gain_bound(cfg.max_len - 1)
     scale = 1 + cfg.lam * cfg.max_len * np.abs(fusion.inc).max(initial=0.0)  # of the rounding margin
 
     while len(tokens) and tokens.shape[1] < cfg.max_len:
-        bound = log_model + cfg.lam * (log_fusion + gain[cfg.max_len - 1 - tokens.shape[1], f_state])
-        if bound.max() < theta - 1e-9 * (scale + abs(theta)):
-            break
+        spans = _spans(owner, n_utts)
+        if any(theta[u] > -math.inf for u, _, _ in spans):
+            bound = log_model + cfg.lam * (log_fusion + gain[cfg.max_len - 1 - tokens.shape[1], f_state])
+            stop = [
+                u for u, r0, r1 in spans
+                if bound[r0:r1].max() < theta[u] - 1e-9 * (scale + abs(theta[u]))
+            ]
+            if stop:
+                go = np.flatnonzero(~np.isin(owner, stop))
+                owner, tokens, rows, log_model, log_fusion, f_state, p_state = (
+                    a[go] for a in (owner, tokens, rows, log_model, log_fusion, f_state, p_state)
+                )
+                state = state.take(go)
+                if not len(go):
+                    break
+                spans = _spans(owner, n_utts)
         mask = np.array([compute_mask(prefixes, p) for p in p_state.tolist()])
-        y_prev = tokens[:, -1] if tokens.shape[1] else np.array([vocab.sos])
-        log_probs, alpha, state = model.step(y_prev, state, audio, h_z, mask, bias_keys)
-        alphas.append(alpha.data)
+        y_prev = tokens[:, -1] if tokens.shape[1] else np.full(len(owner), vocab.sos)
+        rows_audio = frames if frames.closed is None else replace(frames, closed=T.gather(frames.closed, owner))
+        log_probs, alpha, state = model.step(y_prev, state, rows_audio, h_z, mask, bias_keys)
+        step_alphas = {}
+        for u, r0, r1 in spans:
+            # A table without prefixes (a plain list) leaves every column open.
+            cols = np.flatnonzero((mask[r0:r1] == 0.0).any(axis=0)) if prefixes.prefixes else slice(None)
+            step_alphas[u] = r0, cols, alpha.data[r0:r1, cols]
+        alphas.append(step_alphas)
         step_model = log_model[:, None] + log_probs.data
         step_fusion = log_fusion[:, None] + f_inc[f_state]
         total = step_model + cfg.lam * step_fusion
         # Rows in sequence order and of equal length make flat index order
-        # sequence order: a stable sort on -total gives the reference order,
-        # and survivors kept in flat-index order stay in sequence order.
-        kept = np.sort(np.argsort(-total.ravel(), kind="stable")[: cfg.beam_width])
+        # sequence order within an utterance: a stable sort on -total gives
+        # the reference order, and survivors kept in flat-index order stay
+        # in sequence order.
+        kept = np.concatenate([
+            r0 * n_vocab + np.sort(np.argsort(-total[r0:r1].ravel(), kind="stable")[: cfg.beam_width])
+            for _, r0, r1 in spans
+        ])
         parents, new = np.divmod(kept, n_vocab)
+        owner = owner[parents]
         tokens = np.column_stack([tokens[parents], new])
         rows = np.column_stack([rows[parents], parents])
         log_model, log_fusion = step_model[parents, new], step_fusion[parents, new]
         f_state = f_next[f_state[parents], new]
         live = new != vocab.eos
         if not live.all():
-            done += list(zip(tokens[~live], rows[~live], log_model[~live], log_fusion[~live]))
-            if len(done) >= cfg.n_best:
-                theta = sorted(h[2] + cfg.lam * h[3] for h in done)[-cfg.n_best]
-            tokens, rows, log_model, log_fusion, f_state, parents, new = (
-                a[live] for a in (tokens, rows, log_model, log_fusion, f_state, parents, new)
+            for b in np.flatnonzero(~live).tolist():
+                done[owner[b]].append((tokens[b], rows[b], log_model[b], log_fusion[b]))
+            for u in set(owner[~live].tolist()):
+                if len(done[u]) >= cfg.n_best:
+                    theta[u] = sorted(h[2] + cfg.lam * h[3] for h in done[u])[-cfg.n_best]
+            owner, tokens, rows, log_model, log_fusion, f_state, parents, new = (
+                a[live] for a in (owner, tokens, rows, log_model, log_fusion, f_state, parents, new)
             )
         state = state.take(parents)
         p_state = np.array(
             [prefixes.advance(p, vocab.symbols[t]) for p, t in zip(p_state[parents].tolist(), new.tolist())]
         )
 
-    # `done` and the live rows are in (length, tokens) order: a stable sort on -total suffices.
-    pool = sorted(done or zip(tokens, rows, log_model, log_fusion), key=lambda h: -(h[2] + cfg.lam * h[3]))
-    return [_to_result(*h, alphas, cfg.lam, vocab) for h in pool[: cfg.n_best if done else 1]]
+    results = []
+    for u in range(n_utts):
+        # `done` and the live rows are in (length, tokens) order: a stable sort on -total suffices.
+        mine = owner == u
+        live_rows = zip(tokens[mine], rows[mine], log_model[mine], log_fusion[mine])
+        pool = sorted(done[u] or live_rows, key=lambda h: -(h[2] + cfg.lam * h[3]))
+        steps = [step[u] for step in alphas if u in step]
+        kept = pool[: cfg.n_best if done[u] else 1]
+        results.append([_to_result(*h, steps, h_z.data.shape[0], cfg.lam, vocab) for h in kept])
+    return results
 
 
-def _to_result(tokens, rows, log_model, log_fusion, alphas, lam: float, vocab) -> DecodeResult:
-    """The result of one hypothesis; `alphas[s][rows[s]]` is its step-s attention."""
+def _spans(owner: np.ndarray, n_utts: int) -> list[tuple[int, int, int]]:
+    """(utterance, first row, end row) of each utterance that has rows;
+    `owner` holds each row's utterance, in ascending order."""
+    spans, end = [], 0
+    for u, size in enumerate(np.bincount(owner, minlength=n_utts).tolist()):
+        if size:
+            spans.append((u, end, end + size))
+            end += size
+    return spans
+
+
+def _to_result(tokens, rows, log_model, log_fusion, steps, width: int, lam: float, vocab) -> DecodeResult:
+    """The result of one hypothesis; `steps[s]` is its utterance's step-s
+    (first row, open columns, attention), and `rows[s]` its row at step s."""
     raw = [vocab.symbols[t] for t in tokens.tolist() if t != vocab.eos]
     stripped = [s for s in raw if s != BIAS_END]
+    alphas = np.zeros((len(rows), width))
+    for s, b in enumerate(rows.tolist()):
+        first, cols, block = steps[s]
+        alphas[s, cols] = block[b - first]
     return DecodeResult(
         text=render(stripped),
         tokens=stripped,
@@ -191,5 +268,5 @@ def _to_result(tokens, rows, log_model, log_fusion, alphas, lam: float, vocab) -
         log_fusion=float(log_fusion),
         finished=bool(tokens[-1] == vocab.eos),
         raw_symbols=raw,
-        alphas=np.array([alphas[s][b] for s, b in enumerate(rows.tolist())]),
+        alphas=alphas,
     )

@@ -23,6 +23,12 @@ def prepare_audio(model: Recognizer, utts: list[Utterance]) -> list[AudioCache]:
     return [model.precompute_audio(model.encode_audio([u.load_features()])) for u in utts]
 
 
+# The most consecutive utterances `decode_corpus` takes at a time; those of
+# them that share one embedded list, prefix table and fusion scorer are
+# decoded as one beam.
+GROUP_UTTS = 16
+
+
 def decode_corpus(
     model: Recognizer,
     utts: list[Utterance],
@@ -39,20 +45,36 @@ def decode_corpus(
     scorer. The callbacks are called once per utterance, in that order:
     entries or phrases, then fusion. Each distinct phrase list is embedded,
     and each distinct prefix list compiled into a `PrefixTable`, once per
-    call."""
+    call.
+
+    The utterances are taken `GROUP_UTTS` at a time; within those, the ones
+    whose embedded list, prefix table and scorer are the same objects are
+    decoded as one `beam_search` group, after every callback of the chunk
+    has run. An utterance's last bits can depend on its group (see
+    `decoding`)."""
     if audio is None:
         audio = prepare_audio(model, utts)
+    if len(audio) != len(utts):
+        raise ValueError(f"{len(audio)} audio caches for {len(utts)} utterances")
     embed = functools.cache(lambda phrases: embed_phrases(model, list(phrases)))
     compile_table = functools.cache(PrefixTable)
     phrases_of = phrases_fn or (lambda u: u.bias_phrases)
     entries_of = entries_fn or (lambda u: plain_entries(phrases_of(u)))
     fusion_of = fusion_per_utt or (lambda u: None)
-    out = []
-    for u, cache in zip(utts, audio):
-        entries = entries_of(u)
-        bias = embed(tuple(e.phrase for e in entries))
-        prefixes = compile_table(tuple(e.prefix for e in entries))
-        out.append(beam_search(model, cache, bias, cfg, fusion=fusion_of(u), prefixes=prefixes)[0])
+    out: list[DecodeResult] = [None] * len(utts)
+    for at in range(0, len(utts), GROUP_UTTS):
+        # (embedded list, table, scorer) by their identities -> the utterances that share them
+        groups: dict[tuple[int, int, int], tuple] = {}
+        for i in range(at, min(at + GROUP_UTTS, len(utts))):
+            entries = entries_of(utts[i])
+            bias = embed(tuple(e.phrase for e in entries))
+            prefixes = compile_table(tuple(e.prefix for e in entries))
+            fusion = fusion_of(utts[i])
+            groups.setdefault((id(bias), id(prefixes), id(fusion)), (bias, prefixes, fusion, []))[3].append(i)
+        for bias, prefixes, fusion, members in groups.values():
+            n_best = beam_search(model, [audio[i] for i in members], bias, cfg, fusion=fusion, prefixes=prefixes)
+            for i, results in zip(members, n_best):
+                out[i] = results[0]
     return out
 
 
@@ -63,6 +85,8 @@ def per_bias_list(fn):
 
 
 def eval_wer(results: list[DecodeResult], utts: list[Utterance]) -> WerReport:
+    if len(results) != len(utts):
+        raise ValueError(f"{len(results)} results for {len(utts)} utterances")
     return corpus_wer([(r.text, u.transcript) for r, u in zip(results, utts)])
 
 

@@ -75,12 +75,36 @@ class DecoderStepState:
 class AudioCache:
     """Per-head key/value projections of the encoder outputs, reusable across
     steps. When the frames stack several utterances, query row b may read
-    only the frames of utterance b: `closed` is (B, K), -inf on every other
-    frame and 0 on its own."""
+    only the frames of one of them: `closed` is (B, K), -inf on every other
+    frame and 0 on its own. A cache of U stacked utterances has one such row
+    per utterance; a beam gathers them by the utterance of each row."""
 
     keys: list[Tensor]  # each (K, head_dim)
     values: list[Tensor]  # each (K, head_dim)
     closed: Tensor | None  # None: every row reads every frame
+
+
+def _own_frames(lengths: Sequence[int]) -> Tensor | None:
+    """(U, K) for utterances of `lengths` frames stacked in order: row u is
+    0 on utterance u's frames and -inf on the others; None for one."""
+    if len(lengths) < 2:
+        return None
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    return T.constant(np.where(owner == np.arange(len(lengths))[:, None], 0.0, T.NEG_INF))
+
+
+def stack_audio(caches: Sequence[AudioCache]) -> AudioCache:
+    """One cache over the frames of `caches`, in order, whose `closed` row u
+    reads only the frames of `caches[u]`; one cache is returned as it is."""
+    if len(caches) == 1:
+        return caches[0]
+    if any(c.closed is not None for c in caches):
+        raise ValueError("stack_audio takes one utterance per cache")
+    return AudioCache(
+        keys=[T.stack(k) for k in zip(*(c.keys for c in caches))],
+        values=[T.stack(v) for v in zip(*(c.values for c in caches))],
+        closed=_own_frames([c.keys[0].data.shape[0] for c in caches]),
+    )
 
 
 def _longest_first(layers: Sequence[T.LstmParams], lengths: Sequence[int], step_input, read) -> Tensor:
@@ -192,11 +216,7 @@ class Recognizer:
         for h in range(cfg.attention_heads):
             keys.append(T.matmul_t(h_x, self.params[f"audio_attn.{h}.wk"]))
             values.append(T.matmul_t(h_x, self.params[f"audio_attn.{h}.wv"]))
-        closed = None
-        if lengths is not None and len(lengths) > 1:
-            owner = np.repeat(np.arange(len(lengths)), lengths)
-            closed = T.constant(np.where(owner == np.arange(len(lengths))[:, None], 0.0, T.NEG_INF))
-        return AudioCache(keys=keys, values=values, closed=closed)
+        return AudioCache(keys=keys, values=values, closed=None if lengths is None else _own_frames(lengths))
 
     def attend_audio(self, d_t: Tensor, cache: AudioCache) -> Tensor:
         """Multi-head scaled-dot attention of B decoder-state rows over frames."""

@@ -393,6 +393,9 @@ def log_softmax(a: Tensor) -> Tensor:
     return _record(out, backward)
 
 
+_SCORE_ROWS = 8  # query rows per tanh block of a forward-only `additive_scores`
+
+
 def additive_scores(keys: Tensor, query: Tensor, v: Tensor) -> Tensor:
     """Additive-attention scores `v . tanh(keys[u] + query[b])` for every key u.
 
@@ -402,6 +405,13 @@ def additive_scores(keys: Tensor, query: Tensor, v: Tensor) -> Tensor:
     kd, qd, vd = keys.data, query.data, v.data
     if kd.ndim != 2 or qd.ndim != 2 or vd.shape != kd.shape[1:] or qd.shape[1] != kd.shape[1]:
         raise ValueError(f"additive_scores shape mismatch: keys {keys.shape}, query {query.shape}, v {v.shape}")
+    if Tape._active is None:
+        # Forward only, nothing keeps the (B, U, A) tanh for a backward: it
+        # is made a few query rows at a time, which bounds its size when a
+        # beam steps many rows. Each row's scores keep their bits.
+        return Tensor(np.concatenate([
+            np.tanh(kd + qd[i : i + _SCORE_ROWS, None, :]) @ vd for i in range(0, len(qd), _SCORE_ROWS)
+        ]))
     t = kd + qd[:, None, :]
     np.tanh(t, out=t)
     out = Tensor(t @ vd)

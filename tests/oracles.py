@@ -669,3 +669,21 @@ def reference_beam_search(model, audio, bias, cfg, fusion=None, entries=None):
             )
         )
     return results
+
+
+def assert_same_results(got, want, entries=None):
+    """`got` equals the n-best list `want` in its symbols, and in its totals
+    and attention within 1e-12; with `entries`, no closed entry gets weight."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.raw_symbols == w.raw_symbols
+        assert g.finished == w.finished
+        assert g.text == w.text and g.tokens == w.tokens
+        for field in ("total", "log_model", "log_fusion"):
+            assert abs(getattr(g, field) - getattr(w, field)) <= 1e-12, field
+        assert g.alphas.shape == w.alphas.shape
+        assert np.abs(g.alphas - w.alphas).max(initial=0.0) <= 1e-12
+        if entries is not None:
+            for step, alpha in enumerate(g.alphas):
+                closed = reference_compute_mask(entries, g.raw_symbols[:step]) == np.inf
+                assert np.all(alpha[closed] == 0.0), step

@@ -27,12 +27,23 @@ print(json.dumps({{"correct": {failed} == 0, "attempted": 10, "failed": {failed}
 
 
 def checkout(
-    root: Path, name: str, rate: float | list[float], rss: float = 60.0, failed: int = 0, digest: str | None = "d1"
+    root: Path,
+    name: str,
+    rate: float | list[float],
+    rss: float = 60.0,
+    failed: int = 0,
+    digest: str | None = "d1",
+    wer: float | None = None,
 ) -> Path:
     """A checkout whose runs report `rate`, or the rates of a list in turn,
-    and whose run records carry the output digest `digest`, or none."""
+    and whose run records carry the output digest `digest`, or none, and
+    the workload metric `decode.wer` when `wer` is given."""
     rates = rate if isinstance(rate, list) else [rate]
-    record = json.dumps({"record": "stub", **({"digests": {"hypotheses": digest}} if digest else {})})
+    record = json.dumps({
+        "record": "stub",
+        **({"digests": {"hypotheses": digest}} if digest else {}),
+        **({"workload_metrics": {"decode.wer": wer, "failed_frac": 0.0}} if wer is not None else {}),
+    })
     (root / name / "perfbench").mkdir(parents=True)
     (root / name / "perfbench" / "run.py").write_text(
         STUB.format(rates=rates, rss=rss, failed=failed, record=record)
@@ -106,6 +117,19 @@ def test_outputs_line_informs_only(tmp_path, parent_digest, change_digest, line)
     out = done.stdout.splitlines()
     assert out[1] == line
     assert out[-1].endswith("holds")
+
+
+def test_outputs_line_shows_each_sides_wer(tmp_path):
+    # Digests that differ while the texts score the same; a side without the
+    # metric shows its digest alone.
+    parent = checkout(tmp_path, "parent", 10.0, digest="d1", wer=0.8)
+    done = run_tool(parent, checkout(tmp_path, "change", 12.5, digest="d2", wer=0.8))
+    assert done.returncode == 0, done.stderr
+    out = done.stdout.splitlines()
+    assert out[1] == "pair 1 outputs: parent hypotheses=d1 decode.wer=0.8  change hypotheses=d2 decode.wer=0.8: outputs differ"
+    assert out[3] == "pair 2 outputs: change hypotheses=d2 decode.wer=0.8  parent hypotheses=d1 decode.wer=0.8: outputs differ"
+    done = run_tool(checkout(tmp_path / "b", "parent", 10.0), checkout(tmp_path / "b", "change", 12.5, wer=0.75))
+    assert done.stdout.splitlines()[1] == "pair 1 outputs: parent hypotheses=d1  change hypotheses=d1 decode.wer=0.75: outputs identical"
 
 
 def test_run_without_result_line_fails(tmp_path):

@@ -15,7 +15,7 @@ from ctxseq.fst import END_OF_WORD, EVERY_SUBWORD, FusionScorer, compile_context
 from ctxseq.model import ModelConfig, Recognizer, embed_phrases
 from ctxseq.vocab import BIAS_END, EOS, SPACE, Vocabulary, normalize
 
-from oracles import enumerate_best, reference_beam_search, reference_compute_mask
+from oracles import assert_same_results, enumerate_best, reference_beam_search
 
 
 def tiny_model(seed=0, alphabet="ab") -> Recognizer:
@@ -49,7 +49,7 @@ def prepare(model, x, phrases, entries=None):
 
 def decode(model, x, phrases, cfg, fusion=None, entries=None):
     audio, bias, prefixes = prepare(model, x, phrases, entries)
-    return beam_search(model, audio, bias, cfg, fusion=fusion, prefixes=prefixes)
+    return beam_search(model, audio, bias, cfg, fusion=fusion, prefixes=prefixes)[0]
 
 
 class TestConfigValidation:
@@ -195,7 +195,7 @@ class TestFusionByState:
         fusion = FusionScorer(compile_context(["abc", "cab"], [SPACE, "a", "b", "c"], EVERY_SUBWORD, 3.0))
         cfg = DecodeConfig(beam_width=4, max_len=6, lam=1.0, n_best=4)
         audio, bias, _ = prepare(model, random_input(5, frames=4), ["abc"])
-        got = beam_search(model, audio, bias, cfg, fusion=fusion)
+        got = beam_search(model, audio, bias, cfg, fusion=fusion)[0]
         assert got[0].raw_symbols == ["a", BIAS_END, "b", "c"] and got[0].log_fusion == 3.0
         assert_same_results(got, reference_beam_search(model, audio, bias, cfg, fusion=fusion))
 
@@ -264,7 +264,7 @@ class TestExhaustiveExactness:
         for seed in range(4):
             x = random_input(seed + 40)
             audio, bias, _ = prepare(model, x, phrases)
-            got = beam_search(model, audio, bias, cfg, fusion=scorer)[0]
+            got = beam_search(model, audio, bias, cfg, fusion=scorer)[0][0]
             want = enumerate_best(model, audio, phrases, max_len, lam, fusion=scorer)
             got_ids = [model.vocab.index(s) for s in got.raw_symbols] + [model.vocab.eos]
             assert got_ids == want["tokens"]
@@ -282,25 +282,22 @@ CONDITIONED = [
 ]
 
 
-def assert_same_results(got, want, entries=None):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.raw_symbols == w.raw_symbols
-        assert g.finished == w.finished
-        assert g.text == w.text and g.tokens == w.tokens
-        for field in ("total", "log_model", "log_fusion"):
-            assert abs(getattr(g, field) - getattr(w, field)) <= 1e-12, field
-        assert g.alphas.shape == w.alphas.shape
-        assert np.abs(g.alphas - w.alphas).max(initial=0.0) <= 1e-12
-        if entries is not None:
-            for step, alpha in enumerate(g.alphas):
-                closed = reference_compute_mask(entries, g.raw_symbols[:step]) == np.inf
-                assert np.all(alpha[closed] == 0.0), step
+def audio_led_end(model: Recognizer) -> None:
+    """Make the end-of-sequence logit follow the audio context strongly, so
+    that utterances of one group often stop at different steps."""
+    model.params["audio_attn.0.wv"].data[...] *= 20
+    model.params["audio_attn.wo"].data[...] *= 20
+    model.params["output.w"].data[model.vocab.eos, : model.config.attention_dim] = 100.0
 
 
-def check_against_reference(seed, beam_width, n_best_frac, lam, with_fusion, conditioned, max_len, tied):
-    """One drawn case: `beam_search` against `reference_beam_search`."""
+def check_against_reference(
+    seed, beam_width, n_best_frac, lam, with_fusion, conditioned, max_len, tied, frames=(4,), audio_led=False
+):
+    """One drawn case: `beam_search` over a group of utterances of `frames`
+    frames each, every utterance against `reference_beam_search` alone."""
     model = tiny_model(seed=seed, alphabet="abc")
+    if audio_led:
+        audio_led_end(model)
     if tied:
         # Log-probs depend on the token alone, from two levels: totals
         # tie exactly, so the order among equal totals decides the beam.
@@ -313,11 +310,12 @@ def check_against_reference(seed, beam_width, n_best_frac, lam, with_fusion, con
     fusion = None
     if with_fusion:
         fusion = FusionScorer(compile_context(phrases, [SPACE, "a", "b", "c"], EVERY_SUBWORD, 2.0))
-    x = random_input(seed + 100, frames=4)
-    audio, bias, prefixes = prepare(model, x, phrases, entries)
+    _, bias, prefixes = prepare(model, random_input(0), phrases, entries)
+    audio = [prepare(model, random_input(seed + 100 + k, frames=n), [])[0] for k, n in enumerate(frames)]
     got = beam_search(model, audio, bias, cfg, fusion=fusion, prefixes=prefixes)
-    want = reference_beam_search(model, audio, bias, cfg, fusion=fusion, entries=entries)
-    assert_same_results(got, want, entries)
+    assert len(got) == len(audio)
+    for a, g in zip(audio, got):
+        assert_same_results(g, reference_beam_search(model, a, bias, cfg, fusion=fusion, entries=entries), entries)
 
 
 BEAM_CASES = dict(
@@ -348,6 +346,15 @@ class TestBatchedBeamMatchesReference:
         # Long enough that many of the searches stop early.
         check_against_reference(seed, beam_width, n_best_frac, lam, with_fusion, conditioned, max_len, tied)
 
+    @given(frames=st.lists(st.integers(1, 6), min_size=2, max_size=4), max_len=st.integers(1, 24), **BEAM_CASES)
+    @settings(max_examples=60, deadline=None)
+    def test_groups_equal_reference(
+        self, seed, beam_width, n_best_frac, lam, with_fusion, conditioned, max_len, tied, frames
+    ):
+        check_against_reference(
+            seed, beam_width, n_best_frac, lam, with_fusion, conditioned, max_len, tied, frames, audio_led=True
+        )
+
     def test_rows_with_different_masks(self):
         # The beam rows of one step carry different conditioning masks.
         model = tiny_model(seed=1, alphabet="abc")
@@ -363,7 +370,7 @@ class TestBatchedBeamMatchesReference:
         audio, bias, prefixes = prepare(model, random_input(3, frames=4), [], CONDITIONED)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "step", recording_step)
-            got = beam_search(model, audio, bias, cfg, prefixes=prefixes)
+            got = beam_search(model, audio, bias, cfg, prefixes=prefixes)[0]
         assert any(len({row.tobytes() for row in m}) > 1 for m in masks)
         want = reference_beam_search(model, audio, bias, cfg, entries=CONDITIONED)
         assert_same_results(got, want, CONDITIONED)
@@ -385,7 +392,7 @@ class TestEarlyStop:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "step", counting_step)
-            got = beam_search(model, audio, bias, cfg, fusion=fusion)
+            got = beam_search(model, audio, bias, cfg, fusion=fusion)[0]
         assert_same_results(got, reference_beam_search(model, audio, bias, cfg, fusion=fusion))
         return got, len(calls)
 
@@ -436,30 +443,62 @@ class TestEarlyStop:
         assert steps == cfg.max_len
         assert "".join(got[0].raw_symbols) == "cab" * 5 and got[0].finished
 
+    def test_rows_leave_when_their_utterance_stops(self):
+        # Decoded alone, the second utterance stops after 8 steps and the
+        # others run to max_len; in one group, each step has the rows of
+        # the utterances still running, as many as each has alone.
+        model = tiny_model(seed=2, alphabet="abc")
+        audio_led_end(model)
+        phrases = ["ab", "b a", "c"]
+        fusion = FusionScorer(compile_context(phrases, [SPACE, "a", "b", "c"], EVERY_SUBWORD, 1.0))
+        cfg = DecodeConfig(beam_width=4, max_len=20, lam=1.0, n_best=2)
+        _, bias, _ = prepare(model, random_input(0), phrases)
+        audio = [prepare(model, random_input(7 + k, frames=n), [])[0] for k, n in enumerate([2, 4, 6])]
+
+        def rows_per_step(group):
+            rows = []
+            step = model.step
+
+            def counting_step(y_prev, *args):
+                rows.append(len(y_prev))
+                return step(y_prev, *args)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(model, "step", counting_step)
+                got = beam_search(model, group, bias, cfg, fusion=fusion)
+            return rows, got
+
+        alone = [rows_per_step([a]) for a in audio]
+        assert [len(rows) for rows, _ in alone] == [20, 8, 20]
+        rows, got = rows_per_step(audio)
+        assert rows == [sum(r[s] for r, _ in alone if s < len(r)) for s in range(20)]
+        for g, (_, want) in zip(got, alone):
+            assert_same_results(g, want[0])
+
 
 class TestRealSizeBeamMatchesReference:
-    """The committed benchmark checkpoint on two talk-to utterances, as the
-    talk-to benchmark decodes them: the 520-phrase list split into 940
-    conditioning entries (941 bias rows), every-subword fusion at lambda 1,
-    beam 8."""
+    """The committed benchmark checkpoint on three talk-to utterances decoded
+    as one group, as the talk-to benchmark decodes them: the 520-phrase list
+    split into 940 conditioning entries (941 bias rows), every-subword fusion
+    at lambda 1, beam 8."""
 
     CHECKPOINT = Path(__file__).resolve().parent.parent / "perfbench" / "checkpoint"
 
     def test_equals_reference(self, tmp_path):
         model, run_cfg = load_checkpoint(self.CHECKPOINT)
-        utts = read_manifest(generate_corpus(run_cfg.task(), tmp_path).manifests["test_talkto"])[:2]
+        utts = read_manifest(generate_corpus(run_cfg.task(), tmp_path).manifests["test_talkto"])[:3]
         phrases = utts[0].bias_phrases
+        assert all(u.bias_phrases == phrases for u in utts)
         entries = split_rule_based(phrases, trigger="talk to")
         bias, prefixes = embed_phrases(model, [e.phrase for e in entries]), PrefixTable([e.prefix for e in entries])
         assert bias[0].data.shape[0] == 941
         fusion = FusionScorer(compile_context(phrases, model.vocab.graphemes, EVERY_SUBWORD, 1.0))
         cfg = DecodeConfig(beam_width=8, max_len=run_cfg.decode().max_len, lam=1.0)
-        for u in utts:
-            assert u.bias_phrases == phrases
-            audio = model.precompute_audio(model.encode_audio([u.load_features()]))
-            got = beam_search(model, audio, bias, cfg, fusion=fusion, prefixes=prefixes)
-            want = reference_beam_search(model, audio, bias, cfg, fusion=fusion, entries=entries)
-            assert_same_results(got, want, entries)
+        audio = [model.precompute_audio(model.encode_audio([u.load_features()])) for u in utts]
+        got = beam_search(model, audio, bias, cfg, fusion=fusion, prefixes=prefixes)
+        for a, g in zip(audio, got):
+            want = reference_beam_search(model, a, bias, cfg, fusion=fusion, entries=entries)
+            assert_same_results(g, want, entries)
 
 
 class TestTracingContract:

@@ -13,6 +13,8 @@ from ctxseq.experiments import decode_corpus, distractor_sweep, per_bias_list, t
 from ctxseq.model import ModelConfig, Recognizer, embed_phrases
 from ctxseq.vocab import BIAS_END, Vocabulary
 
+from oracles import assert_same_results
+
 
 class TestTrendSpearman:
     def test_value_with_tied_wers(self):
@@ -73,12 +75,39 @@ class TestOncePerDistinctList:
     def test_decode_corpus_embeds_each_phrase_list_once(self, monkeypatch):
         model, utts = tiny_model(), utterances(self.LISTS)
         audio = encoded(model, len(utts))
-        # each utterance decoded with a list embedded for it alone
-        want = [beam_search(model, a, embed_phrases(model, u.bias_phrases), self.CFG)[0] for u, a in zip(utts, audio)]
+        # each utterance decoded alone, with a list embedded for it alone
+        alone = [beam_search(model, a, embed_phrases(model, u.bias_phrases), self.CFG)[0] for u, a in zip(utts, audio)]
+        # the utterances that share a list decoded as one group: u0, u2, u4 and u1, u3
+        grouped = {}
+        for members in ([0, 2, 4], [1, 3]):
+            bias = embed_phrases(model, utts[members[0]].bias_phrases)
+            grouped.update(zip(members, beam_search(model, [audio[i] for i in members], bias, self.CFG)))
         embedded = self.counting(monkeypatch, "embed_phrases")
         got = decode_corpus(model, utts, self.CFG, audio=audio)
         assert embedded == [["a", "b a"], ["b"]]
+        want = [grouped[i][0] for i in range(len(utts))]
         assert [(r.raw_symbols, r.total) for r in got] == [(r.raw_symbols, r.total) for r in want]
+        for r, want in zip(got, alone):
+            assert_same_results([r], want[:1])
+
+    def test_decode_corpus_groups_at_most_group_utts(self, monkeypatch):
+        model, utts = tiny_model(), utterances([["a"]] * 5)
+        groups = []
+        search = experiments.beam_search
+
+        def noting_search(model, audio, *args, **kwargs):
+            groups.append(len(audio))
+            return search(model, audio, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "beam_search", noting_search)
+        monkeypatch.setattr(experiments, "GROUP_UTTS", 2)
+        assert len(decode_corpus(model, utts, self.CFG, audio=encoded(model, len(utts)))) == 5
+        assert groups == [2, 2, 1]
+
+    def test_decode_corpus_rejects_unequal_lengths(self):
+        model, utts = tiny_model(), utterances(self.LISTS)
+        with pytest.raises(ValueError, match="4 audio caches for 5 utterances"):
+            decode_corpus(model, utts, self.CFG, audio=encoded(model, 4))
 
     def test_decode_corpus_compiles_each_entry_list_once(self, monkeypatch):
         model, utts = tiny_model(), utterances(self.LISTS)
@@ -149,6 +178,13 @@ class TestAttentionHitRate:
         ]
         monkeypatch.setattr(experiments, "decode_corpus", lambda model, utts, cfg: results)
         assert experiments.attention_hit_rate(None, utterances([["a"]] * 4), DecodeConfig()) == 0.25
+
+
+def test_eval_wer_rejects_unequal_lengths():
+    result = DecodeResult("a b", ["a", " ", "b"], 0.0, 0.0, 0.0, True, [], np.zeros((0, 1)))
+    assert experiments.eval_wer([result], utterances([["a"]])).wer == 0.0
+    with pytest.raises(ValueError, match="1 results for 2 utterances"):
+        experiments.eval_wer([result], utterances([["a"], ["b"]]))
 
 
 def test_distractor_pool_must_cover_the_largest_count():

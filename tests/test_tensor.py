@@ -357,6 +357,15 @@ class TestRowwiseOps:
         params = {"keys": keys, "query": query, "v": v}
         self.check_grads(lambda: self.weighted(T.additive_scores(keys, query, v), 7), params)
 
+    @pytest.mark.parametrize("rows", [1, 8, 21])
+    def test_additive_scores_forward_only_equals_taped(self, rows):
+        # Without a tape the scores are made a few query rows at a time.
+        rng = np.random.default_rng(26)
+        keys, query, v = (T.constant(rng.normal(size=shape)) for shape in ((5, 6), (rows, 6), (6,)))
+        with T.Tape():
+            taped = T.additive_scores(keys, query, v).data
+        assert np.array_equal(T.additive_scores(keys, query, v).data, taped)
+
     def test_gather_last_axis(self):
         m = T.parameter(np.random.default_rng(25).normal(size=(2, 3)))
         index = np.array([2, 2, 0])

@@ -15,8 +15,11 @@ runs fail no larger share of their operations than the parent's.
 After each pair it also prints both sides' output digests, from the run
 record that run.py prints before its result line, and `outputs identical`
 or `outputs differ`; a side whose record has none shows `no digest`, and
-the pair then gets no such verdict. The digests inform only: they take no
-part in the claim or the exit status.
+the pair then gets no such verdict. Next to a side's digests it prints the
+`decode.wer` of the record's `workload_metrics` when the record has one, so
+that a change whose totals move in the last bits shows whether its texts
+score the same. Digests and WER inform only: they take no part in the claim
+or the exit status.
 
 For each end-to-end metric of the repository's `BENCHMARK.json` it also
 prints a no-regression verdict, by the metric's `better` and `bound`:
@@ -56,7 +59,8 @@ def parse_args(argv):
 
 def run_once(checkout: Path, args) -> dict:
     """One run's result object, the last line run.py prints, with the
-    `digests` of the run record printed before it (None without one)."""
+    `digests` and the `decode.wer` of the run record printed before it
+    (None without them)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed), "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
@@ -68,17 +72,21 @@ def run_once(checkout: Path, args) -> dict:
             f"{checkout}: run.py exited {done.returncode} without a result line\n{done.stderr[-2000:]}"
         ) from None
     try:
-        result["digests"] = json.loads(lines[-2]).get("digests") or None
+        record = json.loads(lines[-2])
+        result["digests"] = record.get("digests") or None
+        result["wer"] = (record.get("workload_metrics") or {}).get("decode.wer")
     except (IndexError, ValueError, AttributeError):
-        result["digests"] = None
+        result["digests"] = result["wer"] = None
     return result
 
 
 def outputs_line(pair: dict, order: tuple[str, str]) -> str:
-    """Both sides' output digests and whether they agree."""
+    """Both sides' output digests, each with its WER if it has one, and
+    whether the digests agree."""
     def shown(side):
-        digests = pair[side]["digests"]
-        return " ".join(f"{k}={v}" for k, v in digests.items()) if digests else "no digest"
+        digests, wer = pair[side]["digests"], pair[side]["wer"]
+        text = " ".join(f"{k}={v}" for k, v in digests.items()) if digests else "no digest"
+        return text if wer is None else f"{text} decode.wer={wer:.6g}"
 
     line = "  ".join(f"{side} {shown(side)}" for side in order)
     if pair["parent"]["digests"] and pair["change"]["digests"]:
