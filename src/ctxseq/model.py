@@ -5,7 +5,11 @@ step the decoder state queries two attentions: multi-head content attention
 over encoder frames, and a single additive attention over embedded context
 phrases (index 0 of which is a learnable "no-bias" vector). The two context
 vectors are concatenated and fed both to the output softmax and to the next
-decoder step.
+decoder step. Each layer of a step is one tape node: the decoder's LSTM cells
+(`tensor.lstm_cell`), the audio attention (`tensor.multi_head_attention`),
+the phrase attention (`tensor.additive_attention`, between the gathers that
+keep only the open rows and the scatter back to full length) and the output
+layer with its log-softmax (`tensor.output_log_probs`).
 
 Every step runs on rows: B token ids, (B, ·) states and (B, N+1) masks. The
 beam search advances all of its live hypotheses in one call, and the
@@ -219,18 +223,18 @@ class Recognizer:
         return AudioCache(keys=keys, values=values, closed=None if lengths is None else _own_frames(lengths))
 
     def attend_audio(self, d_t: Tensor, cache: AudioCache) -> Tensor:
-        """Multi-head scaled-dot attention of B decoder-state rows over frames."""
-        cfg = self.config
-        dh = cfg.attention_dim // cfg.attention_heads
-        heads = []
-        for h in range(cfg.attention_heads):
-            q = T.matmul_t(d_t, self.params[f"audio_attn.{h}.wq"])
-            scores = T.scale(T.matmul_t(q, cache.keys[h]), 1.0 / np.sqrt(dh))
-            if cache.closed is not None:
-                scores = T.add(scores, cache.closed)
-            alpha = T.softmax(scores)
-            heads.append(T.matmul(alpha, cache.values[h]))
-        return T.matmul_t(T.concat(heads), self.params["audio_attn.wo"])
+        """Multi-head scaled-dot attention of B decoder-state rows over the
+        frames of `cache`; row b reads only the frames `cache.closed` leaves
+        open for it."""
+        heads = range(self.config.attention_heads)
+        return T.multi_head_attention(
+            d_t,
+            [self.params[f"audio_attn.{h}.wq"] for h in heads],
+            cache.keys,
+            cache.values,
+            cache.closed,
+            self.params["audio_attn.wo"],
+        )
 
     # -- context-phrase path ---------------------------------------------------
 
@@ -269,7 +273,9 @@ class Recognizer:
         probabilities (one weight per row of h_z, index 0 being no-bias).
         Only rows open for some query are scored, each distinct key among
         them once; a row closed for query b is -inf in b's scores, so it gets
-        exactly zero weight and gradient.
+        exactly zero weight and gradient. The gathers of those rows and keys,
+        and the scatter of alpha back to every row, surround one
+        `tensor.additive_attention` node.
         """
         n_rows = h_z.data.shape[0]
         mask = np.asarray(mask, dtype=np.float64)
@@ -288,12 +294,10 @@ class Recognizer:
         scored, score_of = np.unique(key_of[rows], return_inverse=True)
         if len(scored) < key_rows.data.shape[0]:
             key_rows = T.gather(key_rows, scored)
-        query = T.add(T.matmul_t(d_t, self.params["bias_attn.wd"]), self.params["bias_attn.b"])
-        scores = T.gather(T.additive_scores(key_rows, query, self.params["bias_attn.v"]), score_of, axis=-1)
-        if closed.any():
-            scores = T.add(scores, T.constant(np.where(closed, T.NEG_INF, 0.0)))
-        alpha = T.softmax(scores)
-        context = T.matmul(alpha, h_z)
+        p = self.params
+        context, alpha = T.additive_attention(
+            d_t, p["bias_attn.wd"], p["bias_attn.b"], key_rows, p["bias_attn.v"], score_of, closed, h_z
+        )
         if partial:
             # Back to full length: open row i reads slot i of alpha, every
             # row closed for all queries reads the appended zero.
@@ -329,12 +333,6 @@ class Recognizer:
             x = h
         return x, replace(state, layers=new_layers)
 
-    def output_logits(self, c_t: Tensor, d_t: Tensor) -> Tensor:
-        return T.add(
-            T.matmul_t(T.concat([c_t, d_t]), self.params["output.w"]),
-            self.params["output.b"],
-        )
-
     def step(
         self,
         y_prev,
@@ -353,7 +351,7 @@ class Recognizer:
         c_x = self.attend_audio(d_t, audio)
         c_z, alpha = self.attend_bias(d_t, h_z, mask, bias_keys)
         c_t = T.concat([c_x, c_z])
-        log_probs = T.log_softmax(self.output_logits(c_t, d_t))
+        log_probs = T.output_log_probs([c_t, d_t], self.params["output.w"], self.params["output.b"])
         return log_probs, alpha, replace(state, context=c_t)
 
     # -- training loss ---------------------------------------------------------

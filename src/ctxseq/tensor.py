@@ -2,17 +2,23 @@
 
 Everything is deliberately small: 1-D/2-D arrays, the handful of ops a stacked
 recurrent attention model needs, and an Adam optimizer. There is one row
-layout: `lstm_cell`, `matmul_t` and `additive_scores` take (B, D) stacks of B
-rows (B may be 1), `matmul` takes two matrices, and none takes a vector. So a
-training step, a beam step over B hypotheses and the phrase encoder over a
-whole list run the same ops. The elementwise ops are shape-agnostic;
-`concat`, `softmax` and `log_softmax` work over the last axis, and `gather`
-selects rows or last-axis entries (a column range is `gather` over
-`np.arange(start, stop)`).
-`lstm_cell` is one tape node whose hand-written backward replaces the twelve
-nodes of the op-by-op cell with the same bits (the element-wise fusion of
-Appleyard, Kočiský & Blunsom 2016). Ops executed outside a `Tape` context run
-forward-only, which is the path used during decoding.
+layout: `lstm_cell`, `matmul_t`, `additive_scores` and the fused layers below
+take (B, D) stacks of B rows (B may be 1), `matmul` takes two matrices, and
+none takes a vector. So a training step, a beam step over B hypotheses and
+the phrase encoder over a whole list run the same ops. The elementwise ops
+are shape-agnostic; `concat`, `softmax` and `log_softmax` work over the last
+axis, and `gather` selects rows or last-axis entries (a column range is
+`gather` over `np.arange(start, stop)`).
+
+Each layer of the model's step is one tape node, with a hand-written backward
+that does the arithmetic of the op chain it replaces in the chain's order, so
+values and gradients keep their bits (the element-wise fusion of Appleyard,
+Kočiský & Blunsom 2016): `lstm_cell` replaces twelve nodes,
+`multi_head_attention` six per head and two more, `additive_attention` six or
+seven and `output_log_probs` four. The primitive ops stay, as the pieces of
+those chains, which the tests keep as oracles. Ops executed outside a `Tape`
+context run forward-only, which is the path used during decoding; there the
+additive scores make their (B, U, A) tanh block a few query rows at a time.
 
 A training step does each weight's weight-sized work once:
 
@@ -20,12 +26,13 @@ A training step does each weight's weight-sized work once:
   `Tape.backward` skips a node none of whose outputs received a gradient and
   drops a node's output gradients once its backward has run, so afterwards
   only leaves (parameters) hold gradients.
-- The weight of `matmul_t` and of `lstm_cell`, when it is a leaf, is not
-  given a gradient per use: each use hands its (output gradient, input) rows
-  to its tape, and the end of `Tape.backward` adds `G.T @ X` over the stacked
-  rows of all uses, one GEMM per weight (the backward half of the GEMM hoist
-  of Appleyard et al.). A recorded weight gets its gradient at once, because
-  the node that produced it reads it.
+- The weight of `matmul_t`, of `lstm_cell` and of the fused layers' input
+  and output projections, when it is a leaf, is not given a gradient per
+  use: each use hands its (output gradient, input) rows to its tape, and the
+  end of `Tape.backward` adds `G.T @ X` over the stacked rows of all uses,
+  one GEMM per weight (the backward half of the GEMM hoist of Appleyard et
+  al.). A recorded weight gets its gradient at once, because the node that
+  produced it reads it.
 - `Adam.step` evaluates its update with `out=` into two scratch buffers sized
   to the largest parameter, so it allocates no parameter-sized temporary.
 """
@@ -351,49 +358,84 @@ def sum_(a: Tensor) -> Tensor:
     return _record(out, backward)
 
 
+def _softmax_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax over the last axis of `x` and the mask of its kept entries."""
+    kept = x != NEG_INF
+    if not kept.any(axis=-1).all():
+        raise ValueError("no unmasked entry")
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True), kept
+
+
+def _softmax_grad(g: np.ndarray, od: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    inner = (g * od).sum(axis=-1, keepdims=True)
+    return np.where(kept, od * (g - inner), 0.0)
+
+
 def softmax(a: Tensor) -> Tensor:
     """Stabilized softmax over the last axis of a vector or of every row.
 
     Entries equal to the NEG_INF sentinel map to exactly 0 and receive no
     gradient; every row needs at least one other entry.
     """
-    x = a.data
-    if x.ndim not in (1, 2):
+    if a.data.ndim not in (1, 2):
         raise ValueError(f"softmax takes a 1-D/2-D tensor, got shape {a.shape}")
-    kept = x != NEG_INF
-    if not kept.any(axis=-1).all():
-        raise ValueError("no unmasked entry")
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    out = Tensor(e / e.sum(axis=-1, keepdims=True))
-    od = out.data
+    od, kept = _softmax_rows(a.data)
+    out = Tensor(od)
 
     def backward():
-        g = out.grad
-        inner = (g * od).sum(axis=-1, keepdims=True)
-        _accum(a, np.where(kept, od * (g - inner), 0.0))
+        _accum(a, _softmax_grad(out.grad, od, kept))
 
     return _record(out, backward)
+
+
+def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
+    if not np.isfinite(x).all():
+        raise NonFiniteError("non-finite logits in log_softmax")
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _log_softmax_grad(g: np.ndarray, od: np.ndarray) -> np.ndarray:
+    return g - np.exp(od) * g.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(a: Tensor) -> Tensor:
     """Log-softmax over the last axis of a vector or of every row."""
     if a.data.ndim not in (1, 2):
         raise ValueError(f"log_softmax takes a 1-D/2-D tensor, got shape {a.shape}")
-    if not np.isfinite(a.data).all():
-        raise NonFiniteError("non-finite logits in log_softmax")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = Tensor(shifted - lse)
-    p = np.exp(out.data)
+    out = Tensor(_log_softmax_rows(a.data))
 
     def backward():
-        g = out.grad
-        _accum(a, g - p * g.sum(axis=-1, keepdims=True))
+        _accum(a, _log_softmax_grad(out.grad, out.data))
 
     return _record(out, backward)
 
 
-_SCORE_ROWS = 8  # query rows per tanh block of a forward-only `additive_scores`
+_SCORE_ROWS = 8  # query rows per tanh block of forward-only additive scores
+
+
+def _tanh_scores(kd: np.ndarray, qd: np.ndarray, vd: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (B, U) scores `v . tanh(keys[u] + query[b])` and, on a tape, the
+    (B, U, A) tanh block their backward reads.
+
+    Forward only, nothing keeps that block: it is made a few query rows at a
+    time, which bounds its size when a beam steps many rows, and None is
+    returned for it. Each row's scores keep their bits.
+    """
+    if Tape._active is None:
+        return np.concatenate([
+            np.tanh(kd + qd[i : i + _SCORE_ROWS, None, :]) @ vd for i in range(0, len(qd), _SCORE_ROWS)
+        ]), None
+    t = kd + qd[:, None, :]
+    np.tanh(t, out=t)
+    return t @ vd, t
+
+
+def _tanh_scores_grads(g: np.ndarray, t: np.ndarray, vd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The v, keys and query gradients of `_tanh_scores` for score gradient g."""
+    pre = g[..., None] * vd * (1.0 - t * t)
+    return t.reshape(-1, vd.shape[0]).T @ g.reshape(-1), pre.sum(axis=0), pre.sum(axis=1)
 
 
 def additive_scores(keys: Tensor, query: Tensor, v: Tensor) -> Tensor:
@@ -405,23 +447,168 @@ def additive_scores(keys: Tensor, query: Tensor, v: Tensor) -> Tensor:
     kd, qd, vd = keys.data, query.data, v.data
     if kd.ndim != 2 or qd.ndim != 2 or vd.shape != kd.shape[1:] or qd.shape[1] != kd.shape[1]:
         raise ValueError(f"additive_scores shape mismatch: keys {keys.shape}, query {query.shape}, v {v.shape}")
-    if Tape._active is None:
-        # Forward only, nothing keeps the (B, U, A) tanh for a backward: it
-        # is made a few query rows at a time, which bounds its size when a
-        # beam steps many rows. Each row's scores keep their bits.
-        return Tensor(np.concatenate([
-            np.tanh(kd + qd[i : i + _SCORE_ROWS, None, :]) @ vd for i in range(0, len(qd), _SCORE_ROWS)
-        ]))
-    t = kd + qd[:, None, :]
-    np.tanh(t, out=t)
-    out = Tensor(t @ vd)
+    scores, t = _tanh_scores(kd, qd, vd)
+    out = Tensor(scores)
+
+    def backward():
+        gv, gk, gq = _tanh_scores_grads(out.grad, t, vd)
+        _accum(v, gv)
+        _accum(keys, gk)
+        _accum(query, gq)
+
+    return _record(out, backward)
+
+
+# ---------------------------------------------------------------------------
+# fused attention and output layers
+#
+# Each is one tape node whose backward does the arithmetic of the op chain it
+# replaces (named in its docstring), node by node in the chain's reverse
+# order, so values and every gradient keep their bits. The chain gave each
+# intermediate gradient a buffer of its own on its first write; here only
+# the head gradients, column ranges of the joined heads' gradient, are
+# copied, as they enter products.
+
+
+def multi_head_attention(
+    query: Tensor,
+    wq: Sequence[Tensor],
+    keys: Sequence[Tensor],
+    values: Sequence[Tensor],
+    closed: Tensor | None,
+    wo: Tensor,
+) -> Tensor:
+    """Multi-head scaled-dot attention of a (B, D) stack of query rows.
+
+    Head h scores `(query @ wq[h].T) @ keys[h].T / sqrt(head width)`, adds
+    the constant `closed` ((B, K), 0 or NEG_INF per frame; None reads every
+    frame) and reads `softmax @ values[h]`; the heads are joined along the
+    last axis and projected by `wo`. The chain: per head matmul_t, matmul_t,
+    scale, add, softmax, matmul; then concat and matmul_t.
+    """
+    qd, wod = query.data, wo.data
+    if qd.ndim != 2:
+        raise ValueError(f"multi_head_attention needs a (B, D) query, got shape {query.shape}")
+    cd = None if closed is None else closed.data
+    if cd is not None and cd.shape != (qd.shape[0], keys[0].data.shape[0]):
+        raise ValueError(f"multi_head_attention shape mismatch: query {query.shape}, closed {closed.shape}")
+    saved, heads = [], []
+    for w, k, v in zip(wq, keys, values):
+        q = qd @ w.data.T
+        scale_ = 1.0 / np.sqrt(q.shape[1])
+        s = (q @ k.data.T) * scale_
+        if cd is not None:
+            s = s + cd
+        alpha, kept = _softmax_rows(s)
+        heads.append(alpha @ v.data)
+        saved.append((q, scale_, alpha, kept, _weight_rows(w), _weight_rows(k)))
+    cat = np.concatenate(heads, axis=-1)
+    out = Tensor(cat @ wod.T)
+    wo_rows = _weight_rows(wo)
 
     def backward():
         g = out.grad
-        pre = g[..., None] * vd * (1.0 - t * t)
-        _accum(v, t.reshape(-1, vd.shape[0]).T @ g.reshape(-1))
-        _accum(keys, pre.sum(axis=0))
-        _accum(query, pre.sum(axis=1))
+        _accum_weight(wo, g, cat, wo_rows)
+        g_cat = g @ wod
+        starts = np.cumsum([0] + [h.shape[1] for h in heads])
+        for i in reversed(range(len(heads))):
+            w, k, v = wq[i], keys[i], values[i]
+            q, scale_, alpha, kept, w_rows, k_rows = saved[i]
+            g_head = np.ascontiguousarray(g_cat[:, starts[i] : starts[i + 1]])
+            g_alpha = g_head @ v.data.T
+            _accum(v, alpha.T @ g_head)
+            g_s = _softmax_grad(g_alpha, alpha, kept) * scale_
+            _accum_weight(k, g_s, q, k_rows)
+            g_q = g_s @ k.data
+            _accum_weight(w, g_q, qd, w_rows)
+            _accum(query, g_q @ w.data)
+
+    return _record(out, backward)
+
+
+def additive_attention(
+    query: Tensor,
+    wd: Tensor,
+    b: Tensor,
+    keys: Tensor,
+    v: Tensor,
+    score_of: np.ndarray,
+    closed: np.ndarray,
+    values: Tensor,
+) -> tuple[Tensor, Tensor]:
+    """Additive attention of a (B, D) stack of query rows over the R rows of
+    `values`; returns the (B, ·) context `alpha @ values` and the (B, R)
+    weights alpha.
+
+    Value row r reads the score of key row `score_of[r]` of the (U, A)
+    `keys`: `v . tanh(keys[u] + query @ wd.T + b)`, each key scored once per
+    query. Entries where the boolean (B, R) `closed` is true are -inf, so
+    they get exactly zero weight and gradient. The chain: matmul_t, add,
+    additive_scores, gather over the last axis, add of the -inf mask when
+    any entry is closed, softmax, matmul.
+    """
+    dd, wdd, kd, vd = query.data, wd.data, keys.data, v.data
+    if dd.ndim != 2 or wdd.ndim != 2 or dd.shape[1] != wdd.shape[1]:
+        raise ValueError(f"additive_attention shape mismatch: query {query.shape}, wd {wd.shape}")
+    if kd.ndim != 2 or vd.shape != kd.shape[1:] or b.data.shape != kd.shape[1:] or wdd.shape[0] != kd.shape[1]:
+        raise ValueError(f"additive_attention shape mismatch: keys {keys.shape}, v {v.shape}, b {b.shape}, wd {wd.shape}")
+    if closed.shape != (dd.shape[0], values.data.shape[0]) or score_of.shape != values.data.shape[:1]:
+        raise ValueError(
+            f"additive_attention shape mismatch: closed {closed.shape}, score_of {score_of.shape}, "
+            f"values {values.shape}, query {query.shape}"
+        )
+    q = dd @ wdd.T + b.data
+    scores, t = _tanh_scores(kd, q, vd)
+    s = scores[..., score_of]
+    if closed.any():
+        s = s + np.where(closed, NEG_INF, 0.0)
+    ad, kept = _softmax_rows(s)
+    context, alpha = Tensor(ad @ values.data), Tensor(ad)
+    wd_rows = _weight_rows(wd)
+
+    def backward():
+        # The tape runs this once either output has a gradient; the other
+        # may have none.
+        g_alpha = alpha.grad
+        if context.grad is not PENDING:
+            g_read = context.grad @ values.data.T
+            g_alpha = g_read if g_alpha is PENDING else g_alpha + g_read
+            _accum(values, ad.T @ context.grad)
+        g_scores = np.zeros_like(scores)  # a scatter-add needs a zero-filled buffer
+        np.add.at(g_scores, (Ellipsis, score_of), _softmax_grad(g_alpha, ad, kept))
+        g_v, g_keys, g_q = _tanh_scores_grads(g_scores, t, vd)
+        _accum(v, g_v)
+        _accum(keys, g_keys)
+        _accum(b, g_q.sum(axis=0))
+        _accum_weight(wd, g_q, dd, wd_rows)
+        _accum(query, g_q @ wdd)
+
+    return _record(context, backward, alpha), alpha
+
+
+def output_log_probs(parts: Sequence[Tensor], w: Tensor, b: Tensor) -> Tensor:
+    """`log_softmax(concat(parts) @ w.T + b)` for (B, D_i) parts with equal B.
+
+    The chain: concat, matmul_t, add, log_softmax. Non-finite logits raise
+    NonFiniteError.
+    """
+    sizes = [p.data.shape[-1] for p in parts]
+    wd = w.data
+    if any(p.data.ndim != 2 for p in parts) or wd.ndim != 2 or wd.shape[1] != sum(sizes) or b.data.shape != wd.shape[:1]:
+        raise ValueError(f"output_log_probs shape mismatch: parts {[p.shape for p in parts]}, w {w.shape}, b {b.shape}")
+    x = np.concatenate([p.data for p in parts], axis=-1)
+    out = Tensor(_log_softmax_rows(x @ wd.T + b.data))
+    w_rows = _weight_rows(w)
+
+    def backward():
+        g = _log_softmax_grad(out.grad, out.data)
+        _accum(b, g.sum(axis=0))
+        _accum_weight(w, g, x, w_rows)
+        g_x = g @ wd
+        pos = 0
+        for p, n in zip(parts, sizes):
+            _accum(p, g_x[..., pos : pos + n])
+            pos += n
 
     return _record(out, backward)
 

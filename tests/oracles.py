@@ -5,8 +5,12 @@ enumeration, and direct string scanning. None of it shares code with the
 library paths it checks, except that the context-compiler reference reuses
 the library's minimization pass (it finds its own word-position facts by
 walking the determinized machine, where the library records them while it
-builds), the per-utterance loss, per-hypothesis beam search and
-per-phrase bias encoder run the library's model ops on one row at a time,
+builds), the op chains that the fused LSTM cell, attentions and output
+layer replaced are built from the library's primitive ops (which share
+their softmax, log-softmax and tanh-score arithmetic with the fused ops, so
+a bit-identity test checks how a fused op composes and accumulates it), the
+per-utterance loss, per-hypothesis beam search and per-phrase bias encoder
+run the library's model ops on one row at a time,
 the per-row bias attention runs them with one key per row, the enumeration
 oracle embeds its list with the library's `embed_phrases`, and the beam,
 enumeration and gain-bound oracles score fusion through the library
@@ -508,7 +512,7 @@ def reference_adam_step(
 
 
 # ---------------------------------------------------------------------------
-# op-by-op LSTM cell and per-utterance training loss
+# op chains of the fused tensor ops, and the per-utterance training loss
 
 
 def reference_lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, params: T.LstmParams) -> tuple[Tensor, Tensor]:
@@ -523,6 +527,38 @@ def reference_lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, params: T.L
     c_t = T.add(T.mul(f, c_prev), T.mul(i, g))
     h_t = T.mul(o, T.tanh(c_t))
     return h_t, c_t
+
+
+def reference_attend_audio(query: Tensor, wq, keys, values, closed, wo: Tensor) -> Tensor:
+    """`tensor.multi_head_attention` as the chain `Recognizer.attend_audio`
+    ran before it: per head matmul_t, matmul_t, scale, add of `closed`,
+    softmax and matmul, then concat and matmul_t, each its own tape node."""
+    heads = []
+    for w, k, v in zip(wq, keys, values):
+        q = T.matmul_t(query, w)
+        scores = T.scale(T.matmul_t(q, k), 1.0 / np.sqrt(w.data.shape[0]))
+        if closed is not None:
+            scores = T.add(scores, closed)
+        heads.append(T.matmul(T.softmax(scores), v))
+    return T.matmul_t(T.concat(heads), wo)
+
+
+def reference_additive_attention(query: Tensor, wd, b, keys, v, score_of, closed, values) -> tuple[Tensor, Tensor]:
+    """`tensor.additive_attention` as the chain `Recognizer.attend_bias` ran
+    before it: matmul_t, add, additive_scores, gather, add of the -inf mask,
+    softmax and matmul, each its own tape node."""
+    scores = T.additive_scores(keys, T.add(T.matmul_t(query, wd), b), v)
+    scores = T.gather(scores, score_of, axis=-1)
+    if closed.any():
+        scores = T.add(scores, T.constant(np.where(closed, T.NEG_INF, 0.0)))
+    alpha = T.softmax(scores)
+    return T.matmul(alpha, values), alpha
+
+
+def reference_output_log_probs(parts, w: Tensor, b: Tensor) -> Tensor:
+    """`tensor.output_log_probs` as the chain `Recognizer.step` ran before
+    it: concat, matmul_t, add and log_softmax, each its own tape node."""
+    return T.log_softmax(T.add(T.matmul_t(T.concat(parts), w), b))
 
 
 def reference_forward_loss(model, x: np.ndarray, bias: tuple, target: list[int]) -> Tensor:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,45 @@ from hypothesis import strategies as st
 from ctxseq import tensor as T
 from ctxseq.tensor import NEG_INF, Tape, Tensor
 
-from oracles import finite_difference, max_rel_err, reference_adam_step, reference_lstm_cell
+from oracles import (
+    finite_difference,
+    max_rel_err,
+    reference_adam_step,
+    reference_additive_attention,
+    reference_attend_audio,
+    reference_lstm_cell,
+    reference_output_log_probs,
+)
 
 
 def scalar_loss(t: T.Tensor) -> T.Tensor:
     return T.sum_(t)
+
+
+def check_grads(forward, params, tol=1e-6):
+    """The taped gradient of `forward()` against central finite differences."""
+    with Tape() as tape:
+        tape.backward(forward())
+    fd = finite_difference(lambda: float(forward().data), params)
+    for name, t in params.items():
+        assert max_rel_err(t.grad, fd[name]) < tol, name
+
+
+def weighted(out: Tensor, seed) -> Tensor:
+    """A scalar that weighs every entry of `out`; `seed` seeds the weights."""
+    w = np.random.default_rng(seed).normal(size=out.shape)
+    return T.sum_(T.mul(out, T.constant(w)))
+
+
+def taped_bytes(forward, leaves: dict[str, Tensor]):
+    """The bytes of every output and of every leaf gradient of one taped
+    run; `forward()` returns (outputs, scalar loss)."""
+    for t in leaves.values():
+        t.grad[...] = 0.0
+    with Tape() as tape:
+        outs, loss = forward()
+        tape.backward(loss)
+    return [o.data.tobytes() for o in outs], {name: t.grad.tobytes() for name, t in leaves.items()}
 
 
 class TestMatmul:
@@ -266,20 +301,210 @@ class TestLstmCell:
         assert len(tape) == 1
 
 
+FUSED_OPS = ["multi_head_attention", "additive_attention", "output_log_probs"]
+
+
+class TestFusedLayers:
+    """The audio attention, the bias attention and the output layer are one
+    tape node each, with the values and gradients, byte for byte, of the op
+    chains they replaced (kept in `tests/oracles.py`)."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        rows=st.integers(1, 16),
+        heads=st.integers(1, 2),
+        utterances=st.integers(1, 3),
+        recorded_cache=st.booleans(),
+        chained=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_multi_head_attention_bit_identical_to_op_chain(
+        self, seed, rows, heads, utterances, recorded_cache, chained
+    ):
+        # Several utterances stack their frames and row b reads only its
+        # own (the `closed` mask). A recorded cache is projected from leaf
+        # frames on the tape, as in training; else keys and values are
+        # leaves. Chained, the first output also feeds the second call.
+        rng = np.random.default_rng(seed)
+        width, dh = 3, 2
+        lengths = rng.integers(1, 6, size=utterances)
+        leaves = {
+            "query": T.parameter(rng.normal(size=(rows, width))),
+            "wo": T.parameter(rng.normal(size=(width, heads * dh))),
+            "h_x": T.parameter(rng.normal(size=(lengths.sum(), width))),
+        }
+        for h in range(heads):
+            for name in ("wq", "wk", "wv"):
+                leaves[f"{name}{h}"] = T.parameter(rng.normal(size=(dh, width)))
+            for name in ("keys", "values"):
+                leaves[f"{name}{h}"] = T.parameter(rng.normal(size=(lengths.sum(), dh)))
+        closed = None
+        if utterances > 1:
+            owner = np.repeat(np.arange(utterances), lengths)
+            closed = T.constant(np.where(owner == rng.integers(0, utterances, size=(rows, 1)), 0.0, NEG_INF))
+
+        def forward(attend):
+            def cache(name, w):
+                if recorded_cache:
+                    return [T.matmul_t(leaves["h_x"], leaves[f"{w}{h}"]) for h in range(heads)]
+                return [leaves[f"{name}{h}"] for h in range(heads)]
+
+            wq = [leaves[f"wq{h}"] for h in range(heads)]
+            keys, values = cache("keys", "wk"), cache("values", "wv")
+            outs = [attend(leaves["query"], wq, keys, values, closed, leaves["wo"])]
+            if chained:
+                outs.append(attend(outs[0], wq, keys, values, closed, leaves["wo"]))
+            loss = weighted(outs[0], seed)
+            for i, out in enumerate(outs[1:]):
+                loss = T.add(loss, weighted(out, seed + 1 + i))
+            return outs, loss
+
+        fused = taped_bytes(lambda: forward(T.multi_head_attention), leaves)
+        assert fused == taped_bytes(lambda: forward(reference_attend_audio), leaves)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        rows=st.integers(1, 16),
+        n_values=st.integers(1, 8),
+        n_keys=st.integers(1, 4),
+        uses=st.lists(st.booleans(), min_size=4, max_size=4),
+        chained=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_additive_attention_bit_identical_to_op_chain(self, seed, rows, n_values, n_keys, uses, chained):
+        # Value rows share keys through `score_of`, some entries are closed
+        # for some rows, the loss reads the context, alpha or both, and
+        # chained, the first context is the query of a second call.
+        rng = np.random.default_rng(seed)
+        width, adim = 3, 4
+        score_of = rng.integers(0, n_keys, size=n_values)
+        closed = rng.random((rows, n_values)) < 0.4
+        closed[:, 0] = False
+        shapes = {
+            "query": (rows, width), "wd": (adim, width), "b": (adim,),
+            "keys": (n_keys, adim), "v": (adim,), "values": (n_values, width),
+        }
+        leaves = {name: T.parameter(rng.normal(size=shape)) for name, shape in shapes.items()}
+
+        def forward(attend):
+            args = [leaves[name] for name in ("wd", "b", "keys", "v")] + [score_of, closed, leaves["values"]]
+            outs = list(attend(leaves["query"], *args))
+            if chained:
+                outs.extend(attend(outs[0], *args))
+            terms = [weighted(out, seed + i) for i, (out, used) in enumerate(zip(outs, uses)) if used]
+            loss = terms[0] if terms else weighted(outs[0], seed)
+            for term in terms[1:]:
+                loss = T.add(loss, term)
+            return outs, loss
+
+        fused = taped_bytes(lambda: forward(T.additive_attention), leaves)
+        assert fused == taped_bytes(lambda: forward(reference_additive_attention), leaves)
+
+    @given(seed=st.integers(0, 10_000), rows=st.integers(1, 16), chained=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_output_log_probs_bit_identical_to_op_chain(self, seed, rows, chained):
+        # Chained, the first output and `d` each feed a second call too.
+        rng = np.random.default_rng(seed)
+        shapes = {"c": (rows, 2), "d": (rows, 3), "w": (5, 5), "b": (5,), "w2": (5, 8), "b2": (5,)}
+        leaves = {name: T.parameter(rng.normal(size=shape)) for name, shape in shapes.items()}
+
+        def forward(layer):
+            outs = [layer([leaves["c"], leaves["d"]], leaves["w"], leaves["b"])]
+            if chained:
+                outs.append(layer([outs[0], leaves["d"]], leaves["w2"], leaves["b2"]))
+            loss = weighted(outs[0], seed)
+            for out in outs[1:]:
+                loss = T.add(loss, weighted(out, seed + 1))
+            return outs, loss
+
+        fused = taped_bytes(lambda: forward(T.output_log_probs), leaves)
+        assert fused == taped_bytes(lambda: forward(reference_output_log_probs), leaves)
+
+    # Small cases for the finite-difference and tape-size checks: a builder
+    # per op gives (call, leaves), and call() returns the op's outputs.
+
+    @staticmethod
+    def multi_head_attention_case(rng):
+        rows, frames, width, dh = 3, 4, 3, 2
+        params = {
+            "query": T.parameter(rng.normal(size=(rows, width))),
+            "wo": T.parameter(rng.normal(size=(width, 2 * dh))),
+            **{f"wq{h}": T.parameter(rng.normal(size=(dh, width))) for h in range(2)},
+            **{f"{name}{h}": T.parameter(rng.normal(size=(frames, dh))) for name in ("keys", "values") for h in range(2)},
+        }
+        mask = np.zeros((rows, frames))
+        mask[0, 1:] = NEG_INF
+        mask[1:, 0] = NEG_INF
+
+        def call():
+            heads = [[params[f"{name}{h}"] for h in range(2)] for name in ("wq", "keys", "values")]
+            return [T.multi_head_attention(params["query"], *heads, T.constant(mask), params["wo"])]
+
+        return call, params
+
+    @staticmethod
+    def additive_attention_case(rng):
+        rows = 3
+        shapes = {"query": (rows, 3), "wd": (4, 3), "b": (4,), "keys": (3, 4), "v": (4,), "values": (5, 2)}
+        params = {name: T.parameter(rng.normal(size=shape)) for name, shape in shapes.items()}
+        closed = np.zeros((rows, 5), dtype=bool)
+        closed[0, 2:] = True
+        score_of = np.array([0, 1, 1, 2, 0])
+
+        def call():
+            p = params
+            return T.additive_attention(p["query"], p["wd"], p["b"], p["keys"], p["v"], score_of, closed, p["values"])
+
+        return call, params
+
+    @staticmethod
+    def output_log_probs_case(rng):
+        shapes = {"c": (3, 2), "d": (3, 3), "w": (4, 5), "b": (4,)}
+        params = {name: T.parameter(rng.normal(size=shape)) for name, shape in shapes.items()}
+        return lambda: [T.output_log_probs([params["c"], params["d"]], params["w"], params["b"])], params
+
+    @pytest.mark.parametrize("op", FUSED_OPS)
+    def test_gradients_match_finite_differences(self, op):
+        call, params = getattr(self, f"{op}_case")(np.random.default_rng(40))
+
+        def loss():
+            outs = call()
+            total = weighted(outs[0], 0)
+            for i, out in enumerate(outs[1:]):
+                total = T.add(total, weighted(out, i + 1))
+            return total
+
+        check_grads(loss, params)
+        assert all(np.any(t.grad != 0.0) for t in params.values())
+
+    @pytest.mark.parametrize("op", FUSED_OPS)
+    def test_is_one_tape_node(self, op):
+        call, _ = getattr(self, f"{op}_case")(np.random.default_rng(41))
+        with Tape() as tape:
+            call()
+        assert len(tape) == 1
+
+    def test_forward_only_bias_attention_bounds_its_tanh_block(self):
+        # A decode step holds no tape, so the (B, U, A) tanh block is made
+        # _SCORE_ROWS query rows at a time: here the whole block would be
+        # 4 MiB, and a block of 8 of the 64 rows and its tanh take 1 MiB.
+        rng = np.random.default_rng(42)
+        rows, n_keys, adim = 64, 256, 32
+        args = [rng.normal(size=shape) for shape in ((rows, 8), (adim, 8), (adim,), (n_keys, adim), (adim,), (n_keys, 4))]
+        query, wd, b, keys, v, values = (T.constant(a) for a in args)
+        score_of, closed = np.arange(n_keys), np.zeros((rows, n_keys), dtype=bool)
+        tracemalloc.start()
+        try:
+            T.additive_attention(query, wd, b, keys, v, score_of, closed, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * n_keys * adim * 8 / 2
+
+
 class TestRowwiseOps:
     """The row-wise ops on (B, D) inputs: each row equals the op on that row
     alone, and the backward matches central finite differences."""
-
-    def check_grads(self, forward, params, tol=1e-6):
-        with Tape() as tape:
-            tape.backward(forward())
-        fd = finite_difference(lambda: float(forward().data), params)
-        for name, t in params.items():
-            assert max_rel_err(t.grad, fd[name]) < tol, name
-
-    def weighted(self, out: Tensor, seed: int) -> Tensor:
-        w = np.random.default_rng(seed).normal(size=out.shape)
-        return T.sum_(T.mul(out, T.constant(w)))
 
     def test_concat_and_gather_columns(self):
         rng = np.random.default_rng(20)
@@ -289,7 +514,7 @@ class TestRowwiseOps:
         columns = np.arange(1, 4)
         assert np.array_equal(out.data[1], T.concat([T.constant(a.data[1]), T.constant(b.data[1])]).data)
         assert np.array_equal(T.gather(out, columns, axis=-1).data, out.data[:, 1:4])
-        self.check_grads(lambda: self.weighted(T.gather(T.concat([a, b]), columns, axis=-1), 1), {"a": a, "b": b})
+        check_grads(lambda: weighted(T.gather(T.concat([a, b]), columns, axis=-1), 1), {"a": a, "b": b})
         assert np.all(a.grad[:, 0] == 0.0) and np.all(b.grad[:, 2:] == 0.0)
         with pytest.raises(ValueError, match="all 1-D or all 2-D"):
             T.concat([a, T.constant(np.zeros(2))])
@@ -302,7 +527,7 @@ class TestRowwiseOps:
             e = np.exp(row[kept] - row[kept].max())
             assert np.abs(got[kept] - e / e.sum()).max() < 1e-15
             assert np.all(got[~kept] == 0.0)
-        self.check_grads(lambda: self.weighted(T.softmax(x), 2), {"x": x})
+        check_grads(lambda: weighted(T.softmax(x), 2), {"x": x})
         assert np.all(x.grad[x.data == NEG_INF] == 0.0)
         with pytest.raises(ValueError, match="no unmasked entry"):
             T.softmax(T.constant([[0.0, 1.0], [NEG_INF, NEG_INF]]))
@@ -312,7 +537,7 @@ class TestRowwiseOps:
         out = T.log_softmax(x)
         for row, got in zip(x.data, out.data):
             assert np.array_equal(got, T.log_softmax(T.constant(row)).data)
-        self.check_grads(lambda: self.weighted(T.log_softmax(x), 3), {"x": x})
+        check_grads(lambda: weighted(T.log_softmax(x), 3), {"x": x})
 
     def test_lstm_cell_rows(self):
         rng = np.random.default_rng(22)
@@ -329,9 +554,9 @@ class TestRowwiseOps:
 
         def forward():
             h, c = T.lstm_cell(x, h0, c0, p)
-            return T.add(self.weighted(h, 4), self.weighted(c, 5))
+            return T.add(weighted(h, 4), weighted(c, 5))
 
-        self.check_grads(forward, {"x": x, "h0": h0, "c0": c0, "w": p.w, "b": p.b}, tol=1e-5)
+        check_grads(forward, {"x": x, "h0": h0, "c0": c0, "w": p.w, "b": p.b}, tol=1e-5)
         with pytest.raises(ValueError, match="state shapes"):
             T.lstm_cell(x, T.constant(np.zeros(2)), T.constant(np.zeros(2)), p)
 
@@ -341,7 +566,7 @@ class TestRowwiseOps:
         x = T.parameter(rng.normal(size=(rows, 4)))
         w = T.parameter(rng.normal(size=(5, 4)))
         assert np.abs(T.matmul_t(x, w).data - x.data @ w.data.T).max() < 1e-14
-        self.check_grads(lambda: self.weighted(T.matmul_t(x, w), 6), {"x": x, "w": w})
+        check_grads(lambda: weighted(T.matmul_t(x, w), 6), {"x": x, "w": w})
         with pytest.raises(ValueError, match="dimension mismatch"):
             T.matmul_t(x, T.constant(np.zeros((5, 3))))
 
@@ -355,22 +580,32 @@ class TestRowwiseOps:
         for q, got in zip(query.data, out.data):
             assert np.abs(got - np.tanh(keys.data + q) @ v.data).max() < 1e-15
         params = {"keys": keys, "query": query, "v": v}
-        self.check_grads(lambda: self.weighted(T.additive_scores(keys, query, v), 7), params)
+        check_grads(lambda: weighted(T.additive_scores(keys, query, v), 7), params)
 
     @pytest.mark.parametrize("rows", [1, 8, 21])
     def test_additive_scores_forward_only_equals_taped(self, rows):
-        # Without a tape the scores are made a few query rows at a time.
+        # Without a tape the scores are made a few query rows at a time, in
+        # additive_scores and in the fused additive_attention alike.
         rng = np.random.default_rng(26)
         keys, query, v = (T.constant(rng.normal(size=shape)) for shape in ((5, 6), (rows, 6), (6,)))
+        wd, b, values = (T.constant(rng.normal(size=shape)) for shape in ((6, 6), (6,), (7, 3)))
+        score_of = rng.integers(0, 5, size=7)
+        closed = rng.random((rows, 7)) < 0.3
+        closed[:, 0] = False
+
+        def run():
+            context, alpha = T.additive_attention(query, wd, b, keys, v, score_of, closed, values)
+            return [T.additive_scores(keys, query, v).data, context.data, alpha.data]
+
         with T.Tape():
-            taped = T.additive_scores(keys, query, v).data
-        assert np.array_equal(T.additive_scores(keys, query, v).data, taped)
+            taped = run()
+        assert all(np.array_equal(got, want) for got, want in zip(run(), taped))
 
     def test_gather_last_axis(self):
         m = T.parameter(np.random.default_rng(25).normal(size=(2, 3)))
         index = np.array([2, 2, 0])
         assert np.array_equal(T.gather(m, index, axis=-1).data, m.data[:, index])
-        self.check_grads(lambda: self.weighted(T.gather(m, index, axis=-1), 8), {"m": m})
+        check_grads(lambda: weighted(T.gather(m, index, axis=-1), 8), {"m": m})
         assert np.all(m.grad[:, 1] == 0.0)
         with pytest.raises(ValueError, match="axis 0 or -1"):
             T.gather(m, index, axis=1)
@@ -381,7 +616,7 @@ class TestRowwiseOps:
         blk = T.parameter(rng.normal(size=(2, 3)))
         out = T.stack([blk, r, blk])
         assert np.array_equal(out.data, np.vstack([blk.data, r.data, blk.data]))
-        self.check_grads(lambda: self.weighted(T.stack([blk, r, blk]), 9), {"r": r, "blk": blk})
+        check_grads(lambda: weighted(T.stack([blk, r, blk]), 9), {"r": r, "blk": blk})
         with pytest.raises(ValueError, match="row shape mismatch"):
             T.stack([r, T.constant(np.zeros((2, 4)))])
 
@@ -689,6 +924,18 @@ class TestSubstream:
         assert not np.array_equal(a1, b)
 
 
+def attention_args(rows, closed):
+    """`multi_head_attention` arguments: one head of width 2 over 2 frames."""
+    w = T.constant(np.eye(2))
+    return T.constant(np.ones((rows, 2))), [w], [w], [w], T.constant(closed), w
+
+
+def bias_attention_args(closed):
+    """`additive_attention` arguments: one query row over 2 value rows."""
+    w = T.constant(np.eye(2))
+    return T.constant(np.ones((1, 2))), w, T.constant(np.zeros(2)), w, T.constant(np.ones(2)), np.arange(2), np.array(closed), w
+
+
 def nested_tapes():
     with Tape():
         with Tape():
@@ -705,8 +952,19 @@ def nested_tapes():
          r"^softmax takes a 1-D/2-D tensor, got shape \(2, 2, 2\)"),
         (lambda: T.log_softmax(Tensor(np.zeros((2, 2, 2)))), ValueError,
          r"^log_softmax takes a 1-D/2-D tensor, got shape \(2, 2, 2\)"),
+        (lambda: T.log_softmax(T.constant([[0.0, np.nan]])), T.NonFiniteError, "non-finite logits"),
+        (lambda: T.output_log_probs([T.constant([[0.0, np.inf]])], T.constant(np.ones((2, 2))), T.constant(np.zeros(2))),
+         T.NonFiniteError, "non-finite logits"),
+        (lambda: T.multi_head_attention(*attention_args(rows=3, closed=[[0.0, 0.0]] * 2)), ValueError,
+         r"shape mismatch: query \(3, 2\), closed \(2, 2\)"),
+        (lambda: T.multi_head_attention(*attention_args(rows=1, closed=[[NEG_INF, NEG_INF]])), ValueError,
+         "no unmasked entry"),
+        (lambda: T.additive_attention(*bias_attention_args(closed=[[True, True]])), ValueError, "no unmasked entry"),
+        (lambda: T.additive_attention(*bias_attention_args(closed=[[False, True, False]])), ValueError,
+         r"shape mismatch: closed \(1, 3\)"),
     ],
-    ids=["nested-tape", "unrecorded-loss", "empty-stack", "softmax-3d", "log-softmax-3d"],
+    ids=["nested-tape", "unrecorded-loss", "empty-stack", "softmax-3d", "log-softmax-3d", "log-softmax-nan",
+         "output-inf", "audio-closed-rows", "audio-all-closed", "bias-all-closed", "bias-closed-width"],
 )
 def test_misuse_rejected(call, error, message):
     with pytest.raises(error, match=message):

@@ -88,3 +88,22 @@ class TestTrainModel:
         log1 = train_model(small_model(task, seed=9), utts, SamplerConfig(), cfg)
         log2 = train_model(small_model(task, seed=9), utts, SamplerConfig(), cfg)
         assert log1 == log2
+
+
+def test_default_batch_tape_size(tmp_path, monkeypatch):
+    # One tape node per LSTM cell, per attention and per output layer: the
+    # first seed-1 batch at the default config records 377 nodes (944 when
+    # the attentions and the output layer were chains of primitive ops). A
+    # change that splits a fused op into several nodes again fails here.
+    task = SyntheticTaskConfig(seed=1)
+    utts = read_manifest(generate_corpus(task, tmp_path).manifests["train"])
+    model = Recognizer(ModelConfig(feature_dim=task.feature_dim), task.vocabulary(), seed=1)
+    sizes, backward = [], T.Tape.backward
+
+    def counting(tape, loss):
+        sizes.append(len(tape))
+        return backward(tape, loss)
+
+    monkeypatch.setattr(T.Tape, "backward", counting)
+    train_model(model, utts, SamplerConfig(), TrainConfig(steps=1, seed=1))
+    assert len(sizes) == 1 and sizes[0] <= 377
