@@ -106,6 +106,8 @@ def cmd_train(args) -> int:
 
 def cmd_decode(args) -> int:
     check_bonus(args.bonus)
+    if args.empty_bias and args.conditioning != "off":
+        raise ValueError(f"--empty-bias leaves no phrase list to condition; drop --conditioning {args.conditioning}")
     model, cfg = load_checkpoint(args.checkpoint)
     for flag in ("lam", "beam_width", "max_len"):
         value = getattr(args, flag)
@@ -127,7 +129,7 @@ def cmd_decode(args) -> int:
     )
 
     def fusion_per_utt(u):
-        if args.strategy and u.bias_phrases and not args.empty_bias:
+        if args.strategy and u.bias_phrases:
             return compiled(u)
         return shared_fusion
 
@@ -146,7 +148,7 @@ def cmd_decode(args) -> int:
         dcfg,
         fusion_per_utt=fusion_per_utt,
         phrases_fn=phrases_fn,
-        entries_fn=None if args.empty_bias else entries_fn[args.conditioning],
+        entries_fn=entries_fn[args.conditioning],
     )
     out = _outdir(args.out, cfg)
     with open(out / "hypotheses.tsv", "w", encoding="utf-8") as f:
@@ -267,26 +269,25 @@ def cmd_sweep(args) -> int:
     for section, kwargs in values.items():
         model, cfg = load_checkpoint(kwargs.pop("checkpoint"))
         runs.append((section, model, cfg, _read_utterances(kwargs.pop("manifest")), kwargs))
-    out = _outdir(args.out)
-
-    def report(name: str, rows) -> None:
-        with open(out / name, "w", encoding="utf-8") as f:
-            f.writelines("\t".join(map(str, row)) + "\n" for row in rows)
-
+    reports = {}  # report file -> rows; nothing is written until every section has run
     for section, model, cfg, utts, kwargs in runs:
         if section == "distractors":
             pool = sorted({p for u in utts for p in u.bias_phrases})
             curve = distractor_sweep(model, utts, pool, cfg=cfg.decode(), seed=cfg.seed, **kwargs)
-            report("distractor_curve.tsv", [(n, f"{wer:.4f}") for n, wer in curve])
+            reports["distractor_curve.tsv"] = [(n, f"{wer:.4f}") for n, wer in curve]
         elif section == "strategies":
             table = strategy_comparison(model, utts, cfg=cfg.decode(), **kwargs)
-            report("strategy_table.tsv", [(strat, lam, f"{wer:.4f}") for strat, (lam, wer) in table.items()])
+            reports["strategy_table.tsv"] = [(strat, lam, f"{wer:.4f}") for strat, (lam, wer) in table.items()]
         elif section == "conditioning":
             table = conditioning_comparison(model, utts, cfg.decode(), **kwargs)
-            report("conditioning.tsv", [(k, f"{v:.4f}") for k, v in table.items()])
+            reports["conditioning.tsv"] = [(k, f"{v:.4f}") for k, v in table.items()]
         else:
             rate = attention_hit_rate(model, utts, cfg.decode(), **kwargs)
-            report("attention.tsv", [("hit_rate", f"{rate:.4f}")])
+            reports["attention.tsv"] = [("hit_rate", f"{rate:.4f}")]
+    out = _outdir(args.out)
+    for name, rows in reports.items():
+        with open(out / name, "w", encoding="utf-8") as f:
+            f.writelines("\t".join(map(str, row)) + "\n" for row in rows)
 
     print(f"sweep complete: {', '.join(values) if values else 'nothing to do'}")
     return 0
@@ -322,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--lam", type=float, default=None)
     d.add_argument("--beam-width", type=int, default=None)
     d.add_argument("--max-len", type=int, default=None)
-    d.add_argument("--empty-bias", action="store_true", help="decode with an empty phrase list")
+    d.add_argument("--empty-bias", action="store_true", help="decode with an empty CLAS phrase list")
     fusion = d.add_mutually_exclusive_group()
     fusion.add_argument("--context", help="compiled context file for shallow fusion")
     fusion.add_argument("--strategy", choices=STRATEGIES, help="compile per-utterance contexts with this strategy")

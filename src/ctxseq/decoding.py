@@ -27,7 +27,9 @@ but is stripped from returned sequences.
 
 An utterance's search stops as soon as no live hypothesis of it, nor any
 continuation of one, can enter its returned n-best, and at `max_len` steps
-at the latest; its rows then leave the batch. A model log-probability is
+at the latest. The test ends each step, after the step's finished
+hypotheses are recorded, and a stopped utterance's rows leave the batch in
+the one filter that also drops the finished rows. A model log-probability is
 never positive, so a row's model score can only fall; its fusion score can
 rise by at most the scorer's `gain_bound` for its state and the steps left.
 Once `n_best` hypotheses of an utterance have finished and every live row
@@ -56,7 +58,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import tensor as T
 from .conditioning import PrefixTable, compute_mask
 from .fst import END_OF_WORD, FusionScorer, Wfst
 from .model import AudioCache, Recognizer, stack_audio
@@ -95,7 +96,7 @@ class DecodeResult:
 
 def beam_search(
     model: Recognizer,
-    audio: AudioCache | Sequence[AudioCache],
+    audio: Sequence[AudioCache],
     bias: tuple,
     cfg: DecodeConfig,
     fusion: FusionScorer | None = None,
@@ -104,19 +105,20 @@ def beam_search(
     """Decode a group of utterances that share `bias`, `prefixes` and
     `fusion`; returns, per utterance, up to n_best results, best first.
 
-    `audio` holds each utterance's `Recognizer.precompute_audio` cache, or
-    is one cache, a group of one; `bias` comes from `model.embed_phrases`.
-    `prefixes` is compiled from the prefixes of the entries whose phrases
-    `bias` embeds; without it every phrase is always open. Without a
-    finished hypothesis at max_len an utterance gets the single best
-    unfinished one, flagged.
+    `audio` holds each utterance's `Recognizer.precompute_audio` cache;
+    `bias` comes from `model.embed_phrases`. `prefixes` is compiled from the
+    prefixes of the entries whose phrases `bias` embeds; without it every
+    phrase is always open. Without a finished hypothesis at max_len an
+    utterance gets the single best unfinished one, flagged.
 
-    Before each step the search drops the rows of each utterance none of
-    whose live rows can still win. Let theta be the utterance's `n_best`-th
-    best finished total, by the expression the final sort uses (-inf until
-    `n_best` have finished), and `left` the labels a row may still emit
-    before `</s>`: max_len - 1 - its length. Every finished descendant of a
-    row totals at most the row's bound
+    After each step, with the finished rows recorded, the search drops the
+    rows of each utterance none of whose live rows can still win, in the
+    same filter that drops the finished ones. Let theta be the utterance's
+    `n_best`-th best finished total, by the expression the final sort uses
+    (-inf until `n_best` have finished), and `left` the labels a row may
+    still emit before `</s>`: max_len - 1 - its new length; after the last
+    step there is nothing left to test. Every finished descendant of a row
+    totals at most the row's bound
     log_model + lam * (log_fusion + gain_bound[left, f_state]), up to the
     rounding of the fusion sums: each `log_softmax` entry is <= 0 exactly
     (shifted logits <= 0 less a log-sum-exp >= 0), and float addition and
@@ -126,15 +128,14 @@ def beam_search(
     (the scorer's largest increment), so they round by less than about
     2 * (max_len + 1) * 2**-53 * lam * max_len * max|inc| (under 1e-13 of
     lam * max_len * max|inc| at max_len 80), and the final addition by
-    under 1e-15 * |theta|. An utterance stops when every one of its rows
-    has its bound below theta by more than
+    under 1e-15 * |theta|. An utterance stops when every one of its live
+    rows has its bound below theta by more than
     1e-9 * (1 + |theta| + lam * max_len * max|inc|), far above both: the
     finished hypotheses that more steps would add total below theta and
     sort after the n_best kept.
     """
     vocab = model.vocab
-    caches = [audio] if isinstance(audio, AudioCache) else list(audio)
-    frames = stack_audio(caches)
+    frames = stack_audio(audio)
     h_z, bias_keys = bias
     prefixes = prefixes or PrefixTable([""] * (h_z.data.shape[0] - 1))
     if len(prefixes.group_of) != h_z.data.shape[0]:
@@ -154,7 +155,7 @@ def beam_search(
     # Row b of each array is a live hypothesis of utterance `owner[b]`; see
     # the module docstring for the row order. `rows[b, s]` is the row its
     # ancestor had at step s, which indexes that step's attention.
-    n_utts = len(caches)
+    n_utts = len(audio)
     owner = np.arange(n_utts)
     tokens = rows = np.zeros((n_utts, 0), dtype=np.intp)
     log_model, log_fusion = np.zeros(n_utts), np.zeros(n_utts)
@@ -164,31 +165,16 @@ def beam_search(
     # Per step and live utterance: its first row, its open columns, and its
     # rows' attention on them.
     alphas: list[dict[int, tuple[int, np.ndarray | slice, np.ndarray]]] = []
-    done: list[list[tuple]] = [[] for _ in caches]  # (tokens, rows, log_model, log_fusion), tokens ending in eos
-    theta = [-math.inf] * n_utts  # the n_best-th best finished total, once n_best have finished
+    done: list[list[tuple]] = [[] for _ in audio]  # (tokens, rows, log_model, log_fusion), tokens ending in eos
+    theta = np.full(n_utts, -math.inf)  # the n_best-th best finished total, once n_best have finished
     gain = fusion.gain_bound(cfg.max_len - 1)
     scale = 1 + cfg.lam * cfg.max_len * np.abs(fusion.inc).max(initial=0.0)  # of the rounding margin
 
     while len(tokens) and tokens.shape[1] < cfg.max_len:
         spans = _spans(owner, n_utts)
-        if any(theta[u] > -math.inf for u, _, _ in spans):
-            bound = log_model + cfg.lam * (log_fusion + gain[cfg.max_len - 1 - tokens.shape[1], f_state])
-            stop = [
-                u for u, r0, r1 in spans
-                if bound[r0:r1].max() < theta[u] - 1e-9 * (scale + abs(theta[u]))
-            ]
-            if stop:
-                go = np.flatnonzero(~np.isin(owner, stop))
-                owner, tokens, rows, log_model, log_fusion, f_state, p_state = (
-                    a[go] for a in (owner, tokens, rows, log_model, log_fusion, f_state, p_state)
-                )
-                state = state.take(go)
-                if not len(go):
-                    break
-                spans = _spans(owner, n_utts)
         mask = np.array([compute_mask(prefixes, p) for p in p_state.tolist()])
         y_prev = tokens[:, -1] if tokens.shape[1] else np.full(len(owner), vocab.sos)
-        rows_audio = frames if frames.closed is None else replace(frames, closed=T.gather(frames.closed, owner))
+        rows_audio = frames if frames.closed is None else replace(frames, closed=frames.closed[owner])
         log_probs, alpha, state = model.step(y_prev, state, rows_audio, h_z, mask, bias_keys)
         step_alphas = {}
         for u, r0, r1 in spans:
@@ -213,16 +199,21 @@ def beam_search(
         rows = np.column_stack([rows[parents], parents])
         log_model, log_fusion = step_model[parents, new], step_fusion[parents, new]
         f_state = f_next[f_state[parents], new]
-        live = new != vocab.eos
-        if not live.all():
-            for b in np.flatnonzero(~live).tolist():
-                done[owner[b]].append((tokens[b], rows[b], log_model[b], log_fusion[b]))
-            for u in set(owner[~live].tolist()):
-                if len(done[u]) >= cfg.n_best:
-                    theta[u] = sorted(h[2] + cfg.lam * h[3] for h in done[u])[-cfg.n_best]
-            owner, tokens, rows, log_model, log_fusion, f_state, parents, new = (
-                a[live] for a in (owner, tokens, rows, log_model, log_fusion, f_state, parents, new)
-            )
+        ended = new == vocab.eos
+        for b in np.flatnonzero(ended).tolist():
+            done[owner[b]].append((tokens[b], rows[b], log_model[b], log_fusion[b]))
+        for u in set(owner[ended].tolist()):
+            if len(done[u]) >= cfg.n_best:
+                theta[u] = sorted(h[2] + cfg.lam * h[3] for h in done[u])[-cfg.n_best]
+        go = ~ended
+        left = cfg.max_len - 1 - tokens.shape[1]
+        if left >= 0:  # an utterance stops when none of its live rows can still win
+            bound = log_model + cfg.lam * (log_fusion + gain[left, f_state])
+            beaten = bound < (theta - 1e-9 * (scale + np.abs(theta)))[owner]
+            go &= np.bincount(owner[go & ~beaten], minlength=n_utts)[owner] > 0
+        owner, tokens, rows, log_model, log_fusion, f_state, parents, new = (
+            a[go] for a in (owner, tokens, rows, log_model, log_fusion, f_state, parents, new)
+        )
         state = state.take(parents)
         p_state = np.array(
             [prefixes.advance(p, vocab.symbols[t]) for p, t in zip(p_state[parents].tolist(), new.tolist())]

@@ -79,22 +79,21 @@ class DecoderStepState:
 class AudioCache:
     """Per-head key/value projections of the encoder outputs, reusable across
     steps. When the frames stack several utterances, query row b may read
-    only the frames of one of them: `closed` is (B, K), -inf on every other
-    frame and 0 on its own. A cache of U stacked utterances has one such row
-    per utterance; a beam gathers them by the utterance of each row."""
+    only the frames of one of them: the boolean (B, K) `closed` is true on
+    every other frame. A cache of U stacked utterances has one such row per
+    utterance; a beam takes them by the utterance of each row."""
 
     keys: list[Tensor]  # each (K, head_dim)
     values: list[Tensor]  # each (K, head_dim)
-    closed: Tensor | None  # None: every row reads every frame
+    closed: np.ndarray | None  # None: every row reads every frame
 
 
-def _own_frames(lengths: Sequence[int]) -> Tensor | None:
-    """(U, K) for utterances of `lengths` frames stacked in order: row u is
-    0 on utterance u's frames and -inf on the others; None for one."""
+def _own_frames(lengths: Sequence[int]) -> np.ndarray | None:
+    """Boolean (U, K) for utterances of `lengths` frames stacked in order:
+    row u is true on every frame but utterance u's; None for one."""
     if len(lengths) < 2:
         return None
-    owner = np.repeat(np.arange(len(lengths)), lengths)
-    return T.constant(np.where(owner == np.arange(len(lengths))[:, None], 0.0, T.NEG_INF))
+    return np.repeat(np.arange(len(lengths)), lengths) != np.arange(len(lengths))[:, None]
 
 
 def stack_audio(caches: Sequence[AudioCache]) -> AudioCache:

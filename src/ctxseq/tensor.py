@@ -475,23 +475,23 @@ def multi_head_attention(
     wq: Sequence[Tensor],
     keys: Sequence[Tensor],
     values: Sequence[Tensor],
-    closed: Tensor | None,
+    closed: np.ndarray | None,
     wo: Tensor,
 ) -> Tensor:
     """Multi-head scaled-dot attention of a (B, D) stack of query rows.
 
     Head h scores `(query @ wq[h].T) @ keys[h].T / sqrt(head width)`, adds
-    the constant `closed` ((B, K), 0 or NEG_INF per frame; None reads every
-    frame) and reads `softmax @ values[h]`; the heads are joined along the
-    last axis and projected by `wo`. The chain: per head matmul_t, matmul_t,
-    scale, add, softmax, matmul; then concat and matmul_t.
+    -inf where the boolean (B, K) `closed` is true (None reads every frame)
+    and reads `softmax @ values[h]`; the heads are joined along the last
+    axis and projected by `wo`. The chain: per head matmul_t, matmul_t,
+    scale, add of the -inf mask, softmax, matmul; then concat and matmul_t.
     """
     qd, wod = query.data, wo.data
     if qd.ndim != 2:
         raise ValueError(f"multi_head_attention needs a (B, D) query, got shape {query.shape}")
-    cd = None if closed is None else closed.data
-    if cd is not None and cd.shape != (qd.shape[0], keys[0].data.shape[0]):
+    if closed is not None and closed.shape != (qd.shape[0], keys[0].data.shape[0]):
         raise ValueError(f"multi_head_attention shape mismatch: query {query.shape}, closed {closed.shape}")
+    cd = None if closed is None else np.where(closed, NEG_INF, 0.0)
     saved, heads = [], []
     for w, k, v in zip(wq, keys, values):
         q = qd @ w.data.T

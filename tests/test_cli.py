@@ -10,7 +10,7 @@ from ctxseq.conditioning import BiasEntry, split_rule_based
 from ctxseq.config import RunConfig
 from ctxseq.corpus import read_manifest, write_manifest
 from ctxseq.experiments import decode_corpus
-from ctxseq.fst import FusionScorer, load_context
+from ctxseq.fst import FusionScorer, compile_context, load_context
 from ctxseq.vocab import SPACE, Vocabulary
 
 CFG = """
@@ -349,6 +349,41 @@ class TestDecode:
         args = ["decode", "--checkpoint", str(root / "ckpt"), "--data", str(data), "--conditioning", "manifest"]
         assert main(args + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: utterance {first.id} has no bias_prefixes in the manifest\n"
+        assert not out.exists()
+
+    def test_empty_bias_with_strategy_fuses_the_manifest_list(self, workspace, tmp_path):
+        # `--empty-bias` used to drop the fusion too: the no-CLAS baseline is
+        # the empty CLAS list plus shallow fusion of each utterance's list.
+        root, _ = workspace
+        model, cfg = load_checkpoint(root / "ckpt")
+        data = root / "corpus" / "test_biased.jsonl"
+        out = tmp_path / "dec"
+        args = ["decode", "--checkpoint", str(root / "ckpt"), "--data", str(data), "--empty-bias"]
+        assert main(args + ["--out", str(out), "--strategy", "every-subword", "--lam", "1"]) == 0
+        utts = read_manifest(data)
+        alphabet = model.vocab.graphemes
+        fusion = lambda u: FusionScorer(compile_context(u.bias_phrases, alphabet, "every-subword", 1.0))
+        cfg.override("decode.lam=1")
+        want = decode_corpus(model, utts, cfg.decode(), fusion_per_utt=fusion, phrases_fn=lambda u: [])
+        assert any(r.log_fusion != 0.0 for r in want)
+        lines = (out / "hypotheses.tsv").read_text().splitlines()
+        assert lines == [f"{u.id}\t{r.text}\t{r.total!r}" for u, r in zip(utts, want)]
+
+    @pytest.mark.parametrize("conditioning", ["manifest", "rule-based"])
+    def test_empty_bias_rejects_conditioning(self, workspace, tmp_path, capsys, monkeypatch, conditioning):
+        # `--empty-bias --conditioning manifest` used to decode unconditioned,
+        # even over a manifest without bias_prefixes.
+        root, _ = workspace
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("decoded")
+
+        monkeypatch.setattr(experiments, "beam_search", no_decode)
+        out = tmp_path / "dec"
+        args = ["decode", "--checkpoint", str(root / "ckpt"), "--data", str(root / "corpus" / "test_biased.jsonl")]
+        assert main(args + ["--out", str(out), "--empty-bias", "--conditioning", conditioning]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"drop --conditioning {conditioning}" in err
         assert not out.exists()
 
     def test_context_over_foreign_graphemes_fails_cleanly(self, workspace, tmp_path, capsys):
@@ -753,6 +788,28 @@ class TestSweep:
         assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message.format(ckpt=ckpt) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[distractors]\n{inputs}counts = 0,500\n", "cannot cover N=500"),
+            ("[distractors]\n{inputs}counts = 0,1\n[conditioning]\n{inputs}",
+             "does not extend the trigger 'talk to'"),
+        ],
+        ids=["pool-too-small", "conditioning-after-distractors"],
+    )
+    def test_fault_while_decoding_leaves_no_output(self, workspace, tmp_path, capsys, text, message):
+        # A section that fails as it runs used to leave `--out` behind, with
+        # the reports of the sections before it.
+        root, _ = workspace
+        inputs = f"checkpoint = {root / 'ckpt'}\nmanifest = {root / 'corpus' / 'test_biased.jsonl'}\n"
+        spec = tmp_path / "spec.ini"
+        spec.write_text(text.format(inputs=inputs))
+        out = tmp_path / "report"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
         assert not out.exists()
 
     def test_all_four_experiments(self, workspace, tmp_path):

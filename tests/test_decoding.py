@@ -12,7 +12,7 @@ from ctxseq.conditioning import BiasEntry, PrefixTable, plain_entries, split_rul
 from ctxseq.corpus import generate_corpus, read_manifest
 from ctxseq.decoding import DecodeConfig, beam_search
 from ctxseq.fst import END_OF_WORD, EVERY_SUBWORD, FusionScorer, compile_context
-from ctxseq.model import ModelConfig, Recognizer, embed_phrases
+from ctxseq.model import DecoderStepState, ModelConfig, Recognizer, embed_phrases
 from ctxseq.vocab import BIAS_END, EOS, SPACE, Vocabulary, normalize
 
 from oracles import assert_same_results, enumerate_best, reference_beam_search
@@ -49,7 +49,7 @@ def prepare(model, x, phrases, entries=None):
 
 def decode(model, x, phrases, cfg, fusion=None, entries=None):
     audio, bias, prefixes = prepare(model, x, phrases, entries)
-    return beam_search(model, audio, bias, cfg, fusion=fusion, prefixes=prefixes)[0]
+    return beam_search(model, [audio], bias, cfg, fusion=fusion, prefixes=prefixes)[0]
 
 
 class TestConfigValidation:
@@ -195,7 +195,7 @@ class TestFusionByState:
         fusion = FusionScorer(compile_context(["abc", "cab"], [SPACE, "a", "b", "c"], EVERY_SUBWORD, 3.0))
         cfg = DecodeConfig(beam_width=4, max_len=6, lam=1.0, n_best=4)
         audio, bias, _ = prepare(model, random_input(5, frames=4), ["abc"])
-        got = beam_search(model, audio, bias, cfg, fusion=fusion)[0]
+        got = beam_search(model, [audio], bias, cfg, fusion=fusion)[0]
         assert got[0].raw_symbols == ["a", BIAS_END, "b", "c"] and got[0].log_fusion == 3.0
         assert_same_results(got, reference_beam_search(model, audio, bias, cfg, fusion=fusion))
 
@@ -238,7 +238,7 @@ class TestConditioningIntegration:
         audio, bias, _ = prepare(model, random_input(23), ["a", "b"])
         prefixes = PrefixTable(["a"])
         with pytest.raises(ValueError, match="prefix table has 2 rows, the embedded list 3"):
-            beam_search(model, audio, bias, DecodeConfig(beam_width=2, max_len=3), prefixes=prefixes)
+            beam_search(model, [audio], bias, DecodeConfig(beam_width=2, max_len=3), prefixes=prefixes)
 
     def test_empty_list_decode_independent_of_previous_lists(self):
         model = tiny_model(seed=11)
@@ -264,7 +264,7 @@ class TestExhaustiveExactness:
         for seed in range(4):
             x = random_input(seed + 40)
             audio, bias, _ = prepare(model, x, phrases)
-            got = beam_search(model, audio, bias, cfg, fusion=scorer)[0][0]
+            got = beam_search(model, [audio], bias, cfg, fusion=scorer)[0][0]
             want = enumerate_best(model, audio, phrases, max_len, lam, fusion=scorer)
             got_ids = [model.vocab.index(s) for s in got.raw_symbols] + [model.vocab.eos]
             assert got_ids == want["tokens"]
@@ -370,7 +370,7 @@ class TestBatchedBeamMatchesReference:
         audio, bias, prefixes = prepare(model, random_input(3, frames=4), [], CONDITIONED)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "step", recording_step)
-            got = beam_search(model, audio, bias, cfg, prefixes=prefixes)[0]
+            got = beam_search(model, [audio], bias, cfg, prefixes=prefixes)[0]
         assert any(len({row.tobytes() for row in m}) > 1 for m in masks)
         want = reference_beam_search(model, audio, bias, cfg, entries=CONDITIONED)
         assert_same_results(got, want, CONDITIONED)
@@ -384,17 +384,24 @@ class TestEarlyStop:
     def decode_counting_steps(model, x, phrases, cfg, fusion):
         audio, bias, _ = prepare(model, x, phrases)
         calls = []
-        step = model.step
+        step, take = model.step, DecoderStepState.take
 
         def counting_step(*args, **kwargs):
-            calls.append(1)
+            calls.append("step")
             return step(*args, **kwargs)
+
+        def counting_take(*args, **kwargs):
+            calls.append("take")
+            return take(*args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "step", counting_step)
-            got = beam_search(model, audio, bias, cfg, fusion=fusion)[0]
+            mp.setattr(DecoderStepState, "take", counting_take)
+            got = beam_search(model, [audio], bias, cfg, fusion=fusion)[0]
         assert_same_results(got, reference_beam_search(model, audio, bias, cfg, fusion=fusion))
-        return got, len(calls)
+        # The rows that leave, finished or stopped, leave in the step's one gather.
+        assert calls == ["step", "take"] * (len(calls) // 2)
+        return got, len(calls) // 2
 
     def test_stops_once_end_of_sequence_wins(self):
         model = tiny_model(seed=5, alphabet="abc")
@@ -510,8 +517,9 @@ class TestTracingContract:
         model.params["output.b"].data[model.vocab.eos] = -50.0  # run to max_len
         cfg = DecodeConfig(beam_width=4, max_len=5)
         audio, bias_cache, prefixes = prepare(model, random_input(4), [], CONDITIONED)
-        calls = {"mask": [], "step_rows": [], "h_z": []}
+        calls = {"mask": [], "step_rows": [], "h_z": [], "take": 0}
         compute_mask, step, attend_bias = decoding.compute_mask, model.step, model.attend_bias
+        take = DecoderStepState.take
 
         def counting_mask(*args, **kwargs):
             mask = compute_mask(*args, **kwargs)
@@ -526,16 +534,22 @@ class TestTracingContract:
             calls["h_z"].append(args[1])
             return attend_bias(*args, **kwargs)
 
+        def counting_take(*args, **kwargs):
+            calls["take"] += 1
+            return take(*args, **kwargs)
+
         monkeypatch.setattr(decoding, "compute_mask", counting_mask)
         monkeypatch.setattr(model, "step", counting_step)
         monkeypatch.setattr(model, "attend_bias", counting_attend_bias)
-        beam_search(model, audio, bias_cache, cfg, prefixes=prefixes)
+        monkeypatch.setattr(DecoderStepState, "take", counting_take)
+        beam_search(model, [audio], bias_cache, cfg, prefixes=prefixes)
         assert len(calls["step_rows"]) == cfg.max_len  # one model step per time step
         assert len(calls["mask"]) == sum(calls["step_rows"])  # one mask per live hypothesis
         assert max(calls["step_rows"]) == cfg.beam_width
         assert set(calls["mask"]) == {(len(CONDITIONED) + 1,)}
         assert len(calls["h_z"]) == cfg.max_len
         assert all(h is bias_cache[0] for h in calls["h_z"])
+        assert calls["take"] == len(calls["step_rows"])  # one gather of the decoder state per step
 
     def test_experiments_embeds_through_the_model_function(self):
         # The benchmark times `model.embed_phrases` by patching this name.

@@ -76,7 +76,9 @@ class TestOncePerDistinctList:
         model, utts = tiny_model(), utterances(self.LISTS)
         audio = encoded(model, len(utts))
         # each utterance decoded alone, with a list embedded for it alone
-        alone = [beam_search(model, a, embed_phrases(model, u.bias_phrases), self.CFG)[0] for u, a in zip(utts, audio)]
+        alone = [
+            beam_search(model, [a], embed_phrases(model, u.bias_phrases), self.CFG)[0] for u, a in zip(utts, audio)
+        ]
         # the utterances that share a list decoded as one group: u0, u2, u4 and u1, u3
         grouped = {}
         for members in ([0, 2, 4], [1, 3]):

@@ -341,7 +341,7 @@ class TestFusedLayers:
         closed = None
         if utterances > 1:
             owner = np.repeat(np.arange(utterances), lengths)
-            closed = T.constant(np.where(owner == rng.integers(0, utterances, size=(rows, 1)), 0.0, NEG_INF))
+            closed = owner != rng.integers(0, utterances, size=(rows, 1))
 
         def forward(attend):
             def cache(name, w):
@@ -432,13 +432,13 @@ class TestFusedLayers:
             **{f"wq{h}": T.parameter(rng.normal(size=(dh, width))) for h in range(2)},
             **{f"{name}{h}": T.parameter(rng.normal(size=(frames, dh))) for name in ("keys", "values") for h in range(2)},
         }
-        mask = np.zeros((rows, frames))
-        mask[0, 1:] = NEG_INF
-        mask[1:, 0] = NEG_INF
+        closed = np.zeros((rows, frames), dtype=bool)
+        closed[0, 1:] = True
+        closed[1:, 0] = True
 
         def call():
             heads = [[params[f"{name}{h}"] for h in range(2)] for name in ("wq", "keys", "values")]
-            return [T.multi_head_attention(params["query"], *heads, T.constant(mask), params["wo"])]
+            return [T.multi_head_attention(params["query"], *heads, closed, params["wo"])]
 
         return call, params
 
@@ -927,7 +927,7 @@ class TestSubstream:
 def attention_args(rows, closed):
     """`multi_head_attention` arguments: one head of width 2 over 2 frames."""
     w = T.constant(np.eye(2))
-    return T.constant(np.ones((rows, 2))), [w], [w], [w], T.constant(closed), w
+    return T.constant(np.ones((rows, 2))), [w], [w], [w], np.array(closed), w
 
 
 def bias_attention_args(closed):
@@ -955,9 +955,9 @@ def nested_tapes():
         (lambda: T.log_softmax(T.constant([[0.0, np.nan]])), T.NonFiniteError, "non-finite logits"),
         (lambda: T.output_log_probs([T.constant([[0.0, np.inf]])], T.constant(np.ones((2, 2))), T.constant(np.zeros(2))),
          T.NonFiniteError, "non-finite logits"),
-        (lambda: T.multi_head_attention(*attention_args(rows=3, closed=[[0.0, 0.0]] * 2)), ValueError,
+        (lambda: T.multi_head_attention(*attention_args(rows=3, closed=[[False, False]] * 2)), ValueError,
          r"shape mismatch: query \(3, 2\), closed \(2, 2\)"),
-        (lambda: T.multi_head_attention(*attention_args(rows=1, closed=[[NEG_INF, NEG_INF]])), ValueError,
+        (lambda: T.multi_head_attention(*attention_args(rows=1, closed=[[True, True]])), ValueError,
          "no unmasked entry"),
         (lambda: T.additive_attention(*bias_attention_args(closed=[[True, True]])), ValueError, "no unmasked entry"),
         (lambda: T.additive_attention(*bias_attention_args(closed=[[False, True, False]])), ValueError,
