@@ -1,8 +1,8 @@
 """Prefix-conditioned phrase lists and per-step attention masks.
 
 A conditioned entry pairs a phrase with a textual prefix; the phrase's
-attention logit stays masked (infinite) until the prefix occurs as a raw
-substring of the normalized text of the partial hypothesis. Empty prefixes
+attention entry stays closed (its logit -inf) until the prefix occurs as a
+raw substring of the normalized text of the partial hypothesis. Empty prefixes
 always match, so a list with all-empty prefixes behaves exactly like an
 unconditioned one.
 
@@ -16,16 +16,14 @@ by its new token instead of re-reading the whole hypothesis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .vocab import normalize, render
 
 
-@dataclass(frozen=True)
-class BiasEntry:
+class BiasEntry(NamedTuple):
     prefix: str  # possibly empty word sequence
     phrase: str  # the phrase that gets embedded
 
@@ -47,7 +45,9 @@ class PrefixTable:
     at the start of `text` or after a space, so repeated and leading spaces
     collapse as `normalize` does; `<s>`, `</s>` and `</bias>` render to
     nothing and keep the state. Text is lower-cased one symbol at a time.
-    States are memoised per (state, symbol) and masks per set of open groups.
+    States are memoised per (state, symbol), and the boolean `closed` rows
+    per set of open groups, so states that share their open groups share one
+    read-only row.
     """
 
     START = 0
@@ -66,7 +66,7 @@ class PrefixTable:
         self._states: list[tuple[str, int]] = [("", 1)]  # START: no text, open {0}
         self._state_ids = {self._states[0]: self.START}
         self._steps: dict[tuple[int, str], int] = {}
-        self._masks: dict[int, np.ndarray] = {}
+        self._closed: dict[int, np.ndarray] = {}
 
     def advance(self, state: int, symbol: str) -> int:
         """The state after `symbol` is appended to the hypothesis at `state`."""
@@ -90,30 +90,34 @@ class PrefixTable:
                 self._states.append((text, open_))
         return after
 
-    def mask(self, state: int) -> np.ndarray:
-        """{0, inf} mask of length N+1 for `state`; read-only and shared."""
+    def closed(self, state: int) -> np.ndarray:
+        """Boolean row of length N+1 for `state`, true on each closed slot;
+        read-only and shared by the states with the same open groups."""
         open_ = self._states[state][1]
-        mask = self._masks.get(open_)
-        if mask is None:
-            is_open = np.array([open_ >> g & 1 for g in range(len(self.prefixes) + 1)], dtype=bool)
-            mask = self._masks[open_] = np.where(is_open[self.group_of], 0.0, np.inf)
-            mask.flags.writeable = False
-        return mask
+        closed = self._closed.get(open_)
+        if closed is None:
+            is_closed = np.array([not open_ >> g & 1 for g in range(len(self.prefixes) + 1)])
+            closed = self._closed[open_] = is_closed[self.group_of]
+            closed.flags.writeable = False
+        return closed
 
 
 def compute_mask(entries: PrefixTable | Sequence[BiasEntry], at: int | Sequence[str]) -> np.ndarray:
-    """{0, inf} mask of length N+1; index 0 (no-bias) is always open.
+    """The mask of length N+1 of a hypothesis; index 0 (no-bias) is always
+    open.
 
     Matching is raw substring inclusion on the normalized text of the
     hypothesis, which `render` strips of `</bias>` tokens. There are two
     forms. A decoder passes a compiled `PrefixTable` and a hypothesis's state
-    in it, which it advances by one token per step. A check passes the plain
-    entry list and the hypothesis's symbols: each distinct prefix is
-    normalized and tested against the whole text once, with no table, so
-    that a check of the decoder's masks stays independent of the table.
+    in it, which it advances by one token per step, and gets the table's
+    read-only boolean `closed` row, which the bias attention takes as it is.
+    A check passes the plain entry list and the hypothesis's symbols and gets
+    a {0, inf} float row: each distinct prefix is normalized and tested
+    against the whole text once, with no table, so that a check of the
+    decoder's masks stays independent of the table.
     """
     if isinstance(entries, PrefixTable):
-        return entries.mask(at)
+        return entries.closed(at)
     text = normalize(render(at))
     closed = {p: normalize(p) not in text for p in {e.prefix for e in entries}}
     return np.where([False] + [closed[e.prefix] for e in entries], np.inf, 0.0)
@@ -132,14 +136,14 @@ def split_rule_based(phrases: Sequence[str], trigger: str = TALKTO_TRIGGER) -> l
     trig_words = trigger.split()
     entries: list[BiasEntry] = []
     for phrase in phrases:
-        words = normalize(phrase).split()
+        words = phrase.lower().split()  # the words of `normalize(phrase)`
         if words[: len(trig_words)] != trig_words or len(words) == len(trig_words):
             raise ValueError(f"phrase {phrase!r} does not extend the trigger {trigger!r}")
         head = words[len(trig_words)]
         rest = words[len(trig_words) + 1 :]
-        entries.append(BiasEntry(prefix=f"{trigger} {head[0]}", phrase=head))
+        entries.append(BiasEntry(f"{trigger} {head[0]}", head))
         if rest:
-            entries.append(BiasEntry(prefix=f"{trigger} {head}", phrase=" ".join(rest)))
+            entries.append(BiasEntry(f"{trigger} {head}", " ".join(rest)))
     return entries
 
 

@@ -16,12 +16,15 @@ from the scorer's table by fusion state) form one array; the `beam_width`
 best of each utterance give the parent row and token of each kept
 candidate, and every array is gathered by parent. A hypothesis that emits
 end-of-sequence is copied out; its attention rows are read from the
-per-step attention through its back-pointers. Every live hypothesis gets
-its own attention mask at every step. The caller compiles each distinct
-conditioning list once into a `PrefixTable`; each row carries its state in
-that table, which its one new token advances, and a mask is a lookup by
-state. A plain list is a table of empty prefixes, one group that is always
-open. The fusion state advances the same way, by a lookup in a (state,
+per-step attention through its back-pointers. The caller compiles each
+distinct conditioning list once into a `PrefixTable`; each row carries its
+state in that table, which its one new token advances. At every step the
+search asks the table once per distinct state for its read-only boolean
+`closed` row, and row b reads the row of its own state; the step's bias
+attention scores each row only against the entries open for it, and is
+kept as the weights over the entries open for some row, with their
+indices. A plain list is a table of empty prefixes, one group that is
+always open. The fusion state advances the same way, by a lookup in a (state,
 token) table built once per search. `</bias>` may be emitted during search
 but is stripped from returned sequences.
 
@@ -162,9 +165,8 @@ def beam_search(
     f_state = np.full(n_utts, fusion.start)
     p_state = np.full(n_utts, PrefixTable.START)  # the hypothesis's state in the prefix table
     state = model.initial_state(rows=n_utts)
-    # Per step and live utterance: its first row, its open columns, and its
-    # rows' attention on them.
-    alphas: list[dict[int, tuple[int, np.ndarray | slice, np.ndarray]]] = []
+    # Per step: the columns open for some row, and every row's attention on them.
+    alphas: list[tuple[np.ndarray, np.ndarray]] = []
     done: list[list[tuple]] = [[] for _ in audio]  # (tokens, rows, log_model, log_fusion), tokens ending in eos
     theta = np.full(n_utts, -math.inf)  # the n_best-th best finished total, once n_best have finished
     gain = fusion.gain_bound(cfg.max_len - 1)
@@ -172,16 +174,12 @@ def beam_search(
 
     while len(tokens) and tokens.shape[1] < cfg.max_len:
         spans = _spans(owner, n_utts)
-        mask = np.array([compute_mask(prefixes, p) for p in p_state.tolist()])
+        states, of_state = np.unique(p_state, return_inverse=True)
+        closed = np.array([compute_mask(prefixes, p) for p in states.tolist()])[of_state]
         y_prev = tokens[:, -1] if tokens.shape[1] else np.full(len(owner), vocab.sos)
         rows_audio = frames if frames.closed is None else replace(frames, closed=frames.closed[owner])
-        log_probs, alpha, state = model.step(y_prev, state, rows_audio, h_z, mask, bias_keys)
-        step_alphas = {}
-        for u, r0, r1 in spans:
-            # A table without prefixes (a plain list) leaves every column open.
-            cols = np.flatnonzero((mask[r0:r1] == 0.0).any(axis=0)) if prefixes.prefixes else slice(None)
-            step_alphas[u] = r0, cols, alpha.data[r0:r1, cols]
-        alphas.append(step_alphas)
+        log_probs, (alpha, cols), state = model.step(y_prev, state, rows_audio, h_z, closed, bias_keys)
+        alphas.append((cols, alpha.data))
         step_model = log_model[:, None] + log_probs.data
         step_fusion = log_fusion[:, None] + f_inc[f_state]
         total = step_model + cfg.lam * step_fusion
@@ -225,9 +223,8 @@ def beam_search(
         mine = owner == u
         live_rows = zip(tokens[mine], rows[mine], log_model[mine], log_fusion[mine])
         pool = sorted(done[u] or live_rows, key=lambda h: -(h[2] + cfg.lam * h[3]))
-        steps = [step[u] for step in alphas if u in step]
         kept = pool[: cfg.n_best if done[u] else 1]
-        results.append([_to_result(*h, steps, h_z.data.shape[0], cfg.lam, vocab) for h in kept])
+        results.append([_to_result(*h, alphas, h_z.data.shape[0], cfg.lam, vocab) for h in kept])
     return results
 
 
@@ -243,14 +240,15 @@ def _spans(owner: np.ndarray, n_utts: int) -> list[tuple[int, int, int]]:
 
 
 def _to_result(tokens, rows, log_model, log_fusion, steps, width: int, lam: float, vocab) -> DecodeResult:
-    """The result of one hypothesis; `steps[s]` is its utterance's step-s
-    (first row, open columns, attention), and `rows[s]` its row at step s."""
+    """The result of one hypothesis; `steps[s]` is the search's step-s
+    (open columns, attention), and `rows[s]` the hypothesis's row at step s.
+    A column closed for every row of a step gets weight 0."""
     raw = [vocab.symbols[t] for t in tokens.tolist() if t != vocab.eos]
     stripped = [s for s in raw if s != BIAS_END]
     alphas = np.zeros((len(rows), width))
     for s, b in enumerate(rows.tolist()):
-        first, cols, block = steps[s]
-        alphas[s, cols] = block[b - first]
+        cols, block = steps[s]
+        alphas[s, cols] = block[b]
     return DecodeResult(
         text=render(stripped),
         tokens=stripped,

@@ -66,9 +66,10 @@ def decode_corpus(
         # (embedded list, table, scorer) by their identities -> the utterances that share them
         groups: dict[tuple[int, int, int], tuple] = {}
         for i in range(at, min(at + GROUP_UTTS, len(utts))):
-            entries = entries_of(utts[i])
-            bias = embed(tuple(e.phrase for e in entries))
-            prefixes = compile_table(tuple(e.prefix for e in entries))
+            # The prefixes and the phrases of the entries; an empty list has neither.
+            prefix_list, phrase_list = tuple(zip(*entries_of(utts[i]))) or ((), ())
+            bias = embed(phrase_list)
+            prefixes = compile_table(prefix_list)
             fusion = fusion_of(utts[i])
             groups.setdefault((id(bias), id(prefixes), id(fusion)), (bias, prefixes, fusion, []))[3].append(i)
         for bias, prefixes, fusion, members in groups.values():

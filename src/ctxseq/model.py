@@ -7,17 +7,18 @@ phrases (index 0 of which is a learnable "no-bias" vector). The two context
 vectors are concatenated and fed both to the output softmax and to the next
 decoder step. Each layer of a step is one tape node: the decoder's LSTM cells
 (`tensor.lstm_cell`), the audio attention (`tensor.multi_head_attention`),
-the phrase attention (`tensor.additive_attention`, between the gathers that
-keep only the open rows and the scatter back to full length) and the output
-layer with its log-softmax (`tensor.output_log_probs`).
+the phrase attention (`tensor.additive_attention`, after the gathers that
+keep only the rows open for some query, whose weights it returns with their
+indices) and the output layer with its log-softmax
+(`tensor.output_log_probs`).
 
-Every step runs on rows: B token ids, (B, ·) states and (B, N+1) masks. The
-beam search advances all of its live hypotheses in one call, and the
-training loss advances a whole minibatch in one call per target position,
-one row per utterance. Both encoders share one longest-first LSTM pass,
-`_longest_first`: the phrase encoder runs it over the whole phrase list, and
-the audio encoder over all utterances of a batch; the audio attention then
-lets row b read only the frames of utterance b.
+Every step runs on rows: B token ids, (B, ·) states and a boolean (B, N+1)
+`closed` mask. The beam search advances all of its live hypotheses in one
+call, and the training loss advances a whole minibatch in one call per
+target position, one row per utterance. Both encoders share one
+longest-first LSTM pass, `_longest_first`: the phrase encoder runs it over
+the whole phrase list, and the audio encoder over all utterances of a batch;
+the audio attention then lets row b read only the frames of utterance b.
 """
 
 from __future__ import annotations
@@ -261,31 +262,32 @@ class Recognizer:
         self,
         d_t: Tensor,
         h_z: Tensor,
-        mask: np.ndarray,
+        closed: np.ndarray,
         keys: tuple[Tensor, np.ndarray],
-    ) -> tuple[Tensor, Tensor]:
-        """Additive attention over phrase embeddings under a {0, inf} mask.
+    ) -> tuple[Tensor, tuple[Tensor, np.ndarray]]:
+        """Additive attention over phrase embeddings; the boolean `closed` is
+        true on the entries a query row may not read.
 
-        `d_t` is B decoder-state rows, `mask` is (B, N+1) and `keys` is
+        `d_t` is B decoder-state rows, `closed` is (B, N+1) and `keys` is
         (key rows, key index) as `embed_phrases` gives them: row i of `h_z`
-        reads key row `index[i]`. Returns the bias context and the attention
-        probabilities (one weight per row of h_z, index 0 being no-bias).
-        Only rows open for some query are scored, each distinct key among
-        them once; a row closed for query b is -inf in b's scores, so it gets
-        exactly zero weight and gradient. The gathers of those rows and keys,
-        and the scatter of alpha back to every row, surround one
-        `tensor.additive_attention` node.
+        reads key row `index[i]`. Returns the bias context and
+        `(alpha, rows)`: `rows` indexes the rows of h_z (index 0 being
+        no-bias) that are open for some query, and alpha has one weight per
+        query and such row; every other row's weight is exactly zero. Only
+        those rows are gathered, each distinct key among them once, around
+        one `tensor.additive_attention` node; a row closed for query b is
+        -inf in b's scores, so it gets exactly zero weight and gradient.
         """
         n_rows = h_z.data.shape[0]
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != (d_t.data.shape[0], n_rows):
-            raise ValueError(f"mask length {mask.shape} does not match {n_rows} bias rows for query {d_t.shape}")
-        if np.any(mask[:, 0] != 0.0):
+        closed = np.asarray(closed)
+        if closed.shape != (d_t.data.shape[0], n_rows):
+            raise ValueError(f"mask length {closed.shape} does not match {n_rows} bias rows for query {d_t.shape}")
+        if closed.dtype != bool:
+            raise ValueError(f"the mask must be boolean, got {closed.dtype}")
+        if closed[:, 0].any():
             raise ValueError("the no-bias slot (index 0) must never be masked")
-        closed = mask == np.inf
         rows = np.flatnonzero(~closed.all(axis=0))
-        partial = len(rows) < n_rows
-        if partial:
+        if len(rows) < n_rows:
             h_z = T.gather(h_z, rows)
             closed = closed[:, rows]
         # Open row i reads the score of key row scored[score_of[i]].
@@ -297,14 +299,7 @@ class Recognizer:
         context, alpha = T.additive_attention(
             d_t, p["bias_attn.wd"], p["bias_attn.b"], key_rows, p["bias_attn.v"], score_of, closed, h_z
         )
-        if partial:
-            # Back to full length: open row i reads slot i of alpha, every
-            # row closed for all queries reads the appended zero.
-            slot = np.full(n_rows, len(rows))
-            slot[rows] = np.arange(len(rows))
-            zero = T.constant(np.zeros((alpha.shape[0], 1)))
-            alpha = T.gather(T.concat([alpha, zero]), slot, axis=-1)
-        return context, alpha
+        return context, (alpha, rows)
 
     # -- decoder -------------------------------------------------------------
 
@@ -338,20 +333,21 @@ class Recognizer:
         state: DecoderStepState,
         audio: AudioCache,
         h_z: Tensor,
-        mask: np.ndarray,
+        closed: np.ndarray,
         bias_keys: tuple[Tensor, np.ndarray],
-    ) -> tuple[Tensor, Tensor, DecoderStepState]:
+    ) -> tuple[Tensor, tuple[Tensor, np.ndarray], DecoderStepState]:
         """One full decode step: returns (log-probs, bias attention, new state).
 
-        B token ids with a state of B rows and a (B, N+1) mask; the outputs
-        have B rows.
+        B token ids with a state of B rows and a boolean (B, N+1) `closed`;
+        the outputs have B rows, and the bias attention is the
+        `(alpha, rows)` of `attend_bias`.
         """
         d_t, state = self.decoder_step(y_prev, state)
         c_x = self.attend_audio(d_t, audio)
-        c_z, alpha = self.attend_bias(d_t, h_z, mask, bias_keys)
+        c_z, attention = self.attend_bias(d_t, h_z, closed, bias_keys)
         c_t = T.concat([c_x, c_z])
         log_probs = T.output_log_probs([c_t, d_t], self.params["output.w"], self.params["output.b"])
-        return log_probs, alpha, replace(state, context=c_t)
+        return log_probs, attention, replace(state, context=c_t)
 
     # -- training loss ---------------------------------------------------------
 
@@ -385,11 +381,11 @@ class Recognizer:
             ids[b, : len(target)] = target
             picks[np.arange(len(target)), b, target] = 1.0
         y_prev = np.column_stack([np.full(rows, self.vocab.sos), ids[:, :-1]])
-        mask = np.zeros((rows, h_z.data.shape[0]))
+        closed = np.zeros((rows, h_z.data.shape[0]), dtype=bool)
         state = self.initial_state(rows)
         total: Tensor | None = None
         for t in range(longest):
-            log_probs, _, state = self.step(y_prev[:, t], state, audio, h_z, mask, bias_keys)
+            log_probs, _, state = self.step(y_prev[:, t], state, audio, h_z, closed, bias_keys)
             # Sums exactly the picked entries: every other product is zero.
             picked = T.sum_(T.mul(log_probs, T.constant(picks[t])))
             total = picked if total is None else T.add(total, picked)

@@ -18,7 +18,9 @@ Kočiský & Blunsom 2016): `lstm_cell` replaces twelve nodes,
 seven and `output_log_probs` four. The primitive ops stay, as the pieces of
 those chains, which the tests keep as oracles. Ops executed outside a `Tape`
 context run forward-only, which is the path used during decoding; there the
-additive scores make their (B, U, A) tanh block a few query rows at a time.
+additive scores make their (B, U, A) tanh block a few query rows at a time,
+and additive attention with some entry closed scores each query row only
+against the keys of its own open entries.
 
 A training step does each weight's weight-sized work once:
 
@@ -421,7 +423,9 @@ def _tanh_scores(kd: np.ndarray, qd: np.ndarray, vd: np.ndarray) -> tuple[np.nda
 
     Forward only, nothing keeps that block: it is made a few query rows at a
     time, which bounds its size when a beam steps many rows, and None is
-    returned for it. Each row's scores keep their bits.
+    returned for it. Each row's scores keep their bits. Every query row is
+    scored against every key; `_open_scores` scores only the pairs a mask
+    leaves open.
     """
     if Tape._active is None:
         return np.concatenate([
@@ -430,6 +434,34 @@ def _tanh_scores(kd: np.ndarray, qd: np.ndarray, vd: np.ndarray) -> tuple[np.nda
     t = kd + qd[:, None, :]
     np.tanh(t, out=t)
     return t @ vd, t
+
+
+def _open_scores(kd: np.ndarray, qd: np.ndarray, vd: np.ndarray, score_of: np.ndarray, closed: np.ndarray) -> np.ndarray:
+    """The (B, R) scores `v . tanh(keys[score_of[r]] + query[b])` of the
+    entries the boolean `closed` leaves open, C-ordered, and -inf on the
+    closed ones; forward only.
+
+    Only the (row, distinct key) pairs that some open entry of the row reads
+    are scored, a few query rows' worth of pairs at a time, as
+    `_tanh_scores` makes its block. Cells are flat indices into row-major
+    (B, R) entries and (B, U) pairs.
+    """
+    n_entries, n_keys = closed.shape[1], len(kd)
+    open_at = np.flatnonzero(~closed)
+    row = open_at // n_entries
+    pair_of = row * n_keys + score_of[open_at - row * n_entries]  # each open entry's (row, key) cell
+    needed = np.zeros(len(qd) * n_keys, dtype=bool)
+    needed[pair_of] = True
+    pairs = np.flatnonzero(needed)
+    scores = np.empty(len(needed))  # read only at the scored pairs
+    n = _SCORE_ROWS * n_keys
+    for i in range(0, len(pairs), n):
+        chunk = pairs[i : i + n]
+        query_row, key = np.divmod(chunk, n_keys)
+        scores[chunk] = np.tanh(kd[key] + qd[query_row]) @ vd
+    s = np.full(closed.shape, NEG_INF)
+    s.reshape(-1)[open_at] = scores[pair_of]
+    return s
 
 
 def _tanh_scores_grads(g: np.ndarray, t: np.ndarray, vd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -541,11 +573,16 @@ def additive_attention(
     weights alpha.
 
     Value row r reads the score of key row `score_of[r]` of the (U, A)
-    `keys`: `v . tanh(keys[u] + query @ wd.T + b)`, each key scored once per
-    query. Entries where the boolean (B, R) `closed` is true are -inf, so
-    they get exactly zero weight and gradient. The chain: matmul_t, add,
-    additive_scores, gather over the last axis, add of the -inf mask when
-    any entry is closed, softmax, matmul.
+    `keys`: `v . tanh(keys[u] + query @ wd.T + b)`. Entries where the
+    boolean (B, R) `closed` is true are -inf, so they get exactly zero weight
+    and gradient. The chain: matmul_t, add, additive_scores, gather over the
+    last axis, add of the -inf mask when any entry is closed, softmax,
+    matmul. On a tape, or with nothing closed, every key is scored once per
+    query, as the chain scores them, and values and gradients keep the
+    chain's bits. Forward only with some entry closed, a query row is scored
+    only against the keys of its own open entries (`_open_scores`): closed
+    entries still get exactly zero weight, and the others match the chain up
+    to rounding in the last bits.
     """
     dd, wdd, kd, vd = query.data, wd.data, keys.data, v.data
     if dd.ndim != 2 or wdd.ndim != 2 or dd.shape[1] != wdd.shape[1]:
@@ -558,10 +595,13 @@ def additive_attention(
             f"values {values.shape}, query {query.shape}"
         )
     q = dd @ wdd.T + b.data
-    scores, t = _tanh_scores(kd, q, vd)
-    s = scores[..., score_of]
-    if closed.any():
-        s = s + np.where(closed, NEG_INF, 0.0)
+    if Tape._active is None and closed.any():
+        s, t = _open_scores(kd, q, vd, score_of, closed), None
+    else:
+        scores, t = _tanh_scores(kd, q, vd)
+        s = scores[..., score_of]
+        if closed.any():
+            s = s + np.where(closed, NEG_INF, 0.0)
     ad, kept = _softmax_rows(s)
     context, alpha = Tensor(ad @ values.data), Tensor(ad)
     wd_rows = _weight_rows(wd)
@@ -574,7 +614,7 @@ def additive_attention(
             g_read = context.grad @ values.data.T
             g_alpha = g_read if g_alpha is PENDING else g_alpha + g_read
             _accum(values, ad.T @ context.grad)
-        g_scores = np.zeros_like(scores)  # a scatter-add needs a zero-filled buffer
+        g_scores = np.zeros((len(dd), len(kd)))  # a scatter-add needs a zero-filled buffer
         np.add.at(g_scores, (Ellipsis, score_of), _softmax_grad(g_alpha, ad, kept))
         g_v, g_keys, g_q = _tanh_scores_grads(g_scores, t, vd)
         _accum(v, g_v)

@@ -457,7 +457,7 @@ def enumerate_best(model, audio, phrases, max_len: int, lam: float, fusion=None)
     of length <= max_len, with the beam's own tie-breaking order."""
     vocab = model.vocab
     h_z, keys = embed_phrases(model, phrases)
-    mask = np.zeros((1, h_z.data.shape[0]))
+    closed = np.zeros((1, h_z.data.shape[0]), dtype=bool)
     best = None
 
     def consider(tokens, log_model, log_fusion):
@@ -469,7 +469,7 @@ def enumerate_best(model, audio, phrases, max_len: int, lam: float, fusion=None)
     def rec(tokens, state, fstate, log_model, log_fusion, y_prev):
         if len(tokens) == max_len:
             return
-        log_probs, _, new_state = model.step([y_prev], state, audio, h_z, mask, keys)
+        log_probs, _, new_state = model.step([y_prev], state, audio, h_z, closed, keys)
         lp = log_probs.data[0]
         for v in range(len(vocab)):
             f2, finc = fusion_step(fusion, fstate, vocab.symbols[v])
@@ -576,12 +576,12 @@ def reference_forward_loss(model, x: np.ndarray, bias: tuple, target: list[int])
         seq = out
     audio = model.precompute_audio(T.stack(seq))
     h_z, bias_keys = bias
-    mask = np.zeros((1, h_z.data.shape[0]))
+    closed = np.zeros((1, h_z.data.shape[0]), dtype=bool)
     state = model.initial_state(1)
     y_prev = model.vocab.sos
     loss = None
     for y in target:
-        log_probs, _, state = model.step([y_prev], state, audio, h_z, mask, bias_keys)
+        log_probs, _, state = model.step([y_prev], state, audio, h_z, closed, bias_keys)
         nll = T.scale(T.gather(log_probs, [y], axis=-1), -1.0)
         loss = nll if loss is None else T.add(loss, nll)
         y_prev = y
@@ -609,21 +609,29 @@ def reference_encode_bias(model, phrases) -> Tensor:
     return T.stack(rows)
 
 
-def reference_attend_bias(model, d_t: Tensor, h_z: Tensor, mask: np.ndarray, keys: Tensor) -> tuple[Tensor, Tensor]:
+def full_alpha(attention: tuple[Tensor, np.ndarray], width: int) -> Tensor:
+    """The (B, width) weights of `Recognizer.attend_bias`'s `(alpha, rows)`:
+    column `rows[j]` reads alpha's column j, every other column is 0. A
+    gather, so a loss on the result reaches alpha."""
+    alpha, rows = attention
+    slot = np.full(width, len(rows))
+    slot[rows] = np.arange(len(rows))
+    zero = T.constant(np.zeros((alpha.shape[0], 1)))
+    return T.gather(T.concat([alpha, zero]), slot, axis=-1)
+
+
+def reference_attend_bias(model, d_t: Tensor, h_z: Tensor, closed: np.ndarray, keys: Tensor) -> tuple[Tensor, Tensor]:
     """`Recognizer.attend_bias` with one key row per row of `h_z` (`keys` is
     (N+1, A)): the rows open for some query, and each one's own key, are
-    gathered and scored, then alpha is scattered back to full length."""
+    gathered and scored under the boolean `closed`, then alpha is scattered
+    back to full length."""
     n_rows = h_z.data.shape[0]
-    closed = np.asarray(mask) == np.inf
     rows = np.flatnonzero(~closed.all(axis=0))
     h_z, keys, closed = T.gather(h_z, rows), T.gather(keys, rows), closed[:, rows]
     query = T.add(T.matmul_t(d_t, model.params["bias_attn.wd"]), model.params["bias_attn.b"])
     scores = T.additive_scores(keys, query, model.params["bias_attn.v"])
     alpha = T.softmax(T.add(scores, T.constant(np.where(closed, T.NEG_INF, 0.0))))
-    slot = np.full(n_rows, len(rows))
-    slot[rows] = np.arange(len(rows))
-    zero = T.constant(np.zeros((alpha.shape[0], 1)))
-    return T.matmul(alpha, h_z), T.gather(T.concat([alpha, zero]), slot, axis=-1)
+    return T.matmul(alpha, h_z), full_alpha((alpha, rows), n_rows)
 
 
 @dataclass
@@ -648,7 +656,7 @@ def reference_beam_search(model, audio, bias, cfg, fusion=None, entries=None):
     hypothesis masked by `reference_compute_mask`."""
     vocab = model.vocab
     h_z, bias_keys = bias
-    zero_mask = np.zeros((1, h_z.data.shape[0]))
+    nothing_closed = np.zeros((1, h_z.data.shape[0]), dtype=bool)
     start_fusion = fusion.start if fusion is not None else 0
     live = [_Hypothesis([], 0.0, 0.0, model.initial_state(1), start_fusion, [])]
     done: list[_Hypothesis] = []
@@ -662,13 +670,13 @@ def reference_beam_search(model, audio, bias, cfg, fusion=None, entries=None):
         candidates: list[_Hypothesis] = []
         for h in live:
             if entries is not None:
-                mask = reference_compute_mask(entries, [vocab.symbols[t] for t in h.tokens])[None]
+                closed = reference_compute_mask(entries, [vocab.symbols[t] for t in h.tokens])[None] == np.inf
             else:
-                mask = zero_mask
+                closed = nothing_closed
             y_prev = h.tokens[-1] if h.tokens else vocab.sos
-            log_probs, alpha, state = model.step([y_prev], h.state, audio, h_z, mask, bias_keys)
+            log_probs, attention, state = model.step([y_prev], h.state, audio, h_z, closed, bias_keys)
             lp = log_probs.data[0]
-            al = alpha.data[0]
+            al = full_alpha(attention, h_z.data.shape[0]).data[0]
             for v in range(len(vocab)):
                 f_state, f_inc = fusion_step(fusion, h.fusion_state, vocab.symbols[v])
                 candidates.append(

@@ -18,7 +18,7 @@ from ctxseq.sampler import SamplerConfig, annotate_reference, draw_phrases, inse
 from ctxseq.tensor import substream
 from ctxseq.vocab import SPACE, Vocabulary, graphemize, render
 
-from oracles import brute_force_annotation, finite_difference, max_rel_err
+from oracles import brute_force_annotation, finite_difference, full_alpha, max_rel_err
 from test_fst import ADVERSARIAL_PHRASE_SETS, check_oracle_equivalence
 
 
@@ -91,16 +91,16 @@ def test_criterion_02_attention_contract():
         n = int(rng.integers(0, 7))
         h_z = T.constant(rng.normal(size=(n + 1, 4)))
         d = T.constant(rng.normal(size=(1, 4)))
-        mask = np.zeros((1, n + 1))
+        closed = np.zeros((1, n + 1), dtype=bool)
         for i in range(1, n + 1):
             if rng.random() < 0.4:
-                mask[0, i] = np.inf
+                closed[0, i] = True
         keys = (T.matmul(h_z, model.params["bias_attn.wh"]), np.arange(n + 1))
-        _, alpha = model.attend_bias(d, h_z, mask, keys)
-        assert alpha.data.shape == (1, n + 1)
+        _, attention = model.attend_bias(d, h_z, closed, keys)
+        alpha = full_alpha(attention, n + 1)
         worst_sum = max(worst_sum, abs(alpha.data.sum() - 1.0))
-        if (mask == np.inf).any():
-            masked_leak = max(masked_leak, alpha.data[mask == np.inf].max())
+        if closed.any():
+            masked_leak = max(masked_leak, alpha.data[closed].max())
     report(
         2,
         worst_sum <= 1e-12 and masked_leak == 0.0,

@@ -105,7 +105,8 @@ class TestComputeMask:
 
 class TestPrefixAutomaton:
     """A decoder advances each hypothesis's state by its one new symbol; the
-    state's mask must equal the whole-string reference at every step."""
+    state's boolean `closed` row must equal the whole-string reference at
+    every step."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_prefixes, max_size=12), st.data())
@@ -115,11 +116,11 @@ class TestPrefixAutomaton:
         for _ in range(data.draw(st.integers(1, 4))):
             symbols = data.draw(_streams | _spelled(prefixes))
             state = PrefixTable.START
-            assert np.array_equal(compute_mask(table, state), reference_compute_mask(entries, []))
+            assert np.array_equal(compute_mask(table, state), reference_compute_mask(entries, []) == np.inf)
             for k, symbol in enumerate(symbols, start=1):
                 state = table.advance(state, symbol)
                 want = reference_compute_mask(entries, symbols[:k])
-                assert np.array_equal(compute_mask(table, state), want), symbols[:k]
+                assert np.array_equal(compute_mask(table, state), want == np.inf), symbols[:k]
                 assert np.array_equal(compute_mask(entries, symbols[:k]), want), symbols[:k]
 
     def test_real_size_talkto_list(self, tmp_path):
@@ -138,23 +139,24 @@ class TestPrefixAutomaton:
             state = PrefixTable.START
             for k, symbol in enumerate(symbols, start=1):
                 state = table.advance(state, symbol)
-                assert np.array_equal(compute_mask(table, state), reference_compute_mask(entries, symbols[:k])), symbols[:k]
+                want = reference_compute_mask(entries, symbols[:k]) == np.inf
+                assert np.array_equal(compute_mask(table, state), want), symbols[:k]
 
     def test_spaces_collapse_and_markers_keep_the_state(self):
         table = PrefixTable(["A b", "ba"])
         state = _walk(table, [SPACE, SOS, "a", SPACE, SPACE, BIAS_END])
         assert table.advance(state, BIAS_END) == table.advance(state, EOS) == state
-        assert compute_mask(table, state).tolist() == [0.0, np.inf, np.inf]
-        assert compute_mask(table, table.advance(state, "B")).tolist() == [0.0, 0.0, np.inf]
-        assert compute_mask(table, _walk(table, graphemize("aba"))).tolist() == [0.0, np.inf, 0.0]
+        assert compute_mask(table, state).tolist() == [False, True, True]
+        assert compute_mask(table, table.advance(state, "B")).tolist() == [False, False, True]
+        assert compute_mask(table, _walk(table, graphemize("aba"))).tolist() == [False, True, False]
 
     def test_masks_are_shared_per_open_set_and_read_only(self):
         table = PrefixTable(["a", "b", "a"])
         first, second = _walk(table, ["a"]), _walk(table, ["b", "a"])
         assert compute_mask(table, first) is compute_mask(table, _walk(table, ["a", "a"]))
-        assert compute_mask(table, second).tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert compute_mask(table, second).tolist() == [False] * 4
         with pytest.raises(ValueError):
-            compute_mask(table, first)[1] = 0.0
+            compute_mask(table, first)[1] = False
 
 
 class TestSplitRuleBased:

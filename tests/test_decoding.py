@@ -117,7 +117,7 @@ class TestBeamBasics:
         y_prev = model.vocab.sos
         tokens = []
         for _ in range(6):
-            log_probs, _, state = model.step([y_prev], state, audio, h_z, np.zeros((1, 1)), keys)
+            log_probs, _, state = model.step([y_prev], state, audio, h_z, np.zeros((1, 1), dtype=bool), keys)
             y_prev = int(np.argmax(log_probs.data[0]))
             if y_prev == model.vocab.eos:
                 break
@@ -363,9 +363,9 @@ class TestBatchedBeamMatchesReference:
         masks = []
         step = model.step
 
-        def recording_step(y_prev, state, audio, h_z, mask, bias_keys):
-            masks.append(np.array(mask))
-            return step(y_prev, state, audio, h_z, mask, bias_keys)
+        def recording_step(y_prev, state, audio, h_z, closed, bias_keys):
+            masks.append(np.array(closed))
+            return step(y_prev, state, audio, h_z, closed, bias_keys)
 
         audio, bias, prefixes = prepare(model, random_input(3, frames=4), [], CONDITIONED)
         with pytest.MonkeyPatch.context() as mp:
@@ -520,14 +520,22 @@ class TestTracingContract:
         calls = {"mask": [], "step_rows": [], "h_z": [], "take": 0}
         compute_mask, step, attend_bias = decoding.compute_mask, model.step, model.attend_bias
         take = DecoderStepState.take
+        asked = []  # the (state, mask) of each compute_mask call since the last step
 
         def counting_mask(*args, **kwargs):
             mask = compute_mask(*args, **kwargs)
-            calls["mask"].append(mask.shape)
+            calls["mask"].append((mask.shape, mask.dtype))
+            asked.append((args[1], mask))
             return mask
 
         def counting_step(*args, **kwargs):
             calls["step_rows"].append(len(np.atleast_1d(args[0])))
+            # One mask per distinct prefix state of the step's rows, and
+            # the rows of the step's `closed` are those masks.
+            states = [state for state, _ in asked]
+            assert len(states) == len(set(states)) <= calls["step_rows"][-1]
+            assert {row.tobytes() for row in args[4]} == {mask.tobytes() for _, mask in asked}
+            asked.clear()
             return step(*args, **kwargs)
 
         def counting_attend_bias(*args, **kwargs):
@@ -544,9 +552,9 @@ class TestTracingContract:
         monkeypatch.setattr(DecoderStepState, "take", counting_take)
         beam_search(model, [audio], bias_cache, cfg, prefixes=prefixes)
         assert len(calls["step_rows"]) == cfg.max_len  # one model step per time step
-        assert len(calls["mask"]) == sum(calls["step_rows"])  # one mask per live hypothesis
+        assert len(calls["step_rows"]) < len(calls["mask"]) < sum(calls["step_rows"])  # rows share states
         assert max(calls["step_rows"]) == cfg.beam_width
-        assert set(calls["mask"]) == {(len(CONDITIONED) + 1,)}
+        assert set(calls["mask"]) == {((len(CONDITIONED) + 1,), np.dtype(bool))}
         assert len(calls["h_z"]) == cfg.max_len
         assert all(h is bias_cache[0] for h in calls["h_z"])
         assert calls["take"] == len(calls["step_rows"])  # one gather of the decoder state per step

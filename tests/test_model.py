@@ -12,6 +12,7 @@ from ctxseq.vocab import BIAS_END, SPACE, Vocabulary, graphemize
 
 from oracles import (
     finite_difference,
+    full_alpha,
     max_rel_err,
     reference_attend_bias,
     reference_encode_bias,
@@ -242,30 +243,31 @@ class TestBatchedStep:
         audio = model.precompute_audio(model.encode_audio([rng.normal(size=(4, 3))]))
         h_z, keys = embed_phrases(model, ["a", "ab", "b a"])
         y = np.array([model.vocab.index("a"), model.vocab.sos, model.vocab.index("b")])
-        mask = np.array([[0.0, np.inf, 0.0, 0.0], [0.0, 0.0, np.inf, np.inf], [0.0, np.inf, np.inf, 0.0]])
+        closed = np.array([[0, 1, 0, 0], [0, 0, 1, 1], [0, 1, 1, 0]], dtype=bool)
         state = model.initial_state(rows=3)
         state.context = T.constant(rng.normal(size=(3, 4)))
         state.layers = [(T.constant(rng.normal(size=(3, 2))), T.constant(rng.normal(size=(3, 2))))]
-        log_probs, alpha, new = model.step(y, state, audio, h_z, mask, keys)
+        log_probs, attention, new = model.step(y, state, audio, h_z, closed, keys)
+        alpha = full_alpha(attention, 4)
         for b in range(3):
             one = slice(b, b + 1)
             single = DecoderStepState(
                 layers=[(T.constant(h.data[one]), T.constant(c.data[one])) for h, c in state.layers],
                 context=T.constant(state.context.data[one]),
             )
-            lp, al, st1 = model.step(y[one], single, audio, h_z, mask[one], keys)
+            lp, al, st1 = model.step(y[one], single, audio, h_z, closed[one], keys)
             assert np.abs(log_probs.data[b] - lp.data[0]).max() < 1e-12
-            assert np.abs(alpha.data[b] - al.data[0]).max() < 1e-12
-            assert np.all(alpha.data[b][mask[b] == np.inf] == 0.0)
+            assert np.abs(alpha.data[b] - full_alpha(al, 4).data[0]).max() < 1e-12
+            assert np.all(alpha.data[b][closed[b]] == 0.0)
             assert np.abs(new.context.data[b] - st1.context.data[0]).max() < 1e-12
 
     def test_mask_shape_must_match_rows(self):
         model = tiny_model()
         h_z, keys = embed_phrases(model, ["a"])
         with pytest.raises(ValueError, match="mask length"):
-            model.attend_bias(T.constant(np.zeros((2, 2))), h_z, np.zeros(2), keys)
+            model.attend_bias(T.constant(np.zeros((2, 2))), h_z, np.zeros(2, dtype=bool), keys)
         with pytest.raises(ValueError, match="no-bias"):
-            model.attend_bias(T.constant(np.zeros((2, 2))), h_z, np.array([[0.0, 0.0], [np.inf, 0.0]]), keys)
+            model.attend_bias(T.constant(np.zeros((2, 2))), h_z, np.array([[0, 0], [1, 0]], dtype=bool), keys)
 
 
 class TestRowLayout:
@@ -296,9 +298,9 @@ class TestRowLayout:
             "lstm_cell": lambda: T.lstm_cell(T.constant(np.zeros(6)), vec, vec, model.decoder[0]),
             "decoder_step id": lambda: model.decoder_step(sos, model.initial_state(1)),
             "decoder_step state": lambda: model.decoder_step([sos], vector_state),
-            "step": lambda: model.step(sos, model.initial_state(1), audio, h_z, np.zeros(2), keys),
+            "step": lambda: model.step(sos, model.initial_state(1), audio, h_z, np.zeros(2, dtype=bool), keys),
             "attend_audio": lambda: model.attend_audio(vec, audio),
-            "attend_bias": lambda: model.attend_bias(vec, h_z, np.zeros(2), keys),
+            "attend_bias": lambda: model.attend_bias(vec, h_z, np.zeros(2, dtype=bool), keys),
         }
         accepted = []
         for name, call in calls.items():
@@ -377,16 +379,17 @@ class TestAttendBias:
     def test_empty_bias_list(self):
         model = tiny_model()
         h_z, keys = embed_phrases(model, [])
-        c, alpha = model.attend_bias(T.constant(np.zeros((1, 2))), h_z, np.zeros((1, 1)), keys)
-        assert np.array_equal(alpha.data, [[1.0]])
+        c, (alpha, rows) = model.attend_bias(T.constant(np.zeros((1, 2))), h_z, np.zeros((1, 1), dtype=bool), keys)
+        assert np.array_equal(alpha.data, [[1.0]]) and np.array_equal(rows, [0])
         assert np.array_equal(c.data[0], model.params["no_bias"].data)
 
     def test_full_mask_keeps_only_no_bias(self):
         model = tiny_model()
         h_z, keys = embed_phrases(model, ["a", "b", "ab"])
-        mask = np.array([[0.0, np.inf, np.inf, np.inf]])
-        c, alpha = model.attend_bias(T.constant(np.ones((1, 2))), h_z, mask, keys)
-        assert np.array_equal(alpha.data, [[1.0, 0.0, 0.0, 0.0]])
+        closed = np.array([[False, True, True, True]])
+        c, attention = model.attend_bias(T.constant(np.ones((1, 2))), h_z, closed, keys)
+        assert np.array_equal(attention[1], [0])
+        assert np.array_equal(full_alpha(attention, 4).data, [[1.0, 0.0, 0.0, 0.0]])
         assert np.abs(c.data[0] - model.params["no_bias"].data).max() < 1e-15
 
     def test_alpha_matches_direct_softmax(self):
@@ -394,7 +397,7 @@ class TestAttendBias:
         rng = np.random.default_rng(4)
         h_z, keys = embed_phrases(model, ["a", "b"])
         d = rng.normal(size=2)
-        _, alpha = model.attend_bias(T.constant([d]), h_z, np.zeros((1, 3)), keys)
+        _, (alpha, _) = model.attend_bias(T.constant([d]), h_z, np.zeros((1, 3), dtype=bool), keys)
         wh = model.params["bias_attn.wh"].data
         wd = model.params["bias_attn.wd"].data
         b = model.params["bias_attn.b"].data
@@ -407,22 +410,25 @@ class TestAttendBias:
         model = tiny_model()
         h_z, keys = embed_phrases(model, ["a"])
         with pytest.raises(ValueError, match="mask length"):
-            model.attend_bias(T.constant(np.zeros((1, 2))), h_z, np.zeros((1, 3)), keys)
+            model.attend_bias(T.constant(np.zeros((1, 2))), h_z, np.zeros((1, 3), dtype=bool), keys)
         with pytest.raises(ValueError, match="no-bias"):
-            model.attend_bias(T.constant(np.zeros((1, 2))), h_z, np.array([[np.inf, 0.0]]), keys)
+            model.attend_bias(T.constant(np.zeros((1, 2))), h_z, np.array([[True, False]]), keys)
+        with pytest.raises(ValueError, match="boolean"):  # a {0, inf} float mask
+            model.attend_bias(T.constant(np.zeros((1, 2))), h_z, np.array([[0.0, np.inf]]), keys)
 
     def test_permutation_invariance_of_context(self):
         model = tiny_model()
         rng = np.random.default_rng(5)
         d = T.constant(rng.normal(size=(1, 2)))
         phrases = ["a", "ab", "b a"]
-        mask = np.array([[0.0, 0.0, np.inf, 0.0]])
+        closed = np.array([[False, False, True, False]])
         h_z1, keys1 = embed_phrases(model, phrases)
-        c1, a1 = model.attend_bias(d, h_z1, mask, keys1)
+        c1, attention1 = model.attend_bias(d, h_z1, closed, keys1)
         perm_phrases = ["b a", "a", "ab"]
-        perm_mask = np.array([[0.0, 0.0, 0.0, np.inf]])
+        perm_closed = np.array([[False, False, False, True]])
         h_z2, keys2 = embed_phrases(model, perm_phrases)
-        c2, a2 = model.attend_bias(d, h_z2, perm_mask, keys2)
+        c2, attention2 = model.attend_bias(d, h_z2, perm_closed, keys2)
+        a1, a2 = full_alpha(attention1, 4), full_alpha(attention2, 4)
         assert np.abs(c1.data - c2.data).max() < 1e-12
         assert np.abs(a1.data[0, [0, 1, 2, 3]] - a2.data[0, [0, 2, 3, 1]]).max() < 1e-12
 
@@ -431,18 +437,19 @@ class TestAttendBias:
         rng = np.random.default_rng(6)
         h_z, keys = embed_phrases(model, ["a", "b", "ab", "ba"])
         for _ in range(50):
-            mask = np.zeros((1, 5))
-            mask[0, 1 + rng.integers(0, 4)] = np.inf
-            _, alpha = model.attend_bias(T.constant(rng.normal(size=(1, 2))), h_z, mask, keys)
+            closed = np.zeros((1, 5), dtype=bool)
+            closed[0, 1 + rng.integers(0, 4)] = True
+            _, attention = model.attend_bias(T.constant(rng.normal(size=(1, 2))), h_z, closed, keys)
+            alpha = full_alpha(attention, 5)
             assert abs(alpha.data.sum() - 1.0) <= 1e-12
-            assert alpha.data[mask == np.inf].max(initial=0.0) == 0.0
+            assert alpha.data[closed].max(initial=0.0) == 0.0
 
     @pytest.mark.parametrize(
-        "mask",
-        [np.zeros((1, 5)), np.array([[0.0, np.inf, 0.0, np.inf, 0.0]])],
+        "closed",
+        [np.zeros((1, 5), dtype=bool), np.array([[False, True, False, True, False]])],
         ids=["all-open", "partly-closed"],
     )
-    def test_gradient_check_under_mask(self, mask):
+    def test_gradient_check_under_mask(self, closed):
         # Covers both sides of attend_bias: every row scored, and only the
         # open rows gathered, scored and scattered back.
         model = tiny_model(seed=2)
@@ -456,7 +463,8 @@ class TestAttendBias:
         w_context, w_alpha = rng.normal(size=(1, 2)), rng.normal(size=(1, 5))
 
         def forward():
-            c, alpha = model.attend_bias(params["d_t"], params["h_z"], mask, keys=(params["keys"], np.arange(5)))
+            c, attention = model.attend_bias(params["d_t"], params["h_z"], closed, keys=(params["keys"], np.arange(5)))
+            alpha = full_alpha(attention, 5)
             return T.add(
                 T.sum_(T.mul(c, T.constant(w_context))), T.sum_(T.mul(alpha, T.constant(w_alpha)))
             )
@@ -466,10 +474,9 @@ class TestAttendBias:
         fd = finite_difference(lambda: float(forward().data), params)
         for name, t in params.items():
             assert max_rel_err(t.grad, fd[name]) < 1e-6, name
-        closed = mask[0] == np.inf
-        assert np.all(params["h_z"].grad[closed] == 0.0)
-        assert np.all(params["keys"].grad[closed] == 0.0)
-        assert np.all(params["h_z"].grad[~closed] != 0.0)
+        assert np.all(params["h_z"].grad[closed[0]] == 0.0)
+        assert np.all(params["keys"].grad[closed[0]] == 0.0)
+        assert np.all(params["h_z"].grad[~closed[0]] != 0.0)
 
 
 class TestSharedBiasKeys:
@@ -484,10 +491,9 @@ class TestSharedBiasKeys:
         n_rows, n_keys, batch = int(rng.integers(2, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
         # Row 0 (no-bias) has its own key; the others share a few keys.
         key_of = np.concatenate([[0], rng.integers(1, n_keys + 1, size=n_rows - 1)])
-        mask = np.where(rng.random((batch, n_rows)) < 0.4, np.inf, 0.0)
-        mask[:, 0] = 0.0
-        mask[:, rng.random(n_rows) < 0.2] = np.inf  # rows closed for every query
-        mask[:, 0] = 0.0
+        closed = rng.random((batch, n_rows)) < 0.4
+        closed[:, rng.random(n_rows) < 0.2] = True  # rows closed for every query
+        closed[:, 0] = False
         leaves = {
             "d_t": T.parameter(rng.normal(size=(batch, 2))),
             "h_z": T.parameter(rng.normal(size=(n_rows, 2))),
@@ -507,11 +513,15 @@ class TestSharedBiasKeys:
             return c.data, alpha.data, {k: t.grad.copy() for k, t in params.items()}
 
         d_t, h_z, key_rows = leaves["d_t"], leaves["h_z"], leaves["key_rows"]
-        got = run(lambda: model.attend_bias(d_t, h_z, mask, (key_rows, key_of)))
-        want = run(lambda: reference_attend_bias(model, d_t, h_z, mask, T.gather(key_rows, key_of)))
+        def attend():
+            c, attention = model.attend_bias(d_t, h_z, closed, (key_rows, key_of))
+            return c, full_alpha(attention, n_rows)
+
+        got = run(attend)
+        want = run(lambda: reference_attend_bias(model, d_t, h_z, closed, T.gather(key_rows, key_of)))
         assert np.abs(got[0] - want[0]).max() <= 1e-12
         assert np.abs(got[1] - want[1]).max() <= 1e-12
-        assert np.all(got[1][mask == np.inf] == 0.0)
+        assert np.all(got[1][closed] == 0.0)
         for name in params:
             assert np.abs(got[2][name] - want[2][name]).max() <= 1e-12, name
 

@@ -502,6 +502,93 @@ class TestFusedLayers:
         assert peak < rows * n_keys * adim * 8 / 2
 
 
+class CountingTanh:
+    """Stands in for numpy in `tensor` and counts the vectors `np.tanh` is
+    given along their last axis: each is one (query row, key) pair scored."""
+
+    def __init__(self):
+        self.pairs = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def tanh(self, x, *args, **kwargs):
+        self.pairs += x.size // x.shape[-1]
+        return np.tanh(x, *args, **kwargs)
+
+
+def additive_case(rng, rows, n_values, n_keys):
+    """(query, wd, b, keys, v) constants and a `values` constant for
+    `additive_attention`, drawn from `rng`."""
+    shapes = ((rows, 3), (4, 3), (4,), (n_keys, 4), (4,), (n_values, 2))
+    return [T.constant(rng.normal(size=shape)) for shape in shapes]
+
+
+def open_pairs(score_of, closed) -> int:
+    """The (query row, key) pairs that some entry open for the row reads."""
+    return len({(b, score_of[r]) for b, r in zip(*np.nonzero(~closed))})
+
+
+class TestOpenPairScores:
+    """A decode step holds no tape: when some entry is closed, the bias
+    attention scores each query row only against the keys of its own open
+    entries. Its values may differ from the taped path's in the last bits;
+    with nothing closed they keep them."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        rows=st.integers(1, 20),
+        n_values=st.integers(1, 12),
+        n_keys=st.integers(1, 6),
+        p_closed=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_scores_only_the_pairs_open_for_their_own_row(self, seed, rows, n_values, n_keys, p_closed):
+        rng = np.random.default_rng(seed)
+        query, wd, b, keys, v, values = additive_case(rng, rows, n_values, n_keys)
+        score_of = rng.integers(0, n_keys, size=n_values)  # some keys may be read by no entry
+        closed = rng.random((rows, n_values)) < p_closed
+        closed[:, 0] = False
+        counter = CountingTanh()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "np", counter)
+            context, alpha = T.additive_attention(query, wd, b, keys, v, score_of, closed, values)
+        want = open_pairs(score_of, closed) if closed.any() else rows * n_keys
+        assert counter.pairs == want
+        assert np.all(alpha.data[closed] == 0.0)
+        with Tape():
+            taped = T.additive_attention(query, wd, b, keys, v, score_of, closed, values)
+        assert np.abs(alpha.data - taped[1].data).max() <= 1e-15
+        assert np.abs(context.data - taped[0].data).max() <= 1e-14
+
+    @pytest.mark.parametrize(
+        "score_of, closed",
+        [
+            # Key 1 is read by no entry, and key 3 only by a closed one.
+            ([0, 2, 2, 3], [[0, 0, 0, 1], [0, 1, 0, 1]]),
+            # Key 1 is open for row 0 through entry 1 and closed through entry 2.
+            ([0, 1, 1, 2], [[0, 0, 1, 1], [0, 1, 0, 0]]),
+            # Row 1's only open entry is entry 0 (no-bias).
+            ([0, 1, 2, 1], [[0, 0, 1, 0], [0, 1, 1, 1]]),
+            # A plain list closes nothing: every key is scored against every
+            # row, as the chain scores them, and the bits are the chain's.
+            ([0, 1, 2, 1], [[0, 0, 0, 0], [0, 0, 0, 0]]),
+        ],
+        ids=["unread-key", "key-open-and-closed-in-one-row", "only-no-bias-open", "nothing-closed"],
+    )
+    def test_edge_cases_equal_reference(self, score_of, closed):
+        rng = np.random.default_rng(43)
+        query, wd, b, keys, v, values = additive_case(rng, 2, 4, 4)
+        score_of, closed = np.array(score_of), np.array(closed, dtype=bool)
+        context, alpha = T.additive_attention(query, wd, b, keys, v, score_of, closed, values)
+        want_context, want_alpha = reference_additive_attention(query, wd, b, keys, v, score_of, closed, values)
+        assert np.all(alpha.data[closed] == 0.0) and np.all(want_alpha.data[closed] == 0.0)
+        assert np.abs(alpha.data - want_alpha.data).max() <= 1e-15
+        assert np.abs(context.data - want_context.data).max() <= 1e-14
+        if not closed.any():
+            assert np.array_equal(alpha.data, want_alpha.data) and np.array_equal(context.data, want_context.data)
+
+
 class TestRowwiseOps:
     """The row-wise ops on (B, D) inputs: each row equals the op on that row
     alone, and the backward matches central finite differences."""
@@ -585,21 +672,33 @@ class TestRowwiseOps:
     @pytest.mark.parametrize("rows", [1, 8, 21])
     def test_additive_scores_forward_only_equals_taped(self, rows):
         # Without a tape the scores are made a few query rows at a time, in
-        # additive_scores and in the fused additive_attention alike.
+        # additive_scores and in the fused additive_attention alike, and with
+        # nothing closed they keep their bits. With some entry closed,
+        # additive_attention scores only each row's open pairs instead:
+        # closed entries are exactly 0 on both paths, and the rest may
+        # differ in the last bits.
         rng = np.random.default_rng(26)
         keys, query, v = (T.constant(rng.normal(size=shape)) for shape in ((5, 6), (rows, 6), (6,)))
         wd, b, values = (T.constant(rng.normal(size=shape)) for shape in ((6, 6), (6,), (7, 3)))
         score_of = rng.integers(0, 5, size=7)
-        closed = rng.random((rows, 7)) < 0.3
-        closed[:, 0] = False
+        some_closed = rng.random((rows, 7)) < 0.3
+        some_closed[:, 0] = False
+        assert some_closed.any()
+        for closed in (np.zeros_like(some_closed), some_closed):
 
-        def run():
-            context, alpha = T.additive_attention(query, wd, b, keys, v, score_of, closed, values)
-            return [T.additive_scores(keys, query, v).data, context.data, alpha.data]
+            def run():
+                context, alpha = T.additive_attention(query, wd, b, keys, v, score_of, closed, values)
+                return [T.additive_scores(keys, query, v).data, context.data, alpha.data]
 
-        with T.Tape():
-            taped = run()
-        assert all(np.array_equal(got, want) for got, want in zip(run(), taped))
+            with T.Tape():
+                taped = run()
+            got = run()
+            if not closed.any():
+                assert all(np.array_equal(g, w) for g, w in zip(got, taped))
+            assert np.array_equal(got[0], taped[0])
+            assert np.all(got[2][closed] == 0.0) and np.all(taped[2][closed] == 0.0)
+            assert np.abs(got[2] - taped[2]).max() <= 1e-15
+            assert np.abs(got[1] - taped[1]).max() <= 1e-14
 
     def test_gather_last_axis(self):
         m = T.parameter(np.random.default_rng(25).normal(size=(2, 3)))
