@@ -12,21 +12,22 @@ are stacked into (B, ·) rows the same way, and one `Recognizer.step` call
 scores the whole group; the utterances' frames are stacked too, and row b
 reads only its own utterance's frames. The B×V candidate totals (model
 log-probability plus lambda-scaled fusion score, whose increments are read
-from the scorer's table by fusion state) form one array; the `beam_width`
-best of each utterance give the parent row and token of each kept
-candidate, and every array is gathered by parent. A hypothesis that emits
-end-of-sequence is copied out; its attention rows are read from the
-per-step attention through its back-pointers. The caller compiles each
-distinct conditioning list once into a `PrefixTable`; each row carries its
-state in that table, which its one new token advances. At every step the
-search asks the table once per distinct state for its read-only boolean
-`closed` row, and row b reads the row of its own state; the step's bias
-attention scores each row only against the entries open for it, and is
-kept as the weights over the entries open for some row, with their
-indices. A plain list is a table of empty prefixes, one group that is
-always open. The fusion state advances the same way, by a lookup in a (state,
-token) table built once per search. `</bias>` may be emitted during search
-but is stripped from returned sequences.
+from the scorer's table by fusion state) form one array; one stable sort
+picks the `beam_width` best of each utterance, which give the parent row
+and token of each kept candidate, and every array is gathered by parent,
+the last tokens too. A hypothesis that emits end-of-sequence is copied out;
+its attention rows are read from the per-step attention through its
+back-pointers. The caller compiles each distinct conditioning list once
+into a `PrefixTable`; each row carries its state in that table, which its
+one new token advances. At every step the search asks the table once per
+distinct state for its read-only boolean `closed` row, and row b reads the
+row of its own state; the step's bias attention scores each row only
+against the entries open for it, and is kept as the weights over the
+entries open for some row, with their indices. A plain list is a table of
+empty prefixes, one group that is always open. The fusion state advances
+the same way, by a lookup in a (state, token) table built once per search.
+`</bias>` may be emitted during search but is stripped from returned
+sequences.
 
 An utterance's search stops as soon as no live hypothesis of it, nor any
 continuation of one, can enter its returned n-best, and at `max_len` steps
@@ -41,13 +42,14 @@ only add finished hypotheses that sort after it: within its group, the
 utterance's results are those of running its rows on to `max_len`, bit for
 bit.
 
-A group of one computes what a search over that utterance alone always
-has. In a larger group an utterance's last bits depend on its group, as an
-embedded phrase's depend on the rest of its list (`Recognizer.encode_bias`):
-its rows' attention over the stacked frames also sums the zero weights of
-the other utterances' frames, and BLAS may round a product over more rows,
-or over fewer once another utterance stops, differently. Its tokens and
-totals match its lone decode up to that rounding.
+A group of one has no case of its own: its frame mask is one all-False
+row, which adds exactly 0 to every audio score. In a larger group an
+utterance's last bits depend on its group, as an embedded phrase's depend
+on the rest of its list (`Recognizer.encode_bias`): its rows' attention
+over the stacked frames also sums the zero weights of the other
+utterances' frames, and BLAS may round a product over more rows, or over
+fewer once another utterance stops, differently. Its tokens and totals
+match its lone decode up to that rounding.
 
 The (B, ·) rows are the only layout `Recognizer` steps take; the training
 loss makes the same call with one row per utterance of a minibatch.
@@ -56,7 +58,7 @@ loss makes the same call with one row per utterance of a minibatch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -114,6 +116,13 @@ def beam_search(
     phrase is always open. Without a finished hypothesis at max_len an
     utterance gets the single best unfinished one, flagged.
 
+    Step 0 has one row per utterance, whose last token is `<s>`. An
+    utterance's rows are contiguous and in the lexicographic order of their
+    tokens, and utterances ascend: one stable `np.lexsort` of the (B, V)
+    candidates by (utterance, -total) ranks each utterance's in the
+    reference order, and its `beam_width` best are kept in flat-index
+    order, which keeps that row order.
+
     After each step, with the finished rows recorded, the search drops the
     rows of each utterance none of whose live rows can still win, in the
     same filter that drops the finished ones. Let theta be the utterance's
@@ -164,6 +173,7 @@ def beam_search(
     log_model, log_fusion = np.zeros(n_utts), np.zeros(n_utts)
     f_state = np.full(n_utts, fusion.start)
     p_state = np.full(n_utts, PrefixTable.START)  # the hypothesis's state in the prefix table
+    y_prev = np.full(n_utts, vocab.sos)  # each row's last token
     state = model.initial_state(rows=n_utts)
     # Per step: the columns open for some row, and every row's attention on them.
     alphas: list[tuple[np.ndarray, np.ndarray]] = []
@@ -173,24 +183,20 @@ def beam_search(
     scale = 1 + cfg.lam * cfg.max_len * np.abs(fusion.inc).max(initial=0.0)  # of the rounding margin
 
     while len(tokens) and tokens.shape[1] < cfg.max_len:
-        spans = _spans(owner, n_utts)
         states, of_state = np.unique(p_state, return_inverse=True)
         closed = np.array([compute_mask(prefixes, p) for p in states.tolist()])[of_state]
-        y_prev = tokens[:, -1] if tokens.shape[1] else np.full(len(owner), vocab.sos)
-        rows_audio = frames if frames.closed is None else replace(frames, closed=frames.closed[owner])
+        rows_audio = AudioCache(frames.keys, frames.values, frames.closed[owner])
         log_probs, (alpha, cols), state = model.step(y_prev, state, rows_audio, h_z, closed, bias_keys)
         alphas.append((cols, alpha.data))
         step_model = log_model[:, None] + log_probs.data
         step_fusion = log_fusion[:, None] + f_inc[f_state]
         total = step_model + cfg.lam * step_fusion
         # Rows in sequence order and of equal length make flat index order
-        # sequence order within an utterance: a stable sort on -total gives
-        # the reference order, and survivors kept in flat-index order stay
-        # in sequence order.
-        kept = np.concatenate([
-            r0 * n_vocab + np.sort(np.argsort(-total[r0:r1].ravel(), kind="stable")[: cfg.beam_width])
-            for _, r0, r1 in spans
-        ])
+        # sequence order within an utterance; see the docstring.
+        cell_owner = np.repeat(owner, n_vocab)
+        order = np.lexsort((-total.ravel(), cell_owner))
+        rank = np.arange(order.size) - np.searchsorted(cell_owner, cell_owner)  # within the utterance
+        kept = np.sort(order[rank < cfg.beam_width])
         parents, new = np.divmod(kept, n_vocab)
         owner = owner[parents]
         tokens = np.column_stack([tokens[parents], new])
@@ -209,12 +215,12 @@ def beam_search(
             bound = log_model + cfg.lam * (log_fusion + gain[left, f_state])
             beaten = bound < (theta - 1e-9 * (scale + np.abs(theta)))[owner]
             go &= np.bincount(owner[go & ~beaten], minlength=n_utts)[owner] > 0
-        owner, tokens, rows, log_model, log_fusion, f_state, parents, new = (
+        owner, tokens, rows, log_model, log_fusion, f_state, parents, y_prev = (
             a[go] for a in (owner, tokens, rows, log_model, log_fusion, f_state, parents, new)
         )
         state = state.take(parents)
         p_state = np.array(
-            [prefixes.advance(p, vocab.symbols[t]) for p, t in zip(p_state[parents].tolist(), new.tolist())]
+            [prefixes.advance(p, vocab.symbols[t]) for p, t in zip(p_state[parents].tolist(), y_prev.tolist())]
         )
 
     results = []
@@ -226,17 +232,6 @@ def beam_search(
         kept = pool[: cfg.n_best if done[u] else 1]
         results.append([_to_result(*h, alphas, h_z.data.shape[0], cfg.lam, vocab) for h in kept])
     return results
-
-
-def _spans(owner: np.ndarray, n_utts: int) -> list[tuple[int, int, int]]:
-    """(utterance, first row, end row) of each utterance that has rows;
-    `owner` holds each row's utterance, in ascending order."""
-    spans, end = [], 0
-    for u, size in enumerate(np.bincount(owner, minlength=n_utts).tolist()):
-        if size:
-            spans.append((u, end, end + size))
-            end += size
-    return spans
 
 
 def _to_result(tokens, rows, log_model, log_fusion, steps, width: int, lam: float, vocab) -> DecodeResult:

@@ -17,8 +17,9 @@ Every step runs on rows: B token ids, (B, ·) states and a boolean (B, N+1)
 call, and the training loss advances a whole minibatch in one call per
 target position, one row per utterance. Both encoders share one
 longest-first LSTM pass, `_longest_first`: the phrase encoder runs it over
-the whole phrase list, and the audio encoder over all utterances of a batch;
-the audio attention then lets row b read only the frames of utterance b.
+the whole phrase list, and the audio encoder over all utterances of a batch.
+An `AudioCache` carries one boolean frame-mask row per utterance, so row b
+reads only its own utterance's frames; one utterance is one all-False row.
 """
 
 from __future__ import annotations
@@ -78,31 +79,28 @@ class DecoderStepState:
 
 @dataclass
 class AudioCache:
-    """Per-head key/value projections of the encoder outputs, reusable across
-    steps. When the frames stack several utterances, query row b may read
-    only the frames of one of them: the boolean (B, K) `closed` is true on
-    every other frame. A cache of U stacked utterances has one such row per
-    utterance; a beam takes them by the utterance of each row."""
+    """Per-head key/value projections of the encoder outputs of U stacked
+    utterances, reusable across steps. The boolean `closed` has one row per
+    utterance, true on every frame but that utterance's; a beam takes the
+    rows by the utterance of each query row, and a one-row mask (the
+    all-False row of a single utterance) is read by every query row."""
 
     keys: list[Tensor]  # each (K, head_dim)
     values: list[Tensor]  # each (K, head_dim)
-    closed: np.ndarray | None  # None: every row reads every frame
+    closed: np.ndarray  # (U, K), or (B, K) once taken by query row
 
 
-def _own_frames(lengths: Sequence[int]) -> np.ndarray | None:
+def _own_frames(lengths: Sequence[int]) -> np.ndarray:
     """Boolean (U, K) for utterances of `lengths` frames stacked in order:
-    row u is true on every frame but utterance u's; None for one."""
-    if len(lengths) < 2:
-        return None
+    row u is true on every frame but utterance u's, so a single utterance
+    gives one all-False row."""
     return np.repeat(np.arange(len(lengths)), lengths) != np.arange(len(lengths))[:, None]
 
 
 def stack_audio(caches: Sequence[AudioCache]) -> AudioCache:
     """One cache over the frames of `caches`, in order, whose `closed` row u
-    reads only the frames of `caches[u]`; one cache is returned as it is."""
-    if len(caches) == 1:
-        return caches[0]
-    if any(c.closed is not None for c in caches):
+    reads only the frames of `caches[u]`; each cache holds one utterance."""
+    if any(len(c.closed) > 1 for c in caches):
         raise ValueError("stack_audio takes one utterance per cache")
     return AudioCache(
         keys=[T.stack(k) for k in zip(*(c.keys for c in caches))],
@@ -214,18 +212,20 @@ class Recognizer:
     def precompute_audio(self, h_x: Tensor, lengths: Sequence[int] | None = None) -> AudioCache:
         """Key/value projections of the frames `h_x`; `lengths` gives the
         frame count of each utterance when `h_x` stacks several of them, and
-        query row b then reads only utterance b's frames."""
+        query row b then reads only utterance b's frames. Without it `h_x`
+        is one utterance, `[len(h_x)]`, which every query row reads."""
         cfg = self.config
         keys, values = [], []
         for h in range(cfg.attention_heads):
             keys.append(T.matmul_t(h_x, self.params[f"audio_attn.{h}.wk"]))
             values.append(T.matmul_t(h_x, self.params[f"audio_attn.{h}.wv"]))
-        return AudioCache(keys=keys, values=values, closed=None if lengths is None else _own_frames(lengths))
+        closed = _own_frames([h_x.data.shape[0]] if lengths is None else lengths)
+        return AudioCache(keys=keys, values=values, closed=closed)
 
     def attend_audio(self, d_t: Tensor, cache: AudioCache) -> Tensor:
         """Multi-head scaled-dot attention of B decoder-state rows over the
-        frames of `cache`; row b reads only the frames `cache.closed` leaves
-        open for it."""
+        frames of `cache`; row b reads only the frames that row b of
+        `cache.closed` leaves open, or those of its one row if it has one."""
         heads = range(self.config.attention_heads)
         return T.multi_head_attention(
             d_t,

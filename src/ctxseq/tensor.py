@@ -507,30 +507,29 @@ def multi_head_attention(
     wq: Sequence[Tensor],
     keys: Sequence[Tensor],
     values: Sequence[Tensor],
-    closed: np.ndarray | None,
+    closed: np.ndarray,
     wo: Tensor,
 ) -> Tensor:
     """Multi-head scaled-dot attention of a (B, D) stack of query rows.
 
     Head h scores `(query @ wq[h].T) @ keys[h].T / sqrt(head width)`, adds
-    -inf where the boolean (B, K) `closed` is true (None reads every frame)
-    and reads `softmax @ values[h]`; the heads are joined along the last
-    axis and projected by `wo`. The chain: per head matmul_t, matmul_t,
-    scale, add of the -inf mask, softmax, matmul; then concat and matmul_t.
+    -inf where the boolean `closed` is true and reads `softmax @ values[h]`;
+    the heads are joined along the last axis and projected by `wo`.
+    `closed` is (B, K), one row per query row, or (1, K), one row that every
+    query row reads. The chain: per head matmul_t, matmul_t, scale, add of
+    the -inf mask, softmax, matmul; then concat and matmul_t.
     """
     qd, wod = query.data, wo.data
     if qd.ndim != 2:
         raise ValueError(f"multi_head_attention needs a (B, D) query, got shape {query.shape}")
-    if closed is not None and closed.shape != (qd.shape[0], keys[0].data.shape[0]):
+    if closed.ndim != 2 or closed.shape[0] not in (1, qd.shape[0]) or closed.shape[1] != keys[0].data.shape[0]:
         raise ValueError(f"multi_head_attention shape mismatch: query {query.shape}, closed {closed.shape}")
-    cd = None if closed is None else np.where(closed, NEG_INF, 0.0)
+    cd = np.where(closed, NEG_INF, 0.0)
     saved, heads = [], []
     for w, k, v in zip(wq, keys, values):
         q = qd @ w.data.T
         scale_ = 1.0 / np.sqrt(q.shape[1])
-        s = (q @ k.data.T) * scale_
-        if cd is not None:
-            s = s + cd
+        s = (q @ k.data.T) * scale_ + cd
         alpha, kept = _softmax_rows(s)
         heads.append(alpha @ v.data)
         saved.append((q, scale_, alpha, kept, _weight_rows(w), _weight_rows(k)))

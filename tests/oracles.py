@@ -532,14 +532,15 @@ def reference_lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, params: T.L
 def reference_attend_audio(query: Tensor, wq, keys, values, closed, wo: Tensor) -> Tensor:
     """`tensor.multi_head_attention` as the chain `Recognizer.attend_audio`
     ran before it: per head matmul_t, matmul_t, scale, add of the -inf
-    constant the boolean `closed` gives, softmax and matmul, then concat and
-    matmul_t, each its own tape node."""
+    constant the boolean `closed` gives (one row per query row, or one row
+    every query row reads), softmax and matmul, then concat and matmul_t,
+    each its own tape node."""
     heads = []
     for w, k, v in zip(wq, keys, values):
         q = T.matmul_t(query, w)
         scores = T.scale(T.matmul_t(q, k), 1.0 / np.sqrt(w.data.shape[0]))
-        if closed is not None:
-            scores = T.add(scores, T.constant(np.where(closed, T.NEG_INF, 0.0)))
+        mask = np.where(np.broadcast_to(closed, scores.data.shape), T.NEG_INF, 0.0)
+        scores = T.add(scores, T.constant(mask))
         heads.append(T.matmul(T.softmax(scores), v))
     return T.matmul_t(T.concat(heads), wo)
 

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctxseq import tensor as T
-from ctxseq.model import DecoderStepState, ModelConfig, Recognizer, embed_phrases
+from ctxseq.model import DecoderStepState, ModelConfig, Recognizer, embed_phrases, stack_audio
 from ctxseq.tensor import Tape
 from ctxseq.vocab import BIAS_END, SPACE, Vocabulary, graphemize
 
@@ -286,7 +287,8 @@ class TestRowLayout:
             "matmul_t": lambda: T.matmul_t(vec, model.params["bias_attn.wd"]),
             "additive_scores": lambda: T.additive_scores(keys[0], vec, model.params["bias_attn.v"]),
             "multi_head_attention": lambda: T.multi_head_attention(
-                vec, [model.params["audio_attn.0.wq"]], audio.keys, audio.values, None, model.params["audio_attn.wo"]
+                vec, [model.params["audio_attn.0.wq"]], audio.keys, audio.values, audio.closed,
+                model.params["audio_attn.wo"],
             ),
             "additive_attention": lambda: T.additive_attention(
                 vec, *(model.params[f"bias_attn.{k}"] for k in ("wd", "b")), keys[0], model.params["bias_attn.v"],
@@ -355,6 +357,42 @@ class TestAttendAudio:
         assert np.all(h_x.grad[3:] == 0.0) and np.all(h_x.grad[:3] != 0.0)
         with pytest.raises(ValueError, match="shape mismatch"):
             model.attend_audio(T.constant(np.zeros((3, 2))), model.precompute_audio(h_x, [3, 2]))
+
+    def test_one_utterance_is_one_open_mask_row(self):
+        model = tiny_model()
+        cache = model.precompute_audio(T.constant(np.ones((3, 2))))
+        assert cache.closed.dtype == bool and np.array_equal(cache.closed, [[False] * 3])
+
+    def test_one_mask_row_is_read_by_every_query_row(self):
+        # B rows over the one row of a single utterance give the bytes of
+        # the same rows over that row repeated B times, which is what a
+        # beam passes, and each row matches its one-row call up to BLAS
+        # rounding over a different row count.
+        model = tiny_model(attention_dim=4, attention_heads=2)
+        rng = np.random.default_rng(16)
+        cache = model.precompute_audio(T.constant(rng.normal(size=(5, 2))))
+        d_t = T.constant(rng.normal(size=(4, 2)))
+        out = model.attend_audio(d_t, cache)
+        repeated = replace(cache, closed=cache.closed[np.zeros(4, dtype=int)])
+        assert out.data.tobytes() == model.attend_audio(d_t, repeated).data.tobytes()
+        for b in range(4):
+            alone = model.attend_audio(T.constant(d_t.data[b : b + 1]), cache)
+            assert np.abs(out.data[b] - alone.data[0]).max() < 1e-15
+
+    def test_stack_audio_of_one_cache(self):
+        model = tiny_model()
+        cache = model.precompute_audio(T.constant(np.random.default_rng(17).normal(size=(3, 2))))
+        stacked = stack_audio([cache])
+        for got, want in zip(stacked.keys + stacked.values, cache.keys + cache.values):
+            assert got.data.tobytes() == want.data.tobytes()
+        assert np.array_equal(stacked.closed, [[False] * 3])
+
+    def test_stack_audio_takes_one_utterance_per_cache(self):
+        model = tiny_model()
+        two = model.precompute_audio(T.constant(np.ones((5, 2))), [3, 2])
+        one = model.precompute_audio(T.constant(np.ones((2, 2))))
+        with pytest.raises(ValueError, match="stack_audio takes one utterance per cache"):
+            stack_audio([one, two])
 
     def test_two_frame_one_head_hand_computation(self):
         model = tiny_model()

@@ -338,7 +338,7 @@ class TestFusedLayers:
                 leaves[f"{name}{h}"] = T.parameter(rng.normal(size=(dh, width)))
             for name in ("keys", "values"):
                 leaves[f"{name}{h}"] = T.parameter(rng.normal(size=(lengths.sum(), dh)))
-        closed = None
+        closed = np.zeros((1, lengths.sum()), dtype=bool)  # one utterance: the all-False row every row reads
         if utterances > 1:
             owner = np.repeat(np.arange(utterances), lengths)
             closed = owner != rng.integers(0, utterances, size=(rows, 1))
@@ -1056,6 +1056,10 @@ def nested_tapes():
          T.NonFiniteError, "non-finite logits"),
         (lambda: T.multi_head_attention(*attention_args(rows=3, closed=[[False, False]] * 2)), ValueError,
          r"shape mismatch: query \(3, 2\), closed \(2, 2\)"),
+        (lambda: T.multi_head_attention(*attention_args(rows=3, closed=[[False, False]] * 4)), ValueError,
+         r"shape mismatch: query \(3, 2\), closed \(4, 2\)"),
+        (lambda: T.multi_head_attention(*attention_args(rows=3, closed=[False, False])), ValueError,
+         r"shape mismatch: query \(3, 2\), closed \(2,\)"),
         (lambda: T.multi_head_attention(*attention_args(rows=1, closed=[[True, True]])), ValueError,
          "no unmasked entry"),
         (lambda: T.additive_attention(*bias_attention_args(closed=[[True, True]])), ValueError, "no unmasked entry"),
@@ -1063,7 +1067,8 @@ def nested_tapes():
          r"shape mismatch: closed \(1, 3\)"),
     ],
     ids=["nested-tape", "unrecorded-loss", "empty-stack", "softmax-3d", "log-softmax-3d", "log-softmax-nan",
-         "output-inf", "audio-closed-rows", "audio-all-closed", "bias-all-closed", "bias-closed-width"],
+         "output-inf", "audio-closed-rows", "audio-closed-more-rows", "audio-closed-1d", "audio-all-closed",
+         "bias-all-closed", "bias-closed-width"],
 )
 def test_misuse_rejected(call, error, message):
     with pytest.raises(error, match=message):
