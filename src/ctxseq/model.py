@@ -14,12 +14,14 @@ indices) and the output layer with its log-softmax
 
 Every step runs on rows: B token ids, (B, ·) states and a boolean (B, N+1)
 `closed` mask. The beam search advances all of its live hypotheses in one
-call, and the training loss advances a whole minibatch in one call per
-target position, one row per utterance. Both encoders share one
-longest-first LSTM pass, `_longest_first`: the phrase encoder runs it over
-the whole phrase list, and the audio encoder over all utterances of a batch.
-An `AudioCache` carries one boolean frame-mask row per utterance, so row b
-reads only its own utterance's frames; one utterance is one all-False row.
+call, and the training loss advances a whole minibatch in one decoder step
+per target position, one row per utterance, then runs the output layer once
+over every position. Both encoders share one longest-first LSTM pass,
+`_longest_first`, in which each layer is one `tensor.lstm_layer` node: the
+phrase encoder runs it over the whole phrase list, and the audio encoder
+over all utterances of a batch. An `AudioCache` carries one boolean
+frame-mask row per utterance, so row b reads only its own utterance's
+frames; one utterance is one all-False row.
 """
 
 from __future__ import annotations
@@ -118,26 +120,19 @@ def _longest_first(layers: Sequence[T.LstmParams], lengths: Sequence[int], step_
     (len(at), D) inputs at positions `at`; the result stacks the last
     layer's output at positions `read`, in that order. The sequences run
     longest first: at step t the sequences longer than t are the leading rows
-    of the batch and only they advance.
+    of the batch and only they advance, so each layer is one
+    `tensor.lstm_layer` over the inputs of every step.
     """
     lengths = np.asarray(lengths)
     first = np.cumsum(lengths) - lengths
     order = np.argsort(-lengths, kind="stable")
     live = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0)
-    positions = [first[order[:n]] + t for t, n in enumerate(live)]
-    seq = [step_input(at) for at in positions]
+    positions = np.concatenate([first[order[:n]] + t for t, n in enumerate(live)])
+    x = step_input(positions)
     for p in layers:
-        h = T.constant(np.zeros((len(lengths), p.hidden)))
-        c = T.constant(np.zeros((len(lengths), p.hidden)))
-        out = []
-        for x in seq:
-            n = x.data.shape[0]
-            if n < h.data.shape[0]:
-                h, c = T.gather(h, np.arange(n)), T.gather(c, np.arange(n))
-            h, c = T.lstm_cell(x, h, c, p)
-            out.append(h)
-        seq = out
-    return T.gather(T.stack(seq), np.argsort(np.concatenate(positions))[read])
+        x = T.lstm_layer(x, live, p)
+    return T.gather(x, np.argsort(positions)[read])
+
 
 class Recognizer:
     """The full model: parameters, forward ops, and the training loss."""
@@ -361,6 +356,12 @@ class Recognizer:
         Utterance b is row b of one (B, ·) step per target position. The
         targets are padded with end-of-sequence to the longest; a padded
         position adds nothing to the loss, so its row gets zero gradient.
+        Only what the recurrence needs runs per position: the decoder cells,
+        the two attentions and the context concat. Training closes no list
+        entry, so the bias attention reads the list's key index as it is,
+        without `attend_bias`'s gathers. The output layer and the loss then
+        run once over the (positions·B, ·) stacks of every position's
+        context and decoder output.
         """
         if len(xs) != len(targets):
             raise ValueError(f"{len(xs)} utterances for {len(targets)} targets")
@@ -371,7 +372,7 @@ class Recognizer:
                 if not 0 <= t < len(self.vocab):
                     raise KeyError(f"target token id {t} outside vocabulary")
         audio = self.precompute_audio(self.encode_audio(xs), [len(x) for x in xs])
-        h_z, bias_keys = bias
+        h_z, (key_rows, key_of) = bias
         rows = len(targets)
         longest = max(len(t) for t in targets)
         ids = np.full((rows, longest), self.vocab.eos)
@@ -381,15 +382,23 @@ class Recognizer:
             ids[b, : len(target)] = target
             picks[np.arange(len(target)), b, target] = 1.0
         y_prev = np.column_stack([np.full(rows, self.vocab.sos), ids[:, :-1]])
-        closed = np.zeros((rows, h_z.data.shape[0]), dtype=bool)
+        closed = np.zeros((rows, h_z.data.shape[0]), dtype=bool)  # training closes no entry
+        p = self.params
         state = self.initial_state(rows)
-        total: Tensor | None = None
+        contexts, outputs = [], []
         for t in range(longest):
-            log_probs, _, state = self.step(y_prev[:, t], state, audio, h_z, closed, bias_keys)
-            # Sums exactly the picked entries: every other product is zero.
-            picked = T.sum_(T.mul(log_probs, T.constant(picks[t])))
-            total = picked if total is None else T.add(total, picked)
-        return T.scale(total, -1.0)
+            d_t, state = self.decoder_step(y_prev[:, t], state)
+            c_x = self.attend_audio(d_t, audio)
+            c_z, _ = T.additive_attention(
+                d_t, p["bias_attn.wd"], p["bias_attn.b"], key_rows, p["bias_attn.v"], key_of, closed, h_z
+            )
+            state.context = T.concat([c_x, c_z])
+            contexts.append(state.context)
+            outputs.append(d_t)
+        log_probs = T.output_log_probs([T.stack(contexts), T.stack(outputs)], p["output.w"], p["output.b"])
+        # Sums exactly the picked entries: every other product is zero.
+        picked = T.sum_(T.mul(log_probs, T.constant(picks.reshape(longest * rows, -1))))
+        return T.scale(picked, -1.0)
 
     # -- persistence -----------------------------------------------------------
 

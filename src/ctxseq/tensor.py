@@ -3,7 +3,8 @@
 Everything is deliberately small: 1-D/2-D arrays, the handful of ops a stacked
 recurrent attention model needs, and an Adam optimizer. There is one row
 layout: `lstm_cell`, `matmul_t`, `additive_scores` and the fused layers below
-take (B, D) stacks of B rows (B may be 1), `matmul` takes two matrices, and
+take (B, D) stacks of B rows (B may be 1), `lstm_layer` takes the rows of
+every step of a batch stacked step by step, `matmul` takes two matrices, and
 none takes a vector. So a training step, a beam step over B hypotheses and
 the phrase encoder over a whole list run the same ops. The elementwise ops
 are shape-agnostic; `concat`, `softmax` and `log_softmax` work over the last
@@ -15,12 +16,15 @@ that does the arithmetic of the op chain it replaces in the chain's order, so
 values and gradients keep their bits (the element-wise fusion of Appleyard,
 Kočiský & Blunsom 2016): `lstm_cell` replaces twelve nodes,
 `multi_head_attention` six per head and two more, `additive_attention` six or
-seven and `output_log_probs` four. The primitive ops stay, as the pieces of
-those chains, which the tests keep as oracles. Ops executed outside a `Tape`
-context run forward-only, which is the path used during decoding; there the
-additive scores make their (B, U, A) tanh block a few query rows at a time,
-and additive attention with some entry closed scores each query row only
-against the keys of its own open entries.
+seven and `output_log_probs` four. `lstm_layer` runs a whole LSTM layer as
+one node, with its input products hoisted out of the step loop into one GEMM
+(the GEMM hoist of the same paper); it shares `lstm_cell`'s gate arithmetic
+and matches a chain of cells up to rounding in the last bits. The primitive
+ops stay, as the pieces of those chains, which the tests keep as oracles.
+Ops executed outside a `Tape` context run forward-only, which is the path
+used during decoding; there the additive scores make their (B, U, A) tanh
+block a few query rows at a time, and additive attention with some entry
+closed scores each query row only against the keys of its own open entries.
 
 A training step does each weight's weight-sized work once:
 
@@ -28,15 +32,18 @@ A training step does each weight's weight-sized work once:
   `Tape.backward` skips a node none of whose outputs received a gradient and
   drops a node's output gradients once its backward has run, so afterwards
   only leaves (parameters) hold gradients.
-- The weight of `matmul_t`, of `lstm_cell` and of the fused layers' input
-  and output projections, when it is a leaf, is not given a gradient per
-  use: each use hands its (output gradient, input) rows to its tape, and the
-  end of `Tape.backward` adds `G.T @ X` over the stacked rows of all uses,
-  one GEMM per weight (the backward half of the GEMM hoist of Appleyard et
-  al.). A recorded weight gets its gradient at once, because the node that
-  produced it reads it.
-- `Adam.step` evaluates its update with `out=` into two scratch buffers sized
-  to the largest parameter, so it allocates no parameter-sized temporary.
+- The weight of `matmul_t`, of `lstm_cell`, of `lstm_layer` and of the fused
+  layers' input and output projections, when it is a leaf, is not given a
+  gradient per use: each use hands its (output gradient, input) rows to its
+  tape, and the end of `Tape.backward` adds `G.T @ X` over the stacked rows
+  of all uses, one GEMM per weight (the backward half of the GEMM hoist of
+  Appleyard et al.). A recorded weight gets its gradient at once, because
+  the node that produced it reads it.
+- `Adam` keeps every parameter's data and gradient in one flat buffer each,
+  the `Tensor`s holding views, so `zero_grad` and `Adam.step` are a few
+  whole-buffer calls; the step evaluates its update with `out=` into one
+  parameter-sized scratch buffer and the gradient buffer, so it allocates
+  no parameter-sized temporary.
 """
 
 from __future__ import annotations
@@ -672,6 +679,37 @@ def init_lstm_params(rng: np.random.Generator, input_dim: int, hidden: int) -> L
     return LstmParams(w=w, b=parameter(b), hidden=hidden)
 
 
+def _lstm_gates(pre: np.ndarray, c_prev: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The gate activations, new cell, tanh of the cell and new output of
+    (B, 4H) pre-activations `pre` on (B, H) cells `c_prev`."""
+    act = 1.0 / (1.0 + np.exp(-pre))  # sigmoid of every gate; g is replaced below
+    act[:, 2 * h : 3 * h] = np.tanh(pre[:, 2 * h : 3 * h])
+    i, f, g, o = act[:, :h], act[:, h : 2 * h], act[:, 2 * h : 3 * h], act[:, 3 * h :]
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    return act, c, tc, o * tc
+
+
+def _lstm_gates_grad(
+    gh: np.ndarray, gc: np.ndarray | None, act: np.ndarray, c_prev: np.ndarray, tc: np.ndarray, h: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pre-activation and previous-cell gradients of `_lstm_gates` for
+    output gradient `gh` and cell gradient `gc` (None when none reached the
+    cell)."""
+    i, f, g, o = act[:, :h], act[:, h : 2 * h], act[:, 2 * h : 3 * h], act[:, 3 * h :]
+    gc_out = (gh * o) * (1.0 - tc * tc)
+    if gc is not None:
+        gc_out = gc + gc_out
+    d_act = np.empty_like(act)
+    d_act[:, :h] = gc_out * g
+    d_act[:, h : 2 * h] = gc_out * c_prev
+    d_act[:, 2 * h : 3 * h] = gc_out * i
+    d_act[:, 3 * h :] = gh * tc
+    d_pre = d_act * act * (1.0 - act)
+    d_pre[:, 2 * h : 3 * h] = d_act[:, 2 * h : 3 * h] * (1.0 - g * g)
+    return d_pre, gc_out * f
+
+
 def lstm_cell(
     x_t: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmParams
 ) -> tuple[Tensor, Tensor]:
@@ -691,38 +729,87 @@ def lstm_cell(
     if hd.shape != rows or cd.shape != rows:
         raise ValueError(f"lstm_cell state shapes {h_prev.shape}/{c_prev.shape} do not match {rows}")
     xh = np.concatenate([xd, hd], axis=-1)
-    pre = xh @ wd.T + params.b.data
-    act = 1.0 / (1.0 + np.exp(-pre))  # sigmoid of every gate; g is replaced below
-    act[:, 2 * h : 3 * h] = np.tanh(pre[:, 2 * h : 3 * h])
-    i, f, g, o = act[:, :h], act[:, h : 2 * h], act[:, 2 * h : 3 * h], act[:, 3 * h :]
-    c_t = Tensor(f * cd + i * g)
-    tc = np.tanh(c_t.data)
-    h_t = Tensor(o * tc)
+    act, c, tc, out = _lstm_gates(xh @ wd.T + params.b.data, cd, h)
+    c_t, h_t = Tensor(c), Tensor(out)
     weight_rows = _weight_rows(params.w)
 
     def backward():
         # The tape runs this once either output has a gradient; the other
         # may have none.
         gh = h_t.grad if h_t.grad is not PENDING else np.zeros_like(tc)
-        gc = (gh * o) * (1.0 - tc * tc)
-        if c_t.grad is not PENDING:
-            gc = c_t.grad + gc
-        d_act = np.empty_like(act)
-        d_act[:, :h] = gc * g
-        d_act[:, h : 2 * h] = gc * cd
-        d_act[:, 2 * h : 3 * h] = gc * i
-        d_act[:, 3 * h :] = gh * tc
-        d_pre = d_act * act * (1.0 - act)
-        d_pre[:, 2 * h : 3 * h] = d_act[:, 2 * h : 3 * h] * (1.0 - g * g)
+        d_pre, gc_prev = _lstm_gates_grad(gh, None if c_t.grad is PENDING else c_t.grad, act, cd, tc, h)
         _accum_weight(params.w, d_pre, xh, weight_rows)
         _accum(params.b, d_pre.sum(axis=0))
         if x_t.grad is not None or h_prev.grad is not None:
             d_xh = d_pre @ wd
             _accum(x_t, d_xh[:, : xd.shape[1]])
             _accum(h_prev, d_xh[:, xd.shape[1] :])
-        _accum(c_prev, gc * f)
+        _accum(c_prev, gc_prev)
 
     return _record(h_t, backward, c_t), c_t
+
+
+def lstm_layer(x: Tensor, live: Sequence[int], params: LstmParams) -> Tensor:
+    """An LSTM layer over sequences that start together from zero states,
+    run as one tape node; returns the (sum(live), H) outputs in the row
+    layout of the (sum(live), D) inputs `x`.
+
+    The rows of `x` are grouped by step: step t has `live[t]` rows, the
+    leading `live[t]` rows of step t-1's, so `live` never grows. The input
+    products `x @ W_x.T + b` are one GEMM over every step, and each step
+    adds only its `h @ W_h.T` to them (the GEMM hoist of Appleyard, Kočiský
+    & Blunsom 2016); `W_x` and `W_h` are column views of the fused weight.
+    The backward runs the steps in reverse, then gives the input gradient in
+    one GEMM and the weight one row block `[x, h_prev]` for the flush. The
+    gates are `lstm_cell`'s; values and gradients match a chain of cells up
+    to rounding in the last bits. Without a tape nothing is kept for
+    backward.
+    """
+    h = params.hidden
+    xd, wd = x.data, params.w.data
+    live = np.asarray(live, dtype=np.intp)
+    n_in = wd.shape[1] - h
+    if xd.ndim != 2 or xd.shape[1] != n_in:
+        raise ValueError(f"lstm_layer input shape {x.shape} does not match weights expecting (N, {n_in})")
+    if live.ndim != 1 or not len(live) or live[-1] < 1 or np.any(np.diff(live) > 0) or live.sum() != len(xd):
+        raise ValueError(f"lstm_layer needs non-increasing positive step sizes summing to {len(xd)}, got {live.tolist()}")
+    w_x, w_h = wd[:, :n_in], wd[:, n_in:]
+    starts = np.cumsum(live) - live
+    pre = xd @ w_x.T + params.b.data
+    out = np.empty((len(xd), h))
+    taped = Tape._active is not None
+    saved = []
+    c = np.zeros((live[0], h))
+    for t, (a, n) in enumerate(zip(starts, live)):
+        pre_t = pre[a : a + n]
+        if t:
+            pre_t = pre_t + out[starts[t - 1] : starts[t - 1] + n] @ w_h.T
+        c_prev = c[:n]
+        act, c, tc, out[a : a + n] = _lstm_gates(pre_t, c_prev, h)
+        if taped:
+            saved.append((act, c_prev, tc))
+    h_t = Tensor(out)
+    weight_rows = _weight_rows(params.w)
+
+    def backward():
+        gh = h_t.grad.copy()  # each row's output gradient; steps add their recurrent part
+        gc = np.zeros_like(out)
+        d_pre = np.empty_like(pre)
+        for t in reversed(range(len(live))):
+            rows = slice(starts[t], starts[t] + live[t])
+            d_pre[rows], gc_prev = _lstm_gates_grad(gh[rows], gc[rows], *saved[t], h)
+            if t:
+                prev = slice(starts[t - 1], starts[t - 1] + live[t])
+                gh[prev] += d_pre[rows] @ w_h
+                gc[prev] = gc_prev
+        h_prev = np.zeros_like(out)  # step 0 starts from zero states
+        h_prev[live[0] :] = out[np.arange(live[0], len(out)) - np.repeat(live[:-1], live[1:])]
+        _accum_weight(params.w, d_pre, np.concatenate([xd, h_prev], axis=-1), weight_rows)
+        _accum(params.b, d_pre.sum(axis=0))
+        if x.grad is not None:
+            _accum(x, d_pre @ w_x)
+
+    return _record(h_t, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -734,50 +821,68 @@ CLIP_NORM = 5.0  # the global gradient norm is scaled down to at most this
 
 
 class Adam:
+    """Clipped Adam over `params`, whose storage it takes over.
+
+    At construction every parameter's data and gradient are copied into one
+    flat buffer each, in the order of `params`, and each `Tensor`'s `.data`
+    and `.grad` become views of them; so `zero_grad` and the update are a
+    few whole-buffer calls, and the moments are flat buffers too. A read of
+    `.data` or `.grad` taken before the construction no longer follows the
+    parameter.
+    """
+
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.params = params
         self.lr = lr
         self._step = 0
-        self._m = {name: np.zeros_like(t.data) for name, t in params.items()}
-        self._v = {name: np.zeros_like(t.data) for name, t in params.items()}
-        # two scratch buffers sized to the largest parameter, viewed per parameter
-        scratch = np.empty((2, max((t.data.size for t in params.values()), default=0)))
-        self._scratch = {
-            name: (scratch[0, : t.data.size].reshape(t.data.shape), scratch[1, : t.data.size].reshape(t.data.shape))
-            for name, t in params.items()
-        }
+        sizes = [t.data.size for t in params.values()]
+        ends = np.cumsum(sizes, dtype=np.intp)
+        self._spans = list(zip(ends - sizes, ends))  # each parameter's entries
+        n = sum(sizes)
+        self._data, self._grad = np.empty(n), np.empty(n)
+        for t, (a, b) in zip(params.values(), self._spans):
+            for flat, attr in ((self._data, "data"), (self._grad, "grad")):
+                view = flat[a:b].reshape(t.data.shape)
+                view[...] = getattr(t, attr)
+                setattr(t, attr, view)
+        self._m, self._v = np.zeros(n), np.zeros(n)
+        self._scratch = np.empty(n)
 
     def zero_grad(self) -> None:
-        for t in self.params.values():
-            t.grad[...] = 0.0
+        self._grad.fill(0.0)
 
     def step(self) -> None:
         """One clipped Adam update. Every expression is evaluated in the
-        order of `t.grad * factor`, `m += (1 - BETA1) * g`,
+        order of `grad * factor`, `m += (1 - BETA1) * g`,
         `v += (1 - BETA2) * g * g` and
-        `t.data -= lr * (m / b1t) / (sqrt(v / b2t) + EPS)`, with `out=`."""
-        norm = np.sqrt(
-            sum(float(np.square(t.grad, out=self._scratch[name][0]).sum()) for name, t in self.params.items())
-        )
-        factor = CLIP_NORM / norm if norm > CLIP_NORM else 1.0
+        `data -= lr * (m / b1t) / (sqrt(v / b2t) + EPS)`, with `out=`; the
+        clipping norm sums each parameter's squares on its own, in order.
+
+        The gradient buffer is the second scratch buffer: it is clipped in
+        place and afterwards holds the update's denominators, not a
+        gradient. A backward adds into the gradients, so `zero_grad` comes
+        before the next one anyway.
+        """
+        g, tmp = self._grad, self._scratch
+        sq = np.square(g, out=tmp)
+        norm = np.sqrt(sum(float(sq[a:b].sum()) for a, b in self._spans))
+        if norm > CLIP_NORM:
+            g *= CLIP_NORM / norm
         self._step += 1
         b1t = 1.0 - BETA1**self._step
         b2t = 1.0 - BETA2**self._step
-        for name, t in self.params.items():
-            g, tmp = self._scratch[name]
-            m, v = self._m[name], self._v[name]
-            np.multiply(t.grad, factor, out=g)
-            m *= BETA1
-            m += np.multiply(g, 1.0 - BETA1, out=tmp)
-            v *= BETA2
-            np.multiply(g, 1.0 - BETA2, out=tmp)
-            v += np.multiply(tmp, g, out=tmp)
-            update = np.divide(m, b1t, out=g)
-            update *= self.lr
-            denom = np.divide(v, b2t, out=tmp)
-            np.sqrt(denom, out=denom)
-            denom += EPS
-            t.data -= np.divide(update, denom, out=update)
+        m, v = self._m, self._v
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=tmp)
+        v *= BETA2
+        np.multiply(g, 1.0 - BETA2, out=tmp)
+        v += np.multiply(tmp, g, out=tmp)
+        update = np.divide(m, b1t, out=tmp)
+        update *= self.lr
+        denom = np.divide(v, b2t, out=g)
+        np.sqrt(denom, out=denom)
+        denom += EPS
+        self._data -= np.divide(update, denom, out=update)
 
 
 # ---------------------------------------------------------------------------

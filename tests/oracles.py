@@ -529,6 +529,19 @@ def reference_lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, params: T.L
     return h_t, c_t
 
 
+def reference_lstm_layer(x: Tensor, live, p: T.LstmParams) -> Tensor:
+    """`tensor.lstm_layer` as a chain of `reference_lstm_cell` steps, each
+    step's states cut to its leading rows by a gather."""
+    h = c = T.constant(np.zeros((live[0], p.hidden)))
+    outs, start = [], 0
+    for n in live:
+        h, c = T.gather(h, np.arange(n)), T.gather(c, np.arange(n))
+        h, c = reference_lstm_cell(T.gather(x, np.arange(start, start + n)), h, c, p)
+        outs.append(h)
+        start += n
+    return T.stack(outs)
+
+
 def reference_attend_audio(query: Tensor, wq, keys, values, closed, wo: Tensor) -> Tensor:
     """`tensor.multi_head_attention` as the chain `Recognizer.attend_audio`
     ran before it: per head matmul_t, matmul_t, scale, add of the -inf

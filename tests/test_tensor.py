@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctxseq import tensor as T
@@ -16,6 +16,7 @@ from oracles import (
     reference_additive_attention,
     reference_attend_audio,
     reference_lstm_cell,
+    reference_lstm_layer,
     reference_output_log_probs,
 )
 
@@ -299,6 +300,71 @@ class TestLstmCell:
         with Tape() as tape:
             T.lstm_cell(T.constant(np.ones((2, 3))), T.constant(np.zeros((2, 2))), T.constant(np.zeros((2, 2))), p)
         assert len(tape) == 1
+
+
+def step_sizes(lengths) -> list[int]:
+    """The rows of each step of sequences of `lengths` run longest first."""
+    lengths = np.asarray(lengths)
+    return (lengths[:, None] > np.arange(lengths.max())).sum(axis=0).tolist()
+
+
+class TestLstmLayer:
+    def layer(self, rng, input_dim=3, hidden=4):
+        p = T.init_lstm_params(rng, input_dim, hidden)
+        p.w.data[...] = rng.normal(size=p.w.data.shape)
+        p.b.data[...] = rng.normal(size=p.b.data.shape)
+        return p
+
+    @given(seed=st.integers(0, 1000), lengths=st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    @settings(max_examples=40, deadline=None)
+    @example(seed=1, lengths=[5, 2, 2])  # a one-row tail: steps of 3, 3, 1, 1, 1 rows
+    @example(seed=2, lengths=[1, 1, 1])  # one-step sequences: one step of 3 rows
+    @example(seed=3, lengths=[1])
+    def test_equals_chain_of_reference_cells(self, seed, lengths):
+        rng = np.random.default_rng(seed)
+        p = self.layer(rng)
+        live = step_sizes(sorted(lengths, reverse=True))
+        x = T.parameter(rng.normal(size=(sum(live), 3)))
+        leaves = {"x": x, "w": p.w, "b": p.b}
+
+        def run(layer):
+            for t in leaves.values():
+                t.grad[...] = 0.0
+            with Tape() as tape:
+                out = layer(x, live, p)
+                tape.backward(weighted(out, seed))
+            return out.data, {name: t.grad.copy() for name, t in leaves.items()}
+
+        (got, got_grads), (want, want_grads) = run(T.lstm_layer), run(reference_lstm_layer)
+        assert np.abs(got - want).max() < 1e-12
+        for name, g in got_grads.items():
+            assert np.abs(g - want_grads[name]).max() < 1e-12, name
+
+    def test_gradient_check(self):
+        rng = np.random.default_rng(34)
+        p = self.layer(rng, input_dim=2, hidden=2)
+        x = T.parameter(rng.normal(size=(5, 2)))
+        check_grads(lambda: weighted(T.lstm_layer(x, [2, 2, 1], p), 35), {"x": x, "w": p.w, "b": p.b})
+
+    def test_one_tape_node_and_the_same_values_without_a_tape(self):
+        rng = np.random.default_rng(36)
+        p = self.layer(rng)
+        x = T.constant(rng.normal(size=(6, 3)))
+        with Tape() as tape:
+            taped = T.lstm_layer(x, [3, 2, 1], p)
+        assert len(tape) == 1
+        assert T.lstm_layer(x, [3, 2, 1], p).data.tobytes() == taped.data.tobytes()
+
+    @pytest.mark.parametrize("live", [[2, 3], [3, 0], [], [3, 2]])  # grows, empty step, no step, 5 rows for 6
+    def test_bad_step_sizes_rejected(self, live):
+        p = self.layer(np.random.default_rng(37))
+        with pytest.raises(ValueError, match="step sizes"):
+            T.lstm_layer(T.constant(np.zeros((6, 3))), live, p)
+
+    def test_input_width_must_match(self):
+        p = self.layer(np.random.default_rng(38))
+        with pytest.raises(ValueError, match="input shape"):
+            T.lstm_layer(T.constant(np.zeros((2, 4))), [1, 1], p)
 
 
 FUSED_OPS = ["multi_head_attention", "additive_attention", "output_log_probs"]
@@ -946,6 +1012,27 @@ class TestAdam:
             reference_adam_step(want, grads, m, v, step, 0.01)
             for name, t in params.items():
                 assert t.data.tobytes() == want[name].tobytes(), (name, step)
+
+    def test_parameters_become_views_of_one_buffer(self):
+        rng = np.random.default_rng(39)
+        params = {"w": T.parameter(rng.normal(size=(3, 2))), "s": T.parameter(1.5), "b": T.parameter(np.ones(4))}
+        before = {name: (t.data.copy(), t.data) for name, t in params.items()}
+        for t in params.values():
+            t.grad[...] = rng.normal(size=t.data.shape)
+        opt = T.Adam(params, lr=0.01)
+        for name, t in params.items():
+            assert t.data.tobytes() == before[name][0].tobytes()
+            assert t.data.shape == t.grad.shape == before[name][0].shape
+        assert params["w"].data.base is params["b"].data.base is params["s"].data.base
+        assert params["w"].grad.base is params["b"].grad.base is params["s"].grad.base
+        opt.zero_grad()
+        assert all(np.all(t.grad == 0.0) for t in params.values())
+        for t in params.values():
+            t.grad[...] = 1.0
+        opt.step()
+        # the update reaches the parameters, not the arrays they had before
+        assert all(np.all(t.data != before[name][0]) for name, t in params.items())
+        assert all(np.array_equal(before[name][1], before[name][0]) for name in params)
 
     def test_global_norm_clipping(self):
         x = T.parameter(np.zeros(4))

@@ -90,11 +90,31 @@ class TestTrainModel:
         assert log1 == log2
 
 
+    def test_adam_storage_is_the_models(self, small_setup, tmp_path):
+        # Adam moves the parameters into flat buffers; the model's layers
+        # and its parameter table still read the one updated array.
+        task, utts = small_setup
+        model = small_model(task, seed=5)
+        before = model.params["decoder.0.w"].data.copy()
+        train_model(model, utts, SamplerConfig(), TrainConfig(steps=1, batch_size=2, seed=5))
+        w = model.params["decoder.0.w"]
+        assert model.decoder[0].w is w
+        assert not np.array_equal(w.data, before)
+        assert model.encoder[0].w.data.base is w.data.base is model.params["output.b"].data.base
+        model.save(tmp_path / "params.bin")
+        loaded = small_model(task, seed=6)
+        loaded.load_arrays(T.load_tensors(tmp_path / "params.bin"))
+        for name, t in model.params.items():
+            assert loaded.params[name].data.tobytes() == t.data.tobytes(), name
+
+
 def test_default_batch_tape_size(tmp_path, monkeypatch):
-    # One tape node per LSTM cell, per attention and per output layer: the
-    # first seed-1 batch at the default config records 377 nodes (944 when
-    # the attentions and the output layer were chains of primitive ops). A
-    # change that splits a fused op into several nodes again fails here.
+    # One tape node per encoder layer, per decoder LSTM cell and attention,
+    # and one output layer for the whole batch: the first seed-1 batch at the
+    # default config records 209 nodes (377 with a node per encoder cell and
+    # an output layer per position, 944 when the attentions and the output
+    # layer were chains of primitive ops). A change that splits a fused op
+    # into several nodes again fails here.
     task = SyntheticTaskConfig(seed=1)
     utts = read_manifest(generate_corpus(task, tmp_path).manifests["train"])
     model = Recognizer(ModelConfig(feature_dim=task.feature_dim), task.vocabulary(), seed=1)
@@ -106,4 +126,4 @@ def test_default_batch_tape_size(tmp_path, monkeypatch):
 
     monkeypatch.setattr(T.Tape, "backward", counting)
     train_model(model, utts, SamplerConfig(), TrainConfig(steps=1, seed=1))
-    assert len(sizes) == 1 and sizes[0] <= 377
+    assert len(sizes) == 1 and sizes[0] <= 209
