@@ -9,14 +9,19 @@ from ctxseq import tensor as T
 
 # A tensor is a float64 array; a Tape records ops so backward can replay them
 # in exact reverse. Parameters carry gradient buffers, constants do not.
-# Inputs are (B, D) stacks of rows; here B = 1, and `matmul_t(x, w)` is x @ w.T.
+# Inputs are (B, D) stacks of rows; here B = 1. `output_log_probs` is one
+# fused layer, log_softmax(x @ w.T + b), and the loss is -log p(class 1).
 w = T.parameter([[0.4, -0.2], [0.1, 0.3]])
 b = T.parameter([0.05, -0.05])
 x = T.constant([[1.0, 2.0]])
 
+
+def nll():
+    return T.sum_(T.scale(T.gather(T.output_log_probs([x], w, b), [1], axis=-1), -1.0))
+
+
 with T.Tape() as tape:
-    y = T.tanh(T.add(T.matmul_t(x, w), b))
-    loss = T.sum_(T.mul(y, y))
+    loss = nll()
     tape.backward(loss)
 
 print("loss        :", float(loss.data))
@@ -27,15 +32,15 @@ print("dloss/db    :", b.grad)
 step = 1e-5
 orig = w.data[0, 1]
 w.data[0, 1] = orig + step
-hi = float(T.sum_(T.mul(*(2 * [T.tanh(T.add(T.matmul_t(x, w), b))]))).data)
+hi = float(nll().data)
 w.data[0, 1] = orig - step
-lo = float(T.sum_(T.mul(*(2 * [T.tanh(T.add(T.matmul_t(x, w), b))]))).data)
+lo = float(nll().data)
 w.data[0, 1] = orig
 fd = (hi - lo) / (2 * step)
 print(f"finite diff for w[0,1]: {fd:.10f}  (tape said {w.grad[0, 1]:.10f})")
 
-# The LSTM cell is built from the same primitives, so it is differentiable
-# end to end; the forget gate starts open (bias 1).
+# The LSTM cell is one tape node too, with a hand-written backward; the
+# forget gate starts open (bias 1).
 rng = np.random.default_rng(0)
 cell = T.init_lstm_params(rng, input_dim=3, hidden=4)
 h, c = T.lstm_cell(T.constant(rng.normal(size=(1, 3))), T.constant(np.zeros((1, 4))), T.constant(np.zeros((1, 4))), cell)

@@ -5,23 +5,24 @@ step the decoder state queries two attentions: multi-head content attention
 over encoder frames, and a single additive attention over embedded context
 phrases (index 0 of which is a learnable "no-bias" vector). The two context
 vectors are concatenated and fed both to the output softmax and to the next
-decoder step. Each layer of a step is one tape node: the decoder's LSTM cells
-(`tensor.lstm_cell`), the audio attention (`tensor.multi_head_attention`),
-the phrase attention (`tensor.additive_attention`, after the gathers that
-keep only the rows open for some query, whose weights it returns with their
-indices) and the output layer with its log-softmax
-(`tensor.output_log_probs`).
+decoder step. Each layer of a decode step is one tape node: the decoder's
+LSTM cells (`tensor.lstm_cell`), the audio attention
+(`tensor.multi_head_attention`), the phrase attention
+(`tensor.additive_attention`, after the gathers that keep only the rows open
+for some query, whose weights it returns with their indices) and the output
+layer with its log-softmax (`tensor.output_log_probs`).
 
 Every step runs on rows: B token ids, (B, ·) states and a boolean (B, N+1)
 `closed` mask. The beam search advances all of its live hypotheses in one
-call, and the training loss advances a whole minibatch in one decoder step
-per target position, one row per utterance, then runs the output layer once
-over every position. Both encoders share one longest-first LSTM pass,
-`_longest_first`, in which each layer is one `tensor.lstm_layer` node: the
-phrase encoder runs it over the whole phrase list, and the audio encoder
-over all utterances of a batch. An `AudioCache` carries one boolean
-frame-mask row per utterance, so row b reads only its own utterance's
-frames; one utterance is one all-False row.
+call. The training loss knows every position's input token, so it runs the
+whole teacher-forced decoder of a minibatch, one row per utterance, as one
+`tensor.attention_decoder` node, then the output layer once over every
+position. Both encoders share one longest-first LSTM pass, `_longest_first`,
+in which each layer is one `tensor.lstm_layer` node: the phrase encoder runs
+it over the whole phrase list, and the audio encoder over all utterances of
+a batch. An `AudioCache` carries one boolean frame-mask row per utterance,
+so row b reads only its own utterance's frames; one utterance is one
+all-False row.
 """
 
 from __future__ import annotations
@@ -217,19 +218,19 @@ class Recognizer:
         closed = _own_frames([h_x.data.shape[0]] if lengths is None else lengths)
         return AudioCache(keys=keys, values=values, closed=closed)
 
+    def _audio_attention(self, cache: AudioCache) -> tuple:
+        """The arguments of `tensor.multi_head_attention` after the query:
+        the heads' query weights, `cache`'s keys, values and frame mask, and
+        the output projection."""
+        heads = range(self.config.attention_heads)
+        wq = [self.params[f"audio_attn.{h}.wq"] for h in heads]
+        return wq, cache.keys, cache.values, cache.closed, self.params["audio_attn.wo"]
+
     def attend_audio(self, d_t: Tensor, cache: AudioCache) -> Tensor:
         """Multi-head scaled-dot attention of B decoder-state rows over the
         frames of `cache`; row b reads only the frames that row b of
         `cache.closed` leaves open, or those of its one row if it has one."""
-        heads = range(self.config.attention_heads)
-        return T.multi_head_attention(
-            d_t,
-            [self.params[f"audio_attn.{h}.wq"] for h in heads],
-            cache.keys,
-            cache.values,
-            cache.closed,
-            self.params["audio_attn.wo"],
-        )
+        return T.multi_head_attention(d_t, *self._audio_attention(cache))
 
     # -- context-phrase path ---------------------------------------------------
 
@@ -353,15 +354,16 @@ class Recognizer:
         summed over the batch; `bias` is the embedded list `embed_phrases`
         gives, as the beam takes it, shared by every utterance.
 
-        Utterance b is row b of one (B, ·) step per target position. The
-        targets are padded with end-of-sequence to the longest; a padded
-        position adds nothing to the loss, so its row gets zero gradient.
-        Only what the recurrence needs runs per position: the decoder cells,
-        the two attentions and the context concat. Training closes no list
-        entry, so the bias attention reads the list's key index as it is,
-        without `attend_bias`'s gathers. The output layer and the loss then
-        run once over the (positions·B, ·) stacks of every position's
-        context and decoder output.
+        Utterance b is row b of every target position. The targets are
+        padded with end-of-sequence to the longest; a padded position adds
+        nothing to the loss, so its row gets zero gradient. The decoder
+        cells, the two attentions and the context of every position run as
+        one `tensor.attention_decoder` node, which does the arithmetic of a
+        `step` per position. Training closes no list entry, so the bias
+        attention reads the list's key index as it is, without
+        `attend_bias`'s gathers. The output layer and the loss then run once
+        over the (positions·B, ·) stacks of every position's context and
+        decoder output.
         """
         if len(xs) != len(targets):
             raise ValueError(f"{len(xs)} utterances for {len(targets)} targets")
@@ -382,20 +384,15 @@ class Recognizer:
             ids[b, : len(target)] = target
             picks[np.arange(len(target)), b, target] = 1.0
         y_prev = np.column_stack([np.full(rows, self.vocab.sos), ids[:, :-1]])
-        closed = np.zeros((rows, h_z.data.shape[0]), dtype=bool)  # training closes no entry
         p = self.params
-        state = self.initial_state(rows)
-        contexts, outputs = [], []
-        for t in range(longest):
-            d_t, state = self.decoder_step(y_prev[:, t], state)
-            c_x = self.attend_audio(d_t, audio)
-            c_z, _ = T.additive_attention(
-                d_t, p["bias_attn.wd"], p["bias_attn.b"], key_rows, p["bias_attn.v"], key_of, closed, h_z
-            )
-            state.context = T.concat([c_x, c_z])
-            contexts.append(state.context)
-            outputs.append(d_t)
-        log_probs = T.output_log_probs([T.stack(contexts), T.stack(outputs)], p["output.w"], p["output.b"])
+        contexts, outputs = T.attention_decoder(
+            y_prev.T,
+            p["embedding"],
+            self.decoder,
+            self._audio_attention(audio),
+            (p["bias_attn.wd"], p["bias_attn.b"], key_rows, p["bias_attn.v"], key_of, h_z),
+        )
+        log_probs = T.output_log_probs([contexts, outputs], p["output.w"], p["output.b"])
         # Sums exactly the picked entries: every other product is zero.
         picked = T.sum_(T.mul(log_probs, T.constant(picks.reshape(longest * rows, -1))))
         return T.scale(picked, -1.0)

@@ -2,29 +2,33 @@
 
 Everything is deliberately small: 1-D/2-D arrays, the handful of ops a stacked
 recurrent attention model needs, and an Adam optimizer. There is one row
-layout: `lstm_cell`, `matmul_t`, `additive_scores` and the fused layers below
-take (B, D) stacks of B rows (B may be 1), `lstm_layer` takes the rows of
-every step of a batch stacked step by step, `matmul` takes two matrices, and
-none takes a vector. So a training step, a beam step over B hypotheses and
-the phrase encoder over a whole list run the same ops. The elementwise ops
-are shape-agnostic; `concat`, `softmax` and `log_softmax` work over the last
-axis, and `gather` selects rows or last-axis entries (a column range is
-`gather` over `np.arange(start, stop)`).
+layout: `lstm_cell`, `matmul_t` and the fused layers below take (B, D) stacks
+of B rows (B may be 1), `lstm_layer` takes the rows of every step of a batch
+stacked step by step, `attention_decoder` every position's rows stacked
+position by position, `matmul` takes two matrices, and none takes a vector.
+So a training step, a beam step over B hypotheses and the phrase encoder
+over a whole list run the same arithmetic. `mul` and `scale` are
+shape-agnostic; `concat` works over the last axis, and `gather` selects rows
+or last-axis entries (a column range is `gather` over
+`np.arange(start, stop)`).
 
 Each layer of the model's step is one tape node, with a hand-written backward
 that does the arithmetic of the op chain it replaces in the chain's order, so
 values and gradients keep their bits (the element-wise fusion of Appleyard,
 Kočiský & Blunsom 2016): `lstm_cell` replaces twelve nodes,
 `multi_head_attention` six per head and two more, `additive_attention` six or
-seven and `output_log_probs` four. `lstm_layer` runs a whole LSTM layer as
-one node, with its input products hoisted out of the step loop into one GEMM
-(the GEMM hoist of the same paper); it shares `lstm_cell`'s gate arithmetic
-and matches a chain of cells up to rounding in the last bits. The primitive
-ops stay, as the pieces of those chains, which the tests keep as oracles.
-Ops executed outside a `Tape` context run forward-only, which is the path
-used during decoding; there the additive scores make their (B, U, A) tanh
-block a few query rows at a time, and additive attention with some entry
-closed scores each query row only against the keys of its own open entries.
+seven and `output_log_probs` four. The chains, and the elementwise, softmax
+and additive-score ops only they use, are the tests' oracles. `lstm_layer`
+runs a whole LSTM layer as one node, with its input products hoisted out of
+the step loop into one GEMM (the GEMM hoist of the same paper), and
+`attention_decoder` runs every position of the teacher-forced decoder (its
+LSTM layers and both attentions) as one node; they share the per-step ops'
+arithmetic through the same helpers and match chains of those ops up to
+rounding in the last bits. Ops executed outside a `Tape` context run
+forward-only, which is the path used during decoding; there the additive
+scores make their (B, U, A) tanh block a few query rows at a time, and
+additive attention with some entry closed scores each query row only against
+the keys of its own open entries.
 
 A training step does each weight's weight-sized work once:
 
@@ -37,8 +41,10 @@ A training step does each weight's weight-sized work once:
   gradient per use: each use hands its (output gradient, input) rows to its
   tape, and the end of `Tape.backward` adds `G.T @ X` over the stacked rows
   of all uses, one GEMM per weight (the backward half of the GEMM hoist of
-  Appleyard et al.). A recorded weight gets its gradient at once, because
-  the node that produced it reads it.
+  Appleyard et al.); a weight with one use, as every weight of a training
+  step has, gives its rows to the GEMM without a stacking copy. A recorded
+  weight gets its gradient at once, because the node that produced it reads
+  it.
 - `Adam` keeps every parameter's data and gradient in one flat buffer each,
   the `Tensor`s holding views, so `zero_grad` and `Adam.step` are a few
   whole-buffer calls; the step evaluates its update with `out=` into one
@@ -153,8 +159,12 @@ class Tape:
             for o in outs:
                 o.grad = None
         for w, uses in self._weight_rows.items():
-            gs, xs = zip(*uses)
-            w.grad += np.concatenate(gs).T @ np.concatenate(xs)
+            if len(uses) == 1:
+                g, x = uses[0]  # one row block needs no stacking copy
+            else:
+                gs, xs = zip(*uses)
+                g, x = np.concatenate(gs), np.concatenate(xs)
+            w.grad += g.T @ x
         self._weight_rows.clear()
 
 
@@ -234,22 +244,6 @@ def matmul_t(x: Tensor, w: Tensor) -> Tensor:
     return _record(out, backward)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also allows matrix + row-vector broadcast."""
-    if a.data.shape != b.data.shape:
-        ok = a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]
-        if not ok:
-            raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
-    out = Tensor(a.data + b.data)
-    broadcast = a.data.shape != b.data.shape
-
-    def backward():
-        _accum(a, out.grad)
-        _accum(b, out.grad.sum(axis=0) if broadcast else out.grad)
-
-    return _record(out, backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError(f"mul shape mismatch: {a.shape} * {b.shape}")
@@ -268,26 +262,6 @@ def scale(a: Tensor, k: float) -> Tensor:
 
     def backward():
         _accum(a, out.grad * k)
-
-    return _record(out, backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = Tensor(np.tanh(a.data))
-    od = out.data
-
-    def backward():
-        _accum(a, out.grad * (1.0 - od * od))
-
-    return _record(out, backward)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = Tensor(1.0 / (1.0 + np.exp(-a.data)))
-    od = out.data
-
-    def backward():
-        _accum(a, out.grad * od * (1.0 - od))
 
     return _record(out, backward)
 
@@ -367,35 +341,30 @@ def sum_(a: Tensor) -> Tensor:
     return _record(out, backward)
 
 
-def _softmax_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax over the last axis of `x` and the mask of its kept entries."""
-    kept = x != NEG_INF
-    if not kept.any(axis=-1).all():
+# ---------------------------------------------------------------------------
+# the arithmetic of the fused layers, shared with the test oracles' op chains
+
+
+def _kept(closed: np.ndarray) -> np.ndarray:
+    """The entries the boolean mask `closed` leaves open; a row that leaves
+    none open raises ValueError."""
+    if closed.all(axis=-1).any():
         raise ValueError("no unmasked entry")
+    return ~closed
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Stabilized softmax over the last axis; NEG_INF entries map to exactly 0."""
     e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True), kept
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def _softmax_grad(g: np.ndarray, od: np.ndarray, kept: np.ndarray) -> np.ndarray:
+def _softmax_grad(g: np.ndarray, od: np.ndarray, kept: np.ndarray | None) -> np.ndarray:
+    """The input gradient of softmax output od for output gradient g: zero
+    off the `kept` entries, which None means are all of them."""
     inner = (g * od).sum(axis=-1, keepdims=True)
-    return np.where(kept, od * (g - inner), 0.0)
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Stabilized softmax over the last axis of a vector or of every row.
-
-    Entries equal to the NEG_INF sentinel map to exactly 0 and receive no
-    gradient; every row needs at least one other entry.
-    """
-    if a.data.ndim not in (1, 2):
-        raise ValueError(f"softmax takes a 1-D/2-D tensor, got shape {a.shape}")
-    od, kept = _softmax_rows(a.data)
-    out = Tensor(od)
-
-    def backward():
-        _accum(a, _softmax_grad(out.grad, od, kept))
-
-    return _record(out, backward)
+    d = od * (g - inner)
+    return d if kept is None else np.where(kept, d, 0.0)
 
 
 def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -407,18 +376,6 @@ def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
 
 def _log_softmax_grad(g: np.ndarray, od: np.ndarray) -> np.ndarray:
     return g - np.exp(od) * g.sum(axis=-1, keepdims=True)
-
-
-def log_softmax(a: Tensor) -> Tensor:
-    """Log-softmax over the last axis of a vector or of every row."""
-    if a.data.ndim not in (1, 2):
-        raise ValueError(f"log_softmax takes a 1-D/2-D tensor, got shape {a.shape}")
-    out = Tensor(_log_softmax_rows(a.data))
-
-    def backward():
-        _accum(a, _log_softmax_grad(out.grad, out.data))
-
-    return _record(out, backward)
 
 
 _SCORE_ROWS = 8  # query rows per tanh block of forward-only additive scores
@@ -471,31 +428,43 @@ def _open_scores(kd: np.ndarray, qd: np.ndarray, vd: np.ndarray, score_of: np.nd
     return s
 
 
-def _tanh_scores_grads(g: np.ndarray, t: np.ndarray, vd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The v, keys and query gradients of `_tanh_scores` for score gradient g."""
-    pre = g[..., None] * vd * (1.0 - t * t)
-    return t.reshape(-1, vd.shape[0]).T @ g.reshape(-1), pre.sum(axis=0), pre.sum(axis=1)
+def _tanh_args_grad(g: np.ndarray, t: np.ndarray, vd: np.ndarray) -> np.ndarray:
+    """The gradient of the tanh arguments `keys[u] + query[b]` of
+    `_tanh_scores` for score gradient g: its sums over b and over u are the
+    keys' and the queries' gradients."""
+    return g[..., None] * vd * (1.0 - t * t)
 
 
-def additive_scores(keys: Tensor, query: Tensor, v: Tensor) -> Tensor:
-    """Additive-attention scores `v . tanh(keys[u] + query[b])` for every key u.
+def _tanh_v_grad(g: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The v gradient of `_tanh_scores` for score gradient g; g and t may
+    stack the rows of several calls."""
+    return t.reshape(-1, t.shape[-1]).T @ g.reshape(-1)
 
-    keys is (U, A), v is (A,) and query is a (B, A) stack of queries; the
-    (B, U) scores have row b scoring every key against query b.
-    """
-    kd, qd, vd = keys.data, query.data, v.data
-    if kd.ndim != 2 or qd.ndim != 2 or vd.shape != kd.shape[1:] or qd.shape[1] != kd.shape[1]:
-        raise ValueError(f"additive_scores shape mismatch: keys {keys.shape}, query {query.shape}, v {v.shape}")
-    scores, t = _tanh_scores(kd, qd, vd)
-    out = Tensor(scores)
 
-    def backward():
-        gv, gk, gq = _tanh_scores_grads(out.grad, t, vd)
-        _accum(v, gv)
-        _accum(keys, gk)
-        _accum(query, gq)
+def _score_grad(g_alpha: np.ndarray, alpha: np.ndarray, kept: np.ndarray | None, score_of: np.ndarray, n_keys: int) -> np.ndarray:
+    """The (B, n_keys) key-score gradient of the weights alpha, a softmax
+    over entries of which entry r reads the score of key `score_of[r]`, for
+    weight gradient g_alpha."""
+    g = np.zeros((len(alpha), n_keys))  # a scatter-add needs a zero-filled buffer
+    np.add.at(g, (Ellipsis, score_of), _softmax_grad(g_alpha, alpha, kept))
+    return g
 
-    return _record(out, backward)
+
+def _dot_heads(qs, keys, values, cd: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Scaled-dot attention of each head's (B, dh) query rows `qs[h]` over
+    its (K, dh) `keys[h]` and `values[h]` arrays, with the additive mask cd
+    (0 or -inf, one row per query row or one row for all): the heads joined
+    along the last axis, and each head's (B, K) weights."""
+    alphas = [_softmax((q @ k.T) * (1.0 / np.sqrt(q.shape[1])) + cd) for q, k in zip(qs, keys)]
+    return np.concatenate([a @ v for a, v in zip(alphas, values)], axis=-1), alphas
+
+
+def _dot_head_grad(g_head, q, k, v, alpha, kept) -> tuple[np.ndarray, np.ndarray]:
+    """The scaled score gradient g_s and the query gradient of one head of
+    `_dot_heads` for its output gradient g_head. The head's key and value
+    gradients are `g_s.T @ q` and `alpha.T @ g_head`."""
+    g_s = _softmax_grad(g_head @ v.T, alpha, kept) * (1.0 / np.sqrt(q.shape[1]))
+    return g_s, g_s @ k
 
 
 # ---------------------------------------------------------------------------
@@ -531,35 +500,26 @@ def multi_head_attention(
         raise ValueError(f"multi_head_attention needs a (B, D) query, got shape {query.shape}")
     if closed.ndim != 2 or closed.shape[0] not in (1, qd.shape[0]) or closed.shape[1] != keys[0].data.shape[0]:
         raise ValueError(f"multi_head_attention shape mismatch: query {query.shape}, closed {closed.shape}")
-    cd = np.where(closed, NEG_INF, 0.0)
-    saved, heads = [], []
-    for w, k, v in zip(wq, keys, values):
-        q = qd @ w.data.T
-        scale_ = 1.0 / np.sqrt(q.shape[1])
-        s = (q @ k.data.T) * scale_ + cd
-        alpha, kept = _softmax_rows(s)
-        heads.append(alpha @ v.data)
-        saved.append((q, scale_, alpha, kept, _weight_rows(w), _weight_rows(k)))
-    cat = np.concatenate(heads, axis=-1)
+    kept, cd = _kept(closed), np.where(closed, NEG_INF, 0.0)
+    qs = [qd @ w.data.T for w in wq]
+    kd, vd = [k.data for k in keys], [v.data for v in values]
+    cat, alphas = _dot_heads(qs, kd, vd, cd)
     out = Tensor(cat @ wod.T)
+    rows = [(_weight_rows(w), _weight_rows(k)) for w, k in zip(wq, keys)]
     wo_rows = _weight_rows(wo)
 
     def backward():
         g = out.grad
         _accum_weight(wo, g, cat, wo_rows)
         g_cat = g @ wod
-        starts = np.cumsum([0] + [h.shape[1] for h in heads])
-        for i in reversed(range(len(heads))):
-            w, k, v = wq[i], keys[i], values[i]
-            q, scale_, alpha, kept, w_rows, k_rows = saved[i]
+        starts = np.cumsum([0] + [v.shape[1] for v in vd])
+        for i in reversed(range(len(wq))):
             g_head = np.ascontiguousarray(g_cat[:, starts[i] : starts[i + 1]])
-            g_alpha = g_head @ v.data.T
-            _accum(v, alpha.T @ g_head)
-            g_s = _softmax_grad(g_alpha, alpha, kept) * scale_
-            _accum_weight(k, g_s, q, k_rows)
-            g_q = g_s @ k.data
-            _accum_weight(w, g_q, qd, w_rows)
-            _accum(query, g_q @ w.data)
+            _accum(values[i], alphas[i].T @ g_head)
+            g_s, g_q = _dot_head_grad(g_head, qs[i], kd[i], vd[i], alphas[i], kept)
+            _accum_weight(keys[i], g_s, qs[i], rows[i][1])
+            _accum_weight(wq[i], g_q, qd, rows[i][0])
+            _accum(query, g_q @ wq[i].data)
 
     return _record(out, backward)
 
@@ -600,6 +560,7 @@ def additive_attention(
             f"additive_attention shape mismatch: closed {closed.shape}, score_of {score_of.shape}, "
             f"values {values.shape}, query {query.shape}"
         )
+    kept = _kept(closed)
     q = dd @ wdd.T + b.data
     if Tape._active is None and closed.any():
         s, t = _open_scores(kd, q, vd, score_of, closed), None
@@ -608,7 +569,7 @@ def additive_attention(
         s = scores[..., score_of]
         if closed.any():
             s = s + np.where(closed, NEG_INF, 0.0)
-    ad, kept = _softmax_rows(s)
+    ad = _softmax(s)
     context, alpha = Tensor(ad @ values.data), Tensor(ad)
     wd_rows = _weight_rows(wd)
 
@@ -620,11 +581,11 @@ def additive_attention(
             g_read = context.grad @ values.data.T
             g_alpha = g_read if g_alpha is PENDING else g_alpha + g_read
             _accum(values, ad.T @ context.grad)
-        g_scores = np.zeros((len(dd), len(kd)))  # a scatter-add needs a zero-filled buffer
-        np.add.at(g_scores, (Ellipsis, score_of), _softmax_grad(g_alpha, ad, kept))
-        g_v, g_keys, g_q = _tanh_scores_grads(g_scores, t, vd)
-        _accum(v, g_v)
-        _accum(keys, g_keys)
+        g_scores = _score_grad(g_alpha, ad, kept, score_of, len(kd))
+        g_args = _tanh_args_grad(g_scores, t, vd)
+        _accum(v, _tanh_v_grad(g_scores, t))
+        _accum(keys, g_args.sum(axis=0))
+        g_q = g_args.sum(axis=1)
         _accum(b, g_q.sum(axis=0))
         _accum_weight(wd, g_q, dd, wd_rows)
         _accum(query, g_q @ wdd)
@@ -810,6 +771,165 @@ def lstm_layer(x: Tensor, live: Sequence[int], params: LstmParams) -> Tensor:
             _accum(x, d_pre @ w_x)
 
     return _record(h_t, backward)
+
+
+# ---------------------------------------------------------------------------
+# teacher-forced decoder
+
+
+def attention_decoder(
+    ids: np.ndarray,
+    embedding: Tensor,
+    layers: Sequence[LstmParams],
+    audio: tuple[Sequence[Tensor], Sequence[Tensor], Sequence[Tensor], np.ndarray, Tensor],
+    bias: tuple[Tensor, Tensor, Tensor, Tensor, np.ndarray, Tensor],
+) -> tuple[Tensor, Tensor]:
+    """Every position of a teacher-forced attention decoder as one tape node;
+    returns the (P·B, ·) stacks of contexts and decoder outputs, position by
+    position.
+
+    `ids` is (P, B): row t holds the B input tokens of position t. Position
+    t runs the stacked LSTM `layers`, from zero states, on the `embedding`
+    rows of its tokens joined with position t-1's context (zeros at t = 0).
+    The last layer's output d queries two attentions, and the position's
+    context joins their contexts: `multi_head_attention(d, *audio)` with
+    audio = (wq, keys, values, closed, wo), then `additive_attention` with
+    bias = (wd, b, keys, v, score_of, values) and no entry closed. Each
+    layer's arithmetic is that of `lstm_cell` and of those two ops, through
+    the helpers they share, and values and gradients match a chain of them
+    up to rounding in the last bits:
+
+    - The embedding half of the first layer's input product, with its bias,
+      is one GEMM over every position (the GEMM hoist of `lstm_layer`); a
+      position adds only the product of its context and state.
+    - A position makes every attention query in one product with the
+      stacked `wq`s and `wd`, and its backward returns their gradients to d
+      in one product too.
+    - The frame mask is made and checked once; the bias softmax has no mask.
+    - The backward runs the positions in reverse and writes each one's rows
+      into stacked buffers. Then each weight hands the flush one row block,
+      each attention's keys and values get their gradients in one product
+      each, and the embedding gets its rows from one GEMM and one scatter-add.
+    """
+    wq, keys, values, closed, wo = audio
+    wd, b, bias_keys, v, score_of, h_z = bias
+    ids = np.asarray(ids, dtype=np.intp)
+    ed, w0, wod, hzd = embedding.data, layers[0].w.data, wo.data, h_z.data
+    n_emb, n_att = ed.shape[1], wod.shape[0]
+    width = n_att + hzd.shape[1]  # a context: the audio context, then the bias context
+    if ids.ndim != 2 or w0.shape[1] != n_emb + width + layers[0].hidden:
+        raise ValueError(
+            f"attention_decoder shape mismatch: ids {ids.shape}, embedding {embedding.shape}, "
+            f"first layer {layers[0].w.shape}, context width {width}"
+        )
+    n_pos, rows = ids.shape
+    if closed.ndim != 2 or closed.shape[0] not in (1, rows) or closed.shape[1] != keys[0].data.shape[0]:
+        raise ValueError(f"attention_decoder shape mismatch: {rows} rows, closed {closed.shape}")
+    if score_of.shape != hzd.shape[:1]:
+        raise ValueError(f"attention_decoder shape mismatch: score_of {score_of.shape}, values {h_z.shape}")
+    kept, cd = _kept(closed), np.where(closed, NEG_INF, 0.0)
+    kd, vd = [k.data for k in keys], [x.data for x in values]
+    bkd, bvd, bd = bias_keys.data, v.data, b.data
+    w_q = np.concatenate([w.data for w in wq] + [wd.data])  # the heads' query weights, then the bias attention's
+    ends = np.cumsum([w.data.shape[0] for w in wq])
+    heads = [slice(e - w.data.shape[0], e) for e, w in zip(ends, wq)]
+    at_bias = slice(ends[-1], None)
+    # Layer l's [input, previous output] rows of every position, the rows of
+    # its weight's flush; position 0 reads zero states and a zero context.
+    xs = [np.zeros((ids.size, p.w.data.shape[1])) for p in layers]
+    xs[0][:, :n_emb] = ed[ids.reshape(-1)]
+    pre_emb = xs[0][:, :n_emb] @ w0[:, :n_emb].T + layers[0].b.data
+    ctx, out = np.empty((ids.size, width)), np.empty((ids.size, layers[-1].hidden))
+    q_all = np.empty((ids.size, len(w_q)))
+    cells = [np.zeros((rows, p.hidden)) for p in layers]
+    gates, cats, alphas, bias_alphas, bias_t = [], [], [], [], []
+    for t in range(n_pos):
+        r, nxt = slice(t * rows, (t + 1) * rows), slice((t + 1) * rows, (t + 2) * rows)
+        for l, p in enumerate(layers):
+            n_in = p.w.data.shape[1] - p.hidden
+            if l:
+                xs[l][r, :n_in] = h
+                pre = xs[l][r] @ p.w.data.T + p.b.data
+            else:
+                pre = pre_emb[r] + xs[0][r, n_emb:] @ w0[:, n_emb:].T
+            c_prev = cells[l]
+            act, cells[l], tc, h = _lstm_gates(pre, c_prev, p.hidden)
+            gates.append((act, c_prev, tc))
+            if t + 1 < n_pos:
+                xs[l][nxt, n_in:] = h
+        out[r] = h
+        q = q_all[r] = h @ w_q.T
+        cat, a = _dot_heads([q[:, c] for c in heads], kd, vd, cd)
+        ctx[r, :n_att] = cat @ wod.T
+        scores, t_b = _tanh_scores(bkd, q[:, at_bias] + bd, bvd)
+        a_b = _softmax(scores[..., score_of])
+        ctx[r, n_att:] = a_b @ hzd
+        if t + 1 < n_pos:
+            xs[0][nxt, n_emb : n_emb + width] = ctx[r]
+        cats.append(cat)
+        alphas.append(a)
+        bias_alphas.append(a_b)
+        bias_t.append(t_b)
+    contexts, outputs = Tensor(ctx), Tensor(out)
+    layer_rows = [_weight_rows(p.w) for p in layers]
+    wq_rows, key_rows = [_weight_rows(w) for w in wq], [_weight_rows(k) for k in keys]
+    wo_rows, wd_rows = _weight_rows(wo), _weight_rows(wd)
+
+    def backward():
+        # The tape runs this once either output has a gradient; the other
+        # may have none. A position adds its recurrent gradients to the
+        # rows of the one before.
+        g_ctx = np.zeros_like(ctx) if contexts.grad is PENDING else contexts.grad.copy()
+        g_out = np.zeros_like(out) if outputs.grad is PENDING else outputs.grad
+        d_pres = [np.empty((ids.size, 4 * p.hidden)) for p in layers]
+        g_q, g_cat = np.empty_like(q_all), np.empty((ids.size, n_att))
+        g_s = [np.empty((ids.size, len(k))) for k in kd]
+        g_scores, g_args = np.empty((ids.size, len(bkd))), np.empty((ids.size, *bkd.shape))
+        g_h, g_c = [None] * len(layers), [None] * len(layers)  # each layer's, from the next position
+        for t in reversed(range(n_pos)):
+            r, prev = slice(t * rows, (t + 1) * rows), slice((t - 1) * rows, t * rows)
+            g_scores[r] = _score_grad(g_ctx[r, n_att:] @ hzd.T, bias_alphas[t], None, score_of, len(bkd))
+            g_args[r] = _tanh_args_grad(g_scores[r], bias_t[t], bvd)
+            g_q[r, at_bias] = g_args[r].sum(axis=1)
+            g_cat[r] = g_ctx[r, :n_att] @ wod
+            q = q_all[r]
+            for i in reversed(range(len(kd))):
+                c = heads[i]
+                g_s[i][r], g_q[r, c] = _dot_head_grad(g_cat[r, c], q[:, c], kd[i], vd[i], alphas[t][i], kept)
+            gh = g_out[r] if g_h[-1] is None else g_out[r] + g_h[-1]
+            gh = gh + g_q[r] @ w_q
+            for l in reversed(range(len(layers))):
+                p = layers[l]
+                d_pre, g_c[l] = _lstm_gates_grad(gh, g_c[l], *gates[t * len(layers) + l], p.hidden)
+                d_pres[l][r] = d_pre
+                if l:
+                    n_in = p.w.data.shape[1] - p.hidden
+                    d_xh = d_pre @ p.w.data
+                    g_h[l] = d_xh[:, n_in:]
+                    gh = d_xh[:, :n_in] if g_h[l - 1] is None else g_h[l - 1] + d_xh[:, :n_in]
+                elif t:
+                    d_xh = d_pre @ w0[:, n_emb:]
+                    g_ctx[prev] += d_xh[:, :width]
+                    g_h[0] = d_xh[:, width:]
+        for p, d_pre, x, w_rows in zip(layers, d_pres, xs, layer_rows):
+            _accum_weight(p.w, d_pre, x, w_rows)
+            _accum(p.b, d_pre.sum(axis=0))
+        if embedding.grad is PENDING:
+            embedding.grad = np.zeros_like(ed)  # a scatter-add needs a zero-filled buffer
+        if embedding.grad is not None:
+            np.add.at(embedding.grad, ids.reshape(-1), d_pres[0] @ w0[:, :n_emb])
+        _accum_weight(wo, g_ctx[:, :n_att], np.concatenate(cats), wo_rows)
+        for i, c in enumerate(heads):
+            _accum(values[i], np.concatenate([a[i] for a in alphas]).T @ g_cat[:, c])
+            _accum_weight(keys[i], g_s[i], q_all[:, c], key_rows[i])
+            _accum_weight(wq[i], g_q[:, c], out, wq_rows[i])
+        _accum(h_z, np.concatenate(bias_alphas).T @ g_ctx[:, n_att:])
+        _accum(v, _tanh_v_grad(g_scores, np.concatenate(bias_t)))
+        _accum(bias_keys, g_args.sum(axis=0))
+        _accum(b, g_q[:, at_bias].sum(axis=0))
+        _accum_weight(wd, g_q[:, at_bias], out, wd_rows)
+
+    return _record(contexts, backward, outputs), outputs
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,15 @@ library paths it checks, except that the context-compiler reference reuses
 the library's minimization pass (it finds its own word-position facts by
 walking the determinized machine, where the library records them while it
 builds), the op chains that the fused LSTM cell, attentions and output
-layer replaced are built from the library's primitive ops (which share
-their softmax, log-softmax and tanh-score arithmetic with the fused ops, so
-a bit-identity test checks how a fused op composes and accumulates it), the
-per-utterance loss, per-hypothesis beam search and per-phrase bias encoder
-run the library's model ops on one row at a time,
-the per-row bias attention runs them with one key per row, the enumeration
+layer replaced are built from the library's primitive ops and from the
+primitive ops defined here, which only those chains use (`add`, `tanh`,
+`sigmoid`, `softmax`, `log_softmax` and `additive_scores`; they take their
+softmax, log-softmax and tanh-score arithmetic from the library's fused
+layers, so a bit-identity test checks how a fused op composes and
+accumulates it), the per-position decoder chain runs the library's per-step
+ops, the per-utterance loss, per-hypothesis beam search and per-phrase bias
+encoder run the library's model ops on one row at a time, the per-row bias
+attention runs them with one key per row, the enumeration
 oracle embeds its list with the library's `embed_phrases`, and the beam,
 enumeration and gain-bound oracles score fusion through the library
 scorer's `score_step`/`finish`, whose table `reference_score_step` checks.
@@ -512,6 +515,97 @@ def reference_adam_step(
 
 
 # ---------------------------------------------------------------------------
+# primitive ops that only the op chains below use
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum; also allows matrix + row-vector broadcast."""
+    if a.data.shape != b.data.shape:
+        ok = a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]
+        if not ok:
+            raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
+    out = Tensor(a.data + b.data)
+    broadcast = a.data.shape != b.data.shape
+
+    def backward():
+        T._accum(a, out.grad)
+        T._accum(b, out.grad.sum(axis=0) if broadcast else out.grad)
+
+    return T._record(out, backward)
+
+
+def tanh(a: Tensor) -> Tensor:
+    out = Tensor(np.tanh(a.data))
+    od = out.data
+
+    def backward():
+        T._accum(a, out.grad * (1.0 - od * od))
+
+    return T._record(out, backward)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = Tensor(1.0 / (1.0 + np.exp(-a.data)))
+    od = out.data
+
+    def backward():
+        T._accum(a, out.grad * od * (1.0 - od))
+
+    return T._record(out, backward)
+
+
+def softmax(a: Tensor) -> Tensor:
+    """Stabilized softmax over the last axis of a vector or of every row.
+
+    Entries equal to the NEG_INF sentinel map to exactly 0 and receive no
+    gradient; every row needs at least one other entry.
+    """
+    if a.data.ndim not in (1, 2):
+        raise ValueError(f"softmax takes a 1-D/2-D tensor, got shape {a.shape}")
+    kept = T._kept(a.data == T.NEG_INF)
+    od = T._softmax(a.data)
+    out = Tensor(od)
+
+    def backward():
+        T._accum(a, T._softmax_grad(out.grad, od, kept))
+
+    return T._record(out, backward)
+
+
+def log_softmax(a: Tensor) -> Tensor:
+    """Log-softmax over the last axis of a vector or of every row."""
+    if a.data.ndim not in (1, 2):
+        raise ValueError(f"log_softmax takes a 1-D/2-D tensor, got shape {a.shape}")
+    out = Tensor(T._log_softmax_rows(a.data))
+
+    def backward():
+        T._accum(a, T._log_softmax_grad(out.grad, out.data))
+
+    return T._record(out, backward)
+
+
+def additive_scores(keys: Tensor, query: Tensor, v: Tensor) -> Tensor:
+    """Additive-attention scores `v . tanh(keys[u] + query[b])` for every key u.
+
+    keys is (U, A), v is (A,) and query is a (B, A) stack of queries; the
+    (B, U) scores have row b scoring every key against query b.
+    """
+    kd, qd, vd = keys.data, query.data, v.data
+    if kd.ndim != 2 or qd.ndim != 2 or vd.shape != kd.shape[1:] or qd.shape[1] != kd.shape[1]:
+        raise ValueError(f"additive_scores shape mismatch: keys {keys.shape}, query {query.shape}, v {v.shape}")
+    scores, t = T._tanh_scores(kd, qd, vd)
+    out = Tensor(scores)
+
+    def backward():
+        g_args = T._tanh_args_grad(out.grad, t, vd)
+        T._accum(v, T._tanh_v_grad(out.grad, t))
+        T._accum(keys, g_args.sum(axis=0))
+        T._accum(query, g_args.sum(axis=1))
+
+    return T._record(out, backward)
+
+
+# ---------------------------------------------------------------------------
 # op chains of the fused tensor ops, and the per-utterance training loss
 
 
@@ -519,13 +613,13 @@ def reference_lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, params: T.L
     """`tensor.lstm_cell` as a chain of twelve primitive ops, each its own
     tape node."""
     h = params.hidden
-    pre = T.add(T.matmul_t(T.concat([x_t, h_prev]), params.w), params.b)
-    i = T.sigmoid(T.gather(pre, np.arange(0, h), axis=-1))
-    f = T.sigmoid(T.gather(pre, np.arange(h, 2 * h), axis=-1))
-    g = T.tanh(T.gather(pre, np.arange(2 * h, 3 * h), axis=-1))
-    o = T.sigmoid(T.gather(pre, np.arange(3 * h, 4 * h), axis=-1))
-    c_t = T.add(T.mul(f, c_prev), T.mul(i, g))
-    h_t = T.mul(o, T.tanh(c_t))
+    pre = add(T.matmul_t(T.concat([x_t, h_prev]), params.w), params.b)
+    i = sigmoid(T.gather(pre, np.arange(0, h), axis=-1))
+    f = sigmoid(T.gather(pre, np.arange(h, 2 * h), axis=-1))
+    g = tanh(T.gather(pre, np.arange(2 * h, 3 * h), axis=-1))
+    o = sigmoid(T.gather(pre, np.arange(3 * h, 4 * h), axis=-1))
+    c_t = add(T.mul(f, c_prev), T.mul(i, g))
+    h_t = T.mul(o, tanh(c_t))
     return h_t, c_t
 
 
@@ -553,8 +647,8 @@ def reference_attend_audio(query: Tensor, wq, keys, values, closed, wo: Tensor) 
         q = T.matmul_t(query, w)
         scores = T.scale(T.matmul_t(q, k), 1.0 / np.sqrt(w.data.shape[0]))
         mask = np.where(np.broadcast_to(closed, scores.data.shape), T.NEG_INF, 0.0)
-        scores = T.add(scores, T.constant(mask))
-        heads.append(T.matmul(T.softmax(scores), v))
+        scores = add(scores, T.constant(mask))
+        heads.append(T.matmul(softmax(scores), v))
     return T.matmul_t(T.concat(heads), wo)
 
 
@@ -562,18 +656,45 @@ def reference_additive_attention(query: Tensor, wd, b, keys, v, score_of, closed
     """`tensor.additive_attention` as the chain `Recognizer.attend_bias` ran
     before it: matmul_t, add, additive_scores, gather, add of the -inf mask,
     softmax and matmul, each its own tape node."""
-    scores = T.additive_scores(keys, T.add(T.matmul_t(query, wd), b), v)
+    scores = additive_scores(keys, add(T.matmul_t(query, wd), b), v)
     scores = T.gather(scores, score_of, axis=-1)
     if closed.any():
-        scores = T.add(scores, T.constant(np.where(closed, T.NEG_INF, 0.0)))
-    alpha = T.softmax(scores)
+        scores = add(scores, T.constant(np.where(closed, T.NEG_INF, 0.0)))
+    alpha = softmax(scores)
     return T.matmul(alpha, values), alpha
 
 
 def reference_output_log_probs(parts, w: Tensor, b: Tensor) -> Tensor:
     """`tensor.output_log_probs` as the chain `Recognizer.step` ran before
     it: concat, matmul_t, add and log_softmax, each its own tape node."""
-    return T.log_softmax(T.add(T.matmul_t(T.concat(parts), w), b))
+    return log_softmax(add(T.matmul_t(T.concat(parts), w), b))
+
+
+def reference_attention_decoder(ids: np.ndarray, embedding: Tensor, layers, audio, bias) -> tuple[Tensor, Tensor]:
+    """`tensor.attention_decoder` as the per-position loop
+    `Recognizer.forward_loss` ran before it: per position a gather of the
+    input tokens' embedding rows, a concat with the previous context, one
+    `lstm_cell` per layer, `multi_head_attention`, `additive_attention`
+    with nothing closed and the context concat, each its own tape node; then
+    one stack of every position's contexts and one of its outputs."""
+    wq, keys, values, closed, wo = audio
+    wd, b, bias_keys, v, score_of, h_z = bias
+    rows = ids.shape[1]
+    states = [(T.constant(np.zeros((rows, p.hidden))), T.constant(np.zeros((rows, p.hidden)))) for p in layers]
+    context = T.constant(np.zeros((rows, wo.data.shape[0] + h_z.data.shape[1])))
+    nothing_closed = np.zeros((rows, len(score_of)), dtype=bool)
+    contexts, outputs = [], []
+    for tokens in ids:
+        x = T.concat([T.gather(embedding, tokens), context])
+        for l, p in enumerate(layers):
+            states[l] = T.lstm_cell(x, *states[l], p)
+            x = states[l][0]
+        c_x = T.multi_head_attention(x, wq, keys, values, closed, wo)
+        c_z, _ = T.additive_attention(x, wd, b, bias_keys, v, score_of, nothing_closed, h_z)
+        context = T.concat([c_x, c_z])
+        contexts.append(context)
+        outputs.append(x)
+    return T.stack(contexts), T.stack(outputs)
 
 
 def reference_forward_loss(model, x: np.ndarray, bias: tuple, target: list[int]) -> Tensor:
@@ -597,7 +718,7 @@ def reference_forward_loss(model, x: np.ndarray, bias: tuple, target: list[int])
     for y in target:
         log_probs, _, state = model.step([y_prev], state, audio, h_z, closed, bias_keys)
         nll = T.scale(T.gather(log_probs, [y], axis=-1), -1.0)
-        loss = nll if loss is None else T.add(loss, nll)
+        loss = nll if loss is None else add(loss, nll)
         y_prev = y
     return T.sum_(loss)
 
@@ -642,9 +763,9 @@ def reference_attend_bias(model, d_t: Tensor, h_z: Tensor, closed: np.ndarray, k
     n_rows = h_z.data.shape[0]
     rows = np.flatnonzero(~closed.all(axis=0))
     h_z, keys, closed = T.gather(h_z, rows), T.gather(keys, rows), closed[:, rows]
-    query = T.add(T.matmul_t(d_t, model.params["bias_attn.wd"]), model.params["bias_attn.b"])
-    scores = T.additive_scores(keys, query, model.params["bias_attn.v"])
-    alpha = T.softmax(T.add(scores, T.constant(np.where(closed, T.NEG_INF, 0.0))))
+    query = add(T.matmul_t(d_t, model.params["bias_attn.wd"]), model.params["bias_attn.b"])
+    scores = additive_scores(keys, query, model.params["bias_attn.v"])
+    alpha = softmax(add(scores, T.constant(np.where(closed, T.NEG_INF, 0.0))))
     return T.matmul(alpha, h_z), full_alpha((alpha, rows), n_rows)
 
 

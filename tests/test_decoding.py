@@ -15,7 +15,7 @@ from ctxseq.fst import END_OF_WORD, EVERY_SUBWORD, FusionScorer, compile_context
 from ctxseq.model import DecoderStepState, ModelConfig, Recognizer, embed_phrases
 from ctxseq.vocab import BIAS_END, EOS, SPACE, Vocabulary, normalize
 
-from oracles import assert_same_results, enumerate_best, reference_beam_search
+from oracles import assert_same_results, enumerate_best, log_softmax, reference_beam_search
 
 
 def tiny_model(seed=0, alphabet="ab") -> Recognizer:
@@ -428,7 +428,7 @@ class TestEarlyStop:
 
         def markov_step(y_prev, *args):
             _, alpha, state = step(y_prev, *args)
-            return T.log_softmax(T.constant(logits[np.asarray(y_prev)])), alpha, state
+            return log_softmax(T.constant(logits[np.asarray(y_prev)])), alpha, state
 
         cfg = DecodeConfig(beam_width=3, max_len=10, n_best=2)
         with pytest.MonkeyPatch.context() as mp:

@@ -12,6 +12,7 @@ from ctxseq.tensor import Tape
 from ctxseq.vocab import BIAS_END, SPACE, Vocabulary, graphemize
 
 from oracles import (
+    add,
     finite_difference,
     full_alpha,
     max_rel_err,
@@ -19,6 +20,7 @@ from oracles import (
     reference_encode_bias,
     reference_forward_loss,
     reference_output_log_probs,
+    softmax,
 )
 
 words = st.text(alphabet="ab", min_size=1, max_size=4)
@@ -285,7 +287,6 @@ class TestRowLayout:
         calls = {
             "matmul": lambda: T.matmul(T.constant(np.zeros((2, 2))), vec),
             "matmul_t": lambda: T.matmul_t(vec, model.params["bias_attn.wd"]),
-            "additive_scores": lambda: T.additive_scores(keys[0], vec, model.params["bias_attn.v"]),
             "multi_head_attention": lambda: T.multi_head_attention(
                 vec, [model.params["audio_attn.0.wq"]], audio.keys, audio.values, audio.closed,
                 model.params["audio_attn.wo"],
@@ -336,7 +337,7 @@ class TestAttendAudio:
         for h in range(2):
             q = model.params[f"audio_attn.{h}.wq"].data @ d.data
             scores = cache.keys[h].data @ q / np.sqrt(2)
-            alpha = T.softmax(T.constant(scores)).data
+            alpha = softmax(T.constant(scores)).data
             assert abs(alpha.sum() - 1.0) <= 1e-12
 
     def test_rows_read_only_their_own_frames(self):
@@ -503,7 +504,7 @@ class TestAttendBias:
         def forward():
             c, attention = model.attend_bias(params["d_t"], params["h_z"], closed, keys=(params["keys"], np.arange(5)))
             alpha = full_alpha(attention, 5)
-            return T.add(
+            return add(
                 T.sum_(T.mul(c, T.constant(w_context))), T.sum_(T.mul(alpha, T.constant(w_alpha)))
             )
 
@@ -546,7 +547,7 @@ class TestSharedBiasKeys:
             with Tape() as tape:
                 c, alpha = attend()
                 tape.backward(
-                    T.add(T.sum_(T.mul(c, T.constant(w_context))), T.sum_(T.mul(alpha, T.constant(w_alpha))))
+                    add(T.sum_(T.mul(c, T.constant(w_context))), T.sum_(T.mul(alpha, T.constant(w_alpha))))
                 )
             return c.data, alpha.data, {k: t.grad.copy() for k, t in params.items()}
 
@@ -696,6 +697,7 @@ class TestForwardLoss:
 
 
 TOKENS = st.sampled_from(["a", "b", SPACE, BIAS_END])
+DEEP = dict(decoder_layers=2, attention_heads=2, encoder_layers=2)
 
 
 class TestBatchedForwardLoss:
@@ -717,13 +719,17 @@ class TestBatchedForwardLoss:
             st.tuples(st.integers(1, 4), st.lists(TOKENS, max_size=4)), min_size=1, max_size=3
         ),
         phrases=phrase_lists,
+        deep=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    @example(seed=0, batch=[(3, ["a", "b"])], phrases=[])
-    @example(seed=1, batch=[(1, ["a", SPACE, "b"]), (4, []), (2, ["b", BIAS_END])], phrases=["a b", "b"])
-    @example(seed=6, batch=[(4, ["a", "b", SPACE, "a"])], phrases=["a"])
-    def test_equals_summed_reference(self, seed, batch, phrases):
-        model = tiny_model(seed=seed)
+    @example(seed=0, batch=[(3, ["a", "b"])], phrases=[], deep=False)
+    @example(seed=1, batch=[(1, ["a", SPACE, "b"]), (4, []), (2, ["b", BIAS_END])], phrases=["a b", "b"], deep=False)
+    @example(seed=6, batch=[(4, ["a", "b", SPACE, "a"])], phrases=["a"], deep=False)
+    @example(seed=2, batch=[(2, ["b", "a", BIAS_END]), (5, ["a"]), (1, [])], phrases=["ab", "a", "ab"], deep=True)
+    @example(seed=9, batch=[(3, ["a", SPACE, "b", "b"])], phrases=[], deep=True)
+    def test_equals_summed_reference(self, seed, batch, phrases, deep):
+        # deep: a second decoder and encoder layer and a second audio head.
+        model = tiny_model(seed=seed, **(DEEP if deep else {}))
         rng = np.random.default_rng(seed)
         xs = [rng.normal(size=(k, 3)) for k, _ in batch]
         targets = [[model.vocab.index(t) for t in tokens] + [model.vocab.eos] for _, tokens in batch]
@@ -733,7 +739,7 @@ class TestBatchedForwardLoss:
             losses = [reference_forward_loss(model, x, bias, y) for x, y in zip(xs, targets)]
             total = losses[0]
             for loss in losses[1:]:
-                total = T.add(total, loss)
+                total = add(total, loss)
             return total
 
         got, got_grads = self.loss_and_grads(
@@ -806,13 +812,8 @@ class TestFullModelGradients:
         assert worst[offender] < 1e-4, f"{offender}: {worst[offender]}"
 
 
-    def test_gradient_check_at_unit_scale_sees_every_path(self):
-        # At the U(-0.05, 0.05) init the audio-attention query and key
-        # gradients are about 1e-19, under the floor of max_rel_err, so the
-        # checks above would pass with those paths dropped. With every
-        # parameter drawn from N(0, 1) each one has entries well above it.
-        model = tiny_model(seed=5)
-        rng = np.random.default_rng(15)
+    @staticmethod
+    def check_at_unit_scale(model, rng):
         for t in model.params.values():
             t.data[...] = rng.normal(size=t.data.shape)
         xs = [rng.normal(size=(k, 3)) for k in (3, 2)]
@@ -828,6 +829,19 @@ class TestFullModelGradients:
         for name, t in model.params.items():
             assert np.abs(fd[name]).max() > 1e-3, name
             assert max_rel_err(t.grad, fd[name], floor=1e-4) < 1e-4, name
+
+    def test_gradient_check_at_unit_scale_sees_every_path(self):
+        # At the U(-0.05, 0.05) init the audio-attention query and key
+        # gradients are about 1e-19, under the floor of max_rel_err, so the
+        # checks above would pass with those paths dropped. With every
+        # parameter drawn from N(0, 1) each one has entries well above it.
+        self.check_at_unit_scale(tiny_model(seed=5), np.random.default_rng(15))
+
+    def test_gradient_check_at_unit_scale_with_two_layers_and_heads(self):
+        # The second decoder layer's recurrence and the second audio head;
+        # heads of width 2, as with width 1 some head's gradients stay
+        # under the floor.
+        self.check_at_unit_scale(tiny_model(seed=3, attention_dim=4, **DEEP), np.random.default_rng(13))
 
 
 class TestPersistence:

@@ -10,14 +10,21 @@ from ctxseq import tensor as T
 from ctxseq.tensor import NEG_INF, Tape, Tensor
 
 from oracles import (
+    add,
+    additive_scores,
     finite_difference,
+    log_softmax,
     max_rel_err,
     reference_adam_step,
     reference_additive_attention,
+    reference_attention_decoder,
     reference_attend_audio,
     reference_lstm_cell,
     reference_lstm_layer,
     reference_output_log_probs,
+    sigmoid,
+    softmax,
+    tanh,
 )
 
 
@@ -71,10 +78,10 @@ class TestMatmul:
         b = T.parameter(rng.normal(size=(4, 2)))
 
         def loss_fn():
-            return float(T.sum_(T.tanh(T.matmul(a, b))).data)
+            return float(T.sum_(tanh(T.matmul(a, b))).data)
 
         with Tape() as tape:
-            loss = T.sum_(T.tanh(T.matmul(a, b)))
+            loss = T.sum_(tanh(T.matmul(a, b)))
             tape.backward(loss)
         fd = finite_difference(loss_fn, {"a": a, "b": b})
         assert max_rel_err(a.grad, fd["a"]) < 1e-6
@@ -83,60 +90,60 @@ class TestMatmul:
 
 class TestElementwise:
     def test_tanh_zero(self):
-        assert T.tanh(T.constant([0.0])).data[0] == 0.0
+        assert tanh(T.constant([0.0])).data[0] == 0.0
 
     def test_sigmoid_zero(self):
-        assert T.sigmoid(T.constant([0.0])).data[0] == 0.5
+        assert sigmoid(T.constant([0.0])).data[0] == 0.5
 
     def test_tanh_grad_matches_finite_differences(self):
         x = T.parameter([0.3])
         with Tape() as tape:
-            tape.backward(T.sum_(T.tanh(x)))
-        fd = finite_difference(lambda: float(T.sum_(T.tanh(x)).data), {"x": x})
+            tape.backward(T.sum_(tanh(x)))
+        fd = finite_difference(lambda: float(T.sum_(tanh(x)).data), {"x": x})
         assert max_rel_err(x.grad, fd["x"]) < 1e-8
         assert abs(x.grad[0] - (1.0 - math.tanh(0.3) ** 2)) < 1e-12
 
     def test_incompatible_shapes(self):
         with pytest.raises(ValueError):
-            T.add(T.constant([1.0, 2.0]), T.constant([1.0, 2.0, 3.0]))
+            add(T.constant([1.0, 2.0]), T.constant([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError):
             T.mul(T.constant([1.0, 2.0]), T.constant([[1.0, 2.0]]))
 
 
 class TestSoftmax:
     def test_symmetry(self):
-        out = T.softmax(T.constant([0.0, 0.0, 0.0]))
+        out = softmax(T.constant([0.0, 0.0, 0.0]))
         assert np.allclose(out.data, [1 / 3] * 3, atol=1e-15)
 
     def test_neg_inf_sentinel_maps_to_exact_zero(self):
-        out = T.softmax(T.constant([2.5, NEG_INF]))
+        out = softmax(T.constant([2.5, NEG_INF]))
         assert out.data[0] == 1.0 and out.data[1] == 0.0
 
     def test_direct_formula(self):
         x = np.array([1.0, 2.0, 3.0])
         expected = np.exp(x) / np.exp(x).sum()
-        assert np.abs(T.softmax(T.constant(x)).data - expected).max() < 1e-12
+        assert np.abs(softmax(T.constant(x)).data - expected).max() < 1e-12
 
     def test_all_masked_is_an_error(self):
         with pytest.raises(ValueError, match="no unmasked entry"):
-            T.softmax(T.constant([NEG_INF, NEG_INF]))
+            softmax(T.constant([NEG_INF, NEG_INF]))
 
     @given(st.lists(st.floats(-30, 30), min_size=1, max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_rows_sum_to_one(self, xs):
-        out = T.softmax(T.constant(xs))
+        out = softmax(T.constant(xs))
         assert abs(out.data.sum() - 1.0) <= 1e-12
         assert (out.data >= 0).all() and (out.data <= 1).all()
 
     def test_mask_gradient_is_zero_on_masked_entries(self):
         x = T.parameter([0.2, NEG_INF, -0.4])
         with Tape() as tape:
-            out = T.softmax(x)
+            out = softmax(x)
             tape.backward(T.sum_(T.gather(out, [0])))
         assert x.grad[1] == 0.0
 
         def loss_fn():
-            return float(T.sum_(T.gather(T.softmax(x), [0])).data)
+            return float(T.sum_(T.gather(softmax(x), [0])).data)
 
         fd = finite_difference(loss_fn, {"x": x})
         assert max_rel_err(x.grad, fd["x"]) < 1e-6
@@ -165,7 +172,7 @@ class TestGather:
         index = np.array([3, 1, 3])
 
         def forward():
-            return T.sum_(T.tanh(T.gather(m, index)))
+            return T.sum_(tanh(T.gather(m, index)))
 
         with Tape() as tape:
             tape.backward(forward())
@@ -183,13 +190,13 @@ class TestGather:
 class TestLogSoftmax:
     def test_matches_log_of_softmax(self):
         x = T.constant([0.5, -1.0, 2.0])
-        assert np.abs(T.log_softmax(x).data - np.log(T.softmax(x).data)).max() < 1e-12
+        assert np.abs(log_softmax(x).data - np.log(softmax(x).data)).max() < 1e-12
 
     def test_grad(self):
         x = T.parameter([0.5, -1.0, 2.0])
         with Tape() as tape:
-            tape.backward(T.sum_(T.gather(T.log_softmax(x), [1])))
-        fd = finite_difference(lambda: float(T.sum_(T.gather(T.log_softmax(x), [1])).data), {"x": x})
+            tape.backward(T.sum_(T.gather(log_softmax(x), [1])))
+        fd = finite_difference(lambda: float(T.sum_(T.gather(log_softmax(x), [1])).data), {"x": x})
         assert max_rel_err(x.grad, fd["x"]) < 1e-6
 
     @settings(max_examples=200, deadline=None)
@@ -207,7 +214,7 @@ class TestLogSoftmax:
         # Repeating the values ties entries, the maximum among them.
         x = np.tile(values * repeats, (rows, 1))
         for logits in (x, x[0]):
-            assert np.all(T.log_softmax(T.constant(logits)).data <= 0.0)
+            assert np.all(log_softmax(T.constant(logits)).data <= 0.0)
 
 
 class TestLstmCell:
@@ -261,7 +268,7 @@ class TestLstmCell:
 
         def forward():
             h, c = T.lstm_cell(x, h0, c0, p)
-            return T.sum_(T.add(h, c))
+            return T.sum_(add(h, c))
 
         params = {"x": x, "h0": h0, "c0": c0, "w": p.w, "b": p.b}
         with Tape() as tape:
@@ -288,7 +295,7 @@ class TestLstmCell:
             with Tape() as tape:
                 h1, c1 = cell(inputs["x0"], inputs["h0"], inputs["c0"], p)
                 h2, c2 = cell(inputs["x1"], h1, c1, p)
-                loss = T.add(T.sum_(T.mul(T.add(h1, h2), wh)), T.sum_(T.mul(c2, wc)))
+                loss = add(T.sum_(T.mul(add(h1, h2), wh)), T.sum_(T.mul(c2, wc)))
                 tape.backward(loss)
             grads = [t.grad.tobytes() for t in [p.w, p.b, *inputs.values()]]
             return [t.data.tobytes() for t in (h1, c1, h2, c2)], grads
@@ -367,6 +374,98 @@ class TestLstmLayer:
             T.lstm_layer(T.constant(np.zeros((2, 4))), [1, 1], p)
 
 
+def decoder_case(rng, rows, positions, n_layers, heads, utterances, n_values, n_keys, recorded_cache):
+    """(call, leaves) for `attention_decoder` on leaves drawn from `rng`:
+    `call(decoder)` runs `decoder(ids, embedding, layers, audio, bias)`.
+    Several utterances stack their frames and row b reads only one of them;
+    a recorded cache is projected from leaf frames on the tape, else the
+    audio keys and values are leaves."""
+    n_emb, units, dh, adim, zdim = 2, 3, 2, 4, 2
+    width = heads * dh + zdim
+    lengths = rng.integers(1, 5, size=utterances)
+    shapes = {
+        "embedding": (5, n_emb), "wo": (heads * dh, heads * dh), "h_x": (lengths.sum(), 3),
+        "wd": (adim, units), "b": (adim,), "bias_keys": (n_keys, adim), "v": (adim,), "h_z": (n_values, zdim),
+    }
+    for l in range(n_layers):
+        shapes[f"w{l}"] = (4 * units, (n_emb + width if l == 0 else units) + units)
+        shapes[f"b{l}"] = (4 * units,)
+    for h in range(heads):
+        shapes[f"wq{h}"] = (dh, units)
+        shapes[f"wk{h}"] = shapes[f"wv{h}"] = (dh, 3)
+        shapes[f"keys{h}"] = shapes[f"values{h}"] = (lengths.sum(), dh)
+    leaves = {name: T.parameter(rng.normal(size=shape)) for name, shape in shapes.items()}
+    layers = [T.LstmParams(leaves[f"w{l}"], leaves[f"b{l}"], units) for l in range(n_layers)]
+    ids = rng.integers(0, 5, size=(positions, rows))
+    score_of = rng.integers(0, n_keys, size=n_values)
+    closed = np.zeros((1, lengths.sum()), dtype=bool)  # one utterance: the all-False row every row reads
+    if utterances > 1:
+        closed = np.repeat(np.arange(utterances), lengths) != rng.integers(0, utterances, size=(rows, 1))
+
+    def call(decoder):
+        def cache(name, w):
+            if recorded_cache:
+                return [T.matmul_t(leaves["h_x"], leaves[f"{w}{h}"]) for h in range(heads)]
+            return [leaves[f"{name}{h}"] for h in range(heads)]
+
+        audio = ([leaves[f"wq{h}"] for h in range(heads)], cache("keys", "wk"), cache("values", "wv"), closed, leaves["wo"])
+        bias = (leaves["wd"], leaves["b"], leaves["bias_keys"], leaves["v"], score_of, leaves["h_z"])
+        return decoder(ids, leaves["embedding"], layers, audio, bias)
+
+    return call, leaves
+
+
+class TestAttentionDecoder:
+    """The teacher-forced decoder is one tape node whose contexts, outputs
+    and gradients match the per-position chain of per-step ops it replaced
+    (`reference_attention_decoder`) up to rounding."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        rows=st.integers(1, 4),
+        positions=st.integers(1, 4),
+        n_layers=st.integers(1, 2),
+        heads=st.integers(1, 2),
+        utterances=st.integers(1, 3),
+        n_values=st.integers(1, 4),
+        n_keys=st.integers(1, 3),
+        recorded_cache=st.booleans(),
+        read=st.sampled_from([(0, 1), (0,), (1,)]),
+    )
+    @settings(max_examples=40, deadline=None)
+    @example(seed=1, rows=3, positions=4, n_layers=2, heads=2, utterances=2, n_values=4, n_keys=2,
+             recorded_cache=True, read=(0, 1))
+    def test_equals_per_position_chain(
+        self, seed, rows, positions, n_layers, heads, utterances, n_values, n_keys, recorded_cache, read
+    ):
+        # The loss reads the contexts, the outputs or both.
+        rng = np.random.default_rng(seed)
+        call, leaves = decoder_case(rng, rows, positions, n_layers, heads, utterances, n_values, n_keys, recorded_cache)
+
+        def run(decoder):
+            for t in leaves.values():
+                t.grad[...] = 0.0
+            with Tape() as tape:
+                outs = call(decoder)
+                terms = [weighted(outs[i], seed + i) for i in read]
+                tape.backward(terms[0] if len(terms) == 1 else add(*terms))
+            return [o.data for o in outs], {name: t.grad.copy() for name, t in leaves.items()}
+
+        (got, got_grads), (want, want_grads) = run(T.attention_decoder), run(reference_attention_decoder)
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
+        for name, g in got_grads.items():
+            w = want_grads[name]
+            assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max()), name
+
+    def test_one_tape_node_and_the_same_values_without_a_tape(self):
+        call, _ = decoder_case(np.random.default_rng(44), 3, 4, 2, 2, 2, 3, 2, recorded_cache=False)
+        with Tape() as tape:
+            taped = call(T.attention_decoder)
+        assert len(tape) == 1
+        assert [o.data.tobytes() for o in call(T.attention_decoder)] == [o.data.tobytes() for o in taped]
+
+
 FUSED_OPS = ["multi_head_attention", "additive_attention", "output_log_probs"]
 
 
@@ -422,7 +521,7 @@ class TestFusedLayers:
                 outs.append(attend(outs[0], wq, keys, values, closed, leaves["wo"]))
             loss = weighted(outs[0], seed)
             for i, out in enumerate(outs[1:]):
-                loss = T.add(loss, weighted(out, seed + 1 + i))
+                loss = add(loss, weighted(out, seed + 1 + i))
             return outs, loss
 
         fused = taped_bytes(lambda: forward(T.multi_head_attention), leaves)
@@ -460,7 +559,7 @@ class TestFusedLayers:
             terms = [weighted(out, seed + i) for i, (out, used) in enumerate(zip(outs, uses)) if used]
             loss = terms[0] if terms else weighted(outs[0], seed)
             for term in terms[1:]:
-                loss = T.add(loss, term)
+                loss = add(loss, term)
             return outs, loss
 
         fused = taped_bytes(lambda: forward(T.additive_attention), leaves)
@@ -480,7 +579,7 @@ class TestFusedLayers:
                 outs.append(layer([outs[0], leaves["d"]], leaves["w2"], leaves["b2"]))
             loss = weighted(outs[0], seed)
             for out in outs[1:]:
-                loss = T.add(loss, weighted(out, seed + 1))
+                loss = add(loss, weighted(out, seed + 1))
             return outs, loss
 
         fused = taped_bytes(lambda: forward(T.output_log_probs), leaves)
@@ -537,7 +636,7 @@ class TestFusedLayers:
             outs = call()
             total = weighted(outs[0], 0)
             for i, out in enumerate(outs[1:]):
-                total = T.add(total, weighted(out, i + 1))
+                total = add(total, weighted(out, i + 1))
             return total
 
         check_grads(loss, params)
@@ -674,23 +773,23 @@ class TestRowwiseOps:
 
     def test_softmax_rows_with_different_dropped_entries(self):
         x = T.parameter([[0.2, NEG_INF, -0.4, 1.0], [NEG_INF, 0.5, 0.3, NEG_INF], [0.1, 0.2, 0.3, 0.4]])
-        out = T.softmax(x)
+        out = softmax(x)
         for row, got in zip(x.data, out.data):
             kept = row != NEG_INF
             e = np.exp(row[kept] - row[kept].max())
             assert np.abs(got[kept] - e / e.sum()).max() < 1e-15
             assert np.all(got[~kept] == 0.0)
-        check_grads(lambda: weighted(T.softmax(x), 2), {"x": x})
+        check_grads(lambda: weighted(softmax(x), 2), {"x": x})
         assert np.all(x.grad[x.data == NEG_INF] == 0.0)
         with pytest.raises(ValueError, match="no unmasked entry"):
-            T.softmax(T.constant([[0.0, 1.0], [NEG_INF, NEG_INF]]))
+            softmax(T.constant([[0.0, 1.0], [NEG_INF, NEG_INF]]))
 
     def test_log_softmax_rows(self):
         x = T.parameter(np.random.default_rng(21).normal(size=(3, 5)))
-        out = T.log_softmax(x)
+        out = log_softmax(x)
         for row, got in zip(x.data, out.data):
-            assert np.array_equal(got, T.log_softmax(T.constant(row)).data)
-        check_grads(lambda: weighted(T.log_softmax(x), 3), {"x": x})
+            assert np.array_equal(got, log_softmax(T.constant(row)).data)
+        check_grads(lambda: weighted(log_softmax(x), 3), {"x": x})
 
     def test_lstm_cell_rows(self):
         rng = np.random.default_rng(22)
@@ -707,7 +806,7 @@ class TestRowwiseOps:
 
         def forward():
             h, c = T.lstm_cell(x, h0, c0, p)
-            return T.add(weighted(h, 4), weighted(c, 5))
+            return add(weighted(h, 4), weighted(c, 5))
 
         check_grads(forward, {"x": x, "h0": h0, "c0": c0, "w": p.w, "b": p.b}, tol=1e-5)
         with pytest.raises(ValueError, match="state shapes"):
@@ -729,11 +828,11 @@ class TestRowwiseOps:
         keys = T.parameter(rng.normal(size=(4, 2)))
         query = T.parameter(rng.normal(size=(rows, 2)))
         v = T.parameter(rng.normal(size=2))
-        out = T.additive_scores(keys, query, v)
+        out = additive_scores(keys, query, v)
         for q, got in zip(query.data, out.data):
             assert np.abs(got - np.tanh(keys.data + q) @ v.data).max() < 1e-15
         params = {"keys": keys, "query": query, "v": v}
-        check_grads(lambda: weighted(T.additive_scores(keys, query, v), 7), params)
+        check_grads(lambda: weighted(additive_scores(keys, query, v), 7), params)
 
     @pytest.mark.parametrize("rows", [1, 8, 21])
     def test_additive_scores_forward_only_equals_taped(self, rows):
@@ -754,7 +853,7 @@ class TestRowwiseOps:
 
             def run():
                 context, alpha = T.additive_attention(query, wd, b, keys, v, score_of, closed, values)
-                return [T.additive_scores(keys, query, v).data, context.data, alpha.data]
+                return [additive_scores(keys, query, v).data, context.data, alpha.data]
 
             with T.Tape():
                 taped = run()
@@ -802,8 +901,8 @@ class TestBackward:
         x = T.constant(rng.normal(size=(1, 3)))
 
         def forward():
-            hidden = T.tanh(T.add(T.matmul_t(x, w1), b1))
-            return T.sum_(T.tanh(T.matmul_t(hidden, w2)))
+            hidden = tanh(add(T.matmul_t(x, w1), b1))
+            return T.sum_(tanh(T.matmul_t(hidden, w2)))
 
         with Tape() as tape:
             tape.backward(forward())
@@ -816,13 +915,13 @@ class TestBackward:
         used = T.parameter([1.0, 2.0])
         unused = T.parameter([3.0])
         with Tape() as tape:
-            tape.backward(T.sum_(T.tanh(used)))
+            tape.backward(T.sum_(tanh(used)))
         assert np.array_equal(unused.grad, [0.0])
 
     def test_non_scalar_loss_is_an_error(self):
         x = T.parameter([1.0, 2.0])
         with Tape() as tape:
-            out = T.tanh(x)
+            out = tanh(x)
             with pytest.raises(ValueError, match="scalar"):
                 tape.backward(out)
 
@@ -830,10 +929,10 @@ class TestBackward:
         x = T.parameter([2.0])
         with Tape() as tape:
             a = T.scale(x, 3.0)
-            b = T.tanh(a)
+            b = tanh(a)
             loss = T.sum_(b)
             tape.backward(loss)
-        fd = finite_difference(lambda: float(T.sum_(T.tanh(T.scale(x, 3.0))).data), {"x": x})
+        fd = finite_difference(lambda: float(T.sum_(tanh(T.scale(x, 3.0))).data), {"x": x})
         assert max_rel_err(x.grad, fd["x"]) < 1e-6
 
 
@@ -867,7 +966,7 @@ class TestGradientBuffers:
                 terms.append(T.sum_(T.mul(h, g)))
             loss = terms[0]
             for t in terms[1:]:
-                loss = T.add(loss, t)
+                loss = add(loss, t)
             return loss
 
         with Tape() as tape:
@@ -897,7 +996,7 @@ class TestGradientBuffers:
 
         def forward():
             keys = T.matmul_t(params["h"], params["wk"])
-            return T.sum_(T.tanh(T.matmul_t(params["q"], keys)))
+            return T.sum_(tanh(T.matmul_t(params["q"], keys)))
 
         with Tape() as tape:
             tape.backward(forward())
@@ -913,7 +1012,7 @@ class TestGradientBuffers:
         x = T.parameter(rng.normal(size=(2, 2)))
         with Tape() as tape:
             h, c = T.lstm_cell(x, T.constant(np.zeros((2, 3))), T.constant(np.zeros((2, 3))), p)
-            out = T.tanh(T.matmul_t(h, w))
+            out = tanh(T.matmul_t(h, w))
             loss = T.sum_(out)
             assert all(t.grad is T.PENDING for t in (h, c, out, loss))
             tape.backward(loss)
@@ -925,8 +1024,8 @@ class TestGradientBuffers:
         ran = []
         with Tape() as tape:
             unused = T._record(T.Tensor(x.data * 2.0), lambda: ran.append("unused"))
-            T.tanh(unused)
-            tape.backward(T.sum_(T.tanh(x)))
+            tanh(unused)
+            tape.backward(T.sum_(tanh(x)))
         assert ran == []
         assert unused.grad is None
         assert np.array_equal(x.grad, 1.0 - np.tanh(x.data) ** 2)
@@ -934,7 +1033,7 @@ class TestGradientBuffers:
     def test_second_backward_raises(self):
         x = T.parameter([0.5, -1.0])
         with Tape() as tape:
-            loss = T.sum_(T.tanh(x))
+            loss = T.sum_(tanh(x))
             tape.backward(loss)
             first = x.grad.copy()
             with pytest.raises(ValueError, match="already ran"):
@@ -949,7 +1048,7 @@ class TestDeterminismAndInvariants:
             p = T.init_lstm_params(rng, 3, 4)
             x = T.constant(rng.normal(size=(1, 3)))
             h, c = T.lstm_cell(x, T.constant(np.zeros((1, 4))), T.constant(np.zeros((1, 4))), p)
-            return T.softmax(h).data.tobytes()
+            return softmax(h).data.tobytes()
 
         assert run() == run()
 
@@ -965,7 +1064,7 @@ class TestDeterminismAndInvariants:
             c = T.constant(np.zeros((1, 4)))
             for x in xs:
                 h, c = T.lstm_cell(x, h, c, p)
-            return T.sum_(T.gather(T.log_softmax(T.matmul_t(h, w)), [1], axis=-1))
+            return T.sum_(T.gather(log_softmax(T.matmul_t(h, w)), [1], axis=-1))
 
         params = {"w": w, "lstm.w": p.w, "lstm.b": p.b}
         assert sum(t.data.size for t in params.values()) <= 200
@@ -1134,11 +1233,11 @@ def nested_tapes():
         (nested_tapes, RuntimeError, "tapes do not nest"),
         (lambda: Tape().backward(Tensor(np.array(1.0))), ValueError, "loss was not recorded on a tape"),
         (lambda: T.stack([]), ValueError, "stack needs at least one row"),
-        (lambda: T.softmax(Tensor(np.zeros((2, 2, 2)))), ValueError,
+        (lambda: softmax(Tensor(np.zeros((2, 2, 2)))), ValueError,
          r"^softmax takes a 1-D/2-D tensor, got shape \(2, 2, 2\)"),
-        (lambda: T.log_softmax(Tensor(np.zeros((2, 2, 2)))), ValueError,
+        (lambda: log_softmax(Tensor(np.zeros((2, 2, 2)))), ValueError,
          r"^log_softmax takes a 1-D/2-D tensor, got shape \(2, 2, 2\)"),
-        (lambda: T.log_softmax(T.constant([[0.0, np.nan]])), T.NonFiniteError, "non-finite logits"),
+        (lambda: log_softmax(T.constant([[0.0, np.nan]])), T.NonFiniteError, "non-finite logits"),
         (lambda: T.output_log_probs([T.constant([[0.0, np.inf]])], T.constant(np.ones((2, 2))), T.constant(np.zeros(2))),
          T.NonFiniteError, "non-finite logits"),
         (lambda: T.multi_head_attention(*attention_args(rows=3, closed=[[False, False]] * 2)), ValueError,
