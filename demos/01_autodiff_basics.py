@@ -39,12 +39,18 @@ w.data[0, 1] = orig
 fd = (hi - lo) / (2 * step)
 print(f"finite diff for w[0,1]: {fd:.10f}  (tape said {w.grad[0, 1]:.10f})")
 
-# The LSTM cell is one tape node too, with a hand-written backward; the
-# forget gate starts open (bias 1).
+# A whole LSTM layer is one tape node too, with a hand-written backward. Its
+# rows are grouped by step, longest sequence first: two sequences of 3 and
+# 2 steps advance 2, 2 and then 1 rows. The forget gate starts open (bias 1).
 rng = np.random.default_rng(0)
-cell = T.init_lstm_params(rng, input_dim=3, hidden=4)
-h, c = T.lstm_cell(T.constant(rng.normal(size=(1, 3))), T.constant(np.zeros((1, 4))), T.constant(np.zeros((1, 4))), cell)
-print("\nlstm h:", np.round(h.data[0], 4))
+layer = T.init_lstm_params(rng, input_dim=3, hidden=4)
+x = T.constant(rng.normal(size=(5, 3)))
+with T.Tape() as tape:
+    h = T.lstm_layer(x, [2, 2, 1], layer)
+    nodes = len(tape)
+    tape.backward(T.sum_(h))
+print(f"\nlstm_layer: {nodes} tape node, last h {np.round(h.data[-1], 4)}")
+print("dsum(h)/db, input gates:", np.round(layer.b.grad[:4], 4))
 
 # Adam with global-norm clipping drives a small quadratic to zero.
 p = T.parameter([4.0, -7.0])

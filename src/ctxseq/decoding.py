@@ -187,8 +187,8 @@ def beam_search(
         closed = np.array([compute_mask(prefixes, p) for p in states.tolist()])[of_state]
         rows_audio = AudioCache(frames.keys, frames.values, frames.closed[owner])
         log_probs, (alpha, cols), state = model.step(y_prev, state, rows_audio, h_z, closed, bias_keys)
-        alphas.append((cols, alpha.data))
-        step_model = log_model[:, None] + log_probs.data
+        alphas.append((cols, alpha))
+        step_model = log_model[:, None] + log_probs
         step_fusion = log_fusion[:, None] + f_inc[f_state]
         total = step_model + cfg.lam * step_fusion
         # Rows in sequence order and of equal length make flat index order

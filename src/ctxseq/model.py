@@ -5,24 +5,24 @@ step the decoder state queries two attentions: multi-head content attention
 over encoder frames, and a single additive attention over embedded context
 phrases (index 0 of which is a learnable "no-bias" vector). The two context
 vectors are concatenated and fed both to the output softmax and to the next
-decoder step. Each layer of a decode step is one tape node: the decoder's
+decoder step. A decode step runs forward only, on arrays: the decoder's
 LSTM cells (`tensor.lstm_cell`), the audio attention
 (`tensor.multi_head_attention`), the phrase attention
-(`tensor.additive_attention`, after the gathers that keep only the rows open
-for some query, whose weights it returns with their indices) and the output
-layer with its log-softmax (`tensor.output_log_probs`).
+(`tensor.additive_attention`, over only the rows open for some query, whose
+weights it returns with their indices) and the output layer with its
+log-softmax (`tensor.output_layer`).
 
-Every step runs on rows: B token ids, (B, ·) states and a boolean (B, N+1)
-`closed` mask. The beam search advances all of its live hypotheses in one
-call. The training loss knows every position's input token, so it runs the
-whole teacher-forced decoder of a minibatch, one row per utterance, as one
-`tensor.attention_decoder` node, then the output layer once over every
-position. Both encoders share one longest-first LSTM pass, `_longest_first`,
-in which each layer is one `tensor.lstm_layer` node: the phrase encoder runs
-it over the whole phrase list, and the audio encoder over all utterances of
-a batch. An `AudioCache` carries one boolean frame-mask row per utterance,
-so row b reads only its own utterance's frames; one utterance is one
-all-False row.
+Every step runs on rows: B token ids, (B, ·) state arrays and a boolean
+(B, N+1) `closed` mask. The beam search advances all of its live hypotheses
+in one call. The training loss knows every position's input token, so it
+runs the whole teacher-forced decoder of a minibatch, one row per
+utterance, as one `tensor.attention_decoder` tape node with the step's
+arithmetic, then `tensor.output_log_probs` once over every position. Both
+encoders share one longest-first LSTM pass, `_longest_first`, in which each
+layer is one `tensor.lstm_layer` node: the phrase encoder runs it over the
+whole phrase list, and the audio encoder over all utterances of a batch.
+An `AudioCache` carries one boolean frame-mask row per utterance, so row b
+reads only its own utterance's frames; one utterance is one all-False row.
 """
 
 from __future__ import annotations
@@ -67,16 +67,15 @@ class ModelConfig:
 @dataclass
 class DecoderStepState:
     """Per-layer (h, c) LSTM states plus the previous concatenated context,
-    each a (B, ·) stack of B rows."""
+    each a (B, ·) array of B rows."""
 
-    layers: list[tuple[Tensor, Tensor]]
-    context: Tensor  # (B, attention_dim + bias_encoder_units)
+    layers: list[tuple[np.ndarray, np.ndarray]]
+    context: np.ndarray  # (B, attention_dim + bias_encoder_units)
 
     def take(self, index) -> "DecoderStepState":
         """Rows `index` of the state, in that order; repeats allowed."""
         return DecoderStepState(
-            layers=[(T.gather(h, index), T.gather(c, index)) for h, c in self.layers],
-            context=T.gather(self.context, index),
+            layers=[(h[index], c[index]) for h, c in self.layers], context=self.context[index]
         )
 
 
@@ -226,7 +225,7 @@ class Recognizer:
         wq = [self.params[f"audio_attn.{h}.wq"] for h in heads]
         return wq, cache.keys, cache.values, cache.closed, self.params["audio_attn.wo"]
 
-    def attend_audio(self, d_t: Tensor, cache: AudioCache) -> Tensor:
+    def attend_audio(self, d_t: np.ndarray, cache: AudioCache) -> np.ndarray:
         """Multi-head scaled-dot attention of B decoder-state rows over the
         frames of `cache`; row b reads only the frames that row b of
         `cache.closed` leaves open, or those of its one row if it has one."""
@@ -256,23 +255,23 @@ class Recognizer:
 
     def attend_bias(
         self,
-        d_t: Tensor,
+        d_t: np.ndarray,
         h_z: Tensor,
         closed: np.ndarray,
         keys: tuple[Tensor, np.ndarray],
-    ) -> tuple[Tensor, tuple[Tensor, np.ndarray]]:
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """Additive attention over phrase embeddings; the boolean `closed` is
         true on the entries a query row may not read.
 
-        `d_t` is B decoder-state rows, `closed` is (B, N+1) and `keys` is
-        (key rows, key index) as `embed_phrases` gives them: row i of `h_z`
-        reads key row `index[i]`. Returns the bias context and
+        `d_t` is B decoder-state rows, `closed` is (B, N+1), and `h_z` and
+        `keys` = (key rows, key index) are as `embed_phrases` gives them:
+        row i of `h_z` reads key row `index[i]`. Returns the bias context and
         `(alpha, rows)`: `rows` indexes the rows of h_z (index 0 being
         no-bias) that are open for some query, and alpha has one weight per
         query and such row; every other row's weight is exactly zero. Only
-        those rows are gathered, each distinct key among them once, around
-        one `tensor.additive_attention` node; a row closed for query b is
-        -inf in b's scores, so it gets exactly zero weight and gradient.
+        those rows, and each distinct key among them once, are read by
+        `tensor.additive_attention`; a row closed for query b is -inf in b's
+        scores, so it gets exactly zero weight.
         """
         n_rows = h_z.data.shape[0]
         closed = np.asarray(closed)
@@ -283,17 +282,17 @@ class Recognizer:
         if closed[:, 0].any():
             raise ValueError("the no-bias slot (index 0) must never be masked")
         rows = np.flatnonzero(~closed.all(axis=0))
+        values = h_z.data
         if len(rows) < n_rows:
-            h_z = T.gather(h_z, rows)
-            closed = closed[:, rows]
+            values, closed = values[rows], closed[:, rows]
         # Open row i reads the score of key row scored[score_of[i]].
-        key_rows, key_of = keys
+        key_rows, key_of = keys[0].data, keys[1]
         scored, score_of = np.unique(key_of[rows], return_inverse=True)
-        if len(scored) < key_rows.data.shape[0]:
-            key_rows = T.gather(key_rows, scored)
+        if len(scored) < len(key_rows):
+            key_rows = key_rows[scored]
         p = self.params
         context, alpha = T.additive_attention(
-            d_t, p["bias_attn.wd"], p["bias_attn.b"], key_rows, p["bias_attn.v"], score_of, closed, h_z
+            d_t, p["bias_attn.wd"], p["bias_attn.b"], key_rows, p["bias_attn.v"], score_of, closed, values
         )
         return context, (alpha, rows)
 
@@ -301,21 +300,18 @@ class Recognizer:
 
     def initial_state(self, rows: int) -> DecoderStepState:
         """Zero states of `rows` rows."""
-        layers = [
-            (T.constant(np.zeros((rows, p.hidden))), T.constant(np.zeros((rows, p.hidden))))
-            for p in self.decoder
-        ]
-        return DecoderStepState(
-            layers=layers, context=T.constant(np.zeros((rows, self.config.context_width)))
-        )
+        layers = [(np.zeros((rows, p.hidden)), np.zeros((rows, p.hidden))) for p in self.decoder]
+        return DecoderStepState(layers=layers, context=np.zeros((rows, self.config.context_width)))
 
-    def decoder_step(self, y_prev, state: DecoderStepState) -> tuple[Tensor, DecoderStepState]:
+    def decoder_step(self, y_prev, state: DecoderStepState) -> tuple[np.ndarray, DecoderStepState]:
         """Advance the decoder LSTM on the previous tokens and previous context:
         `y_prev` holds B token ids for a state of B rows."""
         ids = np.asarray(y_prev)
+        if ids.ndim != 1:
+            raise ValueError(f"decoder_step needs a 1-D array of token ids, got shape {ids.shape}")
         if np.any((ids < 0) | (ids >= len(self.vocab))):
             raise KeyError(f"unknown token id {y_prev}")
-        x = T.concat([T.gather(self.params["embedding"], ids), state.context])
+        x = np.concatenate([self.params["embedding"].data[ids], state.context], axis=-1)
         new_layers = []
         for p, (h, c) in zip(self.decoder, state.layers):
             h, c = T.lstm_cell(x, h, c, p)
@@ -331,7 +327,7 @@ class Recognizer:
         h_z: Tensor,
         closed: np.ndarray,
         bias_keys: tuple[Tensor, np.ndarray],
-    ) -> tuple[Tensor, tuple[Tensor, np.ndarray], DecoderStepState]:
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], DecoderStepState]:
         """One full decode step: returns (log-probs, bias attention, new state).
 
         B token ids with a state of B rows and a boolean (B, N+1) `closed`;
@@ -341,8 +337,9 @@ class Recognizer:
         d_t, state = self.decoder_step(y_prev, state)
         c_x = self.attend_audio(d_t, audio)
         c_z, attention = self.attend_bias(d_t, h_z, closed, bias_keys)
-        c_t = T.concat([c_x, c_z])
-        log_probs = T.output_log_probs([c_t, d_t], self.params["output.w"], self.params["output.b"])
+        c_t = np.concatenate([c_x, c_z], axis=-1)
+        p = self.params
+        log_probs = T.output_layer(np.concatenate([c_t, d_t], axis=-1), p["output.w"], p["output.b"])
         return log_probs, attention, replace(state, context=c_t)
 
     # -- training loss ---------------------------------------------------------

@@ -2,33 +2,31 @@
 
 Everything is deliberately small: 1-D/2-D arrays, the handful of ops a stacked
 recurrent attention model needs, and an Adam optimizer. There is one row
-layout: `lstm_cell`, `matmul_t` and the fused layers below take (B, D) stacks
-of B rows (B may be 1), `lstm_layer` takes the rows of every step of a batch
-stacked step by step, `attention_decoder` every position's rows stacked
-position by position, `matmul` takes two matrices, and none takes a vector.
-So a training step, a beam step over B hypotheses and the phrase encoder
-over a whole list run the same arithmetic. `mul` and `scale` are
-shape-agnostic; `concat` works over the last axis, and `gather` selects rows
-or last-axis entries (a column range is `gather` over
-`np.arange(start, stop)`).
+layout: `matmul_t`, `output_log_probs` and the beam step's ops take (B, D)
+stacks of B rows (B may be 1), `lstm_layer` takes the rows of every step of
+a batch stacked step by step, `attention_decoder` every position's rows
+stacked position by position, `matmul` takes two matrices, and none takes a
+vector. So a training step, a beam step over B hypotheses and the phrase
+encoder over a whole list run the same arithmetic. `mul` and `scale` are
+shape-agnostic, and `gather` selects rows or last-axis entries (a column
+range is `gather` over `np.arange(start, stop)`).
 
-Each layer of the model's step is one tape node, with a hand-written backward
-that does the arithmetic of the op chain it replaces in the chain's order, so
-values and gradients keep their bits (the element-wise fusion of Appleyard,
-Kočiský & Blunsom 2016): `lstm_cell` replaces twelve nodes,
-`multi_head_attention` six per head and two more, `additive_attention` six or
-seven and `output_log_probs` four. The chains, and the elementwise, softmax
-and additive-score ops only they use, are the tests' oracles. `lstm_layer`
-runs a whole LSTM layer as one node, with its input products hoisted out of
-the step loop into one GEMM (the GEMM hoist of the same paper), and
-`attention_decoder` runs every position of the teacher-forced decoder (its
-LSTM layers and both attentions) as one node; they share the per-step ops'
-arithmetic through the same helpers and match chains of those ops up to
-rounding in the last bits. Ops executed outside a `Tape` context run
-forward-only, which is the path used during decoding; there the additive
-scores make their (B, U, A) tanh block a few query rows at a time, and
-additive attention with some entry closed scores each query row only against
-the keys of its own open entries.
+Training records fused tape nodes with hand-written backwards (the
+element-wise fusion of Appleyard, Kočiský & Blunsom 2016): `lstm_layer` runs
+an LSTM layer as one node, with its input products hoisted out of the step
+loop into one GEMM (the GEMM hoist of the same paper); `attention_decoder`
+runs every position of the teacher-forced decoder, its LSTM layers and both
+attentions, as one node; and `output_log_probs` keeps the bits of the op
+chain it replaced. The chains, and the primitive ops only they use, are the
+tests' oracles; the two layers match chains of them up to rounding in the
+last bits.
+
+The beam runs forward only, on arrays: `lstm_cell`, `multi_head_attention`,
+`additive_attention` and `output_layer` take and return numpy arrays, with
+the training nodes' arithmetic through the same helpers, so no beam value
+can enter a taped graph. The additive scores make their (B, U, A) tanh
+block a few query rows at a time, and with some entry closed they score
+each query row only against the keys of its own open entries.
 
 A training step does each weight's weight-sized work once:
 
@@ -36,11 +34,11 @@ A training step does each weight's weight-sized work once:
   `Tape.backward` skips a node none of whose outputs received a gradient and
   drops a node's output gradients once its backward has run, so afterwards
   only leaves (parameters) hold gradients.
-- The weight of `matmul_t`, of `lstm_cell`, of `lstm_layer` and of the fused
-  layers' input and output projections, when it is a leaf, is not given a
-  gradient per use: each use hands its (output gradient, input) rows to its
-  tape, and the end of `Tape.backward` adds `G.T @ X` over the stacked rows
-  of all uses, one GEMM per weight (the backward half of the GEMM hoist of
+- The weight of `matmul_t`, of `lstm_layer` and of the fused layers' input
+  and output projections, when it is a leaf, is not given a gradient per
+  use: each use hands its (output gradient, input) rows to its tape, and
+  the end of `Tape.backward` adds `G.T @ X` over the stacked rows of all
+  uses, one GEMM per weight (the backward half of the GEMM hoist of
   Appleyard et al.); a weight with one use, as every weight of a training
   step has, gives its rows to the GEMM without a stacking copy. A recorded
   weight gets its gradient at once, because the node that produced it reads
@@ -266,24 +264,6 @@ def scale(a: Tensor, k: float) -> Tensor:
     return _record(out, backward)
 
 
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Join 1-D tensors, or (B, D_i) tensors with equal B, along the last axis."""
-    ndim = parts[0].data.ndim if parts else 1
-    for p in parts:
-        if p.data.ndim != ndim or ndim not in (1, 2):
-            raise ValueError(f"concat takes all 1-D or all 2-D tensors, got shape {p.shape}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
-    sizes = [p.data.shape[-1] for p in parts]
-
-    def backward():
-        pos = 0
-        for p, n in zip(parts, sizes):
-            _accum(p, out.grad[..., pos : pos + n])
-            pos += n
-
-    return _record(out, backward)
-
-
 def stack(blocks: Sequence[Tensor]) -> Tensor:
     """Stack rows into a matrix: a 1-D tensor adds one row, a 2-D tensor
     adds all of its rows. Every row must have the same width."""
@@ -381,23 +361,23 @@ def _log_softmax_grad(g: np.ndarray, od: np.ndarray) -> np.ndarray:
 _SCORE_ROWS = 8  # query rows per tanh block of forward-only additive scores
 
 
-def _tanh_scores(kd: np.ndarray, qd: np.ndarray, vd: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The (B, U) scores `v . tanh(keys[u] + query[b])` and, on a tape, the
-    (B, U, A) tanh block their backward reads.
-
-    Forward only, nothing keeps that block: it is made a few query rows at a
-    time, which bounds its size when a beam steps many rows, and None is
-    returned for it. Each row's scores keep their bits. Every query row is
-    scored against every key; `_open_scores` scores only the pairs a mask
-    leaves open.
-    """
-    if Tape._active is None:
-        return np.concatenate([
-            np.tanh(kd + qd[i : i + _SCORE_ROWS, None, :]) @ vd for i in range(0, len(qd), _SCORE_ROWS)
-        ]), None
+def _tanh_block(kd: np.ndarray, qd: np.ndarray, vd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, U) scores `v . tanh(keys[u] + query[b])` and the (B, U, A)
+    tanh block their backward reads."""
     t = kd + qd[:, None, :]
     np.tanh(t, out=t)
     return t @ vd, t
+
+
+def _tanh_scores(kd: np.ndarray, qd: np.ndarray, vd: np.ndarray) -> np.ndarray:
+    """The scores of `_tanh_block`, with each row's bits, for a caller that
+    keeps no block: it is made a few query rows at a time, which bounds its
+    size when a beam steps many rows. Every query row is scored against
+    every key; `_open_scores` scores only the pairs a mask leaves open.
+    """
+    return np.concatenate([
+        np.tanh(kd + qd[i : i + _SCORE_ROWS, None, :]) @ vd for i in range(0, len(qd), _SCORE_ROWS)
+    ])
 
 
 def _open_scores(kd: np.ndarray, qd: np.ndarray, vd: np.ndarray, score_of: np.ndarray, closed: np.ndarray) -> np.ndarray:
@@ -407,7 +387,7 @@ def _open_scores(kd: np.ndarray, qd: np.ndarray, vd: np.ndarray, score_of: np.nd
 
     Only the (row, distinct key) pairs that some open entry of the row reads
     are scored, a few query rows' worth of pairs at a time, as
-    `_tanh_scores` makes its block. Cells are flat indices into row-major
+    `_tanh_scores` makes its blocks. Cells are flat indices into row-major
     (B, R) entries and (B, U) pairs.
     """
     n_entries, n_keys = closed.shape[1], len(kd)
@@ -430,13 +410,13 @@ def _open_scores(kd: np.ndarray, qd: np.ndarray, vd: np.ndarray, score_of: np.nd
 
 def _tanh_args_grad(g: np.ndarray, t: np.ndarray, vd: np.ndarray) -> np.ndarray:
     """The gradient of the tanh arguments `keys[u] + query[b]` of
-    `_tanh_scores` for score gradient g: its sums over b and over u are the
+    `_tanh_block` for score gradient g: its sums over b and over u are the
     keys' and the queries' gradients."""
     return g[..., None] * vd * (1.0 - t * t)
 
 
 def _tanh_v_grad(g: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The v gradient of `_tanh_scores` for score gradient g; g and t may
+    """The v gradient of `_tanh_block` for score gradient g; g and t may
     stack the rows of several calls."""
     return t.reshape(-1, t.shape[-1]).T @ g.reshape(-1)
 
@@ -468,129 +448,88 @@ def _dot_head_grad(g_head, q, k, v, alpha, kept) -> tuple[np.ndarray, np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# fused attention and output layers
+# the beam step's attentions and output layer
 #
-# Each is one tape node whose backward does the arithmetic of the op chain it
-# replaces (named in its docstring), node by node in the chain's reverse
-# order, so values and every gradient keep their bits. The chain gave each
-# intermediate gradient a buffer of its own on its first write; here only
-# the head gradients, column ranges of the joined heads' gradient, are
-# copied, as they enter products.
+# Forward only: the queries, the bias keys and values, and every result are
+# arrays, so no result can enter a taped graph; the parameters and the audio
+# keys and values are the `Tensor`s training makes on the tape. Training runs
+# the same arithmetic, through the same helpers, in `attention_decoder` and
+# `output_log_probs`.
 
 
 def multi_head_attention(
-    query: Tensor,
+    query: np.ndarray,
     wq: Sequence[Tensor],
     keys: Sequence[Tensor],
     values: Sequence[Tensor],
     closed: np.ndarray,
     wo: Tensor,
-) -> Tensor:
+) -> np.ndarray:
     """Multi-head scaled-dot attention of a (B, D) stack of query rows.
 
     Head h scores `(query @ wq[h].T) @ keys[h].T / sqrt(head width)`, adds
     -inf where the boolean `closed` is true and reads `softmax @ values[h]`;
     the heads are joined along the last axis and projected by `wo`.
     `closed` is (B, K), one row per query row, or (1, K), one row that every
-    query row reads. The chain: per head matmul_t, matmul_t, scale, add of
-    the -inf mask, softmax, matmul; then concat and matmul_t.
+    query row reads.
     """
-    qd, wod = query.data, wo.data
-    if qd.ndim != 2:
+    if query.ndim != 2:
         raise ValueError(f"multi_head_attention needs a (B, D) query, got shape {query.shape}")
-    if closed.ndim != 2 or closed.shape[0] not in (1, qd.shape[0]) or closed.shape[1] != keys[0].data.shape[0]:
+    if closed.ndim != 2 or closed.shape[0] not in (1, query.shape[0]) or closed.shape[1] != keys[0].data.shape[0]:
         raise ValueError(f"multi_head_attention shape mismatch: query {query.shape}, closed {closed.shape}")
-    kept, cd = _kept(closed), np.where(closed, NEG_INF, 0.0)
-    qs = [qd @ w.data.T for w in wq]
-    kd, vd = [k.data for k in keys], [v.data for v in values]
-    cat, alphas = _dot_heads(qs, kd, vd, cd)
-    out = Tensor(cat @ wod.T)
-    rows = [(_weight_rows(w), _weight_rows(k)) for w, k in zip(wq, keys)]
-    wo_rows = _weight_rows(wo)
-
-    def backward():
-        g = out.grad
-        _accum_weight(wo, g, cat, wo_rows)
-        g_cat = g @ wod
-        starts = np.cumsum([0] + [v.shape[1] for v in vd])
-        for i in reversed(range(len(wq))):
-            g_head = np.ascontiguousarray(g_cat[:, starts[i] : starts[i + 1]])
-            _accum(values[i], alphas[i].T @ g_head)
-            g_s, g_q = _dot_head_grad(g_head, qs[i], kd[i], vd[i], alphas[i], kept)
-            _accum_weight(keys[i], g_s, qs[i], rows[i][1])
-            _accum_weight(wq[i], g_q, qd, rows[i][0])
-            _accum(query, g_q @ wq[i].data)
-
-    return _record(out, backward)
+    _kept(closed)
+    qs = [query @ w.data.T for w in wq]
+    cat, _ = _dot_heads(qs, [k.data for k in keys], [v.data for v in values], np.where(closed, NEG_INF, 0.0))
+    return cat @ wo.data.T
 
 
 def additive_attention(
-    query: Tensor,
+    query: np.ndarray,
     wd: Tensor,
     b: Tensor,
-    keys: Tensor,
+    keys: np.ndarray,
     v: Tensor,
     score_of: np.ndarray,
     closed: np.ndarray,
-    values: Tensor,
-) -> tuple[Tensor, Tensor]:
+    values: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """Additive attention of a (B, D) stack of query rows over the R rows of
     `values`; returns the (B, ·) context `alpha @ values` and the (B, R)
     weights alpha.
 
     Value row r reads the score of key row `score_of[r]` of the (U, A)
     `keys`: `v . tanh(keys[u] + query @ wd.T + b)`. Entries where the
-    boolean (B, R) `closed` is true are -inf, so they get exactly zero weight
-    and gradient. The chain: matmul_t, add, additive_scores, gather over the
-    last axis, add of the -inf mask when any entry is closed, softmax,
-    matmul. On a tape, or with nothing closed, every key is scored once per
-    query, as the chain scores them, and values and gradients keep the
-    chain's bits. Forward only with some entry closed, a query row is scored
-    only against the keys of its own open entries (`_open_scores`): closed
-    entries still get exactly zero weight, and the others match the chain up
-    to rounding in the last bits.
+    boolean (B, R) `closed` is true are -inf, so they get exactly zero
+    weight. With nothing closed every key is scored once per query row, as
+    `attention_decoder` scores them, and the values keep its bits. With some
+    entry closed, a query row is scored only against the keys of its own
+    open entries (`_open_scores`), and the open entries' weights match the
+    dense scores' up to rounding in the last bits.
     """
-    dd, wdd, kd, vd = query.data, wd.data, keys.data, v.data
-    if dd.ndim != 2 or wdd.ndim != 2 or dd.shape[1] != wdd.shape[1]:
+    wdd, vd = wd.data, v.data
+    if query.ndim != 2 or wdd.ndim != 2 or query.shape[1] != wdd.shape[1]:
         raise ValueError(f"additive_attention shape mismatch: query {query.shape}, wd {wd.shape}")
-    if kd.ndim != 2 or vd.shape != kd.shape[1:] or b.data.shape != kd.shape[1:] or wdd.shape[0] != kd.shape[1]:
+    if keys.ndim != 2 or vd.shape != keys.shape[1:] or b.data.shape != keys.shape[1:] or wdd.shape[0] != keys.shape[1]:
         raise ValueError(f"additive_attention shape mismatch: keys {keys.shape}, v {v.shape}, b {b.shape}, wd {wd.shape}")
-    if closed.shape != (dd.shape[0], values.data.shape[0]) or score_of.shape != values.data.shape[:1]:
+    if closed.shape != (query.shape[0], values.shape[0]) or score_of.shape != values.shape[:1]:
         raise ValueError(
             f"additive_attention shape mismatch: closed {closed.shape}, score_of {score_of.shape}, "
             f"values {values.shape}, query {query.shape}"
         )
-    kept = _kept(closed)
-    q = dd @ wdd.T + b.data
-    if Tape._active is None and closed.any():
-        s, t = _open_scores(kd, q, vd, score_of, closed), None
+    _kept(closed)
+    q = query @ wdd.T + b.data
+    if closed.any():
+        s = _open_scores(keys, q, vd, score_of, closed)
     else:
-        scores, t = _tanh_scores(kd, q, vd)
-        s = scores[..., score_of]
-        if closed.any():
-            s = s + np.where(closed, NEG_INF, 0.0)
-    ad = _softmax(s)
-    context, alpha = Tensor(ad @ values.data), Tensor(ad)
-    wd_rows = _weight_rows(wd)
+        s = _tanh_scores(keys, q, vd)[..., score_of]
+    alpha = _softmax(s)
+    return alpha @ values, alpha
 
-    def backward():
-        # The tape runs this once either output has a gradient; the other
-        # may have none.
-        g_alpha = alpha.grad
-        if context.grad is not PENDING:
-            g_read = context.grad @ values.data.T
-            g_alpha = g_read if g_alpha is PENDING else g_alpha + g_read
-            _accum(values, ad.T @ context.grad)
-        g_scores = _score_grad(g_alpha, ad, kept, score_of, len(kd))
-        g_args = _tanh_args_grad(g_scores, t, vd)
-        _accum(v, _tanh_v_grad(g_scores, t))
-        _accum(keys, g_args.sum(axis=0))
-        g_q = g_args.sum(axis=1)
-        _accum(b, g_q.sum(axis=0))
-        _accum_weight(wd, g_q, dd, wd_rows)
-        _accum(query, g_q @ wdd)
 
-    return _record(context, backward, alpha), alpha
+def output_layer(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    """`log_softmax(x @ w.T + b)` of a (B, D) stack of rows, the arithmetic
+    of `output_log_probs`. Non-finite logits raise NonFiniteError."""
+    return _log_softmax_rows(x @ w.data.T + b.data)
 
 
 def output_log_probs(parts: Sequence[Tensor], w: Tensor, b: Tensor) -> Tensor:
@@ -604,7 +543,7 @@ def output_log_probs(parts: Sequence[Tensor], w: Tensor, b: Tensor) -> Tensor:
     if any(p.data.ndim != 2 for p in parts) or wd.ndim != 2 or wd.shape[1] != sum(sizes) or b.data.shape != wd.shape[:1]:
         raise ValueError(f"output_log_probs shape mismatch: parts {[p.shape for p in parts]}, w {w.shape}, b {b.shape}")
     x = np.concatenate([p.data for p in parts], axis=-1)
-    out = Tensor(_log_softmax_rows(x @ wd.T + b.data))
+    out = Tensor(output_layer(x, w, b))
     w_rows = _weight_rows(w)
 
     def backward():
@@ -672,42 +611,22 @@ def _lstm_gates_grad(
 
 
 def lstm_cell(
-    x_t: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmParams
-) -> tuple[Tensor, Tensor]:
-    """One LSTM step for a (B, D) stack of B input rows and (B, H) states.
-
-    One tape node: the forward keeps the gates and tanh(c), and one backward
-    writes the input, state, weight and bias gradients. Its arithmetic is
-    that of the op-by-op cell (concat, matmul_t, add, sigmoid/tanh per gate,
-    mul), in the same order, so values and gradients have the same bits.
-    """
+    x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, params: LstmParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """One LSTM step for a (B, D) stack of B input rows and (B, H) states;
+    returns the new (h, c), forward only, with the bits of the op-by-op cell
+    (concat, matmul_t, add, sigmoid/tanh per gate, mul)."""
     h = params.hidden
-    xd, hd, cd, wd = x_t.data, h_prev.data, c_prev.data, params.w.data
+    wd = params.w.data
     expected = wd.shape[1] - h
-    if xd.ndim != 2 or xd.shape[1] != expected:
+    if x_t.ndim != 2 or x_t.shape[1] != expected:
         raise ValueError(f"lstm_cell input shape {x_t.shape} does not match weights expecting (B, {expected})")
-    rows = (xd.shape[0], h)
-    if hd.shape != rows or cd.shape != rows:
+    rows = (x_t.shape[0], h)
+    if h_prev.shape != rows or c_prev.shape != rows:
         raise ValueError(f"lstm_cell state shapes {h_prev.shape}/{c_prev.shape} do not match {rows}")
-    xh = np.concatenate([xd, hd], axis=-1)
-    act, c, tc, out = _lstm_gates(xh @ wd.T + params.b.data, cd, h)
-    c_t, h_t = Tensor(c), Tensor(out)
-    weight_rows = _weight_rows(params.w)
-
-    def backward():
-        # The tape runs this once either output has a gradient; the other
-        # may have none.
-        gh = h_t.grad if h_t.grad is not PENDING else np.zeros_like(tc)
-        d_pre, gc_prev = _lstm_gates_grad(gh, None if c_t.grad is PENDING else c_t.grad, act, cd, tc, h)
-        _accum_weight(params.w, d_pre, xh, weight_rows)
-        _accum(params.b, d_pre.sum(axis=0))
-        if x_t.grad is not None or h_prev.grad is not None:
-            d_xh = d_pre @ wd
-            _accum(x_t, d_xh[:, : xd.shape[1]])
-            _accum(h_prev, d_xh[:, xd.shape[1] :])
-        _accum(c_prev, gc_prev)
-
-    return _record(h_t, backward, c_t), c_t
+    xh = np.concatenate([x_t, h_prev], axis=-1)
+    _, c, _, out = _lstm_gates(xh @ wd.T + params.b.data, c_prev, h)
+    return out, c
 
 
 def lstm_layer(x: Tensor, live: Sequence[int], params: LstmParams) -> Tensor:
@@ -722,9 +641,9 @@ def lstm_layer(x: Tensor, live: Sequence[int], params: LstmParams) -> Tensor:
     & Blunsom 2016); `W_x` and `W_h` are column views of the fused weight.
     The backward runs the steps in reverse, then gives the input gradient in
     one GEMM and the weight one row block `[x, h_prev]` for the flush. The
-    gates are `lstm_cell`'s; values and gradients match a chain of cells up
-    to rounding in the last bits. Without a tape nothing is kept for
-    backward.
+    gates are `lstm_cell`'s; values and gradients match a chain of op-by-op
+    cells up to rounding in the last bits. Without a tape nothing is kept
+    for backward.
     """
     h = params.hidden
     xd, wd = x.data, params.w.data
@@ -796,8 +715,8 @@ def attention_decoder(
     audio = (wq, keys, values, closed, wo), then `additive_attention` with
     bias = (wd, b, keys, v, score_of, values) and no entry closed. Each
     layer's arithmetic is that of `lstm_cell` and of those two ops, through
-    the helpers they share, and values and gradients match a chain of them
-    up to rounding in the last bits:
+    the helpers they share, and values and gradients match a chain of the
+    op-by-op forms of those layers up to rounding in the last bits:
 
     - The embedding half of the first layer's input product, with its bias,
       is one GEMM over every position (the GEMM hoist of `lstm_layer`); a
@@ -861,7 +780,7 @@ def attention_decoder(
         q = q_all[r] = h @ w_q.T
         cat, a = _dot_heads([q[:, c] for c in heads], kd, vd, cd)
         ctx[r, :n_att] = cat @ wod.T
-        scores, t_b = _tanh_scores(bkd, q[:, at_bias] + bd, bvd)
+        scores, t_b = _tanh_block(bkd, q[:, at_bias] + bd, bvd)
         a_b = _softmax(scores[..., score_of])
         ctx[r, n_att:] = a_b @ hzd
         if t + 1 < n_pos:

@@ -5,16 +5,16 @@ enumeration, and direct string scanning. None of it shares code with the
 library paths it checks, except that the context-compiler reference reuses
 the library's minimization pass (it finds its own word-position facts by
 walking the determinized machine, where the library records them while it
-builds), the op chains that the fused LSTM cell, attentions and output
-layer replaced are built from the library's primitive ops and from the
-primitive ops defined here, which only those chains use (`add`, `tanh`,
+builds), the op chains of the LSTM cell, the attentions and the output
+layer are built from the library's primitive ops and from the primitive ops
+defined here, which only those chains use (`add`, `concat`, `tanh`,
 `sigmoid`, `softmax`, `log_softmax` and `additive_scores`; they take their
-softmax, log-softmax and tanh-score arithmetic from the library's fused
-layers, so a bit-identity test checks how a fused op composes and
-accumulates it), the per-position decoder chain runs the library's per-step
-ops, the per-utterance loss, per-hypothesis beam search and per-phrase bias
-encoder run the library's model ops on one row at a time, the per-row bias
-attention runs them with one key per row, the enumeration
+softmax, log-softmax and tanh-score arithmetic from the library's helpers,
+so a bit-identity test checks how a fused op composes and accumulates it),
+the per-position decoder, the per-utterance loss and the per-phrase bias
+encoder run those chains one row at a time, the per-row bias attention runs
+them with one key per row, the per-hypothesis beam search runs the
+library's `Recognizer.step` one row at a time, the enumeration
 oracle embeds its list with the library's `embed_phrases`, and the beam,
 enumeration and gain-bound oracles score fusion through the library
 scorer's `score_step`/`finish`, whose table `reference_score_step` checks.
@@ -473,7 +473,7 @@ def enumerate_best(model, audio, phrases, max_len: int, lam: float, fusion=None)
         if len(tokens) == max_len:
             return
         log_probs, _, new_state = model.step([y_prev], state, audio, h_z, closed, keys)
-        lp = log_probs.data[0]
+        lp = log_probs[0]
         for v in range(len(vocab)):
             f2, finc = fusion_step(fusion, fstate, vocab.symbols[v])
             if v == vocab.eos:
@@ -530,6 +530,24 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def backward():
         T._accum(a, out.grad)
         T._accum(b, out.grad.sum(axis=0) if broadcast else out.grad)
+
+    return T._record(out, backward)
+
+
+def concat(parts) -> Tensor:
+    """Join 1-D tensors, or (B, D_i) tensors with equal B, along the last axis."""
+    ndim = parts[0].data.ndim if parts else 1
+    for p in parts:
+        if p.data.ndim != ndim or ndim not in (1, 2):
+            raise ValueError(f"concat takes all 1-D or all 2-D tensors, got shape {p.shape}")
+    out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
+    sizes = [p.data.shape[-1] for p in parts]
+
+    def backward():
+        pos = 0
+        for p, n in zip(parts, sizes):
+            T._accum(p, out.grad[..., pos : pos + n])
+            pos += n
 
     return T._record(out, backward)
 
@@ -593,7 +611,7 @@ def additive_scores(keys: Tensor, query: Tensor, v: Tensor) -> Tensor:
     kd, qd, vd = keys.data, query.data, v.data
     if kd.ndim != 2 or qd.ndim != 2 or vd.shape != kd.shape[1:] or qd.shape[1] != kd.shape[1]:
         raise ValueError(f"additive_scores shape mismatch: keys {keys.shape}, query {query.shape}, v {v.shape}")
-    scores, t = T._tanh_scores(kd, qd, vd)
+    scores, t = T._tanh_block(kd, qd, vd)
     out = Tensor(scores)
 
     def backward():
@@ -606,14 +624,14 @@ def additive_scores(keys: Tensor, query: Tensor, v: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# op chains of the fused tensor ops, and the per-utterance training loss
+# op chains of the step's layers, and the per-utterance training loss
 
 
 def reference_lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, params: T.LstmParams) -> tuple[Tensor, Tensor]:
     """`tensor.lstm_cell` as a chain of twelve primitive ops, each its own
     tape node."""
     h = params.hidden
-    pre = add(T.matmul_t(T.concat([x_t, h_prev]), params.w), params.b)
+    pre = add(T.matmul_t(concat([x_t, h_prev]), params.w), params.b)
     i = sigmoid(T.gather(pre, np.arange(0, h), axis=-1))
     f = sigmoid(T.gather(pre, np.arange(h, 2 * h), axis=-1))
     g = tanh(T.gather(pre, np.arange(2 * h, 3 * h), axis=-1))
@@ -637,8 +655,7 @@ def reference_lstm_layer(x: Tensor, live, p: T.LstmParams) -> Tensor:
 
 
 def reference_attend_audio(query: Tensor, wq, keys, values, closed, wo: Tensor) -> Tensor:
-    """`tensor.multi_head_attention` as the chain `Recognizer.attend_audio`
-    ran before it: per head matmul_t, matmul_t, scale, add of the -inf
+    """`tensor.multi_head_attention` as a chain: per head matmul_t, matmul_t, scale, add of the -inf
     constant the boolean `closed` gives (one row per query row, or one row
     every query row reads), softmax and matmul, then concat and matmul_t,
     each its own tape node."""
@@ -649,12 +666,12 @@ def reference_attend_audio(query: Tensor, wq, keys, values, closed, wo: Tensor) 
         mask = np.where(np.broadcast_to(closed, scores.data.shape), T.NEG_INF, 0.0)
         scores = add(scores, T.constant(mask))
         heads.append(T.matmul(softmax(scores), v))
-    return T.matmul_t(T.concat(heads), wo)
+    return T.matmul_t(concat(heads), wo)
 
 
 def reference_additive_attention(query: Tensor, wd, b, keys, v, score_of, closed, values) -> tuple[Tensor, Tensor]:
-    """`tensor.additive_attention` as the chain `Recognizer.attend_bias` ran
-    before it: matmul_t, add, additive_scores, gather, add of the -inf mask,
+    """`tensor.additive_attention` as a chain: matmul_t, add,
+    additive_scores, gather, add of the -inf mask when any entry is closed,
     softmax and matmul, each its own tape node."""
     scores = additive_scores(keys, add(T.matmul_t(query, wd), b), v)
     scores = T.gather(scores, score_of, axis=-1)
@@ -665,18 +682,18 @@ def reference_additive_attention(query: Tensor, wd, b, keys, v, score_of, closed
 
 
 def reference_output_log_probs(parts, w: Tensor, b: Tensor) -> Tensor:
-    """`tensor.output_log_probs` as the chain `Recognizer.step` ran before
-    it: concat, matmul_t, add and log_softmax, each its own tape node."""
-    return log_softmax(add(T.matmul_t(T.concat(parts), w), b))
+    """`tensor.output_log_probs` as a chain: concat, matmul_t, add and
+    log_softmax, each its own tape node."""
+    return log_softmax(add(T.matmul_t(concat(parts), w), b))
 
 
 def reference_attention_decoder(ids: np.ndarray, embedding: Tensor, layers, audio, bias) -> tuple[Tensor, Tensor]:
-    """`tensor.attention_decoder` as the per-position loop
-    `Recognizer.forward_loss` ran before it: per position a gather of the
-    input tokens' embedding rows, a concat with the previous context, one
-    `lstm_cell` per layer, `multi_head_attention`, `additive_attention`
-    with nothing closed and the context concat, each its own tape node; then
-    one stack of every position's contexts and one of its outputs."""
+    """`tensor.attention_decoder` as a per-position loop of op chains: per
+    position a gather of the input tokens' embedding rows, a concat with the
+    previous context, one `reference_lstm_cell` per layer,
+    `reference_attend_audio`, `reference_additive_attention` with nothing
+    closed and the context concat; then one stack of every position's
+    contexts and one of its outputs."""
     wq, keys, values, closed, wo = audio
     wd, b, bias_keys, v, score_of, h_z = bias
     rows = ids.shape[1]
@@ -685,13 +702,13 @@ def reference_attention_decoder(ids: np.ndarray, embedding: Tensor, layers, audi
     nothing_closed = np.zeros((rows, len(score_of)), dtype=bool)
     contexts, outputs = [], []
     for tokens in ids:
-        x = T.concat([T.gather(embedding, tokens), context])
+        x = concat([T.gather(embedding, tokens), context])
         for l, p in enumerate(layers):
-            states[l] = T.lstm_cell(x, *states[l], p)
+            states[l] = reference_lstm_cell(x, *states[l], p)
             x = states[l][0]
-        c_x = T.multi_head_attention(x, wq, keys, values, closed, wo)
-        c_z, _ = T.additive_attention(x, wd, b, bias_keys, v, score_of, nothing_closed, h_z)
-        context = T.concat([c_x, c_z])
+        c_x = reference_attend_audio(x, wq, keys, values, closed, wo)
+        c_z, _ = reference_additive_attention(x, wd, b, bias_keys, v, score_of, nothing_closed, h_z)
+        context = concat([c_x, c_z])
         contexts.append(context)
         outputs.append(x)
     return T.stack(contexts), T.stack(outputs)
@@ -699,27 +716,33 @@ def reference_attention_decoder(ids: np.ndarray, embedding: Tensor, layers, audi
 
 def reference_forward_loss(model, x: np.ndarray, bias: tuple, target: list[int]) -> Tensor:
     """`Recognizer.forward_loss` for one utterance: the encoder one frame at a
-    time, then one one-row model step per target position."""
+    time, then `reference_attention_decoder` over one row and
+    `reference_output_log_probs`, and the loss one position at a time."""
     seq = [T.constant(x[k : k + 1]) for k in range(len(x))]
     for p in model.encoder:
         h = T.constant(np.zeros((1, p.hidden)))
         c = T.constant(np.zeros((1, p.hidden)))
         out = []
         for frame in seq:
-            h, c = T.lstm_cell(frame, h, c, p)
+            h, c = reference_lstm_cell(frame, h, c, p)
             out.append(h)
         seq = out
     audio = model.precompute_audio(T.stack(seq))
-    h_z, bias_keys = bias
-    closed = np.zeros((1, h_z.data.shape[0]), dtype=bool)
-    state = model.initial_state(1)
-    y_prev = model.vocab.sos
+    h_z, (key_rows, key_of) = bias
+    p = model.params
+    ids = np.array([[model.vocab.sos] + list(target[:-1])]).T
+    contexts, outputs = reference_attention_decoder(
+        ids,
+        p["embedding"],
+        model.decoder,
+        model._audio_attention(audio),
+        (p["bias_attn.wd"], p["bias_attn.b"], key_rows, p["bias_attn.v"], key_of, h_z),
+    )
+    log_probs = reference_output_log_probs([contexts, outputs], p["output.w"], p["output.b"])
     loss = None
-    for y in target:
-        log_probs, _, state = model.step([y_prev], state, audio, h_z, closed, bias_keys)
-        nll = T.scale(T.gather(log_probs, [y], axis=-1), -1.0)
+    for t, y in enumerate(target):
+        nll = T.scale(T.gather(T.gather(log_probs, [t]), [y], axis=-1), -1.0)
         loss = nll if loss is None else add(loss, nll)
-        y_prev = y
     return T.sum_(loss)
 
 
@@ -739,34 +762,32 @@ def reference_encode_bias(model, phrases) -> Tensor:
         h = T.constant(np.zeros((1, p.hidden)))
         c = T.constant(np.zeros((1, p.hidden)))
         for tok in tokens:
-            h, c = T.lstm_cell(T.gather(emb, [model.vocab.index(tok)]), h, c, p)
+            h, c = reference_lstm_cell(T.gather(emb, [model.vocab.index(tok)]), h, c, p)
         rows.append(h)
     return T.stack(rows)
 
 
-def full_alpha(attention: tuple[Tensor, np.ndarray], width: int) -> Tensor:
+def full_alpha(attention: tuple[np.ndarray, np.ndarray], width: int) -> np.ndarray:
     """The (B, width) weights of `Recognizer.attend_bias`'s `(alpha, rows)`:
-    column `rows[j]` reads alpha's column j, every other column is 0. A
-    gather, so a loss on the result reaches alpha."""
+    column `rows[j]` reads alpha's column j, every other column is 0."""
     alpha, rows = attention
-    slot = np.full(width, len(rows))
-    slot[rows] = np.arange(len(rows))
-    zero = T.constant(np.zeros((alpha.shape[0], 1)))
-    return T.gather(T.concat([alpha, zero]), slot, axis=-1)
+    out = np.zeros((len(alpha), width))
+    out[:, rows] = alpha
+    return out
 
 
-def reference_attend_bias(model, d_t: Tensor, h_z: Tensor, closed: np.ndarray, keys: Tensor) -> tuple[Tensor, Tensor]:
+def reference_attend_bias(model, d_t: np.ndarray, h_z: Tensor, closed: np.ndarray, keys: Tensor):
     """`Recognizer.attend_bias` with one key row per row of `h_z` (`keys` is
     (N+1, A)): the rows open for some query, and each one's own key, are
-    gathered and scored under the boolean `closed`, then alpha is scattered
-    back to full length."""
+    gathered and scored under the boolean `closed` by a chain of primitive
+    ops; returns the context and alpha scattered back to full length."""
     n_rows = h_z.data.shape[0]
     rows = np.flatnonzero(~closed.all(axis=0))
     h_z, keys, closed = T.gather(h_z, rows), T.gather(keys, rows), closed[:, rows]
-    query = add(T.matmul_t(d_t, model.params["bias_attn.wd"]), model.params["bias_attn.b"])
+    query = add(T.matmul_t(T.constant(d_t), model.params["bias_attn.wd"]), model.params["bias_attn.b"])
     scores = additive_scores(keys, query, model.params["bias_attn.v"])
     alpha = softmax(add(scores, T.constant(np.where(closed, T.NEG_INF, 0.0))))
-    return T.matmul(alpha, h_z), full_alpha((alpha, rows), n_rows)
+    return T.matmul(alpha, h_z).data, full_alpha((alpha.data, rows), n_rows)
 
 
 @dataclass
@@ -810,8 +831,8 @@ def reference_beam_search(model, audio, bias, cfg, fusion=None, entries=None):
                 closed = nothing_closed
             y_prev = h.tokens[-1] if h.tokens else vocab.sos
             log_probs, attention, state = model.step([y_prev], h.state, audio, h_z, closed, bias_keys)
-            lp = log_probs.data[0]
-            al = full_alpha(attention, h_z.data.shape[0]).data[0]
+            lp = log_probs[0]
+            al = full_alpha(attention, h_z.data.shape[0])[0]
             for v in range(len(vocab)):
                 f_state, f_inc = fusion_step(fusion, h.fusion_state, vocab.symbols[v])
                 candidates.append(

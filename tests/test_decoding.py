@@ -118,7 +118,7 @@ class TestBeamBasics:
         tokens = []
         for _ in range(6):
             log_probs, _, state = model.step([y_prev], state, audio, h_z, np.zeros((1, 1), dtype=bool), keys)
-            y_prev = int(np.argmax(log_probs.data[0]))
+            y_prev = int(np.argmax(log_probs[0]))
             if y_prev == model.vocab.eos:
                 break
             tokens.append(model.vocab.symbols[y_prev])
@@ -188,7 +188,7 @@ class TestFusionByState:
 
         def scripted_step(y_prev, *args):
             log_probs, alpha, state = step(y_prev, *args)
-            log_probs.data[...] = table[np.asarray(y_prev)]
+            log_probs[...] = table[np.asarray(y_prev)]
             return log_probs, alpha, state
 
         monkeypatch.setattr(model, "step", scripted_step)
@@ -428,7 +428,7 @@ class TestEarlyStop:
 
         def markov_step(y_prev, *args):
             _, alpha, state = step(y_prev, *args)
-            return log_softmax(T.constant(logits[np.asarray(y_prev)])), alpha, state
+            return log_softmax(T.constant(logits[np.asarray(y_prev)])).data, alpha, state
 
         cfg = DecodeConfig(beam_width=3, max_len=10, n_best=2)
         with pytest.MonkeyPatch.context() as mp:

@@ -90,11 +90,10 @@ class TestEncodeAudio:
         x = np.array([[0.2, -0.1, 0.4], [0.0, 0.3, -0.2]])
         out = model.encode_audio([x])
         p = model.encoder[0]
-        h = T.constant(np.zeros((1, 2)))
-        c = T.constant(np.zeros((1, 2)))
+        h = c = np.zeros((1, 2))
         for frame in x:
-            h, c = T.lstm_cell(T.constant([frame]), h, c, p)
-        assert np.abs(out.data[1] - h.data[0]).max() < 1e-12
+            h, c = T.lstm_cell(frame[None], h, c, p)
+        assert np.abs(out.data[1] - h[0]).max() < 1e-12
 
     @given(seed=st.integers(0, 20), lengths=st.lists(st.integers(1, 7), min_size=1, max_size=6))
     @example(seed=2, lengths=[2, 5, 1, 5])
@@ -168,10 +167,8 @@ class TestEncodeBias:
         model = tiny_model()
         h_z = model.encode_bias(["a"])
         emb = model.params["embedding"].data[model.vocab.index("a")]
-        h, _ = T.lstm_cell(
-            T.constant([emb]), T.constant(np.zeros((1, 2))), T.constant(np.zeros((1, 2))), model.bias_encoder
-        )
-        assert np.abs(h_z.data[1] - h.data[0]).max() < 1e-12
+        h, _ = T.lstm_cell(emb[None], np.zeros((1, 2)), np.zeros((1, 2)), model.bias_encoder)
+        assert np.abs(h_z.data[1] - h[0]).max() < 1e-12
 
     def test_empty_phrase_rejected(self):
         with pytest.raises(ValueError, match="empty phrase"):
@@ -248,29 +245,26 @@ class TestBatchedStep:
         y = np.array([model.vocab.index("a"), model.vocab.sos, model.vocab.index("b")])
         closed = np.array([[0, 1, 0, 0], [0, 0, 1, 1], [0, 1, 1, 0]], dtype=bool)
         state = model.initial_state(rows=3)
-        state.context = T.constant(rng.normal(size=(3, 4)))
-        state.layers = [(T.constant(rng.normal(size=(3, 2))), T.constant(rng.normal(size=(3, 2))))]
+        state.context = rng.normal(size=(3, 4))
+        state.layers = [(rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))]
         log_probs, attention, new = model.step(y, state, audio, h_z, closed, keys)
         alpha = full_alpha(attention, 4)
         for b in range(3):
             one = slice(b, b + 1)
-            single = DecoderStepState(
-                layers=[(T.constant(h.data[one]), T.constant(c.data[one])) for h, c in state.layers],
-                context=T.constant(state.context.data[one]),
-            )
+            single = DecoderStepState(layers=[(h[one], c[one]) for h, c in state.layers], context=state.context[one])
             lp, al, st1 = model.step(y[one], single, audio, h_z, closed[one], keys)
-            assert np.abs(log_probs.data[b] - lp.data[0]).max() < 1e-12
-            assert np.abs(alpha.data[b] - full_alpha(al, 4).data[0]).max() < 1e-12
-            assert np.all(alpha.data[b][closed[b]] == 0.0)
-            assert np.abs(new.context.data[b] - st1.context.data[0]).max() < 1e-12
+            assert np.abs(log_probs[b] - lp[0]).max() < 1e-12
+            assert np.abs(alpha[b] - full_alpha(al, 4)[0]).max() < 1e-12
+            assert np.all(alpha[b][closed[b]] == 0.0)
+            assert np.abs(new.context[b] - st1.context[0]).max() < 1e-12
 
     def test_mask_shape_must_match_rows(self):
         model = tiny_model()
         h_z, keys = embed_phrases(model, ["a"])
         with pytest.raises(ValueError, match="mask length"):
-            model.attend_bias(T.constant(np.zeros((2, 2))), h_z, np.zeros(2, dtype=bool), keys)
+            model.attend_bias(np.zeros((2, 2)), h_z, np.zeros(2, dtype=bool), keys)
         with pytest.raises(ValueError, match="no-bias"):
-            model.attend_bias(T.constant(np.zeros((2, 2))), h_z, np.array([[0, 0], [1, 0]], dtype=bool), keys)
+            model.attend_bias(np.zeros((2, 2)), h_z, np.array([[0, 0], [1, 0]], dtype=bool), keys)
 
 
 class TestRowLayout:
@@ -278,27 +272,27 @@ class TestRowLayout:
         # Each step method and row-wise op takes (B, ·) rows; a 1-D input
         # (a bare token id, a vector state, query or mask) is an error.
         model = tiny_model()
-        assert all(t.data.shape[0] == 2 for t in model.initial_state(2).layers[0])
+        assert all(t.shape[0] == 2 for t in model.initial_state(2).layers[0])
         audio = model.precompute_audio(model.encode_audio([np.zeros((2, 3))]))
         h_z, keys = embed_phrases(model, ["a"])
-        vec = T.constant(np.zeros(2))
-        vector_state = DecoderStepState(layers=[(vec, vec)], context=T.constant(np.zeros(4)))
+        vec = np.zeros(2)
+        vector_state = DecoderStepState(layers=[(vec, vec)], context=np.zeros(4))
         sos = model.vocab.sos
         calls = {
-            "matmul": lambda: T.matmul(T.constant(np.zeros((2, 2))), vec),
-            "matmul_t": lambda: T.matmul_t(vec, model.params["bias_attn.wd"]),
+            "matmul": lambda: T.matmul(T.constant(np.zeros((2, 2))), T.constant(vec)),
+            "matmul_t": lambda: T.matmul_t(T.constant(vec), model.params["bias_attn.wd"]),
             "multi_head_attention": lambda: T.multi_head_attention(
                 vec, [model.params["audio_attn.0.wq"]], audio.keys, audio.values, audio.closed,
                 model.params["audio_attn.wo"],
             ),
             "additive_attention": lambda: T.additive_attention(
-                vec, *(model.params[f"bias_attn.{k}"] for k in ("wd", "b")), keys[0], model.params["bias_attn.v"],
-                keys[1], np.zeros((1, 2), dtype=bool), h_z,
+                vec, *(model.params[f"bias_attn.{k}"] for k in ("wd", "b")), keys[0].data, model.params["bias_attn.v"],
+                keys[1], np.zeros((1, 2), dtype=bool), h_z.data,
             ),
             "output_log_probs": lambda: T.output_log_probs(
-                [T.constant(np.zeros(4)), vec], model.params["output.w"], model.params["output.b"]
+                [T.constant(np.zeros(4)), T.constant(vec)], model.params["output.w"], model.params["output.b"]
             ),
-            "lstm_cell": lambda: T.lstm_cell(T.constant(np.zeros(6)), vec, vec, model.decoder[0]),
+            "lstm_cell": lambda: T.lstm_cell(np.zeros(6), vec, vec, model.decoder[0]),
             "decoder_step id": lambda: model.decoder_step(sos, model.initial_state(1)),
             "decoder_step state": lambda: model.decoder_step([sos], vector_state),
             "step": lambda: model.step(sos, model.initial_state(1), audio, h_z, np.zeros(2, dtype=bool), keys),
@@ -321,12 +315,12 @@ class TestAttendAudio:
         rng = np.random.default_rng(1)
         h_x = T.constant(rng.normal(size=(1, 2)))
         cache = model.precompute_audio(h_x)
-        c1 = model.attend_audio(T.constant(rng.normal(size=(1, 2))), cache)
-        c2 = model.attend_audio(T.constant(rng.normal(size=(1, 2))), cache)
-        assert np.abs(c1.data - c2.data).max() < 1e-12
+        c1 = model.attend_audio(rng.normal(size=(1, 2)), cache)
+        c2 = model.attend_audio(rng.normal(size=(1, 2)), cache)
+        assert np.abs(c1 - c2).max() < 1e-12
         wv = model.params["audio_attn.0.wv"].data
         wo = model.params["audio_attn.wo"].data
-        assert np.abs(c1.data[0] - wo @ (wv @ h_x.data[0])).max() < 1e-12
+        assert np.abs(c1[0] - wo @ (wv @ h_x.data[0])).max() < 1e-12
 
     def test_head_weights_sum_to_one(self):
         model = tiny_model(attention_dim=4, attention_heads=2)
@@ -342,22 +336,20 @@ class TestAttendAudio:
 
     def test_rows_read_only_their_own_frames(self):
         # Two utterances stacked in one cache: each query row equals the
-        # attention over its own utterance alone, and the frames of the
-        # other utterance get exactly zero gradient from it.
+        # attention over its own utterance alone. (Training's form of this,
+        # exact zero gradient across utterances, is in
+        # TestBatchedForwardLoss.)
         model = tiny_model(attention_dim=4, attention_heads=2)
         rng = np.random.default_rng(15)
-        h_x = T.parameter(rng.normal(size=(5, 2)))
-        d_t = T.parameter(rng.normal(size=(2, 2)))
-        with Tape() as tape:
-            out = model.attend_audio(d_t, model.precompute_audio(h_x, [3, 2]))
-            tape.backward(T.sum_(T.gather(out, [0])))
+        h_x = T.constant(rng.normal(size=(5, 2)))
+        d_t = rng.normal(size=(2, 2))
+        out = model.attend_audio(d_t, model.precompute_audio(h_x, [3, 2]))
         for b, frames in ((0, slice(0, 3)), (1, slice(3, 5))):
             own = model.precompute_audio(T.constant(h_x.data[frames]))
-            alone = model.attend_audio(T.constant(d_t.data[b : b + 1]), own)
-            assert np.abs(out.data[b] - alone.data[0]).max() < 1e-12
-        assert np.all(h_x.grad[3:] == 0.0) and np.all(h_x.grad[:3] != 0.0)
+            alone = model.attend_audio(d_t[b : b + 1], own)
+            assert np.abs(out[b] - alone[0]).max() < 1e-12
         with pytest.raises(ValueError, match="shape mismatch"):
-            model.attend_audio(T.constant(np.zeros((3, 2))), model.precompute_audio(h_x, [3, 2]))
+            model.attend_audio(np.zeros((3, 2)), model.precompute_audio(h_x, [3, 2]))
 
     def test_one_utterance_is_one_open_mask_row(self):
         model = tiny_model()
@@ -372,13 +364,13 @@ class TestAttendAudio:
         model = tiny_model(attention_dim=4, attention_heads=2)
         rng = np.random.default_rng(16)
         cache = model.precompute_audio(T.constant(rng.normal(size=(5, 2))))
-        d_t = T.constant(rng.normal(size=(4, 2)))
+        d_t = rng.normal(size=(4, 2))
         out = model.attend_audio(d_t, cache)
         repeated = replace(cache, closed=cache.closed[np.zeros(4, dtype=int)])
-        assert out.data.tobytes() == model.attend_audio(d_t, repeated).data.tobytes()
+        assert out.tobytes() == model.attend_audio(d_t, repeated).tobytes()
         for b in range(4):
-            alone = model.attend_audio(T.constant(d_t.data[b : b + 1]), cache)
-            assert np.abs(out.data[b] - alone.data[0]).max() < 1e-15
+            alone = model.attend_audio(d_t[b : b + 1], cache)
+            assert np.abs(out[b] - alone[0]).max() < 1e-15
 
     def test_stack_audio_of_one_cache(self):
         model = tiny_model()
@@ -400,7 +392,7 @@ class TestAttendAudio:
         rng = np.random.default_rng(3)
         h_x = rng.normal(size=(2, 2))
         d = rng.normal(size=2)
-        got = model.attend_audio(T.constant([d]), model.precompute_audio(T.constant(h_x))).data[0]
+        got = model.attend_audio(d[None], model.precompute_audio(T.constant(h_x)))[0]
 
         wq = model.params["audio_attn.0.wq"].data
         wk = model.params["audio_attn.0.wk"].data
@@ -418,47 +410,47 @@ class TestAttendBias:
     def test_empty_bias_list(self):
         model = tiny_model()
         h_z, keys = embed_phrases(model, [])
-        c, (alpha, rows) = model.attend_bias(T.constant(np.zeros((1, 2))), h_z, np.zeros((1, 1), dtype=bool), keys)
-        assert np.array_equal(alpha.data, [[1.0]]) and np.array_equal(rows, [0])
-        assert np.array_equal(c.data[0], model.params["no_bias"].data)
+        c, (alpha, rows) = model.attend_bias(np.zeros((1, 2)), h_z, np.zeros((1, 1), dtype=bool), keys)
+        assert np.array_equal(alpha, [[1.0]]) and np.array_equal(rows, [0])
+        assert np.array_equal(c[0], model.params["no_bias"].data)
 
     def test_full_mask_keeps_only_no_bias(self):
         model = tiny_model()
         h_z, keys = embed_phrases(model, ["a", "b", "ab"])
         closed = np.array([[False, True, True, True]])
-        c, attention = model.attend_bias(T.constant(np.ones((1, 2))), h_z, closed, keys)
+        c, attention = model.attend_bias(np.ones((1, 2)), h_z, closed, keys)
         assert np.array_equal(attention[1], [0])
-        assert np.array_equal(full_alpha(attention, 4).data, [[1.0, 0.0, 0.0, 0.0]])
-        assert np.abs(c.data[0] - model.params["no_bias"].data).max() < 1e-15
+        assert np.array_equal(full_alpha(attention, 4), [[1.0, 0.0, 0.0, 0.0]])
+        assert np.abs(c[0] - model.params["no_bias"].data).max() < 1e-15
 
     def test_alpha_matches_direct_softmax(self):
         model = tiny_model()
         rng = np.random.default_rng(4)
         h_z, keys = embed_phrases(model, ["a", "b"])
         d = rng.normal(size=2)
-        _, (alpha, _) = model.attend_bias(T.constant([d]), h_z, np.zeros((1, 3), dtype=bool), keys)
+        _, (alpha, _) = model.attend_bias(d[None], h_z, np.zeros((1, 3), dtype=bool), keys)
         wh = model.params["bias_attn.wh"].data
         wd = model.params["bias_attn.wd"].data
         b = model.params["bias_attn.b"].data
         v = model.params["bias_attn.v"].data
         u = np.tanh(h_z.data @ wh + wd @ d + b) @ v
         e = np.exp(u - u.max())
-        assert np.abs(alpha.data[0] - e / e.sum()).max() < 1e-12
+        assert np.abs(alpha[0] - e / e.sum()).max() < 1e-12
 
     def test_mask_validation(self):
         model = tiny_model()
         h_z, keys = embed_phrases(model, ["a"])
         with pytest.raises(ValueError, match="mask length"):
-            model.attend_bias(T.constant(np.zeros((1, 2))), h_z, np.zeros((1, 3), dtype=bool), keys)
+            model.attend_bias(np.zeros((1, 2)), h_z, np.zeros((1, 3), dtype=bool), keys)
         with pytest.raises(ValueError, match="no-bias"):
-            model.attend_bias(T.constant(np.zeros((1, 2))), h_z, np.array([[True, False]]), keys)
+            model.attend_bias(np.zeros((1, 2)), h_z, np.array([[True, False]]), keys)
         with pytest.raises(ValueError, match="boolean"):  # a {0, inf} float mask
-            model.attend_bias(T.constant(np.zeros((1, 2))), h_z, np.array([[0.0, np.inf]]), keys)
+            model.attend_bias(np.zeros((1, 2)), h_z, np.array([[0.0, np.inf]]), keys)
 
     def test_permutation_invariance_of_context(self):
         model = tiny_model()
         rng = np.random.default_rng(5)
-        d = T.constant(rng.normal(size=(1, 2)))
+        d = rng.normal(size=(1, 2))
         phrases = ["a", "ab", "b a"]
         closed = np.array([[False, False, True, False]])
         h_z1, keys1 = embed_phrases(model, phrases)
@@ -468,8 +460,8 @@ class TestAttendBias:
         h_z2, keys2 = embed_phrases(model, perm_phrases)
         c2, attention2 = model.attend_bias(d, h_z2, perm_closed, keys2)
         a1, a2 = full_alpha(attention1, 4), full_alpha(attention2, 4)
-        assert np.abs(c1.data - c2.data).max() < 1e-12
-        assert np.abs(a1.data[0, [0, 1, 2, 3]] - a2.data[0, [0, 2, 3, 1]]).max() < 1e-12
+        assert np.abs(c1 - c2).max() < 1e-12
+        assert np.abs(a1[0, [0, 1, 2, 3]] - a2[0, [0, 2, 3, 1]]).max() < 1e-12
 
     def test_masked_entries_exactly_zero(self):
         model = tiny_model()
@@ -478,49 +470,17 @@ class TestAttendBias:
         for _ in range(50):
             closed = np.zeros((1, 5), dtype=bool)
             closed[0, 1 + rng.integers(0, 4)] = True
-            _, attention = model.attend_bias(T.constant(rng.normal(size=(1, 2))), h_z, closed, keys)
+            _, attention = model.attend_bias(rng.normal(size=(1, 2)), h_z, closed, keys)
             alpha = full_alpha(attention, 5)
-            assert abs(alpha.data.sum() - 1.0) <= 1e-12
-            assert alpha.data[closed].max(initial=0.0) == 0.0
-
-    @pytest.mark.parametrize(
-        "closed",
-        [np.zeros((1, 5), dtype=bool), np.array([[False, True, False, True, False]])],
-        ids=["all-open", "partly-closed"],
-    )
-    def test_gradient_check_under_mask(self, closed):
-        # Covers both sides of attend_bias: every row scored, and only the
-        # open rows gathered, scored and scattered back.
-        model = tiny_model(seed=2)
-        rng = np.random.default_rng(11)
-        params = {
-            "d_t": T.parameter(rng.normal(size=(1, 2))),
-            "h_z": T.parameter(rng.normal(size=(5, 2))),
-            "keys": T.parameter(rng.normal(size=(5, 2))),
-            **{k: model.params[k] for k in ("bias_attn.wd", "bias_attn.b", "bias_attn.v")},
-        }
-        w_context, w_alpha = rng.normal(size=(1, 2)), rng.normal(size=(1, 5))
-
-        def forward():
-            c, attention = model.attend_bias(params["d_t"], params["h_z"], closed, keys=(params["keys"], np.arange(5)))
-            alpha = full_alpha(attention, 5)
-            return add(
-                T.sum_(T.mul(c, T.constant(w_context))), T.sum_(T.mul(alpha, T.constant(w_alpha)))
-            )
-
-        with Tape() as tape:
-            tape.backward(forward())
-        fd = finite_difference(lambda: float(forward().data), params)
-        for name, t in params.items():
-            assert max_rel_err(t.grad, fd[name]) < 1e-6, name
-        assert np.all(params["h_z"].grad[closed[0]] == 0.0)
-        assert np.all(params["keys"].grad[closed[0]] == 0.0)
-        assert np.all(params["h_z"].grad[~closed[0]] != 0.0)
+            assert abs(alpha.sum() - 1.0) <= 1e-12
+            assert alpha[closed].max(initial=0.0) == 0.0
 
 
 class TestSharedBiasKeys:
-    """`attend_bias` scores each distinct key among the open rows once and
-    gathers the scores back to rows; the reference scores one key per row."""
+    """`attend_bias` scores each distinct key among the open rows once, only
+    against the query rows it is open for, and gathers the scores back to
+    rows; the reference scores every key against every query row, one key
+    per row."""
 
     @given(seed=st.integers(0, 200))
     @settings(max_examples=60, deadline=None)
@@ -533,36 +493,15 @@ class TestSharedBiasKeys:
         closed = rng.random((batch, n_rows)) < 0.4
         closed[:, rng.random(n_rows) < 0.2] = True  # rows closed for every query
         closed[:, 0] = False
-        leaves = {
-            "d_t": T.parameter(rng.normal(size=(batch, 2))),
-            "h_z": T.parameter(rng.normal(size=(n_rows, 2))),
-            "key_rows": T.parameter(rng.normal(size=(n_keys + 1, 2))),
-        }
-        params = {**leaves, **{k: model.params[k] for k in ("bias_attn.wd", "bias_attn.b", "bias_attn.v")}}
-        w_context, w_alpha = rng.normal(size=(batch, 2)), rng.normal(size=(batch, n_rows))
-
-        def run(attend):
-            for t in params.values():
-                t.grad[...] = 0.0
-            with Tape() as tape:
-                c, alpha = attend()
-                tape.backward(
-                    add(T.sum_(T.mul(c, T.constant(w_context))), T.sum_(T.mul(alpha, T.constant(w_alpha))))
-                )
-            return c.data, alpha.data, {k: t.grad.copy() for k, t in params.items()}
-
-        d_t, h_z, key_rows = leaves["d_t"], leaves["h_z"], leaves["key_rows"]
-        def attend():
-            c, attention = model.attend_bias(d_t, h_z, closed, (key_rows, key_of))
-            return c, full_alpha(attention, n_rows)
-
-        got = run(attend)
-        want = run(lambda: reference_attend_bias(model, d_t, h_z, closed, T.gather(key_rows, key_of)))
-        assert np.abs(got[0] - want[0]).max() <= 1e-12
-        assert np.abs(got[1] - want[1]).max() <= 1e-12
-        assert np.all(got[1][closed] == 0.0)
-        for name in params:
-            assert np.abs(got[2][name] - want[2][name]).max() <= 1e-12, name
+        d_t = rng.normal(size=(batch, 2))
+        h_z = T.constant(rng.normal(size=(n_rows, 2)))
+        key_rows = T.constant(rng.normal(size=(n_keys + 1, 2)))
+        c, attention = model.attend_bias(d_t, h_z, closed, (key_rows, key_of))
+        alpha = full_alpha(attention, n_rows)
+        want_c, want_alpha = reference_attend_bias(model, d_t, h_z, closed, T.gather(key_rows, key_of))
+        assert np.abs(c - want_c).max() <= 1e-12
+        assert np.abs(alpha - want_alpha).max() <= 1e-12
+        assert np.all(alpha[closed] == 0.0)
 
 
 class TestDecoderStep:
@@ -571,13 +510,13 @@ class TestDecoderStep:
         s = model.initial_state(1)
         d1, _ = model.decoder_step([model.vocab.index("a")], s)
         d2, _ = model.decoder_step([model.vocab.index("a")], s)
-        assert d1.data.tobytes() == d2.data.tobytes()
+        assert d1.tobytes() == d2.tobytes()
 
     def test_zero_weights(self):
         model = tiny_model()
         zero_all(model)
         d, _ = model.decoder_step([model.vocab.sos], model.initial_state(1))
-        assert np.array_equal(d.data, np.zeros((1, 2)))
+        assert np.array_equal(d, np.zeros((1, 2)))
 
     def test_hand_case(self):
         model = tiny_model()
@@ -585,10 +524,8 @@ class TestDecoderStep:
         tok = model.vocab.index("b")
         d, _ = model.decoder_step([tok], s)
         x = np.concatenate([model.params["embedding"].data[tok], np.zeros(4)])
-        h, _ = T.lstm_cell(
-            T.constant([x]), T.constant(np.zeros((1, 2))), T.constant(np.zeros((1, 2))), model.decoder[0]
-        )
-        assert np.abs(d.data - h.data).max() < 1e-12
+        h, _ = T.lstm_cell(x[None], np.zeros((1, 2)), np.zeros((1, 2)), model.decoder[0])
+        assert np.abs(d - h).max() < 1e-12
 
     def test_unknown_token(self):
         with pytest.raises(KeyError):
@@ -672,8 +609,10 @@ class TestForwardLoss:
         for y in target:
             d_t, state = model.decoder_step([y_prev], state)
             c_x = model.attend_audio(d_t, audio)
-            c_t = T.concat([c_x, T.stack([model.params["no_bias"]])])
-            log_probs = reference_output_log_probs([c_t, d_t], model.params["output.w"], model.params["output.b"])
+            c_t = np.concatenate([c_x, model.params["no_bias"].data[None]], axis=-1)
+            log_probs = reference_output_log_probs(
+                [T.constant(c_t), T.constant(d_t)], model.params["output.w"], model.params["output.b"]
+            )
             total -= float(log_probs.data[0, y])
             state.context = c_t
             y_prev = y
@@ -763,6 +702,29 @@ class TestBatchedForwardLoss:
         emb = model.params["embedding"].grad
         assert np.all(emb[model.vocab.eos] == 0.0)
         assert np.all(emb[model.vocab.index("a")] != 0.0)
+
+    def test_frames_get_gradient_only_from_their_own_rows(self):
+        # Utterance 0's frames, the encoder outputs (a leaf here), get
+        # their gradient from utterance 0's rows alone: utterance 1's rows
+        # add exactly 0 to it, so other frames and another target of the
+        # same sizes for utterance 1 leave it bit for bit.
+        model = tiny_model(seed=11, attention_dim=4, attention_heads=2)
+        rng = np.random.default_rng(19)
+        first = rng.normal(size=(3, 2))
+        targets = [[model.vocab.index(t) for t in graphemize(text)] + [model.vocab.eos] for text in ("ab", "b a", "a b")]
+
+        def frame_grad(second, target):
+            h_x = T.parameter(np.vstack([first, second]))
+            model.encode_audio = lambda xs: h_x
+            with Tape() as tape:
+                xs = [np.zeros((3, 3)), np.zeros((2, 3))]
+                tape.backward(model.forward_loss(xs, embed_phrases(model, ["a"]), [targets[0], target]))
+            return h_x.grad
+
+        got = frame_grad(rng.normal(size=(2, 2)), targets[1])
+        other = frame_grad(rng.normal(size=(2, 2)), targets[2])
+        assert got[:3].tobytes() == other[:3].tobytes()
+        assert np.all(got[:3] != 0.0) and np.all(got[3:] != other[3:])
 
     def test_batch_size_must_match(self):
         model = tiny_model()

@@ -12,6 +12,7 @@ from ctxseq.tensor import NEG_INF, Tape, Tensor
 from oracles import (
     add,
     additive_scores,
+    concat,
     finite_difference,
     log_softmax,
     max_rel_err,
@@ -227,16 +228,16 @@ class TestLstmCell:
 
     def test_zero_propagation(self):
         p = self._zero_params(3, 2)
-        h, c = T.lstm_cell(T.constant([[1.0, -2.0, 0.5]]), T.constant([[0.0, 0.0]]), T.constant([[0.0, 0.0]]), p)
-        assert np.array_equal(h.data, [[0.0, 0.0]])
-        assert np.array_equal(c.data, [[0.0, 0.0]])
+        h, c = T.lstm_cell(np.array([[1.0, -2.0, 0.5]]), np.zeros((1, 2)), np.zeros((1, 2)), p)
+        assert np.array_equal(h, [[0.0, 0.0]])
+        assert np.array_equal(c, [[0.0, 0.0]])
 
     def test_hand_set_single_unit(self):
         w = np.array([[0.1, 0.2], [0.3, -0.4], [0.5, 0.6], [-0.7, 0.8]])
         b = np.array([0.01, 0.02, 0.03, 0.04])
         p = T.LstmParams(w=T.parameter(w), b=T.parameter(b), hidden=1)
         x, h_prev, c_prev = 0.7, 0.3, 0.4
-        h, c = T.lstm_cell(T.constant([[x]]), T.constant([[h_prev]]), T.constant([[c_prev]]), p)
+        h, c = T.lstm_cell(np.array([[x]]), np.array([[h_prev]]), np.array([[c_prev]]), p)
 
         sig = lambda v: 1.0 / (1.0 + math.exp(-v))
         i = sig(0.1 * x + 0.2 * h_prev + 0.01)
@@ -244,8 +245,8 @@ class TestLstmCell:
         g = math.tanh(0.5 * x + 0.6 * h_prev + 0.03)
         o = sig(-0.7 * x + 0.8 * h_prev + 0.04)
         c_ref = f * c_prev + i * g
-        assert abs(c.data[0, 0] - c_ref) < 1e-12
-        assert abs(h.data[0, 0] - o * math.tanh(c_ref)) < 1e-12
+        assert abs(c[0, 0] - c_ref) < 1e-12
+        assert abs(h[0, 0] - o * math.tanh(c_ref)) < 1e-12
 
     def test_forget_bias_initialized_to_one(self):
         p = T.init_lstm_params(np.random.default_rng(0), 3, 4)
@@ -257,56 +258,22 @@ class TestLstmCell:
     def test_dimension_mismatch(self):
         p = self._zero_params(3, 2)
         with pytest.raises(ValueError):
-            T.lstm_cell(T.constant([[1.0]]), T.constant([[0.0, 0.0]]), T.constant([[0.0, 0.0]]), p)
+            T.lstm_cell(np.array([[1.0]]), np.zeros((1, 2)), np.zeros((1, 2)), p)
 
-    def test_full_cell_gradient_check(self):
-        rng = np.random.default_rng(3)
-        p = T.init_lstm_params(rng, 3, 2)
-        x = T.parameter(rng.normal(size=(1, 3)))
-        h0 = T.parameter(rng.normal(size=(1, 2)))
-        c0 = T.parameter(rng.normal(size=(1, 2)))
-
-        def forward():
-            h, c = T.lstm_cell(x, h0, c0, p)
-            return T.sum_(add(h, c))
-
-        params = {"x": x, "h0": h0, "c0": c0, "w": p.w, "b": p.b}
-        with Tape() as tape:
-            tape.backward(forward())
-        fd = finite_difference(lambda: float(forward().data), params)
-        for name, t in params.items():
-            assert max_rel_err(t.grad, fd[name]) < 1e-5, name
-
-    @pytest.mark.parametrize("rows", [1, 3])  # the two weight-gradient forms
+    @pytest.mark.parametrize("rows", [1, 3])
     def test_fused_cell_bit_identical_to_op_chain(self, rows):
-        # Two chained cells, so that the first cell's outputs also collect
-        # gradient from the second before its own backward runs.
+        # Two chained cells: the second reads the first one's states.
         rng = np.random.default_rng(30 + rows)
         p = T.init_lstm_params(rng, 3, 4)
         p.w.data[...] = rng.normal(size=p.w.data.shape)
         p.b.data[...] = rng.normal(size=p.b.data.shape)
-        widths = {"x0": 3, "x1": 3, "h0": 4, "c0": 4}
-        inputs = {name: T.parameter(rng.normal(size=(rows, n))) for name, n in widths.items()}
-        wh, wc = (T.constant(rng.normal(size=(rows, 4))) for _ in range(2))
-
-        def run(cell):
-            for t in [p.w, p.b, *inputs.values()]:
-                t.grad[...] = 0.0
-            with Tape() as tape:
-                h1, c1 = cell(inputs["x0"], inputs["h0"], inputs["c0"], p)
-                h2, c2 = cell(inputs["x1"], h1, c1, p)
-                loss = add(T.sum_(T.mul(add(h1, h2), wh)), T.sum_(T.mul(c2, wc)))
-                tape.backward(loss)
-            grads = [t.grad.tobytes() for t in [p.w, p.b, *inputs.values()]]
-            return [t.data.tobytes() for t in (h1, c1, h2, c2)], grads
-
-        assert run(T.lstm_cell) == run(reference_lstm_cell)
-
-    def test_fused_cell_is_one_tape_node(self):
-        p = T.init_lstm_params(np.random.default_rng(0), 3, 2)
-        with Tape() as tape:
-            T.lstm_cell(T.constant(np.ones((2, 3))), T.constant(np.zeros((2, 2))), T.constant(np.zeros((2, 2))), p)
-        assert len(tape) == 1
+        x0, x1, h0, c0 = (rng.normal(size=(rows, n)) for n in (3, 3, 4, 4))
+        h1, c1 = T.lstm_cell(x0, h0, c0, p)
+        h2, c2 = T.lstm_cell(x1, h1, c1, p)
+        want_h1, want_c1 = reference_lstm_cell(T.constant(x0), T.constant(h0), T.constant(c0), p)
+        want_h2, want_c2 = reference_lstm_cell(T.constant(x1), want_h1, want_c1, p)
+        got = [t.tobytes() for t in (h1, c1, h2, c2)]
+        assert got == [t.data.tobytes() for t in (want_h1, want_c1, want_h2, want_c2)]
 
 
 def step_sizes(lengths) -> list[int]:
@@ -466,104 +433,80 @@ class TestAttentionDecoder:
         assert [o.data.tobytes() for o in call(T.attention_decoder)] == [o.data.tobytes() for o in taped]
 
 
-FUSED_OPS = ["multi_head_attention", "additive_attention", "output_log_probs"]
+def additive_case(rng, rows, n_values, n_keys):
+    """(query, wd, b, keys, v, values) for `additive_attention`, drawn from
+    `rng`: the parameters wd, b and v are `Tensor`s, the rest arrays."""
+    shapes = ((rows, 3), (4, 3), (4,), (n_keys, 4), (4,), (n_values, 3))
+    query, wd, b, keys, v, values = (rng.normal(size=shape) for shape in shapes)
+    return query, T.constant(wd), T.constant(b), keys, T.constant(v), values
+
+
+def additive_chain(query, wd, b, keys, v, score_of, closed, values):
+    """`reference_additive_attention` on `additive_attention`'s arguments:
+    its (context, alpha) as arrays."""
+    c = T.constant
+    context, alpha = reference_additive_attention(c(query), wd, b, c(keys), v, score_of, closed, c(values))
+    return context.data, alpha.data
 
 
 class TestFusedLayers:
-    """The audio attention, the bias attention and the output layer are one
-    tape node each, with the values and gradients, byte for byte, of the op
-    chains they replaced (kept in `tests/oracles.py`)."""
+    """The beam's audio and bias attentions give the values, byte for byte,
+    of the op chains in `tests/oracles.py`; the output layer is one tape
+    node with the values and gradients of its chain."""
 
     @given(
         seed=st.integers(0, 10_000),
         rows=st.integers(1, 16),
         heads=st.integers(1, 2),
         utterances=st.integers(1, 3),
-        recorded_cache=st.booleans(),
         chained=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_multi_head_attention_bit_identical_to_op_chain(
-        self, seed, rows, heads, utterances, recorded_cache, chained
-    ):
+    def test_multi_head_attention_bit_identical_to_op_chain(self, seed, rows, heads, utterances, chained):
         # Several utterances stack their frames and row b reads only its
-        # own (the `closed` mask). A recorded cache is projected from leaf
-        # frames on the tape, as in training; else keys and values are
-        # leaves. Chained, the first output also feeds the second call.
+        # own (the `closed` mask). Chained, the first output is also the
+        # query of a second call.
         rng = np.random.default_rng(seed)
         width, dh = 3, 2
         lengths = rng.integers(1, 6, size=utterances)
-        leaves = {
-            "query": T.parameter(rng.normal(size=(rows, width))),
-            "wo": T.parameter(rng.normal(size=(width, heads * dh))),
-            "h_x": T.parameter(rng.normal(size=(lengths.sum(), width))),
-        }
-        for h in range(heads):
-            for name in ("wq", "wk", "wv"):
-                leaves[f"{name}{h}"] = T.parameter(rng.normal(size=(dh, width)))
-            for name in ("keys", "values"):
-                leaves[f"{name}{h}"] = T.parameter(rng.normal(size=(lengths.sum(), dh)))
+        query = rng.normal(size=(rows, width))
+        wo = T.constant(rng.normal(size=(width, heads * dh)))
+        wq = [T.constant(rng.normal(size=(dh, width))) for _ in range(heads)]
+        keys, values = ([T.constant(rng.normal(size=(lengths.sum(), dh))) for _ in range(heads)] for _ in range(2))
         closed = np.zeros((1, lengths.sum()), dtype=bool)  # one utterance: the all-False row every row reads
         if utterances > 1:
             owner = np.repeat(np.arange(utterances), lengths)
             closed = owner != rng.integers(0, utterances, size=(rows, 1))
-
-        def forward(attend):
-            def cache(name, w):
-                if recorded_cache:
-                    return [T.matmul_t(leaves["h_x"], leaves[f"{w}{h}"]) for h in range(heads)]
-                return [leaves[f"{name}{h}"] for h in range(heads)]
-
-            wq = [leaves[f"wq{h}"] for h in range(heads)]
-            keys, values = cache("keys", "wk"), cache("values", "wv")
-            outs = [attend(leaves["query"], wq, keys, values, closed, leaves["wo"])]
-            if chained:
-                outs.append(attend(outs[0], wq, keys, values, closed, leaves["wo"]))
-            loss = weighted(outs[0], seed)
-            for i, out in enumerate(outs[1:]):
-                loss = add(loss, weighted(out, seed + 1 + i))
-            return outs, loss
-
-        fused = taped_bytes(lambda: forward(T.multi_head_attention), leaves)
-        assert fused == taped_bytes(lambda: forward(reference_attend_audio), leaves)
+        got = [T.multi_head_attention(query, wq, keys, values, closed, wo)]
+        want = [reference_attend_audio(T.constant(query), wq, keys, values, closed, wo)]
+        if chained:
+            got.append(T.multi_head_attention(got[0], wq, keys, values, closed, wo))
+            want.append(reference_attend_audio(want[0], wq, keys, values, closed, wo))
+        assert [o.tobytes() for o in got] == [o.data.tobytes() for o in want]
 
     @given(
         seed=st.integers(0, 10_000),
         rows=st.integers(1, 16),
         n_values=st.integers(1, 8),
         n_keys=st.integers(1, 4),
-        uses=st.lists(st.booleans(), min_size=4, max_size=4),
         chained=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_additive_attention_bit_identical_to_op_chain(self, seed, rows, n_values, n_keys, uses, chained):
-        # Value rows share keys through `score_of`, some entries are closed
-        # for some rows, the loss reads the context, alpha or both, and
-        # chained, the first context is the query of a second call.
+    def test_additive_attention_bit_identical_to_op_chain(self, seed, rows, n_values, n_keys, chained):
+        # Value rows share keys through `score_of`, and nothing is closed
+        # (`TestOpenPairScores` closes entries). Chained, the first context
+        # is the query of a second call.
         rng = np.random.default_rng(seed)
-        width, adim = 3, 4
+        query, wd, b, keys, v, values = additive_case(rng, rows, n_values, n_keys)
         score_of = rng.integers(0, n_keys, size=n_values)
-        closed = rng.random((rows, n_values)) < 0.4
-        closed[:, 0] = False
-        shapes = {
-            "query": (rows, width), "wd": (adim, width), "b": (adim,),
-            "keys": (n_keys, adim), "v": (adim,), "values": (n_values, width),
-        }
-        leaves = {name: T.parameter(rng.normal(size=shape)) for name, shape in shapes.items()}
-
-        def forward(attend):
-            args = [leaves[name] for name in ("wd", "b", "keys", "v")] + [score_of, closed, leaves["values"]]
-            outs = list(attend(leaves["query"], *args))
-            if chained:
-                outs.extend(attend(outs[0], *args))
-            terms = [weighted(out, seed + i) for i, (out, used) in enumerate(zip(outs, uses)) if used]
-            loss = terms[0] if terms else weighted(outs[0], seed)
-            for term in terms[1:]:
-                loss = add(loss, term)
-            return outs, loss
-
-        fused = taped_bytes(lambda: forward(T.additive_attention), leaves)
-        assert fused == taped_bytes(lambda: forward(reference_additive_attention), leaves)
+        closed = np.zeros((rows, n_values), dtype=bool)
+        args = (wd, b, keys, v, score_of, closed, values)
+        got = list(T.additive_attention(query, *args))
+        want = list(additive_chain(query, *args))
+        if chained:
+            got.extend(T.additive_attention(got[0], *args))
+            want.extend(additive_chain(want[0], *args))
+        assert [o.tobytes() for o in got] == [o.tobytes() for o in want]
 
     @given(seed=st.integers(0, 10_000), rows=st.integers(1, 16), chained=st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -585,64 +528,19 @@ class TestFusedLayers:
         fused = taped_bytes(lambda: forward(T.output_log_probs), leaves)
         assert fused == taped_bytes(lambda: forward(reference_output_log_probs), leaves)
 
-    # Small cases for the finite-difference and tape-size checks: a builder
-    # per op gives (call, leaves), and call() returns the op's outputs.
-
-    @staticmethod
-    def multi_head_attention_case(rng):
-        rows, frames, width, dh = 3, 4, 3, 2
-        params = {
-            "query": T.parameter(rng.normal(size=(rows, width))),
-            "wo": T.parameter(rng.normal(size=(width, 2 * dh))),
-            **{f"wq{h}": T.parameter(rng.normal(size=(dh, width))) for h in range(2)},
-            **{f"{name}{h}": T.parameter(rng.normal(size=(frames, dh))) for name in ("keys", "values") for h in range(2)},
-        }
-        closed = np.zeros((rows, frames), dtype=bool)
-        closed[0, 1:] = True
-        closed[1:, 0] = True
-
-        def call():
-            heads = [[params[f"{name}{h}"] for h in range(2)] for name in ("wq", "keys", "values")]
-            return [T.multi_head_attention(params["query"], *heads, closed, params["wo"])]
-
-        return call, params
-
-    @staticmethod
-    def additive_attention_case(rng):
-        rows = 3
-        shapes = {"query": (rows, 3), "wd": (4, 3), "b": (4,), "keys": (3, 4), "v": (4,), "values": (5, 2)}
-        params = {name: T.parameter(rng.normal(size=shape)) for name, shape in shapes.items()}
-        closed = np.zeros((rows, 5), dtype=bool)
-        closed[0, 2:] = True
-        score_of = np.array([0, 1, 1, 2, 0])
-
-        def call():
-            p = params
-            return T.additive_attention(p["query"], p["wd"], p["b"], p["keys"], p["v"], score_of, closed, p["values"])
-
-        return call, params
-
     @staticmethod
     def output_log_probs_case(rng):
         shapes = {"c": (3, 2), "d": (3, 3), "w": (4, 5), "b": (4,)}
         params = {name: T.parameter(rng.normal(size=shape)) for name, shape in shapes.items()}
-        return lambda: [T.output_log_probs([params["c"], params["d"]], params["w"], params["b"])], params
+        return lambda: T.output_log_probs([params["c"], params["d"]], params["w"], params["b"]), params
 
-    @pytest.mark.parametrize("op", FUSED_OPS)
+    @pytest.mark.parametrize("op", ["output_log_probs"])
     def test_gradients_match_finite_differences(self, op):
         call, params = getattr(self, f"{op}_case")(np.random.default_rng(40))
-
-        def loss():
-            outs = call()
-            total = weighted(outs[0], 0)
-            for i, out in enumerate(outs[1:]):
-                total = add(total, weighted(out, i + 1))
-            return total
-
-        check_grads(loss, params)
+        check_grads(lambda: weighted(call(), 0), params)
         assert all(np.any(t.grad != 0.0) for t in params.values())
 
-    @pytest.mark.parametrize("op", FUSED_OPS)
+    @pytest.mark.parametrize("op", ["output_log_probs"])
     def test_is_one_tape_node(self, op):
         call, _ = getattr(self, f"{op}_case")(np.random.default_rng(41))
         with Tape() as tape:
@@ -655,8 +553,10 @@ class TestFusedLayers:
         # 4 MiB, and a block of 8 of the 64 rows and its tanh take 1 MiB.
         rng = np.random.default_rng(42)
         rows, n_keys, adim = 64, 256, 32
-        args = [rng.normal(size=shape) for shape in ((rows, 8), (adim, 8), (adim,), (n_keys, adim), (adim,), (n_keys, 4))]
-        query, wd, b, keys, v, values = (T.constant(a) for a in args)
+        query, wd, b, keys, v, values = (
+            rng.normal(size=shape) for shape in ((rows, 8), (adim, 8), (adim,), (n_keys, adim), (adim,), (n_keys, 4))
+        )
+        wd, b, v = T.constant(wd), T.constant(b), T.constant(v)
         score_of, closed = np.arange(n_keys), np.zeros((rows, n_keys), dtype=bool)
         tracemalloc.start()
         try:
@@ -682,23 +582,16 @@ class CountingTanh:
         return np.tanh(x, *args, **kwargs)
 
 
-def additive_case(rng, rows, n_values, n_keys):
-    """(query, wd, b, keys, v) constants and a `values` constant for
-    `additive_attention`, drawn from `rng`."""
-    shapes = ((rows, 3), (4, 3), (4,), (n_keys, 4), (4,), (n_values, 2))
-    return [T.constant(rng.normal(size=shape)) for shape in shapes]
-
-
 def open_pairs(score_of, closed) -> int:
     """The (query row, key) pairs that some entry open for the row reads."""
     return len({(b, score_of[r]) for b, r in zip(*np.nonzero(~closed))})
 
 
 class TestOpenPairScores:
-    """A decode step holds no tape: when some entry is closed, the bias
-    attention scores each query row only against the keys of its own open
-    entries. Its values may differ from the taped path's in the last bits;
-    with nothing closed they keep them."""
+    """When some entry is closed, the bias attention scores each query row
+    only against the keys of its own open entries. Its values may differ
+    from the op chain's in the last bits; with nothing closed they keep
+    them."""
 
     @given(
         seed=st.integers(0, 10_000),
@@ -720,11 +613,10 @@ class TestOpenPairScores:
             context, alpha = T.additive_attention(query, wd, b, keys, v, score_of, closed, values)
         want = open_pairs(score_of, closed) if closed.any() else rows * n_keys
         assert counter.pairs == want
-        assert np.all(alpha.data[closed] == 0.0)
-        with Tape():
-            taped = T.additive_attention(query, wd, b, keys, v, score_of, closed, values)
-        assert np.abs(alpha.data - taped[1].data).max() <= 1e-15
-        assert np.abs(context.data - taped[0].data).max() <= 1e-14
+        assert np.all(alpha[closed] == 0.0)
+        want_context, want_alpha = additive_chain(query, wd, b, keys, v, score_of, closed, values)
+        assert np.abs(alpha - want_alpha).max() <= 1e-15
+        assert np.abs(context - want_context).max() <= 1e-14
 
     @pytest.mark.parametrize(
         "score_of, closed",
@@ -746,12 +638,12 @@ class TestOpenPairScores:
         query, wd, b, keys, v, values = additive_case(rng, 2, 4, 4)
         score_of, closed = np.array(score_of), np.array(closed, dtype=bool)
         context, alpha = T.additive_attention(query, wd, b, keys, v, score_of, closed, values)
-        want_context, want_alpha = reference_additive_attention(query, wd, b, keys, v, score_of, closed, values)
-        assert np.all(alpha.data[closed] == 0.0) and np.all(want_alpha.data[closed] == 0.0)
-        assert np.abs(alpha.data - want_alpha.data).max() <= 1e-15
-        assert np.abs(context.data - want_context.data).max() <= 1e-14
+        want_context, want_alpha = additive_chain(query, wd, b, keys, v, score_of, closed, values)
+        assert np.all(alpha[closed] == 0.0) and np.all(want_alpha[closed] == 0.0)
+        assert np.abs(alpha - want_alpha).max() <= 1e-15
+        assert np.abs(context - want_context).max() <= 1e-14
         if not closed.any():
-            assert np.array_equal(alpha.data, want_alpha.data) and np.array_equal(context.data, want_context.data)
+            assert np.array_equal(alpha, want_alpha) and np.array_equal(context, want_context)
 
 
 class TestRowwiseOps:
@@ -762,14 +654,14 @@ class TestRowwiseOps:
         rng = np.random.default_rng(20)
         a = T.parameter(rng.normal(size=(3, 2)))
         b = T.parameter(rng.normal(size=(3, 4)))
-        out = T.concat([a, b])
+        out = concat([a, b])
         columns = np.arange(1, 4)
-        assert np.array_equal(out.data[1], T.concat([T.constant(a.data[1]), T.constant(b.data[1])]).data)
+        assert np.array_equal(out.data[1], concat([T.constant(a.data[1]), T.constant(b.data[1])]).data)
         assert np.array_equal(T.gather(out, columns, axis=-1).data, out.data[:, 1:4])
-        check_grads(lambda: weighted(T.gather(T.concat([a, b]), columns, axis=-1), 1), {"a": a, "b": b})
+        check_grads(lambda: weighted(T.gather(concat([a, b]), columns, axis=-1), 1), {"a": a, "b": b})
         assert np.all(a.grad[:, 0] == 0.0) and np.all(b.grad[:, 2:] == 0.0)
         with pytest.raises(ValueError, match="all 1-D or all 2-D"):
-            T.concat([a, T.constant(np.zeros(2))])
+            concat([a, T.constant(np.zeros(2))])
 
     def test_softmax_rows_with_different_dropped_entries(self):
         x = T.parameter([[0.2, NEG_INF, -0.4, 1.0], [NEG_INF, 0.5, 0.3, NEG_INF], [0.1, 0.2, 0.3, 0.4]])
@@ -795,22 +687,14 @@ class TestRowwiseOps:
         rng = np.random.default_rng(22)
         p = T.init_lstm_params(rng, 3, 2)
         p.w.data[...] = rng.normal(size=p.w.data.shape)
-        x = T.parameter(rng.normal(size=(4, 3)))
-        h0 = T.parameter(rng.normal(size=(4, 2)))
-        c0 = T.parameter(rng.normal(size=(4, 2)))
+        x, h0, c0 = (rng.normal(size=(4, n)) for n in (3, 2, 2))
         h, c = T.lstm_cell(x, h0, c0, p)
         for i in range(4):
-            hi, ci = T.lstm_cell(*(T.constant(t.data[i : i + 1]) for t in (x, h0, c0)), p)
-            assert np.abs(h.data[i] - hi.data[0]).max() < 1e-15
-            assert np.abs(c.data[i] - ci.data[0]).max() < 1e-15
-
-        def forward():
-            h, c = T.lstm_cell(x, h0, c0, p)
-            return add(weighted(h, 4), weighted(c, 5))
-
-        check_grads(forward, {"x": x, "h0": h0, "c0": c0, "w": p.w, "b": p.b}, tol=1e-5)
+            hi, ci = T.lstm_cell(x[i : i + 1], h0[i : i + 1], c0[i : i + 1], p)
+            assert np.abs(h[i] - hi[0]).max() < 1e-15
+            assert np.abs(c[i] - ci[0]).max() < 1e-15
         with pytest.raises(ValueError, match="state shapes"):
-            T.lstm_cell(x, T.constant(np.zeros(2)), T.constant(np.zeros(2)), p)
+            T.lstm_cell(x, np.zeros(2), np.zeros(2), p)
 
     @pytest.mark.parametrize("rows", [1, 3])  # the two weight-gradient forms
     def test_matmul_t(self, rows):
@@ -836,34 +720,29 @@ class TestRowwiseOps:
 
     @pytest.mark.parametrize("rows", [1, 8, 21])
     def test_additive_scores_forward_only_equals_taped(self, rows):
-        # Without a tape the scores are made a few query rows at a time, in
-        # additive_scores and in the fused additive_attention alike, and with
-        # nothing closed they keep their bits. With some entry closed,
-        # additive_attention scores only each row's open pairs instead:
-        # closed entries are exactly 0 on both paths, and the rest may
-        # differ in the last bits.
+        # The beam's scores are made a few query rows at a time, and each
+        # row keeps the bits of the whole tanh block that training makes;
+        # so with nothing closed additive_attention keeps the op chain's
+        # bits. With some entry closed it scores only each row's open pairs
+        # instead: closed entries are exactly 0 on both paths, and the rest
+        # may differ in the last bits.
         rng = np.random.default_rng(26)
-        keys, query, v = (T.constant(rng.normal(size=shape)) for shape in ((5, 6), (rows, 6), (6,)))
-        wd, b, values = (T.constant(rng.normal(size=shape)) for shape in ((6, 6), (6,), (7, 3)))
+        keys, query, v = (rng.normal(size=shape) for shape in ((5, 6), (rows, 6), (6,)))
+        assert np.array_equal(T._tanh_scores(keys, query, v), T._tanh_block(keys, query, v)[0])
+        wd, b, values = (rng.normal(size=shape) for shape in ((6, 6), (6,), (7, 3)))
+        wd, b, v = T.constant(wd), T.constant(b), T.constant(v)
         score_of = rng.integers(0, 5, size=7)
         some_closed = rng.random((rows, 7)) < 0.3
         some_closed[:, 0] = False
         assert some_closed.any()
         for closed in (np.zeros_like(some_closed), some_closed):
-
-            def run():
-                context, alpha = T.additive_attention(query, wd, b, keys, v, score_of, closed, values)
-                return [additive_scores(keys, query, v).data, context.data, alpha.data]
-
-            with T.Tape():
-                taped = run()
-            got = run()
+            got = T.additive_attention(query, wd, b, keys, v, score_of, closed, values)
+            want = additive_chain(query, wd, b, keys, v, score_of, closed, values)
             if not closed.any():
-                assert all(np.array_equal(g, w) for g, w in zip(got, taped))
-            assert np.array_equal(got[0], taped[0])
-            assert np.all(got[2][closed] == 0.0) and np.all(taped[2][closed] == 0.0)
-            assert np.abs(got[2] - taped[2]).max() <= 1e-15
-            assert np.abs(got[1] - taped[1]).max() <= 1e-14
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert np.all(got[1][closed] == 0.0) and np.all(want[1][closed] == 0.0)
+            assert np.abs(got[1] - want[1]).max() <= 1e-15
+            assert np.abs(got[0] - want[0]).max() <= 1e-14
 
     def test_gather_last_axis(self):
         m = T.parameter(np.random.default_rng(25).normal(size=(2, 3)))
@@ -944,25 +823,27 @@ class TestGradientBuffers:
     @given(
         seed=st.integers(0, 1000),
         rows=st.lists(st.integers(1, 4), min_size=1, max_size=5),
-        lstm_rows=st.integers(1, 4),
-        steps=st.integers(1, 4),
+        live=st.lists(st.integers(1, 4), min_size=1, max_size=4).map(lambda n: sorted(n, reverse=True)),
+        uses=st.integers(1, 4),
     )
     @settings(max_examples=40, deadline=None)
-    def test_leaf_weight_gradient_is_the_sum_over_uses(self, seed, rows, lstm_rows, steps):
+    def test_leaf_weight_gradient_is_the_sum_over_uses(self, seed, rows, live, uses):
+        # `uses` LSTM layers share one weight, each reading the last one's
+        # output, as the weight of a `matmul_t` is shared by its calls.
         rng = np.random.default_rng(seed)
         w = T.parameter(rng.normal(size=(3, 4)))
         xs = [rng.normal(size=(n, 4)) for n in rows]
         gs = [rng.normal(size=(n, 3)) for n in rows]  # d loss / d (x @ w.T) of each use
-        p = T.init_lstm_params(rng, 2, 3)
+        p = T.init_lstm_params(rng, 3, 3)
         p.w.data[...] = rng.normal(size=p.w.data.shape)
-        lstm_xs = [T.constant(rng.normal(size=(lstm_rows, 2))) for _ in range(steps)]
-        lstm_gs = [T.constant(rng.normal(size=(lstm_rows, 3))) for _ in range(steps)]
+        lstm_x = T.constant(rng.normal(size=(sum(live), 3)))
+        lstm_gs = [T.constant(rng.normal(size=(sum(live), 3))) for _ in range(uses)]
 
-        def run(cell_params):
+        def run(layer_params):
             terms = [T.sum_(T.mul(T.matmul_t(T.constant(x), w), T.constant(g))) for x, g in zip(xs, gs)]
-            h = c = T.constant(np.zeros((lstm_rows, 3)))
-            for x, g, q in zip(lstm_xs, lstm_gs, cell_params):
-                h, c = T.lstm_cell(x, h, c, q)
+            h = lstm_x
+            for g, q in zip(lstm_gs, layer_params):
+                h = T.lstm_layer(h, live, q)
                 terms.append(T.sum_(T.mul(h, g)))
             loss = terms[0]
             for t in terms[1:]:
@@ -970,10 +851,10 @@ class TestGradientBuffers:
             return loss
 
         with Tape() as tape:
-            tape.backward(run([p] * steps))
+            tape.backward(run([p] * uses))
         got = [t.grad.copy() for t in (w, p.w, p.b)]
-        # the same steps with a copy of the LSTM weights per use
-        copies = [T.LstmParams(T.parameter(p.w.data), T.parameter(p.b.data), p.hidden) for _ in range(steps)]
+        # the same layers with a copy of the LSTM weights per use
+        copies = [T.LstmParams(T.parameter(p.w.data), T.parameter(p.b.data), p.hidden) for _ in range(uses)]
         with Tape() as tape:
             tape.backward(run(copies))
         want = [
@@ -1009,14 +890,14 @@ class TestGradientBuffers:
         rng = np.random.default_rng(32)
         p = T.init_lstm_params(rng, 2, 3)
         w = T.parameter(rng.normal(size=(4, 3)))
-        x = T.parameter(rng.normal(size=(2, 2)))
+        x = T.parameter(rng.normal(size=(3, 2)))
         with Tape() as tape:
-            h, c = T.lstm_cell(x, T.constant(np.zeros((2, 3))), T.constant(np.zeros((2, 3))), p)
+            h = T.lstm_layer(x, [2, 1], p)
             out = tanh(T.matmul_t(h, w))
             loss = T.sum_(out)
-            assert all(t.grad is T.PENDING for t in (h, c, out, loss))
+            assert all(t.grad is T.PENDING for t in (h, out, loss))
             tape.backward(loss)
-        assert all(t.grad is None for t in (h, c, out, loss))
+        assert all(t.grad is None for t in (h, out, loss))
         assert all(isinstance(t.grad, np.ndarray) for t in (p.w, p.b, w, x))
 
     def test_node_the_loss_cannot_reach_never_runs(self):
@@ -1046,24 +927,21 @@ class TestDeterminismAndInvariants:
         def run():
             rng = np.random.default_rng(42)
             p = T.init_lstm_params(rng, 3, 4)
-            x = T.constant(rng.normal(size=(1, 3)))
-            h, c = T.lstm_cell(x, T.constant(np.zeros((1, 4))), T.constant(np.zeros((1, 4))), p)
-            return softmax(h).data.tobytes()
+            h, c = T.lstm_cell(rng.normal(size=(1, 3)), np.zeros((1, 4)), np.zeros((1, 4)), p)
+            return softmax(T.constant(h)).data.tobytes()
 
         assert run() == run()
 
     def test_small_model_gradient_sweep(self):
-        # <= 200 parameters: one LSTM layer + projection + one log-softmax entry
+        # <= 200 parameters: one LSTM layer over 3 steps + projection of the
+        # last output + one log-softmax entry
         rng = np.random.default_rng(5)
         p = T.init_lstm_params(rng, 4, 4)  # 4*4*(4+4) + 16 = 144
         w = T.parameter(rng.normal(size=(3, 4)) * 0.3)  # 12
-        xs = [T.constant(rng.normal(size=(1, 4))) for _ in range(3)]
+        x = T.constant(rng.normal(size=(3, 4)))
 
         def forward():
-            h = T.constant(np.zeros((1, 4)))
-            c = T.constant(np.zeros((1, 4)))
-            for x in xs:
-                h, c = T.lstm_cell(x, h, c, p)
+            h = T.gather(T.lstm_layer(x, [1, 1, 1], p), [2])
             return T.sum_(T.gather(log_softmax(T.matmul_t(h, w)), [1], axis=-1))
 
         params = {"w": w, "lstm.w": p.w, "lstm.b": p.b}
@@ -1212,13 +1090,13 @@ class TestSubstream:
 def attention_args(rows, closed):
     """`multi_head_attention` arguments: one head of width 2 over 2 frames."""
     w = T.constant(np.eye(2))
-    return T.constant(np.ones((rows, 2))), [w], [w], [w], np.array(closed), w
+    return np.ones((rows, 2)), [w], [w], [w], np.array(closed), w
 
 
 def bias_attention_args(closed):
     """`additive_attention` arguments: one query row over 2 value rows."""
     w = T.constant(np.eye(2))
-    return T.constant(np.ones((1, 2))), w, T.constant(np.zeros(2)), w, T.constant(np.ones(2)), np.arange(2), np.array(closed), w
+    return np.ones((1, 2)), w, T.constant(np.zeros(2)), np.eye(2), T.constant(np.ones(2)), np.arange(2), np.array(closed), np.eye(2)
 
 
 def nested_tapes():
