@@ -275,7 +275,7 @@ class Recognizer:
         """
         n_rows = h_z.data.shape[0]
         closed = np.asarray(closed)
-        if closed.shape != (d_t.data.shape[0], n_rows):
+        if closed.shape != (d_t.shape[0], n_rows):
             raise ValueError(f"mask length {closed.shape} does not match {n_rows} bias rows for query {d_t.shape}")
         if closed.dtype != bool:
             raise ValueError(f"the mask must be boolean, got {closed.dtype}")
@@ -309,8 +309,9 @@ class Recognizer:
         ids = np.asarray(y_prev)
         if ids.ndim != 1:
             raise ValueError(f"decoder_step needs a 1-D array of token ids, got shape {ids.shape}")
-        if np.any((ids < 0) | (ids >= len(self.vocab))):
-            raise KeyError(f"unknown token id {y_prev}")
+        unknown = (ids < 0) | (ids >= len(self.vocab))
+        if unknown.any():
+            raise KeyError(f"unknown token ids {ids[unknown].tolist()}")
         x = np.concatenate([self.params["embedding"].data[ids], state.context], axis=-1)
         new_layers = []
         for p, (h, c) in zip(self.decoder, state.layers):

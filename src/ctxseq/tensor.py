@@ -34,15 +34,11 @@ A training step does each weight's weight-sized work once:
   `Tape.backward` skips a node none of whose outputs received a gradient and
   drops a node's output gradients once its backward has run, so afterwards
   only leaves (parameters) hold gradients.
-- The weight of `matmul_t`, of `lstm_layer` and of the fused layers' input
-  and output projections, when it is a leaf, is not given a gradient per
-  use: each use hands its (output gradient, input) rows to its tape, and
-  the end of `Tape.backward` adds `G.T @ X` over the stacked rows of all
-  uses, one GEMM per weight (the backward half of the GEMM hoist of
-  Appleyard et al.); a weight with one use, as every weight of a training
-  step has, gives its rows to the GEMM without a stacking copy. A recorded
-  weight gets its gradient at once, because the node that produced it reads
-  it.
+- A weight's gradient is `g.T @ x`, one GEMM per use, added in the
+  backward of the node that uses it. `lstm_layer` and `attention_decoder`
+  stack the rows of every step before that GEMM (the backward half of the
+  GEMM hoist of Appleyard et al.), so every weight of a training step has
+  one use and one GEMM.
 - `Adam` keeps every parameter's data and gradient in one flat buffer each,
   the `Tensor`s holding views, so `zero_grad` and `Adam.step` are a few
   whole-buffer calls; the step evaluates its update with `out=` into one
@@ -119,8 +115,6 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[tuple[tuple[Tensor, ...], Callable[[], None]]] = []
-        # leaf weight -> the (output gradient, input) rows of each of its uses
-        self._weight_rows: dict[Tensor, list[tuple[np.ndarray, np.ndarray]]] = {}
         self._done = False
 
     def __enter__(self) -> "Tape":
@@ -156,24 +150,6 @@ class Tape:
                     break
             for o in outs:
                 o.grad = None
-        for w, uses in self._weight_rows.items():
-            if len(uses) == 1:
-                g, x = uses[0]  # one row block needs no stacking copy
-            else:
-                gs, xs = zip(*uses)
-                g, x = np.concatenate(gs), np.concatenate(xs)
-            w.grad += g.T @ x
-        self._weight_rows.clear()
-
-
-def _weight_rows(w: Tensor) -> dict[Tensor, list] | None:
-    """Where a use of `w` leaves its weight-gradient rows for the one GEMM at
-    the end of backward: the recording tape's table if `w` is a leaf, else
-    None. Backward closures hold the table, not the tape: a tape -> node ->
-    tape cycle would keep each step's tape alive until the cycle collector
-    ran, and memory grew step after step."""
-    tape = Tape._active
-    return tape._weight_rows if tape is not None and isinstance(w.grad, np.ndarray) else None
 
 
 def _record(out: Tensor, backward_fn: Callable[[], None], *more_outs: Tensor) -> Tensor:
@@ -193,13 +169,12 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _accum_weight(w: Tensor, g: np.ndarray, x: np.ndarray, weight_rows: dict | None) -> None:
-    """Add `g.T @ x` into `w`'s gradient, or hold the rows in the tape's
-    table (`_weight_rows(w)` at record time) for the flush."""
-    if weight_rows is not None:
-        weight_rows.setdefault(w, []).append((g, x))
-    else:
-        _accum(w, g.T @ x)
+def _scatter_add(t: Tensor, where, g: np.ndarray) -> None:
+    """`_accum` of `g` into the entries `where` of `t`, repeats adding up."""
+    if t.grad is PENDING:
+        t.grad = np.zeros_like(t.data)  # a scatter-add needs a zero-filled buffer
+    if t.grad is not None:
+        np.add.at(t.grad, where, g)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +207,10 @@ def matmul_t(x: Tensor, w: Tensor) -> Tensor:
     if xd.shape[1] != wd.shape[1]:
         raise ValueError(f"matmul_t dimension mismatch: {x.shape} @ {w.shape}.T")
     out = Tensor(xd @ wd.T)
-    weight_rows = _weight_rows(w)
 
     def backward():
         g = out.grad
-        _accum_weight(w, g, xd, weight_rows)
+        _accum(w, g.T @ xd)
         _accum(x, g @ wd)
 
     return _record(out, backward)
@@ -304,10 +278,7 @@ def gather(a: Tensor, index: np.ndarray, axis: int = 0) -> Tensor:
     out = Tensor(a.data[where])
 
     def backward():
-        if a.grad is PENDING:
-            a.grad = np.zeros_like(a.data)  # a scatter-add needs a zero-filled buffer
-        if a.grad is not None:
-            np.add.at(a.grad, where, out.grad)
+        _scatter_add(a, where, out.grad)
 
     return _record(out, backward)
 
@@ -544,12 +515,11 @@ def output_log_probs(parts: Sequence[Tensor], w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"output_log_probs shape mismatch: parts {[p.shape for p in parts]}, w {w.shape}, b {b.shape}")
     x = np.concatenate([p.data for p in parts], axis=-1)
     out = Tensor(output_layer(x, w, b))
-    w_rows = _weight_rows(w)
 
     def backward():
         g = _log_softmax_grad(out.grad, out.data)
         _accum(b, g.sum(axis=0))
-        _accum_weight(w, g, x, w_rows)
+        _accum(w, g.T @ x)
         g_x = g @ wd
         pos = 0
         for p, n in zip(parts, sizes):
@@ -639,8 +609,9 @@ def lstm_layer(x: Tensor, live: Sequence[int], params: LstmParams) -> Tensor:
     products `x @ W_x.T + b` are one GEMM over every step, and each step
     adds only its `h @ W_h.T` to them (the GEMM hoist of Appleyard, Kočiský
     & Blunsom 2016); `W_x` and `W_h` are column views of the fused weight.
-    The backward runs the steps in reverse, then gives the input gradient in
-    one GEMM and the weight one row block `[x, h_prev]` for the flush. The
+    The backward runs the steps in reverse, then gives the input and the
+    weight gradients in one GEMM each, the weight's over the rows
+    `[x, h_prev]`. The
     gates are `lstm_cell`'s; values and gradients match a chain of op-by-op
     cells up to rounding in the last bits. Without a tape nothing is kept
     for backward.
@@ -669,7 +640,6 @@ def lstm_layer(x: Tensor, live: Sequence[int], params: LstmParams) -> Tensor:
         if taped:
             saved.append((act, c_prev, tc))
     h_t = Tensor(out)
-    weight_rows = _weight_rows(params.w)
 
     def backward():
         gh = h_t.grad.copy()  # each row's output gradient; steps add their recurrent part
@@ -684,7 +654,7 @@ def lstm_layer(x: Tensor, live: Sequence[int], params: LstmParams) -> Tensor:
                 gc[prev] = gc_prev
         h_prev = np.zeros_like(out)  # step 0 starts from zero states
         h_prev[live[0] :] = out[np.arange(live[0], len(out)) - np.repeat(live[:-1], live[1:])]
-        _accum_weight(params.w, d_pre, np.concatenate([xd, h_prev], axis=-1), weight_rows)
+        _accum(params.w, d_pre.T @ np.concatenate([xd, h_prev], axis=-1))
         _accum(params.b, d_pre.sum(axis=0))
         if x.grad is not None:
             _accum(x, d_pre @ w_x)
@@ -726,9 +696,9 @@ def attention_decoder(
       in one product too.
     - The frame mask is made and checked once; the bias softmax has no mask.
     - The backward runs the positions in reverse and writes each one's rows
-      into stacked buffers. Then each weight hands the flush one row block,
-      each attention's keys and values get their gradients in one product
-      each, and the embedding gets its rows from one GEMM and one scatter-add.
+      into stacked buffers. Then each weight, and each attention's keys and
+      values, get their gradients in one product each, and the embedding
+      gets its rows from one GEMM and one scatter-add.
     """
     wq, keys, values, closed, wo = audio
     wd, b, bias_keys, v, score_of, h_z = bias
@@ -753,8 +723,8 @@ def attention_decoder(
     ends = np.cumsum([w.data.shape[0] for w in wq])
     heads = [slice(e - w.data.shape[0], e) for e, w in zip(ends, wq)]
     at_bias = slice(ends[-1], None)
-    # Layer l's [input, previous output] rows of every position, the rows of
-    # its weight's flush; position 0 reads zero states and a zero context.
+    # Layer l's [input, previous output] rows of every position, which its
+    # weight's gradient reads; position 0 reads zero states and a zero context.
     xs = [np.zeros((ids.size, p.w.data.shape[1])) for p in layers]
     xs[0][:, :n_emb] = ed[ids.reshape(-1)]
     pre_emb = xs[0][:, :n_emb] @ w0[:, :n_emb].T + layers[0].b.data
@@ -790,9 +760,6 @@ def attention_decoder(
         bias_alphas.append(a_b)
         bias_t.append(t_b)
     contexts, outputs = Tensor(ctx), Tensor(out)
-    layer_rows = [_weight_rows(p.w) for p in layers]
-    wq_rows, key_rows = [_weight_rows(w) for w in wq], [_weight_rows(k) for k in keys]
-    wo_rows, wd_rows = _weight_rows(wo), _weight_rows(wd)
 
     def backward():
         # The tape runs this once either output has a gradient; the other
@@ -830,23 +797,20 @@ def attention_decoder(
                     d_xh = d_pre @ w0[:, n_emb:]
                     g_ctx[prev] += d_xh[:, :width]
                     g_h[0] = d_xh[:, width:]
-        for p, d_pre, x, w_rows in zip(layers, d_pres, xs, layer_rows):
-            _accum_weight(p.w, d_pre, x, w_rows)
+        for p, d_pre, x in zip(layers, d_pres, xs):
+            _accum(p.w, d_pre.T @ x)
             _accum(p.b, d_pre.sum(axis=0))
-        if embedding.grad is PENDING:
-            embedding.grad = np.zeros_like(ed)  # a scatter-add needs a zero-filled buffer
-        if embedding.grad is not None:
-            np.add.at(embedding.grad, ids.reshape(-1), d_pres[0] @ w0[:, :n_emb])
-        _accum_weight(wo, g_ctx[:, :n_att], np.concatenate(cats), wo_rows)
+        _scatter_add(embedding, ids.reshape(-1), d_pres[0] @ w0[:, :n_emb])
+        _accum(wo, g_ctx[:, :n_att].T @ np.concatenate(cats))
         for i, c in enumerate(heads):
             _accum(values[i], np.concatenate([a[i] for a in alphas]).T @ g_cat[:, c])
-            _accum_weight(keys[i], g_s[i], q_all[:, c], key_rows[i])
-            _accum_weight(wq[i], g_q[:, c], out, wq_rows[i])
+            _accum(keys[i], g_s[i].T @ q_all[:, c])
+            _accum(wq[i], g_q[:, c].T @ out)
         _accum(h_z, np.concatenate(bias_alphas).T @ g_ctx[:, n_att:])
         _accum(v, _tanh_v_grad(g_scores, np.concatenate(bias_t)))
         _accum(bias_keys, g_args.sum(axis=0))
         _accum(b, g_q[:, at_bias].sum(axis=0))
-        _accum_weight(wd, g_q[:, at_bias], out, wd_rows)
+        _accum(wd, g_q[:, at_bias].T @ out)
 
     return _record(contexts, backward, outputs), outputs
 

@@ -528,8 +528,9 @@ class TestDecoderStep:
         assert np.abs(d - h).max() < 1e-12
 
     def test_unknown_token(self):
-        with pytest.raises(KeyError):
-            tiny_model().decoder_step([99], tiny_model().initial_state(1))
+        model = tiny_model()
+        with pytest.raises(KeyError, match=r"unknown token ids \[99\]"):
+            model.decoder_step([model.vocab.sos, 99], model.initial_state(2))
 
 
 def output_distribution(model, c_t, d_t):

@@ -817,8 +817,8 @@ class TestBackward:
 
 class TestGradientBuffers:
     """Recorded outputs get a gradient buffer on first write and lose it once
-    their node has run; a leaf weight's gradient is summed over its uses in
-    one GEMM at the end of backward."""
+    their node has run; a leaf weight's gradient gets the `g.T @ x` GEMM of
+    each use, added in the backward of the node that uses it."""
 
     @given(
         seed=st.integers(0, 1000),
@@ -826,6 +826,7 @@ class TestGradientBuffers:
         live=st.lists(st.integers(1, 4), min_size=1, max_size=4).map(lambda n: sorted(n, reverse=True)),
         uses=st.integers(1, 4),
     )
+    @example(seed=5, rows=[3], live=[3, 2, 2], uses=1)  # one use per weight, as in a training step
     @settings(max_examples=40, deadline=None)
     def test_leaf_weight_gradient_is_the_sum_over_uses(self, seed, rows, live, uses):
         # `uses` LSTM layers share one weight, each reading the last one's
@@ -864,6 +865,11 @@ class TestGradientBuffers:
         ]
         for g, ref in zip(got, want):
             assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+        if len(rows) == 1 and uses == 1:
+            # a single use adds its one product into a zero buffer: the bytes
+            # of that product, and of the same layer on a private weight copy
+            assert got[0].tobytes() == (gs[0].T @ xs[0]).tobytes()
+            assert got[1].tobytes() == copies[0].w.grad.tobytes()
 
     def test_recorded_weight_passes_its_gradient_on(self):
         # The weight of the outer matmul_t is itself recorded, as the
