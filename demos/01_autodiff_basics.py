@@ -9,32 +9,33 @@ from ctxseq import tensor as T
 
 # A tensor is a float64 array; a Tape records ops so backward can replay them
 # in exact reverse. Parameters carry gradient buffers, constants do not.
-# Inputs are (B, D) stacks of rows; here B = 1. `output_log_probs` is one
-# fused layer, log_softmax(x @ w.T + b), and the loss is -log p(class 1).
-w = T.parameter([[0.4, -0.2], [0.1, 0.3]])
-b = T.parameter([0.05, -0.05])
+# Inputs are (B, D) stacks of rows; here B = 1. The loss is the squared norm
+# of r = x @ w.T: `matmul_t`, then `mul` and `sum_`, three tape nodes.
+w = T.parameter([[0.4, -0.1], [0.1, 0.3]])
 x = T.constant([[1.0, 2.0]])
 
 
-def nll():
-    return T.sum_(T.scale(T.gather(T.output_log_probs([x], w, b), [1], axis=-1), -1.0))
+def squared_norm():
+    r = T.matmul_t(x, w)
+    return T.sum_(T.mul(r, r))
 
 
 with T.Tape() as tape:
-    loss = nll()
+    loss = squared_norm()
+    print("tape nodes  :", len(tape))
     tape.backward(loss)
 
 print("loss        :", float(loss.data))
 print("dloss/dw    :\n", w.grad)
-print("dloss/db    :", b.grad)
+print("2 r.T @ x   :\n", 2 * (x.data @ w.data.T).T @ x.data)
 
 # Spot-check one entry against central finite differences.
 step = 1e-5
 orig = w.data[0, 1]
 w.data[0, 1] = orig + step
-hi = float(nll().data)
+hi = float(squared_norm().data)
 w.data[0, 1] = orig - step
-lo = float(nll().data)
+lo = float(squared_norm().data)
 w.data[0, 1] = orig
 fd = (hi - lo) / (2 * step)
 print(f"finite diff for w[0,1]: {fd:.10f}  (tape said {w.grad[0, 1]:.10f})")

@@ -16,8 +16,8 @@ Every step runs on rows: B token ids, (B, ·) state arrays and a boolean
 (B, N+1) `closed` mask. The beam search advances all of its live hypotheses
 in one call. The training loss knows every position's input token, so it
 runs the whole teacher-forced decoder of a minibatch, one row per
-utterance, as one `tensor.attention_decoder` tape node with the step's
-arithmetic, then `tensor.output_log_probs` once over every position. Both
+utterance, and its loss as one `tensor.attention_decoder` tape node with
+the step's arithmetic; its output layer runs once over every position. Both
 encoders share one longest-first LSTM pass, `_longest_first`, in which each
 layer is one `tensor.lstm_layer` node: the phrase encoder runs it over the
 whole phrase list, and the audio encoder over all utterances of a batch.
@@ -353,15 +353,13 @@ class Recognizer:
         gives, as the beam takes it, shared by every utterance.
 
         Utterance b is row b of every target position. The targets are
-        padded with end-of-sequence to the longest; a padded position adds
-        nothing to the loss, so its row gets zero gradient. The decoder
-        cells, the two attentions and the context of every position run as
-        one `tensor.attention_decoder` node, which does the arithmetic of a
-        `step` per position. Training closes no list entry, so the bias
-        attention reads the list's key index as it is, without
-        `attend_bias`'s gathers. The output layer and the loss then run once
-        over the (positions·B, ·) stacks of every position's context and
-        decoder output.
+        padded to the longest, a padded position reading end-of-sequence; it
+        adds nothing to the loss, so its row gets zero gradient. The decoder
+        cells, the two attentions, the output layer and the loss of every
+        position run as one `tensor.attention_decoder` node, which does the
+        arithmetic of a `step` per position. Training closes no list entry,
+        so the bias attention reads the list's key index as it is, without
+        `attend_bias`'s gathers.
         """
         if len(xs) != len(targets):
             raise ValueError(f"{len(xs)} utterances for {len(targets)} targets")
@@ -374,26 +372,21 @@ class Recognizer:
         audio = self.precompute_audio(self.encode_audio(xs), [len(x) for x in xs])
         h_z, (key_rows, key_of) = bias
         rows = len(targets)
-        longest = max(len(t) for t in targets)
-        ids = np.full((rows, longest), self.vocab.eos)
-        # picks[t, b] is one-hot on row b's target at position t, zero past its end.
-        picks = np.zeros((longest, rows, len(self.vocab)))
+        emit = np.full((rows, max(len(t) for t in targets)), -1)  # a padded position emits nothing
         for b, target in enumerate(targets):
-            ids[b, : len(target)] = target
-            picks[np.arange(len(target)), b, target] = 1.0
+            emit[b, : len(target)] = target
+        ids = np.where(emit < 0, self.vocab.eos, emit)  # and reads end-of-sequence
         y_prev = np.column_stack([np.full(rows, self.vocab.sos), ids[:, :-1]])
         p = self.params
-        contexts, outputs = T.attention_decoder(
+        return T.attention_decoder(
             y_prev.T,
+            emit.T,
             p["embedding"],
             self.decoder,
             self._audio_attention(audio),
             (p["bias_attn.wd"], p["bias_attn.b"], key_rows, p["bias_attn.v"], key_of, h_z),
+            (p["output.w"], p["output.b"]),
         )
-        log_probs = T.output_log_probs([contexts, outputs], p["output.w"], p["output.b"])
-        # Sums exactly the picked entries: every other product is zero.
-        picked = T.sum_(T.mul(log_probs, T.constant(picks.reshape(longest * rows, -1))))
-        return T.scale(picked, -1.0)
 
     # -- persistence -----------------------------------------------------------
 

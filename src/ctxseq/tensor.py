@@ -2,24 +2,23 @@
 
 Everything is deliberately small: 1-D/2-D arrays, the handful of ops a stacked
 recurrent attention model needs, and an Adam optimizer. There is one row
-layout: `matmul_t`, `output_log_probs` and the beam step's ops take (B, D)
-stacks of B rows (B may be 1), `lstm_layer` takes the rows of every step of
-a batch stacked step by step, `attention_decoder` every position's rows
-stacked position by position, `matmul` takes two matrices, and none takes a
-vector. So a training step, a beam step over B hypotheses and the phrase
-encoder over a whole list run the same arithmetic. `mul` and `scale` are
-shape-agnostic, and `gather` selects rows or last-axis entries (a column
-range is `gather` over `np.arange(start, stop)`).
+layout: `matmul_t` and the beam step's ops take (B, D) stacks of B rows (B
+may be 1), `lstm_layer` takes the rows of every step of a batch stacked
+step by step, `attention_decoder` every position's rows stacked position by
+position, `matmul` takes two matrices, and none takes a vector. So a
+training step, a beam step over B hypotheses and the phrase encoder over a
+whole list run the same arithmetic. `mul` and `scale` are shape-agnostic,
+and `gather` selects rows or last-axis entries (a column range is `gather`
+over `np.arange(start, stop)`).
 
 Training records fused tape nodes with hand-written backwards (the
 element-wise fusion of Appleyard, Kočiský & Blunsom 2016): `lstm_layer` runs
 an LSTM layer as one node, with its input products hoisted out of the step
-loop into one GEMM (the GEMM hoist of the same paper); `attention_decoder`
-runs every position of the teacher-forced decoder, its LSTM layers and both
-attentions, as one node; and `output_log_probs` keeps the bits of the op
-chain it replaced. The chains, and the primitive ops only they use, are the
-tests' oracles; the two layers match chains of them up to rounding in the
-last bits.
+loop into one GEMM (the GEMM hoist of the same paper); and
+`attention_decoder` runs every position of the teacher-forced decoder, its
+LSTM layers, both attentions, the output layer and the loss, as one node.
+The chains, and the primitive ops only they use, are the tests' oracles;
+the two layers match chains of them up to rounding in the last bits.
 
 The beam runs forward only, on arrays: `lstm_cell`, `multi_head_attention`,
 `additive_attention` and `output_layer` take and return numpy arrays, with
@@ -30,10 +29,10 @@ each query row only against the keys of its own open entries.
 
 A training step does each weight's weight-sized work once:
 
-- A recorded output gets its gradient buffer on its first write, as a copy.
-  `Tape.backward` skips a node none of whose outputs received a gradient and
-  drops a node's output gradients once its backward has run, so afterwards
-  only leaves (parameters) hold gradients.
+- A node records one output, which gets its gradient buffer on its first
+  write, as a copy. `Tape.backward` skips a node whose output received no
+  gradient and drops the output's gradient once its backward has run, so
+  afterwards only leaves (parameters) hold gradients.
 - A weight's gradient is `g.T @ x`, one GEMM per use, added in the
   backward of the node that uses it. `lstm_layer` and `attention_decoder`
   stack the rows of every step before that GEMM (the backward half of the
@@ -114,7 +113,7 @@ class Tape:
     _active: "Tape | None" = None
 
     def __init__(self):
-        self._nodes: list[tuple[tuple[Tensor, ...], Callable[[], None]]] = []
+        self._nodes: list[tuple[Tensor, Callable[[], None]]] = []
         self._done = False
 
     def __enter__(self) -> "Tape":
@@ -143,22 +142,17 @@ class Tape:
             raise ValueError("loss was not recorded on a tape")
         self._done = True
         loss.grad = np.ones(())
-        for outs, fn in reversed(self._nodes):
-            for o in outs:
-                if o.grad is not PENDING:
-                    fn()
-                    break
-            for o in outs:
-                o.grad = None
+        for out, fn in reversed(self._nodes):
+            if out.grad is not PENDING:
+                fn()
+            out.grad = None
 
 
-def _record(out: Tensor, backward_fn: Callable[[], None], *more_outs: Tensor) -> Tensor:
+def _record(out: Tensor, backward_fn: Callable[[], None]) -> Tensor:
     tape = Tape._active
     if tape is not None:
         out.grad = PENDING
-        for o in more_outs:
-            o.grad = PENDING
-        tape._nodes.append(((out, *more_outs), backward_fn))
+        tape._nodes.append((out, backward_fn))
     return out
 
 
@@ -346,9 +340,7 @@ def _tanh_scores(kd: np.ndarray, qd: np.ndarray, vd: np.ndarray) -> np.ndarray:
     size when a beam steps many rows. Every query row is scored against
     every key; `_open_scores` scores only the pairs a mask leaves open.
     """
-    return np.concatenate([
-        np.tanh(kd + qd[i : i + _SCORE_ROWS, None, :]) @ vd for i in range(0, len(qd), _SCORE_ROWS)
-    ])
+    return np.concatenate([_tanh_block(kd, qd[i : i + _SCORE_ROWS], vd)[0] for i in range(0, len(qd), _SCORE_ROWS)])
 
 
 def _open_scores(kd: np.ndarray, qd: np.ndarray, vd: np.ndarray, score_of: np.ndarray, closed: np.ndarray) -> np.ndarray:
@@ -424,8 +416,7 @@ def _dot_head_grad(g_head, q, k, v, alpha, kept) -> tuple[np.ndarray, np.ndarray
 # Forward only: the queries, the bias keys and values, and every result are
 # arrays, so no result can enter a taped graph; the parameters and the audio
 # keys and values are the `Tensor`s training makes on the tape. Training runs
-# the same arithmetic, through the same helpers, in `attention_decoder` and
-# `output_log_probs`.
+# the same arithmetic, through the same helpers, in `attention_decoder`.
 
 
 def multi_head_attention(
@@ -498,35 +489,12 @@ def additive_attention(
 
 
 def output_layer(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
-    """`log_softmax(x @ w.T + b)` of a (B, D) stack of rows, the arithmetic
-    of `output_log_probs`. Non-finite logits raise NonFiniteError."""
-    return _log_softmax_rows(x @ w.data.T + b.data)
-
-
-def output_log_probs(parts: Sequence[Tensor], w: Tensor, b: Tensor) -> Tensor:
-    """`log_softmax(concat(parts) @ w.T + b)` for (B, D_i) parts with equal B.
-
-    The chain: concat, matmul_t, add, log_softmax. Non-finite logits raise
-    NonFiniteError.
-    """
-    sizes = [p.data.shape[-1] for p in parts]
+    """`log_softmax(x @ w.T + b)` of a (B, D) stack of rows. Non-finite
+    logits raise NonFiniteError."""
     wd = w.data
-    if any(p.data.ndim != 2 for p in parts) or wd.ndim != 2 or wd.shape[1] != sum(sizes) or b.data.shape != wd.shape[:1]:
-        raise ValueError(f"output_log_probs shape mismatch: parts {[p.shape for p in parts]}, w {w.shape}, b {b.shape}")
-    x = np.concatenate([p.data for p in parts], axis=-1)
-    out = Tensor(output_layer(x, w, b))
-
-    def backward():
-        g = _log_softmax_grad(out.grad, out.data)
-        _accum(b, g.sum(axis=0))
-        _accum(w, g.T @ x)
-        g_x = g @ wd
-        pos = 0
-        for p, n in zip(parts, sizes):
-            _accum(p, g_x[..., pos : pos + n])
-            pos += n
-
-    return _record(out, backward)
+    if x.ndim != 2 or wd.ndim != 2 or x.shape[1] != wd.shape[1] or b.data.shape != wd.shape[:1]:
+        raise ValueError(f"output_layer shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}")
+    return _log_softmax_rows(x @ wd.T + b.data)
 
 
 # ---------------------------------------------------------------------------
@@ -668,25 +636,29 @@ def lstm_layer(x: Tensor, live: Sequence[int], params: LstmParams) -> Tensor:
 
 def attention_decoder(
     ids: np.ndarray,
+    targets: np.ndarray,
     embedding: Tensor,
     layers: Sequence[LstmParams],
     audio: tuple[Sequence[Tensor], Sequence[Tensor], Sequence[Tensor], np.ndarray, Tensor],
     bias: tuple[Tensor, Tensor, Tensor, Tensor, np.ndarray, Tensor],
-) -> tuple[Tensor, Tensor]:
-    """Every position of a teacher-forced attention decoder as one tape node;
-    returns the (P·B, ·) stacks of contexts and decoder outputs, position by
-    position.
+    output: tuple[Tensor, Tensor],
+) -> Tensor:
+    """Every position of a teacher-forced attention decoder, with its output
+    layer and loss, as one tape node; returns the scalar summed negative
+    log-likelihood of `targets`.
 
-    `ids` is (P, B): row t holds the B input tokens of position t. Position
-    t runs the stacked LSTM `layers`, from zero states, on the `embedding`
-    rows of its tokens joined with position t-1's context (zeros at t = 0).
-    The last layer's output d queries two attentions, and the position's
-    context joins their contexts: `multi_head_attention(d, *audio)` with
-    audio = (wq, keys, values, closed, wo), then `additive_attention` with
-    bias = (wd, b, keys, v, score_of, values) and no entry closed. Each
-    layer's arithmetic is that of `lstm_cell` and of those two ops, through
-    the helpers they share, and values and gradients match a chain of the
-    op-by-op forms of those layers up to rounding in the last bits:
+    `ids` and `targets` are (P, B): row t holds the B input tokens of
+    position t and the B tokens it emits, -1 on a padded row, which adds
+    nothing. Position t runs the stacked LSTM `layers`, from zero states, on
+    the `embedding` rows of its tokens joined with position t-1's context
+    (zeros at t = 0). The last layer's output d queries two attentions, and
+    the position's context joins their contexts: `multi_head_attention(d,
+    *audio)` with audio = (wq, keys, values, closed, wo), then
+    `additive_attention` with bias = (wd, b, keys, v, score_of, values) and
+    no entry closed; `output_layer` with output = (w, b) reads the context
+    joined with d. The arithmetic is that of those ops and `lstm_cell`,
+    through the helpers they share, and values and gradients match a chain
+    of their op-by-op forms up to rounding in the last bits:
 
     - The embedding half of the first layer's input product, with its bias,
       is one GEMM over every position (the GEMM hoist of `lstm_layer`); a
@@ -695,6 +667,9 @@ def attention_decoder(
       stacked `wq`s and `wd`, and its backward returns their gradients to d
       in one product too.
     - The frame mask is made and checked once; the bias softmax has no mask.
+    - The output layer runs once, over one buffer of every position's
+      context and d. The loss sums the picked log-probabilities in a
+      zero-filled array, which keeps the bits of a one-hot product's sum.
     - The backward runs the positions in reverse and writes each one's rows
       into stacked buffers. Then each weight, and each attention's keys and
       values, get their gradients in one product each, and the embedding
@@ -702,14 +677,15 @@ def attention_decoder(
     """
     wq, keys, values, closed, wo = audio
     wd, b, bias_keys, v, score_of, h_z = bias
-    ids = np.asarray(ids, dtype=np.intp)
+    w_out, b_out = output
+    ids, targets = np.asarray(ids, dtype=np.intp), np.asarray(targets, dtype=np.intp)
     ed, w0, wod, hzd = embedding.data, layers[0].w.data, wo.data, h_z.data
     n_emb, n_att = ed.shape[1], wod.shape[0]
     width = n_att + hzd.shape[1]  # a context: the audio context, then the bias context
-    if ids.ndim != 2 or w0.shape[1] != n_emb + width + layers[0].hidden:
+    if ids.ndim != 2 or targets.shape != ids.shape or w0.shape[1] != n_emb + width + layers[0].hidden:
         raise ValueError(
-            f"attention_decoder shape mismatch: ids {ids.shape}, embedding {embedding.shape}, "
-            f"first layer {layers[0].w.shape}, context width {width}"
+            f"attention_decoder shape mismatch: ids {ids.shape}, targets {targets.shape}, "
+            f"embedding {embedding.shape}, first layer {layers[0].w.shape}, context width {width}"
         )
     n_pos, rows = ids.shape
     if closed.ndim != 2 or closed.shape[0] not in (1, rows) or closed.shape[1] != keys[0].data.shape[0]:
@@ -728,7 +704,8 @@ def attention_decoder(
     xs = [np.zeros((ids.size, p.w.data.shape[1])) for p in layers]
     xs[0][:, :n_emb] = ed[ids.reshape(-1)]
     pre_emb = xs[0][:, :n_emb] @ w0[:, :n_emb].T + layers[0].b.data
-    ctx, out = np.empty((ids.size, width)), np.empty((ids.size, layers[-1].hidden))
+    x = np.empty((ids.size, width + layers[-1].hidden))  # each position's [context, d] rows
+    ctx, out = x[:, :width], x[:, width:]
     q_all = np.empty((ids.size, len(w_q)))
     cells = [np.zeros((rows, p.hidden)) for p in layers]
     gates, cats, alphas, bias_alphas, bias_t = [], [], [], [], []
@@ -759,14 +736,22 @@ def attention_decoder(
         alphas.append(a)
         bias_alphas.append(a_b)
         bias_t.append(t_b)
-    contexts, outputs = Tensor(ctx), Tensor(out)
+    log_probs = output_layer(x, w_out, b_out)
+    hit = np.flatnonzero(targets >= 0)  # the rows that emit a token
+    picked = (hit, targets.reshape(-1)[hit])
+    terms = np.zeros_like(log_probs)
+    terms[picked] = log_probs[picked]
+    loss = Tensor(-terms.sum())
 
     def backward():
-        # The tape runs this once either output has a gradient; the other
-        # may have none. A position adds its recurrent gradients to the
-        # rows of the one before.
-        g_ctx = np.zeros_like(ctx) if contexts.grad is PENDING else contexts.grad.copy()
-        g_out = np.zeros_like(out) if outputs.grad is PENDING else outputs.grad
+        g = np.zeros_like(log_probs)
+        g[picked] = -loss.grad
+        g = _log_softmax_grad(g, log_probs)
+        _accum(b_out, g.sum(axis=0))
+        _accum(w_out, g.T @ x)
+        g_x = g @ w_out.data
+        # A position adds its recurrent gradients to the rows of the one before.
+        g_ctx, g_out = g_x[:, :width], g_x[:, width:]
         d_pres = [np.empty((ids.size, 4 * p.hidden)) for p in layers]
         g_q, g_cat = np.empty_like(q_all), np.empty((ids.size, n_att))
         g_s = [np.empty((ids.size, len(k))) for k in kd]
@@ -797,8 +782,8 @@ def attention_decoder(
                     d_xh = d_pre @ w0[:, n_emb:]
                     g_ctx[prev] += d_xh[:, :width]
                     g_h[0] = d_xh[:, width:]
-        for p, d_pre, x in zip(layers, d_pres, xs):
-            _accum(p.w, d_pre.T @ x)
+        for p, d_pre, xh in zip(layers, d_pres, xs):
+            _accum(p.w, d_pre.T @ xh)
             _accum(p.b, d_pre.sum(axis=0))
         _scatter_add(embedding, ids.reshape(-1), d_pres[0] @ w0[:, :n_emb])
         _accum(wo, g_ctx[:, :n_att].T @ np.concatenate(cats))
@@ -812,7 +797,7 @@ def attention_decoder(
         _accum(b, g_q[:, at_bias].sum(axis=0))
         _accum(wd, g_q[:, at_bias].T @ out)
 
-    return _record(contexts, backward, outputs), outputs
+    return _record(loss, backward)
 
 
 # ---------------------------------------------------------------------------

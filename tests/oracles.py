@@ -682,18 +682,19 @@ def reference_additive_attention(query: Tensor, wd, b, keys, v, score_of, closed
 
 
 def reference_output_log_probs(parts, w: Tensor, b: Tensor) -> Tensor:
-    """`tensor.output_log_probs` as a chain: concat, matmul_t, add and
-    log_softmax, each its own tape node."""
+    """The output layer, `tensor.output_layer` of the joined parts, as a
+    chain: concat, matmul_t, add and log_softmax, each its own tape node."""
     return log_softmax(add(T.matmul_t(concat(parts), w), b))
 
 
 def reference_attention_decoder(ids: np.ndarray, embedding: Tensor, layers, audio, bias) -> tuple[Tensor, Tensor]:
-    """`tensor.attention_decoder` as a per-position loop of op chains: per
-    position a gather of the input tokens' embedding rows, a concat with the
-    previous context, one `reference_lstm_cell` per layer,
-    `reference_attend_audio`, `reference_additive_attention` with nothing
-    closed and the context concat; then one stack of every position's
-    contexts and one of its outputs."""
+    """The decoder half of `tensor.attention_decoder`, before its output
+    layer and loss, as a per-position loop of op chains: per position a
+    gather of the input tokens' embedding rows, a concat with the previous
+    context, one `reference_lstm_cell` per layer, `reference_attend_audio`,
+    `reference_additive_attention` with nothing closed and the context
+    concat; then one stack of every position's contexts and one of its
+    outputs."""
     wq, keys, values, closed, wo = audio
     wd, b, bias_keys, v, score_of, h_z = bias
     rows = ids.shape[1]

@@ -289,9 +289,7 @@ class TestRowLayout:
                 vec, *(model.params[f"bias_attn.{k}"] for k in ("wd", "b")), keys[0].data, model.params["bias_attn.v"],
                 keys[1], np.zeros((1, 2), dtype=bool), h_z.data,
             ),
-            "output_log_probs": lambda: T.output_log_probs(
-                [T.constant(np.zeros(4)), T.constant(vec)], model.params["output.w"], model.params["output.b"]
-            ),
+            "output_layer": lambda: T.output_layer(np.zeros(6), model.params["output.w"], model.params["output.b"]),
             "lstm_cell": lambda: T.lstm_cell(np.zeros(6), vec, vec, model.decoder[0]),
             "decoder_step id": lambda: model.decoder_step(sos, model.initial_state(1)),
             "decoder_step state": lambda: model.decoder_step([sos], vector_state),

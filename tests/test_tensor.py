@@ -341,18 +341,20 @@ class TestLstmLayer:
             T.lstm_layer(T.constant(np.zeros((2, 4))), [1, 1], p)
 
 
-def decoder_case(rng, rows, positions, n_layers, heads, utterances, n_values, n_keys, recorded_cache):
+def decoder_case(rng, rows, positions, n_layers, heads, utterances, n_values, n_keys, recorded_cache, targets):
     """(call, leaves) for `attention_decoder` on leaves drawn from `rng`:
-    `call(decoder)` runs `decoder(ids, embedding, layers, audio, bias)`.
-    Several utterances stack their frames and row b reads only one of them;
-    a recorded cache is projected from leaf frames on the tape, else the
-    audio keys and values are leaves."""
-    n_emb, units, dh, adim, zdim = 2, 3, 2, 4, 2
+    `call(decoder)` runs `decoder(ids, targets, embedding, layers, audio,
+    bias, output)` with the (positions, rows) `targets`. Several utterances
+    stack their frames and row b reads only one of them; a recorded cache
+    is projected from leaf frames on the tape, else the audio keys and
+    values are leaves."""
+    n_emb, units, dh, adim, zdim, n_vocab = 2, 3, 2, 4, 2, 5
     width = heads * dh + zdim
     lengths = rng.integers(1, 5, size=utterances)
     shapes = {
-        "embedding": (5, n_emb), "wo": (heads * dh, heads * dh), "h_x": (lengths.sum(), 3),
+        "embedding": (n_vocab, n_emb), "wo": (heads * dh, heads * dh), "h_x": (lengths.sum(), 3),
         "wd": (adim, units), "b": (adim,), "bias_keys": (n_keys, adim), "v": (adim,), "h_z": (n_values, zdim),
+        "w_out": (n_vocab, width + units), "b_out": (n_vocab,),
     }
     for l in range(n_layers):
         shapes[f"w{l}"] = (4 * units, (n_emb + width if l == 0 else units) + units)
@@ -363,7 +365,7 @@ def decoder_case(rng, rows, positions, n_layers, heads, utterances, n_values, n_
         shapes[f"keys{h}"] = shapes[f"values{h}"] = (lengths.sum(), dh)
     leaves = {name: T.parameter(rng.normal(size=shape)) for name, shape in shapes.items()}
     layers = [T.LstmParams(leaves[f"w{l}"], leaves[f"b{l}"], units) for l in range(n_layers)]
-    ids = rng.integers(0, 5, size=(positions, rows))
+    ids = rng.integers(0, n_vocab, size=(positions, rows))
     score_of = rng.integers(0, n_keys, size=n_values)
     closed = np.zeros((1, lengths.sum()), dtype=bool)  # one utterance: the all-False row every row reads
     if utterances > 1:
@@ -377,15 +379,30 @@ def decoder_case(rng, rows, positions, n_layers, heads, utterances, n_values, n_
 
         audio = ([leaves[f"wq{h}"] for h in range(heads)], cache("keys", "wk"), cache("values", "wv"), closed, leaves["wo"])
         bias = (leaves["wd"], leaves["b"], leaves["bias_keys"], leaves["v"], score_of, leaves["h_z"])
-        return decoder(ids, leaves["embedding"], layers, audio, bias)
+        return decoder(ids, targets, leaves["embedding"], layers, audio, bias, (leaves["w_out"], leaves["b_out"]))
 
     return call, leaves
 
 
+def decoder_chain(ids, targets, embedding, layers, audio, bias, output) -> Tensor:
+    """`attention_decoder` as the chain it fuses: `reference_attention_decoder`,
+    `reference_output_log_probs` over its contexts and outputs, and the
+    negated sum of the log-probabilities times one-hot `targets`, each its
+    own tape node."""
+    contexts, outputs = reference_attention_decoder(ids, embedding, layers, audio, bias)
+    log_probs = reference_output_log_probs([contexts, outputs], *output)
+    flat = targets.reshape(-1)
+    hit = np.flatnonzero(flat >= 0)
+    picks = np.zeros(log_probs.shape)
+    picks[hit, flat[hit]] = 1.0
+    return T.scale(T.sum_(T.mul(log_probs, T.constant(picks))), -1.0)
+
+
 class TestAttentionDecoder:
-    """The teacher-forced decoder is one tape node whose contexts, outputs
-    and gradients match the per-position chain of per-step ops it replaced
-    (`reference_attention_decoder`) up to rounding."""
+    """The teacher-forced decoder, its output layer and its loss are one
+    tape node whose loss and gradients match the chain it replaced
+    (`decoder_chain`: the per-position chain of per-step ops, the output
+    layer's chain and the picked sum) up to rounding."""
 
     @given(
         seed=st.integers(0, 10_000),
@@ -397,40 +414,43 @@ class TestAttentionDecoder:
         n_values=st.integers(1, 4),
         n_keys=st.integers(1, 3),
         recorded_cache=st.booleans(),
-        read=st.sampled_from([(0, 1), (0,), (1,)]),
+        targets=st.lists(st.integers(-1, 4), min_size=16, max_size=16),
     )
     @settings(max_examples=40, deadline=None)
     @example(seed=1, rows=3, positions=4, n_layers=2, heads=2, utterances=2, n_values=4, n_keys=2,
-             recorded_cache=True, read=(0, 1))
+             recorded_cache=True, targets=[1, 2, 0, 3, -1, 4, 2, -1, -1, 0, -1, -1] + [0] * 4)
     def test_equals_per_position_chain(
-        self, seed, rows, positions, n_layers, heads, utterances, n_values, n_keys, recorded_cache, read
+        self, seed, rows, positions, n_layers, heads, utterances, n_values, n_keys, recorded_cache, targets
     ):
-        # The loss reads the contexts, the outputs or both.
+        # The first positions·rows drawn targets, position by position; -1
+        # pads a row's position, and may pad every one.
         rng = np.random.default_rng(seed)
-        call, leaves = decoder_case(rng, rows, positions, n_layers, heads, utterances, n_values, n_keys, recorded_cache)
+        targets = np.array(targets[: positions * rows]).reshape(positions, rows)
+        call, leaves = decoder_case(
+            rng, rows, positions, n_layers, heads, utterances, n_values, n_keys, recorded_cache, targets
+        )
 
         def run(decoder):
             for t in leaves.values():
                 t.grad[...] = 0.0
             with Tape() as tape:
-                outs = call(decoder)
-                terms = [weighted(outs[i], seed + i) for i in read]
-                tape.backward(terms[0] if len(terms) == 1 else add(*terms))
-            return [o.data for o in outs], {name: t.grad.copy() for name, t in leaves.items()}
+                loss = call(decoder)
+                tape.backward(T.scale(loss, 0.5))  # a loss gradient other than 1, as a batch mean gives
+            return float(loss.data), {name: t.grad.copy() for name, t in leaves.items()}
 
-        (got, got_grads), (want, want_grads) = run(T.attention_decoder), run(reference_attention_decoder)
-        for g, w in zip(got, want):
-            assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
+        (got, got_grads), (want, want_grads) = run(T.attention_decoder), run(decoder_chain)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
         for name, g in got_grads.items():
             w = want_grads[name]
             assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max()), name
 
     def test_one_tape_node_and_the_same_values_without_a_tape(self):
-        call, _ = decoder_case(np.random.default_rng(44), 3, 4, 2, 2, 2, 3, 2, recorded_cache=False)
+        rng = np.random.default_rng(44)
+        call, _ = decoder_case(rng, 3, 4, 2, 2, 2, 3, 2, recorded_cache=False, targets=rng.integers(-1, 5, size=(4, 3)))
         with Tape() as tape:
             taped = call(T.attention_decoder)
-        assert len(tape) == 1
-        assert [o.data.tobytes() for o in call(T.attention_decoder)] == [o.data.tobytes() for o in taped]
+        assert len(tape) == 1 and taped.shape == ()
+        assert call(T.attention_decoder).data.tobytes() == taped.data.tobytes()
 
 
 def additive_case(rng, rows, n_values, n_keys):
@@ -450,9 +470,8 @@ def additive_chain(query, wd, b, keys, v, score_of, closed, values):
 
 
 class TestFusedLayers:
-    """The beam's audio and bias attentions give the values, byte for byte,
-    of the op chains in `tests/oracles.py`; the output layer is one tape
-    node with the values and gradients of its chain."""
+    """The beam's audio and bias attentions and its output layer give the
+    values, byte for byte, of the op chains in `tests/oracles.py`."""
 
     @given(
         seed=st.integers(0, 10_000),
@@ -508,44 +527,16 @@ class TestFusedLayers:
             want.extend(additive_chain(want[0], *args))
         assert [o.tobytes() for o in got] == [o.tobytes() for o in want]
 
-    @given(seed=st.integers(0, 10_000), rows=st.integers(1, 16), chained=st.booleans())
+    @given(seed=st.integers(0, 10_000), rows=st.integers(1, 16))
     @settings(max_examples=40, deadline=None)
-    def test_output_log_probs_bit_identical_to_op_chain(self, seed, rows, chained):
-        # Chained, the first output and `d` each feed a second call too.
+    def test_output_layer_bit_identical_to_op_chain(self, seed, rows):
+        # Its gradients are checked through `attention_decoder`, above, and
+        # `forward_loss`, in test_model.py.
         rng = np.random.default_rng(seed)
-        shapes = {"c": (rows, 2), "d": (rows, 3), "w": (5, 5), "b": (5,), "w2": (5, 8), "b2": (5,)}
-        leaves = {name: T.parameter(rng.normal(size=shape)) for name, shape in shapes.items()}
-
-        def forward(layer):
-            outs = [layer([leaves["c"], leaves["d"]], leaves["w"], leaves["b"])]
-            if chained:
-                outs.append(layer([outs[0], leaves["d"]], leaves["w2"], leaves["b2"]))
-            loss = weighted(outs[0], seed)
-            for out in outs[1:]:
-                loss = add(loss, weighted(out, seed + 1))
-            return outs, loss
-
-        fused = taped_bytes(lambda: forward(T.output_log_probs), leaves)
-        assert fused == taped_bytes(lambda: forward(reference_output_log_probs), leaves)
-
-    @staticmethod
-    def output_log_probs_case(rng):
-        shapes = {"c": (3, 2), "d": (3, 3), "w": (4, 5), "b": (4,)}
-        params = {name: T.parameter(rng.normal(size=shape)) for name, shape in shapes.items()}
-        return lambda: T.output_log_probs([params["c"], params["d"]], params["w"], params["b"]), params
-
-    @pytest.mark.parametrize("op", ["output_log_probs"])
-    def test_gradients_match_finite_differences(self, op):
-        call, params = getattr(self, f"{op}_case")(np.random.default_rng(40))
-        check_grads(lambda: weighted(call(), 0), params)
-        assert all(np.any(t.grad != 0.0) for t in params.values())
-
-    @pytest.mark.parametrize("op", ["output_log_probs"])
-    def test_is_one_tape_node(self, op):
-        call, _ = getattr(self, f"{op}_case")(np.random.default_rng(41))
-        with Tape() as tape:
-            call()
-        assert len(tape) == 1
+        c, d, w, b = (rng.normal(size=shape) for shape in ((rows, 2), (rows, 3), (4, 5), (4,)))
+        w, b = T.constant(w), T.constant(b)
+        got = T.output_layer(np.concatenate([c, d], axis=-1), w, b)
+        assert got.tobytes() == reference_output_log_probs([T.constant(c), T.constant(d)], w, b).data.tobytes()
 
     def test_forward_only_bias_attention_bounds_its_tanh_block(self):
         # A decode step holds no tape, so the (B, U, A) tanh block is made
@@ -1122,7 +1113,7 @@ def nested_tapes():
         (lambda: log_softmax(Tensor(np.zeros((2, 2, 2)))), ValueError,
          r"^log_softmax takes a 1-D/2-D tensor, got shape \(2, 2, 2\)"),
         (lambda: log_softmax(T.constant([[0.0, np.nan]])), T.NonFiniteError, "non-finite logits"),
-        (lambda: T.output_log_probs([T.constant([[0.0, np.inf]])], T.constant(np.ones((2, 2))), T.constant(np.zeros(2))),
+        (lambda: T.output_layer(np.array([[0.0, np.inf]]), T.constant(np.ones((2, 2))), T.constant(np.zeros(2))),
          T.NonFiniteError, "non-finite logits"),
         (lambda: T.multi_head_attention(*attention_args(rows=3, closed=[[False, False]] * 2)), ValueError,
          r"shape mismatch: query \(3, 2\), closed \(2, 2\)"),
