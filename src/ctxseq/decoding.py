@@ -48,8 +48,10 @@ utterance's last bits depend on its group, as an embedded phrase's depend
 on the rest of its list (`Recognizer.encode_bias`): its rows' attention
 over the stacked frames also sums the zero weights of the other
 utterances' frames, and BLAS may round a product over more rows, or over
-fewer once another utterance stops, differently. Its tokens and totals
-match its lone decode up to that rounding.
+fewer once another utterance stops, differently. Its cache's bits also
+depend on the utterances that `experiments.prepare_audio` encoded with it,
+in one encoder pass and one key/value product. Its tokens and totals match
+its lone decode up to that rounding.
 
 The (B, ·) rows are the only layout `Recognizer` steps take; the training
 loss makes the same call with one row per utterance of a minibatch.

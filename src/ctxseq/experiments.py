@@ -14,13 +14,48 @@ from .decoding import DecodeConfig, DecodeResult, beam_search
 from .fst import FusionScorer, check_strategy, compile_context
 from .metrics import WerReport, corpus_wer
 from .model import AudioCache, Recognizer, embed_phrases
-from .tensor import substream
+from .tensor import constant, substream
 from .vocab import BIAS_END
 
 
+def _named(u: Utterance, read, *args):
+    """`read(*args)`, with a ValueError that names the utterance and its file."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        raise ValueError(f"utterance {u.id} ({u.features_path}): {exc}") from None
+
+
 def prepare_audio(model: Recognizer, utts: list[Utterance]) -> list[AudioCache]:
-    """Encode every utterance once; reusable across decodes of the same model."""
-    return [model.precompute_audio(model.encode_audio([u.load_features()])) for u in utts]
+    """Encode every utterance once, one cache per utterance, reusable across
+    decodes of the same model.
+
+    One `encode_audio` call runs the encoder over every utterance, longest
+    first, and one `precompute_audio` call projects every frame, so each
+    head's keys and values are one GEMM; each cache then holds its own
+    utterance's frames, a slice of those, and one all-False `closed` row.
+    An utterance's last bits can so depend on which utterances were encoded
+    with it, as BLAS may round a product over more rows differently. A
+    feature file that does not load, or that `Recognizer.check_features`
+    rejects, raises ValueError naming the utterance and its file."""
+    xs = [_named(u, u.load_features) for u in utts]
+    if not xs:
+        return []
+    try:
+        h_x = model.encode_audio(xs)
+    except ValueError:
+        for u, x in zip(utts, xs):  # name the first utterance the check rejects
+            _named(u, model.check_features, x)
+        raise
+    # Without lengths the stacked cache's `closed` is one row, not the
+    # (utterances, frames) block that no cache below reads.
+    every = model.precompute_audio(h_x)
+    ends = np.cumsum([len(x) for x in xs]).tolist()
+    caches = []
+    for start, end in zip([0] + ends, ends):
+        keys, values = ([constant(t.data[start:end]) for t in ts] for ts in (every.keys, every.values))
+        caches.append(AudioCache(keys, values, np.zeros((1, end - start), dtype=bool)))
+    return caches
 
 
 # The most consecutive utterances `decode_corpus` takes at a time; those of
@@ -50,8 +85,9 @@ def decode_corpus(
     The utterances are taken `GROUP_UTTS` at a time; within those, the ones
     whose embedded list, prefix table and scorer are the same objects are
     decoded as one `beam_search` group, after every callback of the chunk
-    has run. An utterance's last bits can depend on its group (see
-    `decoding`)."""
+    has run. Without `audio`, `prepare_audio` encodes every utterance in
+    one pass. An utterance's last bits can depend on its group and on the
+    utterances encoded with it (see `decoding`)."""
     if audio is None:
         audio = prepare_audio(model, utts)
     if len(audio) != len(utts):

@@ -189,17 +189,22 @@ class Recognizer:
 
     # -- audio path ----------------------------------------------------------
 
+    def check_features(self, x) -> np.ndarray:
+        """`x` as a float64 array, or ValueError unless it is a non-empty
+        (K, feature_dim) matrix."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[0] == 0:
+            raise ValueError(f"encode_audio needs a non-empty (K, {self.config.feature_dim}) matrix, got {x.shape}")
+        if x.shape[1] != self.config.feature_dim:
+            raise ValueError(f"feature dim {x.shape[1]} does not match config {self.config.feature_dim}")
+        return x
+
     def encode_audio(self, xs: Sequence[np.ndarray]) -> Tensor:
         """Run the stacked encoder over the feature frames of each utterance;
         returns their (K, units) outputs stacked in the order of `xs`."""
-        xs = [np.asarray(x, dtype=np.float64) for x in xs]
         if not xs:
             raise ValueError("encode_audio needs at least one utterance")
-        for x in xs:
-            if x.ndim != 2 or x.shape[0] == 0:
-                raise ValueError(f"encode_audio needs a non-empty (K, {self.config.feature_dim}) matrix, got {x.shape}")
-            if x.shape[1] != self.config.feature_dim:
-                raise ValueError(f"feature dim {x.shape[1]} does not match config {self.config.feature_dim}")
+        xs = [self.check_features(x) for x in xs]
         frames = np.concatenate(xs)
         every = np.arange(len(frames))
         return _longest_first(self.encoder, [len(x) for x in xs], lambda at: T.constant(frames[at]), every)

@@ -25,7 +25,8 @@ The beam runs forward only, on arrays: `lstm_cell`, `multi_head_attention`,
 the training nodes' arithmetic through the same helpers, so no beam value
 can enter a taped graph. The additive scores make their (B, U, A) tanh
 block a few query rows at a time, and with some entry closed they score
-each query row only against the keys of its own open entries.
+each query row only against the keys of its own open entries and take its
+softmax over those entries alone.
 
 A training step does each weight's weight-sized work once:
 
@@ -343,20 +344,23 @@ def _tanh_scores(kd: np.ndarray, qd: np.ndarray, vd: np.ndarray) -> np.ndarray:
     return np.concatenate([_tanh_block(kd, qd[i : i + _SCORE_ROWS], vd)[0] for i in range(0, len(qd), _SCORE_ROWS)])
 
 
-def _open_scores(kd: np.ndarray, qd: np.ndarray, vd: np.ndarray, score_of: np.ndarray, closed: np.ndarray) -> np.ndarray:
-    """The (B, R) scores `v . tanh(keys[score_of[r]] + query[b])` of the
-    entries the boolean `closed` leaves open, C-ordered, and -inf on the
-    closed ones; forward only.
+def _open_scores(
+    kd: np.ndarray, qd: np.ndarray, vd: np.ndarray, score_of: np.ndarray, closed: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scores `v . tanh(keys[score_of[r]] + query[b])` of the (b, r)
+    entries the boolean (B, R) `closed` leaves open; forward only. Returns
+    the open entries as flat indices into C-ordered (B, R), hence in row
+    order, their query rows, and their scores.
 
     Only the (row, distinct key) pairs that some open entry of the row reads
     are scored, a few query rows' worth of pairs at a time, as
-    `_tanh_scores` makes its blocks. Cells are flat indices into row-major
-    (B, R) entries and (B, U) pairs.
+    `_tanh_scores` makes its blocks. Pairs are flat indices into row-major
+    (B, U).
     """
     n_entries, n_keys = closed.shape[1], len(kd)
     open_at = np.flatnonzero(~closed)
     row = open_at // n_entries
-    pair_of = row * n_keys + score_of[open_at - row * n_entries]  # each open entry's (row, key) cell
+    pair_of = row * n_keys + score_of[open_at - row * n_entries]  # each open entry's (row, key) pair
     needed = np.zeros(len(qd) * n_keys, dtype=bool)
     needed[pair_of] = True
     pairs = np.flatnonzero(needed)
@@ -365,10 +369,11 @@ def _open_scores(kd: np.ndarray, qd: np.ndarray, vd: np.ndarray, score_of: np.nd
     for i in range(0, len(pairs), n):
         chunk = pairs[i : i + n]
         query_row, key = np.divmod(chunk, n_keys)
-        scores[chunk] = np.tanh(kd[key] + qd[query_row]) @ vd
-    s = np.full(closed.shape, NEG_INF)
-    s.reshape(-1)[open_at] = scores[pair_of]
-    return s
+        t = kd[key]
+        t += qd[query_row]
+        np.tanh(t, out=t)
+        scores[chunk] = t @ vd
+    return open_at, row, scores[pair_of]
 
 
 def _tanh_args_grad(g: np.ndarray, t: np.ndarray, vd: np.ndarray) -> np.ndarray:
@@ -461,12 +466,13 @@ def additive_attention(
 
     Value row r reads the score of key row `score_of[r]` of the (U, A)
     `keys`: `v . tanh(keys[u] + query @ wd.T + b)`. Entries where the
-    boolean (B, R) `closed` is true are -inf, so they get exactly zero
-    weight. With nothing closed every key is scored once per query row, as
-    `attention_decoder` scores them, and the values keep its bits. With some
-    entry closed, a query row is scored only against the keys of its own
-    open entries (`_open_scores`), and the open entries' weights match the
-    dense scores' up to rounding in the last bits.
+    boolean (B, R) `closed` is true get exactly zero weight. With nothing
+    closed every key is scored once per query row, as `attention_decoder`
+    scores them, and the values keep its bits. With some entry closed, a
+    query row is scored only against the keys of its own open entries
+    (`_open_scores`), its softmax runs over those entries alone, and the
+    open entries' weights match the dense scores' up to rounding in the
+    last bits.
     """
     wdd, vd = wd.data, v.data
     if query.ndim != 2 or wdd.ndim != 2 or query.shape[1] != wdd.shape[1]:
@@ -480,11 +486,18 @@ def additive_attention(
         )
     _kept(closed)
     q = query @ wdd.T + b.data
-    if closed.any():
-        s = _open_scores(keys, q, vd, score_of, closed)
-    else:
-        s = _tanh_scores(keys, q, vd)[..., score_of]
-    alpha = _softmax(s)
+    if not closed.any():
+        alpha = _softmax(_tanh_scores(keys, q, vd)[..., score_of])
+        return alpha @ values, alpha
+    # A softmax per row over its open entries only: they are contiguous
+    # segments of the flat open scores, none empty, as `_kept` checked.
+    open_at, row, s = _open_scores(keys, q, vd, score_of, closed)
+    starts = np.searchsorted(row, np.arange(len(q)))
+    s -= np.maximum.reduceat(s, starts)[row]
+    np.exp(s, out=s)
+    s /= np.add.reduceat(s, starts)[row]
+    alpha = np.zeros(closed.shape)
+    alpha.reshape(-1)[open_at] = s
     return alpha @ values, alpha
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import shutil
 
+import numpy as np
 import pytest
 
 from ctxseq import experiments
@@ -11,6 +12,7 @@ from ctxseq.config import RunConfig
 from ctxseq.corpus import read_manifest, write_manifest
 from ctxseq.experiments import decode_corpus
 from ctxseq.fst import FusionScorer, compile_context, load_context
+from ctxseq.tensor import save_tensors
 from ctxseq.vocab import SPACE, Vocabulary
 
 CFG = """
@@ -493,6 +495,22 @@ class TestDecode:
         assert main(args + ["--out", str(tmp_path / "dec")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "1 bytes after its last array" in err
+
+    def test_utterance_with_wrong_feature_dim_is_named(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        dim = load_checkpoint(root / "ckpt")[0].config.feature_dim
+        utts = read_manifest(root / "corpus" / "test_biased.jsonl")
+        bad = tmp_path / "bad.bin"
+        save_tensors(bad, {"features": np.zeros((4, dim + 2))})
+        utts[1].features_path = str(bad)
+        write_manifest(tmp_path / "m.jsonl", utts)
+        out = tmp_path / "dec"
+        args = ["decode", "--checkpoint", str(root / "ckpt"), "--data", str(tmp_path / "m.jsonl"), "--out", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        want = f"error: utterance {utts[1].id} ({bad}): feature dim {dim + 2} does not match config {dim}"
+        assert err.strip() == want
+        assert not out.exists()
 
 
 class TestEval:

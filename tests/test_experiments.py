@@ -11,6 +11,7 @@ from ctxseq.corpus import Utterance
 from ctxseq.decoding import DecodeConfig, DecodeResult, beam_search
 from ctxseq.experiments import decode_corpus, distractor_sweep, per_bias_list, trend_spearman
 from ctxseq.model import ModelConfig, Recognizer, embed_phrases
+from ctxseq.tensor import save_tensors
 from ctxseq.vocab import BIAS_END, Vocabulary
 
 from oracles import assert_same_results
@@ -55,6 +56,67 @@ def utterances(lists: list[list[str]]) -> list[Utterance]:
 def encoded(model: Recognizer, n: int) -> list:
     rng = np.random.default_rng(0)
     return [model.precompute_audio(model.encode_audio([rng.normal(size=(3, 3))])) for _ in range(n)]
+
+
+def on_disk(tmp_path, lengths: list[int], seed: int = 0) -> list[Utterance]:
+    """Utterances of `lengths` frames of 3 random features, each in its own file."""
+    rng = np.random.default_rng(seed)
+    utts = []
+    for i, k in enumerate(lengths):
+        path = tmp_path / f"u{i}.bin"
+        save_tensors(path, {"features": rng.normal(size=(k, 3))})
+        utts.append(Utterance(f"u{i}", str(path), "a b", bias_phrases=["a", "b a"][: i % 3]))
+    return utts
+
+
+class TestPrepareAudio:
+    """One encoder pass and one key/value projection serve every utterance;
+    each cache is the one-utterance cache, up to rounding in the last bits."""
+
+    @pytest.mark.parametrize("lengths", [[1], [4, 4], [5, 1, 7, 2], [3, 3, 1, 6, 3]], ids=str)
+    def test_each_cache_equals_the_one_utterance_path(self, tmp_path, lengths):
+        model, utts = tiny_model(), on_disk(tmp_path, lengths)
+        caches = experiments.prepare_audio(model, utts)
+        assert len(caches) == len(utts)
+        for cache, u in zip(caches, utts):
+            alone = model.precompute_audio(model.encode_audio([u.load_features()]))
+            for got, want in zip(cache.keys + cache.values, alone.keys + alone.values):
+                assert got.data.shape == want.data.shape
+                assert np.abs(got.data - want.data).max() <= 1e-13
+            assert cache.closed.shape == (1, len(u.load_features())) and not cache.closed.any()
+
+    def test_one_encoder_call(self, tmp_path):
+        model, utts = tiny_model(), on_disk(tmp_path, [2, 6, 1])
+        calls, encode = [], model.encode_audio
+        model.encode_audio = lambda xs: calls.append(len(xs)) or encode(xs)
+        experiments.prepare_audio(model, utts)
+        assert calls == [3]
+
+    def test_no_utterances(self):
+        assert experiments.prepare_audio(tiny_model(), []) == []
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda path: save_tensors(path, {"features": np.zeros((2, 5))}), "feature dim 5 does not match config 3"),
+            (lambda path: path.write_bytes(path.read_bytes()[:-8]), "truncated checkpoint while reading 'features'"),
+        ],
+        ids=["wrong-dim", "truncated"],
+    )
+    def test_bad_features_name_the_utterance(self, tmp_path, spoil, message):
+        model, utts = tiny_model(), on_disk(tmp_path, [2, 3])
+        spoil(tmp_path / "u1.bin")
+        with pytest.raises(ValueError) as err:
+            experiments.prepare_audio(model, utts)
+        assert str(err.value) == f"utterance u1 ({utts[1].features_path}): {message}"
+
+    def test_decode_corpus_equals_lone_decodes(self, tmp_path):
+        model, utts = tiny_model(), on_disk(tmp_path, [5, 1, 7, 5, 2, 6], seed=3)
+        cfg = DecodeConfig(beam_width=3, max_len=6)
+        got = decode_corpus(model, utts, cfg)
+        for r, u in zip(got, utts):
+            audio = model.precompute_audio(model.encode_audio([u.load_features()]))
+            assert_same_results([r], beam_search(model, [audio], embed_phrases(model, u.bias_phrases), cfg)[0][:1])
 
 
 class TestOncePerDistinctList:

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ctxseq import tensor as T
@@ -605,6 +605,49 @@ class TestOpenPairScores:
         want = open_pairs(score_of, closed) if closed.any() else rows * n_keys
         assert counter.pairs == want
         assert np.all(alpha[closed] == 0.0)
+        assert np.abs(alpha.sum(axis=1) - 1.0).max() <= 1e-15
+        want_context, want_alpha = additive_chain(query, wd, b, keys, v, score_of, closed, values)
+        assert np.abs(alpha - want_alpha).max() <= 1e-15
+        assert np.abs(context - want_context).max() <= 1e-14
+
+    @given(
+        seed=st.integers(0, 10_000),
+        rows=st.integers(1, 40),
+        n_values=st.integers(2, 40),
+        n_keys=st.integers(1, 30),
+        p_closed=st.sampled_from([0.3, 0.8, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_open_softmax_across_score_chunks(self, seed, rows, n_values, n_keys, p_closed):
+        # The open cells' segments span several `_SCORE_ROWS` chunks of
+        # scored pairs. With nothing closed the dense softmax runs, whose
+        # bits the op chain's tests check.
+        rng = np.random.default_rng(seed)
+        query, wd, b, keys, v, values = additive_case(rng, rows, n_values, n_keys)
+        score_of = rng.integers(0, n_keys, size=n_values)
+        closed = rng.random((rows, n_values)) < p_closed
+        closed[:, 0] = False
+        assume(closed.any())
+        counter = CountingTanh()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "np", counter)
+            context, alpha = T.additive_attention(query, wd, b, keys, v, score_of, closed, values)
+        assert counter.pairs == open_pairs(score_of, closed)
+        assert np.all(alpha[closed] == 0.0)
+        assert np.abs(alpha.sum(axis=1) - 1.0).max() <= 1e-15
+        want_context, want_alpha = additive_chain(query, wd, b, keys, v, score_of, closed, values)
+        assert np.abs(alpha - want_alpha).max() <= 1e-15
+        assert np.abs(context - want_context).max() <= 1e-14
+
+    def test_open_entries_of_one_key_share_their_weight(self):
+        # Row 0's open entries 0, 2 and 3 all read key 1: equal scores, so
+        # exactly equal weights. Row 1 reads keys 1 and 2.
+        rng = np.random.default_rng(44)
+        query, wd, b, keys, v, values = additive_case(rng, 2, 4, 3)
+        score_of, closed = np.array([1, 2, 1, 1]), np.array([[0, 1, 0, 0], [0, 0, 1, 1]], dtype=bool)
+        context, alpha = T.additive_attention(query, wd, b, keys, v, score_of, closed, values)
+        assert alpha[0].tolist() == [1 / 3, 0.0, 1 / 3, 1 / 3]
+        assert alpha[1, 0] != alpha[1, 1] and alpha[1, 2:].tolist() == [0.0, 0.0]
         want_context, want_alpha = additive_chain(query, wd, b, keys, v, score_of, closed, values)
         assert np.abs(alpha - want_alpha).max() <= 1e-15
         assert np.abs(context - want_context).max() <= 1e-14
