@@ -6,69 +6,73 @@ Run: python demos/01_autodiff_basics.py
 import numpy as np
 
 from ctxseq import tensor as T
+from ctxseq.model import ModelConfig, Recognizer, embed_phrases
+from ctxseq.vocab import Vocabulary, graphemize
 
 # A tensor is a float64 array; a Tape records ops so backward can replay them
 # in exact reverse. Parameters carry gradient buffers, constants do not.
-# Inputs are (B, D) stacks of rows; here B = 1. The loss is the squared norm
-# of r = x @ w.T: `matmul_t`, then `mul` and `sum_`, three tape nodes.
-w = T.parameter([[0.4, -0.1], [0.1, 0.3]])
-x = T.constant([[1.0, 2.0]])
+# The loss here is the one training minimizes: a tiny recognizer's
+# teacher-forced negative log-likelihood of "ab" for one utterance of four
+# frames, with the phrase list ["ab"] embedded on the same tape.
+cfg = ModelConfig(
+    feature_dim=3, encoder_layers=1, encoder_units=4, decoder_layers=1, decoder_units=4,
+    attention_dim=4, attention_heads=1, bias_encoder_units=4, embedding_dim=3,
+)
+model = Recognizer(cfg, Vocabulary.from_alphabet("ab"), seed=0)
+x = np.random.default_rng(0).normal(size=(4, 3))
+target = [model.vocab.index(g) for g in graphemize("ab")] + [model.vocab.eos]
 
 
-def squared_norm():
-    r = T.matmul_t(x, w)
-    return T.sum_(T.mul(r, r))
+def nll():
+    return model.forward_loss([x], embed_phrases(model, ["ab"]), [target])
 
 
 with T.Tape() as tape:
-    loss = squared_norm()
+    loss = nll()
     print("tape nodes  :", len(tape))
     tape.backward(loss)
 
+w = model.params["output.w"]
 print("loss        :", float(loss.data))
-print("dloss/dw    :\n", w.grad)
-print("2 r.T @ x   :\n", 2 * (x.data @ w.data.T).T @ x.data)
+print("dloss/d output.b:", np.round(model.params["output.b"].grad, 4))
 
-# Spot-check one entry against central finite differences.
+# Spot-check the largest entry against central finite differences.
+at = np.unravel_index(np.abs(w.grad).argmax(), w.shape)
 step = 1e-5
-orig = w.data[0, 1]
-w.data[0, 1] = orig + step
-hi = float(squared_norm().data)
-w.data[0, 1] = orig - step
-lo = float(squared_norm().data)
-w.data[0, 1] = orig
+orig = w.data[at]
+w.data[at] = orig + step
+hi = float(nll().data)
+w.data[at] = orig - step
+lo = float(nll().data)
+w.data[at] = orig
 fd = (hi - lo) / (2 * step)
-print(f"finite diff for w[0,1]: {fd:.10f}  (tape said {w.grad[0, 1]:.10f})")
+print(f"finite diff for output.w{list(map(int, at))}: {fd:.10f}  (tape said {w.grad[at]:.10f})")
 
-# A whole LSTM layer is one tape node too, with a hand-written backward. Its
+# A whole LSTM layer is one tape node, with a hand-written backward. Its
 # rows are grouped by step, longest sequence first: two sequences of 3 and
 # 2 steps advance 2, 2 and then 1 rows. The forget gate starts open (bias 1).
 rng = np.random.default_rng(0)
 layer = T.init_lstm_params(rng, input_dim=3, hidden=4)
-x = T.constant(rng.normal(size=(5, 3)))
 with T.Tape() as tape:
-    h = T.lstm_layer(x, [2, 2, 1], layer)
-    nodes = len(tape)
-    tape.backward(T.sum_(h))
-print(f"\nlstm_layer: {nodes} tape node, last h {np.round(h.data[-1], 4)}")
-print("dsum(h)/db, input gates:", np.round(layer.b.grad[:4], 4))
+    h = T.lstm_layer(T.constant(rng.normal(size=(5, 3))), [2, 2, 1], layer)
+    print(f"\nlstm_layer: {len(tape)} tape node, last h {np.round(h.data[-1], 4)}")
 
-# Adam with global-norm clipping drives a small quadratic to zero.
-p = T.parameter([4.0, -7.0])
-opt = T.Adam({"p": p}, lr=0.1)
-for i in range(200):
+# Adam with global-norm clipping fits the utterance: the loss falls.
+opt = T.Adam(model.params, lr=0.05)
+for i in range(100):
     with T.Tape() as tape:
-        loss = T.sum_(T.mul(p, p))
+        loss = nll()
         opt.zero_grad()
         tape.backward(loss)
     opt.step()
-print("\nafter 200 Adam steps, p =", np.round(p.data, 5))
+    if i in (0, 99):
+        print(f"Adam step {i + 1:3d}: loss {float(loss.data):.5f}")
 
-# Checkpoints round-trip bit-exactly: a version tag, a manifest, raw floats.
+# Tensor files round-trip bit-exactly: a version tag, a manifest, raw floats.
 import tempfile, pathlib
 
 with tempfile.TemporaryDirectory() as d:
     path = pathlib.Path(d) / "demo.bin"
-    T.save_tensors(path, {"w": w.data, "p": p.data})
+    model.save(path)
     back = T.load_tensors(path)
-    print("\ncheckpoint round-trip bit-exact:", back["w"].tobytes() == w.data.tobytes())
+    print("\ntensor file round-trip bit-exact:", back["output.w"].tobytes() == w.data.tobytes())

@@ -9,8 +9,9 @@ fusion state and its prefix state. The rows of one utterance are
 contiguous, the utterances in group order, and within an utterance the rows
 are in the lexicographic order of their token sequences. The decoder states
 are stacked into (B, ·) rows the same way, and one `Recognizer.step` call
-scores the whole group; the utterances' frames are stacked too, and row b
-reads only its own utterance's frames. The B×V candidate totals (model
+scores the whole group; the group's audio is one `AudioCache` over its
+utterances' stacked frames, and row b reads the frame-mask row of its own
+utterance, so only that utterance's frames. The B×V candidate totals (model
 log-probability plus lambda-scaled fusion score, whose increments are read
 from the scorer's table by fusion state) form one array; one stable sort
 picks the `beam_width` best of each utterance, which give the parent row
@@ -42,16 +43,16 @@ only add finished hypotheses that sort after it: within its group, the
 utterance's results are those of running its rows on to `max_len`, bit for
 bit.
 
-A group of one has no case of its own: its frame mask is one all-False
-row, which adds exactly 0 to every audio score. In a larger group an
-utterance's last bits depend on its group, as an embedded phrase's depend
-on the rest of its list (`Recognizer.encode_bias`): its rows' attention
-over the stacked frames also sums the zero weights of the other
-utterances' frames, and BLAS may round a product over more rows, or over
-fewer once another utterance stops, differently. Its cache's bits also
-depend on the utterances that `experiments.prepare_audio` encoded with it,
-in one encoder pass and one key/value product. Its tokens and totals match
-its lone decode up to that rounding.
+A group of one has no case of its own: each row reads the utterance's
+all-False mask row, which adds exactly 0 to every audio score. In a larger
+group an utterance's last bits depend on its group, as an embedded
+phrase's depend on the rest of its list (`Recognizer.encode_bias`): its
+rows' attention over the stacked frames also sums the zero weights of the
+other utterances' frames, and BLAS may round a product over more rows, or
+over fewer once another utterance stops, differently. Its cache's bits
+also depend on the utterances that `experiments.prepare_audio` encoded
+with it, in one encoder pass and one key/value product. Its tokens and
+totals match its lone decode up to that rounding.
 
 The (B, ·) rows are the only layout `Recognizer` steps take; the training
 loss makes the same call with one row per utterance of a minibatch.
@@ -61,13 +62,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .conditioning import PrefixTable, compute_mask
 from .fst import END_OF_WORD, FusionScorer, Wfst
-from .model import AudioCache, Recognizer, stack_audio
+from .model import AudioCache, Recognizer
 from .vocab import BIAS_END, render
 
 
@@ -103,7 +103,7 @@ class DecodeResult:
 
 def beam_search(
     model: Recognizer,
-    audio: Sequence[AudioCache],
+    audio: AudioCache,
     bias: tuple,
     cfg: DecodeConfig,
     fusion: FusionScorer | None = None,
@@ -112,10 +112,11 @@ def beam_search(
     """Decode a group of utterances that share `bias`, `prefixes` and
     `fusion`; returns, per utterance, up to n_best results, best first.
 
-    `audio` holds each utterance's `Recognizer.precompute_audio` cache;
-    `bias` comes from `model.embed_phrases`. `prefixes` is compiled from the
-    prefixes of the entries whose phrases `bias` embeds; without it every
-    phrase is always open. Without a finished hypothesis at max_len an
+    `audio` is the group's cache, one `closed` row per utterance in group
+    order (`Recognizer.precompute_audio`, or `AudioCache.take` of a larger
+    one); `bias` comes from `model.embed_phrases`. `prefixes` is compiled
+    from the prefixes of the entries whose phrases `bias` embeds; without
+    it every phrase is always open. Without a finished hypothesis at max_len an
     utterance gets the single best unfinished one, flagged.
 
     Step 0 has one row per utterance, whose last token is `<s>`. An
@@ -149,7 +150,6 @@ def beam_search(
     sort after the n_best kept.
     """
     vocab = model.vocab
-    frames = stack_audio(audio)
     h_z, bias_keys = bias
     prefixes = prefixes or PrefixTable([""] * (h_z.data.shape[0] - 1))
     if len(prefixes.group_of) != h_z.data.shape[0]:
@@ -169,7 +169,7 @@ def beam_search(
     # Row b of each array is a live hypothesis of utterance `owner[b]`; see
     # the module docstring for the row order. `rows[b, s]` is the row its
     # ancestor had at step s, which indexes that step's attention.
-    n_utts = len(audio)
+    n_utts = len(audio.closed)
     owner = np.arange(n_utts)
     tokens = rows = np.zeros((n_utts, 0), dtype=np.intp)
     log_model, log_fusion = np.zeros(n_utts), np.zeros(n_utts)
@@ -179,7 +179,7 @@ def beam_search(
     state = model.initial_state(rows=n_utts)
     # Per step: the columns open for some row, and every row's attention on them.
     alphas: list[tuple[np.ndarray, np.ndarray]] = []
-    done: list[list[tuple]] = [[] for _ in audio]  # (tokens, rows, log_model, log_fusion), tokens ending in eos
+    done: list[list[tuple]] = [[] for _ in range(n_utts)]  # (tokens, rows, log_model, log_fusion), tokens ending in eos
     theta = np.full(n_utts, -math.inf)  # the n_best-th best finished total, once n_best have finished
     gain = fusion.gain_bound(cfg.max_len - 1)
     scale = 1 + cfg.lam * cfg.max_len * np.abs(fusion.inc).max(initial=0.0)  # of the rounding margin
@@ -187,7 +187,7 @@ def beam_search(
     while len(tokens) and tokens.shape[1] < cfg.max_len:
         states, of_state = np.unique(p_state, return_inverse=True)
         closed = np.array([compute_mask(prefixes, p) for p in states.tolist()])[of_state]
-        rows_audio = AudioCache(frames.keys, frames.values, frames.closed[owner])
+        rows_audio = AudioCache(audio.keys, audio.values, audio.closed[owner])
         log_probs, (alpha, cols), state = model.step(y_prev, state, rows_audio, h_z, closed, bias_keys)
         alphas.append((cols, alpha))
         step_model = log_model[:, None] + log_probs

@@ -14,7 +14,7 @@ from .decoding import DecodeConfig, DecodeResult, beam_search
 from .fst import FusionScorer, check_strategy, compile_context
 from .metrics import WerReport, corpus_wer
 from .model import AudioCache, Recognizer, embed_phrases
-from .tensor import constant, substream
+from .tensor import substream
 from .vocab import BIAS_END
 
 
@@ -26,36 +26,26 @@ def _named(u: Utterance, read, *args):
         raise ValueError(f"utterance {u.id} ({u.features_path}): {exc}") from None
 
 
-def prepare_audio(model: Recognizer, utts: list[Utterance]) -> list[AudioCache]:
-    """Encode every utterance once, one cache per utterance, reusable across
-    decodes of the same model.
+def prepare_audio(model: Recognizer, utts: list[Utterance]) -> AudioCache:
+    """Encode every utterance once: one cache over their stacked frames, one
+    `closed` row per utterance in order, reusable across decodes of the same
+    model.
 
     One `encode_audio` call runs the encoder over every utterance, longest
     first, and one `precompute_audio` call projects every frame, so each
-    head's keys and values are one GEMM; each cache then holds its own
-    utterance's frames, a slice of those, and one all-False `closed` row.
-    An utterance's last bits can so depend on which utterances were encoded
-    with it, as BLAS may round a product over more rows differently. A
-    feature file that does not load, or that `Recognizer.check_features`
-    rejects, raises ValueError naming the utterance and its file."""
+    head's keys and values are one GEMM. An utterance's last bits can so
+    depend on which utterances were encoded with it, as BLAS may round a
+    product over more rows differently. A feature file that does not load,
+    or that `Recognizer.check_features` rejects, raises ValueError naming
+    the utterance and its file."""
     xs = [_named(u, u.load_features) for u in utts]
-    if not xs:
-        return []
     try:
         h_x = model.encode_audio(xs)
     except ValueError:
         for u, x in zip(utts, xs):  # name the first utterance the check rejects
             _named(u, model.check_features, x)
         raise
-    # Without lengths the stacked cache's `closed` is one row, not the
-    # (utterances, frames) block that no cache below reads.
-    every = model.precompute_audio(h_x)
-    ends = np.cumsum([len(x) for x in xs]).tolist()
-    caches = []
-    for start, end in zip([0] + ends, ends):
-        keys, values = ([constant(t.data[start:end]) for t in ts] for ts in (every.keys, every.values))
-        caches.append(AudioCache(keys, values, np.zeros((1, end - start), dtype=bool)))
-    return caches
+    return model.precompute_audio(h_x, [len(x) for x in xs])
 
 
 # The most consecutive utterances `decode_corpus` takes at a time; those of
@@ -71,7 +61,7 @@ def decode_corpus(
     fusion_per_utt=None,
     phrases_fn=None,
     entries_fn=None,
-    audio: list[AudioCache] | None = None,
+    audio: AudioCache | None = None,
 ) -> list[DecodeResult]:
     """Top-1 decode of a set. `phrases_fn(utt)` overrides the manifest bias
     list, which is decoded as `plain_entries`; `entries_fn(utt)` switches on
@@ -85,13 +75,16 @@ def decode_corpus(
     The utterances are taken `GROUP_UTTS` at a time; within those, the ones
     whose embedded list, prefix table and scorer are the same objects are
     decoded as one `beam_search` group, after every callback of the chunk
-    has run. Without `audio`, `prepare_audio` encodes every utterance in
+    has run, on the group's rows of `audio` (`AudioCache.take`), the cache
+    of every utterance in order; without it `prepare_audio` encodes them in
     one pass. An utterance's last bits can depend on its group and on the
     utterances encoded with it (see `decoding`)."""
+    if not utts:
+        return []
     if audio is None:
         audio = prepare_audio(model, utts)
-    if len(audio) != len(utts):
-        raise ValueError(f"{len(audio)} audio caches for {len(utts)} utterances")
+    if len(audio.closed) != len(utts):
+        raise ValueError(f"audio of {len(audio.closed)} utterances for {len(utts)} utterances")
     embed = functools.cache(lambda phrases: embed_phrases(model, list(phrases)))
     compile_table = functools.cache(PrefixTable)
     phrases_of = phrases_fn or (lambda u: u.bias_phrases)
@@ -109,7 +102,7 @@ def decode_corpus(
             fusion = fusion_of(utts[i])
             groups.setdefault((id(bias), id(prefixes), id(fusion)), (bias, prefixes, fusion, []))[3].append(i)
         for bias, prefixes, fusion, members in groups.values():
-            n_best = beam_search(model, [audio[i] for i in members], bias, cfg, fusion=fusion, prefixes=prefixes)
+            n_best = beam_search(model, audio.take(members), bias, cfg, fusion=fusion, prefixes=prefixes)
             for i, results in zip(members, n_best):
                 out[i] = results[0]
     return out

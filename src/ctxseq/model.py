@@ -21,8 +21,10 @@ the step's arithmetic; its output layer runs once over every position. Both
 encoders share one longest-first LSTM pass, `_longest_first`, in which each
 layer is one `tensor.lstm_layer` node: the phrase encoder runs it over the
 whole phrase list, and the audio encoder over all utterances of a batch.
-An `AudioCache` carries one boolean frame-mask row per utterance, so row b
-reads only its own utterance's frames; one utterance is one all-False row.
+An `AudioCache` holds the frames of U stacked utterances and one boolean
+frame-mask row per utterance; `AudioCache.take` gives the cache of some of
+them, and a query row reads the mask row of its own utterance, so it reads
+only that utterance's frames.
 """
 
 from __future__ import annotations
@@ -84,31 +86,22 @@ class AudioCache:
     """Per-head key/value projections of the encoder outputs of U stacked
     utterances, reusable across steps. The boolean `closed` has one row per
     utterance, true on every frame but that utterance's; a beam takes the
-    rows by the utterance of each query row, and a one-row mask (the
-    all-False row of a single utterance) is read by every query row."""
+    rows by the utterance of each query row."""
 
     keys: list[Tensor]  # each (K, head_dim)
     values: list[Tensor]  # each (K, head_dim)
     closed: np.ndarray  # (U, K), or (B, K) once taken by query row
 
-
-def _own_frames(lengths: Sequence[int]) -> np.ndarray:
-    """Boolean (U, K) for utterances of `lengths` frames stacked in order:
-    row u is true on every frame but utterance u's, so a single utterance
-    gives one all-False row."""
-    return np.repeat(np.arange(len(lengths)), lengths) != np.arange(len(lengths))[:, None]
-
-
-def stack_audio(caches: Sequence[AudioCache]) -> AudioCache:
-    """One cache over the frames of `caches`, in order, whose `closed` row u
-    reads only the frames of `caches[u]`; each cache holds one utterance."""
-    if any(len(c.closed) > 1 for c in caches):
-        raise ValueError("stack_audio takes one utterance per cache")
-    return AudioCache(
-        keys=[T.stack(k) for k in zip(*(c.keys for c in caches))],
-        values=[T.stack(v) for v in zip(*(c.values for c in caches))],
-        closed=_own_frames([c.keys[0].data.shape[0] for c in caches]),
-    )
+    def take(self, utts) -> "AudioCache":
+        """The cache of utterances `utts`, their frames stacked in that
+        order; repeats allowed."""
+        mine = ~self.closed[utts]
+        owner, at = np.nonzero(mine)
+        return AudioCache(
+            keys=[T.gather(k, at) for k in self.keys],
+            values=[T.gather(v, at) for v in self.values],
+            closed=np.arange(len(mine))[:, None] != owner,
+        )
 
 
 def _longest_first(layers: Sequence[T.LstmParams], lengths: Sequence[int], step_input, read) -> Tensor:
@@ -209,17 +202,16 @@ class Recognizer:
         every = np.arange(len(frames))
         return _longest_first(self.encoder, [len(x) for x in xs], lambda at: T.constant(frames[at]), every)
 
-    def precompute_audio(self, h_x: Tensor, lengths: Sequence[int] | None = None) -> AudioCache:
-        """Key/value projections of the frames `h_x`; `lengths` gives the
-        frame count of each utterance when `h_x` stacks several of them, and
-        query row b then reads only utterance b's frames. Without it `h_x`
-        is one utterance, `[len(h_x)]`, which every query row reads."""
+    def precompute_audio(self, h_x: Tensor, lengths: Sequence[int]) -> AudioCache:
+        """Key/value projections of the frames `h_x`, which stack utterances
+        of `lengths` frames in order; query row b of the cache reads only
+        utterance b's frames."""
         cfg = self.config
         keys, values = [], []
         for h in range(cfg.attention_heads):
             keys.append(T.matmul_t(h_x, self.params[f"audio_attn.{h}.wk"]))
             values.append(T.matmul_t(h_x, self.params[f"audio_attn.{h}.wv"]))
-        closed = _own_frames([h_x.data.shape[0]] if lengths is None else lengths)
+        closed = np.repeat(np.arange(len(lengths)), lengths) != np.arange(len(lengths))[:, None]
         return AudioCache(keys=keys, values=values, closed=closed)
 
     def _audio_attention(self, cache: AudioCache) -> tuple:
@@ -233,7 +225,7 @@ class Recognizer:
     def attend_audio(self, d_t: np.ndarray, cache: AudioCache) -> np.ndarray:
         """Multi-head scaled-dot attention of B decoder-state rows over the
         frames of `cache`; row b reads only the frames that row b of
-        `cache.closed` leaves open, or those of its one row if it has one."""
+        `cache.closed` leaves open."""
         return T.multi_head_attention(d_t, *self._audio_attention(cache))
 
     # -- context-phrase path ---------------------------------------------------

@@ -7,8 +7,8 @@ may be 1), `lstm_layer` takes the rows of every step of a batch stacked
 step by step, `attention_decoder` every position's rows stacked position by
 position, `matmul` takes two matrices, and none takes a vector. So a
 training step, a beam step over B hypotheses and the phrase encoder over a
-whole list run the same arithmetic. `mul` and `scale` are shape-agnostic,
-and `gather` selects rows or last-axis entries (a column range is `gather`
+whole list run the same arithmetic. `scale` is shape-agnostic, and
+`gather` selects rows or last-axis entries (a column range is `gather`
 over `np.arange(start, stop)`).
 
 Training records fused tape nodes with hand-written backwards (the
@@ -57,7 +57,7 @@ import numpy as np
 
 NEG_INF = float("-inf")  # mask sentinel, handled explicitly by softmax
 
-_CKPT_MAGIC = b"CTXSEQ-TENSORS-1\n"
+_MAGIC = b"CTXSEQ-TENSORS-1\n"
 
 
 class NonFiniteError(FloatingPointError):
@@ -211,19 +211,6 @@ def matmul_t(x: Tensor, w: Tensor) -> Tensor:
     return _record(out, backward)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"mul shape mismatch: {a.shape} * {b.shape}")
-    out = Tensor(a.data * b.data)
-    ad, bd = a.data, b.data
-
-    def backward():
-        _accum(a, out.grad * bd)
-        _accum(b, out.grad * ad)
-
-    return _record(out, backward)
-
-
 def scale(a: Tensor, k: float) -> Tensor:
     out = Tensor(a.data * k)
 
@@ -274,15 +261,6 @@ def gather(a: Tensor, index: np.ndarray, axis: int = 0) -> Tensor:
 
     def backward():
         _scatter_add(a, where, out.grad)
-
-    return _record(out, backward)
-
-
-def sum_(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum())
-
-    def backward():
-        _accum(a, np.full_like(a.data, out.grad))
 
     return _record(out, backward)
 
@@ -400,9 +378,9 @@ def _score_grad(g_alpha: np.ndarray, alpha: np.ndarray, kept: np.ndarray | None,
 
 def _dot_heads(qs, keys, values, cd: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Scaled-dot attention of each head's (B, dh) query rows `qs[h]` over
-    its (K, dh) `keys[h]` and `values[h]` arrays, with the additive mask cd
-    (0 or -inf, one row per query row or one row for all): the heads joined
-    along the last axis, and each head's (B, K) weights."""
+    its (K, dh) `keys[h]` and `values[h]` arrays, with the additive (B, K)
+    mask cd (0 or -inf): the heads joined along the last axis, and each
+    head's (B, K) weights."""
     alphas = [_softmax((q @ k.T) * (1.0 / np.sqrt(q.shape[1])) + cd) for q, k in zip(qs, keys)]
     return np.concatenate([a @ v for a, v in zip(alphas, values)], axis=-1), alphas
 
@@ -437,12 +415,11 @@ def multi_head_attention(
     Head h scores `(query @ wq[h].T) @ keys[h].T / sqrt(head width)`, adds
     -inf where the boolean `closed` is true and reads `softmax @ values[h]`;
     the heads are joined along the last axis and projected by `wo`.
-    `closed` is (B, K), one row per query row, or (1, K), one row that every
-    query row reads.
+    `closed` is (B, K), one row per query row.
     """
     if query.ndim != 2:
         raise ValueError(f"multi_head_attention needs a (B, D) query, got shape {query.shape}")
-    if closed.ndim != 2 or closed.shape[0] not in (1, query.shape[0]) or closed.shape[1] != keys[0].data.shape[0]:
+    if closed.shape != (query.shape[0], keys[0].data.shape[0]):
         raise ValueError(f"multi_head_attention shape mismatch: query {query.shape}, closed {closed.shape}")
     _kept(closed)
     qs = [query @ w.data.T for w in wq]
@@ -701,7 +678,7 @@ def attention_decoder(
             f"embedding {embedding.shape}, first layer {layers[0].w.shape}, context width {width}"
         )
     n_pos, rows = ids.shape
-    if closed.ndim != 2 or closed.shape[0] not in (1, rows) or closed.shape[1] != keys[0].data.shape[0]:
+    if closed.shape != (rows, keys[0].data.shape[0]):
         raise ValueError(f"attention_decoder shape mismatch: {rows} rows, closed {closed.shape}")
     if score_of.shape != hzd.shape[:1]:
         raise ValueError(f"attention_decoder shape mismatch: score_of {score_of.shape}, values {h_z.shape}")
@@ -887,14 +864,14 @@ class Adam:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint container and seeded streams
+# tensor file container and seeded streams
 
 
 def save_tensors(path, arrays: dict[str, np.ndarray]) -> None:
     """Write named float64 arrays: version tag, manifest, raw little-endian data."""
     manifest = json.dumps([[name, list(a.shape)] for name, a in arrays.items()])
     with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
+        f.write(_MAGIC)
         f.write(manifest.encode("utf-8") + b"\n")
         for a in arrays.values():
             f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
@@ -907,15 +884,15 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     after the last array."""
     with open(path, "rb") as f:
         magic = f.readline()
-        if magic != _CKPT_MAGIC:
-            raise ValueError(f"not a tensor checkpoint: bad version tag {magic!r}")
+        if magic != _MAGIC:
+            raise ValueError(f"not a tensor file: bad version tag {magic!r}")
         try:
             manifest = json.loads(f.readline().decode("utf-8"))
         except RecursionError:
-            raise ValueError("checkpoint manifest nests too deeply") from None
+            raise ValueError("tensor file manifest nests too deeply") from None
         data = f.read()
     if not isinstance(manifest, list):
-        raise ValueError("checkpoint manifest is not a list")
+        raise ValueError("tensor file manifest is not a list")
     out = {}
     pos = 0
     for item in manifest:
@@ -926,17 +903,17 @@ def load_tensors(path) -> dict[str, np.ndarray]:
             and isinstance(item[1], list)
             and all(type(n) is int and n >= 0 for n in item[1])
         ):
-            raise ValueError(f"checkpoint manifest entry {item!r} is not [name, list of ints >= 0]")
+            raise ValueError(f"tensor file manifest entry {item!r} is not [name, list of ints >= 0]")
         name, shape = item
         if name in out:
-            raise ValueError(f"checkpoint names {name!r} twice")
+            raise ValueError(f"tensor file names {name!r} twice")
         size = 8 * math.prod(shape)
         if len(data) - pos < size:
-            raise ValueError(f"truncated checkpoint while reading {name!r}")
+            raise ValueError(f"truncated tensor file while reading {name!r}")
         out[name] = np.frombuffer(data, dtype="<f8", count=size // 8, offset=pos).reshape(shape).copy()
         pos += size
     if pos != len(data):
-        raise ValueError(f"checkpoint has {len(data) - pos} bytes after its last array")
+        raise ValueError(f"tensor file has {len(data) - pos} bytes after its last array")
     return out
 
 

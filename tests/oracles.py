@@ -7,10 +7,11 @@ the library's minimization pass (it finds its own word-position facts by
 walking the determinized machine, where the library records them while it
 builds), the op chains of the LSTM cell, the attentions and the output
 layer are built from the library's primitive ops and from the primitive ops
-defined here, which only those chains use (`add`, `concat`, `tanh`,
-`sigmoid`, `softmax`, `log_softmax` and `additive_scores`; they take their
-softmax, log-softmax and tanh-score arithmetic from the library's helpers,
-so a bit-identity test checks how a fused op composes and accumulates it),
+defined here, which only those chains and the tests' losses use (`add`,
+`mul`, `sum_`, `concat`, `tanh`, `sigmoid`, `softmax`, `log_softmax` and
+`additive_scores`; they take their softmax, log-softmax and tanh-score
+arithmetic from the library's helpers, so a bit-identity test checks how a
+fused op composes and accumulates it),
 the per-position decoder, the per-utterance loss and the per-phrase bias
 encoder run those chains one row at a time, the per-row bias attention runs
 them with one key per row, the per-hypothesis beam search runs the
@@ -534,6 +535,30 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return T._record(out, backward)
 
 
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product of two tensors of one shape."""
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"mul shape mismatch: {a.shape} * {b.shape}")
+    out = Tensor(a.data * b.data)
+    ad, bd = a.data, b.data
+
+    def backward():
+        T._accum(a, out.grad * bd)
+        T._accum(b, out.grad * ad)
+
+    return T._record(out, backward)
+
+
+def sum_(a: Tensor) -> Tensor:
+    """The sum of every entry, as a scalar."""
+    out = Tensor(a.data.sum())
+
+    def backward():
+        T._accum(a, np.full_like(a.data, out.grad))
+
+    return T._record(out, backward)
+
+
 def concat(parts) -> Tensor:
     """Join 1-D tensors, or (B, D_i) tensors with equal B, along the last axis."""
     ndim = parts[0].data.ndim if parts else 1
@@ -636,8 +661,8 @@ def reference_lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, params: T.L
     f = sigmoid(T.gather(pre, np.arange(h, 2 * h), axis=-1))
     g = tanh(T.gather(pre, np.arange(2 * h, 3 * h), axis=-1))
     o = sigmoid(T.gather(pre, np.arange(3 * h, 4 * h), axis=-1))
-    c_t = add(T.mul(f, c_prev), T.mul(i, g))
-    h_t = T.mul(o, tanh(c_t))
+    c_t = add(mul(f, c_prev), mul(i, g))
+    h_t = mul(o, tanh(c_t))
     return h_t, c_t
 
 
@@ -728,7 +753,7 @@ def reference_forward_loss(model, x: np.ndarray, bias: tuple, target: list[int])
             h, c = reference_lstm_cell(frame, h, c, p)
             out.append(h)
         seq = out
-    audio = model.precompute_audio(T.stack(seq))
+    audio = model.precompute_audio(T.stack(seq), [len(x)])
     h_z, (key_rows, key_of) = bias
     p = model.params
     ids = np.array([[model.vocab.sos] + list(target[:-1])]).T
@@ -744,7 +769,7 @@ def reference_forward_loss(model, x: np.ndarray, bias: tuple, target: list[int])
     for t, y in enumerate(target):
         nll = T.scale(T.gather(T.gather(log_probs, [t]), [y], axis=-1), -1.0)
         loss = nll if loss is None else add(loss, nll)
-    return T.sum_(loss)
+    return sum_(loss)
 
 
 # ---------------------------------------------------------------------------

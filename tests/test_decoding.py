@@ -37,19 +37,23 @@ def random_input(seed, frames=3):
     return np.random.default_rng(seed).normal(size=(frames, 3))
 
 
+def encoded(model, xs):
+    """One audio cache over the utterances of features `xs`."""
+    return model.precompute_audio(model.encode_audio(xs), [len(x) for x in xs])
+
+
 def prepare(model, x, phrases, entries=None):
     """`beam_search`'s prepared inputs: audio, embedded list, prefix table.
     With `entries` the phrases embedded are the entries' own."""
     prefixes = None
     if entries is not None:
         phrases, prefixes = [e.phrase for e in entries], PrefixTable([e.prefix for e in entries])
-    audio = model.precompute_audio(model.encode_audio([x]))
-    return audio, embed_phrases(model, phrases), prefixes
+    return encoded(model, [x]), embed_phrases(model, phrases), prefixes
 
 
 def decode(model, x, phrases, cfg, fusion=None, entries=None):
     audio, bias, prefixes = prepare(model, x, phrases, entries)
-    return beam_search(model, [audio], bias, cfg, fusion=fusion, prefixes=prefixes)[0]
+    return beam_search(model, audio, bias, cfg, fusion=fusion, prefixes=prefixes)[0]
 
 
 class TestConfigValidation:
@@ -111,7 +115,7 @@ class TestBeamBasics:
         cfg = DecodeConfig(beam_width=1, max_len=6)
         result = decode(model, x, [], cfg)[0]
 
-        audio = model.precompute_audio(model.encode_audio([x]))
+        audio = encoded(model, [x])
         h_z, keys = embed_phrases(model, [])
         state = model.initial_state(1)
         y_prev = model.vocab.sos
@@ -195,7 +199,7 @@ class TestFusionByState:
         fusion = FusionScorer(compile_context(["abc", "cab"], [SPACE, "a", "b", "c"], EVERY_SUBWORD, 3.0))
         cfg = DecodeConfig(beam_width=4, max_len=6, lam=1.0, n_best=4)
         audio, bias, _ = prepare(model, random_input(5, frames=4), ["abc"])
-        got = beam_search(model, [audio], bias, cfg, fusion=fusion)[0]
+        got = beam_search(model, audio, bias, cfg, fusion=fusion)[0]
         assert got[0].raw_symbols == ["a", BIAS_END, "b", "c"] and got[0].log_fusion == 3.0
         assert_same_results(got, reference_beam_search(model, audio, bias, cfg, fusion=fusion))
 
@@ -238,7 +242,7 @@ class TestConditioningIntegration:
         audio, bias, _ = prepare(model, random_input(23), ["a", "b"])
         prefixes = PrefixTable(["a"])
         with pytest.raises(ValueError, match="prefix table has 2 rows, the embedded list 3"):
-            beam_search(model, [audio], bias, DecodeConfig(beam_width=2, max_len=3), prefixes=prefixes)
+            beam_search(model, audio, bias, DecodeConfig(beam_width=2, max_len=3), prefixes=prefixes)
 
     def test_empty_list_decode_independent_of_previous_lists(self):
         model = tiny_model(seed=11)
@@ -264,7 +268,7 @@ class TestExhaustiveExactness:
         for seed in range(4):
             x = random_input(seed + 40)
             audio, bias, _ = prepare(model, x, phrases)
-            got = beam_search(model, [audio], bias, cfg, fusion=scorer)[0][0]
+            got = beam_search(model, audio, bias, cfg, fusion=scorer)[0][0]
             want = enumerate_best(model, audio, phrases, max_len, lam, fusion=scorer)
             got_ids = [model.vocab.index(s) for s in got.raw_symbols] + [model.vocab.eos]
             assert got_ids == want["tokens"]
@@ -311,11 +315,12 @@ def check_against_reference(
     if with_fusion:
         fusion = FusionScorer(compile_context(phrases, [SPACE, "a", "b", "c"], EVERY_SUBWORD, 2.0))
     _, bias, prefixes = prepare(model, random_input(0), phrases, entries)
-    audio = [prepare(model, random_input(seed + 100 + k, frames=n), [])[0] for k, n in enumerate(frames)]
+    audio = encoded(model, [random_input(seed + 100 + k, frames=n) for k, n in enumerate(frames)])
     got = beam_search(model, audio, bias, cfg, fusion=fusion, prefixes=prefixes)
-    assert len(got) == len(audio)
-    for a, g in zip(audio, got):
-        assert_same_results(g, reference_beam_search(model, a, bias, cfg, fusion=fusion, entries=entries), entries)
+    assert len(got) == len(frames)
+    for k, g in enumerate(got):
+        want = reference_beam_search(model, audio.take([k]), bias, cfg, fusion=fusion, entries=entries)
+        assert_same_results(g, want, entries)
 
 
 BEAM_CASES = dict(
@@ -370,7 +375,7 @@ class TestBatchedBeamMatchesReference:
         audio, bias, prefixes = prepare(model, random_input(3, frames=4), [], CONDITIONED)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "step", recording_step)
-            got = beam_search(model, [audio], bias, cfg, prefixes=prefixes)[0]
+            got = beam_search(model, audio, bias, cfg, prefixes=prefixes)[0]
         assert any(len({row.tobytes() for row in m}) > 1 for m in masks)
         want = reference_beam_search(model, audio, bias, cfg, entries=CONDITIONED)
         assert_same_results(got, want, CONDITIONED)
@@ -397,7 +402,7 @@ class TestEarlyStop:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "step", counting_step)
             mp.setattr(DecoderStepState, "take", counting_take)
-            got = beam_search(model, [audio], bias, cfg, fusion=fusion)[0]
+            got = beam_search(model, audio, bias, cfg, fusion=fusion)[0]
         assert_same_results(got, reference_beam_search(model, audio, bias, cfg, fusion=fusion))
         # The rows that leave, finished or stopped, leave in the step's one gather.
         assert calls == ["step", "take"] * (len(calls) // 2)
@@ -460,7 +465,7 @@ class TestEarlyStop:
         fusion = FusionScorer(compile_context(phrases, [SPACE, "a", "b", "c"], EVERY_SUBWORD, 1.0))
         cfg = DecodeConfig(beam_width=4, max_len=20, lam=1.0, n_best=2)
         _, bias, _ = prepare(model, random_input(0), phrases)
-        audio = [prepare(model, random_input(7 + k, frames=n), [])[0] for k, n in enumerate([2, 4, 6])]
+        audio = encoded(model, [random_input(7 + k, frames=n) for k, n in enumerate([2, 4, 6])])
 
         def rows_per_step(group):
             rows = []
@@ -475,7 +480,7 @@ class TestEarlyStop:
                 got = beam_search(model, group, bias, cfg, fusion=fusion)
             return rows, got
 
-        alone = [rows_per_step([a]) for a in audio]
+        alone = [rows_per_step(audio.take([k])) for k in range(3)]
         assert [len(rows) for rows, _ in alone] == [20, 8, 20]
         rows, got = rows_per_step(audio)
         assert rows == [sum(r[s] for r, _ in alone if s < len(r)) for s in range(20)]
@@ -501,10 +506,10 @@ class TestRealSizeBeamMatchesReference:
         assert bias[0].data.shape[0] == 941
         fusion = FusionScorer(compile_context(phrases, model.vocab.graphemes, EVERY_SUBWORD, 1.0))
         cfg = DecodeConfig(beam_width=8, max_len=run_cfg.decode().max_len, lam=1.0)
-        audio = [model.precompute_audio(model.encode_audio([u.load_features()])) for u in utts]
+        audio = encoded(model, [u.load_features() for u in utts])
         got = beam_search(model, audio, bias, cfg, fusion=fusion, prefixes=prefixes)
-        for a, g in zip(audio, got):
-            want = reference_beam_search(model, a, bias, cfg, fusion=fusion, entries=entries)
+        for k, g in enumerate(got):
+            want = reference_beam_search(model, audio.take([k]), bias, cfg, fusion=fusion, entries=entries)
             assert_same_results(g, want, entries)
 
 
@@ -550,7 +555,7 @@ class TestTracingContract:
         monkeypatch.setattr(model, "step", counting_step)
         monkeypatch.setattr(model, "attend_bias", counting_attend_bias)
         monkeypatch.setattr(DecoderStepState, "take", counting_take)
-        beam_search(model, [audio], bias_cache, cfg, prefixes=prefixes)
+        beam_search(model, audio, bias_cache, cfg, prefixes=prefixes)
         assert len(calls["step_rows"]) == cfg.max_len  # one model step per time step
         assert len(calls["step_rows"]) < len(calls["mask"]) < sum(calls["step_rows"])  # rows share states
         assert max(calls["step_rows"]) == cfg.beam_width

@@ -53,9 +53,10 @@ def utterances(lists: list[list[str]]) -> list[Utterance]:
     return [Utterance(f"u{i}", "unused", "a b", bias_phrases=p) for i, p in enumerate(lists)]
 
 
-def encoded(model: Recognizer, n: int) -> list:
-    rng = np.random.default_rng(0)
-    return [model.precompute_audio(model.encode_audio([rng.normal(size=(3, 3))])) for _ in range(n)]
+def encoded(model: Recognizer, n: int):
+    """One audio cache over `n` utterances of 3 random frames each."""
+    xs = list(np.random.default_rng(0).normal(size=(n, 3, 3)))
+    return model.precompute_audio(model.encode_audio(xs), [3] * n)
 
 
 def on_disk(tmp_path, lengths: list[int], seed: int = 0) -> list[Utterance]:
@@ -71,19 +72,21 @@ def on_disk(tmp_path, lengths: list[int], seed: int = 0) -> list[Utterance]:
 
 class TestPrepareAudio:
     """One encoder pass and one key/value projection serve every utterance;
-    each cache is the one-utterance cache, up to rounding in the last bits."""
+    each utterance's rows of the cache are its one-utterance cache, up to
+    rounding in the last bits."""
 
     @pytest.mark.parametrize("lengths", [[1], [4, 4], [5, 1, 7, 2], [3, 3, 1, 6, 3]], ids=str)
     def test_each_cache_equals_the_one_utterance_path(self, tmp_path, lengths):
         model, utts = tiny_model(), on_disk(tmp_path, lengths)
-        caches = experiments.prepare_audio(model, utts)
-        assert len(caches) == len(utts)
-        for cache, u in zip(caches, utts):
-            alone = model.precompute_audio(model.encode_audio([u.load_features()]))
+        audio = experiments.prepare_audio(model, utts)
+        assert audio.closed.shape == (len(utts), sum(lengths))
+        for k, u in enumerate(utts):
+            cache, x = audio.take([k]), u.load_features()
+            alone = model.precompute_audio(model.encode_audio([x]), [len(x)])
             for got, want in zip(cache.keys + cache.values, alone.keys + alone.values):
                 assert got.data.shape == want.data.shape
                 assert np.abs(got.data - want.data).max() <= 1e-13
-            assert cache.closed.shape == (1, len(u.load_features())) and not cache.closed.any()
+            assert cache.closed.shape == (1, len(x)) and not cache.closed.any()
 
     def test_one_encoder_call(self, tmp_path):
         model, utts = tiny_model(), on_disk(tmp_path, [2, 6, 1])
@@ -93,13 +96,13 @@ class TestPrepareAudio:
         assert calls == [3]
 
     def test_no_utterances(self):
-        assert experiments.prepare_audio(tiny_model(), []) == []
+        assert decode_corpus(tiny_model(), [], DecodeConfig()) == []
 
     @pytest.mark.parametrize(
         "spoil, message",
         [
             (lambda path: save_tensors(path, {"features": np.zeros((2, 5))}), "feature dim 5 does not match config 3"),
-            (lambda path: path.write_bytes(path.read_bytes()[:-8]), "truncated checkpoint while reading 'features'"),
+            (lambda path: path.write_bytes(path.read_bytes()[:-8]), "truncated tensor file while reading 'features'"),
         ],
         ids=["wrong-dim", "truncated"],
     )
@@ -115,8 +118,9 @@ class TestPrepareAudio:
         cfg = DecodeConfig(beam_width=3, max_len=6)
         got = decode_corpus(model, utts, cfg)
         for r, u in zip(got, utts):
-            audio = model.precompute_audio(model.encode_audio([u.load_features()]))
-            assert_same_results([r], beam_search(model, [audio], embed_phrases(model, u.bias_phrases), cfg)[0][:1])
+            x = u.load_features()
+            audio = model.precompute_audio(model.encode_audio([x]), [len(x)])
+            assert_same_results([r], beam_search(model, audio, embed_phrases(model, u.bias_phrases), cfg)[0][:1])
 
 
 class TestOncePerDistinctList:
@@ -139,13 +143,14 @@ class TestOncePerDistinctList:
         audio = encoded(model, len(utts))
         # each utterance decoded alone, with a list embedded for it alone
         alone = [
-            beam_search(model, [a], embed_phrases(model, u.bias_phrases), self.CFG)[0] for u, a in zip(utts, audio)
+            beam_search(model, audio.take([k]), embed_phrases(model, u.bias_phrases), self.CFG)[0]
+            for k, u in enumerate(utts)
         ]
         # the utterances that share a list decoded as one group: u0, u2, u4 and u1, u3
         grouped = {}
         for members in ([0, 2, 4], [1, 3]):
             bias = embed_phrases(model, utts[members[0]].bias_phrases)
-            grouped.update(zip(members, beam_search(model, [audio[i] for i in members], bias, self.CFG)))
+            grouped.update(zip(members, beam_search(model, audio.take(members), bias, self.CFG)))
         embedded = self.counting(monkeypatch, "embed_phrases")
         got = decode_corpus(model, utts, self.CFG, audio=audio)
         assert embedded == [["a", "b a"], ["b"]]
@@ -160,7 +165,7 @@ class TestOncePerDistinctList:
         search = experiments.beam_search
 
         def noting_search(model, audio, *args, **kwargs):
-            groups.append(len(audio))
+            groups.append(len(audio.closed))
             return search(model, audio, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "beam_search", noting_search)
@@ -170,7 +175,7 @@ class TestOncePerDistinctList:
 
     def test_decode_corpus_rejects_unequal_lengths(self):
         model, utts = tiny_model(), utterances(self.LISTS)
-        with pytest.raises(ValueError, match="4 audio caches for 5 utterances"):
+        with pytest.raises(ValueError, match="audio of 4 utterances for 5 utterances"):
             decode_corpus(model, utts, self.CFG, audio=encoded(model, 4))
 
     def test_decode_corpus_compiles_each_entry_list_once(self, monkeypatch):

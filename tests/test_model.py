@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctxseq import tensor as T
-from ctxseq.model import DecoderStepState, ModelConfig, Recognizer, embed_phrases, stack_audio
+from ctxseq.model import DecoderStepState, ModelConfig, Recognizer, embed_phrases
 from ctxseq.tensor import Tape
 from ctxseq.vocab import BIAS_END, SPACE, Vocabulary, graphemize
 
@@ -16,11 +16,13 @@ from oracles import (
     finite_difference,
     full_alpha,
     max_rel_err,
+    mul,
     reference_attend_bias,
     reference_encode_bias,
     reference_forward_loss,
     reference_output_log_probs,
     softmax,
+    sum_,
 )
 
 words = st.text(alphabet="ab", min_size=1, max_size=4)
@@ -109,7 +111,7 @@ class TestEncodeAudio:
             p.grad[...] = 0.0
         with Tape() as tape:
             out = model.encode_audio(xs)
-            tape.backward(T.sum_(T.mul(out, T.constant(w))))
+            tape.backward(sum_(mul(out, T.constant(w))))
         got, batched = out.data, [p.grad.copy() for p in weights]
         for p in weights:
             p.grad[...] = 0.0
@@ -117,7 +119,7 @@ class TestEncodeAudio:
         for x, a, b in zip(xs, bounds, bounds[1:]):
             with Tape() as tape:
                 one = model.encode_audio([x])
-                tape.backward(T.sum_(T.mul(one, T.constant(w[a:b]))))
+                tape.backward(sum_(mul(one, T.constant(w[a:b]))))
             want.append(one.data)
         assert got.shape == (sum(lengths), 2)
         assert np.abs(got - np.vstack(want)).max() < 1e-12
@@ -207,7 +209,7 @@ class TestBatchedEncodeBias:
         w = T.constant(np.random.default_rng(12).normal(size=(len(phrases) + 1, 2)))
 
         def forward(encode):
-            return T.sum_(T.mul(encode(model, phrases), w))
+            return sum_(mul(encode(model, phrases), w))
 
         with Tape() as tape:
             tape.backward(forward(Recognizer.encode_bias))
@@ -229,7 +231,7 @@ class TestBatchedEncodeBias:
         emb = model.params["embedding"]
         with Tape() as tape:
             h_z = model.encode_bias(["b b b", "a"])
-            tape.backward(T.sum_(T.gather(h_z, np.array([2]))))
+            tape.backward(sum_(T.gather(h_z, np.array([2]))))
         for sym in ("b", SPACE):
             assert np.all(emb.grad[model.vocab.index(sym)] == 0.0), sym
         assert np.all(emb.grad[model.vocab.index("a")] != 0.0)
@@ -240,7 +242,8 @@ class TestBatchedStep:
         # Three hypotheses with different tokens, states and masks in one call.
         model = tiny_model(seed=5)
         rng = np.random.default_rng(13)
-        audio = model.precompute_audio(model.encode_audio([rng.normal(size=(4, 3))]))
+        audio = model.precompute_audio(model.encode_audio([rng.normal(size=(4, 3))]), [4])
+        audio = replace(audio, closed=audio.closed[[0, 0, 0]])  # each row's own frames, as a beam passes them
         h_z, keys = embed_phrases(model, ["a", "ab", "b a"])
         y = np.array([model.vocab.index("a"), model.vocab.sos, model.vocab.index("b")])
         closed = np.array([[0, 1, 0, 0], [0, 0, 1, 1], [0, 1, 1, 0]], dtype=bool)
@@ -252,7 +255,7 @@ class TestBatchedStep:
         for b in range(3):
             one = slice(b, b + 1)
             single = DecoderStepState(layers=[(h[one], c[one]) for h, c in state.layers], context=state.context[one])
-            lp, al, st1 = model.step(y[one], single, audio, h_z, closed[one], keys)
+            lp, al, st1 = model.step(y[one], single, replace(audio, closed=audio.closed[one]), h_z, closed[one], keys)
             assert np.abs(log_probs[b] - lp[0]).max() < 1e-12
             assert np.abs(alpha[b] - full_alpha(al, 4)[0]).max() < 1e-12
             assert np.all(alpha[b][closed[b]] == 0.0)
@@ -273,7 +276,7 @@ class TestRowLayout:
         # (a bare token id, a vector state, query or mask) is an error.
         model = tiny_model()
         assert all(t.shape[0] == 2 for t in model.initial_state(2).layers[0])
-        audio = model.precompute_audio(model.encode_audio([np.zeros((2, 3))]))
+        audio = model.precompute_audio(model.encode_audio([np.zeros((2, 3))]), [2])
         h_z, keys = embed_phrases(model, ["a"])
         vec = np.zeros(2)
         vector_state = DecoderStepState(layers=[(vec, vec)], context=np.zeros(4))
@@ -312,7 +315,7 @@ class TestAttendAudio:
         model = tiny_model()
         rng = np.random.default_rng(1)
         h_x = T.constant(rng.normal(size=(1, 2)))
-        cache = model.precompute_audio(h_x)
+        cache = model.precompute_audio(h_x, [1])
         c1 = model.attend_audio(rng.normal(size=(1, 2)), cache)
         c2 = model.attend_audio(rng.normal(size=(1, 2)), cache)
         assert np.abs(c1 - c2).max() < 1e-12
@@ -325,7 +328,7 @@ class TestAttendAudio:
         rng = np.random.default_rng(2)
         h_x = T.constant(rng.normal(size=(5, 2)))
         d = T.constant(rng.normal(size=2))
-        cache = model.precompute_audio(h_x)
+        cache = model.precompute_audio(h_x, [5])
         for h in range(2):
             q = model.params[f"audio_attn.{h}.wq"].data @ d.data
             scores = cache.keys[h].data @ q / np.sqrt(2)
@@ -342,8 +345,8 @@ class TestAttendAudio:
         h_x = T.constant(rng.normal(size=(5, 2)))
         d_t = rng.normal(size=(2, 2))
         out = model.attend_audio(d_t, model.precompute_audio(h_x, [3, 2]))
-        for b, frames in ((0, slice(0, 3)), (1, slice(3, 5))):
-            own = model.precompute_audio(T.constant(h_x.data[frames]))
+        for b, (start, end) in enumerate([(0, 3), (3, 5)]):
+            own = model.precompute_audio(T.constant(h_x.data[start:end]), [end - start])
             alone = model.attend_audio(d_t[b : b + 1], own)
             assert np.abs(out[b] - alone[0]).max() < 1e-12
         with pytest.raises(ValueError, match="shape mismatch"):
@@ -351,46 +354,15 @@ class TestAttendAudio:
 
     def test_one_utterance_is_one_open_mask_row(self):
         model = tiny_model()
-        cache = model.precompute_audio(T.constant(np.ones((3, 2))))
+        cache = model.precompute_audio(T.constant(np.ones((3, 2))), [3])
         assert cache.closed.dtype == bool and np.array_equal(cache.closed, [[False] * 3])
-
-    def test_one_mask_row_is_read_by_every_query_row(self):
-        # B rows over the one row of a single utterance give the bytes of
-        # the same rows over that row repeated B times, which is what a
-        # beam passes, and each row matches its one-row call up to BLAS
-        # rounding over a different row count.
-        model = tiny_model(attention_dim=4, attention_heads=2)
-        rng = np.random.default_rng(16)
-        cache = model.precompute_audio(T.constant(rng.normal(size=(5, 2))))
-        d_t = rng.normal(size=(4, 2))
-        out = model.attend_audio(d_t, cache)
-        repeated = replace(cache, closed=cache.closed[np.zeros(4, dtype=int)])
-        assert out.tobytes() == model.attend_audio(d_t, repeated).tobytes()
-        for b in range(4):
-            alone = model.attend_audio(d_t[b : b + 1], cache)
-            assert np.abs(out[b] - alone[0]).max() < 1e-15
-
-    def test_stack_audio_of_one_cache(self):
-        model = tiny_model()
-        cache = model.precompute_audio(T.constant(np.random.default_rng(17).normal(size=(3, 2))))
-        stacked = stack_audio([cache])
-        for got, want in zip(stacked.keys + stacked.values, cache.keys + cache.values):
-            assert got.data.tobytes() == want.data.tobytes()
-        assert np.array_equal(stacked.closed, [[False] * 3])
-
-    def test_stack_audio_takes_one_utterance_per_cache(self):
-        model = tiny_model()
-        two = model.precompute_audio(T.constant(np.ones((5, 2))), [3, 2])
-        one = model.precompute_audio(T.constant(np.ones((2, 2))))
-        with pytest.raises(ValueError, match="stack_audio takes one utterance per cache"):
-            stack_audio([one, two])
 
     def test_two_frame_one_head_hand_computation(self):
         model = tiny_model()
         rng = np.random.default_rng(3)
         h_x = rng.normal(size=(2, 2))
         d = rng.normal(size=2)
-        got = model.attend_audio(d[None], model.precompute_audio(T.constant(h_x)))[0]
+        got = model.attend_audio(d[None], model.precompute_audio(T.constant(h_x), [2]))[0]
 
         wq = model.params["audio_attn.0.wq"].data
         wk = model.params["audio_attn.0.wk"].data
@@ -402,6 +374,37 @@ class TestAttendAudio:
         alpha = e / e.sum()
         expected = wo @ (alpha @ (h_x @ wv.T))
         assert np.abs(got - expected).max() < 1e-12
+
+
+class TestAudioCacheTake:
+    """`AudioCache.take` gives the cache of some utterances: their frames in
+    the order asked, and one own-frame mask row each."""
+
+    LENGTHS = [3, 1, 4, 2]
+
+    def cache(self):
+        model = tiny_model(attention_dim=4, attention_heads=2)
+        h_x = T.constant(np.random.default_rng(18).normal(size=(sum(self.LENGTHS), 2)))
+        return model.precompute_audio(h_x, self.LENGTHS)
+
+    def test_every_utterance_keeps_the_bytes(self):
+        cache = self.cache()
+        taken = cache.take(range(len(self.LENGTHS)))
+        for got, want in zip(taken.keys + taken.values, cache.keys + cache.values):
+            assert got.data.tobytes() == want.data.tobytes()
+        assert taken.closed.tobytes() == cache.closed.tobytes()
+
+    @pytest.mark.parametrize("members", [[2], [3, 0], [1, 3, 2], [2, 0, 2]], ids=str)
+    def test_members_frames_and_own_frame_mask(self, members):
+        # A repeated member gets its frames, and its own mask row, twice.
+        cache = self.cache()
+        first = np.cumsum(self.LENGTHS) - self.LENGTHS
+        frames = np.concatenate([np.arange(first[u], first[u] + self.LENGTHS[u]) for u in members])
+        taken = cache.take(members)
+        for got, want in zip(taken.keys + taken.values, cache.keys + cache.values):
+            assert got.data.tobytes() == want.data[frames].tobytes()
+        lengths = [self.LENGTHS[u] for u in members]
+        assert np.array_equal(taken.closed, np.repeat(np.arange(len(members)), lengths) != np.arange(len(members))[:, None])
 
 
 class TestAttendBias:
@@ -601,7 +604,7 @@ class TestForwardLoss:
 
         # reference: identical computation with the bias context pinned to the
         # no-bias vector instead of going through bias attention
-        audio = model.precompute_audio(model.encode_audio([x]))
+        audio = model.precompute_audio(model.encode_audio([x]), [len(x)])
         state = model.initial_state(1)
         y_prev = model.vocab.sos
         total = 0.0
