@@ -40,11 +40,16 @@ def _load_config(args) -> RunConfig:
 
 
 def load_checkpoint(path) -> tuple[Recognizer, RunConfig]:
+    """The model and run config of a checkpoint directory; a vocabulary,
+    model or parameter file that does not load raises ValueError naming
+    the directory."""
     d = Path(path)
     cfg = RunConfig.load(d / "config.ini")
-    vocab = Vocabulary.load(d / "vocab.txt")
-    model = Recognizer(cfg.model(), vocab, seed=cfg.seed)
-    model.load_arrays(load_tensors(d / "params.bin"))
+    try:
+        model = Recognizer(cfg.model(), Vocabulary.load(d / "vocab.txt"), seed=cfg.seed)
+        model.load_arrays(load_tensors(d / "params.bin"))
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {d}: {exc}") from None
     return model, cfg
 
 
@@ -54,6 +59,13 @@ def _read_utterances(path) -> list[Utterance]:
     if not utts:
         raise ValueError(f"no utterances in manifest {path}")
     return utts
+
+
+def _write_rows(path, rows) -> None:
+    """Write a report: each row's fields as `str` joined by tabs, one row a
+    line (a float's `str` is its `repr`, which reads back to the same bits)."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines("\t".join(map(str, row)) + "\n" for row in rows)
 
 
 def _outdir(path, cfg: RunConfig | None = None) -> Path:
@@ -97,9 +109,7 @@ def cmd_train(args) -> int:
 
     log = train_model(model, utts, cfg.sampler(), cfg.train(), on_step=on_step)
     model.save(out / "params.bin")
-    with open(out / "loss_log.tsv", "w", encoding="utf-8") as f:
-        for step, loss in log:
-            f.write(f"{step}\t{loss!r}\n")
+    _write_rows(out / "loss_log.tsv", log)
     print(f"trained {cfg.train().steps} steps; final loss {log[-1][1]:.4f}; checkpoint in {out}")
     return 0
 
@@ -151,17 +161,18 @@ def cmd_decode(args) -> int:
         entries_fn=entries_fn[args.conditioning],
     )
     out = _outdir(args.out, cfg)
-    with open(out / "hypotheses.tsv", "w", encoding="utf-8") as f:
-        for u, r in zip(utts, results):
-            f.write(f"{u.id}\t{r.text}\t{r.total!r}\n")
+    _write_rows(out / "hypotheses.tsv", [(u.id, r.text, r.total) for u, r in zip(utts, results)])
     print(f"decoded {len(utts)} utterances into {out / 'hypotheses.tsv'}")
     return 0
 
 
 def cmd_eval(args) -> int:
+    def row(name: str, r: WerReport) -> tuple:
+        return name, r.substitutions, r.insertions, r.deletions, r.ref_words, f"{r.wer:.4f}"
+
     utts = {u.id: u for u in _read_utterances(args.data)}
     total = WerReport(0, 0, 0, 0)
-    lines = []
+    rows = [("id", "sub", "ins", "del", "ref_words", "wer")]
     scored: set[str] = set()
     with open(args.hyp, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -178,25 +189,14 @@ def cmd_eval(args) -> int:
             scored.add(utt_id)
             report = compute_wer(text, utts[utt_id].transcript)
             total = total + report
-            lines.append(
-                f"{utt_id}\t{report.substitutions}\t{report.insertions}\t"
-                f"{report.deletions}\t{report.ref_words}\t{report.wer:.4f}"
-            )
+            rows.append(row(utt_id, report))
     missing = [u for u in utts if u not in scored]
     if missing:
         raise ValueError(
             f"{args.hyp} has no hypothesis for {len(missing)} of the {len(utts)} utterances "
             f"in {args.data}, the first being {missing[0]}"
         )
-    out = _outdir(args.out)
-    with open(out / "wer_report.tsv", "w", encoding="utf-8") as f:
-        f.write("id\tsub\tins\tdel\tref_words\twer\n")
-        for line in lines:
-            f.write(line + "\n")
-        f.write(
-            f"TOTAL\t{total.substitutions}\t{total.insertions}\t{total.deletions}\t"
-            f"{total.ref_words}\t{total.wer:.4f}\n"
-        )
+    _write_rows(_outdir(args.out) / "wer_report.tsv", [*rows, row("TOTAL", total)])
     print(f"WER {100 * total.wer:.2f}% over {total.ref_words} reference words")
     return 0
 
@@ -222,10 +222,8 @@ def cmd_dump_attention(args) -> int:
     result = decode_corpus(model, [utt], cfg.decode())[0]
     labels = ["<no-bias>"] + list(utt.bias_phrases)
     out = _outdir(args.out, cfg)
-    with open(out / f"attention_{utt.id}.tsv", "w", encoding="utf-8") as f:
-        f.write("step\tsymbol\t" + "\t".join(labels) + "\n")
-        for i, (sym, alpha) in enumerate(zip(result.raw_symbols, result.alphas)):
-            f.write(f"{i}\t{sym}\t" + "\t".join(f"{a:.6f}" for a in alpha) + "\n")
+    rows = [(i, sym, *(f"{a:.6f}" for a in alpha)) for i, (sym, alpha) in enumerate(zip(result.raw_symbols, result.alphas))]
+    _write_rows(out / f"attention_{utt.id}.tsv", [("step", "symbol", *labels), *rows])
     print(f"dumped {len(result.raw_symbols)} steps x {len(labels)} columns for {utt.id}")
     return 0
 
@@ -286,8 +284,7 @@ def cmd_sweep(args) -> int:
             reports["attention.tsv"] = [("hit_rate", f"{rate:.4f}")]
     out = _outdir(args.out)
     for name, rows in reports.items():
-        with open(out / name, "w", encoding="utf-8") as f:
-            f.writelines("\t".join(map(str, row)) + "\n" for row in rows)
+        _write_rows(out / name, rows)
 
     print(f"sweep complete: {', '.join(values) if values else 'nothing to do'}")
     return 0

@@ -18,14 +18,6 @@ from .tensor import substream
 from .vocab import BIAS_END
 
 
-def _named(u: Utterance, read, *args):
-    """`read(*args)`, with a ValueError that names the utterance and its file."""
-    try:
-        return read(*args)
-    except ValueError as exc:
-        raise ValueError(f"utterance {u.id} ({u.features_path}): {exc}") from None
-
-
 def prepare_audio(model: Recognizer, utts: list[Utterance]) -> AudioCache:
     """Encode every utterance once: one cache over their stacked frames, one
     `closed` row per utterance in order, reusable across decodes of the same
@@ -35,17 +27,11 @@ def prepare_audio(model: Recognizer, utts: list[Utterance]) -> AudioCache:
     first, and one `precompute_audio` call projects every frame, so each
     head's keys and values are one GEMM. An utterance's last bits can so
     depend on which utterances were encoded with it, as BLAS may round a
-    product over more rows differently. A feature file that does not load,
-    or that `Recognizer.check_features` rejects, raises ValueError naming
-    the utterance and its file."""
-    xs = [_named(u, u.load_features) for u in utts]
-    try:
-        h_x = model.encode_audio(xs)
-    except ValueError:
-        for u, x in zip(utts, xs):  # name the first utterance the check rejects
-            _named(u, model.check_features, x)
-        raise
-    return model.precompute_audio(h_x, [len(x) for x in xs])
+    product over more rows differently. Each utterance's features are read
+    by `Recognizer.read_features`, so a bad feature file raises ValueError
+    naming the utterance and its file."""
+    xs = [model.read_features(u) for u in utts]
+    return model.precompute_audio(model.encode_audio(xs), [len(x) for x in xs])
 
 
 # The most consecutive utterances `decode_corpus` takes at a time; those of

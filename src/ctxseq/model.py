@@ -35,6 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
+from .corpus import Utterance
 from .tensor import Tensor
 from .vocab import Vocabulary, graphemize, normalize
 
@@ -191,6 +192,15 @@ class Recognizer:
         if x.shape[1] != self.config.feature_dim:
             raise ValueError(f"feature dim {x.shape[1]} does not match config {self.config.feature_dim}")
         return x
+
+    def read_features(self, utt: Utterance) -> np.ndarray:
+        """The checked feature frames of `utt`; a file that does not load, or
+        that `check_features` rejects, raises ValueError naming the
+        utterance and its file."""
+        try:
+            return self.check_features(utt.load_features())
+        except ValueError as exc:
+            raise ValueError(f"utterance {utt.id} ({utt.features_path}): {exc}") from None
 
     def encode_audio(self, xs: Sequence[np.ndarray]) -> Tensor:
         """Run the stacked encoder over the feature frames of each utterance;

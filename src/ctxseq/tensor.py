@@ -269,12 +269,11 @@ def gather(a: Tensor, index: np.ndarray, axis: int = 0) -> Tensor:
 # the arithmetic of the fused layers, shared with the test oracles' op chains
 
 
-def _kept(closed: np.ndarray) -> np.ndarray:
-    """The entries the boolean mask `closed` leaves open; a row that leaves
-    none open raises ValueError."""
+def _check_open(closed: np.ndarray) -> None:
+    """ValueError unless every row of the boolean mask `closed` leaves some
+    entry open."""
     if closed.all(axis=-1).any():
         raise ValueError("no unmasked entry")
-    return ~closed
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -283,12 +282,12 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _softmax_grad(g: np.ndarray, od: np.ndarray, kept: np.ndarray | None) -> np.ndarray:
-    """The input gradient of softmax output od for output gradient g: zero
-    off the `kept` entries, which None means are all of them."""
+def _softmax_grad(g: np.ndarray, od: np.ndarray) -> np.ndarray:
+    """The input gradient of softmax output od for a finite output gradient
+    g. A masked entry, whose weight `_softmax` makes exactly 0, gets an
+    exact zero (of either sign), so no mask is needed here."""
     inner = (g * od).sum(axis=-1, keepdims=True)
-    d = od * (g - inner)
-    return d if kept is None else np.where(kept, d, 0.0)
+    return od * (g - inner)
 
 
 def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -367,12 +366,12 @@ def _tanh_v_grad(g: np.ndarray, t: np.ndarray) -> np.ndarray:
     return t.reshape(-1, t.shape[-1]).T @ g.reshape(-1)
 
 
-def _score_grad(g_alpha: np.ndarray, alpha: np.ndarray, kept: np.ndarray | None, score_of: np.ndarray, n_keys: int) -> np.ndarray:
+def _score_grad(g_alpha: np.ndarray, alpha: np.ndarray, score_of: np.ndarray, n_keys: int) -> np.ndarray:
     """The (B, n_keys) key-score gradient of the weights alpha, a softmax
     over entries of which entry r reads the score of key `score_of[r]`, for
     weight gradient g_alpha."""
     g = np.zeros((len(alpha), n_keys))  # a scatter-add needs a zero-filled buffer
-    np.add.at(g, (Ellipsis, score_of), _softmax_grad(g_alpha, alpha, kept))
+    np.add.at(g, (Ellipsis, score_of), _softmax_grad(g_alpha, alpha))
     return g
 
 
@@ -385,11 +384,12 @@ def _dot_heads(qs, keys, values, cd: np.ndarray) -> tuple[np.ndarray, list[np.nd
     return np.concatenate([a @ v for a, v in zip(alphas, values)], axis=-1), alphas
 
 
-def _dot_head_grad(g_head, q, k, v, alpha, kept) -> tuple[np.ndarray, np.ndarray]:
+def _dot_head_grad(g_head, q, k, v, alpha) -> tuple[np.ndarray, np.ndarray]:
     """The scaled score gradient g_s and the query gradient of one head of
-    `_dot_heads` for its output gradient g_head. The head's key and value
-    gradients are `g_s.T @ q` and `alpha.T @ g_head`."""
-    g_s = _softmax_grad(g_head @ v.T, alpha, kept) * (1.0 / np.sqrt(q.shape[1]))
+    `_dot_heads` for its output gradient g_head; a closed frame's score
+    gradient is an exact zero. The head's key and value gradients are
+    `g_s.T @ q` and `alpha.T @ g_head`."""
+    g_s = _softmax_grad(g_head @ v.T, alpha) * (1.0 / np.sqrt(q.shape[1]))
     return g_s, g_s @ k
 
 
@@ -421,7 +421,7 @@ def multi_head_attention(
         raise ValueError(f"multi_head_attention needs a (B, D) query, got shape {query.shape}")
     if closed.shape != (query.shape[0], keys[0].data.shape[0]):
         raise ValueError(f"multi_head_attention shape mismatch: query {query.shape}, closed {closed.shape}")
-    _kept(closed)
+    _check_open(closed)
     qs = [query @ w.data.T for w in wq]
     cat, _ = _dot_heads(qs, [k.data for k in keys], [v.data for v in values], np.where(closed, NEG_INF, 0.0))
     return cat @ wo.data.T
@@ -461,13 +461,13 @@ def additive_attention(
             f"additive_attention shape mismatch: closed {closed.shape}, score_of {score_of.shape}, "
             f"values {values.shape}, query {query.shape}"
         )
-    _kept(closed)
+    _check_open(closed)
     q = query @ wdd.T + b.data
     if not closed.any():
         alpha = _softmax(_tanh_scores(keys, q, vd)[..., score_of])
         return alpha @ values, alpha
     # A softmax per row over its open entries only: they are contiguous
-    # segments of the flat open scores, none empty, as `_kept` checked.
+    # segments of the flat open scores, none empty, as `_check_open` checked.
     open_at, row, s = _open_scores(keys, q, vd, score_of, closed)
     starts = np.searchsorted(row, np.arange(len(q)))
     s -= np.maximum.reduceat(s, starts)[row]
@@ -519,15 +519,12 @@ def _lstm_gates(pre: np.ndarray, c_prev: np.ndarray, h: int) -> tuple[np.ndarray
 
 
 def _lstm_gates_grad(
-    gh: np.ndarray, gc: np.ndarray | None, act: np.ndarray, c_prev: np.ndarray, tc: np.ndarray, h: int
+    gh: np.ndarray, gc: np.ndarray, act: np.ndarray, c_prev: np.ndarray, tc: np.ndarray, h: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The pre-activation and previous-cell gradients of `_lstm_gates` for
-    output gradient `gh` and cell gradient `gc` (None when none reached the
-    cell)."""
+    output gradient `gh` and cell gradient `gc` (zeros at the last step)."""
     i, f, g, o = act[:, :h], act[:, h : 2 * h], act[:, 2 * h : 3 * h], act[:, 3 * h :]
-    gc_out = (gh * o) * (1.0 - tc * tc)
-    if gc is not None:
-        gc_out = gc + gc_out
+    gc_out = gc + (gh * o) * (1.0 - tc * tc)
     d_act = np.empty_like(act)
     d_act[:, :h] = gc_out * g
     d_act[:, h : 2 * h] = gc_out * c_prev
@@ -682,7 +679,8 @@ def attention_decoder(
         raise ValueError(f"attention_decoder shape mismatch: {rows} rows, closed {closed.shape}")
     if score_of.shape != hzd.shape[:1]:
         raise ValueError(f"attention_decoder shape mismatch: score_of {score_of.shape}, values {h_z.shape}")
-    kept, cd = _kept(closed), np.where(closed, NEG_INF, 0.0)
+    _check_open(closed)
+    cd = np.where(closed, NEG_INF, 0.0)
     kd, vd = [k.data for k in keys], [x.data for x in values]
     bkd, bvd, bd = bias_keys.data, v.data, b.data
     w_q = np.concatenate([w.data for w in wq] + [wd.data])  # the heads' query weights, then the bias attention's
@@ -746,19 +744,20 @@ def attention_decoder(
         g_q, g_cat = np.empty_like(q_all), np.empty((ids.size, n_att))
         g_s = [np.empty((ids.size, len(k))) for k in kd]
         g_scores, g_args = np.empty((ids.size, len(bkd))), np.empty((ids.size, *bkd.shape))
-        g_h, g_c = [None] * len(layers), [None] * len(layers)  # each layer's, from the next position
+        # Each layer's recurrent output and cell gradients, from the next position.
+        g_h = [np.zeros((rows, p.hidden)) for p in layers]
+        g_c = [np.zeros((rows, p.hidden)) for p in layers]
         for t in reversed(range(n_pos)):
             r, prev = slice(t * rows, (t + 1) * rows), slice((t - 1) * rows, t * rows)
-            g_scores[r] = _score_grad(g_ctx[r, n_att:] @ hzd.T, bias_alphas[t], None, score_of, len(bkd))
+            g_scores[r] = _score_grad(g_ctx[r, n_att:] @ hzd.T, bias_alphas[t], score_of, len(bkd))
             g_args[r] = _tanh_args_grad(g_scores[r], bias_t[t], bvd)
             g_q[r, at_bias] = g_args[r].sum(axis=1)
             g_cat[r] = g_ctx[r, :n_att] @ wod
             q = q_all[r]
             for i in reversed(range(len(kd))):
                 c = heads[i]
-                g_s[i][r], g_q[r, c] = _dot_head_grad(g_cat[r, c], q[:, c], kd[i], vd[i], alphas[t][i], kept)
-            gh = g_out[r] if g_h[-1] is None else g_out[r] + g_h[-1]
-            gh = gh + g_q[r] @ w_q
+                g_s[i][r], g_q[r, c] = _dot_head_grad(g_cat[r, c], q[:, c], kd[i], vd[i], alphas[t][i])
+            gh = g_out[r] + g_h[-1] + g_q[r] @ w_q
             for l in reversed(range(len(layers))):
                 p = layers[l]
                 d_pre, g_c[l] = _lstm_gates_grad(gh, g_c[l], *gates[t * len(layers) + l], p.hidden)
@@ -767,7 +766,7 @@ def attention_decoder(
                     n_in = p.w.data.shape[1] - p.hidden
                     d_xh = d_pre @ p.w.data
                     g_h[l] = d_xh[:, n_in:]
-                    gh = d_xh[:, :n_in] if g_h[l - 1] is None else g_h[l - 1] + d_xh[:, :n_in]
+                    gh = g_h[l - 1] + d_xh[:, :n_in]
                 elif t:
                     d_xh = d_pre @ w0[:, n_emb:]
                     g_ctx[prev] += d_xh[:, :width]

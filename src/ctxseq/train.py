@@ -42,14 +42,15 @@ def train_model(
 ) -> list[tuple[int, float]]:
     """Run Adam over random batches; returns the (step, loss) log.
 
-    Each batch draws a fresh phrase list from its own transcripts, inserts
-    `</bias>` after matches in every target, and minimizes the summed
-    negative log-likelihood (averaged over the batch).
+    Every feature file is read by `Recognizer.read_features` before the
+    first step. Each batch draws a fresh phrase list from its own
+    transcripts, inserts `</bias>` after matches in every target, and
+    minimizes the summed negative log-likelihood (averaged over the batch).
     """
     opt = T.Adam(model.params, lr=cfg.lr)
     batch_rng = T.substream(cfg.seed, "train/batches")
     sampler_rng = T.substream(cfg.seed, "train/sampler")
-    features = [u.load_features() for u in utts]
+    features = [model.read_features(u) for u in utts]
     refs = [normalize(u.transcript) for u in utts]
     log: list[tuple[int, float]] = []
     for step in range(cfg.steps):

@@ -600,17 +600,17 @@ def sigmoid(a: Tensor) -> Tensor:
 def softmax(a: Tensor) -> Tensor:
     """Stabilized softmax over the last axis of a vector or of every row.
 
-    Entries equal to the NEG_INF sentinel map to exactly 0 and receive no
-    gradient; every row needs at least one other entry.
+    Entries equal to the NEG_INF sentinel map to exactly 0 and so receive
+    an exact zero gradient; every row needs at least one other entry.
     """
     if a.data.ndim not in (1, 2):
         raise ValueError(f"softmax takes a 1-D/2-D tensor, got shape {a.shape}")
-    kept = T._kept(a.data == T.NEG_INF)
+    T._check_open(a.data == T.NEG_INF)
     od = T._softmax(a.data)
     out = Tensor(od)
 
     def backward():
-        T._accum(a, T._softmax_grad(out.grad, od, kept))
+        T._accum(a, T._softmax_grad(out.grad, od))
 
     return T._record(out, backward)
 
@@ -681,15 +681,13 @@ def reference_lstm_layer(x: Tensor, live, p: T.LstmParams) -> Tensor:
 
 def reference_attend_audio(query: Tensor, wq, keys, values, closed, wo: Tensor) -> Tensor:
     """`tensor.multi_head_attention` as a chain: per head matmul_t, matmul_t, scale, add of the -inf
-    constant the boolean `closed` gives (one row per query row, or one row
-    every query row reads), softmax and matmul, then concat and matmul_t,
-    each its own tape node."""
+    constant the boolean `closed` gives (one row per query row), softmax and
+    matmul, then concat and matmul_t, each its own tape node."""
     heads = []
     for w, k, v in zip(wq, keys, values):
         q = T.matmul_t(query, w)
         scores = T.scale(T.matmul_t(q, k), 1.0 / np.sqrt(w.data.shape[0]))
-        mask = np.where(np.broadcast_to(closed, scores.data.shape), T.NEG_INF, 0.0)
-        scores = add(scores, T.constant(mask))
+        scores = add(scores, T.constant(np.where(closed, T.NEG_INF, 0.0)))
         heads.append(T.matmul(softmax(scores), v))
     return T.matmul_t(concat(heads), wo)
 

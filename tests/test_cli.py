@@ -161,6 +161,33 @@ class TestTrain:
         assert err.startswith("error:") and "--checkpoint-every must be >= 0, got -1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda path, dim: save_tensors(path, {"features": np.zeros((4, dim + 2))}),
+             "feature dim {wide} does not match config {dim}"),
+            (lambda path, dim: path.write_bytes(path.read_bytes()[:-8]), "truncated tensor file while reading 'features'"),
+        ],
+        ids=["wrong-width", "truncated"],
+    )
+    def test_bad_feature_file_is_named_before_step_0(self, workspace, tmp_path, capsys, spoil, message):
+        # It used to surface only at the step that first sampled the
+        # utterance, or without naming it.
+        root, cfg_path = workspace
+        utts = read_manifest(root / "corpus" / "train.jsonl")
+        dim = utts[0].load_features().shape[1]
+        bad = tmp_path / "bad.bin"
+        shutil.copy(utts[-1].features_path, bad)
+        spoil(bad, dim)
+        utts[-1].features_path = str(bad)
+        write_manifest(tmp_path / "m.jsonl", utts)
+        out = tmp_path / "ckpt"
+        args = ["train", "--config", str(cfg_path), "--data", str(tmp_path / "m.jsonl"), "--out", str(out)]
+        assert main(args + ["--checkpoint-every", "1"]) == 1
+        want = f"error: utterance {utts[-1].id} ({bad}): " + message.format(wide=dim + 2, dim=dim)
+        assert capsys.readouterr().err.strip() == want
+        assert not list(out.glob("params*.bin")) and not (out / "loss_log.tsv").exists()
+
     def test_unreadable_data_fails(self, workspace, tmp_path, capsys):
         _, cfg_path = workspace
         rc = main(
@@ -466,7 +493,7 @@ class TestDecode:
         args = ["decode", "--checkpoint", str(ckpt), "--data", str(root / "corpus" / "test_biased.jsonl")]
         assert main(args + ["--out", str(tmp_path / "dec")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and message in err
+        assert err.startswith(f"error: checkpoint {ckpt}: ") and message in err
 
     @pytest.mark.parametrize(
         "text, message",
@@ -494,7 +521,27 @@ class TestDecode:
         args = ["decode", "--checkpoint", str(ckpt), "--data", str(root / "corpus" / "test_biased.jsonl")]
         assert main(args + ["--out", str(tmp_path / "dec")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "1 bytes after its last array" in err
+        assert err.startswith(f"error: checkpoint {ckpt}: ") and "1 bytes after its last array" in err
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda d: (d / "params.bin").write_bytes((d / "params.bin").read_bytes()[:-8]),
+             "truncated tensor file while reading '"),
+            (lambda d: save_tensors(d / "params.bin", {}), "checkpoint missing parameters: ["),
+            (lambda d: (d / "vocab.txt").write_text("a\n"), "vocabulary must contain '<s>' exactly once"),
+            (lambda d: Vocabulary.from_alphabet("ab").save(d / "vocab.txt"), "shape mismatch for embedding: "),
+        ],
+        ids=["truncated-params", "no-params", "vocab-without-specials", "short-vocab"],
+    )
+    def test_checkpoint_that_does_not_load_is_named(self, workspace, tmp_path, capsys, spoil, message):
+        root, _ = workspace
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(root / "ckpt", ckpt)
+        spoil(ckpt)
+        args = ["decode", "--checkpoint", str(ckpt), "--data", str(root / "corpus" / "test_biased.jsonl")]
+        assert main(args + ["--out", str(tmp_path / "dec")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: checkpoint {ckpt}: {message}")
 
     def test_utterance_with_wrong_feature_dim_is_named(self, workspace, tmp_path, capsys):
         root, _ = workspace
@@ -828,6 +875,23 @@ class TestSweep:
         assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+        assert not out.exists()
+
+    def test_checkpoint_that_does_not_load_is_named(self, workspace, tmp_path, capsys):
+        # A sweep reads several checkpoints; the error says which one failed.
+        root, _ = workspace
+        bad = tmp_path / "bad"
+        shutil.copytree(root / "ckpt", bad)
+        (bad / "params.bin").write_bytes((bad / "params.bin").read_bytes()[:-8])
+        manifest = root / "corpus" / "test_biased.jsonl"
+        spec = tmp_path / "spec.ini"
+        spec.write_text(
+            f"[distractors]\ncheckpoint = {root / 'ckpt'}\nmanifest = {manifest}\ncounts = 0\n"
+            f"[attention]\ncheckpoint = {bad}\nmanifest = {manifest}\n"
+        )
+        out = tmp_path / "report"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: checkpoint {bad}: truncated tensor file while reading '")
         assert not out.exists()
 
     def test_all_four_experiments(self, workspace, tmp_path):

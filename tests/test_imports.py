@@ -1,7 +1,8 @@
 """Every name a module imports is used in that module, only the layers
 above the beam search import it, every function, class and method the
 library defines is used somewhere, and by the library itself unless an
-allow-list gives its reason, and every class field the library declares is
+allow-list gives its reason, every parameter of a library function or
+method is read in its body, and every class field the library declares is
 read somewhere.
 
 Stdlib `ast` scans, and one run of a fresh interpreter that imports the
@@ -200,6 +201,49 @@ UNCALLED_DEFINITIONS = [
 def test_every_library_definition_is_called_by_the_library_or_listed():
     library, _ = _library_and_others()
     assert sorted(orphans(library, [])) == sorted(UNCALLED_DEFINITIONS)
+
+
+def unread_parameters(library: dict[str, str]) -> list[str]:
+    """Parameters of the `library` modules' top-level functions, and of
+    their classes' non-dunder methods (a dunder's signature is Python's),
+    that the function's body never reads. A nested function reading an
+    outer parameter counts; the nested function's own parameters are not
+    scanned."""
+    found = []
+    for label, source in library.items():
+        for node in ast.parse(source).body:
+            defs = [(node.name, node)] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.ClassDef):
+                defs = [
+                    (f"{node.name}.{m.name}", m)
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef) and not (m.name.startswith("__") and m.name.endswith("__"))
+                ]
+            for qualname, d in defs:
+                a = d.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, [a.vararg, a.kwarg])]
+                names = (n for s in d.body for n in ast.walk(s) if isinstance(n, ast.Name))
+                read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+                found += [f"{label}: {qualname}({p.arg})" for p in params if p.arg not in read]
+    return found
+
+
+def test_every_library_parameter_is_read():
+    library, _ = _library_and_others()
+    assert unread_parameters(library) == []
+
+
+def test_scan_finds_an_unread_parameter():
+    library = (
+        "def scale(x, k, unused=None):\n    return x * k\n"
+        "def outer(g, kept):\n    def inner():\n        return g\n    kept = None\n    return inner\n"
+        "class Box:\n"
+        "    def __exit__(self, *exc):\n        pass\n"
+        "    def open(self, *args, **kwargs):\n        return self, kwargs\n"
+    )
+    assert unread_parameters({"lib.py": library}) == [
+        "lib.py: scale(unused)", "lib.py: outer(kept)", "lib.py: Box.open(args)"
+    ]
 
 
 def test_no_orphan_oracles():

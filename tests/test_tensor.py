@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ctxseq import tensor as T
 from ctxseq.tensor import NEG_INF, Tape, Tensor
@@ -706,6 +707,23 @@ class TestRowwiseOps:
         assert np.all(x.grad[x.data == NEG_INF] == 0.0)
         with pytest.raises(ValueError, match="no unmasked entry"):
             softmax(T.constant([[0.0, 1.0], [NEG_INF, NEG_INF]]))
+
+    @given(data=st.data(), rows=st.integers(1, 5), width=st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_masked_entry_gets_zero_weight_and_zero_gradient(self, data, rows, width):
+        # Why no backward helper masks its softmax gradient: a -inf logit
+        # gets a weight of exactly 0, so `_softmax_grad` gives it an exact
+        # zero for any finite output gradient.
+        finite = st.floats(-1e6, 1e6)
+        x = data.draw(hnp.arrays(np.float64, (rows, width), elements=finite))
+        g = data.draw(hnp.arrays(np.float64, (rows, width), elements=finite))
+        masked = data.draw(hnp.arrays(bool, (rows, width)))
+        keep = data.draw(hnp.arrays(np.intp, rows, elements=st.integers(0, width - 1)))
+        masked[np.arange(rows), keep] = False  # every row keeps an entry
+        x[masked] = NEG_INF
+        od = T._softmax(x)
+        assert np.all(od[masked] == 0.0)
+        assert np.all(T._softmax_grad(g, od)[masked] == 0.0)
 
     def test_log_softmax_rows(self):
         x = T.parameter(np.random.default_rng(21).normal(size=(3, 5)))
