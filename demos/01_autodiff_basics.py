@@ -48,13 +48,16 @@ w.data[at] = orig
 fd = (hi - lo) / (2 * step)
 print(f"finite diff for output.w{list(map(int, at))}: {fd:.10f}  (tape said {w.grad[at]:.10f})")
 
-# A whole LSTM layer is one tape node, with a hand-written backward. Its
-# rows are grouped by step, longest sequence first: two sequences of 3 and
-# 2 steps advance 2, 2 and then 1 rows. The forget gate starts open (bias 1).
+# A whole LSTM layer is one tape node, with a hand-written backward. It
+# reads its inputs as rows of a table, here an embedding of 4 symbols: two
+# sequences of 2 and 3 steps read rows 1, 3 and then 0, 2, 0. Inside, the
+# longer sequence runs first, so the steps advance 2, 2 and then 1 rows;
+# the outputs come back in input order. The forget gate starts open (bias 1).
 rng = np.random.default_rng(0)
 layer = T.init_lstm_params(rng, input_dim=3, hidden=4)
+table = T.constant(rng.normal(size=(4, 3)))
 with T.Tape() as tape:
-    h = T.lstm_layer(T.constant(rng.normal(size=(5, 3))), [2, 2, 1], layer)
+    h = T.lstm_layer(table, [1, 3, 0, 2, 0], [2, 3], layer)
     print(f"\nlstm_layer: {len(tape)} tape node, last h {np.round(h.data[-1], 4)}")
 
 # Adam with global-norm clipping fits the utterance: the loss falls.

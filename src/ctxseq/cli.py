@@ -8,7 +8,9 @@ their outputs next to them as config.ini.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .conditioning import BiasEntry, split_rule_based
@@ -39,17 +41,24 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
+@contextmanager
+def _reading_checkpoint(d: Path):
+    """A ValueError raised inside names the checkpoint directory `d`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {d}: {exc}") from None
+
+
 def load_checkpoint(path) -> tuple[Recognizer, RunConfig]:
     """The model and run config of a checkpoint directory; a vocabulary,
     model or parameter file that does not load raises ValueError naming
     the directory."""
     d = Path(path)
     cfg = RunConfig.load(d / "config.ini")
-    try:
+    with _reading_checkpoint(d):
         model = Recognizer(cfg.model(), Vocabulary.load(d / "vocab.txt"), seed=cfg.seed)
         model.load_arrays(load_tensors(d / "params.bin"))
-    except ValueError as exc:
-        raise ValueError(f"checkpoint {d}: {exc}") from None
     return model, cfg
 
 
@@ -97,17 +106,23 @@ def cmd_train(args) -> int:
     if every < 0:
         raise ValueError(f"--checkpoint-every must be >= 0, got {every}")
     cfg = _load_config(args)
+    cfg.resolved_text()  # a config that does not resolve fails before step 0
     utts = _read_utterances(args.data)
     vocab = cfg.task().vocabulary()
     model = Recognizer(cfg.model(), vocab, seed=cfg.seed)
-    out = _outdir(args.out, cfg)
-    vocab.save(out / "vocab.txt")
+
+    @functools.cache
+    def outdir() -> Path:  # made by the first save: a run that fails before it leaves nothing
+        out = _outdir(args.out, cfg)
+        vocab.save(out / "vocab.txt")
+        return out
 
     def on_step(step: int, loss: float) -> None:
         if every and (step + 1) % every == 0:
-            model.save(out / f"params_step{step + 1:06d}.bin")
+            model.save(outdir() / f"params_step{step + 1:06d}.bin")
 
     log = train_model(model, utts, cfg.sampler(), cfg.train(), on_step=on_step)
+    out = outdir()
     model.save(out / "params.bin")
     _write_rows(out / "loss_log.tsv", log)
     print(f"trained {cfg.train().steps} steps; final loss {log[-1][1]:.4f}; checkpoint in {out}")
@@ -204,7 +219,8 @@ def cmd_eval(args) -> int:
 def cmd_compile_context(args) -> int:
     with open(args.phrases, "r", encoding="utf-8") as f:
         phrases = [line.strip() for line in f if line.strip()]
-    alphabet = Vocabulary.load(Path(args.checkpoint) / "vocab.txt").graphemes
+    with _reading_checkpoint(Path(args.checkpoint)):
+        alphabet = Vocabulary.load(Path(args.checkpoint) / "vocab.txt").graphemes
     machine = compile_context(phrases, alphabet, args.strategy, args.bonus)
     save_context(args.out, machine)
     print(f"compiled {len(phrases)} phrases -> {args.out} ({machine.n_states} states)")

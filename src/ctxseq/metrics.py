@@ -33,10 +33,9 @@ class WerReport:
         )
 
 
-def compute_wer(hyp: Sequence[str] | str, ref: Sequence[str] | str) -> WerReport:
-    """Minimal edit distance with unit costs, decomposed into S/I/D counts."""
-    hyp_words = hyp.split() if isinstance(hyp, str) else list(hyp)
-    ref_words = ref.split() if isinstance(ref, str) else list(ref)
+def compute_wer(hyp: str, ref: str) -> WerReport:
+    """Minimal unit-cost edit distance between the words of two texts, as S/I/D counts."""
+    hyp_words, ref_words = hyp.split(), ref.split()
     if not ref_words:
         raise ValueError("WER is undefined for an empty reference")
 

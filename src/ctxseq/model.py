@@ -17,10 +17,10 @@ Every step runs on rows: B token ids, (B, ·) state arrays and a boolean
 in one call. The training loss knows every position's input token, so it
 runs the whole teacher-forced decoder of a minibatch, one row per
 utterance, and its loss as one `tensor.attention_decoder` tape node with
-the step's arithmetic; its output layer runs once over every position. Both
-encoders share one longest-first LSTM pass, `_longest_first`, in which each
-layer is one `tensor.lstm_layer` node: the phrase encoder runs it over the
-whole phrase list, and the audio encoder over all utterances of a batch.
+the step's arithmetic; its output layer runs once over every position. Each
+encoder layer is one `tensor.lstm_layer` node: the audio encoder's reads the
+stacked frames of all utterances of a batch, and the phrase encoder's reads
+the embedding row of each grapheme of the whole phrase list.
 An `AudioCache` holds the frames of U stacked utterances and one boolean
 frame-mask row per utterance; `AudioCache.take` gives the cache of some of
 them, and a query row reads the mask row of its own utterance, so it reads
@@ -105,29 +105,6 @@ class AudioCache:
         )
 
 
-def _longest_first(layers: Sequence[T.LstmParams], lengths: Sequence[int], step_input, read) -> Tensor:
-    """Run the stacked LSTM `layers` over sequences of `lengths` steps in one
-    pass.
-
-    Steps are numbered sequence by sequence in input order, so step t of
-    sequence i is position sum(lengths[:i]) + t. `step_input(at)` gives the
-    (len(at), D) inputs at positions `at`; the result stacks the last
-    layer's output at positions `read`, in that order. The sequences run
-    longest first: at step t the sequences longer than t are the leading rows
-    of the batch and only they advance, so each layer is one
-    `tensor.lstm_layer` over the inputs of every step.
-    """
-    lengths = np.asarray(lengths)
-    first = np.cumsum(lengths) - lengths
-    order = np.argsort(-lengths, kind="stable")
-    live = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0)
-    positions = np.concatenate([first[order[:n]] + t for t, n in enumerate(live)])
-    x = step_input(positions)
-    for p in layers:
-        x = T.lstm_layer(x, live, p)
-    return T.gather(x, np.argsort(positions)[read])
-
-
 class Recognizer:
     """The full model: parameters, forward ops, and the training loss."""
 
@@ -208,9 +185,11 @@ class Recognizer:
         if not xs:
             raise ValueError("encode_audio needs at least one utterance")
         xs = [self.check_features(x) for x in xs]
-        frames = np.concatenate(xs)
-        every = np.arange(len(frames))
-        return _longest_first(self.encoder, [len(x) for x in xs], lambda at: T.constant(frames[at]), every)
+        h = T.constant(np.concatenate(xs))
+        every, lengths = np.arange(len(h.data)), [len(x) for x in xs]
+        for p in self.encoder:
+            h = T.lstm_layer(h, every, lengths, p)
+        return h
 
     def precompute_audio(self, h_x: Tensor, lengths: Sequence[int]) -> AudioCache:
         """Key/value projections of the frames `h_x`, which stack utterances
@@ -255,10 +234,8 @@ class Recognizer:
         if not ids:
             return T.stack([self.params["no_bias"]])
         lengths = [len(p) for p in ids]
-        flat = np.concatenate(ids)
-        emb = self.params["embedding"]
-        last = _longest_first([self.bias_encoder], lengths, lambda at: T.gather(emb, flat[at]), np.cumsum(lengths) - 1)
-        return T.stack([self.params["no_bias"], last])
+        h = T.lstm_layer(self.params["embedding"], np.concatenate(ids), lengths, self.bias_encoder)
+        return T.stack([self.params["no_bias"], T.gather(h, np.cumsum(lengths) - 1)])
 
     def attend_bias(
         self,

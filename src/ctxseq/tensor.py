@@ -3,9 +3,9 @@
 Everything is deliberately small: 1-D/2-D arrays, the handful of ops a stacked
 recurrent attention model needs, and an Adam optimizer. There is one row
 layout: `matmul_t` and the beam step's ops take (B, D) stacks of B rows (B
-may be 1), `lstm_layer` takes the rows of every step of a batch stacked
-step by step, `attention_decoder` every position's rows stacked position by
-position, `matmul` takes two matrices, and none takes a vector. So a
+may be 1), `lstm_layer` reads the steps of each sequence in turn from the
+rows of a table, `attention_decoder` every position's rows stacked position
+by position, `matmul` takes two matrices, and none takes a vector. So a
 training step, a beam step over B hypotheses and the phrase encoder over a
 whole list run the same arithmetic. `scale` is shape-agnostic, and
 `gather` selects rows or last-axis entries (a column range is `gather`
@@ -554,33 +554,40 @@ def lstm_cell(
     return out, c
 
 
-def lstm_layer(x: Tensor, live: Sequence[int], params: LstmParams) -> Tensor:
-    """An LSTM layer over sequences that start together from zero states,
-    run as one tape node; returns the (sum(live), H) outputs in the row
-    layout of the (sum(live), D) inputs `x`.
+def lstm_layer(table: Tensor, rows, lengths: Sequence[int], params: LstmParams) -> Tensor:
+    """An LSTM layer over sequences that start from zero states, run as one
+    tape node. Its inputs are rows `rows` of the (R, D) `table` (repeats
+    allowed, as in `gather`), holding each sequence's `lengths[i]` steps in
+    turn; returns the (len(rows), H) outputs in the same order.
 
-    The rows of `x` are grouped by step: step t has `live[t]` rows, the
-    leading `live[t]` rows of step t-1's, so `live` never grows. The input
+    The sequences run longest first: at step t the sequences longer than t
+    are the leading rows of the batch and only they advance. The input
     products `x @ W_x.T + b` are one GEMM over every step, and each step
     adds only its `h @ W_h.T` to them (the GEMM hoist of Appleyard, Kočiský
     & Blunsom 2016); `W_x` and `W_h` are column views of the fused weight.
     The backward runs the steps in reverse, then gives the input and the
     weight gradients in one GEMM each, the weight's over the rows
-    `[x, h_prev]`. The
+    `[x, h_prev]`, and scatter-adds the input gradient into `table`. The
     gates are `lstm_cell`'s; values and gradients match a chain of op-by-op
     cells up to rounding in the last bits. Without a tape nothing is kept
     for backward.
     """
     h = params.hidden
-    xd, wd = x.data, params.w.data
-    live = np.asarray(live, dtype=np.intp)
+    wd = params.w.data
+    rows = np.asarray(rows, dtype=np.intp)
+    lengths = np.asarray(lengths, dtype=np.intp)
     n_in = wd.shape[1] - h
-    if xd.ndim != 2 or xd.shape[1] != n_in:
-        raise ValueError(f"lstm_layer input shape {x.shape} does not match weights expecting (N, {n_in})")
-    if live.ndim != 1 or not len(live) or live[-1] < 1 or np.any(np.diff(live) > 0) or live.sum() != len(xd):
-        raise ValueError(f"lstm_layer needs non-increasing positive step sizes summing to {len(xd)}, got {live.tolist()}")
-    w_x, w_h = wd[:, :n_in], wd[:, n_in:]
+    if table.data.ndim != 2 or table.data.shape[1] != n_in:
+        raise ValueError(f"lstm_layer input shape {table.shape} does not match weights expecting (N, {n_in})")
+    if lengths.ndim != 1 or not len(lengths) or lengths.min() < 1 or lengths.sum() != len(rows):
+        raise ValueError(f"lstm_layer needs positive lengths summing to {len(rows)} rows, got {lengths.tolist()}")
+    # `at`: the positions of the `live[t]` longest sequences' step t, for every t in turn
+    live = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0)
+    first = (np.cumsum(lengths) - lengths)[np.argsort(-lengths, kind="stable")]
+    at = np.concatenate([first[:n] + t for t, n in enumerate(live)])
     starts = np.cumsum(live) - live
+    xd = table.data[rows[at]]
+    w_x, w_h = wd[:, :n_in], wd[:, n_in:]
     pre = xd @ w_x.T + params.b.data
     out = np.empty((len(xd), h))
     taped = Tape._active is not None
@@ -594,25 +601,25 @@ def lstm_layer(x: Tensor, live: Sequence[int], params: LstmParams) -> Tensor:
         act, c, tc, out[a : a + n] = _lstm_gates(pre_t, c_prev, h)
         if taped:
             saved.append((act, c_prev, tc))
-    h_t = Tensor(out)
+    h_t = Tensor(out[np.argsort(at)])  # back into the order of `rows`
 
     def backward():
-        gh = h_t.grad.copy()  # each row's output gradient; steps add their recurrent part
+        gh = h_t.grad[at]  # each row's output gradient; steps add their recurrent part
         gc = np.zeros_like(out)
         d_pre = np.empty_like(pre)
         for t in reversed(range(len(live))):
-            rows = slice(starts[t], starts[t] + live[t])
-            d_pre[rows], gc_prev = _lstm_gates_grad(gh[rows], gc[rows], *saved[t], h)
+            step = slice(starts[t], starts[t] + live[t])
+            d_pre[step], gc_prev = _lstm_gates_grad(gh[step], gc[step], *saved[t], h)
             if t:
                 prev = slice(starts[t - 1], starts[t - 1] + live[t])
-                gh[prev] += d_pre[rows] @ w_h
+                gh[prev] += d_pre[step] @ w_h
                 gc[prev] = gc_prev
         h_prev = np.zeros_like(out)  # step 0 starts from zero states
         h_prev[live[0] :] = out[np.arange(live[0], len(out)) - np.repeat(live[:-1], live[1:])]
         _accum(params.w, d_pre.T @ np.concatenate([xd, h_prev], axis=-1))
         _accum(params.b, d_pre.sum(axis=0))
-        if x.grad is not None:
-            _accum(x, d_pre @ w_x)
+        if table.grad is not None:
+            _scatter_add(table, rows[at], d_pre @ w_x)
 
     return _record(h_t, backward)
 

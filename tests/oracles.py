@@ -666,15 +666,16 @@ def reference_lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, params: T.L
     return h_t, c_t
 
 
-def reference_lstm_layer(x: Tensor, live, p: T.LstmParams) -> Tensor:
-    """`tensor.lstm_layer` as a chain of `reference_lstm_cell` steps, each
-    step's states cut to its leading rows by a gather."""
-    h = c = T.constant(np.zeros((live[0], p.hidden)))
+def reference_lstm_layer(table: Tensor, rows, lengths, p: T.LstmParams) -> Tensor:
+    """`tensor.lstm_layer` as one chain of `reference_lstm_cell` steps per
+    sequence, each from zero states and in input order, reading its inputs
+    from `table` one row at a time."""
     outs, start = [], 0
-    for n in live:
-        h, c = T.gather(h, np.arange(n)), T.gather(c, np.arange(n))
-        h, c = reference_lstm_cell(T.gather(x, np.arange(start, start + n)), h, c, p)
-        outs.append(h)
+    for n in lengths:
+        h = c = T.constant(np.zeros((1, p.hidden)))
+        for r in rows[start : start + n]:
+            h, c = reference_lstm_cell(T.gather(table, [r]), h, c, p)
+            outs.append(h)
         start += n
     return T.stack(outs)
 

@@ -186,7 +186,7 @@ class TestTrain:
         assert main(args + ["--checkpoint-every", "1"]) == 1
         want = f"error: utterance {utts[-1].id} ({bad}): " + message.format(wide=dim + 2, dim=dim)
         assert capsys.readouterr().err.strip() == want
-        assert not list(out.glob("params*.bin")) and not (out / "loss_log.tsv").exists()
+        assert not out.exists()  # no config or vocabulary that looks like a checkpoint
 
     def test_unreadable_data_fails(self, workspace, tmp_path, capsys):
         _, cfg_path = workspace
@@ -695,6 +695,18 @@ class TestCompileContext:
         assert main(args + ["--out", str(tmp_path / "c.txt")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "grapheme 'c' of word 'abc' outside the alphabet" in err
+
+    def test_unreadable_vocabulary_names_the_checkpoint(self, tmp_path, capsys):
+        # It used to say only what was wrong with the vocabulary.
+        phrases = tmp_path / "p.txt"
+        phrases.write_text("ab\n")
+        ckpt = vocab_only_checkpoint(tmp_path, "ab")
+        (ckpt / "vocab.txt").write_text("a\n")
+        args = ["compile-context", "--phrases", str(phrases), "--checkpoint", str(ckpt), "--strategy", "end-of-word"]
+        assert main(args + ["--out", str(tmp_path / "c.txt")]) == 1
+        want = f"error: checkpoint {ckpt}: vocabulary must contain '<s>' exactly once"
+        assert capsys.readouterr().err.startswith(want)
+        assert not (tmp_path / "c.txt").exists()
 
     @pytest.mark.parametrize("bonus", ["nan", "inf", "0", "-1"])
     def test_bonus_must_be_finite_and_positive(self, tmp_path, capsys, bonus):

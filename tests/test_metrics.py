@@ -42,13 +42,13 @@ class TestComputeWer:
         for _ in range(300):
             ref = [vocab[i] for i in rng.integers(0, 4, size=10)]
             hyp = [vocab[i] for i in rng.integers(0, 4, size=rng.integers(0, 11))]
-            report = compute_wer(hyp, ref)
+            report = compute_wer(" ".join(hyp), " ".join(ref))
             assert report.errors == brute_force_edit_distance(hyp, ref)
 
     @given(words.filter(bool), words)
     @settings(max_examples=150, deadline=None)
     def test_zero_iff_equal(self, ref, hyp):
-        report = compute_wer(hyp, ref)
+        report = compute_wer(" ".join(hyp), " ".join(ref))
         assert (report.errors == 0) == (hyp == ref)
         assert report.errors == brute_force_edit_distance(hyp, ref)
 

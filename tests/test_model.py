@@ -140,17 +140,17 @@ class TestLongestFirst:
     def test_one_layer_call_per_layer(self, monkeypatch):
         calls, layer = [], T.lstm_layer
 
-        def counting(x, live, params):
-            calls.append(list(live))  # rows advanced at each step
-            return layer(x, live, params)
+        def counting(table, rows, lengths, params):
+            calls.append(list(lengths))  # steps of each sequence
+            return layer(table, rows, lengths, params)
 
         monkeypatch.setattr(T, "lstm_layer", counting)
         model = tiny_model(encoder_layers=3)
         model.encode_audio([np.zeros((k, 3)) for k in (2, 5, 3, 5)])
-        assert calls == 3 * [[4, 4, 3, 2, 2]]
+        assert calls == 3 * [[2, 5, 3, 5]]
         calls.clear()
         model.encode_bias(["ab ba", "a", "bbb"])  # 5, 1 and 3 graphemes
-        assert calls == [[3, 2, 2, 1, 1]]
+        assert calls == [[5, 1, 3]]
 
 
 class TestEncodeBias:

@@ -279,12 +279,6 @@ class TestLstmCell:
         assert got == [t.data.tobytes() for t in (want_h1, want_c1, want_h2, want_c2)]
 
 
-def step_sizes(lengths) -> list[int]:
-    """The rows of each step of sequences of `lengths` run longest first."""
-    lengths = np.asarray(lengths)
-    return (lengths[:, None] > np.arange(lengths.max())).sum(axis=0).tolist()
-
-
 class TestLstmLayer:
     def layer(self, rng, input_dim=3, hidden=4):
         p = T.init_lstm_params(rng, input_dim, hidden)
@@ -292,27 +286,33 @@ class TestLstmLayer:
         p.b.data[...] = rng.normal(size=p.b.data.shape)
         return p
 
-    @given(seed=st.integers(0, 1000), lengths=st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    @given(
+        seed=st.integers(0, 1000),
+        lengths=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+        table_rows=st.integers(1, 8),
+    )
     @settings(max_examples=40, deadline=None)
-    @example(seed=1, lengths=[5, 2, 2])  # a one-row tail: steps of 3, 3, 1, 1, 1 rows
-    @example(seed=2, lengths=[1, 1, 1])  # one-step sequences: one step of 3 rows
-    @example(seed=3, lengths=[1])
-    def test_equals_chain_of_reference_cells(self, seed, lengths):
+    @example(seed=1, lengths=[2, 5, 2], table_rows=9)  # unsorted: steps of 3, 3, 1, 1, 1 rows
+    @example(seed=2, lengths=[3, 3, 3], table_rows=4)  # tied lengths, rows read more than once
+    @example(seed=3, lengths=[1, 1, 1], table_rows=1)  # one-step sequences reading one row
+    @example(seed=4, lengths=[1], table_rows=2)
+    def test_equals_chain_of_reference_cells(self, seed, lengths, table_rows):
         rng = np.random.default_rng(seed)
         p = self.layer(rng)
-        live = step_sizes(sorted(lengths, reverse=True))
-        x = T.parameter(rng.normal(size=(sum(live), 3)))
-        leaves = {"x": x, "w": p.w, "b": p.b}
+        table = T.parameter(rng.normal(size=(table_rows, 3)))
+        rows = rng.integers(0, table_rows, size=sum(lengths))
+        leaves = {"table": table, "w": p.w, "b": p.b}
 
         def run(layer):
             for t in leaves.values():
                 t.grad[...] = 0.0
             with Tape() as tape:
-                out = layer(x, live, p)
+                out = layer(table, rows, lengths, p)
                 tape.backward(weighted(out, seed))
             return out.data, {name: t.grad.copy() for name, t in leaves.items()}
 
         (got, got_grads), (want, want_grads) = run(T.lstm_layer), run(reference_lstm_layer)
+        assert got.shape == (sum(lengths), 4)
         assert np.abs(got - want).max() < 1e-12
         for name, g in got_grads.items():
             assert np.abs(g - want_grads[name]).max() < 1e-12, name
@@ -320,28 +320,31 @@ class TestLstmLayer:
     def test_gradient_check(self):
         rng = np.random.default_rng(34)
         p = self.layer(rng, input_dim=2, hidden=2)
-        x = T.parameter(rng.normal(size=(5, 2)))
-        check_grads(lambda: weighted(T.lstm_layer(x, [2, 2, 1], p), 35), {"x": x, "w": p.w, "b": p.b})
+        table = T.parameter(rng.normal(size=(3, 2)))
+        rows = [0, 2, 0, 1, 0]  # row 0 read three times, by both sequences
+        check_grads(lambda: weighted(T.lstm_layer(table, rows, [2, 3], p), 35), {"table": table, "w": p.w, "b": p.b})
 
     def test_one_tape_node_and_the_same_values_without_a_tape(self):
         rng = np.random.default_rng(36)
         p = self.layer(rng)
-        x = T.constant(rng.normal(size=(6, 3)))
+        table = T.constant(rng.normal(size=(6, 3)))
+        rows, lengths = np.arange(6), [1, 3, 2]
         with Tape() as tape:
-            taped = T.lstm_layer(x, [3, 2, 1], p)
+            taped = T.lstm_layer(table, rows, lengths, p)
         assert len(tape) == 1
-        assert T.lstm_layer(x, [3, 2, 1], p).data.tobytes() == taped.data.tobytes()
+        assert T.lstm_layer(table, rows, lengths, p).data.tobytes() == taped.data.tobytes()
 
-    @pytest.mark.parametrize("live", [[2, 3], [3, 0], [], [3, 2]])  # grows, empty step, no step, 5 rows for 6
-    def test_bad_step_sizes_rejected(self, live):
+    # a zero length, no sequence, 5 rows for 6, 7 rows for 6
+    @pytest.mark.parametrize("lengths", [[3, 0, 3], [], [2, 3], [4, 3]])
+    def test_bad_lengths_rejected(self, lengths):
         p = self.layer(np.random.default_rng(37))
-        with pytest.raises(ValueError, match="step sizes"):
-            T.lstm_layer(T.constant(np.zeros((6, 3))), live, p)
+        with pytest.raises(ValueError, match="positive lengths summing to 6 rows"):
+            T.lstm_layer(T.constant(np.zeros((2, 3))), [0, 1, 0, 1, 0, 1], lengths, p)
 
     def test_input_width_must_match(self):
         p = self.layer(np.random.default_rng(38))
         with pytest.raises(ValueError, match="input shape"):
-            T.lstm_layer(T.constant(np.zeros((2, 4))), [1, 1], p)
+            T.lstm_layer(T.constant(np.zeros((2, 4))), [0, 1], [1, 1], p)
 
 
 def decoder_case(rng, rows, positions, n_layers, heads, utterances, n_values, n_keys, recorded_cache, targets):
@@ -872,12 +875,12 @@ class TestGradientBuffers:
     @given(
         seed=st.integers(0, 1000),
         rows=st.lists(st.integers(1, 4), min_size=1, max_size=5),
-        live=st.lists(st.integers(1, 4), min_size=1, max_size=4).map(lambda n: sorted(n, reverse=True)),
+        lengths=st.lists(st.integers(1, 4), min_size=1, max_size=4),
         uses=st.integers(1, 4),
     )
-    @example(seed=5, rows=[3], live=[3, 2, 2], uses=1)  # one use per weight, as in a training step
+    @example(seed=5, rows=[3], lengths=[3, 3, 1], uses=1)  # one use per weight, as in a training step
     @settings(max_examples=40, deadline=None)
-    def test_leaf_weight_gradient_is_the_sum_over_uses(self, seed, rows, live, uses):
+    def test_leaf_weight_gradient_is_the_sum_over_uses(self, seed, rows, lengths, uses):
         # `uses` LSTM layers share one weight, each reading the last one's
         # output, as the weight of a `matmul_t` is shared by its calls.
         rng = np.random.default_rng(seed)
@@ -886,14 +889,15 @@ class TestGradientBuffers:
         gs = [rng.normal(size=(n, 3)) for n in rows]  # d loss / d (x @ w.T) of each use
         p = T.init_lstm_params(rng, 3, 3)
         p.w.data[...] = rng.normal(size=p.w.data.shape)
-        lstm_x = T.constant(rng.normal(size=(sum(live), 3)))
-        lstm_gs = [T.constant(rng.normal(size=(sum(live), 3))) for _ in range(uses)]
+        every = np.arange(sum(lengths))
+        lstm_x = T.constant(rng.normal(size=(len(every), 3)))
+        lstm_gs = [T.constant(rng.normal(size=(len(every), 3))) for _ in range(uses)]
 
         def run(layer_params):
             terms = [sum_(mul(T.matmul_t(T.constant(x), w), T.constant(g))) for x, g in zip(xs, gs)]
             h = lstm_x
             for g, q in zip(lstm_gs, layer_params):
-                h = T.lstm_layer(h, live, q)
+                h = T.lstm_layer(h, every, lengths, q)
                 terms.append(sum_(mul(h, g)))
             loss = terms[0]
             for t in terms[1:]:
@@ -947,7 +951,7 @@ class TestGradientBuffers:
         w = T.parameter(rng.normal(size=(4, 3)))
         x = T.parameter(rng.normal(size=(3, 2)))
         with Tape() as tape:
-            h = T.lstm_layer(x, [2, 1], p)
+            h = T.lstm_layer(x, [0, 1, 2], [2, 1], p)
             out = tanh(T.matmul_t(h, w))
             loss = sum_(out)
             assert all(t.grad is T.PENDING for t in (h, out, loss))
@@ -996,7 +1000,7 @@ class TestDeterminismAndInvariants:
         x = T.constant(rng.normal(size=(3, 4)))
 
         def forward():
-            h = T.gather(T.lstm_layer(x, [1, 1, 1], p), [2])
+            h = T.gather(T.lstm_layer(x, [0, 1, 2], [3], p), [2])
             return sum_(T.gather(log_softmax(T.matmul_t(h, w)), [1], axis=-1))
 
         params = {"w": w, "lstm.w": p.w, "lstm.b": p.b}
