@@ -42,12 +42,12 @@ def _load_config(args) -> RunConfig:
 
 
 @contextmanager
-def _reading_checkpoint(d: Path):
-    """A ValueError raised inside names the checkpoint directory `d`."""
+def _reading(what: str, path):
+    """A ValueError raised inside names what was being read: `<what> <path>: `."""
     try:
         yield
     except ValueError as exc:
-        raise ValueError(f"checkpoint {d}: {exc}") from None
+        raise ValueError(f"{what} {path}: {exc}") from None
 
 
 def load_checkpoint(path) -> tuple[Recognizer, RunConfig]:
@@ -56,7 +56,7 @@ def load_checkpoint(path) -> tuple[Recognizer, RunConfig]:
     the directory."""
     d = Path(path)
     cfg = RunConfig.load(d / "config.ini")
-    with _reading_checkpoint(d):
+    with _reading("checkpoint", d):
         model = Recognizer(cfg.model(), Vocabulary.load(d / "vocab.txt"), seed=cfg.seed)
         model.load_arrays(load_tensors(d / "params.bin"))
     return model, cfg
@@ -144,10 +144,11 @@ def cmd_decode(args) -> int:
 
     shared_fusion = None
     if args.context:
-        context = load_context(args.context)
-        foreign = sorted(set(context.meta["alphabet"]) - set(alphabet))
-        if foreign:
-            raise ValueError(f"context {args.context} has graphemes the model cannot emit: {' '.join(foreign)}")
+        with _reading("context", args.context):
+            context = load_context(args.context)
+            foreign = sorted(set(context.meta["alphabet"]) - set(alphabet))
+            if foreign:
+                raise ValueError(f"graphemes the model cannot emit: {' '.join(foreign)}")
         shared_fusion = FusionScorer(context)
     compiled = per_bias_list(
         lambda phrases: FusionScorer(compile_context(phrases, alphabet, args.strategy, args.bonus))
@@ -198,7 +199,7 @@ def cmd_eval(args) -> int:
                 raise ValueError(f"{args.hyp} line {lineno}: expected `id text total`, got {len(fields)} fields")
             utt_id, text, _ = fields
             if utt_id not in utts:
-                raise ValueError(f"hypothesis for unknown utterance {utt_id}")
+                raise ValueError(f"{args.hyp} line {lineno}: hypothesis for unknown utterance {utt_id}")
             if utt_id in scored:
                 raise ValueError(f"{args.hyp} line {lineno}: second hypothesis for utterance {utt_id}")
             scored.add(utt_id)
@@ -217,11 +218,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compile_context(args) -> int:
-    with open(args.phrases, "r", encoding="utf-8") as f:
-        phrases = [line.strip() for line in f if line.strip()]
-    with _reading_checkpoint(Path(args.checkpoint)):
+    check_bonus(args.bonus)
+    with _reading("checkpoint", Path(args.checkpoint)):
         alphabet = Vocabulary.load(Path(args.checkpoint) / "vocab.txt").graphemes
-    machine = compile_context(phrases, alphabet, args.strategy, args.bonus)
+    with _reading("phrases", args.phrases):
+        with open(args.phrases, "r", encoding="utf-8") as f:
+            phrases = [line.strip() for line in f if line.strip()]
+        machine = compile_context(phrases, alphabet, args.strategy, args.bonus)
     save_context(args.out, machine)
     print(f"compiled {len(phrases)} phrases -> {args.out} ({machine.n_states} states)")
     return 0
@@ -275,10 +278,8 @@ def _sweep_values(spec: RunConfig) -> dict[str, dict]:
 
 def cmd_sweep(args) -> int:
     spec = RunConfig.load(args.spec)
-    try:
+    with _reading("spec", args.spec):
         values = _sweep_values(spec)
-    except ValueError as exc:
-        raise ValueError(f"{args.spec}: {exc}") from None
     runs = []  # every checkpoint and manifest is read before the first decode
     for section, kwargs in values.items():
         model, cfg = load_checkpoint(kwargs.pop("checkpoint"))

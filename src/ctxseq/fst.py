@@ -1,8 +1,12 @@
 """Weighted finite-state machinery for on-the-fly contextual rescoring.
 
+Every machine here is a weighted acceptor: an arc carries one input label
+and a weight, and no state is final, since on-the-fly rescoring reads only
+the label and weight of the arc it takes and the refund of the failure arc.
+
 Pipeline: a word-level grammar over the phrase list (each word arc carries
 the per-word bonus, completed phrases loop back to the start) is composed
-with the speller of its words, the grapheme trie whose `<space>` arcs emit
+with the speller of its words, the grapheme trie whose `<space>` arcs end
 the word. The composition is built deterministic in one pass over the trie
 (a state is a trie node plus the grammar states whose words still run
 through it), which also records each state's word-position facts, then
@@ -33,7 +37,6 @@ import numpy as np
 
 from .vocab import SPACE, normalize
 
-EPS = "<eps>"
 FAIL = "<fail>"
 
 END_OF_WORD = "end-of-word"
@@ -46,12 +49,11 @@ STRATEGIES = (END_OF_WORD, BEGINNING_OF_WORD, EVERY_SUBWORD)
 class Arc:
     src: int
     ilabel: str
-    olabel: str
     weight: float
     dst: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateAnn:
     """Word-position facts a strategy needs: see apply_strategy."""
 
@@ -64,7 +66,6 @@ class Wfst:
     def __init__(self, meta: dict | None = None):
         self.n_states = 0
         self.start = self.add_state()
-        self.finals: dict[int, float] = {}
         self.arcs: list[Arc] = []
         self.meta: dict = meta or {}
         self.ann: dict[int, StateAnn] = {}
@@ -75,8 +76,8 @@ class Wfst:
         self._index = None
         return self.n_states - 1
 
-    def add_arc(self, src: int, ilabel: str, olabel: str, weight: float, dst: int) -> None:
-        self.arcs.append(Arc(src, ilabel, olabel, float(weight), dst))
+    def add_arc(self, src: int, ilabel: str, weight: float, dst: int) -> None:
+        self.arcs.append(Arc(src, ilabel, float(weight), dst))
         self._index = None
 
     def out(self, state: int) -> list[Arc]:
@@ -118,37 +119,31 @@ def build_grammar(phrases: Sequence[str], bonus_per_word: float) -> Wfst:
     if not cleaned or any(not p for p in cleaned):
         raise ValueError("phrases must be non-empty")
     g = Wfst(meta={"bonus": float(bonus_per_word)})
-    g.finals[g.start] = 0.0
     for phrase in cleaned:
         words = phrase.split()
         cur = g.start
         for w in words[:-1]:
             nxt = g.add_state()
-            g.add_arc(cur, w, w, bonus_per_word, nxt)
+            g.add_arc(cur, w, bonus_per_word, nxt)
             cur = nxt
-        g.add_arc(cur, words[-1], words[-1], bonus_per_word, g.start)
+        g.add_arc(cur, words[-1], bonus_per_word, g.start)
     return g
 
 
 def _minimize(m: Wfst) -> Wfst:
-    """Moore refinement; states merge only when finality, annotations, and
-    weighted arc behavior all agree, so every strategy stays well-defined."""
-    def base_key(st):
-        a = m.ann[st]
-        return (m.finals.get(st), a.boundary, a.committed, a.pending)
-
+    """Moore refinement; states merge only when annotations and weighted
+    arc behavior both agree, so every strategy stays well-defined."""
     cls = {}
     keys = {}
     for st in range(m.n_states):
-        keys.setdefault(base_key(st), len(keys))
-        cls[st] = keys[base_key(st)]
+        cls[st] = keys.setdefault(m.ann[st], len(keys))
     while True:
         sigs = {}
         new_cls = {}
         for st in range(m.n_states):
             sig = (
                 cls[st],
-                tuple(sorted((a.ilabel, a.olabel, a.weight, cls[a.dst]) for a in m.out(st))),
+                tuple(sorted((a.ilabel, a.weight, cls[a.dst]) for a in m.out(st))),
             )
             sigs.setdefault(sig, len(sigs))
             new_cls[st] = sigs[sig]
@@ -164,12 +159,10 @@ def _minimize(m: Wfst) -> Wfst:
             remap[cls[st]] = out.add_state()
     seen_arcs = set()
     for a in m.arcs:
-        key = (remap[cls[a.src]], a.ilabel, a.olabel, a.weight, remap[cls[a.dst]])
+        key = (remap[cls[a.src]], a.ilabel, a.weight, remap[cls[a.dst]])
         if key not in seen_arcs:
             seen_arcs.add(key)
             out.add_arc(*key)
-    for st, w in m.finals.items():
-        out.finals[remap[cls[st]]] = w
     out.ann = {remap[cls[st]]: m.ann[st] for st in range(m.n_states)}
     return out
 
@@ -182,13 +175,13 @@ def compose_det_min(g: Wfst, alphabet: Sequence[str]) -> Wfst:
     A state is a trie node p with the set G of grammar states that still
     have an outgoing word spelled through p. A grapheme moves to the child
     node and keeps the members of G whose words go on through it. `<space>`
-    at the end of word w emits w with the word bonus and returns to the root
-    with the states that G's arcs on w reach. The root is final, with weight
-    0, when G holds the grammar start. Every speller path inside a word
+    at the end of word w carries the word bonus back to the root with the
+    states that G's arcs on w reach. Every speller path inside a word
     follows the trie and every word arc carries the same bonus, so this is
-    the weighted subset construction of the composition with all residuals
-    0; exploring with labels sorted gives its state numbering too. The same
-    pass records the word-position facts the strategies need of each state.
+    the weighted subset construction of the composition, projected onto its
+    graphemes, with all residuals 0; exploring with labels sorted gives its
+    state numbering too. The same pass records the word-position facts the
+    strategies need of each state.
     Raises ValueError for a word with a grapheme outside `alphabet`.
     """
     alpha = set(alphabet)
@@ -224,12 +217,12 @@ def compose_det_min(g: Wfst, alphabet: Sequence[str]) -> Wfst:
     for p, gs in queue:
         src = ids[(p, gs)]
         completes.append(False)
-        moves = [(ch, (c, gs & through[c]), EPS, 0.0) for ch, c in children[p].items()]
+        moves = [(ch, (c, gs & through[c]), 0.0) for ch, c in children[p].items()]
         if p in word_at:
             w = word_at[p]
             reached = frozenset(b.dst for q in gs for b in g.out(q) if b.ilabel == w)
-            moves.append((SPACE, (0, reached), w, bonus))
-        for label, dst, olabel, weight in sorted(moves, key=lambda m: m[0]):
+            moves.append((SPACE, (0, reached), bonus))
+        for label, dst, weight in sorted(moves, key=lambda m: m[0]):
             if not dst[1]:
                 continue
             if dst not in ids:
@@ -239,9 +232,7 @@ def compose_det_min(g: Wfst, alphabet: Sequence[str]) -> Wfst:
                 parent.append(src)
             if label == SPACE:
                 completes[src] = True
-            d.add_arc(src, label, olabel, weight, ids[dst])
-        if p == 0 and g.start in gs:
-            d.finals[src] = 0.0
+            d.add_arc(src, label, weight, ids[dst])
 
     # A grapheme arc goes one trie level deeper, so one pass over the arcs,
     # deepest source first, gives the fewest graphemes to a completion. A
@@ -287,7 +278,6 @@ def apply_strategy(c: Wfst, strategy: str) -> Wfst:
     out = Wfst(meta={**c.meta, "strategy": strategy})
     for _ in range(c.n_states - 1):
         out.add_state()
-    out.finals = dict(c.finals)
 
     def collected(st: int) -> float:
         a = c.ann[st]
@@ -303,12 +293,12 @@ def apply_strategy(c: Wfst, strategy: str) -> Wfst:
             w = bonus if c.ann[a.src].boundary else 0.0
         else:
             w = collected(a.dst) - collected(a.src)
-        out.add_arc(a.src, a.ilabel, a.olabel, w, a.dst)
+        out.add_arc(a.src, a.ilabel, w, a.dst)
     for st in range(c.n_states):
         if st == c.start:
             continue
         refund = -c.ann[st].pending if strategy == EVERY_SUBWORD else 0.0
-        out.add_arc(st, FAIL, EPS, refund, c.start)
+        out.add_arc(st, FAIL, refund, c.start)
     return out
 
 
@@ -397,33 +387,34 @@ def compile_context(
 # serialization
 
 
+_CONTEXT_TAG = "CTXSEQ-CONTEXT-2"
+_CONTEXT_HEADER = ("alphabet", "strategy", "bonus", "states", "start")
+
+
 def save_context(path, machine: Wfst) -> None:
-    """Text format: header lines, then one `src in out weight dst` per arc."""
+    """Text format: header lines, then one `src label weight dst` per arc."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write("CTXSEQ-CONTEXT-1\n")
+        f.write(_CONTEXT_TAG + "\n")
         f.write("alphabet " + " ".join(machine.meta.get("alphabet", [])) + "\n")
         f.write("strategy " + machine.meta["strategy"] + "\n")
         f.write(f"bonus {machine.meta['bonus']!r}\n")
         f.write(f"states {machine.n_states}\n")
         f.write(f"start {machine.start}\n")
-        f.write("finals " + " ".join(f"{s}:{w!r}" for s, w in sorted(machine.finals.items())) + "\n")
         for a in sorted(machine.arcs, key=lambda a: (a.src, a.ilabel, a.dst)):
-            f.write(f"{a.src} {a.ilabel} {a.olabel} {a.weight!r} {a.dst}\n")
-
-
-_CONTEXT_HEADER = ("alphabet", "strategy", "bonus", "states", "start", "finals")
+            f.write(f"{a.src} {a.ilabel} {a.weight!r} {a.dst}\n")
 
 
 def load_context(path) -> Wfst:
-    """Read a `save_context` file. Raises ValueError for a missing header
-    key, an unknown strategy, a state count outside [1, arcs + 1], an arc
-    line without five fields, a state id outside the machine, a non-finite
-    weight, an arc label outside the alphabet and `<fail>`, or a second arc
-    with the same source and label."""
+    """Read a `save_context` file. Raises ValueError for a first line other
+    than `CTXSEQ-CONTEXT-2` (an older file is compiled again), a missing
+    header key, an unknown strategy, a state count outside [1, arcs + 1], an
+    arc line without four fields, a state id outside the machine, a
+    non-finite weight, an arc label outside the alphabet and `<fail>`, or a
+    second arc with the same source and label."""
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln.rstrip("\n") for ln in f]
-    if not lines or lines[0] != "CTXSEQ-CONTEXT-1":
-        raise ValueError("not a compiled context file")
+    if not lines or lines[0] != _CONTEXT_TAG:
+        raise ValueError(f"not a compiled context file: its first line is not {_CONTEXT_TAG}")
     header: dict[str, str] = {}
     idx = 1
     while idx < len(lines) and lines[idx].partition(" ")[0] in _CONTEXT_HEADER:
@@ -460,18 +451,15 @@ def load_context(path) -> Wfst:
     for _ in range(n_states - 1):
         m.add_state()
     m.start = state(header["start"], "start state")
-    for item in header["finals"].split():
-        s, _, w = item.partition(":")
-        m.finals[state(s, "final state")] = weight(w, "final weight")
     labels = set(m.meta["alphabet"]) | {FAIL}
     seen: set[tuple[int, str]] = set()
     for lineno, ln in enumerate(lines[idx:], start=idx + 1):
         if not ln:
             continue
         fields = ln.split(" ")
-        if len(fields) != 5:
-            raise ValueError(f"line {lineno}: expected `src in out weight dst`, got {len(fields)} fields")
-        src, ilabel, olabel, w, dst = fields
+        if len(fields) != 4:
+            raise ValueError(f"line {lineno}: expected `src label weight dst`, got {len(fields)} fields")
+        src, ilabel, w, dst = fields
         src_state = state(src, f"line {lineno}: arc source")
         if ilabel not in labels:
             raise ValueError(f"line {lineno}: arc label {ilabel!r} outside the alphabet")
@@ -481,7 +469,6 @@ def load_context(path) -> Wfst:
         m.add_arc(
             src_state,
             ilabel,
-            olabel,
             weight(w, f"line {lineno}: arc weight"),
             state(dst, f"line {lineno}: arc destination"),
         )

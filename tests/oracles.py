@@ -3,11 +3,13 @@
 Everything here is deliberately naive: central finite differences, exhaustive
 enumeration, and direct string scanning. None of it shares code with the
 library paths it checks, except that the context-compiler reference reuses
-the library's minimization pass (it finds its own word-position facts by
-walking the determinized machine, where the library records them while it
-builds), the op chains of the LSTM cell, the attentions and the output
-layer are built from the library's primitive ops and from the primitive ops
-defined here, which only those chains and the tests' losses use (`add`,
+the library's minimization pass (it builds the speller and the product in a
+transducer type of its own, with output labels and final states, and finds
+its own word-position facts by walking the determinized machine, where the
+library records them while it builds), the op chains of the LSTM cell, the
+attentions and the output layer are built from the library's primitive ops
+and from the primitive ops defined here, which only those chains and the
+tests' losses use (`add`,
 `mul`, `sum_`, `concat`, `tanh`, `sigmoid`, `softmax`, `log_softmax` and
 `additive_scores`; they take their softmax, log-softmax and tanh-score
 arithmetic from the library's helpers, so a bit-identity test checks how a
@@ -24,13 +26,14 @@ scorer's `score_step`/`finish`, whose table `reference_score_step` checks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from ctxseq import tensor as T
 from ctxseq.decoding import DecodeResult
-from ctxseq.fst import EPS, FAIL, StateAnn, Wfst, _minimize
+from ctxseq.fst import FAIL, StateAnn, Wfst, _minimize
 from ctxseq.model import embed_phrases
 from ctxseq.tensor import Tensor
 from ctxseq.vocab import BIAS_END, EOS, SOS, SPACE, graphemize, normalize, render
@@ -162,19 +165,6 @@ def grammar_accepts(word_seq: list[str], phrases: list[str]) -> bool:
     return ok[-1]
 
 
-def accepts(m: Wfst, labels) -> tuple[bool, float]:
-    """Deterministic walk of `m`; returns (accepted, path weight + final weight)."""
-    state, total = m.start, 0.0
-    for lab in labels:
-        arc = next((a for a in m.out(state) if a.ilabel == lab), None)
-        if arc is None:
-            return False, 0.0
-        state, total = arc.dst, total + arc.weight
-    if state not in m.finals:
-        return False, 0.0
-    return True, total + m.finals[state]
-
-
 def reference_score_step(m: Wfst, state: int, label: str) -> tuple[int, float]:
     """One grapheme of fusion scoring by walking `m.out`: the arc on `label`;
     else the `<fail>` arc's refund (0 and the start state without one) and
@@ -222,15 +212,52 @@ def fusion_step(fusion, state: int, symbol: str) -> tuple[int, float]:
 
 
 # ---------------------------------------------------------------------------
-# context-compiler reference: the speller x grammar product, trimmed, then
-# determinized by weighted subset construction
+# context-compiler reference: the speller x grammar product, trimmed,
+# projected onto its input labels, then determinized by weighted subset
+# construction
+
+EPS = "<eps>"
 
 
-def build_speller(words, alphabet) -> Wfst:
+class TArc(NamedTuple):
+    src: int
+    ilabel: str
+    olabel: str
+    weight: float
+    dst: int
+
+
+@dataclass
+class Transducer:
+    """A weighted transducer with final states, state 0 the start: the
+    speller and the product are built in it, not in the library's `Wfst`,
+    which is an acceptor with no final state."""
+
+    meta: dict
+    n_states: int = 1
+    start: int = 0
+    arcs: list[TArc] = field(default_factory=list)
+    finals: dict[int, float] = field(default_factory=dict)
+    index: dict[int, list[TArc]] = field(default_factory=dict)
+
+    def add_state(self) -> int:
+        self.n_states += 1
+        return self.n_states - 1
+
+    def add_arc(self, src: int, ilabel: str, olabel: str, weight: float, dst: int) -> None:
+        arc = TArc(src, ilabel, olabel, weight, dst)
+        self.arcs.append(arc)
+        self.index.setdefault(src, []).append(arc)
+
+    def out(self, state: int) -> list[TArc]:
+        return self.index.get(state, [])
+
+
+def build_speller(words, alphabet) -> Transducer:
     """Grapheme-to-word trie: spell the word, then a `<space>` arc emits its
-    label and returns to the start. All weights are zero."""
+    label and returns to the start, the one final state. All weights are zero."""
     alpha = set(alphabet)
-    s = Wfst(meta={"alphabet": sorted(alpha)})
+    s = Transducer(meta={"alphabet": sorted(alpha)})
     s.finals[s.start] = 0.0
     trie: dict[int, dict[str, int]] = {s.start: {}}
     for word in sorted(set(words)):
@@ -251,9 +278,9 @@ def build_speller(words, alphabet) -> Wfst:
     return s
 
 
-def reference_compose_det_min(s: Wfst, g: Wfst) -> Wfst:
-    """min(det(compose(S, G))) the long way round, for `fst.compose_det_min`."""
-    d = _determinize(_compose(s, g))
+def reference_compose_det_min(s: Transducer, g: Wfst) -> Wfst:
+    """min(det(proj(compose(S, G)))) the long way round, for `fst.compose_det_min`."""
+    d = _determinize(_project(_compose(s, g)))
     _annotate(d, g.meta.get("bonus", 1.0))
     d.meta["alphabet"] = s.meta.get("alphabet", [])
     return _minimize(d)
@@ -316,10 +343,12 @@ def _annotate(m: Wfst, bonus: float) -> None:
     }
 
 
-def _compose(s: Wfst, g: Wfst) -> Wfst:
-    """Product construction; speller arcs with epsilon output move only the
-    speller side, word-emitting arcs must find a matching grammar arc."""
-    c = Wfst(meta={**s.meta, **g.meta})
+def _compose(s: Transducer, g: Wfst) -> Transducer:
+    """Product construction, trimmed; speller arcs with epsilon output move
+    only the speller side, word-emitting arcs must find a matching grammar
+    arc. A product state is final when the speller's is and the grammar is
+    back at its start, where every phrase ends."""
+    c = Transducer(meta={**s.meta, **g.meta})
     ids: dict[tuple[int, int], int] = {(s.start, g.start): c.start}
     stack = [(s.start, g.start)]
     while stack:
@@ -330,7 +359,7 @@ def _compose(s: Wfst, g: Wfst) -> Wfst:
                 targets = [((arc.dst, gs), EPS, arc.weight)]
             else:
                 targets = [
-                    ((arc.dst, ga.dst), ga.olabel, arc.weight + ga.weight)
+                    ((arc.dst, ga.dst), ga.ilabel, arc.weight + ga.weight)
                     for ga in g.out(gs)
                     if ga.ilabel == arc.olabel
                 ]
@@ -339,12 +368,12 @@ def _compose(s: Wfst, g: Wfst) -> Wfst:
                     ids[pair] = c.add_state()
                     stack.append(pair)
                 c.add_arc(src, arc.ilabel, olabel, weight, ids[pair])
-        if ss in s.finals and gs in g.finals:
-            c.finals[src] = s.finals[ss] + g.finals[gs]
+        if ss in s.finals and gs == g.start:
+            c.finals[src] = s.finals[ss]
     return _trim(c)
 
 
-def _trim(m: Wfst) -> Wfst:
+def _trim(m: Transducer) -> Transducer:
     reach = {m.start}
     stack = [m.start]
     while stack:
@@ -366,7 +395,7 @@ def _trim(m: Wfst) -> Wfst:
     has_path = any(a.src in keep and a.dst in keep for a in m.arcs)
     if m.start not in keep or not has_path:
         raise ValueError("composition is empty: no phrase is spellable")
-    out = Wfst(meta=dict(m.meta))
+    out = Transducer(meta=dict(m.meta))
     remap = {m.start: out.start}
     for st in sorted(keep):
         if st != m.start:
@@ -376,6 +405,18 @@ def _trim(m: Wfst) -> Wfst:
             out.add_arc(remap[a.src], a.ilabel, a.olabel, a.weight, remap[a.dst])
     out.finals = {remap[s]: w for s, w in m.finals.items() if s in keep}
     return out
+
+
+def _project(m: Transducer) -> Wfst:
+    """The acceptor of `m`'s input labels and weights. Its output labels and
+    final states go: trimmed, every state of `m` lies on a path to a final
+    one, and rescoring reads neither."""
+    a = Wfst(meta=dict(m.meta))
+    for _ in range(m.n_states - 1):
+        a.add_state()
+    for arc in m.arcs:
+        a.add_arc(arc.src, arc.ilabel, arc.weight, arc.dst)
+    return a
 
 
 def _determinize(m: Wfst) -> Wfst:
@@ -388,28 +429,21 @@ def _determinize(m: Wfst) -> Wfst:
     while queue:
         subset = queue.pop(0)
         src = ids[subset]
-        by_label: dict[str, list[tuple[int, float, str]]] = {}
+        by_label: dict[str, list[tuple[int, float]]] = {}
         for q, r in subset:
             for a in m.out(q):
-                by_label.setdefault(a.ilabel, []).append((a.dst, r + a.weight, a.olabel))
+                by_label.setdefault(a.ilabel, []).append((a.dst, r + a.weight))
         for ilabel in sorted(by_label):
             items = by_label[ilabel]
-            olabels = {o for _, _, o in items if o != EPS}
-            if len(olabels) > 1:
-                raise ValueError(f"output-label conflict while determinizing on {ilabel!r}")
-            olabel = olabels.pop() if olabels else EPS
-            shift = min(w for _, w, _ in items)
+            shift = min(w for _, w in items)
             best: dict[int, float] = {}
-            for dst, w, _ in items:
+            for dst, w in items:
                 best[dst] = min(best.get(dst, float("inf")), w - shift)
             target = frozenset(best.items())
             if target not in ids:
                 ids[target] = d.add_state()
                 queue.append(target)
-            d.add_arc(src, ilabel, olabel, shift, ids[target])
-        fw = [r + m.finals[q] for q, r in subset if q in m.finals]
-        if fw:
-            d.finals[src] = min(fw)
+            d.add_arc(src, ilabel, shift, ids[target])
     return d
 
 

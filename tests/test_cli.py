@@ -429,7 +429,7 @@ class TestDecode:
         args = ["decode", "--checkpoint", str(root / "ckpt"), "--data", str(root / "corpus" / "test_biased.jsonl")]
         assert main(args + ["--context", str(context), "--lam", "1", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: context {context} has graphemes the model cannot emit: q x z\n"
+        assert err == f"error: context {context}: graphemes the model cannot emit: q x z\n"
         assert not out.exists()
 
     def test_unknown_phrase_token_fails_cleanly_without_output(self, workspace, tmp_path, capsys):
@@ -443,13 +443,10 @@ class TestDecode:
         assert not out.exists()
 
     @staticmethod
-    def decode_with_context(workspace, tmp_path, arcs: str) -> int:
+    def decode_with_context(workspace, tmp_path, arcs: str, tag: str = "CTXSEQ-CONTEXT-2") -> int:
         root, _ = workspace
         context = tmp_path / "bad.ctx"
-        context.write_text(
-            "CTXSEQ-CONTEXT-1\nalphabet <space> a\nstrategy end-of-word\nbonus 1.0\n"
-            "states 2\nstart 0\nfinals 0:0.0\n" + arcs
-        )
+        context.write_text(tag + "\nalphabet <space> a\nstrategy end-of-word\nbonus 1.0\nstates 2\nstart 0\n" + arcs)
         return main(
             [
                 "decode",
@@ -467,15 +464,23 @@ class TestDecode:
         )
 
     def test_context_with_arc_to_missing_state_fails_cleanly(self, workspace, tmp_path, capsys):
-        assert self.decode_with_context(workspace, tmp_path, "0 a <eps> 0.5 5\n") == 1
+        assert self.decode_with_context(workspace, tmp_path, "0 a 0.5 5\n") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "arc destination 5" in err
+        assert err.startswith(f"error: context {tmp_path / 'bad.ctx'}: ") and "arc destination 5" in err
 
     def test_context_with_duplicate_arc_fails_cleanly(self, workspace, tmp_path, capsys):
-        arcs = "0 a <eps> 0.5 1\n0 a <eps> 9.0 1\n"
+        arcs = "0 a 0.5 1\n0 a 9.0 1\n"
         assert self.decode_with_context(workspace, tmp_path, arcs) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "second arc from state 0 on 'a'" in err
+
+    def test_version_1_context_file_is_named(self, workspace, tmp_path, capsys):
+        # Its error used to name neither the file nor the format it should be.
+        arcs = "0 a <eps> 0.5 1\n1 <space> <eps> 0.5 0\n"
+        assert self.decode_with_context(workspace, tmp_path, arcs, tag="CTXSEQ-CONTEXT-1") == 1
+        want = f"error: context {tmp_path / 'bad.ctx'}: not a compiled context file: its first line is not CTXSEQ-CONTEXT-2"
+        assert capsys.readouterr().err == want + "\n"
+        assert not (tmp_path / "dec").exists()
 
     @pytest.mark.parametrize(
         "manifest, message",
@@ -615,7 +620,7 @@ class TestEval:
         hyp = tmp_path / "hyp.tsv"
         hyp.write_text("nobody\ta b\t0.0\n")
         assert main(["eval", "--hyp", str(hyp), "--data", str(manifest), "--out", str(tmp_path / "eval")]) == 1
-        assert capsys.readouterr().err == "error: hypothesis for unknown utterance nobody\n"
+        assert capsys.readouterr().err == f"error: {hyp} line 1: hypothesis for unknown utterance nobody\n"
         assert not (tmp_path / "eval").exists()
 
     def test_missing_hypotheses_fail_cleanly(self, workspace, tmp_path, capsys):
@@ -706,6 +711,16 @@ class TestCompileContext:
         assert main(args + ["--out", str(tmp_path / "c.txt")]) == 1
         want = f"error: checkpoint {ckpt}: vocabulary must contain '<s>' exactly once"
         assert capsys.readouterr().err.startswith(want)
+        assert not (tmp_path / "c.txt").exists()
+
+    def test_empty_phrases_file_is_named(self, tmp_path, capsys):
+        # Its error used to say only that the phrases were empty.
+        phrases = tmp_path / "p.txt"
+        phrases.write_text("\n")
+        ckpt = vocab_only_checkpoint(tmp_path, "ab")
+        args = ["compile-context", "--phrases", str(phrases), "--checkpoint", str(ckpt), "--strategy", "end-of-word"]
+        assert main(args + ["--out", str(tmp_path / "c.txt")]) == 1
+        assert capsys.readouterr().err == f"error: phrases {phrases}: phrases must be non-empty\n"
         assert not (tmp_path / "c.txt").exists()
 
     @pytest.mark.parametrize("bonus", ["nan", "inf", "0", "-1"])

@@ -29,7 +29,7 @@ from oracles import (
     _annotate,
     _compose,
     _determinize,
-    accepts,
+    _project,
     build_speller,
     fusion_events,
     grammar_accepts,
@@ -43,21 +43,21 @@ CAT_ALPHABET = [SPACE, "c", "a", "t", "r", "s"]
 
 # A well-formed two-state context file, as save_context writes it.
 TWO_STATE_CONTEXT = [
-    "CTXSEQ-CONTEXT-1",
+    "CTXSEQ-CONTEXT-2",
     "alphabet <space> a b",
     "strategy end-of-word",
     "bonus 1.0",
     "states 2",
     "start 0",
-    "finals 0:0.0",
-    "0 a <eps> 0.5 1",
-    "1 <space> <eps> 0.5 0",
+    "0 a 0.5 1",
+    "1 <space> 0.5 0",
 ]
 
 
 def enumerate_accepted_word_strings(g, words, max_len):
     """All word sequences up to max_len accepted by the (possibly
-    nondeterministic) grammar."""
+    nondeterministic) grammar: those with a walk back to its start, where
+    every phrase ends."""
     accepted = []
     for n in range(max_len + 1):
         for seq in itertools.product(words, repeat=n):
@@ -66,21 +66,30 @@ def enumerate_accepted_word_strings(g, words, max_len):
                 states = {a.dst for s in states for a in g.out(s) if a.ilabel == w}
                 if not states:
                     break
-            if states & set(g.finals):
+            if g.start in states:
                 accepted.append(list(seq))
     return accepted
 
 
+def spell(text: str) -> list[str]:
+    """The labels of `text`, a `<space>` ending each word."""
+    return [SPACE if ch == " " else ch for ch in text] + [SPACE]
+
+
+def totals(phrases, alphabet, bonus, text) -> list[float]:
+    """`score_string`'s total for spelled `text` under each strategy."""
+    return [
+        FusionScorer(compile_context(phrases, alphabet, strategy, bonus)).score_string(spell(text))[0]
+        for strategy in STRATEGIES
+    ]
+
+
 class TestBuildGrammar:
     def test_single_phrase_path_weight(self):
-        g = build_grammar(["cat"], bonus_per_word=2.5)
-        ok, weight = accepts(g, ["cat"])
-        assert ok and weight == 2.5
+        assert totals(["cat"], CAT_ALPHABET, 2.5, "cat") == pytest.approx([2.5] * 3)
 
     def test_multiword_path_weight(self):
-        g = build_grammar(["the cat sat"], bonus_per_word=1.0)
-        ok, weight = accepts(g, ["the", "cat", "sat"])
-        assert ok and weight == 3.0
+        assert totals(["the cat sat"], CAT_ALPHABET + ["h", "e"], 1.0, "the cat sat") == pytest.approx([3.0] * 3)
 
     def test_accepts_exactly_the_phrases(self):
         phrases = ["the cat sat", "the cat ran", "the dog sat"]
@@ -91,9 +100,7 @@ class TestBuildGrammar:
         assert grammar_accepts([], phrases)  # empty concatenation
 
     def test_phrase_loops_back_for_repeats(self):
-        g = build_grammar(["cat"], bonus_per_word=1.0)
-        ok, weight = accepts(g, ["cat", "cat"])
-        assert ok and weight == 2.0
+        assert totals(["cat"], CAT_ALPHABET, 1.0, "cat cat") == pytest.approx([2.0] * 3)
 
     def test_empty_phrase_rejected(self):
         with pytest.raises(ValueError):
@@ -147,32 +154,40 @@ class TestBuildSpeller:
 
 class TestComposeDetMin:
     def test_single_phrase_acceptance_and_loop(self):
-        c = compose_det_min(build_grammar(["cat"], 1.0), CAT_ALPHABET)
-        assert accepts(c, ["c", "a", "t", SPACE])[0]
-        assert accepts(c, ["c", "a", "t", SPACE, "c", "a", "t", SPACE])[0]
-        assert not accepts(c, ["c", "a", "t"])[0]
-        assert not accepts(c, ["c", "a"])[0]
-        assert c.is_deterministic()
+        assert compose_det_min(build_grammar(["cat"], 1.0), CAT_ALPHABET).is_deterministic()
+        assert totals(["cat"], CAT_ALPHABET, 1.0, "cat") == pytest.approx([1.0] * 3)
+        assert totals(["cat"], CAT_ALPHABET, 1.0, "cat cat") == pytest.approx([2.0] * 3)
 
     def test_weight_is_bonus_times_words(self):
-        phrases = ["a b", "b"]
-        c = compose_det_min(build_grammar(phrases, 1.5), AB_ALPHABET)
-        ok, w = accepts(c, ["a", SPACE, "b", SPACE])
-        assert ok and w == pytest.approx(3.0)
-        ok, w = accepts(c, ["b", SPACE])
-        assert ok and w == pytest.approx(1.5)
+        assert totals(["a b", "b"], AB_ALPHABET, 1.5, "a b") == pytest.approx([3.0] * 3)
+        assert totals(["a b", "b"], AB_ALPHABET, 1.5, "b") == pytest.approx([1.5] * 3)
 
     def test_exhaustive_language_equivalence(self):
+        # Every string of whole phrases scores the bonus once per word.
         phrases = ["ab", "a b", "b"]
-        c = compose_det_min(build_grammar(phrases, 1.0), AB_ALPHABET)
+        scorers = [FusionScorer(compile_context(phrases, AB_ALPHABET, s, 1.0)) for s in STRATEGIES]
         for n in range(7):
             for labels in itertools.product(AB_ALPHABET, repeat=n):
-                accepted, weight = accepts(c, labels)
                 words = _render_words(labels)
-                expected = words is not None and grammar_accepts(words, phrases)
-                assert accepted == expected, f"{labels}"
-                if accepted:
-                    assert weight == pytest.approx(len(words))
+                if words is not None and grammar_accepts(words, phrases):
+                    for scorer in scorers:
+                        assert scorer.score_string(labels)[0] == pytest.approx(len(words)), labels
+
+    def test_words_that_differ_only_in_spelling_share_states(self):
+        # The tails of `cat` and `bat` merge: start, one grapheme in, two, and
+        # a whole word. They stayed apart while `<space>` emitted the word.
+        alphabet = [SPACE, "a", "b", "c", "t"]
+        for strategy in STRATEGIES:
+            m = compile_context(["cat", "bat"], alphabet, strategy, 3.0)
+            assert m.n_states == 4
+            scorer = FusionScorer(m)
+            for n in range(7):
+                for labels in itertools.product(alphabet, repeat=n):
+                    state, total = m.start, 0.0
+                    for lab in labels:
+                        state, inc = reference_score_step(m, state, lab)
+                        total += inc
+                    assert scorer.score_string(labels)[0] == total + reference_score_step(m, state, "z")[1]
 
     def test_minimization_reduces_or_keeps_state_count(self):
         phrases = ["the cat", "the car"]
@@ -181,7 +196,7 @@ class TestComposeDetMin:
         s = build_speller(["the", "cat", "car"], alphabet)
         from ctxseq.fst import _minimize
 
-        d = _determinize(_compose(s, g))
+        d = _determinize(_project(_compose(s, g)))
         _annotate(d, 1.0)
         m = _minimize(d)
         assert m.n_states <= d.n_states
@@ -472,7 +487,7 @@ class TestCompiledTable:
         dropped = data.draw(st.sets(st.sampled_from(fails), min_size=1))
         for i in data.draw(st.sets(st.sampled_from(fails))) - dropped:
             fields = lines[i].split(" ")
-            lines[i] = " ".join(fields[:4] + [str(data.draw(st.integers(0, m.n_states - 1)))])
+            lines[i] = " ".join(fields[:3] + [str(data.draw(st.integers(0, m.n_states - 1)))])
         assert_table_matches_reference(load_lines([ln for i, ln in enumerate(lines) if i not in dropped]))
 
     def test_loaded_context_without_fail_arcs(self):
@@ -485,16 +500,15 @@ _ab_phrases = st.lists(st.text("ab", min_size=1, max_size=3), min_size=1, max_si
 # reaches a fixed point after two rows, and in states 1 and 2 ending at once
 # (the refund alone) beats every label.
 DEAD_END_CONTEXT = [
-    "CTXSEQ-CONTEXT-1",
+    "CTXSEQ-CONTEXT-2",
     "alphabet <space> a",
     "strategy end-of-word",
     "bonus 1.0",
     "states 3",
     "start 0",
-    "finals 0:0.0",
-    "0 a <eps> 1.0 1",
-    "1 <fail> <eps> 0.5 2",
-    "2 <fail> <eps> -1.0 2",
+    "0 a 1.0 1",
+    "1 <fail> 0.5 2",
+    "2 <fail> -1.0 2",
 ]
 
 
@@ -534,26 +548,25 @@ class TestLoadContextValidation:
         assert scorer.score_string(["a", SPACE]) == (1.0, [0.5, 0.5])
 
     def test_arc_to_a_missing_state(self, tmp_path):
-        lines = TWO_STATE_CONTEXT[:7] + ["0 a <eps> 0.5 5"]
-        with pytest.raises(ValueError, match=r"line 8: arc destination 5 outside \[0, 2\)"):
+        lines = TWO_STATE_CONTEXT[:6] + ["0 a 0.5 5"]
+        with pytest.raises(ValueError, match=r"line 7: arc destination 5 outside \[0, 2\)"):
             load_context(self.write(tmp_path, lines))
 
     @pytest.mark.parametrize(
         "index, line, message",
         [
-            (7, "-1 a <eps> 0.5 1", "arc source -1"),
+            (0, "CTXSEQ-CONTEXT-1", "not a compiled context file: its first line is not CTXSEQ-CONTEXT-2"),
+            (6, "-1 a 0.5 1", "arc source -1"),
             (5, "start 2", "start state 2"),
-            (6, "finals 3:0.0", "final state 3"),
-            (6, "finals 0:inf", "non-finite final weight"),
-            (7, "0 a <eps> nan 1", "non-finite line 8: arc weight"),
+            (6, "0 a nan 1", "non-finite line 7: arc weight"),
             (3, "bonus -inf", "non-finite bonus"),
-            (7, "0 a <eps> 0.5", "line 8: expected .* got 4 fields"),
-            (8, "1 <space> <eps> 0.5 0 0", "line 9: expected .* got 6 fields"),
+            (6, "0 a 0.5", "line 7: expected .* got 3 fields"),
+            (7, "1 <space> 0.5 0 0", "line 8: expected .* got 5 fields"),
             (4, "states 0", "declares 0 states"),
             (4, "states 99999999999", "declares 99999999999 states for 2 arcs"),
             (2, "strategy bogus", "unknown strategy 'bogus'"),
-            (7, "0 z <eps> 0.5 1", "line 8: arc label 'z' outside the alphabet"),
-            (8, "0 a <eps> 9.0 1", "line 9: second arc from state 0 on 'a'"),
+            (6, "0 z 0.5 1", "line 7: arc label 'z' outside the alphabet"),
+            (7, "0 a 9.0 1", "line 8: second arc from state 0 on 'a'"),
         ],
     )
     def test_malformed_line_rejected(self, tmp_path, index, line, message):
@@ -562,7 +575,7 @@ class TestLoadContextValidation:
         with pytest.raises(ValueError, match=message):
             load_context(self.write(tmp_path, lines))
 
-    @pytest.mark.parametrize("key", ["alphabet", "strategy", "bonus", "states", "start", "finals"])
+    @pytest.mark.parametrize("key", ["alphabet", "strategy", "bonus", "states", "start"])
     def test_missing_header_key(self, tmp_path, key):
         lines = [ln for ln in TWO_STATE_CONTEXT if ln.partition(" ")[0] != key]
         with pytest.raises(ValueError, match=f"lacks header keys: {key}"):
@@ -572,8 +585,8 @@ class TestLoadContextValidation:
 def nondeterministic_machine() -> fst.Wfst:
     m = fst.Wfst(meta={"bonus": 1.0})
     end = m.add_state()
-    m.add_arc(m.start, "a", "a", 0.0, end)
-    m.add_arc(m.start, "a", "b", 0.0, end)
+    m.add_arc(m.start, "a", 0.0, end)
+    m.add_arc(m.start, "a", 1.0, end)
     return m
 
 

@@ -16,8 +16,8 @@ from ctxseq.tensor import load_tensors
 
 CKPT_MAGIC = b"CTXSEQ-TENSORS-1\n"
 CONTEXT = (
-    b"CTXSEQ-CONTEXT-1\nalphabet <space> a b\nstrategy end-of-word\nbonus 1.0\n"
-    b"states 2\nstart 0\nfinals 0:0.0\n0 a <eps> 0.5 1\n1 <space> <eps> 0.5 0\n"
+    b"CTXSEQ-CONTEXT-2\nalphabet <space> a b\nstrategy end-of-word\nbonus 1.0\n"
+    b"states 2\nstart 0\n0 a 0.5 1\n1 <space> 0.5 0\n"
 )
 CONFIG = b"[run]\nseed = 3\n\n[model]\nencoder_units = 6\n"
 RECORD = b'{"id": "u1", "features_path": "f.bin", "transcript": "a b", "bias_phrases": ["a"]}\n'
@@ -62,7 +62,8 @@ def test_load_tensors(data):
 @example(CONTEXT.replace(b"0.5 1\n", b"0.5 5\n"))
 @example(CONTEXT.replace(b"states 2", b"states 99999999999"))
 @example(CONTEXT.replace(b"end-of-word", b"bogus"))
-@example(CONTEXT + b"0 a <eps> 9.0 1\n")
+@example(CONTEXT + b"0 a 9.0 1\n")
+@example(CONTEXT.replace(b"CONTEXT-2", b"CONTEXT-1"))
 @SETTINGS
 def test_load_context(data):
     machine = loads_or_value_error(load_context, data)
