@@ -164,7 +164,7 @@ def cmd_decode(args) -> int:
 
     def manifest_entries(u):
         if u.bias_prefixes is None:
-            raise ValueError(f"utterance {u.id} has no bias_prefixes in the manifest")
+            raise ValueError("no bias_prefixes in the manifest")
         return [BiasEntry(p, z) for p, z in zip(u.bias_prefixes, u.bias_phrases)]
 
     entries_fn = {"off": None, "manifest": manifest_entries, "rule-based": per_bias_list(split_rule_based)}

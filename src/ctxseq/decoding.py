@@ -9,9 +9,10 @@ fusion state and its prefix state. The rows of one utterance are
 contiguous, the utterances in group order, and within an utterance the rows
 are in the lexicographic order of their token sequences. The decoder states
 are stacked into (B, ·) rows the same way, and one `Recognizer.step` call
-scores the whole group; the group's audio is one `AudioCache` over its
-utterances' stacked frames, and row b reads the frame-mask row of its own
-utterance, so only that utterance's frames. The B×V candidate totals (model
+scores the whole group, on arrays; the group's audio is one `AudioCache`
+over its utterances' stacked frames, and row b reads the frame-mask row of
+its own utterance, so only that utterance's frames; its list is the arrays
+of `Recognizer.precompute_bias`. The B×V candidate totals (model
 log-probability plus lambda-scaled fusion score, whose increments are read
 from the scorer's table by fusion state) form one array; one stable sort
 picks the `beam_width` best of each utterance, which give the parent row
@@ -114,7 +115,7 @@ def beam_search(
 
     `audio` is the group's cache, one `closed` row per utterance in group
     order (`Recognizer.precompute_audio`, or `AudioCache.take` of a larger
-    one); `bias` comes from `model.embed_phrases`. `prefixes` is compiled
+    one); `bias` comes from `model.precompute_bias`. `prefixes` is compiled
     from the prefixes of the entries whose phrases `bias` embeds; without
     it every phrase is always open. Without a finished hypothesis at max_len an
     utterance gets the single best unfinished one, flagged.
@@ -151,11 +152,9 @@ def beam_search(
     """
     vocab = model.vocab
     h_z, bias_keys = bias
-    prefixes = prefixes or PrefixTable([""] * (h_z.data.shape[0] - 1))
-    if len(prefixes.group_of) != h_z.data.shape[0]:
-        raise ValueError(
-            f"the prefix table has {len(prefixes.group_of)} rows, the embedded list {h_z.data.shape[0]}"
-        )
+    prefixes = prefixes or PrefixTable([""] * (len(h_z) - 1))
+    if len(prefixes.group_of) != len(h_z):
+        raise ValueError(f"the prefix table has {len(prefixes.group_of)} rows, the embedded list {len(h_z)}")
     n_vocab = len(vocab)
     # The scorer's tables by (state, token): `<s>`, `</s>` and `</bias>` keep
     # the state and add 0, but `</s>` adds the refund. No scorer: an empty context.
@@ -232,7 +231,7 @@ def beam_search(
         live_rows = zip(tokens[mine], rows[mine], log_model[mine], log_fusion[mine])
         pool = sorted(done[u] or live_rows, key=lambda h: -(h[2] + cfg.lam * h[3]))
         kept = pool[: cfg.n_best if done[u] else 1]
-        results.append([_to_result(*h, alphas, h_z.data.shape[0], cfg.lam, vocab) for h in kept])
+        results.append([_to_result(*h, alphas, len(h_z), cfg.lam, vocab) for h in kept])
     return results
 
 

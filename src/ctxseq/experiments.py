@@ -54,9 +54,11 @@ def decode_corpus(
     conditioning, and its phrases are the ones embedded, so `phrases_fn` is
     then not called; `fusion_per_utt(utt)` gives a per-utterance fusion
     scorer. The callbacks are called once per utterance, in that order:
-    entries or phrases, then fusion. Each distinct phrase list is embedded,
-    and each distinct prefix list compiled into a `PrefixTable`, once per
-    call.
+    entries or phrases, then fusion, and a ValueError from them or from
+    the list's embedding is raised again naming the utterance. Each
+    distinct phrase list is embedded and made into the beam's arrays
+    (`Recognizer.precompute_bias`), and each distinct prefix list compiled
+    into a `PrefixTable`, once per call.
 
     The utterances are taken `GROUP_UTTS` at a time; within those, the ones
     whose embedded list, prefix table and scorer are the same objects are
@@ -71,7 +73,7 @@ def decode_corpus(
         audio = prepare_audio(model, utts)
     if len(audio.closed) != len(utts):
         raise ValueError(f"audio of {len(audio.closed)} utterances for {len(utts)} utterances")
-    embed = functools.cache(lambda phrases: embed_phrases(model, list(phrases)))
+    embed = functools.cache(lambda phrases: model.precompute_bias(embed_phrases(model, list(phrases))))
     compile_table = functools.cache(PrefixTable)
     phrases_of = phrases_fn or (lambda u: u.bias_phrases)
     entries_of = entries_fn or (lambda u: plain_entries(phrases_of(u)))
@@ -81,11 +83,14 @@ def decode_corpus(
         # (embedded list, table, scorer) by their identities -> the utterances that share them
         groups: dict[tuple[int, int, int], tuple] = {}
         for i in range(at, min(at + GROUP_UTTS, len(utts))):
-            # The prefixes and the phrases of the entries; an empty list has neither.
-            prefix_list, phrase_list = tuple(zip(*entries_of(utts[i]))) or ((), ())
-            bias = embed(phrase_list)
-            prefixes = compile_table(prefix_list)
-            fusion = fusion_of(utts[i])
+            try:
+                # The prefixes and the phrases of the entries; an empty list has neither.
+                prefix_list, phrase_list = tuple(zip(*entries_of(utts[i]))) or ((), ())
+                bias = embed(phrase_list)
+                prefixes = compile_table(prefix_list)
+                fusion = fusion_of(utts[i])
+            except ValueError as exc:
+                raise ValueError(f"utterance {utts[i].id}: {exc}") from None
             groups.setdefault((id(bias), id(prefixes), id(fusion)), (bias, prefixes, fusion, []))[3].append(i)
         for bias, prefixes, fusion, members in groups.values():
             n_best = beam_search(model, audio.take(members), bias, cfg, fusion=fusion, prefixes=prefixes)

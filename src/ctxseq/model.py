@@ -20,11 +20,12 @@ utterance, and its loss as one `tensor.attention_decoder` tape node with
 the step's arithmetic; its output layer runs once over every position. Each
 encoder layer is one `tensor.lstm_layer` node: the audio encoder's reads the
 stacked frames of all utterances of a batch, and the phrase encoder's reads
-the embedding row of each grapheme of the whole phrase list.
-An `AudioCache` holds the frames of U stacked utterances and one boolean
-frame-mask row per utterance; `AudioCache.take` gives the cache of some of
-them, and a query row reads the mask row of its own utterance, so it reads
-only that utterance's frames.
+the embedding row of each grapheme of the whole phrase list; the decoder
+node projects the attentions' keys and values from them itself. A decode
+projects them once into arrays: `precompute_bias` a list's, and
+`precompute_audio` an `AudioCache` of U stacked utterances with one boolean
+frame-mask row each, so that a query row reads only its own utterance's
+frames (`AudioCache.take` gives the cache of some of the utterances).
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ class AudioCache:
     utterance, true on every frame but that utterance's; a beam takes the
     rows by the utterance of each query row."""
 
-    keys: list[Tensor]  # each (K, head_dim)
-    values: list[Tensor]  # each (K, head_dim)
+    keys: list[np.ndarray]  # each (K, head_dim)
+    values: list[np.ndarray]  # each (K, head_dim)
     closed: np.ndarray  # (U, K), or (B, K) once taken by query row
 
     def take(self, utts) -> "AudioCache":
@@ -99,8 +100,8 @@ class AudioCache:
         mine = ~self.closed[utts]
         owner, at = np.nonzero(mine)
         return AudioCache(
-            keys=[T.gather(k, at) for k in self.keys],
-            values=[T.gather(v, at) for v in self.values],
+            keys=[k[at] for k in self.keys],
+            values=[v[at] for v in self.values],
             closed=np.arange(len(mine))[:, None] != owner,
         )
 
@@ -191,31 +192,24 @@ class Recognizer:
             h = T.lstm_layer(h, every, lengths, p)
         return h
 
+    def _heads(self, name: str) -> list[Tensor]:
+        """Every audio-attention head's weight `name` (wq, wk or wv)."""
+        return [self.params[f"audio_attn.{h}.{name}"] for h in range(self.config.attention_heads)]
+
     def precompute_audio(self, h_x: Tensor, lengths: Sequence[int]) -> AudioCache:
         """Key/value projections of the frames `h_x`, which stack utterances
-        of `lengths` frames in order; query row b of the cache reads only
-        utterance b's frames."""
-        cfg = self.config
-        keys, values = [], []
-        for h in range(cfg.attention_heads):
-            keys.append(T.matmul_t(h_x, self.params[f"audio_attn.{h}.wk"]))
-            values.append(T.matmul_t(h_x, self.params[f"audio_attn.{h}.wv"]))
-        closed = np.repeat(np.arange(len(lengths)), lengths) != np.arange(len(lengths))[:, None]
-        return AudioCache(keys=keys, values=values, closed=closed)
-
-    def _audio_attention(self, cache: AudioCache) -> tuple:
-        """The arguments of `tensor.multi_head_attention` after the query:
-        the heads' query weights, `cache`'s keys, values and frame mask, and
-        the output projection."""
-        heads = range(self.config.attention_heads)
-        wq = [self.params[f"audio_attn.{h}.wq"] for h in heads]
-        return wq, cache.keys, cache.values, cache.closed, self.params["audio_attn.wo"]
+        of `lengths` frames in order, as `tensor.attention_decoder` makes
+        them; query row b of the cache reads only utterance b's frames."""
+        keys = [h_x.data @ w.data.T for w in self._heads("wk")]
+        values = [h_x.data @ w.data.T for w in self._heads("wv")]
+        return AudioCache(keys=keys, values=values, closed=_own_frames(lengths))
 
     def attend_audio(self, d_t: np.ndarray, cache: AudioCache) -> np.ndarray:
         """Multi-head scaled-dot attention of B decoder-state rows over the
         frames of `cache`; row b reads only the frames that row b of
         `cache.closed` leaves open."""
-        return T.multi_head_attention(d_t, *self._audio_attention(cache))
+        wo = self.params["audio_attn.wo"]
+        return T.multi_head_attention(d_t, self._heads("wq"), cache.keys, cache.values, cache.closed, wo)
 
     # -- context-phrase path ---------------------------------------------------
 
@@ -229,35 +223,45 @@ class Recognizer:
         for phrase in phrases:
             tokens = graphemize(phrase)
             if not tokens:
-                raise ValueError("empty phrase in bias list")
-            ids.append([self.vocab.index(tok) for tok in tokens])
+                raise ValueError(f"bias phrase {phrase!r}: empty phrase")
+            try:
+                ids.append([self.vocab.index(tok) for tok in tokens])
+            except KeyError as exc:
+                raise ValueError(f"bias phrase {phrase!r}: {exc.args[0]}") from None
         if not ids:
             return T.stack([self.params["no_bias"]])
         lengths = [len(p) for p in ids]
         h = T.lstm_layer(self.params["embedding"], np.concatenate(ids), lengths, self.bias_encoder)
         return T.stack([self.params["no_bias"], T.gather(h, np.cumsum(lengths) - 1)])
 
+    def precompute_bias(self, embedded: tuple[Tensor, np.ndarray]) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """The beam's `(values, (key_rows, index))` arrays of an embedded list
+        `(phrases, index)`, as `tensor.attention_decoder` makes them: the
+        values `phrases[index]` and the key rows `phrases @ bias_attn.wh`."""
+        phrases, index = embedded
+        return phrases.data[index], (phrases.data @ self.params["bias_attn.wh"].data, index)
+
     def attend_bias(
         self,
         d_t: np.ndarray,
-        h_z: Tensor,
+        h_z: np.ndarray,
         closed: np.ndarray,
-        keys: tuple[Tensor, np.ndarray],
+        keys: tuple[np.ndarray, np.ndarray],
     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """Additive attention over phrase embeddings; the boolean `closed` is
         true on the entries a query row may not read.
 
-        `d_t` is B decoder-state rows, `closed` is (B, N+1), and `h_z` and
-        `keys` = (key rows, key index) are as `embed_phrases` gives them:
-        row i of `h_z` reads key row `index[i]`. Returns the bias context and
-        `(alpha, rows)`: `rows` indexes the rows of h_z (index 0 being
-        no-bias) that are open for some query, and alpha has one weight per
-        query and such row; every other row's weight is exactly zero. Only
-        those rows, and each distinct key among them once, are read by
-        `tensor.additive_attention`; a row closed for query b is -inf in b's
-        scores, so it gets exactly zero weight.
+        `d_t` is B decoder-state rows, `closed` is (B, N+1), and the values
+        `h_z` and `keys` = (key rows, key index) are as `precompute_bias`
+        gives them: row i of `h_z` reads key row `index[i]`. Returns the
+        bias context and `(alpha, rows)`: `rows` indexes the rows of h_z
+        (index 0 being no-bias) that are open for some query, and alpha has
+        one weight per query and such row; every other row's weight is
+        exactly zero. Only those rows, and each distinct key among them
+        once, are read by `tensor.additive_attention`; a row closed for
+        query b is -inf in b's scores, so it gets exactly zero weight.
         """
-        n_rows = h_z.data.shape[0]
+        n_rows = len(h_z)
         closed = np.asarray(closed)
         if closed.shape != (d_t.shape[0], n_rows):
             raise ValueError(f"mask length {closed.shape} does not match {n_rows} bias rows for query {d_t.shape}")
@@ -266,11 +270,11 @@ class Recognizer:
         if closed[:, 0].any():
             raise ValueError("the no-bias slot (index 0) must never be masked")
         rows = np.flatnonzero(~closed.all(axis=0))
-        values = h_z.data
+        values = h_z
         if len(rows) < n_rows:
             values, closed = values[rows], closed[:, rows]
         # Open row i reads the score of key row scored[score_of[i]].
-        key_rows, key_of = keys[0].data, keys[1]
+        key_rows, key_of = keys
         scored, score_of = np.unique(key_of[rows], return_inverse=True)
         if len(scored) < len(key_rows):
             key_rows = key_rows[scored]
@@ -309,9 +313,9 @@ class Recognizer:
         y_prev,
         state: DecoderStepState,
         audio: AudioCache,
-        h_z: Tensor,
+        h_z: np.ndarray,
         closed: np.ndarray,
-        bias_keys: tuple[Tensor, np.ndarray],
+        bias_keys: tuple[np.ndarray, np.ndarray],
     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], DecoderStepState]:
         """One full decode step: returns (log-probs, bias attention, new state).
 
@@ -330,20 +334,20 @@ class Recognizer:
     # -- training loss ---------------------------------------------------------
 
     def forward_loss(
-        self, xs: Sequence[np.ndarray], bias: tuple[Tensor, tuple[Tensor, np.ndarray]], targets: Sequence[Sequence[int]]
+        self, xs: Sequence[np.ndarray], bias: tuple[Tensor, np.ndarray], targets: Sequence[Sequence[int]]
     ) -> Tensor:
         """Teacher-forced negative log-likelihood of the augmented targets,
         summed over the batch; `bias` is the embedded list `embed_phrases`
-        gives, as the beam takes it, shared by every utterance.
+        gives, shared by every utterance.
 
         Utterance b is row b of every target position. The targets are
         padded to the longest, a padded position reading end-of-sequence; it
         adds nothing to the loss, so its row gets zero gradient. The decoder
         cells, the two attentions, the output layer and the loss of every
         position run as one `tensor.attention_decoder` node, which does the
-        arithmetic of a `step` per position. Training closes no list entry,
-        so the bias attention reads the list's key index as it is, without
-        `attend_bias`'s gathers.
+        arithmetic of a `step` per position on the frames and the embedded
+        list as they are. Training closes no list entry, so the bias
+        attention reads the list's index without `attend_bias`'s gathers.
         """
         if len(xs) != len(targets):
             raise ValueError(f"{len(xs)} utterances for {len(targets)} targets")
@@ -353,8 +357,6 @@ class Recognizer:
             for t in target:
                 if not 0 <= t < len(self.vocab):
                     raise KeyError(f"target token id {t} outside vocabulary")
-        audio = self.precompute_audio(self.encode_audio(xs), [len(x) for x in xs])
-        h_z, (key_rows, key_of) = bias
         rows = len(targets)
         emit = np.full((rows, max(len(t) for t in targets)), -1)  # a padded position emits nothing
         for b, target in enumerate(targets):
@@ -362,13 +364,16 @@ class Recognizer:
         ids = np.where(emit < 0, self.vocab.eos, emit)  # and reads end-of-sequence
         y_prev = np.column_stack([np.full(rows, self.vocab.sos), ids[:, :-1]])
         p = self.params
+        heads = [self._heads(w) for w in ("wq", "wk", "wv")]
+        audio = (*heads, self.encode_audio(xs), _own_frames([len(x) for x in xs]), p["audio_attn.wo"])
+        phrases, index = bias
         return T.attention_decoder(
             y_prev.T,
             emit.T,
             p["embedding"],
             self.decoder,
-            self._audio_attention(audio),
-            (p["bias_attn.wd"], p["bias_attn.b"], key_rows, p["bias_attn.v"], key_of, h_z),
+            audio,
+            (p["bias_attn.wd"], p["bias_attn.b"], p["bias_attn.wh"], p["bias_attn.v"], index, phrases),
             (p["output.w"], p["output.b"]),
         )
 
@@ -392,17 +397,18 @@ class Recognizer:
             t.data[...] = arrays[name]
 
 
-def embed_phrases(model: Recognizer, phrases: Sequence[str]) -> tuple[Tensor, tuple[Tensor, np.ndarray]]:
-    """Embed a phrase list once for reuse across utterances and steps:
-    `(h_z, (key_rows, key_index))`, with `h_z` one row per phrase after the
-    no-bias row; row i's attention key is `key_rows[key_index[i]]`.
+def _own_frames(lengths: Sequence[int]) -> np.ndarray:
+    """Row u is true on every stacked frame but those of utterance u."""
+    return np.repeat(np.arange(len(lengths)), lengths) != np.arange(len(lengths))[:, None]
 
-    Each distinct phrase (by its normalized text, so by its graphemes) is
-    encoded and keyed once: `h_z` gathers its rows back into list order, the
-    identity on a list without repeats, and the key index points every row
-    at its phrase's key row.
+
+def embed_phrases(model: Recognizer, phrases: Sequence[str]) -> tuple[Tensor, np.ndarray]:
+    """Embed a phrase list once for reuse across utterances and steps:
+    `(phrases, index)`, the no-bias row and then each distinct phrase (by
+    its normalized text, so by its graphemes) encoded once, and each list
+    row's row among them, no-bias first; the identity without repeats.
+    Training passes them to `forward_loss`, a decode to `precompute_bias`.
     """
     distinct: dict[str, int] = {}  # normalized phrase -> its row among the distinct ones
     index = np.array([0] + [distinct.setdefault(normalize(p), len(distinct) + 1) for p in phrases])
-    h_z = model.encode_bias(list(distinct))
-    return T.gather(h_z, index), (T.matmul(h_z, model.params["bias_attn.wh"]), index)
+    return model.encode_bias(list(distinct)), index

@@ -2,31 +2,35 @@
 
 Everything is deliberately small: 1-D/2-D arrays, the handful of ops a stacked
 recurrent attention model needs, and an Adam optimizer. There is one row
-layout: `matmul_t` and the beam step's ops take (B, D) stacks of B rows (B
-may be 1), `lstm_layer` reads the steps of each sequence in turn from the
-rows of a table, `attention_decoder` every position's rows stacked position
-by position, `matmul` takes two matrices, and none takes a vector. So a
-training step, a beam step over B hypotheses and the phrase encoder over a
-whole list run the same arithmetic. `scale` is shape-agnostic, and
-`gather` selects rows or last-axis entries (a column range is `gather`
-over `np.arange(start, stop)`).
+layout: the beam step's ops take (B, D) stacks of B rows (B may be 1),
+`lstm_layer` reads the steps of each sequence in turn from the rows of a
+table, `attention_decoder` every position's rows stacked position by
+position, and none takes a vector. So a training step, a beam step over B
+hypotheses and the phrase encoder over a whole list run the same
+arithmetic. `scale` is shape-agnostic, and `gather` selects rows or
+last-axis entries (a column range is `gather` over `np.arange(start,
+stop)`).
 
 Training records fused tape nodes with hand-written backwards (the
 element-wise fusion of Appleyard, Kočiský & Blunsom 2016): `lstm_layer` runs
 an LSTM layer as one node, with its input products hoisted out of the step
 loop into one GEMM (the GEMM hoist of the same paper); and
 `attention_decoder` runs every position of the teacher-forced decoder, its
-LSTM layers, both attentions, the output layer and the loss, as one node.
-The chains, and the primitive ops only they use, are the tests' oracles;
-the two layers match chains of them up to rounding in the last bits.
+LSTM layers, both attentions, the output layer and the loss, as one node
+that takes the encoder outputs as they are and makes both attentions' keys
+and values itself. The chains, and the primitive ops only they use, are the
+tests' oracles; the two layers match chains of them up to rounding in the
+last bits.
 
 The beam runs forward only, on arrays: `lstm_cell`, `multi_head_attention`,
 `additive_attention` and `output_layer` take and return numpy arrays, with
-the training nodes' arithmetic through the same helpers, so no beam value
-can enter a taped graph. The additive scores make their (B, U, A) tanh
-block a few query rows at a time, and with some entry closed they score
-each query row only against the keys of its own open entries and take its
-softmax over those entries alone.
+the training nodes' arithmetic through the same helpers, and read only
+their parameters from `Tensor`s, so no beam value can enter a taped graph.
+The decoder's keys and values are arrays the model projects once per
+decode, with the expressions `attention_decoder` uses. The additive scores
+make their (B, U, A) tanh block a few query rows at a time, and with some
+entry closed they score each query row only against the keys of its own
+open entries and take its softmax over those entries alone.
 
 A training step does each weight's weight-sized work once:
 
@@ -38,7 +42,8 @@ A training step does each weight's weight-sized work once:
   backward of the node that uses it. `lstm_layer` and `attention_decoder`
   stack the rows of every step before that GEMM (the backward half of the
   GEMM hoist of Appleyard et al.), so every weight of a training step has
-  one use and one GEMM.
+  one use and one GEMM, the attentions' key and value projections
+  included, which are `attention_decoder`'s own.
 - `Adam` keeps every parameter's data and gradient in one flat buffer each,
   the `Tensor`s holding views, so `zero_grad` and `Adam.step` are a few
   whole-buffer calls; the step evaluates its update with `out=` into one
@@ -174,41 +179,6 @@ def _scatter_add(t: Tensor, where, g: np.ndarray) -> None:
 
 # ---------------------------------------------------------------------------
 # primitive ops
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of a (M, K) and a (K, N) tensor."""
-    ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2:
-        raise ValueError(f"matmul needs 2-D operands, got shapes {a.shape} and {b.shape}")
-    if ad.shape[1] != bd.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
-    out = Tensor(ad @ bd)
-
-    def backward():
-        g = out.grad
-        _accum(a, g @ bd.T)
-        _accum(b, ad.T @ g)
-
-    return _record(out, backward)
-
-
-def matmul_t(x: Tensor, w: Tensor) -> Tensor:
-    """`x @ w.T` for a (B, D) stack of rows x and a (N, D) matrix w; the
-    transpose is a view, never a copy."""
-    xd, wd = x.data, w.data
-    if xd.ndim != 2 or wd.ndim != 2:
-        raise ValueError(f"matmul_t needs a 2-D x and a 2-D w, got shapes {x.shape} and {w.shape}")
-    if xd.shape[1] != wd.shape[1]:
-        raise ValueError(f"matmul_t dimension mismatch: {x.shape} @ {w.shape}.T")
-    out = Tensor(xd @ wd.T)
-
-    def backward():
-        g = out.grad
-        _accum(w, g.T @ xd)
-        _accum(x, g @ wd)
-
-    return _record(out, backward)
 
 
 def scale(a: Tensor, k: float) -> Tensor:
@@ -396,17 +366,17 @@ def _dot_head_grad(g_head, q, k, v, alpha) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # the beam step's attentions and output layer
 #
-# Forward only: the queries, the bias keys and values, and every result are
-# arrays, so no result can enter a taped graph; the parameters and the audio
-# keys and values are the `Tensor`s training makes on the tape. Training runs
-# the same arithmetic, through the same helpers, in `attention_decoder`.
+# Forward only: the queries, both attentions' keys and values, and every
+# result are arrays, so no result can enter a taped graph; only the
+# parameters are `Tensor`s. Training runs the same arithmetic, through the
+# same helpers, in `attention_decoder`.
 
 
 def multi_head_attention(
     query: np.ndarray,
     wq: Sequence[Tensor],
-    keys: Sequence[Tensor],
-    values: Sequence[Tensor],
+    keys: Sequence[np.ndarray],
+    values: Sequence[np.ndarray],
     closed: np.ndarray,
     wo: Tensor,
 ) -> np.ndarray:
@@ -419,11 +389,11 @@ def multi_head_attention(
     """
     if query.ndim != 2:
         raise ValueError(f"multi_head_attention needs a (B, D) query, got shape {query.shape}")
-    if closed.shape != (query.shape[0], keys[0].data.shape[0]):
+    if closed.shape != (query.shape[0], keys[0].shape[0]):
         raise ValueError(f"multi_head_attention shape mismatch: query {query.shape}, closed {closed.shape}")
     _check_open(closed)
     qs = [query @ w.data.T for w in wq]
-    cat, _ = _dot_heads(qs, [k.data for k in keys], [v.data for v in values], np.where(closed, NEG_INF, 0.0))
+    cat, _ = _dot_heads(qs, keys, values, np.where(closed, NEG_INF, 0.0))
     return cat @ wo.data.T
 
 
@@ -633,7 +603,7 @@ def attention_decoder(
     targets: np.ndarray,
     embedding: Tensor,
     layers: Sequence[LstmParams],
-    audio: tuple[Sequence[Tensor], Sequence[Tensor], Sequence[Tensor], np.ndarray, Tensor],
+    audio: tuple[Sequence[Tensor], Sequence[Tensor], Sequence[Tensor], Tensor, np.ndarray, Tensor],
     bias: tuple[Tensor, Tensor, Tensor, Tensor, np.ndarray, Tensor],
     output: tuple[Tensor, Tensor],
 ) -> Tensor:
@@ -646,13 +616,16 @@ def attention_decoder(
     nothing. Position t runs the stacked LSTM `layers`, from zero states, on
     the `embedding` rows of its tokens joined with position t-1's context
     (zeros at t = 0). The last layer's output d queries two attentions, and
-    the position's context joins their contexts: `multi_head_attention(d,
-    *audio)` with audio = (wq, keys, values, closed, wo), then
-    `additive_attention` with bias = (wd, b, keys, v, score_of, values) and
-    no entry closed; `output_layer` with output = (w, b) reads the context
-    joined with d. The arithmetic is that of those ops and `lstm_cell`,
-    through the helpers they share, and values and gradients match a chain
-    of their op-by-op forms up to rounding in the last bits:
+    the position's context joins their contexts. The node projects the
+    encoder outputs itself: with audio = (wq, wk, wv, frames, closed, wo),
+    `multi_head_attention` reads head h's keys `frames @ wk[h].T` and values
+    `frames @ wv[h].T`; with bias = (wd, b, wh, v, index, phrases),
+    `additive_attention` reads the key rows `phrases @ wh`, the values
+    `phrases[index]`, entry r scoring key row `index[r]`, and no entry
+    closed. `output_layer` with output = (w, b) reads the context joined
+    with d. The arithmetic is that of those ops and `lstm_cell`, through
+    the helpers they share, and values and gradients match a chain of their
+    op-by-op forms up to rounding in the last bits:
 
     - The embedding half of the first layer's input product, with its bias,
       is one GEMM over every position (the GEMM hoist of `lstm_layer`); a
@@ -667,13 +640,18 @@ def attention_decoder(
     - The backward runs the positions in reverse and writes each one's rows
       into stacked buffers. Then each weight, and each attention's keys and
       values, get their gradients in one product each, and the embedding
-      gets its rows from one GEMM and one scatter-add.
+      gets its rows from one GEMM and one scatter-add. The frames' gradient
+      adds the heads' value and key parts, last head and value part first;
+      the phrases' is the key rows' part, then the values' scatter-added.
     """
-    wq, keys, values, closed, wo = audio
-    wd, b, bias_keys, v, score_of, h_z = bias
+    wq, wk, wv, frames, closed, wo = audio
+    wd, b, wh, v, index, phrases = bias
     w_out, b_out = output
     ids, targets = np.asarray(ids, dtype=np.intp), np.asarray(targets, dtype=np.intp)
-    ed, w0, wod, hzd = embedding.data, layers[0].w.data, wo.data, h_z.data
+    fd, pd, whd = frames.data, phrases.data, wh.data
+    kd, vd = [fd @ w.data.T for w in wk], [fd @ w.data.T for w in wv]
+    bkd, hzd = pd @ whd, pd[index]
+    ed, w0, wod = embedding.data, layers[0].w.data, wo.data
     n_emb, n_att = ed.shape[1], wod.shape[0]
     width = n_att + hzd.shape[1]  # a context: the audio context, then the bias context
     if ids.ndim != 2 or targets.shape != ids.shape or w0.shape[1] != n_emb + width + layers[0].hidden:
@@ -682,14 +660,11 @@ def attention_decoder(
             f"embedding {embedding.shape}, first layer {layers[0].w.shape}, context width {width}"
         )
     n_pos, rows = ids.shape
-    if closed.shape != (rows, keys[0].data.shape[0]):
+    if closed.shape != (rows, len(fd)):
         raise ValueError(f"attention_decoder shape mismatch: {rows} rows, closed {closed.shape}")
-    if score_of.shape != hzd.shape[:1]:
-        raise ValueError(f"attention_decoder shape mismatch: score_of {score_of.shape}, values {h_z.shape}")
     _check_open(closed)
     cd = np.where(closed, NEG_INF, 0.0)
-    kd, vd = [k.data for k in keys], [x.data for x in values]
-    bkd, bvd, bd = bias_keys.data, v.data, b.data
+    bvd, bd = v.data, b.data
     w_q = np.concatenate([w.data for w in wq] + [wd.data])  # the heads' query weights, then the bias attention's
     ends = np.cumsum([w.data.shape[0] for w in wq])
     heads = [slice(e - w.data.shape[0], e) for e, w in zip(ends, wq)]
@@ -723,7 +698,7 @@ def attention_decoder(
         cat, a = _dot_heads([q[:, c] for c in heads], kd, vd, cd)
         ctx[r, :n_att] = cat @ wod.T
         scores, t_b = _tanh_block(bkd, q[:, at_bias] + bd, bvd)
-        a_b = _softmax(scores[..., score_of])
+        a_b = _softmax(scores[..., index])
         ctx[r, n_att:] = a_b @ hzd
         if t + 1 < n_pos:
             xs[0][nxt, n_emb : n_emb + width] = ctx[r]
@@ -756,7 +731,7 @@ def attention_decoder(
         g_c = [np.zeros((rows, p.hidden)) for p in layers]
         for t in reversed(range(n_pos)):
             r, prev = slice(t * rows, (t + 1) * rows), slice((t - 1) * rows, t * rows)
-            g_scores[r] = _score_grad(g_ctx[r, n_att:] @ hzd.T, bias_alphas[t], score_of, len(bkd))
+            g_scores[r] = _score_grad(g_ctx[r, n_att:] @ hzd.T, bias_alphas[t], index, len(bkd))
             g_args[r] = _tanh_args_grad(g_scores[r], bias_t[t], bvd)
             g_q[r, at_bias] = g_args[r].sum(axis=1)
             g_cat[r] = g_ctx[r, :n_att] @ wod
@@ -783,13 +758,20 @@ def attention_decoder(
             _accum(p.b, d_pre.sum(axis=0))
         _scatter_add(embedding, ids.reshape(-1), d_pres[0] @ w0[:, :n_emb])
         _accum(wo, g_ctx[:, :n_att].T @ np.concatenate(cats))
-        for i, c in enumerate(heads):
-            _accum(values[i], np.concatenate([a[i] for a in alphas]).T @ g_cat[:, c])
-            _accum(keys[i], g_s[i].T @ q_all[:, c])
+        for i in reversed(range(len(heads))):
+            c = heads[i]
+            g_values = np.concatenate([a[i] for a in alphas]).T @ g_cat[:, c]
+            g_keys = g_s[i].T @ q_all[:, c]
+            _accum(wv[i], g_values.T @ fd)
+            _accum(wk[i], g_keys.T @ fd)
             _accum(wq[i], g_q[:, c].T @ out)
-        _accum(h_z, np.concatenate(bias_alphas).T @ g_ctx[:, n_att:])
+            _accum(frames, g_values @ wv[i].data)
+            _accum(frames, g_keys @ wk[i].data)
+        g_bias_keys = g_args.sum(axis=0)
+        _accum(wh, pd.T @ g_bias_keys)
+        _accum(phrases, g_bias_keys @ whd.T)
+        _scatter_add(phrases, index, np.concatenate(bias_alphas).T @ g_ctx[:, n_att:])
         _accum(v, _tanh_v_grad(g_scores, np.concatenate(bias_t)))
-        _accum(bias_keys, g_args.sum(axis=0))
         _accum(b, g_q[:, at_bias].sum(axis=0))
         _accum(wd, g_q[:, at_bias].T @ out)
 

@@ -9,7 +9,7 @@ its own word-position facts by walking the determinized machine, where the
 library records them while it builds), the op chains of the LSTM cell, the
 attentions and the output layer are built from the library's primitive ops
 and from the primitive ops defined here, which only those chains and the
-tests' losses use (`add`,
+tests' losses use (`matmul`, `matmul_t`, `add`,
 `mul`, `sum_`, `concat`, `tanh`, `sigmoid`, `softmax`, `log_softmax` and
 `additive_scores`; they take their softmax, log-softmax and tanh-score
 arithmetic from the library's helpers, so a bit-identity test checks how a
@@ -18,7 +18,8 @@ the per-position decoder, the per-utterance loss and the per-phrase bias
 encoder run those chains one row at a time, the per-row bias attention runs
 them with one key per row, the per-hypothesis beam search runs the
 library's `Recognizer.step` one row at a time, the enumeration
-oracle embeds its list with the library's `embed_phrases`, and the beam,
+oracle embeds its list with the library's `embed_phrases` and
+`Recognizer.precompute_bias`, and the beam,
 enumeration and gain-bound oracles score fusion through the library
 scorer's `score_step`/`finish`, whose table `reference_score_step` checks.
 """
@@ -494,8 +495,8 @@ def enumerate_best(model, audio, phrases, max_len: int, lam: float, fusion=None)
     """Global argmax of model + lambda * fusion over every finished sequence
     of length <= max_len, with the beam's own tie-breaking order."""
     vocab = model.vocab
-    h_z, keys = embed_phrases(model, phrases)
-    closed = np.zeros((1, h_z.data.shape[0]), dtype=bool)
+    h_z, keys = model.precompute_bias(embed_phrases(model, phrases))
+    closed = np.zeros((1, len(h_z)), dtype=bool)
     best = None
 
     def consider(tokens, log_model, log_fusion):
@@ -551,6 +552,41 @@ def reference_adam_step(
 
 # ---------------------------------------------------------------------------
 # primitive ops that only the op chains below use
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of a (M, K) and a (K, N) tensor."""
+    ad, bd = a.data, b.data
+    if ad.ndim != 2 or bd.ndim != 2:
+        raise ValueError(f"matmul needs 2-D operands, got shapes {a.shape} and {b.shape}")
+    if ad.shape[1] != bd.shape[0]:
+        raise ValueError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
+    out = Tensor(ad @ bd)
+
+    def backward():
+        g = out.grad
+        T._accum(a, g @ bd.T)
+        T._accum(b, ad.T @ g)
+
+    return T._record(out, backward)
+
+
+def matmul_t(x: Tensor, w: Tensor) -> Tensor:
+    """`x @ w.T` for a (B, D) stack of rows x and a (N, D) matrix w; the
+    transpose is a view, never a copy."""
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim != 2:
+        raise ValueError(f"matmul_t needs a 2-D x and a 2-D w, got shapes {x.shape} and {w.shape}")
+    if xd.shape[1] != wd.shape[1]:
+        raise ValueError(f"matmul_t dimension mismatch: {x.shape} @ {w.shape}.T")
+    out = Tensor(xd @ wd.T)
+
+    def backward():
+        g = out.grad
+        T._accum(w, g.T @ xd)
+        T._accum(x, g @ wd)
+
+    return T._record(out, backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -690,7 +726,7 @@ def reference_lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, params: T.L
     """`tensor.lstm_cell` as a chain of twelve primitive ops, each its own
     tape node."""
     h = params.hidden
-    pre = add(T.matmul_t(concat([x_t, h_prev]), params.w), params.b)
+    pre = add(matmul_t(concat([x_t, h_prev]), params.w), params.b)
     i = sigmoid(T.gather(pre, np.arange(0, h), axis=-1))
     f = sigmoid(T.gather(pre, np.arange(h, 2 * h), axis=-1))
     g = tanh(T.gather(pre, np.arange(2 * h, 3 * h), axis=-1))
@@ -720,45 +756,52 @@ def reference_attend_audio(query: Tensor, wq, keys, values, closed, wo: Tensor) 
     matmul, then concat and matmul_t, each its own tape node."""
     heads = []
     for w, k, v in zip(wq, keys, values):
-        q = T.matmul_t(query, w)
-        scores = T.scale(T.matmul_t(q, k), 1.0 / np.sqrt(w.data.shape[0]))
+        q = matmul_t(query, w)
+        scores = T.scale(matmul_t(q, k), 1.0 / np.sqrt(w.data.shape[0]))
         scores = add(scores, T.constant(np.where(closed, T.NEG_INF, 0.0)))
-        heads.append(T.matmul(softmax(scores), v))
-    return T.matmul_t(concat(heads), wo)
+        heads.append(matmul(softmax(scores), v))
+    return matmul_t(concat(heads), wo)
 
 
 def reference_additive_attention(query: Tensor, wd, b, keys, v, score_of, closed, values) -> tuple[Tensor, Tensor]:
     """`tensor.additive_attention` as a chain: matmul_t, add,
     additive_scores, gather, add of the -inf mask when any entry is closed,
     softmax and matmul, each its own tape node."""
-    scores = additive_scores(keys, add(T.matmul_t(query, wd), b), v)
+    scores = additive_scores(keys, add(matmul_t(query, wd), b), v)
     scores = T.gather(scores, score_of, axis=-1)
     if closed.any():
         scores = add(scores, T.constant(np.where(closed, T.NEG_INF, 0.0)))
     alpha = softmax(scores)
-    return T.matmul(alpha, values), alpha
+    return matmul(alpha, values), alpha
 
 
 def reference_output_log_probs(parts, w: Tensor, b: Tensor) -> Tensor:
     """The output layer, `tensor.output_layer` of the joined parts, as a
     chain: concat, matmul_t, add and log_softmax, each its own tape node."""
-    return log_softmax(add(T.matmul_t(concat(parts), w), b))
+    return log_softmax(add(matmul_t(concat(parts), w), b))
 
 
 def reference_attention_decoder(ids: np.ndarray, embedding: Tensor, layers, audio, bias) -> tuple[Tensor, Tensor]:
     """The decoder half of `tensor.attention_decoder`, before its output
-    layer and loss, as a per-position loop of op chains: per position a
-    gather of the input tokens' embedding rows, a concat with the previous
-    context, one `reference_lstm_cell` per layer, `reference_attend_audio`,
+    layer and loss, as a per-position loop of op chains, on its `audio`
+    (wq, wk, wv, frames, closed, wo) and `bias` (wd, b, wh, v, index,
+    phrases): first a `matmul_t` per head for the keys, then one for the
+    values, a `matmul` for the bias key rows and a `gather` of the phrases
+    at `index` for the bias values; then per position a gather of the input
+    tokens' embedding rows, a concat with the previous context, one
+    `reference_lstm_cell` per layer, `reference_attend_audio`,
     `reference_additive_attention` with nothing closed and the context
     concat; then one stack of every position's contexts and one of its
     outputs."""
-    wq, keys, values, closed, wo = audio
-    wd, b, bias_keys, v, score_of, h_z = bias
+    wq, wk, wv, frames, closed, wo = audio
+    wd, b, wh, v, index, phrases = bias
+    keys = [matmul_t(frames, w) for w in wk]
+    values = [matmul_t(frames, w) for w in wv]
+    bias_keys, h_z = matmul(phrases, wh), T.gather(phrases, index)
     rows = ids.shape[1]
     states = [(T.constant(np.zeros((rows, p.hidden))), T.constant(np.zeros((rows, p.hidden)))) for p in layers]
     context = T.constant(np.zeros((rows, wo.data.shape[0] + h_z.data.shape[1])))
-    nothing_closed = np.zeros((rows, len(score_of)), dtype=bool)
+    nothing_closed = np.zeros((rows, len(index)), dtype=bool)
     contexts, outputs = [], []
     for tokens in ids:
         x = concat([T.gather(embedding, tokens), context])
@@ -766,7 +809,7 @@ def reference_attention_decoder(ids: np.ndarray, embedding: Tensor, layers, audi
             states[l] = reference_lstm_cell(x, *states[l], p)
             x = states[l][0]
         c_x = reference_attend_audio(x, wq, keys, values, closed, wo)
-        c_z, _ = reference_additive_attention(x, wd, b, bias_keys, v, score_of, nothing_closed, h_z)
+        c_z, _ = reference_additive_attention(x, wd, b, bias_keys, v, index, nothing_closed, h_z)
         context = concat([c_x, c_z])
         contexts.append(context)
         outputs.append(x)
@@ -776,7 +819,8 @@ def reference_attention_decoder(ids: np.ndarray, embedding: Tensor, layers, audi
 def reference_forward_loss(model, x: np.ndarray, bias: tuple, target: list[int]) -> Tensor:
     """`Recognizer.forward_loss` for one utterance: the encoder one frame at a
     time, then `reference_attention_decoder` over one row and
-    `reference_output_log_probs`, and the loss one position at a time."""
+    `reference_output_log_probs`, and the loss one position at a time;
+    `bias` is the `(phrases, index)` of `embed_phrases`."""
     seq = [T.constant(x[k : k + 1]) for k in range(len(x))]
     for p in model.encoder:
         h = T.constant(np.zeros((1, p.hidden)))
@@ -786,16 +830,16 @@ def reference_forward_loss(model, x: np.ndarray, bias: tuple, target: list[int])
             h, c = reference_lstm_cell(frame, h, c, p)
             out.append(h)
         seq = out
-    audio = model.precompute_audio(T.stack(seq), [len(x)])
-    h_z, (key_rows, key_of) = bias
+    phrases, index = bias
     p = model.params
+    heads = [[p[f"audio_attn.{h}.{w}"] for h in range(model.config.attention_heads)] for w in ("wq", "wk", "wv")]
     ids = np.array([[model.vocab.sos] + list(target[:-1])]).T
     contexts, outputs = reference_attention_decoder(
         ids,
         p["embedding"],
         model.decoder,
-        model._audio_attention(audio),
-        (p["bias_attn.wd"], p["bias_attn.b"], key_rows, p["bias_attn.v"], key_of, h_z),
+        (*heads, T.stack(seq), np.zeros((1, len(x)), dtype=bool), p["audio_attn.wo"]),
+        (p["bias_attn.wd"], p["bias_attn.b"], p["bias_attn.wh"], p["bias_attn.v"], index, phrases),
     )
     log_probs = reference_output_log_probs([contexts, outputs], p["output.w"], p["output.b"])
     loss = None
@@ -843,10 +887,10 @@ def reference_attend_bias(model, d_t: np.ndarray, h_z: Tensor, closed: np.ndarra
     n_rows = h_z.data.shape[0]
     rows = np.flatnonzero(~closed.all(axis=0))
     h_z, keys, closed = T.gather(h_z, rows), T.gather(keys, rows), closed[:, rows]
-    query = add(T.matmul_t(T.constant(d_t), model.params["bias_attn.wd"]), model.params["bias_attn.b"])
+    query = add(matmul_t(T.constant(d_t), model.params["bias_attn.wd"]), model.params["bias_attn.b"])
     scores = additive_scores(keys, query, model.params["bias_attn.v"])
     alpha = softmax(add(scores, T.constant(np.where(closed, T.NEG_INF, 0.0))))
-    return T.matmul(alpha, h_z).data, full_alpha((alpha.data, rows), n_rows)
+    return matmul(alpha, h_z).data, full_alpha((alpha.data, rows), n_rows)
 
 
 @dataclass
@@ -871,7 +915,7 @@ def reference_beam_search(model, audio, bias, cfg, fusion=None, entries=None):
     hypothesis masked by `reference_compute_mask`."""
     vocab = model.vocab
     h_z, bias_keys = bias
-    nothing_closed = np.zeros((1, h_z.data.shape[0]), dtype=bool)
+    nothing_closed = np.zeros((1, len(h_z)), dtype=bool)
     start_fusion = fusion.start if fusion is not None else 0
     live = [_Hypothesis([], 0.0, 0.0, model.initial_state(1), start_fusion, [])]
     done: list[_Hypothesis] = []
@@ -891,7 +935,7 @@ def reference_beam_search(model, audio, bias, cfg, fusion=None, entries=None):
             y_prev = h.tokens[-1] if h.tokens else vocab.sos
             log_probs, attention, state = model.step([y_prev], h.state, audio, h_z, closed, bias_keys)
             lp = log_probs[0]
-            al = full_alpha(attention, h_z.data.shape[0])[0]
+            al = full_alpha(attention, len(h_z))[0]
             for v in range(len(vocab)):
                 f_state, f_inc = fusion_step(fusion, h.fusion_state, vocab.symbols[v])
                 candidates.append(

@@ -89,13 +89,12 @@ def test_criterion_02_attention_contract():
     masked_leak = 0.0
     for _ in range(1000):
         n = int(rng.integers(0, 7))
-        h_z = T.constant(rng.normal(size=(n + 1, 4)))
+        h_z, keys = model.precompute_bias((T.constant(rng.normal(size=(n + 1, 4))), np.arange(n + 1)))
         d = rng.normal(size=(1, 4))
         closed = np.zeros((1, n + 1), dtype=bool)
         for i in range(1, n + 1):
             if rng.random() < 0.4:
                 closed[0, i] = True
-        keys = (T.matmul(h_z, model.params["bias_attn.wh"]), np.arange(n + 1))
         _, attention = model.attend_bias(d, h_z, closed, keys)
         alpha = full_alpha(attention, n + 1)
         worst_sum = max(worst_sum, abs(alpha.sum() - 1.0))

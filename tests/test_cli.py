@@ -377,7 +377,7 @@ class TestDecode:
         out = tmp_path / "dec"
         args = ["decode", "--checkpoint", str(root / "ckpt"), "--data", str(data), "--conditioning", "manifest"]
         assert main(args + ["--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: utterance {first.id} has no bias_prefixes in the manifest\n"
+        assert capsys.readouterr().err == f"error: utterance {first.id}: no bias_prefixes in the manifest\n"
         assert not out.exists()
 
     def test_empty_bias_with_strategy_fuses_the_manifest_list(self, workspace, tmp_path):
@@ -439,7 +439,30 @@ class TestDecode:
         data.write_text(json.dumps({**record, "bias_phrases": ["zq"]}) + "\n")
         out = tmp_path / "dec"
         assert main(["decode", "--checkpoint", str(root / "ckpt"), "--data", str(data), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: unknown token 'z'\n"
+        assert capsys.readouterr().err == f"error: utterance {record['id']}: bias phrase 'zq': unknown token 'z'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "phrase, message",
+        [("ZZq", "bias phrase 'zzq': unknown token 'z'"), ("   ", "bias phrase '': empty phrase")],
+        ids=["unknown-token", "all-space"],
+    )
+    def test_bad_bias_list_names_the_utterance(self, workspace, tmp_path, capsys, phrase, message):
+        # The second of three utterances has the bad list; the message names
+        # it and the phrase, in decode and in dump-attention.
+        root, _ = workspace
+        records = [json.loads(line) for line in (root / "corpus" / "test_biased.jsonl").read_text().splitlines()[:3]]
+        records[1]["bias_phrases"] = ["a", phrase]
+        data = tmp_path / "m.jsonl"
+        data.write_text("".join(json.dumps(r) + "\n" for r in records))
+        want = f"error: utterance {records[1]['id']}: {message}\n"
+        out = tmp_path / "dec"
+        assert main(["decode", "--checkpoint", str(root / "ckpt"), "--data", str(data), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == want
+        assert not out.exists()
+        args = ["dump-attention", "--checkpoint", str(root / "ckpt"), "--data", str(data), "--utt-id", records[1]["id"]]
+        assert main(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == want
         assert not out.exists()
 
     @staticmethod

@@ -48,7 +48,7 @@ def prepare(model, x, phrases, entries=None):
     prefixes = None
     if entries is not None:
         phrases, prefixes = [e.phrase for e in entries], PrefixTable([e.prefix for e in entries])
-    return encoded(model, [x]), embed_phrases(model, phrases), prefixes
+    return encoded(model, [x]), model.precompute_bias(embed_phrases(model, phrases)), prefixes
 
 
 def decode(model, x, phrases, cfg, fusion=None, entries=None):
@@ -72,8 +72,8 @@ class TestConfigValidation:
 
 
 class TestEmbedPhrases:
-    """Each distinct phrase is encoded and keyed once, and gathered back into
-    list order."""
+    """Each distinct phrase is encoded once; `precompute_bias` keys it once
+    and gathers it back into list order."""
 
     @given(
         seed=st.integers(0, 20),
@@ -87,25 +87,25 @@ class TestEmbedPhrases:
         # kernel for the one row, which rounds differently (["a", "a"] at
         # seed 0 differs by 7e-21).
         model = tiny_model(seed=seed)
-        h_z, (key_rows, key_of) = embed_phrases(model, phrases)
+        h_z, (key_rows, key_of) = model.precompute_bias(embed_phrases(model, phrases))
         full = model.encode_bias(phrases)
-        assert h_z.data.shape == full.data.shape
-        assert np.abs(h_z.data - full.data).max() <= 1e-12
+        assert h_z.shape == full.data.shape
+        assert np.abs(h_z - full.data).max() <= 1e-12
         for k in set(key_of.tolist()):  # the rows of one phrase share its bits
-            same = h_z.data[key_of == k]
+            same = h_z[key_of == k]
             assert (same == same[0]).all()
-        assert key_rows.data.shape[0] == len({normalize(p) for p in phrases}) + 1
-        assert np.abs(key_rows.data[key_of] - full.data @ model.params["bias_attn.wh"].data).max() <= 1e-12
+        assert key_rows.shape[0] == len({normalize(p) for p in phrases}) + 1
+        assert np.abs(key_rows[key_of] - full.data @ model.params["bias_attn.wh"].data).max() <= 1e-12
 
     def test_each_distinct_phrase_encoded_once(self, monkeypatch):
         model = tiny_model(seed=1)
         encoded = []
         encode = model.encode_bias
         monkeypatch.setattr(model, "encode_bias", lambda phrases: encoded.append(phrases) or encode(phrases))
-        _, (_, key_of) = embed_phrases(model, ["b a", "ab", "B  A", "ab"])
+        _, key_of = embed_phrases(model, ["b a", "ab", "B  A", "ab"])
         assert encoded == [["b a", "ab"]] and key_of.tolist() == [0, 1, 2, 1, 2]
-        h_z, (key_rows, key_of) = embed_phrases(model, ["ab", "b"])
-        assert key_of.tolist() == [0, 1, 2] and key_rows.data.shape == (3, 2)
+        phrases, key_of = embed_phrases(model, ["ab", "b"])
+        assert key_of.tolist() == [0, 1, 2] and phrases.data.shape == (3, 2)
 
 
 class TestBeamBasics:
@@ -116,7 +116,7 @@ class TestBeamBasics:
         result = decode(model, x, [], cfg)[0]
 
         audio = encoded(model, [x])
-        h_z, keys = embed_phrases(model, [])
+        h_z, keys = model.precompute_bias(embed_phrases(model, []))
         state = model.initial_state(1)
         y_prev = model.vocab.sos
         tokens = []
@@ -502,8 +502,9 @@ class TestRealSizeBeamMatchesReference:
         phrases = utts[0].bias_phrases
         assert all(u.bias_phrases == phrases for u in utts)
         entries = split_rule_based(phrases, trigger="talk to")
-        bias, prefixes = embed_phrases(model, [e.phrase for e in entries]), PrefixTable([e.prefix for e in entries])
-        assert bias[0].data.shape[0] == 941
+        bias = model.precompute_bias(embed_phrases(model, [e.phrase for e in entries]))
+        prefixes = PrefixTable([e.prefix for e in entries])
+        assert len(bias[0]) == 941
         fusion = FusionScorer(compile_context(phrases, model.vocab.graphemes, EVERY_SUBWORD, 1.0))
         cfg = DecodeConfig(beam_width=8, max_len=run_cfg.decode().max_len, lam=1.0)
         audio = encoded(model, [u.load_features() for u in utts])

@@ -15,6 +15,8 @@ from oracles import (
     add,
     finite_difference,
     full_alpha,
+    matmul,
+    matmul_t,
     max_rel_err,
     mul,
     reference_attend_bias,
@@ -244,7 +246,7 @@ class TestBatchedStep:
         rng = np.random.default_rng(13)
         audio = model.precompute_audio(model.encode_audio([rng.normal(size=(4, 3))]), [4])
         audio = replace(audio, closed=audio.closed[[0, 0, 0]])  # each row's own frames, as a beam passes them
-        h_z, keys = embed_phrases(model, ["a", "ab", "b a"])
+        h_z, keys = model.precompute_bias(embed_phrases(model, ["a", "ab", "b a"]))
         y = np.array([model.vocab.index("a"), model.vocab.sos, model.vocab.index("b")])
         closed = np.array([[0, 1, 0, 0], [0, 0, 1, 1], [0, 1, 1, 0]], dtype=bool)
         state = model.initial_state(rows=3)
@@ -263,7 +265,7 @@ class TestBatchedStep:
 
     def test_mask_shape_must_match_rows(self):
         model = tiny_model()
-        h_z, keys = embed_phrases(model, ["a"])
+        h_z, keys = model.precompute_bias(embed_phrases(model, ["a"]))
         with pytest.raises(ValueError, match="mask length"):
             model.attend_bias(np.zeros((2, 2)), h_z, np.zeros(2, dtype=bool), keys)
         with pytest.raises(ValueError, match="no-bias"):
@@ -277,20 +279,18 @@ class TestRowLayout:
         model = tiny_model()
         assert all(t.shape[0] == 2 for t in model.initial_state(2).layers[0])
         audio = model.precompute_audio(model.encode_audio([np.zeros((2, 3))]), [2])
-        h_z, keys = embed_phrases(model, ["a"])
+        h_z, keys = model.precompute_bias(embed_phrases(model, ["a"]))
         vec = np.zeros(2)
         vector_state = DecoderStepState(layers=[(vec, vec)], context=np.zeros(4))
         sos = model.vocab.sos
         calls = {
-            "matmul": lambda: T.matmul(T.constant(np.zeros((2, 2))), T.constant(vec)),
-            "matmul_t": lambda: T.matmul_t(T.constant(vec), model.params["bias_attn.wd"]),
             "multi_head_attention": lambda: T.multi_head_attention(
                 vec, [model.params["audio_attn.0.wq"]], audio.keys, audio.values, audio.closed,
                 model.params["audio_attn.wo"],
             ),
             "additive_attention": lambda: T.additive_attention(
-                vec, *(model.params[f"bias_attn.{k}"] for k in ("wd", "b")), keys[0].data, model.params["bias_attn.v"],
-                keys[1], np.zeros((1, 2), dtype=bool), h_z.data,
+                vec, *(model.params[f"bias_attn.{k}"] for k in ("wd", "b")), keys[0], model.params["bias_attn.v"],
+                keys[1], np.zeros((1, 2), dtype=bool), h_z,
             ),
             "output_layer": lambda: T.output_layer(np.zeros(6), model.params["output.w"], model.params["output.b"]),
             "lstm_cell": lambda: T.lstm_cell(np.zeros(6), vec, vec, model.decoder[0]),
@@ -331,7 +331,7 @@ class TestAttendAudio:
         cache = model.precompute_audio(h_x, [5])
         for h in range(2):
             q = model.params[f"audio_attn.{h}.wq"].data @ d.data
-            scores = cache.keys[h].data @ q / np.sqrt(2)
+            scores = cache.keys[h] @ q / np.sqrt(2)
             alpha = softmax(T.constant(scores)).data
             assert abs(alpha.sum() - 1.0) <= 1e-12
 
@@ -391,7 +391,7 @@ class TestAudioCacheTake:
         cache = self.cache()
         taken = cache.take(range(len(self.LENGTHS)))
         for got, want in zip(taken.keys + taken.values, cache.keys + cache.values):
-            assert got.data.tobytes() == want.data.tobytes()
+            assert got.tobytes() == want.tobytes()
         assert taken.closed.tobytes() == cache.closed.tobytes()
 
     @pytest.mark.parametrize("members", [[2], [3, 0], [1, 3, 2], [2, 0, 2]], ids=str)
@@ -402,22 +402,46 @@ class TestAudioCacheTake:
         frames = np.concatenate([np.arange(first[u], first[u] + self.LENGTHS[u]) for u in members])
         taken = cache.take(members)
         for got, want in zip(taken.keys + taken.values, cache.keys + cache.values):
-            assert got.data.tobytes() == want.data[frames].tobytes()
+            assert got.tobytes() == want[frames].tobytes()
         lengths = [self.LENGTHS[u] for u in members]
         assert np.array_equal(taken.closed, np.repeat(np.arange(len(members)), lengths) != np.arange(len(members))[:, None])
+
+
+class TestPrecompute:
+    """A decode's keys and values are arrays with the bytes of the oracle
+    ops' forwards, the expressions `attention_decoder` evaluates."""
+
+    def test_audio_cache_is_the_matmul_t_forwards(self):
+        model = tiny_model(attention_dim=4, attention_heads=2)
+        h_x = T.constant(np.random.default_rng(20).normal(size=(7, 2)))
+        cache = model.precompute_audio(h_x, [3, 4])
+        for h in range(2):
+            assert cache.keys[h].tobytes() == matmul_t(h_x, model.params[f"audio_attn.{h}.wk"]).data.tobytes()
+            assert cache.values[h].tobytes() == matmul_t(h_x, model.params[f"audio_attn.{h}.wv"]).data.tobytes()
+        assert all(type(a) is np.ndarray for a in cache.keys + cache.values)
+
+    def test_bias_arrays_are_the_matmul_and_gather_forwards(self):
+        model = tiny_model(seed=3)
+        phrases, index = embed_phrases(model, ["ab", "b", "AB", "a b", "b"])
+        values, (key_rows, key_of) = model.precompute_bias((phrases, index))
+        assert index.tolist() == [0, 1, 2, 1, 3, 2]
+        assert values.tobytes() == T.gather(phrases, index).data.tobytes()
+        assert key_rows.tobytes() == matmul(phrases, model.params["bias_attn.wh"]).data.tobytes()
+        assert key_of is index
+        assert type(values) is type(key_rows) is np.ndarray and values.flags.c_contiguous
 
 
 class TestAttendBias:
     def test_empty_bias_list(self):
         model = tiny_model()
-        h_z, keys = embed_phrases(model, [])
+        h_z, keys = model.precompute_bias(embed_phrases(model, []))
         c, (alpha, rows) = model.attend_bias(np.zeros((1, 2)), h_z, np.zeros((1, 1), dtype=bool), keys)
         assert np.array_equal(alpha, [[1.0]]) and np.array_equal(rows, [0])
         assert np.array_equal(c[0], model.params["no_bias"].data)
 
     def test_full_mask_keeps_only_no_bias(self):
         model = tiny_model()
-        h_z, keys = embed_phrases(model, ["a", "b", "ab"])
+        h_z, keys = model.precompute_bias(embed_phrases(model, ["a", "b", "ab"]))
         closed = np.array([[False, True, True, True]])
         c, attention = model.attend_bias(np.ones((1, 2)), h_z, closed, keys)
         assert np.array_equal(attention[1], [0])
@@ -427,20 +451,20 @@ class TestAttendBias:
     def test_alpha_matches_direct_softmax(self):
         model = tiny_model()
         rng = np.random.default_rng(4)
-        h_z, keys = embed_phrases(model, ["a", "b"])
+        h_z, keys = model.precompute_bias(embed_phrases(model, ["a", "b"]))
         d = rng.normal(size=2)
         _, (alpha, _) = model.attend_bias(d[None], h_z, np.zeros((1, 3), dtype=bool), keys)
         wh = model.params["bias_attn.wh"].data
         wd = model.params["bias_attn.wd"].data
         b = model.params["bias_attn.b"].data
         v = model.params["bias_attn.v"].data
-        u = np.tanh(h_z.data @ wh + wd @ d + b) @ v
+        u = np.tanh(h_z @ wh + wd @ d + b) @ v
         e = np.exp(u - u.max())
         assert np.abs(alpha[0] - e / e.sum()).max() < 1e-12
 
     def test_mask_validation(self):
         model = tiny_model()
-        h_z, keys = embed_phrases(model, ["a"])
+        h_z, keys = model.precompute_bias(embed_phrases(model, ["a"]))
         with pytest.raises(ValueError, match="mask length"):
             model.attend_bias(np.zeros((1, 2)), h_z, np.zeros((1, 3), dtype=bool), keys)
         with pytest.raises(ValueError, match="no-bias"):
@@ -454,11 +478,11 @@ class TestAttendBias:
         d = rng.normal(size=(1, 2))
         phrases = ["a", "ab", "b a"]
         closed = np.array([[False, False, True, False]])
-        h_z1, keys1 = embed_phrases(model, phrases)
+        h_z1, keys1 = model.precompute_bias(embed_phrases(model, phrases))
         c1, attention1 = model.attend_bias(d, h_z1, closed, keys1)
         perm_phrases = ["b a", "a", "ab"]
         perm_closed = np.array([[False, False, False, True]])
-        h_z2, keys2 = embed_phrases(model, perm_phrases)
+        h_z2, keys2 = model.precompute_bias(embed_phrases(model, perm_phrases))
         c2, attention2 = model.attend_bias(d, h_z2, perm_closed, keys2)
         a1, a2 = full_alpha(attention1, 4), full_alpha(attention2, 4)
         assert np.abs(c1 - c2).max() < 1e-12
@@ -467,7 +491,7 @@ class TestAttendBias:
     def test_masked_entries_exactly_zero(self):
         model = tiny_model()
         rng = np.random.default_rng(6)
-        h_z, keys = embed_phrases(model, ["a", "b", "ab", "ba"])
+        h_z, keys = model.precompute_bias(embed_phrases(model, ["a", "b", "ab", "ba"]))
         for _ in range(50):
             closed = np.zeros((1, 5), dtype=bool)
             closed[0, 1 + rng.integers(0, 4)] = True
@@ -495,11 +519,11 @@ class TestSharedBiasKeys:
         closed[:, rng.random(n_rows) < 0.2] = True  # rows closed for every query
         closed[:, 0] = False
         d_t = rng.normal(size=(batch, 2))
-        h_z = T.constant(rng.normal(size=(n_rows, 2)))
-        key_rows = T.constant(rng.normal(size=(n_keys + 1, 2)))
+        h_z = rng.normal(size=(n_rows, 2))
+        key_rows = rng.normal(size=(n_keys + 1, 2))
         c, attention = model.attend_bias(d_t, h_z, closed, (key_rows, key_of))
         alpha = full_alpha(attention, n_rows)
-        want_c, want_alpha = reference_attend_bias(model, d_t, h_z, closed, T.gather(key_rows, key_of))
+        want_c, want_alpha = reference_attend_bias(model, d_t, T.constant(h_z), closed, T.constant(key_rows[key_of]))
         assert np.abs(c - want_c).max() <= 1e-12
         assert np.abs(alpha - want_alpha).max() <= 1e-12
         assert np.all(alpha[closed] == 0.0)
