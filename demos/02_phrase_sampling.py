@@ -7,7 +7,13 @@ import numpy as np
 
 from ctxseq.sampler import SamplerConfig, draw_phrases, insert_bias_tokens, sample_bias_list
 from ctxseq.tensor import substream
-from ctxseq.vocab import render
+from ctxseq.vocab import SPACE
+
+
+def spelled(tokens: list[str]) -> str:
+    """A target as text, each `</bias>` kept where it was inserted."""
+    return "".join(" " if t == SPACE else t for t in tokens)
+
 
 batch = [
     "play a song",
@@ -29,11 +35,11 @@ print("\nsampled phrase list (p_keep=0.5, word n-grams up to order 4):", phrases
 print("\naugmented targets (</bias> after every match, longest match wins):")
 for r in batch:
     tokens = insert_bias_tokens(r, phrases)
-    print(f"  {r!r:28s} -> {render(tokens, keep_bias=True)!r}")
+    print(f"  {r!r:28s} -> {spelled(tokens)!r}")
 
 # The worked example: the phrase 'play' marks the transcript right after it.
 tokens = insert_bias_tokens("play a song.", ["play"])
-print("\nexample:", render(tokens, keep_bias=True))
+print("\nexample:", spelled(tokens))
 
 # Expected list size: with a 32-utterance shard and p_keep=0.5, about 16
 # phrases are drawn per batch (17 counting the implicit no-bias slot).

@@ -23,6 +23,7 @@ from .experiments import (
     conditioning_comparison,
     decode_corpus,
     distractor_sweep,
+    fusion_per_list,
     per_bias_list,
     strategy_comparison,
 )
@@ -150,14 +151,7 @@ def cmd_decode(args) -> int:
             if foreign:
                 raise ValueError(f"graphemes the model cannot emit: {' '.join(foreign)}")
         shared_fusion = FusionScorer(context)
-    compiled = per_bias_list(
-        lambda phrases: FusionScorer(compile_context(phrases, alphabet, args.strategy, args.bonus))
-    )
-
-    def fusion_per_utt(u):
-        if args.strategy and u.bias_phrases:
-            return compiled(u)
-        return shared_fusion
+    fusion_per_utt = fusion_per_list(alphabet, args.strategy, args.bonus) if args.strategy else lambda u: shared_fusion
 
     def phrases_fn(u):
         return [] if args.empty_bias else list(u.bias_phrases)

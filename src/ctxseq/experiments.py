@@ -105,6 +105,14 @@ def per_bias_list(fn):
     return lambda u: once(tuple(u.bias_phrases))
 
 
+def fusion_per_list(alphabet, strategy: str, bonus: float):
+    """`utt -> FusionScorer | None`: the utterance's manifest list compiled
+    by `compile_context` at `strategy` and `bonus`, once per distinct list,
+    and None, fusing nothing, for an empty list."""
+    compiled = per_bias_list(lambda phrases: FusionScorer(compile_context(phrases, alphabet, strategy, bonus)))
+    return lambda u: compiled(u) if u.bias_phrases else None
+
+
 def eval_wer(results: list[DecodeResult], utts: list[Utterance]) -> WerReport:
     if len(results) != len(utts):
         raise ValueError(f"{len(results)} results for {len(utts)} utterances")
@@ -219,20 +227,13 @@ def strategy_comparison(
 ) -> dict[str, tuple[float, float]]:
     """Per strategy, the best (lambda, WER) over the grid, fusing each
     utterance's own bias list over the plain model. Raises ValueError before
-    any decode for a grid `check_strategy_grid` rejects. Every strategy
-    compiles each distinct list once, before any decode, at bonus 1: every
-    strategy's weights are linear in the bonus, so `lams` alone sets the
-    scale."""
+    any decode for a grid `check_strategy_grid` rejects. Each strategy
+    compiles each distinct list once, with `fusion_per_list` at bonus 1
+    (every strategy's weights are linear in the bonus, so `lams` alone sets
+    the scale); an empty list fuses nothing, and `decode_corpus` names the
+    utterance behind a list that does not compile."""
     check_strategy_grid(strategies, lams)
-    alphabet = model.vocab.graphemes
-
-    def fusion(strat: str):
-        return per_bias_list(lambda phrases: FusionScorer(compile_context(phrases, alphabet, strat, 1.0)))
-
-    fusions = {strat: fusion(strat) for strat in strategies}
-    for per_utt in fusions.values():
-        for u in utts:
-            per_utt(u)  # compiles each list now, so a bad one fails before any decode
+    fusions = {strat: fusion_per_list(model.vocab.graphemes, strat, 1.0) for strat in strategies}
     audio = prepare_audio(model, utts)
 
     def wer(lam: float, per_utt) -> float:

@@ -337,8 +337,8 @@ class Recognizer:
         self, xs: Sequence[np.ndarray], bias: tuple[Tensor, np.ndarray], targets: Sequence[Sequence[int]]
     ) -> Tensor:
         """Teacher-forced negative log-likelihood of the augmented targets,
-        summed over the batch; `bias` is the embedded list `embed_phrases`
-        gives, shared by every utterance.
+        the mean over the batch of each utterance's sum; `bias` is the
+        embedded list `embed_phrases` gives, shared by every utterance.
 
         Utterance b is row b of every target position. The targets are
         padded to the longest, a padded position reading end-of-sequence; it

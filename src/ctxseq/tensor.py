@@ -7,9 +7,7 @@ layout: the beam step's ops take (B, D) stacks of B rows (B may be 1),
 table, `attention_decoder` every position's rows stacked position by
 position, and none takes a vector. So a training step, a beam step over B
 hypotheses and the phrase encoder over a whole list run the same
-arithmetic. `scale` is shape-agnostic, and `gather` selects rows or
-last-axis entries (a column range is `gather` over `np.arange(start,
-stop)`).
+arithmetic. `gather` selects rows.
 
 Training records fused tape nodes with hand-written backwards (the
 element-wise fusion of Appleyard, Kočiský & Blunsom 2016): `lstm_layer` runs
@@ -181,15 +179,6 @@ def _scatter_add(t: Tensor, where, g: np.ndarray) -> None:
 # primitive ops
 
 
-def scale(a: Tensor, k: float) -> Tensor:
-    out = Tensor(a.data * k)
-
-    def backward():
-        _accum(a, out.grad * k)
-
-    return _record(out, backward)
-
-
 def stack(blocks: Sequence[Tensor]) -> Tensor:
     """Stack rows into a matrix: a 1-D tensor adds one row, a 2-D tensor
     adds all of its rows. Every row must have the same width."""
@@ -212,25 +201,22 @@ def stack(blocks: Sequence[Tensor]) -> Tensor:
     return _record(out, backward)
 
 
-def gather(a: Tensor, index: np.ndarray, axis: int = 0) -> Tensor:
-    """Rows (axis 0) or last-axis entries (axis -1) `index` of a vector or
-    matrix, in that order; repeats allowed.
+def gather(a: Tensor, index: np.ndarray) -> Tensor:
+    """Rows `index` of a matrix, or entries of a vector, in that order;
+    repeats allowed.
 
-    The backward scatter-adds into the selected positions, so positions that
-    are not selected get exactly zero gradient.
+    The backward scatter-adds into the selected rows, so rows that are not
+    selected get exactly zero gradient.
     """
     if a.data.ndim not in (1, 2):
         raise ValueError(f"gather takes a 1-D/2-D tensor, got shape {a.shape}")
-    if axis not in (0, -1):
-        raise ValueError(f"gather works over axis 0 or -1, got {axis}")
     index = np.asarray(index, dtype=np.intp)
     if index.ndim != 1:
         raise ValueError(f"gather needs a 1-D index, got shape {index.shape}")
-    where = (index,) if axis == 0 else (Ellipsis, index)
-    out = Tensor(a.data[where])
+    out = Tensor(a.data[index])
 
     def backward():
-        _scatter_add(a, where, out.grad)
+        _scatter_add(a, index, out.grad)
 
     return _record(out, backward)
 
@@ -608,8 +594,9 @@ def attention_decoder(
     output: tuple[Tensor, Tensor],
 ) -> Tensor:
     """Every position of a teacher-forced attention decoder, with its output
-    layer and loss, as one tape node; returns the scalar summed negative
-    log-likelihood of `targets`.
+    layer and loss, as one tape node; returns the scalar negative
+    log-likelihood of `targets`, summed over positions and averaged over
+    the B rows.
 
     `ids` and `targets` are (P, B): row t holds the B input tokens of
     position t and the B tokens it emits, -1 on a padded row, which adds
@@ -636,7 +623,8 @@ def attention_decoder(
     - The frame mask is made and checked once; the bias softmax has no mask.
     - The output layer runs once, over one buffer of every position's
       context and d. The loss sums the picked log-probabilities in a
-      zero-filled array, which keeps the bits of a one-hot product's sum.
+      zero-filled array, which keeps the bits of a one-hot product's sum,
+      and multiplies the negated sum by 1 / B.
     - The backward runs the positions in reverse and writes each one's rows
       into stacked buffers. Then each weight, and each attention's keys and
       values, get their gradients in one product each, and the embedding
@@ -711,11 +699,11 @@ def attention_decoder(
     picked = (hit, targets.reshape(-1)[hit])
     terms = np.zeros_like(log_probs)
     terms[picked] = log_probs[picked]
-    loss = Tensor(-terms.sum())
+    loss = Tensor(-terms.sum() * (1.0 / rows))
 
     def backward():
         g = np.zeros_like(log_probs)
-        g[picked] = -loss.grad
+        g[picked] = -(loss.grad * (1.0 / rows))
         g = _log_softmax_grad(g, log_probs)
         _accum(b_out, g.sum(axis=0))
         _accum(w_out, g.T @ x)

@@ -45,7 +45,8 @@ def train_model(
     Every feature file is read by `Recognizer.read_features` before the
     first step. Each batch draws a fresh phrase list from its own
     transcripts, inserts `</bias>` after matches in every target, and
-    minimizes the summed negative log-likelihood (averaged over the batch).
+    minimizes `Recognizer.forward_loss`, the batch's mean negative
+    log-likelihood.
     """
     opt = T.Adam(model.params, lr=cfg.lr)
     batch_rng = T.substream(cfg.seed, "train/batches")
@@ -59,8 +60,7 @@ def train_model(
         targets = [target_ids(model, insert_bias_tokens(refs[i], phrases)) for i in idx]
         with T.Tape() as tape:
             bias = embed_phrases(model, phrases)
-            nll = model.forward_loss([features[i] for i in idx], bias, targets)
-            loss = T.scale(nll, 1.0 / len(idx))
+            loss = model.forward_loss([features[i] for i in idx], bias, targets)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise FloatingPointError(f"loss became non-finite ({value}) at step {step}")

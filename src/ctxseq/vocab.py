@@ -76,18 +76,13 @@ def graphemize(text: str) -> list[str]:
     return tokens
 
 
-def render(tokens: list[str], keep_bias: bool = False) -> str:
-    """Inverse of graphemize; drops structural specials, optionally `</bias>`."""
+def render(tokens: list[str]) -> str:
+    """Inverse of graphemize; drops structural specials and `</bias>`."""
     out = []
     for t in tokens:
         if t == SPACE:
             out.append(" ")
-        elif t in (SOS, EOS):
-            continue
-        elif t == BIAS_END:
-            if keep_bias:
-                out.append(BIAS_END)
-        else:
+        elif t not in (SOS, EOS, BIAS_END):
             out.append(t)
     return "".join(out)
 

@@ -9,7 +9,7 @@ its own word-position facts by walking the determinized machine, where the
 library records them while it builds), the op chains of the LSTM cell, the
 attentions and the output layer are built from the library's primitive ops
 and from the primitive ops defined here, which only those chains and the
-tests' losses use (`matmul`, `matmul_t`, `add`,
+tests' losses use (`matmul`, `matmul_t`, `scale`, `columns`, `add`,
 `mul`, `sum_`, `concat`, `tanh`, `sigmoid`, `softmax`, `log_softmax` and
 `additive_scores`; they take their softmax, log-softmax and tanh-score
 arithmetic from the library's helpers, so a bit-identity test checks how a
@@ -589,6 +589,30 @@ def matmul_t(x: Tensor, w: Tensor) -> Tensor:
     return T._record(out, backward)
 
 
+def scale(a: Tensor, k: float) -> Tensor:
+    """`a * k` for a tensor of any shape."""
+    out = Tensor(a.data * k)
+
+    def backward():
+        T._accum(a, out.grad * k)
+
+    return T._record(out, backward)
+
+
+def columns(a: Tensor, index) -> Tensor:
+    """Columns `index` of a vector or matrix, in that order; repeats
+    allowed. A column range is `columns` over `np.arange(start, stop)`. The
+    backward scatter-adds, so a column not selected gets exactly zero
+    gradient."""
+    where = (Ellipsis, np.asarray(index, dtype=np.intp))
+    out = Tensor(a.data[where])
+
+    def backward():
+        T._scatter_add(a, where, out.grad)
+
+    return T._record(out, backward)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; also allows matrix + row-vector broadcast."""
     if a.data.shape != b.data.shape:
@@ -727,10 +751,10 @@ def reference_lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, params: T.L
     tape node."""
     h = params.hidden
     pre = add(matmul_t(concat([x_t, h_prev]), params.w), params.b)
-    i = sigmoid(T.gather(pre, np.arange(0, h), axis=-1))
-    f = sigmoid(T.gather(pre, np.arange(h, 2 * h), axis=-1))
-    g = tanh(T.gather(pre, np.arange(2 * h, 3 * h), axis=-1))
-    o = sigmoid(T.gather(pre, np.arange(3 * h, 4 * h), axis=-1))
+    i = sigmoid(columns(pre, np.arange(0, h)))
+    f = sigmoid(columns(pre, np.arange(h, 2 * h)))
+    g = tanh(columns(pre, np.arange(2 * h, 3 * h)))
+    o = sigmoid(columns(pre, np.arange(3 * h, 4 * h)))
     c_t = add(mul(f, c_prev), mul(i, g))
     h_t = mul(o, tanh(c_t))
     return h_t, c_t
@@ -757,7 +781,7 @@ def reference_attend_audio(query: Tensor, wq, keys, values, closed, wo: Tensor) 
     heads = []
     for w, k, v in zip(wq, keys, values):
         q = matmul_t(query, w)
-        scores = T.scale(matmul_t(q, k), 1.0 / np.sqrt(w.data.shape[0]))
+        scores = scale(matmul_t(q, k), 1.0 / np.sqrt(w.data.shape[0]))
         scores = add(scores, T.constant(np.where(closed, T.NEG_INF, 0.0)))
         heads.append(matmul(softmax(scores), v))
     return matmul_t(concat(heads), wo)
@@ -765,10 +789,10 @@ def reference_attend_audio(query: Tensor, wq, keys, values, closed, wo: Tensor) 
 
 def reference_additive_attention(query: Tensor, wd, b, keys, v, score_of, closed, values) -> tuple[Tensor, Tensor]:
     """`tensor.additive_attention` as a chain: matmul_t, add,
-    additive_scores, gather, add of the -inf mask when any entry is closed,
+    additive_scores, columns, add of the -inf mask when any entry is closed,
     softmax and matmul, each its own tape node."""
     scores = additive_scores(keys, add(matmul_t(query, wd), b), v)
-    scores = T.gather(scores, score_of, axis=-1)
+    scores = columns(scores, score_of)
     if closed.any():
         scores = add(scores, T.constant(np.where(closed, T.NEG_INF, 0.0)))
     alpha = softmax(scores)
@@ -844,7 +868,7 @@ def reference_forward_loss(model, x: np.ndarray, bias: tuple, target: list[int])
     log_probs = reference_output_log_probs([contexts, outputs], p["output.w"], p["output.b"])
     loss = None
     for t, y in enumerate(target):
-        nll = T.scale(T.gather(T.gather(log_probs, [t]), [y], axis=-1), -1.0)
+        nll = scale(columns(T.gather(log_probs, [t]), [y]), -1.0)
         loss = nll if loss is None else add(loss, nll)
     return sum_(loss)
 

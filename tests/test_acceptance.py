@@ -16,7 +16,7 @@ from ctxseq.fst import BEGINNING_OF_WORD, END_OF_WORD, EVERY_SUBWORD, FusionScor
 from ctxseq.model import ModelConfig, Recognizer, embed_phrases
 from ctxseq.sampler import SamplerConfig, annotate_reference, draw_phrases, insert_bias_tokens
 from ctxseq.tensor import substream
-from ctxseq.vocab import SPACE, Vocabulary, graphemize, render
+from ctxseq.vocab import SPACE, Vocabulary, graphemize
 
 from oracles import brute_force_annotation, finite_difference, full_alpha, max_rel_err
 from test_fst import ADVERSARIAL_PHRASE_SETS, check_oracle_equivalence
@@ -134,7 +134,7 @@ def test_criterion_03_sampler_statistics():
 
 
 def test_criterion_04_bias_augmentation():
-    worked = render(insert_bias_tokens("play a song.", ["play"]), keep_bias=True)
+    worked = "".join(" " if t == SPACE else t for t in insert_bias_tokens("play a song.", ["play"]))
     ok = worked == "play</bias> a song."
     rng = substream(4, "acceptance/augment")
     vocab = ["a", "b", "c", "ab", "ba"]

@@ -944,6 +944,52 @@ class TestSweep:
         assert capsys.readouterr().err.startswith(f"error: checkpoint {bad}: truncated tensor file while reading '")
         assert not out.exists()
 
+    @staticmethod
+    def manifest_with_second_list(workspace, tmp_path, phrases: list[str]):
+        """The first three test_biased utterances, the second listing `phrases`."""
+        root, _ = workspace
+        records = [json.loads(line) for line in (root / "corpus" / "test_biased.jsonl").read_text().splitlines()[:3]]
+        records[1]["bias_phrases"] = phrases
+        data = tmp_path / "m.jsonl"
+        data.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return data, records[1]["id"]
+
+    def test_bad_list_names_its_utterance_in_decode_and_sweep(self, workspace, tmp_path, capsys):
+        # `decode --strategy` and the strategy sweep build their scorers one
+        # way, inside the decode that names the utterance behind a bad list.
+        root, _ = workspace
+        data, utt = self.manifest_with_second_list(workspace, tmp_path, ["a", "zq"])
+        want = f"error: utterance {utt}: bias phrase 'zq': unknown token 'z'\n"
+        out = tmp_path / "out"
+        args = ["decode", "--checkpoint", str(root / "ckpt"), "--data", str(data), "--strategy", "end-of-word"]
+        assert main(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == want
+        spec = tmp_path / "spec.ini"
+        spec.write_text(
+            f"[strategies]\ncheckpoint = {root / 'ckpt'}\nmanifest = {data}\nstrategies = end-of-word\nlams = 1\n"
+        )
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == want
+        assert not out.exists()
+
+    def test_strategy_table_equals_eval_of_decode(self, workspace, tmp_path):
+        # One strategy and one lambda over a manifest whose second list is
+        # empty: the table's WER is `eval` of `decode --strategy` at bonus 1.
+        root, _ = workspace
+        data, _ = self.manifest_with_second_list(workspace, tmp_path, [])
+        spec = tmp_path / "spec.ini"
+        spec.write_text(
+            f"[strategies]\ncheckpoint = {root / 'ckpt'}\nmanifest = {data}\nstrategies = every-subword\nlams = 0.5\n"
+        )
+        assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "report")]) == 0
+        [row] = [line.split("\t") for line in (tmp_path / "report" / "strategy_table.tsv").read_text().splitlines()]
+        args = ["decode", "--checkpoint", str(root / "ckpt"), "--data", str(data), "--strategy", "every-subword"]
+        assert main(args + ["--bonus", "1", "--lam", "0.5", "--out", str(tmp_path / "dec")]) == 0
+        hyp = tmp_path / "dec" / "hypotheses.tsv"
+        assert main(["eval", "--hyp", str(hyp), "--data", str(data), "--out", str(tmp_path / "eval")]) == 0
+        total = (tmp_path / "eval" / "wer_report.tsv").read_text().splitlines()[-1].split("\t")
+        assert row == ["every-subword", "0.5", total[5]]
+
     def test_all_four_experiments(self, workspace, tmp_path):
         root, _ = workspace
         ckpt, corpus = root / "ckpt", root / "corpus"

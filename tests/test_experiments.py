@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from ctxseq import experiments
 from ctxseq.conditioning import BiasEntry, plain_entries
 from ctxseq.corpus import Utterance
 from ctxseq.decoding import DecodeConfig, DecodeResult, beam_search
-from ctxseq.experiments import decode_corpus, distractor_sweep, per_bias_list, trend_spearman
+from ctxseq.experiments import decode_corpus, distractor_sweep, fusion_per_list, per_bias_list, trend_spearman
+from ctxseq.fst import FusionScorer
 from ctxseq.model import ModelConfig, Recognizer, embed_phrases
 from ctxseq.tensor import save_tensors
 from ctxseq.vocab import BIAS_END, Vocabulary
@@ -234,6 +236,35 @@ class TestOncePerDistinctList:
         lookup = per_bias_list(fn)
         assert [lookup(u) for u in utterances(self.LISTS)] == [1, 2, 1, 2, 1]
         assert seen == [["a", "b a"], ["b"]]
+
+
+class TestStrategyComparison:
+    CFG = DecodeConfig(beam_width=2, max_len=4)
+
+    def test_an_empty_list_fuses_nothing(self, tmp_path, monkeypatch):
+        # The second utterance lists no phrase: every decode of the grid
+        # gives it its decode without fusion, and the table is returned.
+        model = tiny_model()
+        utts = [replace(u, bias_phrases=p) for u, p in zip(on_disk(tmp_path, [4, 3]), (["a", "b a"], []))]
+        runs, decode = [], experiments.decode_corpus
+
+        def noting(model, utts, cfg, **kwargs):
+            runs.append((cfg.lam, decode(model, utts, cfg, **kwargs)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(experiments, "decode_corpus", noting)
+        table = experiments.strategy_comparison(model, utts, ["end-of-word", "every-subword"], [0.5, 2.0], self.CFG)
+        assert list(table) == ["end-of-word", "every-subword"]
+        assert [lam for lam, _ in runs] == [0.5, 2.0, 0.5, 2.0]
+        for lam, results in runs:
+            plain = decode(model, utts, replace(self.CFG, lam=lam))
+            assert_same_results(results[1:], plain[1:])
+            assert results[1].log_fusion == 0.0
+
+    def test_fusion_per_list_compiles_once_per_list(self):
+        lookup = fusion_per_list(tiny_model().vocab.graphemes, "every-subword", 1.0)
+        first, empty, again = (lookup(u) for u in utterances([["a", "b a"], [], ["a", "b a"]]))
+        assert isinstance(first, FusionScorer) and again is first and empty is None
 
 
 class TestAttentionHitRate:

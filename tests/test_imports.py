@@ -2,8 +2,9 @@
 above the beam search import it, every function, class and method the
 library defines is used somewhere, and by the library itself unless an
 allow-list gives its reason, every parameter of a library function or
-method is read in its body, and every class field the library declares is
-read somewhere.
+method is read in its body, every defaulted parameter is set by some call
+in the library or the benchmark's harness unless an allow-list gives its
+reason, and every class field the library declares is read somewhere.
 
 Stdlib `ast` scans, and one run of a fresh interpreter that imports the
 model and the training loop. The import scan covers the library, the
@@ -243,6 +244,78 @@ def test_scan_finds_an_unread_parameter():
     )
     assert unread_parameters({"lib.py": library}) == [
         "lib.py: scale(unused)", "lib.py: outer(kept)", "lib.py: Box.open(args)"
+    ]
+
+
+def unset_defaults(library: dict[str, str], callers: list[str]) -> list[str]:
+    """Defaulted parameters of the `library` modules' top-level functions,
+    and of their classes' non-dunder methods, that no call in `library` or
+    `callers` passes, by keyword or by position. Calls are matched by the
+    called name alone, as the orphan scan matches references; a method's
+    positions start after `self`, and a call with `*args` or `**kwargs`
+    counts as passing every parameter it could reach."""
+    trees = [ast.parse(source) for source in [*library.values(), *callers]]
+    calls = [n for t in trees for n in ast.walk(t) if isinstance(n, ast.Call)]
+    found = []
+    for label, source in library.items():
+        for node in ast.parse(source).body:
+            defs = [(node.name, node, 0)] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.ClassDef):
+                defs = [
+                    (f"{node.name}.{m.name}", m, 1)
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef) and not (m.name.startswith("__") and m.name.endswith("__"))
+                ]
+            for qualname, d, bound in defs:
+                a = d.args
+                positional = [*a.posonlyargs, *a.args]
+                first = len(positional) - len(a.defaults)
+                defaulted = [(p, i - bound) for i, p in enumerate(positional) if i >= first]
+                defaulted += [(p, None) for p, v in zip(a.kwonlyargs, a.kw_defaults) if v is not None]
+                named = [c for c in calls if getattr(c.func, "id", getattr(c.func, "attr", None)) == d.name]
+                found += [
+                    f"{label}: {qualname}({p.arg})" for p, at in defaulted if not any(_passes(c, p.arg, at) for c in named)
+                ]
+    return found
+
+
+def _passes(call: ast.Call, name: str, at: int | None) -> bool:
+    """Whether `call` passes the parameter `name`, which sits at position
+    `at` of the call (None: keyword only)."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return at is not None and (len(call.args) > at or any(isinstance(x, ast.Starred) for x in call.args))
+
+
+# Defaulted parameters that no scanned call sets.
+UNSET_DEFAULTS = [
+    # The console script and `python -m ctxseq` call `main()` bare; the
+    # tests pass their own argument lists.
+    "src/ctxseq/cli.py: main(argv)",
+]
+
+
+def test_every_default_is_set_by_some_call_or_listed():
+    # The callers are the library and the benchmark's harness, whose calls
+    # cannot change with the library.
+    library, _ = _library_and_others()
+    harness = [(ROOT / "perfbench" / f"{n}.py").read_text(encoding="utf-8") for n in ("workloads", "run", "tracing")]
+    assert unset_defaults(library, harness) == UNSET_DEFAULTS
+
+
+def test_scan_finds_an_unset_default():
+    library = (
+        "def pick(x, k=1, *, flip=False, sign=1):\n    return x\n"
+        "class Box:\n"
+        "    def __init__(self, w=1):\n        self.w = w\n"
+        "    def grow(self, by=1, times=1):\n        return by * times\n"
+        "    def shrink(self, by=1):\n        return by\n"
+        "pick(1, 2)\n"
+        "Box().grow(2)\n"
+    )
+    callers = ["pick(0, sign=-1)\nopts = {}\nBox().shrink(**opts)\n"]
+    assert unset_defaults({"lib.py": library}, callers) == [
+        "lib.py: pick(flip)", "lib.py: Box.grow(times)"
     ]
 
 

@@ -23,6 +23,7 @@ from oracles import (
     reference_encode_bias,
     reference_forward_loss,
     reference_output_log_probs,
+    scale,
     softmax,
     sum_,
 )
@@ -667,7 +668,8 @@ DEEP = dict(decoder_layers=2, attention_heads=2, encoder_layers=2)
 
 class TestBatchedForwardLoss:
     """`forward_loss` runs a batch as one (B, ·) step per target position;
-    the reference runs each utterance alone and the losses are summed."""
+    the reference runs each utterance alone, sums the losses and scales
+    the sum by 1 / B, the batch mean."""
 
     @staticmethod
     def loss_and_grads(model, loss_fn):
@@ -705,7 +707,7 @@ class TestBatchedForwardLoss:
             total = losses[0]
             for loss in losses[1:]:
                 total = add(total, loss)
-            return total
+            return scale(total, 1.0 / len(losses))
 
         got, got_grads = self.loss_and_grads(
             model, lambda: model.forward_loss(xs, embed_phrases(model, phrases), targets)

@@ -13,6 +13,7 @@ from ctxseq.tensor import NEG_INF, Tape, Tensor
 from oracles import (
     add,
     additive_scores,
+    columns,
     concat,
     finite_difference,
     log_softmax,
@@ -27,6 +28,7 @@ from oracles import (
     reference_lstm_cell,
     reference_lstm_layer,
     reference_output_log_probs,
+    scale,
     sigmoid,
     softmax,
     sum_,
@@ -389,15 +391,15 @@ def decoder_case(rng, rows, positions, n_layers, heads, utterances, n_values, n_
 def decoder_chain(ids, targets, embedding, layers, audio, bias, output) -> Tensor:
     """`attention_decoder` as the chain it fuses: `reference_attention_decoder`,
     `reference_output_log_probs` over its contexts and outputs, and the
-    negated sum of the log-probabilities times one-hot `targets`, each its
-    own tape node."""
+    negated sum of the log-probabilities times one-hot `targets` scaled by
+    1 / B, the batch mean, each its own tape node."""
     contexts, outputs = reference_attention_decoder(ids, embedding, layers, audio, bias)
     log_probs = reference_output_log_probs([contexts, outputs], *output)
     flat = targets.reshape(-1)
     hit = np.flatnonzero(flat >= 0)
     picks = np.zeros(log_probs.shape)
     picks[hit, flat[hit]] = 1.0
-    return T.scale(sum_(mul(log_probs, T.constant(picks))), -1.0)
+    return scale(sum_(mul(log_probs, T.constant(picks))), -1.0 / ids.shape[1])
 
 
 class TestAttentionDecoder:
@@ -434,7 +436,7 @@ class TestAttentionDecoder:
                 t.grad[...] = 0.0
             with Tape() as tape:
                 loss = call(decoder)
-                tape.backward(T.scale(loss, 0.5))  # a loss gradient other than 1, as a batch mean gives
+                tape.backward(scale(loss, 0.5))  # a loss gradient other than 1
             return float(loss.data), {name: t.grad.copy() for name, t in leaves.items()}
 
         (got, got_grads), (want, want_grads) = run(T.attention_decoder), run(decoder_chain)
@@ -686,10 +688,10 @@ class TestRowwiseOps:
         a = T.parameter(rng.normal(size=(3, 2)))
         b = T.parameter(rng.normal(size=(3, 4)))
         out = concat([a, b])
-        columns = np.arange(1, 4)
+        picked = np.arange(1, 4)
         assert np.array_equal(out.data[1], concat([T.constant(a.data[1]), T.constant(b.data[1])]).data)
-        assert np.array_equal(T.gather(out, columns, axis=-1).data, out.data[:, 1:4])
-        check_grads(lambda: weighted(T.gather(concat([a, b]), columns, axis=-1), 1), {"a": a, "b": b})
+        assert np.array_equal(columns(out, picked).data, out.data[:, 1:4])
+        check_grads(lambda: weighted(columns(concat([a, b]), picked), 1), {"a": a, "b": b})
         assert np.all(a.grad[:, 0] == 0.0) and np.all(b.grad[:, 2:] == 0.0)
         with pytest.raises(ValueError, match="all 1-D or all 2-D"):
             concat([a, T.constant(np.zeros(2))])
@@ -795,11 +797,9 @@ class TestRowwiseOps:
     def test_gather_last_axis(self):
         m = T.parameter(np.random.default_rng(25).normal(size=(2, 3)))
         index = np.array([2, 2, 0])
-        assert np.array_equal(T.gather(m, index, axis=-1).data, m.data[:, index])
-        check_grads(lambda: weighted(T.gather(m, index, axis=-1), 8), {"m": m})
+        assert np.array_equal(columns(m, index).data, m.data[:, index])
+        check_grads(lambda: weighted(columns(m, index), 8), {"m": m})
         assert np.all(m.grad[:, 1] == 0.0)
-        with pytest.raises(ValueError, match="axis 0 or -1"):
-            T.gather(m, index, axis=1)
 
     def test_stack_rows_and_blocks(self):
         rng = np.random.default_rng(26)
@@ -855,11 +855,11 @@ class TestBackward:
     def test_backward_visits_reverse_order(self):
         x = T.parameter([2.0])
         with Tape() as tape:
-            a = T.scale(x, 3.0)
+            a = scale(x, 3.0)
             b = tanh(a)
             loss = sum_(b)
             tape.backward(loss)
-        fd = finite_difference(lambda: float(sum_(tanh(T.scale(x, 3.0))).data), {"x": x})
+        fd = finite_difference(lambda: float(sum_(tanh(scale(x, 3.0))).data), {"x": x})
         assert max_rel_err(x.grad, fd["x"]) < 1e-6
 
 
@@ -997,7 +997,7 @@ class TestDeterminismAndInvariants:
 
         def forward():
             h = T.gather(T.lstm_layer(x, [0, 1, 2], [3], p), [2])
-            return sum_(T.gather(log_softmax(matmul_t(h, w)), [1], axis=-1))
+            return sum_(columns(log_softmax(matmul_t(h, w)), [1]))
 
         params = {"w": w, "lstm.w": p.w, "lstm.b": p.b}
         assert sum(t.data.size for t in params.values()) <= 200

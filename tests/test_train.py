@@ -111,17 +111,18 @@ class TestTrainModel:
 def test_default_batch_tape_size(tmp_path, monkeypatch):
     # One tape node per encoder layer, each reading its inputs from the rows
     # of a table; the phrase encoder's last-step gather and the no-bias
-    # stack; one for the whole teacher-forced decoder, which projects the
-    # attentions' keys and values itself, with its output layer and loss;
-    # and the batch mean: the first seed-1 batch at the default config
-    # records 7 nodes (13 with the key and value projections and the list
-    # gather as nodes of their own, 15 with the bias encoder's embedding
-    # rows and the audio encoder's output order as gathers of their own, 19
-    # with the output layer and the loss as four nodes of their own, 209
-    # with a node per decoder cell and attention at each position, 377 with
-    # a node per encoder cell too, 944 when the attentions and the output
-    # layer were chains of primitive ops). A change that splits a fused op
-    # or an encoder into several nodes again fails here.
+    # stack; and one for the whole teacher-forced decoder, which projects
+    # the attentions' keys and values itself, with its output layer and
+    # its loss, the batch mean: the first seed-1 batch at the default
+    # config records 6 nodes (7 with the batch mean as a `scale` node of
+    # its own, 13 with the key and value projections and the list gather
+    # as nodes of their own, 15 with the bias encoder's embedding rows and
+    # the audio encoder's output order as gathers of their own, 19 with the
+    # output layer and the loss as four nodes of their own, 209 with a node
+    # per decoder cell and attention at each position, 377 with a node per
+    # encoder cell too, 944 when the attentions and the output layer were
+    # chains of primitive ops). A change that splits a fused op or an
+    # encoder into several nodes again fails here.
     task = SyntheticTaskConfig(seed=1)
     utts = read_manifest(generate_corpus(task, tmp_path).manifests["train"])
     model = Recognizer(ModelConfig(feature_dim=task.feature_dim), task.vocabulary(), seed=1)
@@ -133,5 +134,5 @@ def test_default_batch_tape_size(tmp_path, monkeypatch):
 
     monkeypatch.setattr(T.Tape, "backward", noting)
     train_model(model, utts, SamplerConfig(), TrainConfig(steps=1, seed=1))
-    assert kinds == [["lstm_layer", "gather", "stack", "lstm_layer", "lstm_layer", "attention_decoder", "scale"]]
-    assert len(kinds[0]) == 7
+    assert kinds == [["lstm_layer", "gather", "stack", "lstm_layer", "lstm_layer", "attention_decoder"]]
+    assert len(kinds[0]) == 6
